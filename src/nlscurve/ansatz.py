@@ -29,9 +29,9 @@ Every corrector solve uses the scaled model operator: factoring the phase
 out of -∂²_ss leaves +(f')², so the zeroth-order coefficient is
 (f')² + V = k² and the solve reduces to the unit sectors via y = kz.
 
-Per-node solves are deduplicated: constant-coefficient configurations
-(circles in radial potentials) cost one radial solve per sector regardless
-of the curve resolution.
+The operators do not depend on the node, so each sector operator is
+factored once (one banded factorization) and solved with the sources of all
+curve nodes as its columns.
 """
 
 from dataclasses import dataclass
@@ -85,22 +85,8 @@ class CorrectorSet:
     f1prime: np.ndarray
     f1: np.ndarray
     f1_budget: float
-    source_even: tuple = None     # (A, C) arrays of the last even source audit
-    source_odd: np.ndarray = None
-
-
-def _dedup_nodes(columns, tol=1e-12):
-    """Group nodes with identical coefficient tuples.
-
-    Returns (unique_rows, inverse): node i behaves like unique_rows[inverse[i]].
-    """
-    cols = np.column_stack([np.asarray(c, dtype=float).reshape(len(c), -1)
-                            for c in columns])
-    scale = np.maximum(np.max(np.abs(cols), axis=0), 1.0)
-    keys = np.round(cols / scale / tol).astype(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    return first, inverse
+    source_even: tuple = None     # (A, C) even source arrays of node M-1
+    source_odd: np.ndarray = None  # (d, m) odd source array B of node M-1
 
 
 def _spectral_dsbar(arr, L, order=1):
@@ -114,7 +100,7 @@ def _spectral_dsbar(arr, L, order=1):
 
 def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
                      criticality_tol=0.1):
-    """All corrector data for the ansatz, solved per (deduplicated) node.
+    """All corrector data for the ansatz, one batched solve per sector operator.
 
     Solvability of the odd real corrector requires the curve to be critical;
     the relative kernel component removed from its right-hand side is
@@ -167,30 +153,23 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
 
     # restrict stored radial solutions to the y-range the tube can reach
     ymax = min(U.grid.r_max, float(np.max(k)) * 40.0)
-    ysel = r <= ymax
-    ygrid = r[ysel]
+    ny = int(np.count_nonzero(r <= ymax))
+    ygrid = r[:ny]
 
-    # ---- odd real corrector w_ro: per-node ℓ=1 solves ---------------------
-    first, inverse = _dedup_nodes([h, k, fp, Hc, G])
+    # ---- odd real corrector w_ro: one ℓ=1 solve for all nodes -------------
     op_r1 = SectorOperator("Lr", 1, 0.0, d, p)
-    w_ro_u = np.zeros((first.size, d, ygrid.size))
-    removed_u = np.zeros(first.size)
-    for a, i in enumerate(first):
-        for j in range(d):
-            q = (-(2.0 * fp[i]**2 * Hc[i, j] + G[i, j]) * (h[i] / k[i]) * y * Uv
-                 - h[i] * k[i] * Hc[i, j] * dU)
-            try:
-                sol, rem = sector_solve(op_r1, U, U.with_values(q / k[i]**2),
-                                        report=True, ill_posed_tol=criticality_tol)
-            except IllPosedSolveError as exc:
-                raise CurveNotCriticalError(
-                    "odd corrector source has a kernel component; "
-                    "the curve does not satisfy the extremality condition",
-                    exc.overlap) from exc
-            w_ro_u[a, j] = sol.values[ysel]
-            removed_u[a] = max(removed_u[a], rem)
-    w_ro = w_ro_u[inverse]
-    removed = removed_u[inverse]
+    q = ((-(2.0 * fp[:, None]**2 * Hc + G) * (h / k)[:, None])[..., None] * y * Uv
+         - ((h * k)[:, None] * Hc)[..., None] * dU) / (k**2)[:, None, None]
+    try:
+        w_ro, removed = sector_solve(op_r1, U, q, ill_posed_tol=criticality_tol)
+    except IllPosedSolveError as exc:
+        raise CurveNotCriticalError(
+            "odd corrector source has a kernel component; "
+            "the curve does not satisfy the extremality condition",
+            exc.overlap) from exc
+    del q                                             # free before level 2
+    w_ro = w_ro[..., :ny]                             # (M, d, ny)
+    removed = np.max(removed, axis=1)
 
     # ---- level-2 sources in the section algebra ---------------------------
     # Parameter-independent parts only: w_re, w_io, f1, f2 terms are excluded
@@ -203,25 +182,19 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     c_ie = c_wie
     dc_ie = _spectral_dsbar(c_ie, L)
 
-    first2, inverse2 = _dedup_nodes(
-        [h, k, fp, Hc, G, hp, kp, fpp, h2p, k2p, dH, c_ie, dc_ie,
-         pot.hess_normal.reshape(M, -1), w_ro.reshape(M, -1),
-         dw_ro.reshape(M, -1)])
-    op_r0 = SectorOperator("Lr", 0, 0.0, d, p)
-    op_r2 = SectorOperator("Lr", 2, 0.0, d, p) if d >= 2 else None
-    op_i1 = SectorOperator("Li", 1, 0.0, d, p)
+    # right-hand sides of the ℓ=0, traceless ℓ=2 (upper triangle) and odd
+    # imaginary ℓ=1 solves, one row per node
+    upper = np.triu_indices(d)
+    rhs_even0 = np.empty((M, r.size))
+    rhs_even2 = np.empty((M, upper[0].size, r.size)) if d >= 2 else None
+    rhs_odd = np.empty((M, d, r.size))
 
-    v0_even0_u = np.zeros((first2.size, ygrid.size))
-    v0_even2_u = np.zeros((first2.size, d, d, ygrid.size))
-    v0_odd_u = np.zeros((first2.size, d, ygrid.size))
-    audit = None
-
-    for a, i in enumerate(first2):
+    for i in range(M):
         ki, hi, fpi = k[i], h[i], fp[i]
         phi_i = np.zeros((d, r.size))
         dsphi_i = np.zeros((d, r.size))
-        phi_i[:, ysel] = w_ro[i]
-        dsphi_i[:, ysel] = dw_ro[i]
+        phi_i[:, :ny] = w_ro[i]
+        dsphi_i[:, :ny] = dw_ro[i]
         dphi_i = np.gradient(phi_i, y, axis=1, edge_order=2)
         with np.errstate(divide="ignore", invalid="ignore"):
             phi_over_y = np.where(y > 0, phi_i / np.maximum(y, 1e-300), 0.0)
@@ -258,19 +231,10 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
 
         # trace of C folds into the ℓ=0 sector; traceless part solves at ℓ=2
         tr = np.einsum("mmy->y", C)
-        A_eff = A + tr / d
-        Ctl = C - np.einsum("ml,y->mly", np.eye(d), tr / d)
-
-        sol0 = sector_solve(op_r0, U, U.with_values(-A_eff / ki**2))
-        v0_even0_u[a] = sol0.values[ysel]
+        rhs_even0[i] = -(A + tr / d) / ki**2
         if d >= 2:
-            for m in range(d):
-                for l in range(m, d):
-                    if np.max(np.abs(Ctl[m, l])) == 0.0:
-                        continue
-                    s2 = sector_solve(op_r2, U, U.with_values(-Ctl[m, l] / ki**2))
-                    v0_even2_u[a, m, l] = s2.values[ysel]
-                    v0_even2_u[a, l, m] = s2.values[ysel]
+            Ctl = C - np.einsum("ml,y->mly", np.eye(d), tr / d)
+            rhs_even2[i] = -Ctl[upper] / ki**2
 
         # odd imaginary source
         B = np.zeros((d, r.size))
@@ -282,22 +246,25 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
         B += np.einsum("j,y->jy", Hc[i], 2.0 * fpi**2 * c_ie[i] * y3U / ki**3)
         B += np.einsum("j,y->jy", G[i], c_ie[i] * y3U / ki**3)
         B += -(p - 1.0) * hi ** (p - 2.0) * Upm2 * c_ie[i] * (y2U / ki**2) * phi_i
+        rhs_odd[i] = -B / ki**2
 
-        for j in range(d):
-            if np.max(np.abs(B[j])) == 0.0:
-                continue
-            si = sector_solve(op_i1, U, U.with_values(-B[j] / ki**2))
-            v0_odd_u[a, j] = si.values[ysel]
-        audit = ((A.copy(), C.copy()), B.copy())
+    # one banded solve per sector operator, all nodes as right-hand sides
+    v0_even0 = sector_solve(SectorOperator("Lr", 0, 0.0, d, p), U,
+                            rhs_even0)[0][:, :ny]
+    v0_even2 = np.zeros((M, d, d, ny))
+    if d >= 2:
+        sol2 = sector_solve(SectorOperator("Lr", 2, 0.0, d, p), U,
+                            rhs_even2)[0][..., :ny]
+        v0_even2[:, upper[0], upper[1]] = sol2
+        v0_even2[:, upper[1], upper[0]] = sol2
+    v0_odd = sector_solve(SectorOperator("Li", 1, 0.0, d, p), U,
+                          rhs_odd)[0][..., :ny]
 
     return CorrectorSet(ygrid=ygrid, c_wre=c_wre, c_wie=c_wie, b_wio=b_wio,
                         w_ro=w_ro, removed_wro=removed, c_vt=c_vt,
-                        v0_even0=v0_even0_u[inverse2],
-                        v0_even2=v0_even2_u[inverse2],
-                        v0_odd=v0_odd_u[inverse2],
+                        v0_even0=v0_even0, v0_even2=v0_even2, v0_odd=v0_odd,
                         f1prime=f1p, f1=f1, f1_budget=f1_budget,
-                        source_even=audit[0] if audit else None,
-                        source_odd=audit[1] if audit else None)
+                        source_even=(A, C), source_odd=B)
 
 
 # ---------------------------------------------------------------------------
@@ -327,24 +294,19 @@ class AnsatzField:
 
 
 def _interp_rows(ygrid, rows, yq):
-    """Row-wise linear interpolation: rows (M, ny) evaluated at yq (M, ...)."""
-    out = np.empty(yq.shape)
-    flat_q = yq.reshape(yq.shape[0], -1)
-    for i in range(yq.shape[0]):
-        out.reshape(yq.shape[0], -1)[i] = np.interp(
-            flat_q[i], ygrid, rows[i], right=0.0)
-    return out
+    """Row-wise linear interpolation, zero past the last node.
 
-
-def _interp_rows_dedup(ygrid, rows, yq):
-    """Like _interp_rows but solves each distinct row only once."""
-    keys = np.round(rows * 1e13).astype(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    if first.size == 1 and np.allclose(yq, yq[0]):
-        row = np.interp(yq[0].ravel(), ygrid, rows[first[0]], right=0.0)
-        return np.broadcast_to(row.reshape(yq.shape[1:]), yq.shape).copy()
-    return _interp_rows(ygrid, rows, yq)
+    ``ygrid`` is uniform from 0; rows (M, ny) are evaluated at yq (M, ...),
+    yq >= 0, row i at yq[i].
+    """
+    M, ny = rows.shape
+    t = yq.reshape(M, -1) / ygrid[1]
+    j = np.minimum(t, ny - 2).astype(np.intp)
+    lo = np.take_along_axis(rows, j, axis=1)
+    hi = np.take_along_axis(rows, j + 1, axis=1)
+    out = lo + (t - j) * (hi - lo)
+    out[yq.reshape(M, -1) > ygrid[-1]] = 0.0
+    return out.reshape(yq.shape)
 
 
 def assemble_ansatz(grid, curve, sf, U, correctors, params=None, crossing=None,
@@ -387,25 +349,25 @@ def assemble_ansatz(grid, curve, sf, U, correctors, params=None, crossing=None,
         w_io = np.einsum("ij,j...->i...", co.b_wio, grid.zcomp) * Uq
         w_ro = np.zeros(field.shape)
         for j in range(d):
-            radj = _interp_rows_dedup(co.ygrid, co.w_ro[:, j], yq)
+            radj = _interp_rows(co.ygrid, co.w_ro[:, j], yq)
             w_ro += radj * grid.zhat[j][None]
         field = field + eps * ((w_re + w_ro) + 1j * (w_ie + w_io))
 
     if level >= 2:
         vt = co.c_vt.reshape(shape1) * ut0
-        v0e = _interp_rows_dedup(co.ygrid, co.v0_even0, yq)
+        v0e = _interp_rows(co.ygrid, co.v0_even0, yq)
         if d >= 2:
             for m in range(d):
                 for l in range(d):
                     if np.max(np.abs(co.v0_even2[:, m, l])) == 0.0:
                         continue
-                    v0e += _interp_rows_dedup(co.ygrid, co.v0_even2[:, m, l], yq) \
+                    v0e += _interp_rows(co.ygrid, co.v0_even2[:, m, l], yq) \
                         * grid.zhat[m][None] * grid.zhat[l][None]
         v0o = np.zeros(field.shape)
         for j in range(d):
             if np.max(np.abs(co.v0_odd[:, j])) == 0.0:
                 continue
-            v0o += _interp_rows_dedup(co.ygrid, co.v0_odd[:, j], yq) \
+            v0o += _interp_rows(co.ygrid, co.v0_odd[:, j], yq) \
                 * grid.zhat[j][None]
         field = field + eps**2 * (vt + v0e + 1j * v0o)
 
@@ -420,8 +382,8 @@ def assemble_ansatz(grid, curve, sf, U, correctors, params=None, crossing=None,
             xi = b @ basis.xi
             Zrows = np.stack([m.u_values for m in crossing])
             Wrows = np.stack([m.v_values for m in crossing])
-            Zq = _interp_rows_dedup(U.grid.nodes, Zrows, yq)
-            Wq = _interp_rows_dedup(U.grid.nodes, Wrows, yq)
+            Zq = _interp_rows(U.grid.nodes, Zrows, yq)
+            Wq = _interp_rows(U.grid.nodes, Wrows, yq)
             field = field + beta.reshape(shape1) * Zq \
                 + 1j * xi.reshape(shape1) * Wq
 

@@ -27,8 +27,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.sparse import csc_matrix, diags, bmat
-from scipy.sparse.linalg import splu
 
 from .errors import ValidationError, ConvergenceError, IllPosedSolveError
 
@@ -432,50 +430,52 @@ def sector_kernel(op, U):
     return vals, vecs, weight, idx
 
 
-def sector_solve(op, U, rhs, report=False, ill_posed_tol=np.inf):
-    """Minimal-norm solution of (sector operator) u = rhs with kernel projection.
+def sector_solve(op, U, rhs, ill_posed_tol=np.inf):
+    """Minimal-norm solutions of (sector operator) u = rhs, one per row.
 
-    The right-hand side is first projected off the discrete kernel; the
-    relative norm of the removed component (against the rhs, both measured
-    in the weighted norm) is returned when ``report`` is True.  If it
-    exceeds ``ill_posed_tol`` an IllPosedSolveError is raised.
+    ``rhs`` holds nodal values on U's grid, shape (..., m).  Every row is
+    projected off the discrete kernel first; ``removed`` (shape
+    rhs.shape[:-1]) is the relative norm of the removed component against
+    the row, both in the weighted norm.  If any row's removed fraction
+    exceeds ``ill_posed_tol``, an IllPosedSolveError carrying the largest is
+    raised.  All rows share one banded solve, and the solutions are projected
+    off the kernel again, which makes each the minimal-norm one.  Returns
+    (values, removed) with values of rhs's shape.
     """
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape[-1:] != (U.grid.m,) or not np.all(np.isfinite(rhs)):
+        raise ValidationError("right-hand sides must be finite nodal values "
+                              "on the profile's grid")
     diag, off, weight, idx = sector_matrix(op, U)
+    _, kvecs = eigh_tridiagonal(diag, off, select="v",
+                                select_range=(-KERNEL_TOL, KERNEL_TOL))
     sqrtw = np.sqrt(weight)
-    b = rhs.values[idx] * sqrtw
+    act = slice(idx[0], idx[-1] + 1)
+    b = rhs.reshape(-1, rhs.shape[-1])[:, act] * sqrtw      # (rows, nact)
 
-    _, kvecs, _, _ = sector_kernel(op, U)
-    removed = 0.0
+    removed = np.zeros(b.shape[0])
     if kvecs.shape[1]:
-        coeffs = kvecs.T @ b
-        bnorm = float(np.linalg.norm(b))
-        removed = float(np.linalg.norm(coeffs)) / max(bnorm, 1e-300)
-        if bnorm > 0 and removed > ill_posed_tol:
+        coeffs = b @ kvecs
+        bnorm = np.linalg.norm(b, axis=1)
+        removed = np.linalg.norm(coeffs, axis=1) / np.maximum(bnorm, 1e-300)
+        if np.any(removed > ill_posed_tol):
             raise IllPosedSolveError(
-                "sector solve right-hand side lies in the kernel", removed)
-        b = b - kvecs @ coeffs
+                "sector solve right-hand side lies in the kernel",
+                float(np.max(removed)))
+        b -= coeffs @ kvecs.T
 
-    nact = diag.size
-    if kvecs.shape[1] == 0:
-        ab = np.zeros((3, nact))
-        ab[0, 1:] = off
-        ab[1] = diag
-        ab[2, :-1] = off
-        x = solve_banded((1, 1), ab, b)
-    else:
-        # bordered system enforces x ⊥ kernel: the minimal-norm solution
-        T = diags([off, diag, off], [-1, 0, 1], format="csc")
-        V = csc_matrix(kvecs)
-        K = bmat([[T, V], [V.T, None]], format="csc")
-        sol = splu(K).solve(np.concatenate([b, np.zeros(kvecs.shape[1])]))
-        x = sol[:nact]
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = off
+    ab[1] = diag
+    ab[2, :-1] = off
+    x = solve_banded((1, 1), ab, b.T, overwrite_b=True).T
+    if kvecs.shape[1]:
+        x -= (x @ kvecs) @ kvecs.T
+    x /= sqrtw
 
-    u = np.zeros(U.grid.m)
-    u[idx] = x / sqrtw
-    out = U.with_values(u)
-    if report:
-        return out, removed
-    return out
+    out = np.zeros(b.shape[:1] + rhs.shape[-1:])
+    out[:, act] = x
+    return out.reshape(rhs.shape), removed.reshape(rhs.shape[:-1])
 
 
 def apply_sector(op, U, prof):

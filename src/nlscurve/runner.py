@@ -237,11 +237,10 @@ def run_pipeline(cfg, verbose=False):
             out = STAGE_FUNCS[stage](cfg, exps, V, state, csvs)
         except Exception as exc:
             raise RuntimeError(f"stage {stage!r} failed: {exc}") from exc
-        out["runtime_s"] = round(time.time() - t0, 3)
         summary["stages"][stage] = out
         for key, val in out.get("checks", {}).items():
             summary["checks"][f"{stage}.{key}"] = val
-        say(f"[{stage}] done in {out['runtime_s']}s")
+        say(f"[{stage}] done in {time.time() - t0:.3f}s")
 
     summary["all_checks_pass"] = all(summary["checks"].values()) \
         if summary["checks"] else True

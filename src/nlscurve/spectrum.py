@@ -360,11 +360,11 @@ def eta_curvature_identity(U, p, mu):
     lam0, u0, v0 = coupled_spectrum(
         CoupledSectorOperator(0.0, mu, 0, U.dim, p), U, 1)[0]
     op = SectorOperator("Li", 0, -lam0, U.dim, p)
-    dv = sector_solve(op, U, U.with_values(-mu * u0))
+    dv, _ = sector_solve(op, U, -mu * u0)
     r = U.grid.nodes
     d = U.dim
     omega = sphere_area(d)
-    integral = omega * np.trapezoid(u0 * dv.values * r ** (d - 1), r)
+    integral = omega * np.trapezoid(u0 * dv * r ** (d - 1), r)
     mass = omega * np.trapezoid((u0**2 + v0**2) * r ** (d - 1), r)
     closed = 2.0 + 2.0 * mu * integral / mass
     numeric = eigenvalue_second_derivative(U, p, mu, 0.0)
@@ -381,13 +381,11 @@ def first_derivative_profiles(U, p, mu):
     """
     r = U.grid.nodes
     op_i1 = SectorOperator("Li", 1, 0.0, U.dim, p)
-    rhs_i = U.with_values(-mu * U.derivative(r))
-    dv = sector_solve(op_i1, U, rhs_i)
+    dv, _ = sector_solve(op_i1, U, -mu * U.derivative(r))
 
     op_r0 = SectorOperator("Lr", 0, 0.0, U.dim, p)
-    rhs_r = U.with_values(-mu * U.values)
-    du = sector_solve(op_r0, U, rhs_r)
-    return du, dv
+    du, _ = sector_solve(op_r0, U, -mu * U.values)
+    return U.with_values(du), U.with_values(dv)
 
 
 def second_order_profiles(h_hat, k_hat, phase_speed, exps, U):
@@ -414,18 +412,17 @@ def second_order_profiles(h_hat, k_hat, phase_speed, exps, U):
     Utilde = U.values / (p - 1.0) + 0.5 * r * dU
 
     c_th = 2.0 / (p - 1.0) * ((p - 1.0) - 2.0 * A2h * theta)
-    rhs_r = U.with_values(c_th * dU - 2.0 * dU - 4.0 * A2h * r * U.values)
+    rhs_r = c_th * dU - 2.0 * dU - 4.0 * A2h * r * U.values
     op_r1 = SectorOperator("Lr", 1, 0.0, U.dim, p)
-    X2, rem_r = sector_solve(op_r1, U, rhs_r, report=True)
+    X2, rem_r = sector_solve(op_r1, U, rhs_r)
 
     c_sg = 2.0 / (p - 1.0) * ((p - 1.0) - 2.0 * A2h * sigma)
-    rhs_i = U.with_values(c_sg * U.values - 2.0 * U.values - 8.0 * A2h * Utilde)
+    rhs_i = c_sg * U.values - 2.0 * U.values - 8.0 * A2h * Utilde
     op_i0 = SectorOperator("Li", 0, 0.0, U.dim, p)
-    Y2, rem_i = sector_solve(op_i0, U, rhs_i, report=True)
+    Y2, rem_i = sector_solve(op_i0, U, rhs_i)
 
-    half_X = X2.with_values(0.5 * X2.values)
-    half_Y = Y2.with_values(0.5 * Y2.values)
-    return half_X, half_Y, float(rem_r), float(rem_i)
+    return (U.with_values(0.5 * X2), U.with_values(0.5 * Y2),
+            float(rem_r), float(rem_i))
 
 
 def branch_curvature_closed_forms(h_hat, phase_speed, exps):

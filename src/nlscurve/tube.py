@@ -192,9 +192,13 @@ def _diff_z(values, axis, dz, order, kind):
     v = np.pad(values, pad)
     sl = lambda k: np.take(v, np.arange(w + k, w + k + values.shape[ax]), axis=ax)
     if kind == "d2":
+        # neighbours enter as differences from the centre, so the round-off
+        # scales with those differences rather than with |ψ|
+        c = sl(0)
         if order == 4:
-            return (-sl(-2) + 16 * sl(-1) - 30 * sl(0) + 16 * sl(1) - sl(2)) / (12 * dz**2)
-        return (sl(-1) - 2 * sl(0) + sl(1)) / dz**2
+            return (16 * ((sl(1) - c) + (sl(-1) - c))
+                    - ((sl(2) - c) + (sl(-2) - c))) / (12 * dz**2)
+        return ((sl(1) - c) + (sl(-1) - c)) / dz**2
     if order == 4:
         return (sl(-2) - 8 * sl(-1) + 8 * sl(1) - sl(2)) / (12 * dz)
     return (sl(1) - sl(-1)) / (2 * dz)
@@ -209,8 +213,9 @@ def apply_S_eps(values, grid, twist=0.0):
     a = grid.metric_a
     ds = grid.ds
 
-    d2s = (_shift_s(values, 1, twist) - 2 * values + _shift_s(values, -1, twist)) / ds**2
-    d1s = (_shift_s(values, 1, twist) - _shift_s(values, -1, twist)) / (2 * ds)
+    up, down = _shift_s(values, 1, twist), _shift_s(values, -1, twist)
+    d2s = ((up - values) + (down - values)) / ds**2
+    d1s = (up - down) / (2 * ds)
     lap = d2s / a**2 - grid.ds_a / a**3 * d1s
 
     for j in range(grid.d):
@@ -251,12 +256,6 @@ def weighted_norm(values, grid, decay_weight, mode="sup", region="core",
         dsbar = grid.L / grid.n_s
         return float(np.sqrt(np.sum(per_slice**2) * dsbar))
     raise ValidationError(f"unknown norm mode {mode!r}")
-
-
-def coarea_weights(grid):
-    """Quadrature weights ds·Πdz for plain integrals over the tube."""
-    return np.full((grid.n_s,) + grid.z_shape,
-                   grid.ds * grid.dz ** grid.d)
 
 
 def convergence_order(eps_list, norms):

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlscurve.ansatz import (AnsatzParams, assemble_ansatz, build_correctors,
-                             residual_norm)
+from nlscurve.ansatz import (AnsatzParams, _interp_rows, assemble_ansatz,
+                             build_correctors, residual_norm)
 from nlscurve.errors import CurveNotCriticalError, ValidationError
-from nlscurve.geometry import (PotentialField, sample_potential,
-                               straight_segment_curve)
-from nlscurve.radial import SectorOperator, apply_sector, sector_kernel
-from nlscurve.scalings import compute_scalings
+from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
+                               sample_potential, straight_segment_curve)
+from nlscurve.radial import (SectorOperator, apply_sector, ground_state,
+                             sector_kernel)
+from nlscurve.scalings import (compute_exponents, compute_scalings,
+                               critical_circle_radius)
 from nlscurve.tube import (apply_S_eps, build_tube_grid, convergence_order,
                            smooth_step, weighted_norm)
 
@@ -174,6 +176,37 @@ class TestCorrectors:
         # A=0 on a constant circle: the odd imaginary source vanishes
         assert np.max(np.abs(circle_run["co"].v0_odd)) == 0.0
 
+    def test_traceless_sector_n3(self, grid30):
+        # planar critical circle in R³ (d = 2): the d×d source algebra and
+        # the traceless ℓ=2 solve, checked against node M-1's source
+        U = ground_state(3, 3, grid30)
+        exps = compute_exponents(3, 3)
+        V = PotentialField("1/(1+r2)", 3)
+
+        def setup(R):
+            curve = build_curve(CurveSpec("circle", n=3, radius=R), 64)
+            return curve, sample_potential(V, curve)
+
+        rstar = critical_circle_radius(setup, (0.6, 1.4), 0.05, exps)
+        assert abs(rstar - 0.99504) < 1e-4
+        curve, pot = setup(rstar)
+        sf = compute_scalings(curve, pot, 0.05, exps)
+        co = build_correctors(curve, pot, sf, U)
+        ny = co.ygrid.size
+        assert co.w_ro.shape == (64, 2, ny) and co.v0_even2.shape == (64, 2, 2, ny)
+        assert np.array_equal(co.v0_even2, co.v0_even2.transpose(0, 2, 1, 3))
+        (A, C), _ = co.source_even, co.source_odd
+        Ctl = C - np.eye(2)[:, :, None] * np.einsum("mmy->y", C) / 2
+        assert np.max(np.abs(Ctl)) > 1.0          # the ℓ=2 sector is driven
+        op = SectorOperator("Lr", 2, 0.0, 2, 3.0)
+        for m, l in ((0, 0), (0, 1), (1, 1)):
+            sol = np.zeros(grid30.m)
+            sol[:ny] = co.v0_even2[-1, m, l]
+            back = apply_sector(op, U, U.with_values(sol)).values
+            src = -Ctl[m, l] / sf.k[-1] ** 2
+            # the stored window ends at ny; its last node sees a zero neighbour
+            assert np.max(np.abs(back[1:ny - 1] - src[1:ny - 1])) < 1e-10
+
 
 class TestAssembly:
     def test_level0_real_positive(self, U23, circle_run):
@@ -229,6 +262,24 @@ class TestAssembly:
         a0 = assemble_ansatz(grid, curve, sf, U23, co, AnsatzParams(level=0))
         a1 = assemble_ansatz(grid, curve, sf, U23, co, AnsatzParams(level=1))
         assert np.max(np.abs((a1.values - a0.values).imag)) == 0.0
+
+
+    def test_interp_rows_matches_np_interp(self):
+        rng = np.random.default_rng(3)
+        ygrid = np.linspace(0.0, 30.0, 3000)[:2842]
+        rows = rng.standard_normal((4, ygrid.size))
+        yq = rng.uniform(0.0, 32.0, (4, 7, 5))
+        yq[:, 0] = [0.0, ygrid[17], np.nextafter(ygrid[-1], 0.0), ygrid[-1],
+                    np.nextafter(ygrid[-1], 40.0)]
+        ref = np.stack([np.interp(yq[i], ygrid, rows[i], right=0.0)
+                        for i in range(4)])
+        out = _interp_rows(ygrid, rows, yq)
+        assert out.shape == yq.shape
+        # node positions agree to round-off eps·y, which moves a linear
+        # interpolant by up to eps·(y/dy)·|row jump|
+        tol = 4 * np.finfo(float).eps * ygrid.size * np.max(np.abs(np.diff(rows)))
+        assert np.max(np.abs(out - ref)) < tol
+        assert np.all(out[yq > ygrid[-1]] == 0.0)
 
 
 class TestWeightedNorms:

@@ -131,24 +131,24 @@ class TestSectorSolve:
     def test_lr_closed_form(self, U23, grid30):
         # L_r(-U/(p-1) - ∇U·y/2) = U in the even sector
         r = grid30.nodes
-        sol = sector_solve(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23,
-                           U23.with_values(U23.values.copy()))
+        sol, _ = sector_solve(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23,
+                              U23.values.copy())
         target = -U23.values / 2.0 - 0.5 * r * U23.derivative(r)
-        assert np.max(np.abs(sol.values - target)) < 5e-5
+        assert np.max(np.abs(sol - target)) < 5e-5
 
     def test_li_closed_form(self, U23, grid30):
         # L_i(yU) = -2 ∂U in the odd sector
         r = grid30.nodes
-        rhs = U23.with_values(-2.0 * U23.derivative(r))
-        sol = sector_solve(SectorOperator("Li", 1, 0.0, 1, 3.0), U23, rhs)
-        assert np.max(np.abs(sol.values - r * U23.values)) < 5e-5
+        rhs = -2.0 * U23.derivative(r)
+        sol, _ = sector_solve(SectorOperator("Li", 1, 0.0, 1, 3.0), U23, rhs)
+        assert np.max(np.abs(sol - r * U23.values)) < 5e-5
 
     def test_zero_after_projection(self, U23):
         # rhs proportional to the kernel solves to zero
         op = SectorOperator("Li", 0, 0.0, 1, 3.0)
-        sol, removed = sector_solve(op, U23, U23, report=True)
+        sol, removed = sector_solve(op, U23, U23.values)
         assert removed > 0.999   # rhs was entirely kernel
-        assert np.max(np.abs(sol.values)) < 1e-8
+        assert np.max(np.abs(sol)) < 1e-8
 
     def test_round_trip_gaussian_bumps(self, U23, grid30):
         from nlscurve.radial import sector_kernel
@@ -160,8 +160,8 @@ class TestSectorSolve:
                 if ell >= 1:
                     bump *= r / (1 + r)    # odd-sector radial parts vanish at 0
                 rhs = U23.with_values(bump)
-                sol, removed = sector_solve(op, U23, rhs, report=True)
-                back = apply_sector(op, U23, sol)
+                sol, removed = sector_solve(op, U23, rhs.values)
+                back = apply_sector(op, U23, U23.with_values(sol))
                 # compare against the projected rhs on the active nodes
                 _, kv, w, idx = sector_kernel(op, U23)
                 b = rhs.values[idx] * np.sqrt(w)
@@ -171,3 +171,60 @@ class TestSectorSolve:
                 proj[idx] = b / np.sqrt(w)
                 scale = max(np.max(np.abs(proj)), 1.0)
                 assert np.max(np.abs(back.values[idx] - proj[idx])) < 1e-8 * scale
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_rows_match_single_solves(self, grid30, n):
+        # one call on a (2, 3, m) stack equals six one-row calls, and every
+        # row round-trips onto its own kernel-projected right-hand side
+        from nlscurve.radial import sector_kernel
+        U = ground_state(n, 3, grid30)
+        d, r = n - 1, grid30.nodes
+        for kind in ("Lr", "Li"):
+            for ell in range(2 if d == 1 else 3):
+                op = SectorOperator(kind, ell, 0.0, d, 3.0)
+                _, kv, w, idx = sector_kernel(op, U)
+                kern = np.zeros(grid30.m)
+                if kv.shape[1]:
+                    kern[idx] = kv[:, 0] / np.sqrt(w)
+                bumps = [np.exp(-((r - c) ** 2)) * (r / (1 + r) if ell else 1.0)
+                         for c in (1.0, 3.0, 6.0)]
+                rows = np.array(bumps + [bumps[0] + kern, kern,
+                                         np.zeros(grid30.m)]).reshape(2, 3, -1)
+                sol, removed = sector_solve(op, U, rows)
+                assert sol.shape == rows.shape and removed.shape == (2, 3)
+                for a in range(2):
+                    for c in range(3):
+                        one, rem = sector_solve(op, U, rows[a, c])
+                        scale = max(np.max(np.abs(one)), 1.0)
+                        assert np.max(np.abs(sol[a, c] - one)) < 1e-12 * scale
+                        assert abs(removed[a, c] - rem) < 1e-12
+                        b = rows[a, c, idx] * np.sqrt(w)
+                        if kv.shape[1]:
+                            b = b - kv @ (kv.T @ b)
+                        back = apply_sector(op, U, U.with_values(sol[a, c]))
+                        # forward error plus the backward error of a solve
+                        # whose solution is large (near-singular sectors)
+                        tol = 1e-8 * max(np.max(np.abs(b / np.sqrt(w))), 1.0) \
+                            + 1e-14 * np.max(np.abs(sol[a, c])) / grid30.dr**2
+                        assert np.max(np.abs(back.values[idx] - b / np.sqrt(w))) < tol
+                # the zero row solves to zero with nothing removed
+                assert removed[1, 2] == 0.0 and np.all(sol[1, 2] == 0.0)
+                if kv.shape[1]:
+                    assert removed[1, 1] > 0.999
+                    assert np.all(removed[0] < removed[1, 1])
+                else:
+                    assert np.all(removed == 0.0)
+
+    def test_ill_posed_row_raises(self, U23, grid30):
+        # the check is per row: one kernel-dominated row among clean ones
+        # raises with its own removed fraction
+        from nlscurve.errors import IllPosedSolveError
+        op = SectorOperator("Li", 0, 0.0, 1, 3.0)
+        bump = np.exp(-((grid30.nodes - 6.0) ** 2))
+        rows = np.array([bump, bump, bump + 10.0 * U23.values])
+        _, removed = sector_solve(op, U23, rows)
+        tol = 0.5 * (removed[0] + removed[2])
+        sector_solve(op, U23, rows[:2], ill_posed_tol=tol)
+        with pytest.raises(IllPosedSolveError) as info:
+            sector_solve(op, U23, rows, ill_posed_tol=tol)
+        assert info.value.overlap == pytest.approx(removed[2], rel=1e-12)

@@ -1,6 +1,7 @@
 """Config parsing, pipeline execution, report determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -113,6 +114,17 @@ class TestPipeline:
         j1.pop("timestamp"), j2.pop("timestamp")
         assert j1 == j2
         assert (d1 / "euler_residual.csv").exists()
+
+    def test_rerun_summary_bytes_identical(self, critical_run, tmp_path):
+        # a second pipeline run emits the same summary.json bytes, apart
+        # from the timestamp
+        cfg, summary, csvs = critical_run
+        emit_report(summary, csvs, str(tmp_path / "a"))
+        emit_report(*run_pipeline(cfg), str(tmp_path / "b"))
+        texts = [re.sub(rb'"timestamp": "[^"]*"', b"",
+                        (tmp_path / name / "summary.json").read_bytes())
+                 for name in ("a", "b")]
+        assert texts[0] == texts[1]
 
     def test_empty_stage_selection(self, tmp_path):
         text = CRITICAL.replace(
