@@ -36,11 +36,13 @@ def fourier_diff_matrices(M, L):
 
     Columns are the derivatives of the cardinal functions: D f evaluates the
     spectral derivative of the trigonometric interpolant of f at the nodes.
+    Both matrices are circulant, D[i, j] = c[(i - j) mod M], with c the
+    derivative of the cardinal function at node 0 (fft(e₀) is all ones).
     """
     freqs = 2j * np.pi * np.fft.fftfreq(M, d=L / M)
-    eye = np.eye(M)
-    D1 = np.real(np.fft.ifft(freqs[:, None] * np.fft.fft(eye, axis=0), axis=0))
-    D2 = np.real(np.fft.ifft((freqs**2)[:, None] * np.fft.fft(eye, axis=0), axis=0))
+    lag = np.subtract.outer(np.arange(M), np.arange(M)) % M
+    D1 = np.real(np.fft.ifft(freqs))[lag]
+    D2 = np.real(np.fft.ifft(freqs**2))[lag]
     D1 = 0.5 * (D1 - D1.T)
     D2 = 0.5 * (D2 + D2.T)
     return D1, D2

@@ -19,11 +19,11 @@ eigenfunctions by kernel-projected sector solves.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import eigsh
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ValidationError, BranchTrackingError, ConvergenceError
-from .radial import SectorOperator, sector_matrix, sector_solve
+from .radial import SectorOperator, sector_matrix, sector_solve, sector_spectrum
 
 
 def sphere_area(d):
@@ -74,32 +74,55 @@ def coupled_bands(op, U):
     return bands, weight, idx
 
 
+def _band_matvec(bands, x):
+    """Symmetric matrix in lower band storage times x of shape (n,) or (n, k)."""
+    b = bands.reshape(bands.shape + (1,) * (x.ndim - 1))
+    y = b[0] * x
+    for lag in range(1, bands.shape[0]):
+        y[lag:] += b[lag, :-lag] * x[:-lag]
+        y[:-lag] += b[lag, :-lag] * x[lag:]
+    return y
+
+
 def coupled_spectrum(op, U, count):
     """Lowest ``count`` eigenpairs of the coupled sector operator.
 
-    Shift-invert Lanczos with the shift just below the Gershgorin bound of
-    the pentadiagonal matrix: well-conditioned and fast.  Returns a list of
-    (eigenvalue, u_values, v_values) with the two-component eigenfunction on
-    the full radial grid, normalized to ∫(u²+v²) r^{d-1}dr = 1.
+    Shift-invert Lanczos with the shift one below the potential minimum
+    minus |μα|: the discrete Laplacian is positive semidefinite, so that
+    bound lies under the spectrum and the shifted pentadiagonal matrix is
+    positive definite.  Its banded Cholesky factorization checks the bound
+    (ConvergenceError if it fails) and serves every inverse application.
+    Returns a list of (eigenvalue, u_values, v_values) with the
+    two-component eigenfunction on the full radial grid, normalized to
+    ∫(u²+v²) r^{d-1}dr = 1.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
     bands, weight, idx = coupled_bands(op, U)
-    K = diags([bands[2, :-2], bands[1, :-1], bands[0],
-               bands[1, :-1], bands[2, :-2]], [-2, -1, 0, 1, 2], format="csc")
-    # the discrete Laplacian (flux form + centrifugal) is PSD, so the
-    # potential minimum minus the coupling bounds the spectrum from below;
-    # a shift just beneath it keeps shift-invert well separated
     pot_min = 1.0 + op.alpha**2 \
         - max(op.p, 1.0) * float(np.max(U.values)) ** (op.p - 1.0)
-    bottom = pot_min - abs(op.mu * op.alpha)
-    vals, vecs = eigsh(K, k=count, sigma=bottom - 1.0, which="LM")
+    sigma = pot_min - abs(op.mu * op.alpha) - 1.0
+    shifted = bands.copy()
+    shifted[0] -= sigma
+    try:
+        chol = cholesky_banded(shifted, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise ConvergenceError(
+            f"shift {sigma:.6g} is not below the coupled spectrum: {exc}") from exc
+    n = bands.shape[1]
+    K = LinearOperator((n, n), matvec=lambda x: _band_matvec(bands, x),
+                       dtype=float)
+    OPinv = LinearOperator(
+        (n, n), matvec=lambda x: cho_solve_banded((chol, True), x,
+                                                  check_finite=False),
+        dtype=float)
+    vals, vecs = eigsh(K, k=count, sigma=sigma, which="LM", OPinv=OPinv)
     # one Rayleigh quotient per vector: squares the eigenvalue accuracy
-    vals = np.einsum("ij,ij->j", vecs, K @ vecs) / np.einsum("ij,ij->j", vecs, vecs)
+    vals = np.einsum("ij,ij->j", vecs, _band_matvec(bands, vecs)) \
+        / np.einsum("ij,ij->j", vecs, vecs)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     sqrtw = np.sqrt(weight)
-    nact = idx.size
     out = []
     for j in range(count):
         phi = vecs[:, j]
@@ -241,9 +264,13 @@ class CrossingMode:
 def find_alpha_bar(U, p, mu, search=(1e-6, None), tol=1e-8):
     """Safeguarded Newton for the unique ᾱ with η_ᾱ = 0 in the ℓ=0 sector.
 
-    The branch slope comes for free from the eigenvector (Hellmann-Feynman:
-    ∂η/∂α = 2α + 2μ∫uv for the normalized pair), so each iteration costs one
-    eigensolve; bisection on the maintained bracket guards the steps.  The η
+    At α = 0 the coupling μα vanishes and the lowest coupled eigenvalue is
+    that of the scalar L_r ℓ=0 sector, so η_0 comes from one tridiagonal
+    eigensolve and does not depend on μ.  The branch slope comes for free
+    from the eigenvector (Hellmann-Feynman: ∂η/∂α = 2α + 2μ∫uv for the
+    normalized pair), so each Newton step, the last one included, costs one
+    coupled eigensolve, and the converged step's eigenpair is the returned
+    mode; bisection on the maintained bracket guards the steps.  The η
     branch is increasing with η_0 < 0; the upper search limit defaults to
     sqrt(-2η_0) + 1, safely past the crossing for small μ.
     """
@@ -258,7 +285,7 @@ def find_alpha_bar(U, p, mu, search=(1e-6, None), tol=1e-8):
         uv = np.trapezoid(u * v * w, r)
         return lam, 2.0 * a + 2.0 * mu * uv / mass, (u, v)
 
-    eta0, _, _ = eta_and_slope(0.0)
+    eta0 = sector_spectrum(SectorOperator("Lr", 0, 0.0, d, p), U, 1)[0][0]
     if eta0 >= 0:
         raise ConvergenceError("ground branch does not start negative")
     lo, hi = search
@@ -270,9 +297,8 @@ def find_alpha_bar(U, p, mu, search=(1e-6, None), tol=1e-8):
                                "widen the search or reduce mu")
 
     abar = float(np.sqrt(-eta0))       # exact for μ = 0, close otherwise
-    lam = np.inf
     for _ in range(60):
-        lam, slope, _ = eta_and_slope(abar)
+        lam, slope, (u, v) = eta_and_slope(abar)
         if lam > 0:
             hi = abar
         else:
@@ -284,14 +310,8 @@ def find_alpha_bar(U, p, mu, search=(1e-6, None), tol=1e-8):
     else:
         raise ConvergenceError("crossing search did not converge")
 
-    lam, u, v = coupled_spectrum(
-        CoupledSectorOperator(abar, mu, 0, U.dim, p), U, 1)[0]
-
     # renormalize with the angular factor: ∫(Z²+W²) dy = 1 over R^d
-    r = U.grid.nodes
-    d = U.dim
-    omega = sphere_area(d)
-    mass = omega * np.trapezoid((u**2 + v**2) * r ** (d - 1), r)
+    mass = sphere_area(d) * np.trapezoid((u**2 + v**2) * w, r)
     u, v = u / np.sqrt(mass), v / np.sqrt(mass)
 
     rate = _decay_rate_windowed(r, np.abs(u) + np.abs(v), d)

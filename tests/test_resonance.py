@@ -44,6 +44,27 @@ class TestFourierCollocation:
         assert np.max(np.abs(D1 @ f - fp)) < 1e-10
         assert np.max(np.abs(D2 @ f + (2 * np.pi * 3 / L) ** 2 * f)) < 1e-9
 
+    @pytest.mark.parametrize("M", [16, 17, 256])
+    def test_circulant_construction(self, M):
+        L = 5.0
+        D1, D2 = fourier_diff_matrices(M, L)
+        # reference: spectral derivatives of every cardinal function at once
+        freqs = 2j * np.pi * np.fft.fftfreq(M, d=L / M)
+        eye_hat = np.fft.fft(np.eye(M), axis=0)
+        for k, D in ((1, D1), (2, D2)):
+            ref = np.real(np.fft.ifft(freqs[:, None] ** k * eye_hat, axis=0))
+            ref = 0.5 * (ref + (-1) ** k * ref.T)
+            assert np.max(np.abs(D - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(D1, -D1.T)
+        assert np.array_equal(D2, D2.T)
+        # exact on trigonometric polynomials below the Nyquist mode
+        s = np.arange(M) * L / M
+        w = 2 * np.pi / L * np.arange(1, (M - 1) // 2 + 1)
+        f = np.cos(np.outer(s, w)) @ (1.0 / w)
+        for D, exact in ((D1, -np.sin(np.outer(s, w)).sum(axis=1)),
+                         (D2, -np.cos(np.outer(s, w)) @ w)):
+            assert np.max(np.abs(D @ f - exact)) <= 1e-12 * np.max(np.abs(exact))
+
 
 class TestQIntegrals:
     def test_zero_speed(self, layer0):

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+import nlscurve.spectrum as spectrum
 from nlscurve.errors import ValidationError
-from nlscurve.radial import SectorOperator, apply_sector, sector_kernel
+from nlscurve.radial import (RadialGrid, SectorOperator, apply_sector,
+                             ground_state, sector_kernel, sector_spectrum)
 from nlscurve.spectrum import (CoupledSectorOperator, alpha_field,
-                               branch_curvature_closed_forms, coupled_spectrum,
+                               branch_curvature_closed_forms, coupled_bands,
+                               coupled_spectrum,
                                crossing_slope_identity, eigenvalue_derivative,
                                eigenvalue_second_derivative,
                                eta_curvature_identity, find_alpha_bar,
@@ -45,6 +49,28 @@ class TestCoupledSpectrum:
         shifted = coupled_spectrum(CoupledSectorOperator(0.7, 0.0, 0, 1, 3.0), U23, 3)
         for (l0, _, _), (l1, _, _) in zip(base, shifted):
             assert abs((l1 - l0) - 0.49) < 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("ell, count", [(0, 4), (1, 2)])
+    def test_matches_dense_eigh(self, U1000, alpha, ell, count):
+        op = CoupledSectorOperator(alpha, 0.15, ell, 1, 3.0)
+        bands, weight, idx = coupled_bands(op, U1000)
+        dense = np.diag(bands[0])
+        for lag in (1, 2):
+            off = np.diag(bands[lag, :-lag], -lag)
+            dense += off + off.T
+        vals, vecs = eigh(dense, subset_by_index=[0, count - 1])
+        sqrtw = np.sqrt(weight)
+        for j, (lam, u, v) in enumerate(coupled_spectrum(op, U1000, count)):
+            assert abs(lam - vals[j]) < 1e-10
+            phi = np.empty(2 * idx.size)
+            phi[0::2], phi[1::2] = u[idx] * sqrtw, v[idx] * sqrtw
+            assert abs(phi @ vecs[:, j]) >= 1.0 - 1e-10   # both unit weighted norm
+
+
+@pytest.fixture(scope="module")
+def U1000():
+    return ground_state(2, 3, RadialGrid(30.0, 1000))
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +132,38 @@ class TestCrossing:
         r = grid30.nodes
         mass = 2.0 * np.trapezoid(mode.u_values**2 + mode.v_values**2, r)
         assert abs(mass - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("mu", [0.0, 0.15])
+    def test_eta0_from_scalar_sector(self, U23, mu):
+        # at α = 0 the coupling vanishes: the coupled ground eigenvalue is
+        # the L_r ℓ=0 one for every μ, -3 for (d, p) = (1, 3)
+        eta0 = sector_spectrum(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23, 1)[0][0]
+        coupled = coupled_spectrum(CoupledSectorOperator(0.0, mu, 0, 1, 3.0), U23, 1)
+        assert abs(coupled[0][0] - eta0) < 1e-12
+        assert abs(eta0 + 3.0) < 1e-4
+
+    @pytest.mark.parametrize("mu", [0.0, 0.05])
+    def test_one_eigensolve_per_distinct_alpha(self, U23, monkeypatch, mu):
+        calls = []
+
+        def counted(op, U, count):
+            out = coupled_spectrum(op, U, count)
+            calls.append((op.alpha, out[0][0]))
+            return out
+
+        monkeypatch.setattr(spectrum, "coupled_spectrum", counted)
+        mode = find_alpha_bar(U23, 3.0, mu)
+        alphas = [a for a, _ in calls]
+        eta0 = sector_spectrum(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23, 1)[0][0]
+        assert len(set(alphas)) == len(alphas)
+        # η_hi at the default upper limit, then the Newton steps from √(-η₀)
+        assert alphas[0] == np.sqrt(-2 * eta0) + 1.0
+        assert alphas[1] == np.sqrt(-eta0)
+        assert all(1e-6 < a < alphas[0] for a in alphas[1:])
+        assert alphas[-1] == mode.alpha_bar
+        assert calls[-1][1] == mode.eta_residual
+        if mu == 0.0:
+            assert len(calls) == 2     # √(-η₀) is the crossing itself
 
 
 class TestAlphaField:
