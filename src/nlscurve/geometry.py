@@ -14,28 +14,106 @@ as a closing rotation, so the stored frame is exactly L-periodic.
 
 Potentials are given in a small arithmetic expression language over the
 ambient coordinates (x1..xn, r = |x|, r2 = |x|²) that is evaluated through a
-restricted AST walk — config-file friendly and with no code injection.
+restricted AST walk — config-file friendly and with no code injection.  The
+same walk over second-order forward-mode jets gives the exact gradient and
+Hessian of the potential, from which the normal derivatives along the curve
+are read.
 """
 
 import ast
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm, logm
+from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 
+# name -> (f, f', f'')
 _ALLOWED_FUNCS = {
-    "exp": np.exp, "sqrt": np.sqrt, "log": np.log,
-    "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "abs": np.abs,
+    "exp": (np.exp, np.exp, np.exp),
+    "sqrt": (np.sqrt, lambda x: 0.5 / np.sqrt(x), lambda x: -0.25 / (x * np.sqrt(x))),
+    "log": (np.log, lambda x: 1.0 / x, lambda x: -1.0 / x**2),
+    "sin": (np.sin, np.cos, lambda x: -np.sin(x)),
+    "cos": (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x)**2,
+             lambda x: -2.0 * np.tanh(x) * (1.0 - np.tanh(x)**2)),
+    "abs": (np.abs, np.sign, np.zeros_like),
 }
 
 _ALLOWED_BINOPS = {
-    ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
-    ast.Div: np.divide, ast.Pow: np.power,
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
 }
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+class _Jet:
+    """Second-order forward-mode jet: value (...), gradient (..., n) and
+    Hessian (..., n, n) of one expression node.  Operands that are not jets
+    are constants."""
+
+    __array_ufunc__ = None   # numpy operands defer to the reflected methods
+
+    def __init__(self, val, grad, hess):
+        self.val, self.grad, self.hess = val, grad, hess
+
+    def chain(self, f, df, d2f):
+        """f(self), given f and its first two derivatives."""
+        d1 = df(self.val)[..., None]
+        d2 = d2f(self.val)[..., None, None]
+        return _Jet(f(self.val), d1 * self.grad,
+                    d1[..., None] * self.hess + d2 * _outer(self.grad, self.grad))
+
+    def __add__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
+        return _Jet(self.val + o, self.grad, self.hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(-self.val, -self.grad, -self.hess)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if isinstance(o, _Jet):
+            a, b = self.val[..., None], o.val[..., None]
+            return _Jet(self.val * o.val, a * o.grad + b * self.grad,
+                        a[..., None] * o.hess + b[..., None] * self.hess
+                        + _outer(self.grad, o.grad) + _outer(o.grad, self.grad))
+        return _Jet(self.val * o, self.grad * o, self.hess * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, _Jet):
+            return self * o**-1.0
+        return _Jet(self.val / o, self.grad / o, self.hess / o)
+
+    def __rtruediv__(self, c):
+        return c * self**-1.0
+
+    def __pow__(self, o):
+        if isinstance(o, _Jet):     # a**b = exp(b log a)
+            return (o * self.chain(*_ALLOWED_FUNCS["log"])).chain(*_ALLOWED_FUNCS["exp"])
+        return self.chain(lambda x: x**o, lambda x: o * x**(o - 1),
+                          lambda x: o * (o - 1) * x**(o - 2))
+
+    def __rpow__(self, c):
+        ln = np.log(c)
+        return self.chain(lambda x: c**x, lambda x: c**x * ln, lambda x: c**x * ln**2)
 
 
 class PotentialField:
@@ -43,7 +121,10 @@ class PotentialField:
 
     Variables: x1..xn (coordinates), r (|x|), r2 (|x|²).  Operators: + - * /
     ** and unary minus; functions: exp, sqrt, log, sin, cos, tanh, abs.
-    Everything else is rejected at parse time.
+    Everything else is rejected at parse time.  One walk of the parsed
+    expression evaluates it on arrays (``__call__``) or on second-order jets
+    (``jet``), which gives the gradient and Hessian exactly, without a step
+    size.
     """
 
     def __init__(self, expression, n):
@@ -55,6 +136,8 @@ class PotentialField:
             raise ValidationError(f"cannot parse potential {expression!r}: {exc}") from exc
         self._validate(tree.body)
         self._tree = tree.body
+        self._uses_r = any(isinstance(node, ast.Name) and node.id == "r"
+                           for node in ast.walk(tree))
 
     def _validate(self, node):
         if isinstance(node, ast.Constant):
@@ -83,7 +166,7 @@ class PotentialField:
 
     def _eval(self, node, env):
         if isinstance(node, ast.Constant):
-            return float(node.value)
+            return np.float64(node.value)
         if isinstance(node, ast.Name):
             return env[node.id]
         if isinstance(node, ast.BinOp):
@@ -93,43 +176,42 @@ class PotentialField:
             val = self._eval(node.operand, env)
             return -val if isinstance(node.op, ast.USub) else val
         if isinstance(node, ast.Call):
-            return _ALLOWED_FUNCS[node.func.id](self._eval(node.args[0], env))
+            funcs = _ALLOWED_FUNCS[node.func.id]
+            val = self._eval(node.args[0], env)
+            return val.chain(*funcs) if isinstance(val, _Jet) else funcs[0](val)
         raise AssertionError("unreachable: node was validated")
 
-    def __call__(self, points):
-        """Evaluate on points of shape (..., n)."""
+    def _env(self, points, jets):
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != self.n:
             raise ValidationError(f"points must have last dimension {self.n}")
-        env = {f"x{i + 1}": pts[..., i] for i in range(self.n)}
-        env["r2"] = np.sum(pts**2, axis=-1)
-        env["r"] = np.sqrt(env["r2"])
+        x = [pts[..., i] for i in range(self.n)]
+        r2 = np.sum(pts**2, axis=-1)
+        if jets:
+            eye = np.eye(self.n)
+            zero = np.zeros(pts.shape + (self.n,))
+            x = [_Jet(xi, np.broadcast_to(eye[i], pts.shape), zero)
+                 for i, xi in enumerate(x)]
+            r2 = _Jet(r2, 2.0 * pts, np.broadcast_to(2.0 * eye, zero.shape))
+        env = {f"x{i + 1}": xi for i, xi in enumerate(x)}
+        env["r2"] = r2
+        if self._uses_r:    # √ is singular at the origin: build r only if used
+            env["r"] = r2.chain(*_ALLOWED_FUNCS["sqrt"]) if jets else np.sqrt(r2)
+        return pts.shape[:-1], env
+
+    def __call__(self, points):
+        """Evaluate on points of shape (..., n)."""
+        shape, env = self._env(points, jets=False)
+        return np.broadcast_to(self._eval(self._tree, env), shape).copy()
+
+    def jet(self, points):
+        """Exact gradient (..., n) and Hessian (..., n, n) on points (..., n)."""
+        shape, env = self._env(points, jets=True)
         out = self._eval(self._tree, env)
-        return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1]).copy()
-
-    def gradient(self, points, step=1e-5):
-        """Central-difference gradient, shape (..., n)."""
-        pts = np.asarray(points, dtype=float)
-        out = np.empty_like(pts)
-        for i in range(self.n):
-            e = np.zeros(self.n)
-            e[i] = step
-            out[..., i] = (self(pts + e) - self(pts - e)) / (2 * step)
-        return out
-
-    def directional_derivative(self, points, direction, step=1e-5):
-        d = np.asarray(direction)
-        return (self(points + step * d) - self(points - step * d)) / (2 * step)
-
-    def second_directional(self, points, d1, d2, step=1e-4):
-        """Hessian contraction D²V[d1, d2] by central differences."""
-        d1 = np.asarray(d1)
-        d2 = np.asarray(d2)
-        pp = self(points + step * (d1 + d2))
-        pm = self(points + step * (d1 - d2))
-        mp = self(points - step * (d1 - d2))
-        mm = self(points - step * (d1 + d2))
-        return (pp - pm - mp + mm) / (4 * step**2)
+        if not isinstance(out, _Jet):      # constant expression
+            out = _Jet(out, 0.0, 0.0)
+        return (np.broadcast_to(out.grad, shape + (self.n,)).copy(),
+                np.broadcast_to(out.hess, shape + (self.n, self.n)).copy())
 
 
 @dataclass(frozen=True)
@@ -163,9 +245,8 @@ class CurveData:
 
     positions[i], tangents[i] are in R^n; frame[i, j] is the j-th normal
     frame field E_j (j = 0..n-2); curvature[i, j] = <H, E_j> at node i.
-    ``evaluators`` optionally holds exact callables (position, tangent,
-    frame, curvature) of arc length, used when available to avoid
-    interpolation error on analytic shapes.
+    Everything downstream works on these nodes; nothing interpolates
+    between them.
     """
 
     s: np.ndarray                 # arc-length nodes, uniform on [0, L)
@@ -176,7 +257,6 @@ class CurveData:
     curvature: np.ndarray         # (M, n-1) components of H in the frame
     holonomy_angle: float
     holonomy_generator: np.ndarray = None   # skew (n-1, n-1), zero when closed
-    evaluators: dict = field(default=None, repr=False)
 
     @property
     def M(self):
@@ -189,28 +269,6 @@ class CurveData:
     def curvature_vectors(self):
         """H as ambient vectors, shape (M, n)."""
         return np.einsum("ij,ijk->ik", self.curvature, self.frame)
-
-    def frame_at(self, sq):
-        """Frame and related data at arbitrary arc lengths (exact or spline)."""
-        sq = np.mod(np.asarray(sq, dtype=float), self.L)
-        if self.evaluators is not None:
-            ev = self.evaluators
-            return (ev["position"](sq), ev["tangent"](sq), ev["frame"](sq),
-                    ev["curvature"](sq))
-        pos = self._periodic_spline("positions")(sq)
-        tan = self._periodic_spline("tangents")(sq)
-        frm = self._periodic_spline("frame")(sq)
-        cur = self._periodic_spline("curvature")(sq)
-        return pos, tan, frm, cur
-
-    def _periodic_spline(self, name):
-        cache = self.__dict__.setdefault("_splines", {})
-        if name not in cache:
-            arr = getattr(self, name)
-            snod = np.append(self.s, self.L)
-            vals = np.concatenate([arr, arr[:1]], axis=0)
-            cache[name] = CubicSpline(snod, vals, axis=0, bc_type="periodic")
-        return cache[name]
 
     def to_csv(self, path):
         cols = [self.s, *self.positions.T, *self.curvature.T]
@@ -235,45 +293,6 @@ class PotentialData:
         header = "V," + ",".join(f"dV{j+1}" for j in range(nm1))
         np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
                    comments="")
-
-
-def _circle_evaluators(R, n, center):
-    c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-
-    def position(s):
-        s = np.atleast_1d(s)
-        phi = s / R
-        out = np.zeros(s.shape + (n,))
-        out[..., 0] = R * np.cos(phi)
-        out[..., 1] = R * np.sin(phi)
-        return out + c
-
-    def tangent(s):
-        s = np.atleast_1d(s)
-        phi = s / R
-        out = np.zeros(s.shape + (n,))
-        out[..., 0] = -np.sin(phi)
-        out[..., 1] = np.cos(phi)
-        return out
-
-    def frame(s):
-        s = np.atleast_1d(s)
-        phi = s / R
-        out = np.zeros(s.shape + (n - 1, n))
-        out[..., 0, 0] = np.cos(phi)   # E_1 = outward radial
-        out[..., 0, 1] = np.sin(phi)
-        for j in range(1, n - 1):      # remaining frame fields are constant axes
-            out[..., j, j + 1] = 1.0
-        return out
-
-    def curvature(s):
-        s = np.atleast_1d(s)
-        out = np.zeros(s.shape + (n - 1,))
-        out[..., 0] = -1.0 / R         # H = γ'' points inward
-        return out
-
-    return {"position": position, "tangent": tangent, "frame": frame,
-            "curvature": curvature}
 
 
 def _param_functions(spec):
@@ -315,17 +334,15 @@ def _param_functions(spec):
 
 
 def _check_simple(positions):
-    """Cheap self-intersection test on the sample polyline."""
+    """Self-intersection test on the sample polyline: samples far apart along
+    the curve must not come within half a sampling step of each other.  The
+    k-d tree keeps the memory linear in the number of samples."""
     M = positions.shape[0]
     step = np.max(np.linalg.norm(np.diff(positions, axis=0, append=positions[:1]),
                                  axis=1))
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    idx = np.arange(M)
-    sep = np.minimum(np.abs(idx[:, None] - idx[None, :]),
-                     M - np.abs(idx[:, None] - idx[None, :]))
-    bad = (sep > max(4, M // 64)) & (dist < 0.5 * step)
-    if np.any(bad):
+    pairs = cKDTree(positions).query_pairs(0.5 * step, output_type="ndarray")
+    gap = np.abs(pairs[:, 0] - pairs[:, 1])
+    if np.any(np.minimum(gap, M - gap) > max(4, M // 64)):
         raise ValidationError("curve appears to self-intersect")
 
 
@@ -394,25 +411,20 @@ def build_curve(spec, M=256):
         holonomy_angle = float(np.linalg.norm(gen) / np.sqrt(2))
     # distribute the closing rotation uniformly in arc length
     if holonomy_angle > 1e-14:
-        for i in range(M):
-            corr = expm(-gen * (s_nodes[i] / L))
-            frame[i] = corr @ frame[i]
+        frame = expm(-gen[None] * (s_nodes / L)[:, None, None]) @ frame
 
-    # re-orthonormalize against accumulated rounding
-    for i in range(M):
-        frame[i] = _gram_schmidt_normal(frame[i], tangents[i])
+    # re-orthonormalize against accumulated rounding: Gram–Schmidt of the
+    # tangent-projected frame vectors, i.e. QR with a positive diagonal of R
+    proj = frame - np.einsum("ijk,ik->ij", frame, tangents)[..., None] * tangents[:, None]
+    q, r = np.linalg.qr(proj.transpose(0, 2, 1))
+    frame = (q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None]).transpose(0, 2, 1)
 
     curvature = np.einsum("ik,ijk->ij", Hvec, frame)
-
-    evaluators = None
-    if spec.kind == "circle" and abs(holonomy_angle) < 1e-12:
-        evaluators = _circle_evaluators(spec.radius, n, spec.center)
 
     return CurveData(s=s_nodes, L=L, positions=positions, tangents=tangents,
                      frame=frame, curvature=curvature,
                      holonomy_angle=holonomy_angle,
-                     holonomy_generator=(gen if n > 2 else np.zeros((1, 1))),
-                     evaluators=evaluators)
+                     holonomy_generator=(gen if n > 2 else np.zeros((1, 1))))
 
 
 def straight_segment_curve(L, M, n=2):
@@ -450,23 +462,13 @@ def _transport_rotation(t0, t1):
     return R
 
 
-def _gram_schmidt_normal(frame_i, tangent):
-    out = []
-    for v in frame_i:
-        w = v - np.dot(v, tangent) * tangent
-        for u in out:
-            w = w - np.dot(w, u) * u
-        out.append(w / np.linalg.norm(w))
-    return np.array(out)
-
-
-def sample_potential(V, curve, bounds=None, grad_step=1e-5, hess_step=1e-4):
+def sample_potential(V, curve, bounds=None):
     """Sample V and its normal derivatives along the curve.
 
-    Normal gradient and Hessian are computed by central differences along the
-    frame directions.  Fills the flat-metric second derivatives
-    ∂²_{jl} g_11 = 2 H^j H^l alongside.  ``bounds``, when given, is a pair
-    (V1, V2) used to validate 0 < V1 <= V <= V2 on the curve.
+    The normal gradient <∇V, E_j> and Hessian D²V[E_j, E_l] are contractions
+    of the exact derivatives ``V.jet`` with the frame.  Fills the flat-metric
+    second derivatives ∂²_{jl} g_11 = 2 H^j H^l alongside.  ``bounds``, when
+    given, is a pair (V1, V2) used to validate 0 < V1 <= V <= V2 on the curve.
     """
     pos = curve.positions
     vals = V(pos)
@@ -477,19 +479,12 @@ def sample_potential(V, curve, bounds=None, grad_step=1e-5, hess_step=1e-4):
         if np.any(vals < V1 - 1e-12) or np.any(vals > V2 + 1e-12):
             raise ValidationError("potential leaves the configured bounds on the curve")
 
-    M, nm1 = curve.M, curve.n - 1
-    grad = np.zeros((M, nm1))
-    hess = np.zeros((M, nm1, nm1))
-    for j in range(nm1):
-        Ej = curve.frame[:, j, :]
-        grad[:, j] = V.directional_derivative(pos, Ej, step=grad_step)
-        for l in range(j, nm1):
-            El = curve.frame[:, l, :]
-            hess[:, j, l] = V.second_directional(pos, Ej, El, step=hess_step)
-            hess[:, l, j] = hess[:, j, l]
-
+    grad, hess = V.jet(pos)
+    E = curve.frame
+    hess_n = np.einsum("ijk,ikm,ilm->ijl", E, hess, E)   # symmetric up to rounding
     d2g11 = 2.0 * np.einsum("ij,il->ijl", curve.curvature, curve.curvature)
-    return PotentialData(values=vals, grad_normal=grad, hess_normal=hess,
+    return PotentialData(values=vals, grad_normal=np.einsum("ijk,ik->ij", E, grad),
+                         hess_normal=0.5 * (hess_n + hess_n.transpose(0, 2, 1)),
                          metric_d2g11=d2g11)
 
 

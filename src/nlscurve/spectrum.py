@@ -92,7 +92,8 @@ def coupled_spectrum(op, U, count):
     bound lies under the spectrum and the shifted pentadiagonal matrix is
     positive definite.  Its banded Cholesky factorization checks the bound
     (ConvergenceError if it fails) and serves every inverse application.
-    Returns a list of (eigenvalue, u_values, v_values) with the
+    The Lanczos start vector is fixed, so identical calls return identical
+    arrays.  Returns a list of (eigenvalue, u_values, v_values) with the
     two-component eigenfunction on the full radial grid, normalized to
     ∫(u²+v²) r^{d-1}dr = 1.
     """
@@ -116,7 +117,9 @@ def coupled_spectrum(op, U, count):
         (n, n), matvec=lambda x: cho_solve_banded((chol, True), x,
                                                   check_finite=False),
         dtype=float)
-    vals, vecs = eigsh(K, k=count, sigma=sigma, which="LM", OPinv=OPinv)
+    # a fixed start vector: eigsh would draw a fresh random one per call
+    vals, vecs = eigsh(K, k=count, sigma=sigma, which="LM", OPinv=OPinv,
+                       v0=np.ones(n))
     # one Rayleigh quotient per vector: squares the eigenvalue accuracy
     vals = np.einsum("ij,ij->j", vecs, _band_matvec(bands, vecs)) \
         / np.einsum("ij,ij->j", vecs, vecs)

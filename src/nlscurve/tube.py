@@ -86,18 +86,15 @@ class TubeGrid:
 
 
 def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, radius_factor=1.0,
-                    dz_factor=10.0, stencil_order=4, n_s=None,
-                    cutoff_off=False):
+                    dz_factor=10.0, stencil_order=4, cutoff_off=False):
     """Tube grid at the resolution of the given curve sampling.
 
-    The s̄ samples are the curve nodes, so the tube has N_s = curve.M nodes
-    along the curve (build the curve at M ≈ base_M/ε to honor a fixed target
-    s-spacing).  The z extent is radius_factor·(ε^{-δ̄}+1)/min K plus the
+    The s̄ samples are the curve nodes: the curve alone sets the resolution
+    along it, N_s = curve.M (build the curve at M ≈ base_M/ε to honor a
+    fixed target s-spacing).  The z extent is radius_factor·(ε^{-δ̄}+1)/min K plus the
     stencil margin; spacing is 1/(dz_factor·max k̂).  ``cutoff_off`` replaces
     the cutoff by 1 (reference runs on wider grids).
     """
-    if n_s is not None and n_s != curve.M:
-        raise ValidationError("tube resolution must match the curve sampling")
     N_s = curve.M
     if N_s > S_GRID_CAP:
         raise ValidationError(f"s-grid exceeds the cap {S_GRID_CAP}")

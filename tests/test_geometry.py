@@ -1,5 +1,8 @@
 """Curve construction, frames, holonomy, potential sampling, co-area."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -119,6 +122,16 @@ class TestBuildCurve:
         with pytest.raises(ValidationError):
             build_curve(CurveSpec("circle", n=2, radius=1.0), 32)
 
+    def test_memory_linear_in_samples(self):
+        # the self-intersection check must not build M×M distance tables
+        tracemalloc.start()
+        try:
+            build_curve(CurveSpec("ellipse", n=2, a=2.0, b=1.0), 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+
 
 class TestPotential:
     def test_expression_language_rejects_injection(self):
@@ -169,6 +182,110 @@ class TestPotential:
         gn = np.einsum("ik,ijk->ij", grad_exact, c.frame)
         rel = np.max(np.abs(pd.grad_normal - gn)) / np.max(np.abs(gn))
         assert rel < 1e-6
+
+
+def _bump_derivatives(x):
+    """Closed-form gradient and Hessian of V = 1/(1+|x|²)."""
+    q = 1.0 + np.sum(x**2, axis=-1)
+    grad = -2.0 * x / q[:, None] ** 2
+    hess = (-2.0 * np.eye(x.shape[1]) / q[:, None, None] ** 2
+            + 8.0 * x[:, :, None] * x[:, None, :] / q[:, None, None] ** 3)
+    return grad, hess
+
+
+# f' and f'' of the expression language's functions, written out by hand
+_HAND_DERIVATIVES = {
+    "exp": (np.exp, np.exp),
+    "sqrt": (lambda u: 0.5 * u**-0.5, lambda u: -0.25 * u**-1.5),
+    "log": (lambda u: 1 / u, lambda u: -1 / u**2),
+    "sin": (np.cos, lambda u: -np.sin(u)),
+    "cos": (lambda u: -np.sin(u), lambda u: -np.cos(u)),
+    "tanh": (lambda u: 1 / np.cosh(u) ** 2, lambda u: -2 * np.sinh(u) / np.cosh(u) ** 3),
+    "abs": (np.sign, np.zeros_like),
+}
+
+
+class TestPotentialJet:
+    """Exact derivatives from the expression jets, against closed forms."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bump_closed_form(self, n):
+        x = np.random.default_rng(n).normal(size=(200, n))
+        grad, hess = PotentialField("1/(1+r2)", n).jet(x)
+        g_ex, h_ex = _bump_derivatives(x)
+        assert np.max(np.abs(grad - g_ex)) < 1e-13
+        assert np.max(np.abs(hess - h_ex)) < 1e-13
+        # the same field written with r
+        grad_r, hess_r = PotentialField("1/(1+r**2)", n).jet(x)
+        assert np.max(np.abs(grad_r - g_ex)) < 1e-13
+        assert np.max(np.abs(hess_r - h_ex)) < 1e-13
+
+    def test_hess_normal_constant_on_centred_circle(self):
+        # radial V on a centred circle: E1 is the outward radial direction,
+        # so ∂_r V and ∂²_r V are the same at every node
+        R = 0.7
+        c = build_curve(CurveSpec("circle", n=2, radius=R), 256)
+        pd = sample_potential(PotentialField("1/(1+r2)", 2), c)
+        assert np.ptp(pd.hess_normal[:, 0, 0]) < 1e-14
+        assert np.max(np.abs(pd.grad_normal[:, 0] + 2 * R / (1 + R**2) ** 2)) < 1e-13
+        assert np.max(np.abs(pd.hess_normal[:, 0, 0]
+                             - (6 * R**2 - 2) / (1 + R**2) ** 3)) < 1e-13
+
+    def test_polynomial_closed_form(self):
+        x = np.random.default_rng(3).normal(size=(100, 3))
+        V = PotentialField("4 + x1*x2 + x3*x3*x1 + 0.1*x2*x2*x2", 3)
+        grad, hess = V.jet(x)
+        x1, x2, x3 = x.T
+        g_ex = np.stack([x2 + x3**2, x1 + 0.3 * x2**2, 2 * x3 * x1], axis=1)
+        one, zero = np.ones_like(x1), np.zeros_like(x1)
+        h_ex = np.stack([np.stack([zero, one, 2 * x3], axis=1),
+                         np.stack([one, 0.6 * x2, zero], axis=1),
+                         np.stack([2 * x3, zero, 2 * x1], axis=1)], axis=1)
+        assert np.max(np.abs(grad - g_ex)) < 1e-13
+        assert np.max(np.abs(hess - h_ex)) < 1e-13
+
+    @pytest.mark.parametrize("name", sorted(_HAND_DERIVATIVES))
+    def test_functions(self, name):
+        d1, d2 = _HAND_DERIVATIVES[name]
+        # f(x1·x2): ∇ = f'(u)(x2, x1), D² = f''(u)(x2, x1)⊗(x2, x1) + f'(u)[[0,1],[1,0]]
+        x = np.random.default_rng(5).uniform(0.3, 1.5, size=(50, 2))
+        if name == "abs":
+            x[::2, 1] *= -1          # both signs of x1·x2
+        grad, hess = PotentialField(f"{name}(x1*x2)", 2).jet(x)
+        u = x[:, 0] * x[:, 1]
+        du = x[:, ::-1]
+        g_ex = d1(u)[:, None] * du
+        h_ex = (d2(u)[:, None, None] * du[:, :, None] * du[:, None, :]
+                + d1(u)[:, None, None] * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.max(np.abs(grad - g_ex)) < 1e-13
+        assert np.max(np.abs(hess - h_ex)) < 1e-13
+
+    def test_powers_with_variable_exponent(self):
+        x = np.random.default_rng(6).uniform(0.5, 2.0, size=(50, 2))
+        x1, x2 = x.T
+        grad, hess = PotentialField("x1**x2", 2).jet(x)
+        ln = np.log(x1)
+        g_ex = np.stack([x2 * x1 ** (x2 - 1), x1**x2 * ln], axis=1)
+        h12 = x1 ** (x2 - 1) * (1 + x2 * ln)
+        h_ex = np.stack([np.stack([x2 * (x2 - 1) * x1 ** (x2 - 2), h12], axis=1),
+                         np.stack([h12, x1**x2 * ln**2], axis=1)], axis=1)
+        assert np.max(np.abs(grad - g_ex)) < 1e-13
+        assert np.max(np.abs(hess - h_ex)) < 1e-13
+        grad, hess = PotentialField("2**x1", 2).jet(x)
+        ln2 = np.log(2.0)
+        assert np.max(np.abs(grad[:, 0] - 2**x1 * ln2)) < 1e-13
+        assert np.max(np.abs(hess[:, 0, 0] - 2**x1 * ln2**2)) < 1e-13
+        assert np.all(grad[:, 1] == 0) and np.all(hess[:, 1] == 0)
+
+    def test_origin_is_regular_without_r(self):
+        # √ is singular at 0; fields that do not use r must not touch it
+        origin = np.zeros((3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g1, h1 = PotentialField("1", 2).jet(origin)
+            g2, h2 = PotentialField("r2", 2).jet(origin)
+        assert np.all(g1 == 0) and np.all(h1 == 0) and g1.shape == (3, 2)
+        assert np.all(g2 == 0) and np.all(h2 == 2 * np.eye(2)) and h2.shape == (3, 2, 2)
 
 
 class TestCoarea:

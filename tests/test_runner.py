@@ -126,6 +126,23 @@ class TestPipeline:
                  for name in ("a", "b")]
         assert texts[0] == texts[1]
 
+    def test_rerun_bytes_identical_through_gap_scan(self, tmp_path):
+        # the branch, resonance and gap-scan stages solve coupled eigenproblems;
+        # a rerun must still emit the same summary.json bytes
+        text = (CRITICAL
+                .replace("phase_speed = 0.0", "phase_speed = 0.05")
+                .replace("radius = 0.70710678118655", "radius = 0.7012465")
+                .replace("[resonance]", "[grids]\nradial_m = 1000\n\n[resonance]")
+                .replace("criticality\n", "criticality, branches, resonance, gap_scan\n"))
+        cfg = parse_config(write(tmp_path, text))
+        texts = []
+        for name in ("a", "b"):
+            emit_report(*run_pipeline(cfg), str(tmp_path / name))
+            texts.append(re.sub(rb'"timestamp": "[^"]*"', b"",
+                                (tmp_path / name / "summary.json").read_bytes()))
+        assert texts[0] == texts[1]
+        assert b'"alpha_bar"' in texts[0] and b'"gap_scan"' in texts[0]
+
     def test_empty_stage_selection(self, tmp_path):
         text = CRITICAL.replace(
             "stages = profile, geometry, scalings, criticality", "stages =")

@@ -50,6 +50,14 @@ class TestCoupledSpectrum:
         for (l0, _, _), (l1, _, _) in zip(base, shifted):
             assert abs((l1 - l0) - 0.49) < 1e-10
 
+    def test_reproducible(self, U1000):
+        # a fixed Lanczos start vector: identical calls, identical arrays
+        op = CoupledSectorOperator(1.7, 0.15, 0, 1, 3.0)
+        first, second = (coupled_spectrum(op, U1000, 2) for _ in range(2))
+        for a, b in zip(first, second):
+            assert a[0] == b[0]
+            assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     @pytest.mark.parametrize("ell, count", [(0, 4), (1, 2)])
     def test_matches_dense_eigh(self, U1000, alpha, ell, count):
