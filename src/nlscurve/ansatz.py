@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, CurveNotCriticalError, IllPosedSolveError
+from .geometry import periodic_antiderivative, periodic_derivative
 from .radial import SectorOperator, sector_solve
 from .scalings import compute_f1
 from .tube import apply_S_eps, weighted_norm
@@ -89,15 +90,6 @@ class CorrectorSet:
     source_odd: np.ndarray = None  # (d, m) odd source array B of node M-1
 
 
-def _spectral_dsbar(arr, L, order=1):
-    """d/ds̄ (or second derivative) along axis 0 of a periodic nodal array."""
-    M = arr.shape[0]
-    freqs = 2j * np.pi * np.fft.fftfreq(M, d=L / M)
-    shape = (M,) + (1,) * (arr.ndim - 1)
-    return np.real(np.fft.ifft(freqs.reshape(shape) ** order
-                               * np.fft.fft(arr, axis=0), axis=0))
-
-
 def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
                      criticality_tol=0.1):
     """All corrector data for the ansatz, one batched solve per sector operator.
@@ -130,20 +122,17 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     L = curve.L
 
     f1p = compute_f1(sf, Phi, f1_drift, curve, pot)
-    ds = L / M
-    incr = 0.5 * (f1p + np.roll(f1p, -1)) * ds
-    f1 = np.concatenate([[0.0], np.cumsum(incr)])[:-1]
-    f1_budget = float(np.sum(incr))
+    f1, f1_budget = periodic_antiderivative(f1p, L)
 
     # s̄-derivatives of the coefficient fields (spectral, periodic)
-    hp = _spectral_dsbar(h, L)
-    h2p = _spectral_dsbar(h, L, 2)
-    kp = _spectral_dsbar(k, L)
-    k2p = _spectral_dsbar(k, L, 2)
-    fpp = _spectral_dsbar(fp, L)
-    dH = _spectral_dsbar(Hc, L)
-    dPhi = _spectral_dsbar(Phi, L)
-    df2 = _spectral_dsbar(f2, L)
+    hp = periodic_derivative(h, L)
+    h2p = periodic_derivative(h, L, 2)
+    kp = periodic_derivative(k, L)
+    k2p = periodic_derivative(k, L, 2)
+    fpp = periodic_derivative(fp, L)
+    dH = periodic_derivative(Hc, L)
+    dPhi = periodic_derivative(Phi, L)
+    df2 = periodic_derivative(f2, L)
 
     HdotPhi = np.einsum("ij,ij->i", Hc, Phi)
     c_wre = ((p - 1.0) / theta * h**p * HdotPhi + 2.0 * fp * f1p * h) / k**2
@@ -174,13 +163,13 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     # ---- level-2 sources in the section algebra ---------------------------
     # Parameter-independent parts only: w_re, w_io, f1, f2 terms are excluded
     # by construction (they carry their own bookkeeping in the expansion).
-    dw_ro = _spectral_dsbar(w_ro, L)                  # ∂_s̄ at fixed y
+    dw_ro = periodic_derivative(w_ro, L)              # ∂_s̄ at fixed y
     yU, y2U, y3U = y * Uv, y**2 * Uv, y**3 * Uv
     ydU, y2dU = y * dU, y**2 * dU
     Upm2 = np.where(Uv > 0, Uv ** (p - 2.0), 0.0)
 
     c_ie = c_wie
-    dc_ie = _spectral_dsbar(c_ie, L)
+    dc_ie = periodic_derivative(c_ie, L)
 
     # right-hand sides of the ℓ=0, traceless ℓ=2 (upper triangle) and odd
     # imaginary ℓ=1 solves, one row per node
@@ -263,7 +252,7 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     return CorrectorSet(ygrid=ygrid, c_wre=c_wre, c_wie=c_wie, b_wio=b_wio,
                         w_ro=w_ro, removed_wro=removed, c_vt=c_vt,
                         v0_even0=v0_even0, v0_even2=v0_even2, v0_odd=v0_odd,
-                        f1prime=f1p, f1=f1, f1_budget=f1_budget,
+                        f1prime=f1p, f1=f1, f1_budget=float(f1_budget),
                         source_even=(A, C), source_odd=B)
 
 
@@ -282,15 +271,6 @@ class AnsatzField:
 
     def modulus(self):
         return np.abs(self.values)
-
-    def slice_to_csv(self, path, s_index=0):
-        """Export one cross-section slice as (z components, re, im) rows."""
-        g = self.grid
-        flat = self.values[s_index].reshape(-1)
-        zpts = g.zcomp.reshape(g.d, -1).T
-        header = ",".join(f"z{j+1}" for j in range(g.d)) + ",re,im"
-        np.savetxt(path, np.column_stack([zpts, flat.real, flat.imag]),
-                   delimiter=",", header=header, comments="")
 
 
 def _interp_rows(ygrid, rows, yq):

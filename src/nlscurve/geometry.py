@@ -10,7 +10,9 @@ E_j' = -H^j T, which makes the Fermi metric around the curve exactly
 
 in the normal coordinates y induced by the frame.  The loop holonomy of the
 normal connection is measured after one round trip and distributed uniformly
-as a closing rotation, so the stored frame is exactly L-periodic.
+as a closing rotation, so the stored frame is exactly L-periodic.  Fields
+sampled on the nodes are differentiated and integrated along s̄ by the
+periodic helpers here, which every later layer shares.
 
 Potentials are given in a small arithmetic expression language over the
 ambient coordinates (x1..xn, r = |x|, r2 = |x|²) that is evaluated through a
@@ -425,6 +427,28 @@ def build_curve(spec, M=256):
                      frame=frame, curvature=curvature,
                      holonomy_angle=holonomy_angle,
                      holonomy_generator=(gen if n > 2 else np.zeros((1, 1))))
+
+
+def periodic_derivative(values, L, order=1):
+    """Spectral s̄-derivative along axis 0 of nodal values on a uniform
+    periodic grid of period L: the derivative of the trigonometric
+    interpolant, the same operator as the circulant Fourier matrices."""
+    M = values.shape[0]
+    freqs = 2j * np.pi * np.fft.fftfreq(M, d=L / M)
+    shape = (M,) + (1,) * (values.ndim - 1)
+    return np.real(np.fft.ifft(freqs.reshape(shape) ** order
+                               * np.fft.fft(values, axis=0), axis=0))
+
+
+def periodic_antiderivative(values, L):
+    """Cumulative trapezoid along axis 0 of periodic nodal values.
+
+    Returns (F, total) with F[0] = 0 and total = F(L) - F(0), the last
+    cumulative sum, so F[-1] plus the last increment equals total bitwise.
+    """
+    incr = 0.5 * (values + np.roll(values, -1, axis=0)) * (L / values.shape[0])
+    cums = np.cumsum(incr, axis=0)
+    return np.concatenate([np.zeros_like(cums[:1]), cums[:-1]]), cums[-1]
 
 
 def straight_segment_curve(L, M, n=2):

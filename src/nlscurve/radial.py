@@ -75,13 +75,15 @@ class RadialProfile:
 
     ``decay_rate`` is the exponential rate fitted on the last quarter of the
     grid after removing the known polynomial prefactor r^{-(d-1)/2}; it is 0.0
-    for profiles where no fit was requested.
+    for profiles where no fit was requested.  ``shoot_amplitude`` is the
+    shooting value of U(0) for a solved ground state, None otherwise.
     """
 
     grid: RadialGrid
     values: np.ndarray
     dim: int
     decay_rate: float = 0.0
+    shoot_amplitude: float = field(default=None, compare=False)
     _spline: CubicSpline = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -113,11 +115,6 @@ class RadialProfile:
 
     def with_values(self, values, decay_rate=0.0):
         return RadialProfile(self.grid, values, self.dim, decay_rate)
-
-    def norm_sq(self):
-        """∫ u² r^{d-1} dr (no angular factor)."""
-        r = self.grid.nodes
-        return float(np.trapezoid(self.values**2 * r ** (self.dim - 1), r))
 
     def to_csv(self, path):
         np.savetxt(path, np.column_stack([self.grid.nodes, self.values]),
@@ -292,7 +289,7 @@ def solve_ground_state(n, p, grid=None):
 
     Shooting on U(0) with bisection brackets the solution, then a Newton
     relaxation on the finite-difference grid drives the discrete residual to
-    round-off.  The shooting amplitude is kept on the profile (attribute
+    round-off.  The shooting amplitude is kept on the profile (field
     ``shoot_amplitude``) as an independent high-order value of U(0).
     """
     check_p(n, p)
@@ -340,9 +337,7 @@ def solve_ground_state(n, p, grid=None):
     if np.any(u[:-1] <= 0) or np.any(np.diff(u[: grid.m - 1]) > 1e-12):
         raise ConvergenceError("relaxed profile is not positive decreasing")
     rate = _fit_decay_rate(grid, u, d)
-    profile = RadialProfile(grid, u, d, decay_rate=rate)
-    object.__setattr__(profile, "shoot_amplitude", a_star)
-    return profile
+    return RadialProfile(grid, u, d, decay_rate=rate, shoot_amplitude=a_star)
 
 
 _GS_CACHE = {}

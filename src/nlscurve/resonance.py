@@ -19,7 +19,10 @@ is nearly diagonal in the (β_j) coordinates with approximate eigenvalues
 selects the admissible values ε_k.
 
 Everything here uses Fourier collocation in s̄: the coefficients are smooth
-periodic fields, so the discretization is spectrally accurate.
+periodic fields, so the discretization is spectrally accurate.  Derivatives
+of nodal fields come from the shared FFT helper
+``geometry.periodic_derivative``; the collocation matrix D2 is built only
+for the eigensolve.
 """
 
 from dataclasses import dataclass
@@ -28,6 +31,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import ValidationError, PhaseLawError
+from .geometry import periodic_derivative
 from .spectrum import sphere_area
 
 
@@ -142,7 +146,7 @@ def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3):
         raise PhaseLawError("resonance weight lost positivity; "
                             "phase-speed constant too large")
 
-    D1, D2 = fourier_diff_matrices(M, L)
+    _, D2 = fourier_diff_matrices(M, L)
     A = -eps**2 * D2 - np.diag(ka**2)
     B = np.diag(1.0 / wfun)
     vals, vecs = eigh(A, B)
@@ -158,11 +162,11 @@ def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3):
     sel = np.arange(j_eps - J, j_eps + J + 1)
     nu = vals[sel]
     xi = vecs[:, sel].T                     # [j, node]
-    dxi = (D1 @ vecs[:, sel]).T
+    dxi = periodic_derivative(vecs[:, sel], L).T
 
     denom = ka**2 + 2.0 * fp * ka * Q.q3
     beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None] / denom) * eps * dxi
-    dbeta = (D1 @ beta.T).T
+    dbeta = periodic_derivative(beta.T, L).T
     gamma = -(eps * dxi + ka * beta) / (2.0 * k * Q.q1)
     if np.min(Q.q2) > 1e-10:
         kappa = -(ka * xi - eps * dbeta) / (2.0 * k * Q.q2)
@@ -199,23 +203,17 @@ def verify_coupled_system(basis):
     Returns (max residual, per-j residual array).
     """
     sf, Q = basis.sf, basis.Q
-    k, fp, ka = sf.k, sf.fprime, sf.k * basis.abar
-    eps = basis.eps
-    M = basis.s.size
-    D1, D2 = fourier_diff_matrices(M, basis.L)
-
-    res = np.zeros(basis.nu.size)
-    coupling_on = np.any(np.abs(fp) > 0)
-    for a, nu in enumerate(basis.nu):
-        b, x = basis.beta[a], basis.xi[a]
-        db, d2b = D1 @ b, D2 @ b
-        dx, d2x = D1 @ x, D2 @ x
-        line1 = -eps**2 * d2b - ka**2 * b - nu * b
-        line2 = -eps**2 * d2x - ka**2 * x - nu * x
-        if coupling_on:
-            line1 -= 2.0 * fp * (Q.q3 / Q.q1) * (eps * dx + ka * b)
-            line2 += 2.0 * fp * (Q.q3 / np.maximum(Q.q2, 1e-300)) * (eps * db - ka * x)
-        res[a] = max(np.max(np.abs(line1)), np.max(np.abs(line2)))
+    fp, ka = sf.fprime[:, None], (sf.k * basis.abar)[:, None]
+    eps, nu, L = basis.eps, basis.nu, basis.L
+    b, x = basis.beta.T, basis.xi.T                   # [node, j]
+    line1 = -eps**2 * periodic_derivative(b, L, 2) - ka**2 * b - nu * b
+    line2 = -eps**2 * periodic_derivative(x, L, 2) - ka**2 * x - nu * x
+    if np.any(fp != 0):
+        q3 = Q.q3[:, None]
+        line1 -= 2.0 * fp * (q3 / Q.q1[:, None]) * (eps * periodic_derivative(x, L) + ka * b)
+        line2 += 2.0 * fp * (q3 / np.maximum(Q.q2, 1e-300)[:, None]) \
+            * (eps * periodic_derivative(b, L) - ka * x)
+    res = np.maximum(np.max(np.abs(line1), axis=0), np.max(np.abs(line2), axis=0))
     return float(np.max(res)), res
 
 
@@ -225,16 +223,11 @@ def correction_identities(basis):
     Checks -ε²γ'' - ᾱ²k²γ and (-kᾱκ + εγ') per j, normalized by the mode
     amplitude, returning the two arrays max-ed over nodes.
     """
-    ka = basis.sf.k * basis.abar
-    eps = basis.eps
-    M = basis.s.size
-    D1, D2 = fourier_diff_matrices(M, basis.L)
-    r1 = np.zeros(basis.nu.size)
-    r2 = np.zeros(basis.nu.size)
-    for a in range(basis.nu.size):
-        g, kp = basis.gamma[a], basis.kappa[a]
-        r1[a] = np.max(np.abs(-eps**2 * (D2 @ g) - ka**2 * g))
-        r2[a] = np.max(np.abs(-ka * kp + eps * (D1 @ g)))
+    ka = (basis.sf.k * basis.abar)[:, None]
+    eps, L = basis.eps, basis.L
+    g, kp = basis.gamma.T, basis.kappa.T              # [node, j]
+    r1 = np.max(np.abs(-eps**2 * periodic_derivative(g, L, 2) - ka**2 * g), axis=0)
+    r2 = np.max(np.abs(-ka * kp + eps * periodic_derivative(g, L)), axis=0)
     return r1, r2
 
 
@@ -249,14 +242,12 @@ def assemble_lambda0(basis):
     k, fp = sf.k, sf.fprime
     ka = k * basis.abar
     eps = basis.eps
-    M = basis.s.size
-    ds = basis.L / M
-    D1, _ = fourier_diff_matrices(M, basis.L)
+    ds = basis.L / basis.s.size
 
     Bm = basis.beta
     Xm = basis.xi
-    dB = (D1 @ Bm.T).T
-    dX = (D1 @ Xm.T).T
+    dB = periodic_derivative(Bm.T, basis.L).T
+    dX = periodic_derivative(Xm.T, basis.L).T
 
     def quad(fa, fb, w):
         return (fa * w) @ fb.T * ds

@@ -279,9 +279,8 @@ def stage_profile(cfg, exps, V, state, csvs):
 
 def stage_geometry(cfg, exps, V, state, csvs):
     curve, pot = _ensure_curve(cfg, V, state)
-    frame_orth = max(np.max(np.abs(curve.frame[i] @ curve.frame[i].T
-                                   - np.eye(cfg.n - 1)))
-                     for i in range(0, curve.M, max(1, curve.M // 16)))
+    frame_orth = np.max(np.abs(curve.frame @ curve.frame.transpose(0, 2, 1)
+                               - np.eye(cfg.n - 1)))
     csvs["curve"] = np.column_stack([curve.s, curve.positions,
                                      curve.curvature])
     csvs["potential"] = np.column_stack([curve.s, pot.values, pot.grad_normal])

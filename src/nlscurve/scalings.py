@@ -24,6 +24,7 @@ from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from .errors import ValidationError, ConvergenceError, PhaseLawError
+from .geometry import periodic_antiderivative
 from .radial import check_p
 
 
@@ -71,38 +72,28 @@ class ScalingFields:
         return float(max(e1, e2))
 
 
-def _solve_h_node(A, sigma, p, V):
-    """Root of g(h) = h^{p-1} - A²h^{2σ} - V with h > 0.
+def _solve_h(A, sigma, p, V):
+    """Roots h > 0 of g(h) = h^{p-1} - A²h^{2σ} - V at all nodes at once.
 
-    For A = 0 this is exactly V^{1/(p-1)}; otherwise a bracketed Brent solve
-    near that value (the small-speed regime keeps the root simple).
+    Newton from h = V^{1/(p-1)}, the A = 0 root, until every step is within
+    4 ulp of h.  Raises at the first node where h or g'(h) stops being
+    positive (no root nearby: the phase speed is too large).
     """
-    if A == 0.0:
-        return V ** (1.0 / (p - 1.0))
-
-    def g(h):
-        return h ** (p - 1.0) - A**2 * h ** (2.0 * sigma) - V
-
-    lo = V ** (1.0 / (p - 1.0))
-    if g(lo) > 0:  # possible when σ > 0 makes the speed term raise g
-        lo_try = lo
-        for _ in range(60):
-            lo_try *= 0.9
-            if g(lo_try) <= 0:
-                break
-        else:
-            raise ConvergenceError("cannot bracket the scaling fixed point from below; "
-                                   "try a smaller phase-speed constant")
-        return brentq(g, lo_try, lo, xtol=1e-15, rtol=8.9e-16)
-    hi = lo
+    h = V ** (1.0 / (p - 1.0))
     for _ in range(60):
-        hi *= 1.1
-        if g(hi) >= 0:
-            break
-    else:
-        raise ConvergenceError("cannot bracket the scaling fixed point; "
-                               "try a smaller phase-speed constant")
-    return brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        dg = (p - 1.0) * h ** (p - 2.0) - 2.0 * sigma * A**2 * h ** (2.0 * sigma - 1.0)
+        bad = ~((h > 0) & (dg > 0))
+        if np.any(bad):
+            raise ConvergenceError(
+                f"scaling fixed point lost h > 0 or g'(h) > 0 at node "
+                f"{int(np.argmax(bad))}; try a smaller phase-speed constant")
+        step = (h ** (p - 1.0) - A**2 * h ** (2.0 * sigma) - V) / dg
+        h = h - step
+        pending = ~(np.abs(step) <= 4.0 * np.finfo(float).eps * h)   # NaN pends
+        if not pending.any():
+            return h
+    raise ConvergenceError(f"scaling Newton did not converge in 60 steps at "
+                           f"node {int(np.argmax(pending))}")
 
 
 def small_speed_guard(A, h, exps):
@@ -118,7 +109,7 @@ def small_speed_guard(A, h, exps):
 
 
 def compute_scalings(curve, pot, phase_speed, exps):
-    """Per-node scalar solve of the coupled scaling/phase-law fixed point.
+    """Batched Newton solve of the coupled scaling/phase-law fixed point.
 
     Solves h^{p-1} = (f')² + V with f' = A·h^σ at every node, integrates f'
     cumulatively (trapezoid; f(L)-f(0) telescopes exactly to phase_budget),
@@ -128,27 +119,14 @@ def compute_scalings(curve, pot, phase_speed, exps):
         raise ValidationError("phase-speed constant must be nonnegative")
     A, p, sigma = phase_speed, exps.p, exps.sigma
     V = pot.values
-    h = np.empty(curve.M)
-    for i, Vi in enumerate(V):
-        try:
-            h[i] = _solve_h_node(A, sigma, p, Vi)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"scaling solve failed at node {i} "
-                                   f"(s̄={curve.s[i]:.4f}): {exc}") from exc
+    h = _solve_h(A, sigma, p, V)
     small_speed_guard(A, h, exps)
     fprime = A * h**sigma
     k = np.sqrt(fprime**2 + V)
-
-    # cumulative trapezoid over the closed loop: f(L) - f(0) telescopes to the
-    # budget bitwise (same cumulative sum defines both)
-    ds = curve.L / curve.M
-    incr = 0.5 * (fprime + np.roll(fprime, -1)) * ds
-    cums = np.cumsum(incr)
-    f = np.concatenate([[0.0], cums])[:-1]
-    phase_budget = float(cums[-1])
-
+    f, phase_budget = periodic_antiderivative(fprime, curve.L)
     return ScalingFields(phase_speed=A, exps=exps, s=curve.s.copy(), L=curve.L,
-                         h=h, k=k, fprime=fprime, f=f, phase_budget=phase_budget)
+                         h=h, k=k, fprime=fprime, f=f,
+                         phase_budget=float(phase_budget))
 
 
 def match_phase_budget(curve, pot, exps, A_ref, eps_ref, eps_new):
@@ -280,11 +258,6 @@ class JacobiMatrix:
     drift_offset: np.ndarray
     asymmetry: float
 
-    @property
-    def mass_matrix(self):
-        nm1 = self.matrix.shape[0] // self.weight.size
-        return np.diag(np.repeat(self.weight, nm1))
-
 
 def assemble_jacobi(curve, pot, sf, exps, jacobi_drift=0.0):
     """Second-variation operator of the reduced functional on normal sections.
@@ -323,18 +296,13 @@ def assemble_jacobi(curve, pot, sf, exps, jacobi_drift=0.0):
                   + 2.0 * A**2 * (5.0 * sigma + 3.0 * theta) * h ** (theta + sigma)) / denom
 
     dim = nm1 * M
-    full = np.zeros((dim, dim))
-    for j in range(nm1):
-        comp = np.arange(j, dim, nm1)
-        full[np.ix_(comp, comp)] = principal
-
+    full = np.kron(principal, np.eye(nm1))
     Hc = curve.curvature
-    for i in range(M):
-        block = (hess_coeff[i] * pot.hess_normal[i]
-                 + 0.5 * a[i] * pot.metric_d2g11[i]
-                 + curv_coeff[i] * np.outer(Hc[i], Hc[i]))
-        rows = slice(i * nm1, (i + 1) * nm1)
-        full[rows, rows] += block
+    blocks = (hess_coeff[:, None, None] * pot.hess_normal
+              + 0.5 * a[:, None, None] * pot.metric_d2g11
+              + curv_coeff[:, None, None] * (Hc[:, :, None] * Hc[:, None, :]))
+    idx = np.arange(M)
+    full.reshape(M, nm1, M, nm1)[idx, :, idx, :] += blocks
 
     asymmetry = float(np.max(np.abs(full - full.T)))
     full = 0.5 * (full + full.T)

@@ -264,7 +264,7 @@ class CrossingMode:
     p: float
 
 
-def find_alpha_bar(U, p, mu, search=(1e-6, None), tol=1e-8):
+def find_alpha_bar(U, p, mu, tol=1e-8):
     """Safeguarded Newton for the unique ᾱ with η_ᾱ = 0 in the ℓ=0 sector.
 
     At α = 0 the coupling μα vanishes and the lowest coupled eigenvalue is
@@ -274,8 +274,9 @@ def find_alpha_bar(U, p, mu, search=(1e-6, None), tol=1e-8):
     normalized pair), so each Newton step, the last one included, costs one
     coupled eigensolve, and the converged step's eigenpair is the returned
     mode; bisection on the maintained bracket guards the steps.  The η
-    branch is increasing with η_0 < 0; the upper search limit defaults to
-    sqrt(-2η_0) + 1, safely past the crossing for small μ.
+    branch is increasing with η_0 < 0; the search interval is
+    [1e-6, sqrt(-2η_0) + 1], whose upper end lies safely past the crossing
+    for small μ.
     """
     d = U.dim
     r = U.grid.nodes
@@ -291,9 +292,7 @@ def find_alpha_bar(U, p, mu, search=(1e-6, None), tol=1e-8):
     eta0 = sector_spectrum(SectorOperator("Lr", 0, 0.0, d, p), U, 1)[0][0]
     if eta0 >= 0:
         raise ConvergenceError("ground branch does not start negative")
-    lo, hi = search
-    if hi is None:
-        hi = float(np.sqrt(-2 * eta0) + 1.0)
+    lo, hi = 1e-6, float(np.sqrt(-2 * eta0) + 1.0)
     eta_hi, _, _ = eta_and_slope(hi)
     if eta_hi <= 0:
         raise ConvergenceError("ground branch has no sign change on the interval; "
@@ -353,20 +352,16 @@ def alpha_field(sf, U, tol=1e-8):
     """Per-node crossing data with μ(s̄) = 2f'(s̄)/k(s̄).
 
     In the variable-coefficient model the profile argument is k(s̄)z, so the
-    crossing equation per node only depends on μ(s̄); nodes with equal μ are
-    solved once.  Returns (alpha_bar array, modes list parallel to nodes).
+    crossing equation per node only depends on μ(s̄); nodes whose μ agree to
+    14 decimals share one solve, at the μ of the first of them.  Returns
+    (alpha_bar array, modes list parallel to nodes).
     """
     mus = 2.0 * sf.fprime / sf.k
-    cache = {}
-    abars = np.empty(mus.size)
-    modes = []
-    for i, mu in enumerate(mus):
-        key = round(float(mu), 14)
-        if key not in cache:
-            cache[key] = find_alpha_bar(U, sf.exps.p, float(mu), tol=tol)
-        abars[i] = cache[key].alpha_bar
-        modes.append(cache[key])
-    return abars, modes
+    _, first, group = np.unique(np.round(mus, 14), return_index=True,
+                                return_inverse=True)
+    solved = [find_alpha_bar(U, sf.exps.p, float(mus[i]), tol=tol) for i in first]
+    modes = [solved[g] for g in group]
+    return np.array([m.alpha_bar for m in modes]), modes
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .geometry import periodic_derivative
 
 S_GRID_CAP = 1 << 16
 
@@ -144,11 +145,7 @@ def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, radius_factor=1.0,
                               "cutoff ball")
     metric_a = np.where(ball[None], metric_a, np.maximum(metric_a, 0.5))
 
-    # H'(s̄) by spectral differentiation of the curvature components
-    freqs = 2j * np.pi * np.fft.fftfreq(N_s, d=L / N_s)
-    dH = np.real(np.fft.ifft(freqs[:, None] * np.fft.fft(Hc, axis=0), axis=0))
-    dHz = np.tensordot(dH, zcomp, axes=(1, 0))
-    ds_a = -(eps**2) * dHz
+    ds_a = -(eps**2) * np.tensordot(periodic_derivative(Hc, L), zcomp, axes=(1, 0))
 
     # ambient points: γ(s̄) + Σ_j (εz_j) E_j(s̄)
     pos = curve.positions                              # (N_s, n)

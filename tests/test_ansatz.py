@@ -124,6 +124,15 @@ class TestCorrectors:
         back = apply_sector(op, U23, U23.with_values(sol))
         assert np.max(np.abs(back.values[idx] - proj[idx])) < 1e-7
 
+    def test_f1_budget_telescopes(self, U23, bump_potential, exps23):
+        curve, pot, sf = circle_setup(bump_potential, 0.701247, 64, 0.05, exps23)
+        Phi = 0.1 * np.cos(2 * np.pi * curve.s / curve.L)[:, None]
+        co = build_correctors(curve, pot, sf, U23, AnsatzParams(Phi=Phi),
+                              f1_drift=0.3)
+        assert np.ptp(co.f1prime) > 0
+        last = 0.5 * (co.f1prime[-1] + co.f1prime[0]) * (curve.L / curve.M)
+        assert co.f1[-1] + last == co.f1_budget
+
     def test_noncritical_curve_rejected(self, U23, bump_potential, exps23):
         curve, pot, sf = circle_setup(bump_potential, 1.3 * 2 ** -0.5, 96,
                                       0.0, exps23)

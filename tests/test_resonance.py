@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlscurve.errors import ValidationError
+from nlscurve.geometry import periodic_derivative
 from nlscurve.resonance import (assemble_lambda0, constant_coefficient_nu_oracle,
                                 correction_identities, fourier_diff_matrices,
                                 gap_scan, gap_scan_oracle, lambda0_spectrum,
@@ -61,9 +62,16 @@ class TestFourierCollocation:
         s = np.arange(M) * L / M
         w = 2 * np.pi / L * np.arange(1, (M - 1) // 2 + 1)
         f = np.cos(np.outer(s, w)) @ (1.0 / w)
-        for D, exact in ((D1, -np.sin(np.outer(s, w)).sum(axis=1)),
-                         (D2, -np.cos(np.outer(s, w)) @ w)):
+        cols = np.array([1.0, -2.0, 0.5])
+        for order, D, exact in ((1, D1, -np.sin(np.outer(s, w)).sum(axis=1)),
+                                (2, D2, -np.cos(np.outer(s, w)) @ w)):
             assert np.max(np.abs(D @ f - exact)) <= 1e-12 * np.max(np.abs(exact))
+            # the FFT helper is the same operator, on (M,) and (M, 3) arrays
+            assert np.max(np.abs(periodic_derivative(f, L, order) - exact)) \
+                <= 1e-12 * np.max(np.abs(exact))
+            exact3 = np.outer(exact, cols)
+            assert np.max(np.abs(periodic_derivative(np.outer(f, cols), L, order)
+                                 - exact3)) <= 1e-12 * np.max(np.abs(exact3))
 
 
 class TestQIntegrals:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from nlscurve.errors import ConvergenceError, PhaseLawError
+from nlscurve.errors import ConvergenceError
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from nlscurve.scalings import (assemble_T, assemble_jacobi,
                                compute_exponents, compute_f1, compute_scalings,
@@ -80,9 +80,22 @@ class TestScalings:
         V = PotentialField("1", 3)
         curve = build_curve(CurveSpec("circle", n=3, radius=1.0), 128)
         pot = sample_potential(V, curve)
-        exps = compute_exponents(3, 5)  # sigma = 2 > 0 triggers bracketing
-        with pytest.raises((ConvergenceError, PhaseLawError)):
+        exps = compute_exponents(3, 5)  # sigma = 2: g(h) = -2499h^4 - 1 has no root
+        with pytest.raises(ConvergenceError, match="at node 0"):
             compute_scalings(curve, pot, 50.0, exps)
+
+    @pytest.mark.parametrize("A", [0.05, 0.3])
+    def test_newton_matches_per_node_brent(self, bump_potential, exps23, A):
+        curve = build_curve(CurveSpec("ellipse", n=2, a=0.85, b=0.6), 256)
+        pot = sample_potential(bump_potential, curve)
+        sf = compute_scalings(curve, pot, A, exps23)
+        # σ = -1: g(h) = h² - A²/h² - V is increasing, negative at √V
+        ref = np.array([brentq(lambda h: h**2 - A**2 * h**-2.0 - V,
+                               np.sqrt(V), 2 * np.sqrt(V) + A,
+                               xtol=1e-300, rtol=8.9e-16, maxiter=200)
+                        for V in pot.values])
+        assert np.ptp(ref) > 0.05 * np.max(ref)         # variable coefficients
+        assert np.max(np.abs(sf.h - ref) / ref) <= 1e-15
 
 
 class TestCriticality:
@@ -167,6 +180,37 @@ class TestJacobi:
         H2 = curve.curvature[:, 0] ** 2
         hand[idx, idx] += a * H2 - (3.0 + exps23.sigma / exps23.theta) * a * H2
         assert np.max(np.abs(J.matrix - hand)) < 1e-12
+
+    def test_two_normal_components_node_loop(self):
+        # n = 3, A ≠ 0: node-major 2x2 blocks against a per-node assembly of
+        # the docstring's coefficients; x1·x3 couples the two normals
+        exps = compute_exponents(3, 3)
+        p, sigma, theta, A = exps.p, exps.sigma, exps.theta, 0.05
+        V = PotentialField("1/(1+r2) + 0.1*x1*x3", 3)
+        curve = build_curve(CurveSpec("ellipse", n=3, a=0.9, b=0.7), 64)
+        pot = sample_potential(V, curve)
+        sf = compute_scalings(curve, pot, A, exps)
+        J = assemble_jacobi(curve, pot, sf, exps)
+        h, H, M = sf.h, curve.curvature, curve.M
+        a = h**theta - 2 * A**2 * theta / (p - 1) * h**sigma
+        curv = (-(p - 1) * (3 + sigma / theta) * h ** (2 * theta)
+                - 16 * sigma * theta * A**4 / (p - 1) * h ** (2 * sigma)
+                + 2 * A**2 * (5 * sigma + 3 * theta) * h ** (theta + sigma)) \
+            / ((p - 1) * h**theta - 2 * sigma * A**2 * h**sigma)
+        ds = curve.L / M
+        ap = 0.5 * (a + np.roll(a, -1))
+        am = np.roll(ap, 1)
+        ref = np.zeros((2 * M, 2 * M))
+        for i in range(M):
+            for j in range(2):
+                ref[2 * i + j, 2 * i + j] += (ap[i] + am[i]) / ds**2
+                ref[2 * i + j, 2 * ((i + 1) % M) + j] -= ap[i] / ds**2
+                ref[2 * i + j, 2 * ((i - 1) % M) + j] -= am[i] / ds**2
+            ref[2 * i:2 * i + 2, 2 * i:2 * i + 2] += (
+                theta / (p - 1) * h[i] ** -sigma * pot.hess_normal[i]
+                + 0.5 * a[i] * pot.metric_d2g11[i] + curv[i] * np.outer(H[i], H[i]))
+        assert np.max(np.abs(pot.hess_normal[:, 0, 1])) > 1e-3
+        assert np.max(np.abs(J.matrix - 0.5 * (ref + ref.T))) <= 1e-12 * np.max(np.abs(ref))
 
     def test_fourier_oracle_constant_circle(self, critical_circle, exps23):
         curve, pot, sf = (critical_circle["curve"], critical_circle["pot"],

@@ -6,8 +6,10 @@ from scipy.linalg import eigh
 
 import nlscurve.spectrum as spectrum
 from nlscurve.errors import ValidationError
+from nlscurve.geometry import CurveSpec, build_curve, sample_potential
 from nlscurve.radial import (RadialGrid, SectorOperator, apply_sector,
                              ground_state, sector_kernel, sector_spectrum)
+from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import (CoupledSectorOperator, alpha_field,
                                branch_curvature_closed_forms, coupled_bands,
                                coupled_spectrum,
@@ -164,7 +166,7 @@ class TestCrossing:
         alphas = [a for a, _ in calls]
         eta0 = sector_spectrum(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23, 1)[0][0]
         assert len(set(alphas)) == len(alphas)
-        # η_hi at the default upper limit, then the Newton steps from √(-η₀)
+        # η_hi at the upper search limit, then the Newton steps from √(-η₀)
         assert alphas[0] == np.sqrt(-2 * eta0) + 1.0
         assert alphas[1] == np.sqrt(-eta0)
         assert all(1e-6 < a < alphas[0] for a in alphas[1:])
@@ -185,6 +187,26 @@ class TestAlphaField:
         curve, pot, sf = circle_setup(bump_potential, 0.8, 96, 0.05, exps23)
         abar, _ = alpha_field(sf, U23)
         assert np.ptp(abar) < 1e-10
+
+    def test_one_solve_per_distinct_mu(self, U23, bump_potential, exps23,
+                                       monkeypatch):
+        curve = build_curve(CurveSpec("ellipse", n=2, a=0.85, b=0.6), 256)
+        sf = compute_scalings(curve, sample_potential(bump_potential, curve),
+                              0.05, exps23)
+        calls = []
+
+        def counted(U, p, mu, tol):
+            calls.append(mu)
+            return find_alpha_bar(U, p, mu, tol=tol)
+
+        monkeypatch.setattr(spectrum, "find_alpha_bar", counted)
+        abar, modes = alpha_field(sf, U23)
+        keys = [round(float(mu), 14) for mu in 2.0 * sf.fprime / sf.k]
+        assert len(calls) == len(set(keys)) > 1
+        shared = {}
+        for key, mode, a in zip(keys, modes, abar):
+            assert shared.setdefault(key, mode) is mode
+            assert a == mode.alpha_bar
 
 
 class TestPerturbationProfiles:
