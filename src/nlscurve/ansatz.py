@@ -7,6 +7,8 @@ The ansatz at the three accuracy levels is
     level 2:  Ψ₂ = ψ₁ + e^{-if̃/ε} (ε²ṽ + ε²v⁰ + v_δ),
 
 with f̃ = f + εf₁ + ε²f₂, everything multiplied by the cross-section cutoff.
+The tube stores the phase-factored field φ = e^{if̃/ε}ψ with the rate f̃'
+(see ``tube``), so f̃ itself is never formed.
 The order-ε correctors kill the O(ε) terms of S_ε(ψ₀):
 
     w_re = [(p-1)/θ·h^p<H,Φ> + 2f'f₁'h]·(U(kz)/((p-1)h^{p-1}) + ∇U(kz)·z/(2k)),
@@ -39,10 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, CurveNotCriticalError, IllPosedSolveError
-from .geometry import periodic_antiderivative, periodic_derivative
+from .geometry import (periodic_antiderivative, periodic_derivative,
+                       sample_potential)
 from .radial import SectorOperator, sector_solve
-from .scalings import compute_f1
-from .tube import apply_S_eps, weighted_norm
+from .scalings import compute_f1, compute_scalings
+from .tube import (apply_S_eps, build_tube_grid, convergence_order,
+                   weighted_norm)
 
 
 @dataclass
@@ -262,15 +266,13 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
 
 @dataclass
 class AnsatzField:
-    """Complex field on the tube with its seam phase twist."""
+    """Phase-factored field φ = e^{if̃/ε}ψ on the tube, with the phase rate
+    f̃' = f' + εf₁' + ε²f₂' per s̄ node that apply_S_eps needs."""
 
     values: np.ndarray
-    twist: float
+    phase_rate: np.ndarray
     level: int
     grid: object
-
-    def modulus(self):
-        return np.abs(self.values)
 
 
 def _interp_rows(ygrid, rows, yq):
@@ -310,12 +312,11 @@ def assemble_ansatz(grid, curve, sf, U, correctors, params=None, crossing=None,
     d = grid.d
     shape1 = (-1,) + (1,) * d
 
-    # phase: f̃ = f + εf₁ + ε²f₂, with the seam twist (f̃(L)-f̃(0))/ε
-    f2 = np.asarray(params.f2, dtype=float) if params.f2 is not None \
-        else np.zeros(M)
-    ftilde = sf.f + eps * co.f1 + eps**2 * f2
-    twist = (sf.phase_budget + eps * co.f1_budget) / eps
-    phase = np.exp(-1j * ftilde / eps)
+    # the phase e^{-if̃/ε} stays factored out; only its rate f̃' is kept
+    phase_rate = sf.fprime + eps * co.f1prime
+    if params.f2 is not None:
+        phase_rate = phase_rate + eps**2 * periodic_derivative(
+            np.asarray(params.f2, dtype=float), curve.L)
 
     yq = k.reshape(shape1) * grid.znorm[None]             # y = k(s̄)|z|
     Uq = U(yq)
@@ -367,13 +368,13 @@ def assemble_ansatz(grid, curve, sf, U, correctors, params=None, crossing=None,
             field = field + beta.reshape(shape1) * Zq \
                 + 1j * xi.reshape(shape1) * Wq
 
-    field = field * phase.reshape(shape1) * grid.cutoff
-    return AnsatzField(values=field, twist=twist, level=level, grid=grid)
+    return AnsatzField(values=field * grid.cutoff, phase_rate=phase_rate,
+                       level=level, grid=grid)
 
 
 def residual_field(ansatz):
-    """S_ε applied to an assembled ansatz, twisted seam included."""
-    return apply_S_eps(ansatz.values, ansatz.grid, ansatz.twist)
+    """S_ε applied to an assembled ansatz, phase factored out."""
+    return apply_S_eps(ansatz.values, ansatz.grid, ansatz.phase_rate)
 
 
 def residual_norm(ansatz, sf, varsigma=0.5, mode="sup", region="core"):
@@ -391,16 +392,15 @@ def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list,
     Two quantities per ε:
 
     * the relative difference of the *reported* residual norms (ς-weighted
-      sup over the cutoff-interior window) — zero to round-off, because the
-      stencils of interior nodes never reach the transition region;
+      sup over the cutoff-interior window) — zero, because the window's
+      z-columns are cutoff-free at every s̄ node: the s̄-derivatives act along
+      those columns and the z-stencils stay inside the window's margin;
     * the relative field-level effect sup w·|Ψ_cut - Ψ_free| / sup w·|Ψ|,
       the genuinely exponentially small quantity e^{-(1-ς)(k/K)·ε^{-δ̄}}.
 
     Returns (norm_diffs, field_diffs, c) with c > 0 the largest constant for
     which every field difference sits below e^{-c·ε^{-δ̄}}.
     """
-    from .tube import build_tube_grid, weighted_norm
-
     norm_diffs, field_diffs = [], []
     for eps in eps_list:
         norms, fields = [], []
@@ -413,7 +413,7 @@ def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list,
             grids.append(grid)
             ans = assemble_ansatz(grid, curve, sf, U, correctors,
                                   AnsatzParams(level=level))
-            res = apply_S_eps(ans.values, grid, ans.twist)
+            res = residual_field(ans)
             zwin = eps ** (-delta_bar) / np.max(grid.K) - 4 * grid.dz
             norms.append(weighted_norm(res, grid, varsigma * sf.k, "sup",
                                        "all", z_window=zwin))
@@ -443,39 +443,26 @@ def residual_study(curve_for, V, phase_speed, exps, U, eps_list,
     """Residual norms of the leveled ansatz over a family of ε.
 
     ``curve_for(M)`` must return the concentration curve sampled at M nodes.
-    For each ε the curve is rebuilt at N_s = ceil(base_M/ε) nodes (capped)
-    so the tube s-spacing stays fixed in the scaled variable, correctors are
-    solved at that resolution, and the requested ansatz levels are assembled
-    and measured.  All ε are measured over the common z-window given by the
-    largest ε's cutoff interior, keeping the log-log order fits free of
-    window effects.  Returns (records, fits).
+    The curve, scalings and correctors are built once, at
+    N_s = ceil(base_M / max ε) nodes: the phase-factored tube fields are
+    smooth in s̄, so one s̄ grid serves every ε, and ``base_M`` is the
+    s-spacing 1/ds at the largest ε.  For each ε only the tube grid is
+    built, and the requested ansatz levels are assembled and measured.  All
+    ε are measured over the common z-window given by the largest ε's cutoff
+    interior, keeping the log-log order fits free of window effects.
+    Returns (records, fits).
     """
-    import warnings
-
-    from .geometry import sample_potential
-    from .scalings import compute_scalings
-    from .tube import S_GRID_CAP, build_tube_grid, convergence_order, weighted_norm
-
     eps_list = list(eps_list)
-    runs = []
-    for eps in eps_list:
-        N_s = int(np.ceil(base_M / eps))
-        if N_s > S_GRID_CAP:
-            warnings.warn(f"s-grid capped at {S_GRID_CAP} nodes")
-            N_s = S_GRID_CAP
-        curve = curve_for(N_s)
-        pot = sample_potential(V, curve)
-        sf = compute_scalings(curve, pot, phase_speed, exps)
-        correctors = build_correctors(curve, pot, sf, U, f1_drift=f1_drift)
-        grid = build_tube_grid(curve, V, sf, eps, exps.p, delta_bar=delta_bar,
-                               dz_factor=dz_factor)
-        runs.append((eps, curve, sf, correctors, grid))
-
-    z_window = min(float(np.min(grid.core_radius))
-                   for _, _, _, _, grid in runs)
+    curve = curve_for(int(np.ceil(base_M / max(eps_list))))
+    pot = sample_potential(V, curve)
+    sf = compute_scalings(curve, pot, phase_speed, exps)
+    correctors = build_correctors(curve, pot, sf, U, f1_drift=f1_drift)
+    grids = [build_tube_grid(curve, V, sf, eps, exps.p, delta_bar=delta_bar,
+                             dz_factor=dz_factor) for eps in eps_list]
+    z_window = min(float(np.min(grid.core_radius)) for grid in grids)
 
     records = []
-    for eps, curve, sf, correctors, grid in runs:
+    for eps, grid in zip(eps_list, grids):
         for level in levels:
             ans = assemble_ansatz(grid, curve, sf, U, correctors,
                                   AnsatzParams(level=level))

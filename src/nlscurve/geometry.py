@@ -396,12 +396,15 @@ def build_curve(spec, M=256):
             break
     frame0 = np.array(cols[1:])
 
+    # rotations T_i -> T_{i+1}, the last one closing the loop; only their
+    # composition is sequential
+    rot_T = _transport_rotations(tangents, np.roll(tangents, -1, axis=0)
+                                 ).transpose(0, 2, 1)
     frame = np.zeros((M, n - 1, n))
     frame[0] = frame0
     for i in range(M - 1):
-        frame[i + 1] = frame[i] @ _transport_rotation(tangents[i], tangents[i + 1]).T
-    closing = _transport_rotation(tangents[-1], tangents[0])
-    frame_end = frame[-1] @ closing.T
+        frame[i + 1] = frame[i] @ rot_T[i]
+    frame_end = frame[-1] @ rot_T[-1]
 
     # holonomy: rotation in the normal space at node 0 mapping frame0 to frame_end
     Rhol = frame_end @ frame0.T          # (n-1, n-1), orthogonal
@@ -432,12 +435,20 @@ def build_curve(spec, M=256):
 def periodic_derivative(values, L, order=1):
     """Spectral s̄-derivative along axis 0 of nodal values on a uniform
     periodic grid of period L: the derivative of the trigonometric
-    interpolant, the same operator as the circulant Fourier matrices."""
+    interpolant, the same operator as the circulant Fourier matrices.
+
+    Complex input gives the complex result, real and imaginary parts
+    differentiated alike: an odd derivative drops the Nyquist mode, as
+    taking the real part does for real input.
+    """
     M = values.shape[0]
-    freqs = 2j * np.pi * np.fft.fftfreq(M, d=L / M)
-    shape = (M,) + (1,) * (values.ndim - 1)
-    return np.real(np.fft.ifft(freqs.reshape(shape) ** order
-                               * np.fft.fft(values, axis=0), axis=0))
+    mult = (2j * np.pi * np.fft.fftfreq(M, d=L / M)) ** order
+    cplx = np.iscomplexobj(values)
+    if cplx and order % 2 and M % 2 == 0:
+        mult[M // 2] = 0.0
+    out = np.fft.ifft(mult.reshape((M,) + (1,) * (values.ndim - 1))
+                      * np.fft.fft(values, axis=0), axis=0)
+    return out if cplx else out.real
 
 
 def periodic_antiderivative(values, L):
@@ -470,19 +481,22 @@ def straight_segment_curve(L, M, n=2):
                      frame=frame, curvature=curvature, holonomy_angle=0.0)
 
 
-def _transport_rotation(t0, t1):
-    """Rotation in span(t0, t1) mapping t0 to t1 (identity elsewhere)."""
-    n = t0.size
-    c = float(np.dot(t0, t1))
-    w = t1 - c * t0
-    nw = np.linalg.norm(w)
-    if nw < 1e-15:
-        return np.eye(n)
-    w = w / nw
-    s = nw  # sin of the rotation angle; c its cos (|t0|=|t1|=1)
-    R = np.eye(n)
-    R += (c - 1) * (np.outer(t0, t0) + np.outer(w, w))
-    R += s * (np.outer(w, t0) - np.outer(t0, w))
+def _transport_rotations(t0, t1):
+    """Per row i, the rotation in span(t0[i], t1[i]) mapping t0[i] to t1[i]
+    (identity elsewhere); unit rows (M, n) give (M, n, n)."""
+    M, n = t0.shape
+    dot = lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    c = dot(t0, t1)
+    w = t1 - c[:, None] * t0
+    nw = np.sqrt(dot(w, w))
+    turn = nw >= 1e-15
+    w = np.where(turn[:, None], w / np.where(turn, nw, 1.0)[:, None], 0.0)
+    c = np.where(turn, c, 1.0)
+    s = np.where(turn, nw, 0.0)  # sin of the rotation angle; c its cos
+    outer = lambda a, b: a[:, :, None] * b[:, None, :]
+    R = np.broadcast_to(np.eye(n), (M, n, n)).copy()
+    R += (c - 1)[:, None, None] * (outer(t0, t0) + outer(w, w))
+    R += s[:, None, None] * (outer(w, t0) - outer(t0, w))
     return R
 
 

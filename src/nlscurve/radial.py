@@ -87,7 +87,8 @@ class RadialProfile:
     _spline: CubicSpline = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)   # private, read-only copy
+        vals.setflags(write=False)
         if vals.shape != (self.grid.m,):
             raise ValidationError("values must match the grid size")
         if not np.all(np.isfinite(vals)):

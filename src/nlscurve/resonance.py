@@ -22,7 +22,7 @@ Everything here uses Fourier collocation in s̄: the coefficients are smooth
 periodic fields, so the discretization is spectrally accurate.  Derivatives
 of nodal fields come from the shared FFT helper
 ``geometry.periodic_derivative``; the collocation matrix D2 is built only
-for the eigensolve.
+for the eigensolve, once per gap scan.
 """
 
 from dataclasses import dataclass
@@ -137,6 +137,12 @@ def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3):
     algebraically equivalent stable form κ_j = ν_j ξ_j/(2k(kᾱ + 2f'Q₃)) is
     used there.
     """
+    return _eigenpairs(sf, abar, Q, eps, delta,
+                       fourier_diff_matrices(sf.s.size, sf.L)[1])
+
+
+def _eigenpairs(sf, abar, Q, eps, delta, D2):
+    """resonance_eigenpairs with the second-derivative matrix D2 given."""
     M = sf.s.size
     L = sf.L
     k, fp = sf.k, sf.fprime
@@ -146,7 +152,6 @@ def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3):
         raise PhaseLawError("resonance weight lost positivity; "
                             "phase-speed constant too large")
 
-    _, D2 = fourier_diff_matrices(M, L)
     A = -eps**2 * D2 - np.diag(ka**2)
     B = np.diag(1.0 / wfun)
     vals, vecs = eigh(A, B)
@@ -283,9 +288,10 @@ def gap_scan(sf, abar, Q, eps_grid, delta=0.3, threshold=0.1):
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(np.diff(eps_grid) >= 0):
         raise ValidationError("eps grid must be strictly descending")
+    _, D2 = fourier_diff_matrices(sf.s.size, sf.L)
     records = []
     for eps in eps_grid:
-        basis = resonance_eigenpairs(sf, abar, Q, eps, delta)
+        basis = _eigenpairs(sf, abar, Q, eps, delta, D2)
         vals = lambda0_spectrum(basis)
         min_abs = float(np.min(np.abs(vals)))
         records.append({

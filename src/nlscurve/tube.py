@@ -13,10 +13,12 @@ so the operator
 has Laplacian a^{-2}∂²_s ψ - a^{-3}(∂_s a)∂_s ψ + Σ_j (∂²_j ψ - εH^j/a ∂_j ψ)
 with ∂_j a = -εH^j exact (a is linear in z) and ∂_s a = -ε²<H'(εs), z>.
 
-Fields with a nonzero phase winding over one period are stored as twisted
-arrays: ψ(s + L/ε, z) = e^{-iΔ}ψ(s, z), and the finite-difference stencils
-wrap across the seam with that phase.  z-boundaries carry zero padding,
-exact because the cutoff vanishes on the outermost nodes.
+Fields are stored phase-factored, ψ = e^{-if̃(s̄)/ε}φ with φ smooth and
+periodic in s̄.  As e^{if̃/ε}∂_s e^{-if̃/ε} = ε∂_s̄ - if̃'(s̄) exactly, S_ε
+acts on φ through spectral s̄-derivatives on the curve's s̄ grid, whose size
+does not depend on ε.  Moduli, hence the nonlinearity and every weighted
+norm, are unchanged.  z-boundaries carry zero padding, exact because the
+cutoff vanishes on the outermost nodes.
 
 The cross-section cutoff is η̄(K(εs)|z| - ε^{-δ̄}) with η̄ the standard C^∞
 step: identically 1 for |z| ≤ ε^{-δ̄}/K and 0 beyond (ε^{-δ̄}+1)/K.
@@ -28,8 +30,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import periodic_derivative
-
-S_GRID_CAP = 1 << 16
 
 
 def smooth_step(t):
@@ -46,7 +46,7 @@ def smooth_step(t):
 
 @dataclass
 class TubeGrid:
-    """Tensor grid (s, z) around the scaled curve with metric and cutoff data.
+    """Tensor grid (s̄, z) around the scaled curve with metric and cutoff data.
 
     Shapes: s-dependent arrays are (N_s,); z-dependent are z_shape; mixed
     are (N_s, *z_shape).  ``mask_core`` marks nodes where the cutoff is
@@ -57,8 +57,7 @@ class TubeGrid:
     eps: float
     delta_bar: float
     p: float
-    s: np.ndarray                 # scaled arc length, N_s nodes on [0, L/eps)
-    sbar: np.ndarray              # = eps * s, uniform on [0, L)
+    sbar: np.ndarray              # curve nodes, uniform on [0, L)
     L: float
     z_axes: list                  # one 1D array per normal direction
     z_shape: tuple
@@ -72,14 +71,13 @@ class TubeGrid:
     ds_a: np.ndarray              # ∂_s a = -eps²<H'(εs), z>, (N_s, *z_shape)
     H_comp: np.ndarray            # curvature components per node, (N_s, d)
     V_amb: np.ndarray             # ambient potential at grid points, (N_s, *z_shape)
-    ds: float
     dz: float
     core_radius: np.ndarray = None   # per-node radius of the core mask
     stencil_order: int = 4
 
     @property
     def n_s(self):
-        return self.s.size
+        return self.sbar.size
 
     @property
     def d(self):
@@ -88,27 +86,21 @@ class TubeGrid:
 
 def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, radius_factor=1.0,
                     dz_factor=10.0, stencil_order=4, cutoff_off=False):
-    """Tube grid at the resolution of the given curve sampling.
+    """Tube grid on the curve's s̄ nodes, N_s = curve.M for every ε.
 
-    The s̄ samples are the curve nodes: the curve alone sets the resolution
-    along it, N_s = curve.M (build the curve at M ≈ base_M/ε to honor a
-    fixed target s-spacing).  The z extent is radius_factor·(ε^{-δ̄}+1)/min K plus the
-    stencil margin; spacing is 1/(dz_factor·max k̂).  ``cutoff_off`` replaces
-    the cutoff by 1 (reference runs on wider grids).
+    Phase-factored fields are smooth in s̄, so the curve sampling alone sets
+    the resolution along it.  The z extent is radius_factor·(ε^{-δ̄}+1)/min K
+    plus the stencil margin; spacing is 1/(dz_factor·max k̂).  ``cutoff_off``
+    replaces the cutoff by 1 (reference runs on wider grids).
     """
     N_s = curve.M
-    if N_s > S_GRID_CAP:
-        raise ValidationError(f"s-grid exceeds the cap {S_GRID_CAP}")
     sbar = curve.s.copy()
     L = curve.L
-    s = sbar / eps
-    ds = (L / N_s) / eps
 
     Kcurve = np.sqrt(V(curve.positions))
     kmax = float(np.max(sf.k))
     dz = 1.0 / (dz_factor * kmax)
     margin = 3 if stencil_order == 4 else 2
-    R_core = eps ** (-delta_bar) / np.min(Kcurve)
     R_outer = radius_factor * (eps ** (-delta_bar) + 1.0) / np.min(Kcurve)
     half = int(np.ceil(R_outer / dz)) + margin
     axis = np.arange(-half, half + 1) * dz
@@ -155,11 +147,11 @@ def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, radius_factor=1.0,
             [d] + list(range(d)) + [d + 1])
     V_amb = V(amb)
 
-    return TubeGrid(eps=eps, delta_bar=delta_bar, p=p, s=s, sbar=sbar, L=L,
+    return TubeGrid(eps=eps, delta_bar=delta_bar, p=p, sbar=sbar, L=L,
                     z_axes=z_axes, z_shape=z_shape, znorm=znorm, zhat=zhat,
                     zcomp=zcomp, K=Kcurve, cutoff=cutoff, mask_core=mask_core,
                     metric_a=metric_a, ds_a=ds_a, H_comp=Hc, V_amb=V_amb,
-                    ds=ds, dz=dz, core_radius=core_r,
+                    dz=dz, core_radius=core_r,
                     stencil_order=stencil_order)
 
 
@@ -167,19 +159,9 @@ def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, radius_factor=1.0,
 # Finite-difference machinery
 # ---------------------------------------------------------------------------
 
-def _shift_s(values, k, twist):
-    """values[i+k] with the twisted periodic wrap ψ(s+L/ε) = e^{-iΔ}ψ(s)."""
-    out = np.roll(values, -k, axis=0)
-    if k > 0:
-        out[-k:] *= np.exp(-1j * twist)
-    elif k < 0:
-        out[:-k] *= np.exp(1j * twist)
-    return out
-
-
 def _diff_z(values, axis, dz, order, kind):
     """4th (or 2nd) order centered z-derivative with zero padding."""
-    ax = axis + 1  # axis 0 is s
+    ax = axis + 1  # axis 0 is s̄
     pad = [(0, 0)] * values.ndim
     w = 2 if order == 4 else 1
     pad[ax] = (w, w)
@@ -198,19 +180,26 @@ def _diff_z(values, axis, dz, order, kind):
     return (sl(1) - sl(-1)) / (2 * dz)
 
 
-def apply_S_eps(values, grid, twist=0.0):
-    """S_ε(ψ) = -Δ_g ψ + V(εx)ψ - |ψ|^{p-1}ψ on the tube grid.
+def apply_S_eps(values, grid, phase_rate=None):
+    """e^{if̃/ε}S_ε(e^{-if̃/ε}φ) for the phase-factored field φ = ``values``.
 
-    Second-order stencils in s (twisted periodic), 4th-order (default) in z
-    with exact zero padding outside the cutoff support.
+    ``phase_rate`` is f̃'(s̄) per node, (N_s,); None means no phase.  With
+    c = f̃', ∂_s becomes ε∂_s̄ - ic, so ∂²_s becomes
+    ε²φ_s̄s̄ - 2iεcφ_s̄ - iεc'φ - c²φ.  s̄-derivatives are spectral
+    (periodic), z-derivatives 4th-order (default) stencils with exact zero
+    padding outside the cutoff support.
     """
     a = grid.metric_a
-    ds = grid.ds
-
-    up, down = _shift_s(values, 1, twist), _shift_s(values, -1, twist)
-    d2s = ((up - values) + (down - values)) / ds**2
-    d1s = (up - down) / (2 * ds)
-    lap = d2s / a**2 - grid.ds_a / a**3 * d1s
+    eps, L = grid.eps, grid.L
+    ds_phi = eps * periodic_derivative(values, L)
+    dss_phi = eps**2 * periodic_derivative(values, L, 2)
+    if phase_rate is not None:
+        c = np.asarray(phase_rate, dtype=float)
+        dc = periodic_derivative(c, L).reshape(-1, *([1] * grid.d))
+        c = c.reshape(dc.shape)
+        dss_phi = dss_phi - 2j * c * ds_phi - (1j * eps * dc + c**2) * values
+        ds_phi = ds_phi - 1j * c * values
+    lap = dss_phi / a**2 - grid.ds_a / a**3 * ds_phi
 
     for j in range(grid.d):
         d2z = _diff_z(values, j, grid.dz, grid.stencil_order, "d2")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlscurve.ansatz import (AnsatzParams, _interp_rows, assemble_ansatz,
-                             build_correctors, residual_norm)
+                             build_correctors, residual_norm, residual_study)
 from nlscurve.errors import CurveNotCriticalError, ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                sample_potential, straight_segment_curve)
@@ -80,6 +80,40 @@ class TestApplySEps:
         c = 0.7 + 0.0j
         res = apply_S_eps(np.full((grid.n_s,) + grid.z_shape, c), grid)
         assert np.max(np.abs(res[grid.mask_core] - (c - abs(c) ** 2 * c))) < 1e-12
+
+    def test_phase_factored_oracle(self, segment_setup):
+        # φ = g(s̄)W(z) with a varying phase rate c(s̄) on the straight
+        # segment (a ≡ 1, V ≡ 1): the s̄-terms ε²g'' - 2iεcg' - iεc'g - c²g
+        # are spectrally exact for trigonometric g and c, so the whole error
+        # is g times the z-stencil error of W, which falls at 4th order
+        seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
+        eps, L = 0.1, seg.L
+        t = 2 * np.pi * seg.s / L
+        g = 1.0 + 0.3 * np.cos(t) + 0.2j * np.sin(2 * t)
+        dg = (-0.3 * np.sin(t) + 0.4j * np.cos(2 * t)) * (2 * np.pi / L)
+        d2g = (-0.3 * np.cos(t) - 0.8j * np.sin(2 * t)) * (2 * np.pi / L) ** 2
+        c = 0.7 + 0.4 * np.sin(t)
+        dc = 0.4 * np.cos(t) * (2 * np.pi / L)
+        col = lambda v: v[:, None]
+        floors = []
+        for dzf in (8, 16):
+            grid = build_tube_grid(seg, V, sf, eps, 3.0, dz_factor=dzf,
+                                   stencil_order=4)
+            z = grid.znorm
+            W = np.exp(-2 * z**2)
+            d2W = (16 * z**2 - 4) * W
+            phi = col(g) * W[None]
+            s_part = (eps**2 * col(d2g) - 2j * eps * col(c * dg)
+                      - 1j * eps * col(dc * g) - col(c**2 * g)) * W[None]
+            exact = -s_part - col(g) * d2W[None] + phi - np.abs(phi) ** 2 * phi
+            err = apply_S_eps(phi, grid, c) - exact
+            # z-only reference: g ≡ 1 and no phase
+            w1 = np.broadcast_to(W[None], phi.shape).astype(complex)
+            err_z = (apply_S_eps(w1, grid) - (-d2W + W - W**3)[None])[0]
+            core = grid.mask_core
+            assert np.max(np.abs(err - col(g) * err_z[None])[core]) < 1e-12
+            floors.append(np.max(np.abs(err_z[core[0]])))
+        assert floors[1] > 0 and floors[0] / floors[1] >= 3.5
 
     def test_small_amplitude_linearity(self, segment_setup):
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
@@ -225,7 +259,7 @@ class TestAssembly:
         assert np.max(np.abs(ans.values.imag)) == 0.0
         core = ans.values.real[grid.mask_core]
         assert np.all(core > 0)
-        assert ans.twist == 0.0
+        assert np.all(ans.phase_rate == 0.0)
 
     def test_efg_pointwise_bound(self, U23, circle_run):
         # |Ψ₂ - ψ₁| <= C ε²(1+|z|^d)e^{-k|z|} with a moderate constant
@@ -347,7 +381,7 @@ class TestParityBookkeeping:
                                    dz_factor=12)
             ans = assemble_ansatz(grid, curve, sf, U23, co,
                                   AnsatzParams(level=1))
-            res = apply_S_eps(ans.values, grid, ans.twist).real
+            res = apply_S_eps(ans.values, grid, ans.phase_rate).real
             odd = 0.5 * (res - res[:, ::-1])
             z = grid.z_axes[0]
             dU = np.sign(z) * U23.derivative(sf.k[0] * np.abs(z))
@@ -380,6 +414,53 @@ class TestGridIndependence:
                                   AnsatzParams(level=1))
             norms.append(residual_norm(ans, sf))
         assert abs(norms[0] - norms[1]) / norms[1] < 0.05
+
+
+class TestResidualStudy:
+    @pytest.fixture(scope="class")
+    def ladder(self, U23, bump_potential, exps23):
+        """A = 0.05 critical circle and a counting curve builder."""
+        def builder(R):
+            curve = build_curve(CurveSpec("circle", n=2, radius=R), 128)
+            return curve, sample_potential(bump_potential, curve)
+
+        rstar = critical_circle_radius(builder, (0.4, 1.2), 0.05, exps23)
+        sizes = []
+
+        def curve_for(M):
+            sizes.append(M)
+            return build_curve(CurveSpec("circle", n=2, radius=rstar), M)
+
+        def run(base_M, levels=(0, 1, 2)):
+            sizes.clear()
+            records, _ = residual_study(curve_for, bump_potential, 0.05,
+                                        exps23, U23, [0.2, 0.1, 0.05],
+                                        levels, base_M=base_M)
+            return np.array([r["norm"] for r in records]), list(sizes)
+
+        return run
+
+    def test_norms_independent_of_sbar_nodes(self, ladder):
+        # the phase-factored field is smooth in s̄: 80 and 160 nodes give
+        # the same norms on the circle
+        coarse, sizes = ladder(16)
+        fine, sizes2 = ladder(32)
+        assert sizes == [80] and sizes2 == [160]
+        assert np.max(np.abs(fine - coarse) / fine) <= 1e-9
+
+    def test_curve_and_correctors_built_once(self, ladder, monkeypatch):
+        import nlscurve.ansatz as ansatz_mod
+        calls = []
+        real = ansatz_mod.build_correctors
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ansatz_mod, "build_correctors", counting)
+        norms, sizes = ladder(16, levels=(0,))
+        assert norms.size == 3
+        assert sizes == [80] and len(calls) == 1
 
 
 class TestConvergenceOrder:

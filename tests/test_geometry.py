@@ -72,7 +72,7 @@ class TestBuildCurve:
         # stored frame continued across the seam (one transport step plus the
         # per-step holonomy increment) returns the node-0 frame exactly
         from scipy.linalg import expm
-        from nlscurve.geometry import _transport_rotation
+        from nlscurve.geometry import _transport_rotations
         t = np.linspace(0, 2 * np.pi, 200, endpoint=False)
         pts = np.stack([(2 + 0.5 * np.cos(3 * t)) * np.cos(t),
                         (2 + 0.5 * np.cos(3 * t)) * np.sin(t),
@@ -81,9 +81,45 @@ class TestBuildCurve:
                      CurveSpec("ellipse", n=3, a=2.0, b=1.0)):
             c = build_curve(spec, 256)
             step = expm(-c.holonomy_generator / c.M)
-            cont = step @ (c.frame[-1]
-                           @ _transport_rotation(c.tangents[-1], c.tangents[0]).T)
+            closing = _transport_rotations(c.tangents[-1:], c.tangents[:1])[0]
+            cont = step @ (c.frame[-1] @ closing.T)
             assert np.max(np.abs(cont - c.frame[0])) < 1e-8
+
+    def test_batched_transport_matches_loop(self):
+        # the batched rotations reproduce a per-node loop of the rotation in
+        # span(T_i, T_{i+1}), and with it the propagated frame
+        from nlscurve.geometry import _transport_rotations
+
+        def rotation(t0, t1):
+            c = float(np.dot(t0, t1))
+            w = t1 - c * t0
+            nw = np.linalg.norm(w)
+            if nw < 1e-15:
+                return np.eye(t0.size)
+            w = w / nw
+            return (np.eye(t0.size)
+                    + (c - 1) * (np.outer(t0, t0) + np.outer(w, w))
+                    + nw * (np.outer(w, t0) - np.outer(t0, w)))
+
+        t = np.linspace(0, 2 * np.pi, 200, endpoint=False)
+        knot = np.stack([(2 + 0.5 * np.cos(3 * t)) * np.cos(t),
+                         (2 + 0.5 * np.cos(3 * t)) * np.sin(t),
+                         0.5 * np.sin(3 * t)], axis=1)
+        for spec in (CurveSpec("circle", n=2, radius=1.0),
+                     CurveSpec("ellipse", n=3, a=2.0, b=1.0),
+                     CurveSpec("parametric", n=3, points=knot)):
+            c = build_curve(spec, 256)
+            nxt = np.roll(c.tangents, -1, axis=0)
+            R = _transport_rotations(c.tangents, nxt)
+            ref = np.stack([rotation(a, b) for a, b in zip(c.tangents, nxt)])
+            assert np.max(np.abs(R - ref)) <= 1e-15
+            loop, batched = [c.frame[0]], [c.frame[0]]
+            for i in range(c.M - 1):
+                loop.append(loop[-1] @ ref[i].T)
+                batched.append(batched[-1] @ R[i].T)
+            assert np.max(np.abs(np.array(batched) - np.array(loop))) <= 1e-15
+        same = np.array([[0.6, 0.8]])
+        assert np.array_equal(_transport_rotations(same, same)[0], np.eye(2))
 
     def test_holonomy_distributed_uniformly(self):
         # torsioned loop: the closing rotation is spread at the constant rate

@@ -13,6 +13,21 @@ from oracles import ground_state_u0_collocation, poschl_teller_levels
 
 
 class TestGroundState:
+    def test_memoized_profile_read_only(self):
+        grid = RadialGrid(30.0, 1000)
+        U = ground_state(2, 3.0, grid)
+        before = U.values.copy()
+        with pytest.raises(ValueError):
+            ground_state(2, 3.0, RadialGrid(30.0, 1000)).values[0] = 0.0
+        again = ground_state(2, 3.0, grid)
+        assert again is U and np.array_equal(again.values, before)
+        assert again(0.0) == before[0]
+        # the profile keeps its own copy of the array it was built from
+        src = before.copy()
+        V = U.with_values(src)
+        src[0] = 0.0
+        assert V.values[0] == before[0]
+
     def test_closed_form_n2_p3(self, U23, grid30):
         # U = sqrt(2) sech(x) solves -U'' + U = U^3 on the line
         r = grid30.nodes

@@ -231,6 +231,27 @@ class TestGapScan:
         frac = np.mean([r["admissible"] for r in recs])
         assert frac >= 0.5
 
+    def test_one_matrix_per_scan(self, layerA, monkeypatch):
+        # D2 is built once per scan, and every point equals a standalone
+        # resonance_eigenpairs call bitwise
+        import nlscurve.resonance as resonance
+        sf, abar, Q = layerA["sf"], layerA["abar"], layerA["Q"]
+        grid = np.linspace(0.08, 0.02, 7)
+        sizes = []
+        real = resonance.fourier_diff_matrices
+
+        def counted(M, L):
+            sizes.append(M)
+            return real(M, L)
+
+        monkeypatch.setattr(resonance, "fourier_diff_matrices", counted)
+        recs = gap_scan(sf, abar, Q, grid, 0.3, 0.1)
+        assert sizes == [sf.s.size]
+        for rec, eps in zip(recs, grid):
+            basis = resonance_eigenpairs(sf, abar, Q, eps, 0.3)
+            assert rec["min_abs_eigenvalue"] == float(
+                np.min(np.abs(lambda0_spectrum(basis))))
+
     def test_descending_grid_required(self, layer0):
         sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]
         with pytest.raises(ValidationError):
