@@ -14,16 +14,25 @@ branch τ_α stays away from zero.  This module discretizes the system
 sector-by-sector, traces the branches in α with eigenvector-overlap
 matching, locates ᾱ, and builds the second-order α-corrections of the
 eigenfunctions by kernel-projected sector solves.
+
+Every coupled eigensolve is banded shift-invert Lanczos with the shift just
+under a lower bound of the spectrum built from the lowest eigenvalues of
+the two scalar sectors; those floors depend on (U, p, ℓ) only, so branch
+tracing and the crossing search compute them once per call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import (LinAlgError, cho_solve_banded, cholesky_banded,
+                          eigh_tridiagonal)
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ValidationError, BranchTrackingError, ConvergenceError
-from .radial import SectorOperator, sector_matrix, sector_solve, sector_spectrum
+from .radial import SectorOperator, sector_matrix, sector_solve
+
+# distance of the shift-invert shift below the coupled spectrum's lower bound
+SHIFT_MARGIN = 1e-2
 
 
 def sphere_area(d):
@@ -84,25 +93,46 @@ def _band_matvec(bands, x):
     return y
 
 
-def coupled_spectrum(op, U, count):
+def sector_floors(U, p, ell):
+    """Lowest eigenvalues (a, b) of the scalar L_r and L_i ℓ-sectors, unshifted.
+
+    They depend on (U, p, ℓ) only, so one pair serves every α and μ of a
+    coupled eigensolve in that sector.
+    """
+    floors = []
+    for kind in ("Lr", "Li"):
+        diag, off, _, _ = sector_matrix(SectorOperator(kind, ell, 0.0, U.dim, p), U)
+        floors.append(float(eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0]))
+    return tuple(floors)
+
+
+def coupled_spectrum(op, U, count, floors=None):
     """Lowest ``count`` eigenpairs of the coupled sector operator.
 
-    Shift-invert Lanczos with the shift one below the potential minimum
-    minus |μα|: the discrete Laplacian is positive semidefinite, so that
-    bound lies under the spectrum and the shifted pentadiagonal matrix is
-    positive definite.  Its banded Cholesky factorization checks the bound
-    (ConvergenceError if it fails) and serves every inverse application.
-    The Lanczos start vector is fixed, so identical calls return identical
-    arrays.  Returns a list of (eigenvalue, u_values, v_values) with the
-    two-component eigenfunction on the full radial grid, normalized to
-    ∫(u²+v²) r^{d-1}dr = 1.
+    Shift-invert Lanczos with the shift SHIFT_MARGIN below a lower bound of
+    the spectrum.  The interleaved blocks are the scalar tridiagonals
+    T_r + α² and T_i + α², coupled by μα·Identity, so for a unit vector (x, y)
+    the Rayleigh quotient is at least α² + a|x|² + b|y|² − 2|μα||x||y|, with
+    a = λ_min(T_r) and b = λ_min(T_i) the unshifted ``floors`` of
+    sector_floors (computed here when omitted).  Minimizing over |x|² + |y|² = 1
+    gives λ_min ≥ α² + (a+b)/2 − hypot((a−b)/2, μα), which is exact at μα = 0
+    and close otherwise, so 1/(λ − shift) isolates the lowest eigenvalues.
+    The banded Cholesky factorization of the shifted pentadiagonal matrix
+    checks the bound (ConvergenceError if it fails) and serves every inverse
+    application.  The Lanczos start vector is fixed, so identical calls
+    return identical arrays.  Returns a list of (eigenvalue, u_values,
+    v_values) with the two-component eigenfunction on the full radial grid,
+    normalized to ∫(u²+v²) r^{d-1}dr = 1.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
+    if floors is None:
+        floors = sector_floors(U, op.p, op.ell)
+    a, b = floors
     bands, weight, idx = coupled_bands(op, U)
-    pot_min = 1.0 + op.alpha**2 \
-        - max(op.p, 1.0) * float(np.max(U.values)) ** (op.p - 1.0)
-    sigma = pot_min - abs(op.mu * op.alpha) - 1.0
+    sigma = (op.alpha**2 + 0.5 * (a + b)
+             - np.hypot(0.5 * (a - b), op.mu * op.alpha) - SHIFT_MARGIN)
     shifted = bands.copy()
     shifted[0] -= sigma
     try:
@@ -117,9 +147,10 @@ def coupled_spectrum(op, U, count):
         (n, n), matvec=lambda x: cho_solve_banded((chol, True), x,
                                                   check_finite=False),
         dtype=float)
-    # a fixed start vector: eigsh would draw a fresh random one per call
+    # a fixed start vector: eigsh would draw a fresh random one per call; a
+    # single eigenvalue sits alone near the shift, so 4 Lanczos vectors do
     vals, vecs = eigsh(K, k=count, sigma=sigma, which="LM", OPinv=OPinv,
-                       v0=np.ones(n))
+                       v0=np.ones(n), ncv=4 if count == 1 else None)
     # one Rayleigh quotient per vector: squares the eigenvalue accuracy
     vals = np.einsum("ij,ij->j", vecs, _band_matvec(bands, vecs)) \
         / np.einsum("ij,ij->j", vecs, vecs)
@@ -144,15 +175,33 @@ def coupled_spectrum(op, U, count):
     return out
 
 
-@dataclass
+def _readonly(values):
+    """A read-only float view of ``values``.
+
+    A view, not a copy: the builders in this module hand over fresh arrays
+    that nothing else refers to, and copying every eigenfunction of a branch
+    trace raised a pipeline's peak RSS by about 2 MB.
+    """
+    out = np.asarray(values, dtype=float).view()
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True)
 class SpectralBranch:
-    """One eigenvalue branch over an α grid at fixed μ."""
+    """One eigenvalue branch over an α grid at fixed μ (immutable)."""
 
     label: str
     mu: float
     alphas: np.ndarray
     eigenvalues: np.ndarray
-    eigenfunctions: list  # per α: (u_values, v_values)
+    eigenfunctions: tuple  # per α: (u_values, v_values)
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphas", _readonly(self.alphas))
+        object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
+        object.__setattr__(self, "eigenfunctions", tuple(
+            (_readonly(u), _readonly(v)) for u, v in self.eigenfunctions))
 
     def derivative(self, i):
         """Centered d(eigenvalue)/dα at grid index i."""
@@ -185,20 +234,20 @@ def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
         raise ValidationError("alpha grid must be ascending from 0")
 
     d = U.dim
+    floors_0, floors_1 = sector_floors(U, p, 0), sector_floors(U, p, 1)
     per_alpha_0 = []
     per_alpha_1 = []
     for a in alpha_grid:
         per_alpha_0.append(coupled_spectrum(
-            CoupledSectorOperator(a, mu, 0, d, p), U, 4))
+            CoupledSectorOperator(a, mu, 0, d, p), U, 4, floors_0))
         per_alpha_1.append(coupled_spectrum(
-            CoupledSectorOperator(a, mu, 1, d, p), U, 2))
+            CoupledSectorOperator(a, mu, 1, d, p), U, 2, floors_1))
 
     _, weight, idx = coupled_bands(CoupledSectorOperator(0.0, mu, 0, d, p), U)
 
     def follow(per_alpha, start_index):
         lams = [per_alpha[0][start_index][0]]
         funcs = [(per_alpha[0][start_index][1], per_alpha[0][start_index][2])]
-        pos = start_index
         for i in range(1, alpha_grid.size):
             prev = funcs[-1]
             cands = per_alpha[i]
@@ -209,7 +258,6 @@ def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
                                           alpha_grid[i], ovs[best])
             lams.append(cands[best][0])
             funcs.append((cands[best][1], cands[best][2]))
-            pos = best
         return np.array(lams), funcs
 
     out = {}
@@ -218,7 +266,7 @@ def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
                                     ("excited", per_alpha_0, 2),
                                     ("translation", per_alpha_1, 0)):
         lams, funcs = follow(per_alpha, start)
-        out[label] = SpectralBranch(label=label, mu=mu, alphas=alpha_grid.copy(),
+        out[label] = SpectralBranch(label=label, mu=mu, alphas=alpha_grid,
                                     eigenvalues=lams, eigenfunctions=funcs)
     return out
 
@@ -245,13 +293,14 @@ def eigenvalue_second_derivative(U, p, mu, alpha, ell=0, index=0, h_alpha=1e-3):
     return float((4 * dd2 - dd1) / 3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrossingMode:
     """The zero crossing of the ground branch: ᾱ and its eigenpair (Z, W).
 
     ``u_values``/``v_values`` are the real/imaginary profile components on
     the radial grid, normalized so ∫(Z² + W²) dy = 1 including the angular
     volume factor; decay_rate is the fitted exponential rate of |Z| + |W|.
+    Immutable: alpha_field hands one mode to every node of a μ group.
     """
 
     alpha_bar: float
@@ -263,14 +312,19 @@ class CrossingMode:
     mu: float
     p: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "u_values", _readonly(self.u_values))
+        object.__setattr__(self, "v_values", _readonly(self.v_values))
+
 
 def find_alpha_bar(U, p, mu, tol=1e-8):
     """Safeguarded Newton for the unique ᾱ with η_ᾱ = 0 in the ℓ=0 sector.
 
     At α = 0 the coupling μα vanishes and the lowest coupled eigenvalue is
-    that of the scalar L_r ℓ=0 sector, so η_0 comes from one tridiagonal
-    eigensolve and does not depend on μ.  The branch slope comes for free
-    from the eigenvector (Hellmann-Feynman: ∂η/∂α = 2α + 2μ∫uv for the
+    that of the scalar L_r ℓ=0 sector, so η_0 is the L_r floor of
+    sector_floors (the pair that also sets every eigensolve's shift) and
+    does not depend on μ.  The branch slope comes for free from the
+    eigenvector (Hellmann-Feynman: ∂η/∂α = 2α + 2μ∫uv for the
     normalized pair), so each Newton step, the last one included, costs one
     coupled eigensolve, and the converged step's eigenpair is the returned
     mode; bisection on the maintained bracket guards the steps.  The η
@@ -281,15 +335,16 @@ def find_alpha_bar(U, p, mu, tol=1e-8):
     d = U.dim
     r = U.grid.nodes
     w = r ** (d - 1)
+    floors = sector_floors(U, p, 0)
 
     def eta_and_slope(a):
         lam, u, v = coupled_spectrum(
-            CoupledSectorOperator(a, mu, 0, d, p), U, 1)[0]
+            CoupledSectorOperator(a, mu, 0, d, p), U, 1, floors)[0]
         mass = np.trapezoid((u**2 + v**2) * w, r)
         uv = np.trapezoid(u * v * w, r)
         return lam, 2.0 * a + 2.0 * mu * uv / mass, (u, v)
 
-    eta0 = sector_spectrum(SectorOperator("Lr", 0, 0.0, d, p), U, 1)[0][0]
+    eta0 = floors[0]
     if eta0 >= 0:
         raise ConvergenceError("ground branch does not start negative")
     lo, hi = 1e-6, float(np.sqrt(-2 * eta0) + 1.0)

@@ -1,11 +1,13 @@
 """Coupled-system spectrum, branch tracing, crossing mode, α-derivatives."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eig_banded, eigh
 
 import nlscurve.spectrum as spectrum
-from nlscurve.errors import ValidationError
+from nlscurve.errors import ConvergenceError, ValidationError
 from nlscurve.geometry import CurveSpec, build_curve, sample_potential
 from nlscurve.radial import (RadialGrid, SectorOperator, apply_sector,
                              ground_state, sector_kernel, sector_spectrum)
@@ -17,7 +19,7 @@ from nlscurve.spectrum import (CoupledSectorOperator, alpha_field,
                                eigenvalue_second_derivative,
                                eta_curvature_identity, find_alpha_bar,
                                first_derivative_profiles, second_order_profiles,
-                               trace_branches)
+                               sector_floors, trace_branches)
 
 from conftest import circle_setup
 from oracles import poschl_teller_levels
@@ -81,6 +83,69 @@ class TestCoupledSpectrum:
 @pytest.fixture(scope="module")
 def U1000():
     return ground_state(2, 3, RadialGrid(30.0, 1000))
+
+
+@pytest.fixture(scope="module")
+def U1000_by_dim(U1000):
+    return {1: U1000, 2: ground_state(3, 3, RadialGrid(30.0, 1000))}
+
+
+class TestShift:
+    @pytest.mark.parametrize("dim, ell", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+    def test_shift_is_a_tight_lower_bound(self, U1000_by_dim, monkeypatch, dim, ell):
+        # the bound from the scalar floors lies under the lowest eigenvalue of
+        # the assembled pentadiagonal, from LAPACK's direct banded eigensolver,
+        # and within SHIFT_MARGIN + |μα| of it
+        U = U1000_by_dim[dim]
+        shifts = []
+        lanczos = spectrum.eigsh
+
+        def spied(*args, **kwargs):
+            shifts.append(kwargs["sigma"])
+            return lanczos(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "eigsh", spied)
+        for alpha in (0.0, 0.5, 2.0):
+            for mu in (0.0, 0.15, 1.0):
+                op = CoupledSectorOperator(alpha, mu, ell, dim, 3.0)
+                lam = coupled_spectrum(op, U, 1)[0][0]
+                bands, _, _ = coupled_bands(op, U)
+                lowest = eig_banded(bands, lower=True, eigvals_only=True,
+                                    select="i", select_range=(0, 0))[0]
+                gap = lowest - shifts[-1]
+                assert 0.0 < gap <= spectrum.SHIFT_MARGIN + abs(mu * alpha) + 1e-12
+                assert abs(lam - lowest) < 1e-10
+
+    def test_floors_argument_changes_nothing(self, U1000):
+        for ell, count in ((0, 4), (1, 2), (0, 1)):
+            op = CoupledSectorOperator(0.9, 0.15, ell, 1, 3.0)
+            given = coupled_spectrum(op, U1000, count, sector_floors(U1000, 3.0, ell))
+            for a, b in zip(given, coupled_spectrum(op, U1000, count)):
+                assert a[0] == b[0]
+                assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+
+    def test_floors_above_spectrum_fail_factorization(self, U1000):
+        # floors that are not lower bounds put the shift inside the spectrum
+        op = CoupledSectorOperator(0.5, 0.15, 0, 1, 3.0)
+        a, b = sector_floors(U1000, 3.0, 0)
+        with pytest.raises(ConvergenceError, match="not below"):
+            coupled_spectrum(op, U1000, 1, (a + 1.0, b + 1.0))
+
+    def test_solve_counts(self, U23, monkeypatch):
+        # deterministic for a fixed scipy: the start vector is fixed
+        calls = []
+        solve = spectrum.cho_solve_banded
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "cho_solve_banded", counted)
+        trace_branches(U23, 3.0, 0.17, np.linspace(0.0, 2.2, 23))
+        assert len(calls) <= 5000
+        calls.clear()
+        find_alpha_bar(U23, 3.0, 0.17)
+        assert len(calls) <= 60
 
 
 @pytest.fixture(scope="module")
@@ -156,8 +221,8 @@ class TestCrossing:
     def test_one_eigensolve_per_distinct_alpha(self, U23, monkeypatch, mu):
         calls = []
 
-        def counted(op, U, count):
-            out = coupled_spectrum(op, U, count)
+        def counted(op, U, count, floors=None):
+            out = coupled_spectrum(op, U, count, floors)
             calls.append((op.alpha, out[0][0]))
             return out
 
@@ -174,6 +239,24 @@ class TestCrossing:
         assert calls[-1][1] == mode.eta_residual
         if mu == 0.0:
             assert len(calls) == 2     # √(-η₀) is the crossing itself
+
+
+class TestImmutable:
+    def test_branch_frozen(self, traced):
+        br = traced["ground"]
+        with pytest.raises(FrozenInstanceError):
+            br.mu = 0.0
+        for arr in (br.alphas, br.eigenvalues, *br.eigenfunctions[3]):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_crossing_mode_frozen(self, U23):
+        mode = find_alpha_bar(U23, 3.0, 0.05)
+        with pytest.raises(FrozenInstanceError):
+            mode.alpha_bar = 1.0
+        for arr in (mode.u_values, mode.v_values):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestAlphaField:
