@@ -169,11 +169,14 @@ def _fit_decay_rate(grid, values, dim):
 # Ground state
 # ---------------------------------------------------------------------------
 
-def _shoot(a, d, p, r_max):
+def _shoot(a, d, p, r_max, dense=False):
     """Integrate the radial ODE from r≈0 with u(0)=a.
 
-    Returns (-1, sol) on overshoot (u crosses zero), (+1, sol) on undershoot
-    (u' turns positive while u > 0), (0, sol) if integration reaches r_max.
+    The integrator is SciPy's Dormand–Prince 8(5,3) pair (``DOP853``) at
+    rtol 1e-12, atol 1e-14.  Returns (-1, sol) on overshoot (u crosses zero),
+    (+1, sol) on undershoot (u' turns positive while u > 0), (0, sol) if
+    integration reaches r_max.  ``sol.sol`` is the dense output when
+    ``dense`` is set and None otherwise: the bisection reads only the status.
     """
     r0 = 1e-6
     u0 = a + (a - a**p) * r0**2 / (2 * d)
@@ -194,7 +197,7 @@ def _shoot(a, d, p, r_max):
     turn_up.direction = 1
 
     sol = solve_ivp(rhs, (r0, r_max), [u0, du0], events=[cross_zero, turn_up],
-                    rtol=1e-12, atol=1e-14, dense_output=True, method="RK45")
+                    rtol=1e-12, atol=1e-14, dense_output=dense, method="DOP853")
     if sol.t_events[0].size:
         return -1, sol
     if sol.t_events[1].size:
@@ -290,8 +293,12 @@ def solve_ground_state(n, p, grid=None):
 
     Shooting on U(0) with bisection brackets the solution, then a Newton
     relaxation on the finite-difference grid drives the discrete residual to
-    round-off.  The shooting amplitude is kept on the profile (field
-    ``shoot_amplitude``) as an independent high-order value of U(0).
+    round-off.  Each shot integrates with the eighth-order Dormand–Prince
+    pair (``DOP853``, rtol 1e-12, atol 1e-14); the bisection shots read only
+    the over/undershoot status, and only the kept trajectory, one final shot
+    at the lower bracket end, carries dense output to seed the grid values.
+    The shooting amplitude is kept on the profile (field ``shoot_amplitude``)
+    as an independent high-order value of U(0).
     """
     check_p(n, p)
     grid = grid or RadialGrid()
@@ -307,21 +314,17 @@ def solve_ground_state(n, p, grid=None):
             raise ConvergenceError("could not bracket the ground state amplitude")
         status, _ = _shoot(a_hi, d, p, grid.r_max)
 
-    sol_keep = None
     for _ in range(80):
         a_mid = 0.5 * (a_lo + a_hi)
-        status, sol = _shoot(a_mid, d, p, grid.r_max)
+        status, _ = _shoot(a_mid, d, p, grid.r_max)
         if status == -1:
             a_hi = a_mid
         else:
             a_lo = a_mid
-            if status == 0:
-                sol_keep = sol
         if a_hi - a_lo < 1e-15 * a_hi:
             break
     a_star = 0.5 * (a_lo + a_hi)
-    if sol_keep is None:
-        _, sol_keep = _shoot(a_lo, d, p, grid.r_max)
+    _, sol_keep = _shoot(a_lo, d, p, grid.r_max, dense=True)
 
     r = grid.nodes
     u = np.zeros(grid.m)

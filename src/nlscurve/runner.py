@@ -12,12 +12,15 @@ fails.  Usage:
 
     python -m nlscurve.runner RUNFILE [-o OUTDIR] [--stages s1,s2] [-v]
 
-The default output root comes from NLSCURVE_OUT when set.
+The default output root comes from NLSCURVE_OUT when set.  Stage starts,
+stage times and the written files are logged at INFO through ``logging``;
+``-v`` shows them on stderr.
 """
 
 import argparse
 import configparser
 import json
+import logging
 import os
 import sys
 import time
@@ -34,6 +37,8 @@ from .spectrum import alpha_field, find_alpha_bar, trace_branches
 from .resonance import (gap_scan, gap_scan_oracle, q_integrals,
                         resonance_eigenpairs, verify_coupled_system)
 from .ansatz import residual_study
+
+log = logging.getLogger(__name__)
 
 ALL_STAGES = ("profile", "geometry", "scalings", "criticality", "branches",
               "resonance", "gap_scan", "residual")
@@ -212,14 +217,14 @@ def _stage_order(requested):
     return [s for s in ALL_STAGES if s in requested]
 
 
-def run_pipeline(cfg, verbose=False):
+def run_pipeline(cfg):
     """Execute the selected stages in dependency order.
 
     Returns (summary dict, csv artifact dict name -> rows).  Acceptance-style
     assertions are collected into summary['checks'] and gate the exit code
-    when the config requests it.
+    when the config requests it.  Each stage's start and time are logged at
+    INFO.
     """
-    say = print if verbose else (lambda *a, **k: None)
     summary = {"schema": "nlscurve-report/1", "config": {
         "n": cfg.n, "p": cfg.p, "phase_speed": cfg.phase_speed,
         "potential": cfg.potential, "curve_kind": cfg.curve.kind,
@@ -232,7 +237,7 @@ def run_pipeline(cfg, verbose=False):
 
     for stage in _stage_order(cfg.stages):
         t0 = time.time()
-        say(f"[{stage}] ...")
+        log.info("[%s] ...", stage)
         try:
             out = STAGE_FUNCS[stage](cfg, exps, V, state, csvs)
         except Exception as exc:
@@ -240,7 +245,7 @@ def run_pipeline(cfg, verbose=False):
         summary["stages"][stage] = out
         for key, val in out.get("checks", {}).items():
             summary["checks"][f"{stage}.{key}"] = val
-        say(f"[{stage}] done in {time.time() - t0:.3f}s")
+        log.info("[%s] done in %.3fs", stage, time.time() - t0)
 
     summary["all_checks_pass"] = all(summary["checks"].values()) \
         if summary["checks"] else True
@@ -478,9 +483,26 @@ def main(argv=None):
     ap.add_argument("-o", "--out-dir", default=None, help="output directory")
     ap.add_argument("--stages", default=None,
                     help="comma-separated stage override")
-    ap.add_argument("-v", "--verbose", action="store_true")
+    ap.add_argument("-v", "--verbose", action="store_true",
+                    help="log stage times and written files to stderr")
     args = ap.parse_args(argv)
+    if not args.verbose:
+        return _run(args)
+    # the root logger, so the records arrive under `python -m` (where this
+    # module is __main__) as well; restored so in-process callers see no change
+    root = logging.getLogger()
+    handler = logging.StreamHandler(sys.stderr)
+    level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.INFO)
+    try:
+        return _run(args)
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
 
+
+def _run(args):
     try:
         cfg = parse_config(args.config)
     except ValidationError as exc:
@@ -497,14 +519,12 @@ def main(argv=None):
         cfg.out_dir = args.out_dir
 
     try:
-        summary, csvs = run_pipeline(cfg, verbose=args.verbose)
+        summary, csvs = run_pipeline(cfg)
     except Exception as exc:  # stage failures carry the stage name
         print(f"error: pipeline failed: {exc}", file=sys.stderr)
         return 3
-    written = emit_report(summary, csvs, cfg.out_dir)
-    if args.verbose:
-        for w in written:
-            print(f"wrote {w}")
+    for w in emit_report(summary, csvs, cfg.out_dir):
+        log.info("wrote %s", w)
     if cfg.assert_acceptance and not summary["all_checks_pass"]:
         failing = [k for k, v in summary["checks"].items() if not v]
         print(f"acceptance checks failed: {failing}", file=sys.stderr)

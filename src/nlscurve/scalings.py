@@ -24,7 +24,7 @@ from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from .errors import ValidationError, ConvergenceError, PhaseLawError
-from .geometry import periodic_antiderivative
+from .geometry import freeze_arrays, periodic_antiderivative
 from .radial import check_p
 
 
@@ -45,12 +45,14 @@ def compute_exponents(n, p):
     return Exponents(n=n, p=float(p), sigma=sigma, theta=theta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalingFields:
     """Periodic scaling fields h, k, f' and the phase antiderivative f.
 
     phase_budget = A·∫ h^σ ds̄ = f(L) - f(0); f1prime is the first phase
     correction (zero unless computed), f1_drift its nonlocal constant.
+    Immutable, arrays included (read-only views); derive a variant with
+    ``dataclasses.replace``.
     """
 
     phase_speed: float            # the constant A in f' = A h^σ
@@ -64,6 +66,9 @@ class ScalingFields:
     phase_budget: float
     f1prime: np.ndarray = None
     f1_drift: float = 0.0
+
+    def __post_init__(self):
+        freeze_arrays(self)
 
     def consistency_error(self, V):
         """max |k² - (f')² - V| and |h^{p-1} - k²| over the nodes."""
@@ -124,7 +129,7 @@ def compute_scalings(curve, pot, phase_speed, exps):
     fprime = A * h**sigma
     k = np.sqrt(fprime**2 + V)
     f, phase_budget = periodic_antiderivative(fprime, curve.L)
-    return ScalingFields(phase_speed=A, exps=exps, s=curve.s.copy(), L=curve.L,
+    return ScalingFields(phase_speed=A, exps=exps, s=curve.s, L=curve.L,
                          h=h, k=k, fprime=fprime, f=f,
                          phase_budget=float(phase_budget))
 

@@ -29,6 +29,7 @@ from scipy.linalg import (LinAlgError, cho_solve_banded, cholesky_banded,
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ValidationError, BranchTrackingError, ConvergenceError
+from .geometry import freeze_arrays, readonly_view
 from .radial import SectorOperator, sector_matrix, sector_solve
 
 # distance of the shift-invert shift below the coupled spectrum's lower bound
@@ -175,18 +176,6 @@ def coupled_spectrum(op, U, count, floors=None):
     return out
 
 
-def _readonly(values):
-    """A read-only float view of ``values``.
-
-    A view, not a copy: the builders in this module hand over fresh arrays
-    that nothing else refers to, and copying every eigenfunction of a branch
-    trace raised a pipeline's peak RSS by about 2 MB.
-    """
-    out = np.asarray(values, dtype=float).view()
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class SpectralBranch:
     """One eigenvalue branch over an α grid at fixed μ (immutable)."""
@@ -198,10 +187,9 @@ class SpectralBranch:
     eigenfunctions: tuple  # per α: (u_values, v_values)
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", _readonly(self.alphas))
-        object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
+        freeze_arrays(self)
         object.__setattr__(self, "eigenfunctions", tuple(
-            (_readonly(u), _readonly(v)) for u, v in self.eigenfunctions))
+            (readonly_view(u), readonly_view(v)) for u, v in self.eigenfunctions))
 
     def derivative(self, i):
         """Centered d(eigenvalue)/dα at grid index i."""
@@ -313,8 +301,7 @@ class CrossingMode:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "u_values", _readonly(self.u_values))
-        object.__setattr__(self, "v_values", _readonly(self.v_values))
+        freeze_arrays(self)
 
 
 def find_alpha_bar(U, p, mu, tol=1e-8):

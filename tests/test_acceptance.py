@@ -256,15 +256,14 @@ def test_criterion_9_invariance_suite(U23, bump_potential, exps23,
                     for (a, _, _), (b, _, _) in zip(base, shifted))
 
     # phase-constant invariance of residual norms
-    import copy
+    import dataclasses
     data = resonance_inputs[0.0]
     curve, pot, sf = data["curve"], data["pot"], data["sf"]
     co = build_correctors(curve, pot, sf, U23)
     grid = build_tube_grid(curve, bump_potential, sf, 0.1, 3.0, dz_factor=12)
     n_base = residual_norm(assemble_ansatz(grid, curve, sf, U23, co,
                                            AnsatzParams(level=1)), sf)
-    sf2 = copy.copy(sf)
-    sf2.f = sf.f + 0.7531
+    sf2 = dataclasses.replace(sf, f=sf.f + 0.7531)
     n_shift = residual_norm(assemble_ansatz(grid, curve, sf2, U23, co,
                                             AnsatzParams(level=1)), sf2)
 

@@ -280,20 +280,18 @@ class TestAssembly:
         curve, sf, co, grid = (circle_run["curve"], circle_run["sf"],
                                circle_run["co"], circle_run["grid"])
         base = assemble_ansatz(grid, curve, sf, U23, co, AnsatzParams(level=2))
-        import copy
-        sf2 = copy.copy(sf)
-        sf2.f = sf.f + 0.37
+        import dataclasses
+        sf2 = dataclasses.replace(sf, f=sf.f + 0.37)
         shifted = assemble_ansatz(grid, curve, sf2, U23, co, AnsatzParams(level=2))
         assert np.max(np.abs(np.abs(shifted.values) - np.abs(base.values))) < 1e-12
 
     def test_phase_constant_invariance_of_residual(self, U23, circle_run, exps23):
-        import copy
+        import dataclasses
         curve, sf, co, grid = (circle_run["curve"], circle_run["sf"],
                                circle_run["co"], circle_run["grid"])
         n0 = residual_norm(assemble_ansatz(grid, curve, sf, U23, co,
                                            AnsatzParams(level=1)), sf)
-        sf2 = copy.copy(sf)
-        sf2.f = sf.f + 1.234
+        sf2 = dataclasses.replace(sf, f=sf.f + 1.234)
         n1 = residual_norm(assemble_ansatz(grid, curve, sf2, U23, co,
                                            AnsatzParams(level=1)), sf2)
         assert abs(n0 - n1) < 1e-12 * max(n0, 1e-30)

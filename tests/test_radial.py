@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
+from nlscurve import radial
 from nlscurve.errors import ValidationError
 from nlscurve.radial import (RadialGrid, SectorOperator, apply_sector,
                              ground_state, ode_residual, scaled_profile,
@@ -52,6 +54,28 @@ class TestGroundState:
         U = ground_state(4, 2, grid30)
         u0_bvp = ground_state_u0_collocation(4, 2)
         assert abs(U.shoot_amplitude - u0_bvp) < 1e-6
+
+    def test_cross_method_n3_p3(self, grid30):
+        U = ground_state(3, 3, grid30)
+        u0_bvp = ground_state_u0_collocation(3, 3)
+        assert abs(U.shoot_amplitude - u0_bvp) < 1e-6
+
+    def test_shoot_amplitude_n2_p3(self, U23):
+        # U(0) = √2 exactly; eighth-order shooting lands within round-off
+        assert abs(U23.shoot_amplitude - np.sqrt(2)) < 1e-14
+
+    def test_one_dense_shot(self, monkeypatch):
+        # the bisection shots read only the over/undershoot status; only
+        # the kept trajectory carries dense output
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("dense_output", False))
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "solve_ivp", counted)
+        solve_ground_state(2, 3, RadialGrid(30.0, 1000))
+        assert len(calls) > 50 and sum(calls) == 1
 
     def test_decay_rate_other_dims(self, grid30):
         for n, p in [(3, 3), (4, 2)]:

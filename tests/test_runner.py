@@ -1,6 +1,7 @@
 """Config parsing, pipeline execution, report determinism."""
 
 import json
+import logging
 import re
 
 import pytest
@@ -190,3 +191,23 @@ class TestMain:
         rc = main([cfgpath])
         assert rc == 0
         assert (tmp_path / "envout" / "summary.json").exists()
+
+    def test_verbose_logs_stages_to_stderr(self, tmp_path, capsys, caplog):
+        cfgpath = write(tmp_path, CRITICAL.replace(
+            "stages = profile, geometry, scalings, criticality",
+            "stages = geometry, scalings"))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.INFO, logger="nlscurve.runner"):
+            assert main([cfgpath, "-o", str(out), "-v"]) == 0
+        msgs = [r.getMessage() for r in caplog.records
+                if r.name == "nlscurve.runner" and r.levelno == logging.INFO]
+        assert msgs[0] == "[geometry] ..."
+        assert re.fullmatch(r"\[geometry\] done in \d+\.\d{3}s", msgs[1])
+        assert msgs[2] == "[scalings] ..."
+        assert f"wrote {out / 'summary.json'}" in msgs
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert all(m in stderr for m in msgs)
+        # without -v nothing reaches either stream, and -v left no handler
+        assert main([cfgpath, "-o", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")

@@ -301,3 +301,29 @@ class TestPhaseCorrection:
         f1p = compute_f1(sf, Phi, 0.0, curve, pot)
         res = f1_equation_residual(sf, f1p, Phi, curve)
         assert res < 1e-4
+
+
+class TestImmutable:
+    @pytest.mark.parametrize("name", ["curve", "pot", "sf"])
+    def test_fields_and_arrays_frozen(self, critical_circle, name):
+        import dataclasses
+        obj = critical_circle[name]
+        arrays = [getattr(obj, f.name) for f in dataclasses.fields(obj)
+                  if isinstance(getattr(obj, f.name), np.ndarray)]
+        assert arrays
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    def test_replace_gives_frozen_variant(self, critical_circle):
+        import dataclasses
+        sf = critical_circle["sf"]
+        before = sf.f.copy()
+        sf2 = dataclasses.replace(sf, f=sf.f + 1.0)
+        assert np.array_equal(sf.f, before) and np.array_equal(sf2.f, before + 1.0)
+        assert np.shares_memory(sf2.h, sf.h)   # a view, not a copy
+        with pytest.raises(ValueError):
+            sf2.f[0] = 0.0
