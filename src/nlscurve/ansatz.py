@@ -340,14 +340,10 @@ def assemble_ansatz(grid, curve, sf, U, correctors, params=None, crossing=None,
         if d >= 2:
             for m in range(d):
                 for l in range(d):
-                    if np.max(np.abs(co.v0_even2[:, m, l])) == 0.0:
-                        continue
                     v0e += _interp_rows(co.ygrid, co.v0_even2[:, m, l], yq) \
                         * grid.zhat[m][None] * grid.zhat[l][None]
         v0o = np.zeros(field.shape)
         for j in range(d):
-            if np.max(np.abs(co.v0_odd[:, j])) == 0.0:
-                continue
             v0o += _interp_rows(co.ygrid, co.v0_odd[:, j], yq) \
                 * grid.zhat[j][None]
         field = field + eps**2 * (vt + v0e + 1j * v0o)
@@ -377,11 +373,10 @@ def residual_field(ansatz):
     return apply_S_eps(ansatz.values, ansatz.grid, ansatz.phase_rate)
 
 
-def residual_norm(ansatz, sf, varsigma=0.5, mode="sup", region="core"):
-    """Weighted norm of S_ε(ansatz) with decay weight 𝔭 = ς·k(εs)."""
+def residual_norm(ansatz, sf, varsigma=0.5):
+    """Weighted sup of S_ε(ansatz) on the core, decay weight 𝔭 = ς·k(εs)."""
     res = residual_field(ansatz)
-    return weighted_norm(res, ansatz.grid, varsigma * sf.k,
-                         mode=mode, region=region)
+    return weighted_norm(res, ansatz.grid, varsigma * sf.k)
 
 
 def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list,
@@ -439,7 +434,7 @@ def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list,
 
 def residual_study(curve_for, V, phase_speed, exps, U, eps_list,
                    levels=(0, 1, 2), base_M=256, delta_bar=0.25,
-                   varsigma=0.5, dz_factor=16, f1_drift=0.0, mode="sup"):
+                   varsigma=0.5, dz_factor=16, f1_drift=0.0):
     """Residual norms of the leveled ansatz over a family of ε.
 
     ``curve_for(M)`` must return the concentration curve sampled at M nodes.
@@ -467,8 +462,7 @@ def residual_study(curve_for, V, phase_speed, exps, U, eps_list,
             ans = assemble_ansatz(grid, curve, sf, U, correctors,
                                   AnsatzParams(level=level))
             res = residual_field(ans)
-            nrm = weighted_norm(res, grid, varsigma * sf.k, mode=mode,
-                                region="core", z_window=z_window)
+            nrm = weighted_norm(res, grid, varsigma * sf.k, z_window=z_window)
             records.append({"eps": float(eps), "level": int(level),
                             "norm": float(nrm)})
 

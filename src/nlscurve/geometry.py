@@ -246,7 +246,6 @@ class CurveSpec:
     radius: float = 1.0
     a: float = 2.0
     b: float = 1.0
-    center: tuple = None
     points: np.ndarray = None  # (N, n) samples of a closed loop, kind='parametric'
 
     def __post_init__(self):
@@ -296,13 +295,6 @@ class CurveData:
         """H as ambient vectors, shape (M, n)."""
         return np.einsum("ij,ijk->ik", self.curvature, self.frame)
 
-    def to_csv(self, path):
-        cols = [self.s, *self.positions.T, *self.curvature.T]
-        header = ("s," + ",".join(f"x{i+1}" for i in range(self.n)) + ","
-                  + ",".join(f"H{j+1}" for j in range(self.n - 1)))
-        np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-                   comments="")
-
 
 @dataclass(frozen=True)
 class PotentialData:
@@ -319,13 +311,6 @@ class PotentialData:
     def __post_init__(self):
         freeze_arrays(self)
 
-    def to_csv(self, path):
-        M, nm1 = self.grad_normal.shape
-        cols = [self.values] + [self.grad_normal[:, j] for j in range(nm1)]
-        header = "V," + ",".join(f"dV{j+1}" for j in range(nm1))
-        np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-                   comments="")
-
 
 def _param_functions(spec):
     """(γ, γ', γ'') as functions of a 2π-periodic parameter.
@@ -337,20 +322,18 @@ def _param_functions(spec):
         a = spec.radius if spec.kind == "circle" else spec.a
         b = spec.radius if spec.kind == "circle" else spec.b
 
-        def make(fa, fb, shift):
+        def make(fa, fb):
             def f(t):
                 t = np.atleast_1d(t)
                 out = np.zeros(t.shape + (spec.n,))
                 out[..., 0] = fa(t)
                 out[..., 1] = fb(t)
-                if shift and spec.center is not None:
-                    out += np.asarray(spec.center)
                 return out
             return f
 
-        gamma = make(lambda t: a * np.cos(t), lambda t: b * np.sin(t), True)
-        dgamma = make(lambda t: -a * np.sin(t), lambda t: b * np.cos(t), False)
-        d2gamma = make(lambda t: -a * np.cos(t), lambda t: -b * np.sin(t), False)
+        gamma = make(lambda t: a * np.cos(t), lambda t: b * np.sin(t))
+        dgamma = make(lambda t: -a * np.sin(t), lambda t: b * np.cos(t))
+        d2gamma = make(lambda t: -a * np.cos(t), lambda t: -b * np.sin(t))
         return gamma, dgamma, d2gamma
 
     pts = np.asarray(spec.points, dtype=float)
@@ -530,22 +513,17 @@ def _transport_rotations(t0, t1):
     return R
 
 
-def sample_potential(V, curve, bounds=None):
+def sample_potential(V, curve):
     """Sample V and its normal derivatives along the curve.
 
     The normal gradient <∇V, E_j> and Hessian D²V[E_j, E_l] are contractions
     of the exact derivatives ``V.jet`` with the frame.  Fills the flat-metric
-    second derivatives ∂²_{jl} g_11 = 2 H^j H^l alongside.  ``bounds``, when
-    given, is a pair (V1, V2) used to validate 0 < V1 <= V <= V2 on the curve.
+    second derivatives ∂²_{jl} g_11 = 2 H^j H^l alongside.
     """
     pos = curve.positions
     vals = V(pos)
     if np.any(vals <= 0):
         raise ValidationError("potential must be positive along the curve")
-    if bounds is not None:
-        V1, V2 = bounds
-        if np.any(vals < V1 - 1e-12) or np.any(vals > V2 + 1e-12):
-            raise ValidationError("potential leaves the configured bounds on the curve")
 
     grad, hess = V.jet(pos)
     E = curve.frame

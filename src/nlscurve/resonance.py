@@ -107,16 +107,6 @@ class ResonanceBasis:
         J = (self.nu.size - 1) // 2
         return np.arange(-J, J + 1)
 
-    def to_csv(self, path):
-        """Per-j export: arc length, then ξ_j and β_j columns over the window."""
-        cols = [self.s]
-        names = ["s"]
-        for a, j in enumerate(self.window):
-            cols.extend([self.xi[a], self.beta[a]])
-            names.extend([f"xi_{j}", f"beta_{j}"])
-        np.savetxt(path, np.column_stack(cols), delimiter=",",
-                   header=",".join(names), comments="")
-
 
 def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3):
     """Solve the weighted periodic eigenproblem and build the full basis.
@@ -185,12 +175,12 @@ def _eigenpairs(sf, abar, Q, eps, delta, D2):
                           sf=sf, abar=abar.copy(), Q=Q)
 
 
-def weyl_slope(basis, half_window=None):
+def weyl_slope(basis):
     """Fitted slope of ν_j against j near j = 0 (should be ε·Ĉ₀)."""
     J = (basis.nu.size - 1) // 2
     if J < 1:
         raise ValidationError("window too small for a slope fit; increase delta")
-    hw = min(half_window or max(2, J // 4), J)
+    hw = min(max(2, J // 4), J)
     j = np.arange(-hw, hw + 1)
     nu = basis.nu[J - hw: J + hw + 1]
     return float(np.polyfit(j, nu, 1)[0])

@@ -7,8 +7,8 @@ stages execute in dependency order
             -> resonance -> gap_scan -> residual
 
 and emit a JSON summary plus CSV artifacts with deterministic names.  The
-exit status is nonzero iff any acceptance assertion selected in the config
-fails.  Usage:
+exit status is 1 when an acceptance assertion selected in the config fails,
+2 for an invalid run file and 3 when a stage fails.  Usage:
 
     python -m nlscurve.runner RUNFILE [-o OUTDIR] [--stages s1,s2] [-v]
 
@@ -24,7 +24,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ ALL_STAGES = ("profile", "geometry", "scalings", "criticality", "branches",
 
 DEFAULTS = {
     "problem": {"n": "2", "p": "3.0", "phase_speed": "0.0", "f1_drift": "0.0",
-                "jacobi_drift": "0.0", "potential": "1"},
+                "potential": "1"},
     "curve": {"kind": "circle", "radius": "1.0", "a": "2.0", "b": "1.0",
               "samples": "256"},
     "grids": {"radial_m": "3000", "radial_rmax": "30.0", "tube_delta_bar": "0.25",
@@ -65,7 +65,6 @@ class RunConfig:
     p: float
     phase_speed: float
     f1_drift: float
-    jacobi_drift: float
     potential: str
     curve: CurveSpec
     curve_samples: int
@@ -83,7 +82,6 @@ class RunConfig:
     stages: list
     out_dir: str
     assert_acceptance: bool
-    violations: list = field(default_factory=list)
 
 
 def _parse_float_list(text):
@@ -91,10 +89,14 @@ def _parse_float_list(text):
 
 
 def parse_config(path):
-    """Parse and fully validate a run file; aggregate all violations."""
+    """Parse and fully validate a run file; aggregate all violations.
+
+    A ``;`` after whitespace starts an inline comment; a ``;`` inside a value
+    (``eps_list = 0.2;0.1;0.05``) does not.
+    """
     if not os.path.exists(path):
         raise ValidationError(f"run file {path!r} does not exist")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     cp.read_dict(DEFAULTS)
     read = cp.read(path)
     if not read:
@@ -132,7 +134,6 @@ def parse_config(path):
     phase_speed = grab("problem", "phase_speed", float, lambda v: v >= 0,
                        "phase speed must be nonnegative")
     f1_drift = grab("problem", "f1_drift", float)
-    jacobi_drift = grab("problem", "jacobi_drift", float)
     potential = cp.get("problem", "potential")
     try:
         PotentialField(potential, n or 2)
@@ -193,13 +194,14 @@ def parse_config(path):
         if s not in ALL_STAGES:
             violations.append(f"[run] unknown stage {s!r}")
     out_dir = cp.get("run", "out_dir") or os.environ.get("NLSCURVE_OUT", "out")
-    assert_acceptance = cp.getboolean("run", "assert_acceptance")
+    assert_acceptance = grab("run", "assert_acceptance",
+                             lambda v: cp.BOOLEAN_STATES[v.lower()])
 
     if violations:
         raise ValidationError("invalid run file:\n  " + "\n  ".join(violations))
 
     return RunConfig(n=n, p=p, phase_speed=phase_speed, f1_drift=f1_drift,
-                     jacobi_drift=jacobi_drift, potential=potential,
+                     potential=potential,
                      curve=curve_spec, curve_samples=samples, radial=grid,
                      delta_bar=delta_bar, varsigma=varsigma, dz_factor=dz_factor,
                      delta=delta, res_eps=res_eps, gap_threshold=gap_threshold,
@@ -217,10 +219,15 @@ def _stage_order(requested):
     return [s for s in ALL_STAGES if s in requested]
 
 
+def _numbered(prefix, count):
+    return [f"{prefix}{i}" for i in range(1, count + 1)]
+
+
 def run_pipeline(cfg):
     """Execute the selected stages in dependency order.
 
-    Returns (summary dict, csv artifact dict name -> rows).  Acceptance-style
+    Returns (summary dict, csv artifact dict name -> (header, rows)); each
+    stage names its columns next to its rows.  Acceptance-style
     assertions are collected into summary['checks'] and gate the exit code
     when the config requests it.  Each stage's start and time are logged at
     INFO.
@@ -275,7 +282,7 @@ def _ensure_profile(cfg, state):
 def stage_profile(cfg, exps, V, state, csvs):
     U = _ensure_profile(cfg, state)
     res = ode_residual(U, cfg.p)
-    csvs["profile"] = np.column_stack([U.grid.nodes, U.values])
+    csvs["profile"] = ("r,U", np.column_stack([U.grid.nodes, U.values]))
     return {"U0": float(U.values[0]), "U0_shooting": float(U.shoot_amplitude),
             "decay_rate": float(U.decay_rate), "ode_residual_sup": res,
             "checks": {"ode_residual_below_1e-8": bool(res < 1e-8),
@@ -286,9 +293,11 @@ def stage_geometry(cfg, exps, V, state, csvs):
     curve, pot = _ensure_curve(cfg, V, state)
     frame_orth = np.max(np.abs(curve.frame @ curve.frame.transpose(0, 2, 1)
                                - np.eye(cfg.n - 1)))
-    csvs["curve"] = np.column_stack([curve.s, curve.positions,
-                                     curve.curvature])
-    csvs["potential"] = np.column_stack([curve.s, pot.values, pot.grad_normal])
+    nm1 = cfg.n - 1
+    csvs["curve"] = (",".join(["s", *_numbered("x", cfg.n), *_numbered("H", nm1)]),
+                     np.column_stack([curve.s, curve.positions, curve.curvature]))
+    csvs["potential"] = (",".join(["s", "V", *_numbered("dV", nm1)]),
+                         np.column_stack([curve.s, pot.values, pot.grad_normal]))
     return {"length": float(curve.L),
             "holonomy_angle": float(curve.holonomy_angle),
             "max_curvature": float(np.max(np.linalg.norm(
@@ -300,7 +309,8 @@ def stage_scalings(cfg, exps, V, state, csvs):
     sf = _ensure_scalings(cfg, exps, V, state)
     pot = state["pot"]
     err = sf.consistency_error(pot.values)
-    csvs["scalings"] = np.column_stack([sf.s, sf.h, sf.k, sf.fprime, sf.f])
+    csvs["scalings"] = ("s,h,k,fprime,f",
+                        np.column_stack([sf.s, sf.h, sf.k, sf.fprime, sf.f]))
     return {"sigma": exps.sigma, "theta": exps.theta,
             "phase_budget": sf.phase_budget, "consistency_error": err,
             "checks": {"scaling_consistency_1e-10": bool(err < 1e-10)}}
@@ -311,13 +321,14 @@ def stage_criticality(cfg, exps, V, state, csvs):
     sf = _ensure_scalings(cfg, exps, V, state)
     res, sup = euler_residual(curve, pot, sf, exps)
     red = reduced_functional(curve, sf, exps)
-    J = assemble_jacobi(curve, pot, sf, exps, jacobi_drift=cfg.jacobi_drift)
+    J = assemble_jacobi(curve, pot, sf, exps)
     vals, vecs, verdict = weighted_eigenbasis(
         J.matrix, J.weight, min(10, J.matrix.shape[0]),
         per_node_components=cfg.n - 1, ds=curve.L / curve.M)
-    csvs["euler_residual"] = np.column_stack([curve.s, res])
-    csvs["jacobi_spectrum"] = np.column_stack(
-        [np.arange(vals.size), vals])
+    csvs["euler_residual"] = (",".join(["s", *_numbered("R", cfg.n - 1)]),
+                              np.column_stack([curve.s, res]))
+    csvs["jacobi_spectrum"] = ("index,eigenvalue",
+                               np.column_stack([np.arange(vals.size), vals]))
     return {"euler_residual_sup": sup, "reduced_functional": red,
             "jacobi_asymmetry": J.asymmetry,
             "jacobi_min_abs_eig": verdict["min_abs_eigenvalue"],
@@ -337,9 +348,9 @@ def stage_branches(cfg, exps, V, state, csvs):
     for label in ("ground", "translation", "gauge", "excited"):
         rows.append(branches[label].eigenvalues)
         names.append(label)
-    csvs["branches"] = np.column_stack(rows)
-    csvs["crossing_mode"] = np.column_stack(
-        [U.grid.nodes, mode.u_values, mode.v_values])
+    csvs["branches"] = (",".join(["alpha", *names]), np.column_stack(rows))
+    csvs["crossing_mode"] = ("r,Z,W", np.column_stack(
+        [U.grid.nodes, mode.u_values, mode.v_values]))
     eta = branches["ground"].eigenvalues
     return {"mu": mu, "alpha_bar": mode.alpha_bar,
             "zw_decay_rate": mode.decay_rate,
@@ -357,7 +368,8 @@ def stage_resonance(cfg, exps, V, state, csvs):
     basis = resonance_eigenpairs(sf, abar, Q, cfg.res_eps, cfg.delta)
     maxres, per_j = verify_coupled_system(basis)
     q_closure = float(np.max(np.abs(Q.q1 + Q.q2 - 1.0)))
-    csvs["resonance_nu"] = np.column_stack([basis.window, basis.nu, per_j])
+    csvs["resonance_nu"] = ("j,nu,coupled_residual",
+                            np.column_stack([basis.window, basis.nu, per_j]))
     return {"eps": cfg.res_eps, "window": int(basis.nu.size),
             "coupled_system_residual": maxres,
             "residual_over_eps": maxres / cfg.res_eps,
@@ -376,7 +388,7 @@ def stage_gap_scan(cfg, exps, V, state, csvs):
                        cfg.delta, cfg.gap_threshold)
     rows = np.array([[r["eps"], r["min_abs_eigenvalue"], float(r["admissible"])]
                      for r in records])
-    csvs["gap_scan"] = rows
+    csvs["gap_scan"] = ("eps,min_abs_eigenvalue,admissible", rows)
     out = {"n_admissible": int(sum(r["admissible"] for r in records)),
            "n_total": len(records), "checks": {}}
     constant = np.ptp(sf.k) < 1e-10 and np.ptp(state["abar"]) < 1e-10
@@ -402,8 +414,8 @@ def stage_residual(cfg, exps, V, state, csvs):
                                    varsigma=cfg.varsigma,
                                    dz_factor=cfg.dz_factor,
                                    f1_drift=cfg.f1_drift)
-    csvs["residual"] = np.array([[r["eps"], r["level"], r["norm"]]
-                                 for r in records])
+    csvs["residual"] = ("eps,level,norm", np.array(
+        [[r["eps"], r["level"], r["norm"]] for r in records]))
     out = {"records": records,
            "slopes": {str(lv): fits[lv]["slope"] for lv in fits},
            "checks": {}}
@@ -431,21 +443,6 @@ STAGE_FUNCS = {
     "residual": stage_residual,
 }
 
-CSV_HEADERS = {
-    "profile": "r,U",
-    "curve": "s,positions...,curvature_components...",
-    "potential": "s,V,grad_normal...",
-    "scalings": "s,h,k,fprime,f",
-    "euler_residual": "s,residual_components...",
-    "jacobi_spectrum": "index,eigenvalue",
-    "branches": "alpha,ground,translation,gauge,excited",
-    "crossing_mode": "r,Z,W",
-    "resonance_nu": "j,nu,coupled_residual",
-    "gap_scan": "eps,min_abs_eigenvalue,admissible",
-    "residual": "eps,level,norm",
-}
-
-
 def emit_report(summary, csvs, out_dir):
     """Write the JSON summary and CSV artifacts; deterministic file names.
 
@@ -459,10 +456,10 @@ def emit_report(summary, csvs, out_dir):
         json.dump(ordered, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
     written = [path]
-    for name, rows in csvs.items():
+    for name, (header, rows) in csvs.items():
         cpath = os.path.join(out_dir, f"{name}.csv")
         np.savetxt(cpath, np.atleast_2d(rows), delimiter=",",
-                   header=CSV_HEADERS.get(name, ""), comments="")
+                   header=header, comments="")
         written.append(cpath)
     return written
 

@@ -49,10 +49,9 @@ def compute_exponents(n, p):
 class ScalingFields:
     """Periodic scaling fields h, k, f' and the phase antiderivative f.
 
-    phase_budget = A·∫ h^σ ds̄ = f(L) - f(0); f1prime is the first phase
-    correction (zero unless computed), f1_drift its nonlocal constant.
-    Immutable, arrays included (read-only views); derive a variant with
-    ``dataclasses.replace``.
+    phase_budget = A·∫ h^σ ds̄ = f(L) - f(0).  The first phase correction
+    f1' is not stored here; it lives on the correctors.  Immutable, arrays
+    included (read-only views); derive a variant with ``dataclasses.replace``.
     """
 
     phase_speed: float            # the constant A in f' = A h^σ
@@ -64,8 +63,6 @@ class ScalingFields:
     fprime: np.ndarray
     f: np.ndarray
     phase_budget: float
-    f1prime: np.ndarray = None
-    f1_drift: float = 0.0
 
     def __post_init__(self):
         freeze_arrays(self)
@@ -254,17 +251,15 @@ class JacobiMatrix:
 
     ``matrix`` has shape ((n-1)M, (n-1)M) with node-major ordering
     (component j of node i lives at index i*(n-1)+j); ``weight`` is the h^θ
-    mass per node; ``drift_offset`` is the affine term contributed by the
-    nonlocal constant (zero by default) and is kept out of the linear part.
+    mass per node.
     """
 
     matrix: np.ndarray
     weight: np.ndarray
-    drift_offset: np.ndarray
     asymmetry: float
 
 
-def assemble_jacobi(curve, pot, sf, exps, jacobi_drift=0.0):
+def assemble_jacobi(curve, pot, sf, exps):
     """Second-variation operator of the reduced functional on normal sections.
 
     Component form (m-th component, flat ambient space):
@@ -272,10 +267,7 @@ def assemble_jacobi(curve, pot, sf, exps, jacobi_drift=0.0):
         -(h^θ - 2A²θ/(p-1)·h^σ) V̈^m - θ(h^{θ-1} - 2A²σ/(p-1)·h^{σ-1}) h' V̇^m
         + θ/(p-1)·h^{-σ} D²V[V, E_m] + ½(h^θ - 2A²θ/(p-1)·h^σ) Σ_j ∂²_{jm}g11 V^j
         + H^m <H, V> · [ -(p-1)(3 + σ/θ)h^{2θ} - 16σθA⁴/(p-1)·h^{2σ}
-                          + 2A²(5σ + 3θ)h^{θ+σ} ] / ((p-1)h^θ - 2σA²h^σ),
-
-    plus, when the nonlocal constant is nonzero, the affine drift term
-    -2A·drift·(θ-σ)h^{p-1}/((p-1)h^θ - 2σA²h^σ)·H^m, returned separately.
+                          + 2A²(5σ + 3θ)h^{θ+σ} ] / ((p-1)h^θ - 2σA²h^σ).
 
     The principal part is assembled in divergence form -∂(a∂·), which matches
     the stated coefficients exactly since a' reproduces the first-derivative
@@ -300,7 +292,6 @@ def assemble_jacobi(curve, pot, sf, exps, jacobi_drift=0.0):
                   - 16.0 * sigma * theta * A**4 / (p - 1.0) * h ** (2 * sigma)
                   + 2.0 * A**2 * (5.0 * sigma + 3.0 * theta) * h ** (theta + sigma)) / denom
 
-    dim = nm1 * M
     full = np.kron(principal, np.eye(nm1))
     Hc = curve.curvature
     blocks = (hess_coeff[:, None, None] * pot.hess_normal
@@ -311,14 +302,7 @@ def assemble_jacobi(curve, pot, sf, exps, jacobi_drift=0.0):
 
     asymmetry = float(np.max(np.abs(full - full.T)))
     full = 0.5 * (full + full.T)
-
-    drift_offset = np.zeros(dim)
-    if jacobi_drift != 0.0 and A != 0.0:
-        coef = -2.0 * A * jacobi_drift * (theta - sigma) * h ** (p - 1.0) / denom
-        drift_offset = (coef[:, None] * Hc).reshape(dim)
-
-    return JacobiMatrix(matrix=full, weight=h**theta, drift_offset=drift_offset,
-                        asymmetry=asymmetry)
+    return JacobiMatrix(matrix=full, weight=h**theta, asymmetry=asymmetry)
 
 
 def assemble_T(curve, sf, exps):

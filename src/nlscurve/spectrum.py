@@ -191,13 +191,6 @@ class SpectralBranch:
         object.__setattr__(self, "eigenfunctions", tuple(
             (readonly_view(u), readonly_view(v)) for u, v in self.eigenfunctions))
 
-    def derivative(self, i):
-        """Centered d(eigenvalue)/dα at grid index i."""
-        a, lam = self.alphas, self.eigenvalues
-        if 0 < i < a.size - 1:
-            return float((lam[i + 1] - lam[i - 1]) / (a[i + 1] - a[i - 1]))
-        raise ValidationError("derivative needs an interior grid index")
-
 
 def _overlap(pair_a, pair_b, weight, idx):
     ua, va = pair_a

@@ -73,7 +73,8 @@ class TubeGrid:
     V_amb: np.ndarray             # ambient potential at grid points, (N_s, *z_shape)
     dz: float
     core_radius: np.ndarray = None   # per-node radius of the core mask
-    stencil_order: int = 4
+
+    stencil_order = 4             # z-stencils of apply_S_eps (class constant)
 
     @property
     def n_s(self):
@@ -85,7 +86,7 @@ class TubeGrid:
 
 
 def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, radius_factor=1.0,
-                    dz_factor=10.0, stencil_order=4, cutoff_off=False):
+                    dz_factor=10.0, cutoff_off=False):
     """Tube grid on the curve's s̄ nodes, N_s = curve.M for every ε.
 
     Phase-factored fields are smooth in s̄, so the curve sampling alone sets
@@ -100,7 +101,7 @@ def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, radius_factor=1.0,
     Kcurve = np.sqrt(V(curve.positions))
     kmax = float(np.max(sf.k))
     dz = 1.0 / (dz_factor * kmax)
-    margin = 3 if stencil_order == 4 else 2
+    margin = 3                     # z-stencil half-width 2, plus one node
     R_outer = radius_factor * (eps ** (-delta_bar) + 1.0) / np.min(Kcurve)
     half = int(np.ceil(R_outer / dz)) + margin
     axis = np.arange(-half, half + 1) * dz
@@ -151,33 +152,27 @@ def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, radius_factor=1.0,
                     z_axes=z_axes, z_shape=z_shape, znorm=znorm, zhat=zhat,
                     zcomp=zcomp, K=Kcurve, cutoff=cutoff, mask_core=mask_core,
                     metric_a=metric_a, ds_a=ds_a, H_comp=Hc, V_amb=V_amb,
-                    dz=dz, core_radius=core_r,
-                    stencil_order=stencil_order)
+                    dz=dz, core_radius=core_r)
 
 
 # ---------------------------------------------------------------------------
 # Finite-difference machinery
 # ---------------------------------------------------------------------------
 
-def _diff_z(values, axis, dz, order, kind):
-    """4th (or 2nd) order centered z-derivative with zero padding."""
+def _diff_z(values, axis, dz, kind):
+    """4th-order centered z-derivative with zero padding."""
     ax = axis + 1  # axis 0 is s̄
     pad = [(0, 0)] * values.ndim
-    w = 2 if order == 4 else 1
-    pad[ax] = (w, w)
+    pad[ax] = (2, 2)
     v = np.pad(values, pad)
-    sl = lambda k: np.take(v, np.arange(w + k, w + k + values.shape[ax]), axis=ax)
+    sl = lambda k: np.take(v, np.arange(2 + k, 2 + k + values.shape[ax]), axis=ax)
     if kind == "d2":
         # neighbours enter as differences from the centre, so the round-off
         # scales with those differences rather than with |ψ|
         c = sl(0)
-        if order == 4:
-            return (16 * ((sl(1) - c) + (sl(-1) - c))
-                    - ((sl(2) - c) + (sl(-2) - c))) / (12 * dz**2)
-        return ((sl(1) - c) + (sl(-1) - c)) / dz**2
-    if order == 4:
-        return (sl(-2) - 8 * sl(-1) + 8 * sl(1) - sl(2)) / (12 * dz)
-    return (sl(1) - sl(-1)) / (2 * dz)
+        return (16 * ((sl(1) - c) + (sl(-1) - c))
+                - ((sl(2) - c) + (sl(-2) - c))) / (12 * dz**2)
+    return (sl(-2) - 8 * sl(-1) + 8 * sl(1) - sl(2)) / (12 * dz)
 
 
 def apply_S_eps(values, grid, phase_rate=None):
@@ -186,7 +181,7 @@ def apply_S_eps(values, grid, phase_rate=None):
     ``phase_rate`` is f̃'(s̄) per node, (N_s,); None means no phase.  With
     c = f̃', ∂_s becomes ε∂_s̄ - ic, so ∂²_s becomes
     ε²φ_s̄s̄ - 2iεcφ_s̄ - iεc'φ - c²φ.  s̄-derivatives are spectral
-    (periodic), z-derivatives 4th-order (default) stencils with exact zero
+    (periodic), z-derivatives 4th-order stencils with exact zero
     padding outside the cutoff support.
     """
     a = grid.metric_a
@@ -202,8 +197,8 @@ def apply_S_eps(values, grid, phase_rate=None):
     lap = dss_phi / a**2 - grid.ds_a / a**3 * ds_phi
 
     for j in range(grid.d):
-        d2z = _diff_z(values, j, grid.dz, grid.stencil_order, "d2")
-        d1z = _diff_z(values, j, grid.dz, grid.stencil_order, "d1")
+        d2z = _diff_z(values, j, grid.dz, "d2")
+        d1z = _diff_z(values, j, grid.dz, "d1")
         Hj = grid.H_comp[:, j].reshape(-1, *([1] * grid.d))
         lap += d2z - (grid.eps * Hj / a) * d1z
 

@@ -11,8 +11,10 @@ from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                sample_potential, straight_segment_curve)
 from nlscurve.radial import (SectorOperator, apply_sector, ground_state,
                              sector_kernel)
+from nlscurve.resonance import q_integrals, resonance_eigenpairs
 from nlscurve.scalings import (compute_exponents, compute_scalings,
                                critical_circle_radius)
+from nlscurve.spectrum import alpha_field
 from nlscurve.tube import (apply_S_eps, build_tube_grid, convergence_order,
                            smooth_step, weighted_norm)
 
@@ -60,19 +62,13 @@ class TestApplySEps:
     def test_manufactured_soliton_orders(self, U23, segment_setup):
         # exact 1D soliton on the segment: residual is pure z-discretization
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
-        sups = {}
-        for order in (2, 4):
-            norms = []
-            for dzf in (8, 16):
-                grid = build_tube_grid(seg, V, sf, 0.1, 3.0, dz_factor=dzf,
-                                       stencil_order=order)
-                psi = (U23(grid.znorm)[None] * grid.cutoff).astype(complex)
-                res = apply_S_eps(psi, grid)
-                norms.append(weighted_norm(res, grid, 0.0, "sup", "core"))
-            rate = np.log2(norms[0] / norms[1])
-            sups[order] = rate
-        assert sups[2] > 1.9        # second order at 2nd-order stencils
-        assert sups[4] > 1.9        # at least as fast with 4th-order stencils
+        norms = []
+        for dzf in (8, 16):
+            grid = build_tube_grid(seg, V, sf, 0.1, 3.0, dz_factor=dzf)
+            psi = (U23(grid.znorm)[None] * grid.cutoff).astype(complex)
+            res = apply_S_eps(psi, grid)
+            norms.append(weighted_norm(res, grid, 0.0, "sup", "core"))
+        assert np.log2(norms[0] / norms[1]) > 1.9   # 4th-order z-stencils
 
     def test_constant_field(self, segment_setup):
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
@@ -97,8 +93,7 @@ class TestApplySEps:
         col = lambda v: v[:, None]
         floors = []
         for dzf in (8, 16):
-            grid = build_tube_grid(seg, V, sf, eps, 3.0, dz_factor=dzf,
-                                   stencil_order=4)
+            grid = build_tube_grid(seg, V, sf, eps, 3.0, dz_factor=dzf)
             z = grid.znorm
             W = np.exp(-2 * z**2)
             d2W = (16 * z**2 - 4) * W
@@ -321,6 +316,73 @@ class TestAssembly:
         tol = 4 * np.finfo(float).eps * ygrid.size * np.max(np.abs(np.diff(rows)))
         assert np.max(np.abs(out - ref)) < tol
         assert np.all(out[yq > ygrid[-1]] == 0.0)
+
+
+@pytest.fixture(scope="module")
+def fast_mode_run(U23, bump_potential, exps23):
+    """A = 0.05 critical circle with its crossing modes and resonance basis."""
+    curve, pot, sf = circle_setup(bump_potential, 0.7012465, 64, 0.05, exps23)
+    co = build_correctors(curve, pot, sf, U23)
+    abar, modes = alpha_field(sf, U23)
+    basis = resonance_eigenpairs(sf, abar, q_integrals(modes, 1), 0.1, 0.5)
+    grid = build_tube_grid(curve, bump_potential, sf, 0.1, 3.0, dz_factor=8)
+
+    def fast_part(b):
+        # level-2 field with coefficients b minus the field with b = 0
+        fields = [assemble_ansatz(grid, curve, sf, U23, co,
+                                  AnsatzParams(level=2, b=bb), crossing=modes,
+                                  basis=basis).values
+                  for bb in (b, np.zeros_like(b))]
+        return fields[0] - fields[1]
+
+    return {"curve": curve, "sf": sf, "co": co, "modes": modes,
+            "basis": basis, "grid": grid, "fast_part": fast_part}
+
+
+class TestFastModes:
+    def test_unit_coefficient_adds_beta_Z_plus_i_xi_W(self, U23, fast_mode_run):
+        # b = e_j adds cutoff·(β_j Z(k|z|) + i ξ_j W(k|z|)) and nothing else;
+        # Z and W are interpolated node by node here, independently of the
+        # assembly's row-wise interpolation
+        run = fast_mode_run
+        basis, grid, modes, k = run["basis"], run["grid"], run["modes"], run["sf"].k
+        r = U23.grid.nodes
+        assert basis.nu.size >= 3
+        for j in range(basis.nu.size):
+            diff = run["fast_part"](np.eye(basis.nu.size)[j])
+            expected = np.empty_like(diff)
+            for i, mode in enumerate(modes):
+                yq = k[i] * grid.znorm
+                Z = np.interp(yq, r, mode.u_values, right=0.0)
+                W = np.interp(yq, r, mode.v_values, right=0.0)
+                expected[i] = basis.beta[j, i] * Z + 1j * basis.xi[j, i] * W
+            expected *= grid.cutoff
+            scale = np.max(np.abs(expected))
+            assert scale > 0
+            assert np.max(np.abs(diff - expected)) <= 1e-12 * scale
+
+    def test_linear_in_coefficients(self, fast_mode_run):
+        run = fast_mode_run
+        size = run["basis"].nu.size
+        b = np.linspace(-1.0, 2.0, size)
+        units = [run["fast_part"](np.eye(size)[j]) for j in range(size)]
+        combined = run["fast_part"](b)
+        expected = sum(bj * u for bj, u in zip(b, units))
+        assert np.max(np.abs(combined - expected)) <= \
+            1e-12 * np.max(np.abs(expected))
+
+    def test_missing_inputs_or_bad_shape_rejected(self, U23, fast_mode_run):
+        run = fast_mode_run
+        size = run["basis"].nu.size
+        args = (run["grid"], run["curve"], run["sf"], U23, run["co"])
+        b = AnsatzParams(level=2, b=np.eye(size)[0])
+        with pytest.raises(ValidationError, match="resonance basis"):
+            assemble_ansatz(*args, b, crossing=run["modes"])
+        with pytest.raises(ValidationError, match="resonance basis"):
+            assemble_ansatz(*args, b, basis=run["basis"])
+        with pytest.raises(ValidationError, match="window"):
+            assemble_ansatz(*args, AnsatzParams(level=2, b=np.ones(size + 1)),
+                            crossing=run["modes"], basis=run["basis"])
 
 
 class TestWeightedNorms:

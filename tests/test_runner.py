@@ -2,6 +2,7 @@
 
 import json
 import logging
+import pathlib
 import re
 
 import pytest
@@ -68,6 +69,10 @@ class TestParseConfig:
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config(write(tmp_path, MINIMAL + "\nwibble = 3\n"))
+        # a removed key that never changed any output is unknown too
+        text = MINIMAL.replace("potential = 1", "potential = 1\njacobi_drift = 0.5")
+        with pytest.raises(ValidationError, match="unknown key 'jacobi_drift'"):
+            parse_config(write(tmp_path, text))
 
     def test_violations_aggregated(self, tmp_path):
         text = MINIMAL.replace("radius = 1.0", "radius = -2") \
@@ -87,6 +92,26 @@ class TestParseConfig:
         text = MINIMAL.replace("potential = 1", "potential = __import__('os')")
         with pytest.raises(ValidationError, match="potential"):
             parse_config(write(tmp_path, text))
+
+    def test_readme_example_parses(self, tmp_path):
+        # the README's run file carries inline ';' comments after its values
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+        cfg = parse_config(write(tmp_path, block))
+        assert cfg.phase_speed == 0.05
+        assert cfg.potential == "1/(1+r2)"
+        assert cfg.curve.kind == "circle"
+        assert cfg.assert_acceptance is True
+
+    def test_semicolon_separated_eps_list(self, tmp_path):
+        text = MINIMAL + "\n[residual]\neps_list = 0.2;0.1;0.05\n"
+        assert parse_config(write(tmp_path, text)).residual_eps == [0.2, 0.1, 0.05]
+
+    def test_bad_boolean_is_a_violation(self, tmp_path):
+        text = MINIMAL + "\n[run]\nassert_acceptance = maybe\n"
+        with pytest.raises(ValidationError, match="assert_acceptance"):
+            parse_config(write(tmp_path, text))
+        assert main([write(tmp_path, text)]) == 2
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +184,23 @@ class TestPipeline:
         cfg = parse_config(write(tmp_path, text))
         summary, csvs = run_pipeline(cfg)
         assert "profile" in csvs and "curve" in csvs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_csv_headers_name_every_column(tmp_path, n):
+    text = (CRITICAL.replace("n = 2", f"n = {n}")
+            .replace("[resonance]", "[grids]\nradial_m = 1000\n\n[resonance]"))
+    out = tmp_path / "out"
+    assert main([write(tmp_path, text), "-o", str(out)]) == 0
+    paths = sorted(out.glob("*.csv"))
+    assert {p.stem for p in paths} == {"profile", "curve", "potential", "scalings",
+                                       "euler_residual", "jacobi_spectrum"}
+    for path in paths:
+        header, row = path.read_text().splitlines()[:2]
+        assert len(header.split(",")) == len(row.split(",")), path.name
+    assert (out / "curve.csv").read_text().startswith(
+        "s," + ",".join(f"x{i}" for i in range(1, n + 1)) + ","
+        + ",".join(f"H{j}" for j in range(1, n)) + "\n")
 
 
 class TestMain:

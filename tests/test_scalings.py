@@ -248,14 +248,6 @@ class TestJacobi:
         ref = np.linalg.eigvalsh(A)
         assert np.max(np.abs(np.sort(vals) - ref)) < 1e-10
 
-    def test_drift_offset_affine(self, bump_potential, exps23):
-        curve, pot, sf = circle_setup(bump_potential, 0.9, 128, 0.08, exps23)
-        J0 = assemble_jacobi(curve, pot, sf, exps23, jacobi_drift=0.0)
-        J1 = assemble_jacobi(curve, pot, sf, exps23, jacobi_drift=0.5)
-        assert np.max(np.abs(J0.matrix - J1.matrix)) == 0.0
-        assert np.max(np.abs(J0.drift_offset)) == 0.0
-        assert np.max(np.abs(J1.drift_offset)) > 0.0
-
 
 class TestPhaseOperatorT:
     def test_constants_in_kernel(self, critical_circle, exps23):
