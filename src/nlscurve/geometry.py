@@ -27,12 +27,16 @@ import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
-from scipy.linalg import expm, logm
+from scipy.linalg import logm
 from scipy.spatial import cKDTree
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
+
+# largest t grid of the arc-length Fourier series; sampled loops stop here
+ARC_MODES_CAP = 1 << 16
+# Gauss–Legendre rule for the arc length inside one cell of that grid
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 # name -> (f, f', f'')
 _ALLOWED_FUNCS = {
@@ -361,6 +365,51 @@ def _check_simple(positions):
         raise ValidationError("curve appears to self-intersect")
 
 
+def _arc_length_parameters(dgamma, M):
+    """Length L, M nodes s equispaced in arc length, and their parameters t.
+
+    The speed |γ'(t)| is smooth and 2π-periodic, so its values on N
+    equispaced t give its Fourier coefficients c_k, and the trapezoid rule,
+    spectrally accurately: L = 2πc₀ and s(t) = c₀t + Σ 2Re(c_k e^{ikt}/(ik)),
+    summed on the t grid by one inverse FFT.  N doubles from 64 until the
+    upper half of |c_k| is below 4·eps·c₀, or reaches ARC_MODES_CAP (sampled
+    loops: a cubic spline's speed has only algebraically decaying
+    coefficients).  Newton with the exact speed then solves s(t) = s_target,
+    with s(t) the grid value at the cell start plus a Gauss–Legendre rule
+    over the rest of the cell.
+    """
+    speed = lambda t: np.linalg.norm(dgamma(t), axis=-1)
+    N = 64
+    while True:
+        t_grid = np.arange(N) * (2 * np.pi / N)
+        coef = np.fft.rfft(speed(t_grid)) / N
+        c0 = coef[0].real
+        tail = np.max(np.abs(coef[N // 4:]))
+        if N >= ARC_MODES_CAP or tail <= 4 * np.finfo(float).eps * c0:
+            break
+        N *= 2
+    L = 2 * np.pi * c0
+    k = np.arange(1, coef.size)
+    integ = np.zeros_like(coef)
+    integ[1:] = coef[1:] / (1j * k)
+    integ[-1] = 0.0                     # the Nyquist sine vanishes on the grid
+    osc = np.fft.irfft(integ * N, n=N)
+    s_grid = c0 * t_grid + osc - osc[0]
+
+    s_nodes = np.arange(M) * (L / M)
+    h = 2 * np.pi / N
+    t = np.interp(s_nodes, np.append(s_grid, L), np.append(t_grid, 2 * np.pi))
+    for _ in range(50):
+        j = np.clip(np.floor(t / h).astype(int), 0, N - 1)
+        half = 0.5 * (t - t_grid[j])
+        inner = speed((t_grid[j] + half)[:, None] + half[:, None] * _GL_NODES)
+        step = (s_grid[j] + half * (inner @ _GL_WEIGHTS) - s_nodes) / speed(t)
+        t = t - step
+        if np.max(np.abs(step)) < 1e-12:    # quadratic: the error is now ~1e-24
+            return L, s_nodes, t
+    raise ConvergenceError("arc-length inversion did not converge")
+
+
 def build_curve(spec, M=256):
     """Arc-length sampled CurveData with a parallel, L-periodic normal frame.
 
@@ -372,20 +421,7 @@ def build_curve(spec, M=256):
         raise ValidationError("need at least 64 curve samples")
     gamma, dgamma, d2gamma = _param_functions(spec)
 
-    # arc length via fine sampling + Simpson; invert to uniform-s parameters
-    fine = 1 << 16
-    t_fine = np.linspace(0, 2 * np.pi, fine + 1)
-    speed = np.linalg.norm(dgamma(t_fine), axis=1)
-    s_fine = np.concatenate([[0.0], cumulative_simpson(speed, x=t_fine)])
-    L = float(s_fine[-1])
-    s_nodes = np.arange(M) * (L / M)
-    t_nodes = np.interp(s_nodes, s_fine, t_fine)
-
-    # few Newton corrections of t(s): ds/dt = |γ'(t)|
-    s_spline = CubicSpline(t_fine, s_fine)
-    for _ in range(3):
-        spd_here = np.linalg.norm(dgamma(t_nodes), axis=1)
-        t_nodes = t_nodes - (s_spline(t_nodes) - s_nodes) / spd_here
+    L, s_nodes, t_nodes = _arc_length_parameters(dgamma, M)
 
     positions = gamma(t_nodes)
     _check_simple(positions)
@@ -427,9 +463,12 @@ def build_curve(spec, M=256):
     else:
         gen = np.real(logm(Rhol))        # skew generator of the holonomy
         holonomy_angle = float(np.linalg.norm(gen) / np.sqrt(2))
-    # distribute the closing rotation uniformly in arc length
+    # distribute the closing rotation uniformly in arc length: i·gen is
+    # Hermitian, gen = -i·V·diag(w)·Vᴴ, so expm(-gen·τ) = V·diag(e^{iwτ})·Vᴴ
     if holonomy_angle > 1e-14:
-        frame = expm(-gen[None] * (s_nodes / L)[:, None, None]) @ frame
+        w, V = np.linalg.eigh(1j * gen)
+        phases = np.exp(1j * np.multiply.outer(s_nodes / L, w))
+        frame = ((V * phases[:, None, :]) @ V.conj().T).real @ frame
 
     # re-orthonormalize against accumulated rounding: Gram–Schmidt of the
     # tangent-projected frame vectors, i.e. QR with a positive diagonal of R

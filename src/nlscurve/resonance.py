@@ -22,13 +22,16 @@ Everything here uses Fourier collocation in s̄: the coefficients are smooth
 periodic fields, so the discretization is spectrally accurate.  Derivatives
 of nodal fields come from the shared FFT helper
 ``geometry.periodic_derivative``; the collocation matrix D2 is built only
-for the eigensolve, once per gap scan.
+for the eigensolve, once per gap scan.  The eigensolve computes only the
+2J+1 eigenpairs of the window, after counting the negative eigenvalues by
+inertia.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dsytrf
 
 from .errors import ValidationError, PhaseLawError
 from .geometry import periodic_derivative
@@ -108,11 +111,28 @@ class ResonanceBasis:
         return np.arange(-J, J + 1)
 
 
+def _negative_count(C):
+    """Number of negative eigenvalues of the symmetric matrix C, by inertia.
+
+    The Bunch–Kaufman factorization C = L·D·Lᵀ (LAPACK ?sytrf) is a
+    congruence, so by Sylvester's law C and the block-diagonal D have the
+    same inertia.  A 2×2 block (a negative pivot index on both of its rows)
+    is chosen only when its off-diagonal entry dominates both diagonal ones,
+    so its determinant is negative and it holds exactly one negative
+    eigenvalue; a 1×1 block counts when it is negative.
+    """
+    ldu, ipiv, _ = dsytrf(C, lower=1)
+    single = ipiv > 0
+    return int(np.sum(np.diagonal(ldu)[single] < 0) + np.sum(~single) // 2)
+
+
 def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3):
     """Solve the weighted periodic eigenproblem and build the full basis.
 
     Eigenpairs are re-indexed around the first nonnegative eigenvalue and
-    restricted to |j| <= floor(δ²/ε); the companion is
+    restricted to |j| <= floor(δ²/ε): the index j_ε of that eigenvalue is the
+    number of negative ones, counted by inertia, and only the window's
+    eigenpairs are computed.  The companion is
 
         β_j = -(1/kᾱ)(1 - Q₁ν_j/(k²ᾱ² + 2f'kᾱQ₃))·εξ_j',
 
@@ -142,22 +162,22 @@ def _eigenpairs(sf, abar, Q, eps, delta, D2):
         raise PhaseLawError("resonance weight lost positivity; "
                             "phase-speed constant too large")
 
-    A = -eps**2 * D2 - np.diag(ka**2)
-    B = np.diag(1.0 / wfun)
-    vals, vecs = eigh(A, B)
-    ds = L / M
-    vecs = vecs / np.sqrt(ds)   # ∫ ξ²/wfun ds̄ = 1
-
-    j_eps = int(np.searchsorted(vals, 0.0))
+    # B = diag(1/wfun): with S = diag(√wfun), A·x = ν·B·x is the standard
+    # problem C·y = ν·y for C = S·A·S and x = S·y, and yᵀy = 1 gives xᵀBx = 1
+    sw = np.sqrt(wfun)
+    C = -eps**2 * D2 * np.outer(sw, sw)
+    C[np.diag_indices(M)] -= ka**2 * wfun
+    j_eps = _negative_count(C)
     J = int(np.floor(delta**2 / eps))
     if j_eps - J < 0 or j_eps + J >= M:
         raise ValidationError(
             f"index window [{-J}, {J}] around j_eps={j_eps} leaves the grid; "
             f"use more curve nodes or a larger eps")
-    sel = np.arange(j_eps - J, j_eps + J + 1)
-    nu = vals[sel]
-    xi = vecs[:, sel].T                     # [j, node]
-    dxi = periodic_derivative(vecs[:, sel], L).T
+    nu, y = eigh(C, subset_by_index=[j_eps - J, j_eps + J])
+    ds = L / M
+    vecs = sw[:, None] * y / np.sqrt(ds)   # ∫ ξ²/wfun ds̄ = 1
+    xi = vecs.T                             # [j, node]
+    dxi = periodic_derivative(vecs, L).T
 
     denom = ka**2 + 2.0 * fp * ka * Q.q3
     beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None] / denom) * eps * dxi

@@ -33,7 +33,8 @@ from .geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from .radial import RadialGrid, ground_state, ode_residual, check_p
 from .scalings import (assemble_jacobi, compute_exponents, compute_scalings,
                        euler_residual, reduced_functional, weighted_eigenbasis)
-from .spectrum import alpha_field, find_alpha_bar, trace_branches
+from .spectrum import (BOUND_BRANCHES, alpha_field, bound_state_counts,
+                       continuum_threshold, find_alpha_bar, trace_branches)
 from .resonance import (gap_scan, gap_scan_oracle, q_integrals,
                         resonance_eigenpairs, verify_coupled_system)
 from .ansatz import residual_study
@@ -342,12 +343,13 @@ def stage_branches(cfg, exps, V, state, csvs):
     mu = float(np.max(np.abs(2 * sf.fprime / sf.k)))
     alphas = np.linspace(0.0, 2.2, 23)
     branches = trace_branches(U, cfg.p, mu, alphas)
+    # every eigenvalue under the continuum threshold is a traced branch
+    bound = all(np.all(bound_state_counts(U, cfg.p, mu, alphas, ell)
+                       == len(labels)) for ell, labels in BOUND_BRANCHES.items())
     mode = find_alpha_bar(U, cfg.p, mu)
-    rows = [alphas]
-    names = []
-    for label in ("ground", "translation", "gauge", "excited"):
-        rows.append(branches[label].eigenvalues)
-        names.append(label)
+    names = ["ground", "translation", "gauge", "continuum_threshold"]
+    rows = [alphas] + [branches[label].eigenvalues for label in names[:3]] \
+        + [continuum_threshold(alphas, mu)]
     csvs["branches"] = (",".join(["alpha", *names]), np.column_stack(rows))
     csvs["crossing_mode"] = ("r,Z,W", np.column_stack(
         [U.grid.nodes, mode.u_values, mode.v_values]))
@@ -356,6 +358,7 @@ def stage_branches(cfg, exps, V, state, csvs):
             "zw_decay_rate": mode.decay_rate,
             "branch_labels": names,
             "checks": {"ground_branch_increasing": bool(np.all(np.diff(eta) > 0)),
+                       "bound_states_are_the_traced_branches": bool(bound),
                        "zw_decay_above_1": bool(mode.decay_rate > 1.0)}}
 
 

@@ -9,11 +9,16 @@ each transverse frequency α and coupling μ = 2f̂/k̂, the system on R^{n-1}
 Its first eigenvalue branch η_α starts negative, is simple and increasing,
 and crosses zero at a unique ᾱ whose eigenfunction pair (Z, W) decays faster
 than e^{-r}; the second branch σ_α starts at zero (translations (∂U, 0) and
-the gauge mode (0, U)) with zero slope and positive curvature; the third
-branch τ_α stays away from zero.  This module discretizes the system
-sector-by-sector, traces the branches in α with eigenvector-overlap
-matching, locates ᾱ, and builds the second-order α-corrections of the
-eigenfunctions by kernel-projected sector solves.
+the gauge mode (0, U)) with zero slope and positive curvature.  Away from
+the core U vanishes and the coupling matrix has eigenvalues ±μα, so the
+essential spectrum starts at exactly τ_α = 1 + α² − |μα|; τ_α stays away
+from zero, and it is given in closed form, not traced: on a bounded radial
+box everything above it is discretized continuum whose lowest level depends
+on r_max.  This module discretizes the system sector-by-sector, traces the
+bound branches in α with eigenvector-overlap matching, certifies by an
+inertia count that no other eigenvalue lies below τ_α, locates ᾱ, and
+builds the second-order α-corrections of the eigenfunctions by
+kernel-projected sector solves.
 
 Every coupled eigensolve is banded shift-invert Lanczos with the shift just
 under a lower bound of the spectrum built from the lowest eigenvalues of
@@ -34,6 +39,8 @@ from .radial import SectorOperator, sector_matrix, sector_solve
 
 # distance of the shift-invert shift below the coupled spectrum's lower bound
 SHIFT_MARGIN = 1e-2
+# relative gap in the sorted μ(s̄) that separates two crossing solves
+MU_GROUP_TOL = 1e-12
 
 
 def sphere_area(d):
@@ -198,16 +205,21 @@ def _overlap(pair_a, pair_b, weight, idx):
     return float(abs(np.sum((ua[idx] * ub[idx] + va[idx] * vb[idx]) * weight)))
 
 
+# the bound branches of each traced sector, in ascending order at α = 0
+BOUND_BRANCHES = {0: ("ground", "gauge"), 1: ("translation",)}
+
+
 def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
-    """Trace the first branches of the coupled system over an ascending α grid.
+    """Trace the bound branches of the coupled system over an ascending α grid.
 
-    Returns a dict of SpectralBranch:
+    Returns a dict of SpectralBranch, per sector as in BOUND_BRANCHES:
       'ground'       η_α: lowest ℓ=0 branch (simple, increasing, crosses 0),
-      'translation'  σ_α continuation of (∂U, 0): lowest ℓ=1 branch,
       'gauge'        σ_α continuation of (0, U): next ℓ=0 branch,
-      'excited'      τ_α: third ℓ=0 branch.
+      'translation'  σ_α continuation of (∂U, 0): lowest ℓ=1 branch.
 
-    Branch continuity is enforced by eigenvector-overlap matching between
+    The third branch τ_α is the continuum threshold (continuum_threshold);
+    bound_state_counts certifies that nothing else lies below it.  Branch
+    continuity is enforced by eigenvector-overlap matching between
     consecutive α samples; an overlap below ``overlap_floor`` raises.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
@@ -215,15 +227,6 @@ def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
         raise ValidationError("alpha grid must be ascending from 0")
 
     d = U.dim
-    floors_0, floors_1 = sector_floors(U, p, 0), sector_floors(U, p, 1)
-    per_alpha_0 = []
-    per_alpha_1 = []
-    for a in alpha_grid:
-        per_alpha_0.append(coupled_spectrum(
-            CoupledSectorOperator(a, mu, 0, d, p), U, 4, floors_0))
-        per_alpha_1.append(coupled_spectrum(
-            CoupledSectorOperator(a, mu, 1, d, p), U, 2, floors_1))
-
     _, weight, idx = coupled_bands(CoupledSectorOperator(0.0, mu, 0, d, p), U)
 
     def follow(per_alpha, start_index):
@@ -242,14 +245,62 @@ def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
         return np.array(lams), funcs
 
     out = {}
-    for label, per_alpha, start in (("ground", per_alpha_0, 0),
-                                    ("gauge", per_alpha_0, 1),
-                                    ("excited", per_alpha_0, 2),
-                                    ("translation", per_alpha_1, 0)):
-        lams, funcs = follow(per_alpha, start)
-        out[label] = SpectralBranch(label=label, mu=mu, alphas=alpha_grid,
-                                    eigenvalues=lams, eigenfunctions=funcs)
+    for ell, labels in BOUND_BRANCHES.items():
+        floors = sector_floors(U, p, ell)
+        per_alpha = [coupled_spectrum(CoupledSectorOperator(a, mu, ell, d, p),
+                                      U, len(labels), floors)
+                     for a in alpha_grid]
+        for start, label in enumerate(labels):
+            lams, funcs = follow(per_alpha, start)
+            out[label] = SpectralBranch(label=label, mu=mu, alphas=alpha_grid,
+                                        eigenvalues=lams, eigenfunctions=funcs)
     return out
+
+
+def continuum_threshold(alpha, mu):
+    """τ_α = 1 + α² − |μα|, the bottom of the coupled essential spectrum.
+
+    Where U has decayed the sector operator is -Δ + 1 + α² plus the coupling
+    matrix (0, μα; μα, 0), whose eigenvalues are ±μα.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    return 1.0 + alpha**2 - np.abs(mu * alpha)
+
+
+def bound_state_counts(U, p, mu, alpha_grid, ell):
+    """Number of eigenvalues of the ℓ-sector below τ_α, for every α at once.
+
+    Sylvester's law of inertia: the interleaved pentadiagonal is block
+    tridiagonal in 2×2 node blocks, and its block LDLᵀ factorization
+    K − τ_α = L·D·Lᵀ is a congruence, so the count is the number of negative
+    eigenvalues of the 2×2 pivots D_i = A_i − B D_{i−1}⁻¹ B.  Since
+    α² − τ_α = |μα| − 1, the pivots depend on α through |μα| only, and the
+    recurrence runs over the nodes with one lane per α.  A zero pivot (τ_α an
+    eigenvalue to round-off) leaves the count undefined: ConvergenceError.
+    """
+    m = np.abs(mu * np.asarray(alpha_grid, dtype=float))
+    dr, er, _, _ = sector_matrix(SectorOperator("Lr", ell, 0.0, U.dim, p), U)
+    di, ei, _, _ = sector_matrix(SectorOperator("Li", ell, 0.0, U.dim, p), U)
+    # block A_i = (dr_i + m − 1, m; m, di_i + m − 1), B = diag(er, ei)
+    shift = m - 1.0
+    ee, ff, ef = er**2, ei**2, er * ei
+    a, b, c = dr[0] + shift, di[0] + shift, m
+    dets = np.empty((dr.size, m.size))
+    leads = np.empty((dr.size, m.size))
+    for i in range(dr.size):
+        if i:
+            q = 1.0 / dets[i - 1]
+            a, b, c = (dr[i] + shift - ee[i - 1] * q * b,
+                       di[i] + shift - ff[i - 1] * q * a,
+                       m + ef[i - 1] * q * c)
+        dets[i] = a * b - c * c
+        leads[i] = a
+    if not np.all(np.isfinite(dets)) or np.any(dets == 0.0):
+        raise ConvergenceError("a pivot of the inertia count vanished: the "
+                               "threshold is an eigenvalue to round-off")
+    # a 2×2 pivot has one negative eigenvalue when det < 0, two when det > 0
+    # and its leading entry is negative
+    return np.sum((dets < 0) + 2 * ((dets > 0) & (leads < 0)), axis=0)
 
 
 def eigenvalue_at(U, p, mu, alpha, ell=0, index=0):
@@ -387,13 +438,19 @@ def alpha_field(sf, U, tol=1e-8):
     """Per-node crossing data with μ(s̄) = 2f'(s̄)/k(s̄).
 
     In the variable-coefficient model the profile argument is k(s̄)z, so the
-    crossing equation per node only depends on μ(s̄); nodes whose μ agree to
-    14 decimals share one solve, at the μ of the first of them.  Returns
-    (alpha_bar array, modes list parallel to nodes).
+    crossing equation per node only depends on μ(s̄).  Nodes share one solve
+    when their μ, sorted, follow each other with gaps of at most
+    MU_GROUP_TOL·max(1, max|μ|); each group is solved at the μ of its first
+    node, in ascending order of μ.  Returns (alpha_bar array, modes list
+    parallel to nodes).
     """
     mus = 2.0 * sf.fprime / sf.k
-    _, first, group = np.unique(np.round(mus, 14), return_index=True,
-                                return_inverse=True)
+    order = np.argsort(mus, kind="stable")
+    gaps = np.diff(mus[order]) > MU_GROUP_TOL * max(1.0, np.max(np.abs(mus)))
+    starts = np.concatenate([[0], np.flatnonzero(gaps) + 1])
+    group = np.empty(mus.size, dtype=int)
+    group[order] = np.cumsum(np.concatenate([[False], gaps]))
+    first = np.minimum.reduceat(order, starts)
     solved = [find_alpha_bar(U, sf.exps.p, float(mus[i]), tol=tol) for i in first]
     modes = [solved[g] for g in group]
     return np.array([m.alpha_bar for m in modes]), modes

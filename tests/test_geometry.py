@@ -34,6 +34,21 @@ class TestBuildCurve:
                       0, 2 * np.pi, epsabs=1e-13, epsrel=1e-13)[0]
         assert abs(c.L - oracle) < 1e-8
 
+    @pytest.mark.parametrize("R", [0.7012465, 2.0])
+    def test_circle_length_to_round_off(self, R):
+        c = build_curve(CurveSpec("circle", n=2, radius=R), 128)
+        assert abs(c.L - 2 * np.pi * R) <= 4 * np.finfo(float).eps * 2 * np.pi * R
+        angle = np.unwrap(np.arctan2(c.positions[:, 1], c.positions[:, 0]))
+        assert np.max(np.abs(angle - 2 * np.pi * np.arange(128) / 128)) < 1e-13
+
+    def test_ellipse_nodes_equispaced_in_arc_length(self):
+        c = build_curve(CurveSpec("ellipse", n=2, a=2.0, b=1.0), 64)
+        t = np.mod(np.arctan2(c.positions[:, 1], c.positions[:, 0] / 2.0), 2 * np.pi)
+        for i in (1, 17, 40, 63):
+            s = quad(lambda tt: np.hypot(2 * np.sin(tt), np.cos(tt)), 0, t[i],
+                     epsabs=1e-13, epsrel=1e-13)[0]
+            assert abs(s - c.s[i]) < 1e-12
+
     def test_frame_orthonormal_and_tangent(self):
         c = build_curve(CurveSpec("ellipse", n=3, a=2.0, b=1.0), 256)
         for i in (0, 57, 200):

@@ -1,16 +1,21 @@
 """Fast-mode resonance layer: eigenbasis, companions, Λ₀, gap scan."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
 
 from nlscurve.errors import ValidationError
-from nlscurve.geometry import periodic_derivative
-from nlscurve.resonance import (assemble_lambda0, constant_coefficient_nu_oracle,
+from nlscurve.geometry import (CurveSpec, build_curve, periodic_derivative,
+                               sample_potential)
+from nlscurve.resonance import (_negative_count, assemble_lambda0, constant_coefficient_nu_oracle,
                                 correction_identities, fourier_diff_matrices,
                                 gap_scan, gap_scan_oracle, lambda0_spectrum,
                                 q_integrals, resonance_eigenpairs, sharp_norm,
                                 verify_coupled_system, weyl_slope)
+from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import alpha_field
 
 from conftest import circle_setup
@@ -128,6 +133,54 @@ class TestResonanceBasis:
         sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]
         with pytest.raises(ValidationError):
             resonance_eigenpairs(sf, abar, Q, 1e-4, 0.9)
+
+
+@pytest.fixture(scope="module", params=["circle", "ellipse"])
+def runner_layer(request, U23, bump_potential, exps23):
+    """Resonance inputs of the two runner pipelines (phase speed 0.05)."""
+    spec = (CurveSpec("circle", n=2, radius=0.7012465)
+            if request.param == "circle" else CurveSpec("ellipse", n=2, a=0.85, b=0.6))
+    curve = build_curve(spec, 256)
+    sf = compute_scalings(curve, sample_potential(bump_potential, curve), 0.05,
+                          exps23)
+    abar, modes = alpha_field(sf, U23)
+    return {"sf": sf, "abar": abar, "Q": q_integrals(modes, 1)}
+
+
+class TestWindowedEigensolve:
+    def test_negative_count_is_the_inertia(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 7, 64):
+            X = rng.normal(size=(n, n))
+            C = X + X.T
+            # a zero diagonal forces 2×2 Bunch–Kaufman pivots
+            for mat in (C, C - np.diag(np.diag(C)), C + 3 * n * np.eye(n)):
+                assert _negative_count(mat) == np.sum(np.linalg.eigvalsh(mat) < 0)
+
+    def test_matches_full_generalized_eigensolve(self, runner_layer):
+        # oracle: every eigenpair of the generalized problem A·x = ν·B·x,
+        # B = diag(1/wfun), across the gap grid of the README run file
+        sf, abar, Q = runner_layer["sf"], runner_layer["abar"], runner_layer["Q"]
+        M, L, delta = sf.s.size, sf.L, 0.3
+        ka = sf.k * abar
+        wfun = 1.0 + 2.0 * sf.fprime * Q.q3 / ka
+        D2 = fourier_diff_matrices(M, L)[1]
+        for eps in np.linspace(0.08, 0.02, 100):
+            vals, vecs = eigh(-eps**2 * D2 - np.diag(ka**2), np.diag(1.0 / wfun))
+            basis = resonance_eigenpairs(sf, abar, Q, eps, delta)
+            assert basis.j_eps == np.searchsorted(vals, 0.0)
+            J = (basis.nu.size - 1) // 2
+            window = slice(basis.j_eps - J, basis.j_eps + J + 1)
+            nu = vals[window]
+            assert np.max(np.abs(basis.nu - nu)) <= 1e-12 * np.max(np.abs(nu))
+            # the same basis from the full solve's vectors
+            xi = vecs[:, window].T / np.sqrt(L / M)
+            beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None]
+                                  / (ka**2 + 2.0 * sf.fprime * ka * Q.q3)) \
+                * eps * periodic_derivative(xi.T, L).T
+            ref = lambda0_spectrum(replace(basis, nu=nu, xi=xi, beta=beta))
+            got = lambda0_spectrum(basis)
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestCoupledSystem:

@@ -168,6 +168,9 @@ class TestPipeline:
                                 (tmp_path / name / "summary.json").read_bytes()))
         assert texts[0] == texts[1]
         assert b'"alpha_bar"' in texts[0] and b'"gap_scan"' in texts[0]
+        # the inertia certificate is a check that all_checks_pass covers
+        assert b'"branches.bound_states_are_the_traced_branches": true' in texts[0]
+        assert b'"continuum_threshold"' in texts[0]
 
     def test_empty_stage_selection(self, tmp_path):
         text = CRITICAL.replace(

@@ -12,9 +12,10 @@ from nlscurve.geometry import CurveSpec, build_curve, sample_potential
 from nlscurve.radial import (RadialGrid, SectorOperator, apply_sector,
                              ground_state, sector_kernel, sector_spectrum)
 from nlscurve.scalings import compute_scalings
-from nlscurve.spectrum import (CoupledSectorOperator, alpha_field,
-                               branch_curvature_closed_forms, coupled_bands,
-                               coupled_spectrum,
+from nlscurve.spectrum import (BOUND_BRANCHES, CoupledSectorOperator,
+                               alpha_field, bound_state_counts,
+                               branch_curvature_closed_forms, continuum_threshold,
+                               coupled_bands, coupled_spectrum,
                                crossing_slope_identity, eigenvalue_derivative,
                                eigenvalue_second_derivative,
                                eta_curvature_identity, find_alpha_bar,
@@ -142,10 +143,39 @@ class TestShift:
 
         monkeypatch.setattr(spectrum, "cho_solve_banded", counted)
         trace_branches(U23, 3.0, 0.17, np.linspace(0.0, 2.2, 23))
-        assert len(calls) <= 5000
+        assert len(calls) <= 1500      # 1,293 measured with scipy 1.17
         calls.clear()
         find_alpha_bar(U23, 3.0, 0.17)
         assert len(calls) <= 60
+
+
+class TestBoundStateCounts:
+    @pytest.mark.parametrize("ell", [0, 1])
+    @pytest.mark.parametrize("mu", [0.0, 0.17, 1.0])
+    def test_matches_banded_eigensolver(self, U1000, ell, mu):
+        # Sylvester count against the eigenvalues of the assembled matrix
+        # from LAPACK's direct banded eigensolver; at μ = 1 the ℓ=0 gauge
+        # eigenvalue leaves the bound states by α = 2.2
+        alphas = np.array([0.0, 0.5, 1.3, 2.2])
+        counts = bound_state_counts(U1000, 3.0, mu, alphas, ell)
+        for a, tau, count in zip(alphas, continuum_threshold(alphas, mu), counts):
+            bands, _, _ = coupled_bands(CoupledSectorOperator(a, mu, ell, 1, 3.0),
+                                        U1000)
+            below = eig_banded(bands, lower=True, eigvals_only=True, select="v",
+                               select_range=(-np.inf, tau))
+            assert count == below.size
+        if mu == 1.0 and ell == 0:
+            assert counts[-1] == 1 < counts[0]
+
+    def test_traced_branches_are_all_bound_states(self, U23):
+        alphas = np.linspace(0.0, 2.2, 23)
+        for ell, labels in BOUND_BRANCHES.items():
+            assert np.all(bound_state_counts(U23, 3.0, 0.17, alphas, ell)
+                          == len(labels))
+
+    def test_threshold_closed_form(self):
+        assert continuum_threshold(0.0, 0.3) == 1.0
+        assert np.array_equal(continuum_threshold([1.0, 2.0], -0.5), [1.5, 4.0])
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +198,7 @@ class TestBranches:
         eta = traced["ground"].eigenvalues
         sig_t = traced["translation"].eigenvalues
         sig_g = traced["gauge"].eigenvalues
-        tau = traced["excited"].eigenvalues
+        tau = continuum_threshold(traced["ground"].alphas, 0.1)
         assert np.all(eta < sig_t + 1e-12)
         assert np.all(eta < sig_g + 1e-12)
         assert np.all(np.minimum(sig_t, sig_g) < tau + 1e-9)
@@ -181,6 +211,19 @@ class TestBranches:
     def test_eta_curvature_identity(self, U23):
         numeric, closed = eta_curvature_identity(U23, 3.0, 0.1)
         assert abs(numeric - closed) < 1e-2
+
+    def test_next_eigenvalues_are_continuum(self, U23):
+        # the eigenvalue after the traced ones in each sector is the lowest
+        # box mode of the continuum, just above the closed-form threshold
+        alphas = np.linspace(0.0, 2.2, 23)
+        tau = continuum_threshold(alphas, 0.17)
+        for ell, labels in BOUND_BRANCHES.items():
+            count = len(labels) + 1
+            nxt = np.array([coupled_spectrum(
+                CoupledSectorOperator(a, 0.17, ell, 1, 3.0), U23, count)[-1][0]
+                for a in alphas])
+            assert np.all(nxt > tau)
+            assert np.all(nxt - tau < 0.02)   # box modes crowd the threshold
 
     def test_grid_validation(self, U23):
         with pytest.raises(ValidationError):
@@ -273,9 +316,6 @@ class TestAlphaField:
 
     def test_one_solve_per_distinct_mu(self, U23, bump_potential, exps23,
                                        monkeypatch):
-        curve = build_curve(CurveSpec("ellipse", n=2, a=0.85, b=0.6), 256)
-        sf = compute_scalings(curve, sample_potential(bump_potential, curve),
-                              0.05, exps23)
         calls = []
 
         def counted(U, p, mu, tol):
@@ -283,13 +323,29 @@ class TestAlphaField:
             return find_alpha_bar(U, p, mu, tol=tol)
 
         monkeypatch.setattr(spectrum, "find_alpha_bar", counted)
-        abar, modes = alpha_field(sf, U23)
-        keys = [round(float(mu), 14) for mu in 2.0 * sf.fprime / sf.k]
-        assert len(calls) == len(set(keys)) > 1
-        shared = {}
-        for key, mode, a in zip(keys, modes, abar):
-            assert shared.setdefault(key, mode) is mode
-            assert a == mode.alpha_bar
+        M = 256
+        for a, b in ((0.85, 0.6), (1.0, 0.5)):
+            curve = build_curve(CurveSpec("ellipse", n=2, a=a, b=b), M)
+            sf = compute_scalings(curve, sample_potential(bump_potential, curve),
+                                  0.05, exps23)
+            calls.clear()
+            abar, modes = alpha_field(sf, U23)
+            mus = 2.0 * sf.fprime / sf.k
+            tol = spectrum.MU_GROUP_TOL * max(1.0, np.max(np.abs(mus)))
+            # the ellipse's symmetries s -> -s, s -> s + L/2 leave M/4 + 1
+            # distinct values of μ, one solve each, in ascending order
+            assert len(calls) == M // 4 + 1
+            assert len({id(m) for m in modes}) == len(calls)
+            assert sorted(calls) == calls
+            # every node within the tolerance of the μ of its group's solve
+            for mu, mode, alpha in zip(mus, modes, abar):
+                assert abs(mode.mu - mu) <= tol
+                assert alpha == mode.alpha_bar
+            # neighbours in sorted μ from different groups are farther apart
+            order = np.argsort(mus)
+            for i, j in zip(order[:-1], order[1:]):
+                if modes[i] is not modes[j]:
+                    assert mus[j] - mus[i] > tol
 
 
 class TestPerturbationProfiles:
