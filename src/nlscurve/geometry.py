@@ -463,9 +463,10 @@ def build_curve(spec, M=256):
     else:
         gen = np.real(logm(Rhol))        # skew generator of the holonomy
         holonomy_angle = float(np.linalg.norm(gen) / np.sqrt(2))
-    # distribute the closing rotation uniformly in arc length: i·gen is
-    # Hermitian, gen = -i·V·diag(w)·Vᴴ, so expm(-gen·τ) = V·diag(e^{iwτ})·Vᴴ
-    if holonomy_angle > 1e-14:
+        # distribute the closing rotation uniformly in arc length: i·gen is
+        # Hermitian, gen = -i·V·diag(w)·Vᴴ, so expm(-gen·τ) = V·diag(e^{iwτ})·Vᴴ.
+        # Applied however small the angle: a planar loop has a round-off
+        # holonomy, and no cutoff should decide whether it is undone
         w, V = np.linalg.eigh(1j * gen)
         phases = np.exp(1j * np.multiply.outer(s_nodes / L, w))
         frame = ((V * phases[:, None, :]) @ V.conj().T).real @ frame

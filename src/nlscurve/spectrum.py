@@ -20,10 +20,20 @@ inertia count that no other eigenvalue lies below τ_α, locates ᾱ, and
 builds the second-order α-corrections of the eigenfunctions by
 kernel-projected sector solves.
 
-Every coupled eigensolve is banded shift-invert Lanczos with the shift just
-under a lower bound of the spectrum built from the lowest eigenvalues of
-the two scalar sectors; those floors depend on (U, p, ℓ) only, so branch
-tracing and the crossing search compute them once per call.
+The scalar-sector floors and the α = μ = 0 bands of a sector depend on
+(U, p, ℓ) only, so branch tracing and the crossing field build them once and
+only update the diagonal (+α²) and the coupling band (μα) per point.  A cold
+eigensolve (the first α of a branch, each Newton step of find_alpha_bar,
+which also solves the first μ of a crossing field, and coupled_spectrum's
+other callers) is banded shift-invert Lanczos with the shift just under a
+rigorous lower bound of the spectrum built from those floors.  Every later
+point is a continuation: inverse iteration from the neighbouring
+eigenvector, with the Rayleigh quotient as the eigenvalue.  The
+lowest branch of a sector keeps the banded Cholesky factor at the rigorous
+shift, which certifies the shift and makes the limit the lowest eigenpair;
+the gauge branch, which is not the lowest, is shifted to its predicted
+eigenvalue through a banded LU, and the overlap floor and the inertia
+count bound_state_counts guard it.
 """
 
 from dataclasses import dataclass
@@ -31,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import (LinAlgError, cho_solve_banded, cholesky_banded,
                           eigh_tridiagonal)
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ValidationError, BranchTrackingError, ConvergenceError
@@ -41,6 +52,9 @@ from .radial import SectorOperator, sector_matrix, sector_solve
 SHIFT_MARGIN = 1e-2
 # relative gap in the sorted μ(s̄) that separates two crossing solves
 MU_GROUP_TOL = 1e-12
+# inverse iteration stops once a step moves the unit vector by less than this
+INVERSE_ITERATION_TOL = 1e-10
+INVERSE_ITERATION_STEPS = 100
 
 
 def sphere_area(d):
@@ -115,6 +129,42 @@ def sector_floors(U, p, ell):
     return tuple(floors)
 
 
+def _cholesky_below(bands, floors, alpha, mu):
+    """(σ, banded Cholesky factor of bands − σ), σ SHIFT_MARGIN under the
+    lower bound of the coupled spectrum (coupled_spectrum); ConvergenceError
+    if σ is not below the spectrum."""
+    a, b = floors
+    sigma = (alpha**2 + 0.5 * (a + b) - np.hypot(0.5 * (a - b), mu * alpha)
+             - SHIFT_MARGIN)
+    shifted = bands.copy()
+    shifted[0] -= sigma
+    try:
+        return sigma, cholesky_banded(shifted, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise ConvergenceError(
+            f"shift {sigma:.6g} is not below the coupled spectrum: {exc}") from exc
+
+
+def _profiles(phi, weight, idx, m):
+    """(u, v) on the full radial grid from the interleaved φ = √w·(u, v).
+
+    Normalized to ∫(u²+v²) r^{d-1}dr = 1, with the larger component just off
+    the first active node positive.
+    """
+    sqrtw = np.sqrt(weight)
+    u = phi[0::2] / sqrtw
+    v = phi[1::2] / sqrtw
+    nrm = np.sqrt(np.sum((u**2 + v**2) * weight))
+    ufull = np.zeros(m)
+    vfull = np.zeros(m)
+    ufull[idx], vfull[idx] = u / nrm, v / nrm
+    lead = ufull[idx[0] + 1] if abs(ufull[idx[0] + 1]) > abs(vfull[idx[0] + 1]) \
+        else vfull[idx[0] + 1]
+    if lead < 0:
+        ufull, vfull = -ufull, -vfull
+    return ufull, vfull
+
+
 def coupled_spectrum(op, U, count, floors=None):
     """Lowest ``count`` eigenpairs of the coupled sector operator.
 
@@ -137,17 +187,8 @@ def coupled_spectrum(op, U, count, floors=None):
         raise ValidationError("count must be >= 1")
     if floors is None:
         floors = sector_floors(U, op.p, op.ell)
-    a, b = floors
     bands, weight, idx = coupled_bands(op, U)
-    sigma = (op.alpha**2 + 0.5 * (a + b)
-             - np.hypot(0.5 * (a - b), op.mu * op.alpha) - SHIFT_MARGIN)
-    shifted = bands.copy()
-    shifted[0] -= sigma
-    try:
-        chol = cholesky_banded(shifted, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise ConvergenceError(
-            f"shift {sigma:.6g} is not below the coupled spectrum: {exc}") from exc
+    sigma, chol = _cholesky_below(bands, floors, op.alpha, op.mu)
     n = bands.shape[1]
     K = LinearOperator((n, n), matvec=lambda x: _band_matvec(bands, x),
                        dtype=float)
@@ -163,24 +204,97 @@ def coupled_spectrum(op, U, count, floors=None):
     vals = np.einsum("ij,ij->j", vecs, _band_matvec(bands, vecs)) \
         / np.einsum("ij,ij->j", vecs, vecs)
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    sqrtw = np.sqrt(weight)
-    out = []
-    for j in range(count):
-        phi = vecs[:, j]
-        u = phi[0::2] / sqrtw
-        v = phi[1::2] / sqrtw
-        nrm = np.sqrt(np.sum((u**2 + v**2) * weight))
-        u, v = u / nrm, v / nrm
-        ufull = np.zeros(U.grid.m)
-        vfull = np.zeros(U.grid.m)
-        ufull[idx], vfull[idx] = u, v
-        lead = ufull[idx[0] + 1] if abs(ufull[idx[0] + 1]) > abs(vfull[idx[0] + 1]) \
-            else vfull[idx[0] + 1]
-        if lead < 0:
-            ufull, vfull = -ufull, -vfull
-        out.append((float(vals[j]), ufull, vfull))
-    return out
+    return [(float(vals[j]), *_profiles(vecs[:, j], weight, idx, U.grid.m))
+            for j in order]
+
+
+class _CoupledSector:
+    """The coupled ℓ-sector of a fixed profile, ready for any (α, μ).
+
+    The scalar floors and the α = μ = 0 bands are built once; a point (α, μ)
+    only adds α² to the diagonal and sets the coupling band to μα.
+    """
+
+    def __init__(self, U, p, ell):
+        self.U, self.p, self.ell = U, p, ell
+        self.floors = sector_floors(U, p, ell)
+        self.bands0, self.weight, self.idx = coupled_bands(
+            CoupledSectorOperator(0.0, 0.0, ell, U.dim, p), U)
+
+    def bands(self, alpha, mu):
+        bands = self.bands0.copy()
+        bands[0] += alpha**2
+        bands[1, 0::2] = mu * alpha
+        return bands
+
+    def cold(self, alpha, mu, count):
+        """coupled_spectrum at (α, μ): (λ, u, v, φ) with φ = √w·(u, v)."""
+        pairs = coupled_spectrum(CoupledSectorOperator(
+            alpha, mu, self.ell, self.U.dim, self.p), self.U, count, self.floors)
+        sqrtw = np.sqrt(self.weight)
+        out = []
+        for lam, u, v in pairs:
+            phi = np.empty(self.bands0.shape[1])
+            phi[0::2], phi[1::2] = u[self.idx] * sqrtw, v[self.idx] * sqrtw
+            out.append((lam, u, v, phi))
+        return out
+
+    def profiles(self, phi):
+        return _profiles(phi, self.weight, self.idx, self.U.grid.m)
+
+
+def _slopes(U, u, v, alpha, mu):
+    """Hellmann–Feynman (∂λ/∂α, ∂λ/∂μ) of an eigenpair (u, v) at (α, μ).
+
+    The operator depends on α through α² + μα·C and on μ through μα·C, with
+    C the coupling, so ∂λ/∂α = 2α + 2μ∫uv and ∂λ/∂μ = 2α∫uv for the
+    normalized pair.
+    """
+    r = U.grid.nodes
+    w = r ** (U.dim - 1)
+    mass = np.trapezoid((u**2 + v**2) * w, r)
+    uv = np.trapezoid(u * v * w, r)
+    return 2.0 * alpha + 2.0 * mu * uv / mass, 2.0 * alpha * uv / mass
+
+
+def _lu_solver(bands, shift):
+    """x ↦ (bands − shift)⁻¹x through LAPACK's banded LU, for any shift that
+    is not an eigenvalue to round-off."""
+    n = bands.shape[1]
+    ab = np.zeros((7, n))     # general band storage, kl = ku = 2, 2 fill rows
+    ab[4] = bands[0] - shift
+    ab[3, 1:] = ab[5, :-1] = bands[1, :-1]
+    ab[2, 2:] = ab[6, :-2] = bands[2, :-2]
+    lu, piv, info = dgbtrf(ab, 2, 2)
+    if info != 0:
+        raise ConvergenceError(f"shift {shift:.6g} is an eigenvalue to round-off")
+    return lambda x: dgbtrs(lu, 2, 2, x, piv)[0]
+
+
+def _warm_pair(sector, alpha, mu, phi, near=None):
+    """Eigenpair (λ, unit φ) at (α, μ) by inverse iteration from φ.
+
+    With ``near`` None it is the lowest eigenpair: the banded Cholesky factor
+    at the rigorous shift of coupled_spectrum both certifies that the shift
+    lies below the spectrum and makes the lowest eigenvector dominant.
+    Otherwise the shift is ``near`` and the limit is the eigenpair nearest
+    it, through a banded LU.  λ is the Rayleigh quotient of the limit.
+    """
+    bands = sector.bands(alpha, mu)
+    if near is None:
+        _, chol = _cholesky_below(bands, sector.floors, alpha, mu)
+        solve = lambda x: cho_solve_banded((chol, True), x, check_finite=False)
+    else:
+        solve = _lu_solver(bands, near)
+    x = phi / np.linalg.norm(phi)
+    for _ in range(INVERSE_ITERATION_STEPS):
+        y = solve(x)
+        y /= np.linalg.norm(y) if y @ x > 0 else -np.linalg.norm(y)
+        step, x = np.linalg.norm(y - x), y
+        if step < INVERSE_ITERATION_TOL:
+            return float(x @ _band_matvec(bands, x)), x
+    raise ConvergenceError(f"inverse iteration at alpha={alpha:.6g} did not "
+                           "converge")
 
 
 @dataclass(frozen=True)
@@ -199,12 +313,6 @@ class SpectralBranch:
             (readonly_view(u), readonly_view(v)) for u, v in self.eigenfunctions))
 
 
-def _overlap(pair_a, pair_b, weight, idx):
-    ua, va = pair_a
-    ub, vb = pair_b
-    return float(abs(np.sum((ua[idx] * ub[idx] + va[idx] * vb[idx]) * weight)))
-
-
 # the bound branches of each traced sector, in ascending order at α = 0
 BOUND_BRANCHES = {0: ("ground", "gauge"), 1: ("translation",)}
 
@@ -218,42 +326,44 @@ def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
       'translation'  σ_α continuation of (∂U, 0): lowest ℓ=1 branch.
 
     The third branch τ_α is the continuum threshold (continuum_threshold);
-    bound_state_counts certifies that nothing else lies below it.  Branch
-    continuity is enforced by eigenvector-overlap matching between
-    consecutive α samples; an overlap below ``overlap_floor`` raises.
+    bound_state_counts certifies that nothing else lies below it.  The first
+    α is a cold coupled_spectrum; each later α continues every branch from
+    its eigenvector at the previous α (_warm_pair), the lowest branch of a
+    sector at the rigorous shift and the gauge branch at its eigenvalue
+    predicted from the Hellmann–Feynman slope.  An overlap between
+    consecutive eigenvectors below ``overlap_floor`` raises.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if alpha_grid.size < 2 or np.any(np.diff(alpha_grid) <= 0) or alpha_grid[0] < 0:
         raise ValidationError("alpha grid must be ascending from 0")
 
-    d = U.dim
-    _, weight, idx = coupled_bands(CoupledSectorOperator(0.0, mu, 0, d, p), U)
-
-    def follow(per_alpha, start_index):
-        lams = [per_alpha[0][start_index][0]]
-        funcs = [(per_alpha[0][start_index][1], per_alpha[0][start_index][2])]
-        for i in range(1, alpha_grid.size):
-            prev = funcs[-1]
-            cands = per_alpha[i]
-            ovs = [_overlap(prev, (u, v), weight, idx) for (_, u, v) in cands]
-            best = int(np.argmax(ovs))
-            if ovs[best] < overlap_floor:
-                raise BranchTrackingError("branch tracking ambiguous",
-                                          alpha_grid[i], ovs[best])
-            lams.append(cands[best][0])
-            funcs.append((cands[best][1], cands[best][2]))
-        return np.array(lams), funcs
-
     out = {}
     for ell, labels in BOUND_BRANCHES.items():
-        floors = sector_floors(U, p, ell)
-        per_alpha = [coupled_spectrum(CoupledSectorOperator(a, mu, ell, d, p),
-                                      U, len(labels), floors)
-                     for a in alpha_grid]
-        for start, label in enumerate(labels):
-            lams, funcs = follow(per_alpha, start)
+        sector = _CoupledSector(U, p, ell)
+        cold = sector.cold(alpha_grid[0], mu, len(labels))
+        for index, (lam, u, v, phi) in enumerate(cold):
+            lams, funcs = [lam], [(u, v)]
+            for prev, alpha in zip(alpha_grid[:-1], alpha_grid[1:]):
+                near = None if index == 0 else \
+                    lam + _slopes(U, u, v, prev, mu)[0] * (alpha - prev)
+                lam, new = _warm_pair(sector, alpha, mu, phi, near)
+                if near is not None and lam >= continuum_threshold(alpha, mu):
+                    # not a bound state: the branch has left them, or the
+                    # prediction found a box mode; take the second
+                    # eigenpair, as a cold trace does
+                    lam, _, _, new = sector.cold(alpha, mu, 2)[1]
+                overlap = abs(float(new @ phi))
+                if overlap < overlap_floor:
+                    raise BranchTrackingError("branch tracking ambiguous",
+                                              alpha, overlap)
+                phi = new
+                u, v = sector.profiles(phi)
+                lams.append(lam)
+                funcs.append((u, v))
+            label = labels[index]
             out[label] = SpectralBranch(label=label, mu=mu, alphas=alpha_grid,
-                                        eigenvalues=lams, eigenfunctions=funcs)
+                                        eigenvalues=np.array(lams),
+                                        eigenfunctions=funcs)
     return out
 
 
@@ -351,60 +461,84 @@ class CrossingMode:
 def find_alpha_bar(U, p, mu, tol=1e-8):
     """Safeguarded Newton for the unique ᾱ with η_ᾱ = 0 in the ℓ=0 sector.
 
+    A cold search (_solve_crossing without a start): Newton from √(−η₀),
+    one coupled_spectrum eigensolve per step.  alpha_field continues it
+    from one μ to the next.
+    """
+    return _solve_crossing(_CoupledSector(U, p, 0), mu, tol)[0]
+
+
+def _solve_crossing(sector, mu, tol, start=None):
+    """Newton for η_ᾱ = 0 at one μ; returns (CrossingMode, continuation state).
+
     At α = 0 the coupling μα vanishes and the lowest coupled eigenvalue is
     that of the scalar L_r ℓ=0 sector, so η_0 is the L_r floor of
-    sector_floors (the pair that also sets every eigensolve's shift) and
-    does not depend on μ.  The branch slope comes for free from the
-    eigenvector (Hellmann-Feynman: ∂η/∂α = 2α + 2μ∫uv for the
-    normalized pair), so each Newton step, the last one included, costs one
-    coupled eigensolve, and the converged step's eigenpair is the returned
-    mode; bisection on the maintained bracket guards the steps.  The η
-    branch is increasing with η_0 < 0; the search interval is
-    [1e-6, sqrt(-2η_0) + 1], whose upper end lies safely past the crossing
-    for small μ.
+    sector_floors and does not depend on μ.  The branch slope comes for free
+    from the eigenvector (Hellmann-Feynman, _slopes), so each Newton step,
+    the last one included, costs one eigensolve, and the converged step's
+    eigenpair is the returned mode.  Without ``start`` the search is cold:
+    it starts at √(−η₀), exact for μ = 0 and close otherwise, and every
+    eigensolve is a coupled_spectrum.  ``start`` is the state returned by the
+    solve at a neighbouring μ₀: then the first step is ᾱ₀ + (μ − μ₀)·dᾱ/dμ,
+    with the exact predictor dᾱ/dμ = −(∂η/∂μ)/(∂η/∂α), and every eigensolve
+    is inverse iteration from the previous eigenvector (_warm_pair).
+    Bisection on the bracket [1e-6, sqrt(-2η_0) + 1] guards the steps; the η
+    branch is increasing with η_0 < 0, and η at the upper end, which lies
+    safely past the crossing for small μ, is solved only when a step leaves
+    the bracket before any η > 0 was seen.
     """
-    d = U.dim
-    r = U.grid.nodes
-    w = r ** (d - 1)
-    floors = sector_floors(U, p, 0)
-
-    def eta_and_slope(a):
-        lam, u, v = coupled_spectrum(
-            CoupledSectorOperator(a, mu, 0, d, p), U, 1, floors)[0]
-        mass = np.trapezoid((u**2 + v**2) * w, r)
-        uv = np.trapezoid(u * v * w, r)
-        return lam, 2.0 * a + 2.0 * mu * uv / mass, (u, v)
-
-    eta0 = floors[0]
+    eta0 = sector.floors[0]
     if eta0 >= 0:
         raise ConvergenceError("ground branch does not start negative")
     lo, hi = 1e-6, float(np.sqrt(-2 * eta0) + 1.0)
-    eta_hi, _, _ = eta_and_slope(hi)
-    if eta_hi <= 0:
-        raise ConvergenceError("ground branch has no sign change on the interval; "
-                               "widen the search or reduce mu")
+    crossed = False           # some η > 0 was seen: the bracket holds the root
+    abar, phi = float(np.sqrt(-eta0)), None
+    if start is not None:
+        mu0, alpha0, phi, dalpha_dmu = start
+        guess = alpha0 + (mu - mu0) * dalpha_dmu
+        if lo < guess < hi:
+            abar = guess
 
-    abar = float(np.sqrt(-eta0))       # exact for μ = 0, close otherwise
+    def eigenpair(alpha, phi):
+        if start is None:
+            return sector.cold(alpha, mu, 1)[0]
+        lam, phi = _warm_pair(sector, alpha, mu, phi)
+        return (lam, *sector.profiles(phi), phi)
+
     for _ in range(60):
-        lam, slope, (u, v) = eta_and_slope(abar)
+        lam, u, v, phi = eigenpair(abar, phi)
+        slope, eta_mu = _slopes(sector.U, u, v, abar, mu)
         if lam > 0:
-            hi = abar
+            hi, crossed = abar, True
         else:
             lo = abar
         if abs(lam) < tol * max(abs(slope), 1.0):
             break
         step = abar - lam / slope
-        abar = step if lo < step < hi else 0.5 * (lo + hi)
+        if lo < step < hi:
+            abar = step
+            continue
+        if not crossed:
+            eta_hi, _, _, phi = eigenpair(hi, phi)
+            if eta_hi <= 0:
+                raise ConvergenceError("ground branch has no sign change on the "
+                                       "interval; widen the search or reduce mu")
+            crossed = True
+        abar = 0.5 * (lo + hi)
     else:
         raise ConvergenceError("crossing search did not converge")
 
+    U, d = sector.U, sector.U.dim
+    r = U.grid.nodes
     # renormalize with the angular factor: ∫(Z²+W²) dy = 1 over R^d
-    mass = sphere_area(d) * np.trapezoid((u**2 + v**2) * w, r)
+    mass = sphere_area(d) * np.trapezoid((u**2 + v**2) * r ** (d - 1), r)
     u, v = u / np.sqrt(mass), v / np.sqrt(mass)
 
     rate = _decay_rate_windowed(r, np.abs(u) + np.abs(v), d)
-    return CrossingMode(alpha_bar=float(abar), u_values=u, v_values=v,
-                        eta_residual=float(lam), decay_rate=rate, U=U, mu=mu, p=p)
+    mode = CrossingMode(alpha_bar=float(abar), u_values=u, v_values=v,
+                        eta_residual=float(lam), decay_rate=rate, U=U, mu=mu,
+                        p=sector.p)
+    return mode, (mu, abar, phi, -eta_mu / slope)
 
 
 def _decay_rate_windowed(r, w, dim):
@@ -441,8 +575,12 @@ def alpha_field(sf, U, tol=1e-8):
     crossing equation per node only depends on μ(s̄).  Nodes share one solve
     when their μ, sorted, follow each other with gaps of at most
     MU_GROUP_TOL·max(1, max|μ|); each group is solved at the μ of its first
-    node, in ascending order of μ.  Returns (alpha_bar array, modes list
-    parallel to nodes).
+    node, in ascending order of μ, by continuation: the ℓ=0 sector is set up
+    once, the first group is a cold find_alpha_bar search, and every later
+    one starts from the previous group's ᾱ, moved by the exact dᾱ/dμ, and its
+    eigenvector (_solve_crossing).  Each group's ᾱ is within tol of the root,
+    so it agrees with a cold search to 2·tol.  Returns (alpha_bar array,
+    modes list parallel to nodes).
     """
     mus = 2.0 * sf.fprime / sf.k
     order = np.argsort(mus, kind="stable")
@@ -451,7 +589,11 @@ def alpha_field(sf, U, tol=1e-8):
     group = np.empty(mus.size, dtype=int)
     group[order] = np.cumsum(np.concatenate([[False], gaps]))
     first = np.minimum.reduceat(order, starts)
-    solved = [find_alpha_bar(U, sf.exps.p, float(mus[i]), tol=tol) for i in first]
+    sector = _CoupledSector(U, sf.exps.p, 0)
+    solved, state = [], None
+    for i in first:
+        mode, state = _solve_crossing(sector, float(mus[i]), tol, state)
+        solved.append(mode)
     modes = [solved[g] for g in group]
     return np.array([m.alpha_bar for m in modes]), modes
 

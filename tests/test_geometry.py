@@ -83,6 +83,18 @@ class TestBuildCurve:
         ip = np.einsum("ijk,ilk->ijl", dE, c.frame)
         assert np.max(np.abs(ip[:, 0, 1])) < 100.0 / c.M**2
 
+    @pytest.mark.parametrize("spec", [CurveSpec("circle", n=3, radius=2.0),
+                                      CurveSpec("ellipse", n=3, a=2.0, b=1.0)])
+    def test_planar_frame_stays_planar(self, spec):
+        # a planar loop in R³ has zero holonomy; its round-off holonomy of
+        # up to ~1e-13 must not tilt the frame: one normal stays in the
+        # plane, the other is the constant plane normal, at every node
+        for M in (256, 512, 1024, 2048, 5120):
+            c = build_curve(spec, M)
+            k = int(np.argmax(np.abs(c.frame[0, :, 2])))
+            assert np.max(np.abs(c.frame[:, 1 - k, 2])) < 1e-12
+            assert np.max(np.abs(c.frame[:, k] - [0.0, 0.0, 1.0])) < 1e-12
+
     def test_frame_seam_closure(self):
         # stored frame continued across the seam (one transport step plus the
         # per-step holonomy increment) returns the node-0 frame exactly

@@ -172,6 +172,25 @@ class TestPipeline:
         assert b'"branches.bound_states_are_the_traced_branches": true' in texts[0]
         assert b'"continuum_threshold"' in texts[0]
 
+    def test_rerun_bytes_identical_on_ellipse(self, tmp_path):
+        # variable coefficients: alpha_field continues each μ group's
+        # crossing from the previous one, so every result depends on the
+        # solve order, and a rerun must still emit the same bytes
+        text = (CRITICAL
+                .replace("phase_speed = 0.0", "phase_speed = 0.05")
+                .replace("kind = circle\nradius = 0.70710678118655",
+                         "kind = ellipse\na = 0.85\nb = 0.6")
+                .replace("[resonance]", "[grids]\nradial_m = 1000\n\n[resonance]")
+                .replace("criticality\n", "resonance, gap_scan\n"))
+        cfg = parse_config(write(tmp_path, text))
+        texts = []
+        for name in ("a", "b"):
+            emit_report(*run_pipeline(cfg), str(tmp_path / name))
+            texts.append(re.sub(rb'"timestamp": "[^"]*"', b"",
+                                (tmp_path / name / "summary.json").read_bytes()))
+        assert texts[0] == texts[1]
+        assert b'"q_closure_error"' in texts[0] and b'"n_admissible"' in texts[0]
+
     def test_empty_stage_selection(self, tmp_path):
         text = CRITICAL.replace(
             "stages = profile, geometry, scalings, criticality", "stages =")

@@ -7,10 +7,12 @@ import pytest
 from scipy.linalg import eig_banded, eigh
 
 import nlscurve.spectrum as spectrum
-from nlscurve.errors import ConvergenceError, ValidationError
+from nlscurve.errors import (BranchTrackingError, ConvergenceError,
+                             ValidationError)
 from nlscurve.geometry import CurveSpec, build_curve, sample_potential
 from nlscurve.radial import (RadialGrid, SectorOperator, apply_sector,
                              ground_state, sector_kernel, sector_spectrum)
+from nlscurve.resonance import q_integrals
 from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import (BOUND_BRANCHES, CoupledSectorOperator,
                                alpha_field, bound_state_counts,
@@ -133,20 +135,23 @@ class TestShift:
             coupled_spectrum(op, U1000, 1, (a + 1.0, b + 1.0))
 
     def test_solve_counts(self, U23, monkeypatch):
-        # deterministic for a fixed scipy: the start vector is fixed
+        # every banded solve, Cholesky and LU; deterministic for a fixed
+        # scipy: the Lanczos start vector is fixed
         calls = []
-        solve = spectrum.cho_solve_banded
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return solve(*args, **kwargs)
+        def counting(solve):
+            def counted(*args, **kwargs):
+                calls.append(None)
+                return solve(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(spectrum, "cho_solve_banded", counted)
+        for name in ("cho_solve_banded", "dgbtrs"):
+            monkeypatch.setattr(spectrum, name, counting(getattr(spectrum, name)))
         trace_branches(U23, 3.0, 0.17, np.linspace(0.0, 2.2, 23))
-        assert len(calls) <= 1500      # 1,293 measured with scipy 1.17
+        assert len(calls) <= 450       # 409 measured with scipy 1.17 (1,293 before)
         calls.clear()
         find_alpha_bar(U23, 3.0, 0.17)
-        assert len(calls) <= 60
+        assert len(calls) <= 25        # 21 measured (28 before)
 
 
 class TestBoundStateCounts:
@@ -225,9 +230,51 @@ class TestBranches:
             assert np.all(nxt > tau)
             assert np.all(nxt - tau < 0.02)   # box modes crowd the threshold
 
+    @pytest.mark.parametrize("mu", [0.0, 0.17, 1.0])
+    def test_continuation_matches_cold_trace(self, U23, mu):
+        # against cold eigensolves at every α matched by overlap; at μ = 1 the
+        # gauge branch leaves the bound states near α = 1, where both take
+        # the second eigenpair, a box mode of the continuum
+        alphas = np.linspace(0.0, 2.2, 23)
+        try:
+            warm = trace_branches(U23, 3.0, mu, alphas)
+        except BranchTrackingError as exc:
+            with pytest.raises(BranchTrackingError) as cold_exc:
+                cold_trace(U23, mu, alphas)
+            assert (cold_exc.value.alpha, round(cold_exc.value.overlap, 6)) \
+                == (exc.alpha, round(exc.overlap, 6))
+            return
+        for label, (lams, funcs) in cold_trace(U23, mu, alphas).items():
+            assert np.max(np.abs(warm[label].eigenvalues - lams)) < 1e-10
+            for (u, v), (uc, vc) in zip(warm[label].eigenfunctions, funcs):
+                assert np.max(np.abs(u - uc)) + np.max(np.abs(v - vc)) < 1e-8
+
     def test_grid_validation(self, U23):
         with pytest.raises(ValidationError):
             trace_branches(U23, 3.0, 0.1, np.array([0.5, 0.2]))
+
+
+def cold_trace(U, mu, alphas, overlap_floor=0.5):
+    """Branches from a cold coupled_spectrum at every α, each continued by
+    the largest eigenvector overlap with its previous sample."""
+    r, out = U.grid.nodes, {}
+    for ell, labels in BOUND_BRANCHES.items():
+        per_alpha = [coupled_spectrum(CoupledSectorOperator(a, mu, ell, U.dim, 3.0),
+                                      U, len(labels)) for a in alphas]
+        for start, label in enumerate(labels):
+            lams, funcs = [per_alpha[0][start][0]], [per_alpha[0][start][1:]]
+            for alpha, cands in zip(alphas[1:], per_alpha[1:]):
+                u0, v0 = funcs[-1]
+                ovs = [abs(np.trapezoid((u0 * u + v0 * v) * r ** (U.dim - 1), r))
+                       for _, u, v in cands]
+                best = int(np.argmax(ovs))
+                if ovs[best] < overlap_floor:
+                    raise BranchTrackingError("branch tracking ambiguous",
+                                              alpha, ovs[best])
+                lams.append(cands[best][0])
+                funcs.append(cands[best][1:])
+            out[label] = (np.array(lams), funcs)
+    return out
 
 
 class TestCrossing:
@@ -262,26 +309,53 @@ class TestCrossing:
 
     @pytest.mark.parametrize("mu", [0.0, 0.05])
     def test_one_eigensolve_per_distinct_alpha(self, U23, monkeypatch, mu):
-        calls = []
-
-        def counted(op, U, count, floors=None):
-            out = coupled_spectrum(op, U, count, floors)
-            calls.append((op.alpha, out[0][0]))
-            return out
-
-        monkeypatch.setattr(spectrum, "coupled_spectrum", counted)
+        calls = record_eigensolves(monkeypatch)
         mode = find_alpha_bar(U23, 3.0, mu)
-        alphas = [a for a, _ in calls]
+        kinds = [kind for kind, _, _ in calls]
+        alphas = [a for _, a, _ in calls]
         eta0 = sector_spectrum(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23, 1)[0][0]
         assert len(set(alphas)) == len(alphas)
-        # η_hi at the upper search limit, then the Newton steps from √(-η₀)
-        assert alphas[0] == np.sqrt(-2 * eta0) + 1.0
-        assert alphas[1] == np.sqrt(-eta0)
-        assert all(1e-6 < a < alphas[0] for a in alphas[1:])
+        # cold Newton steps from √(-η₀); no step leaves the bracket, so η at
+        # its upper end is never solved
+        assert alphas[0] == np.sqrt(-eta0)
+        assert set(kinds) == {"cold"}
+        assert all(1e-6 < a < np.sqrt(-2 * eta0) + 1.0 for a in alphas)
         assert alphas[-1] == mode.alpha_bar
-        assert calls[-1][1] == mode.eta_residual
+        assert calls[-1][2] == mode.eta_residual
         if mu == 0.0:
-            assert len(calls) == 2     # √(-η₀) is the crossing itself
+            assert len(calls) == 1     # √(-η₀) is the crossing itself
+
+    def test_no_sign_change_raises(self, U23, monkeypatch):
+        # at μ = 3 the ground branch stays negative on the whole bracket: a
+        # Newton step leaves it, η at the upper end is solved, and it is ≤ 0
+        calls = record_eigensolves(monkeypatch)
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            find_alpha_bar(U23, 3.0, 3.0)
+        eta0 = sector_spectrum(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23, 1)[0][0]
+        _, alpha, eta_hi = calls[-1]
+        assert alpha == np.sqrt(-2 * eta0) + 1.0 and eta_hi <= 0
+        assert all(eta <= 0 for _, _, eta in calls)
+
+
+def record_eigensolves(monkeypatch):
+    """Record (kind, α, eigenvalue) of every ℓ=0 eigensolve: 'cold' for
+    coupled_spectrum, 'warm' for the inverse iteration."""
+    calls = []
+    warm_pair = spectrum._warm_pair
+
+    def cold(op, U, count, floors=None):
+        out = coupled_spectrum(op, U, count, floors)
+        calls.append(("cold", op.alpha, out[0][0]))
+        return out
+
+    def warm(sector, alpha, mu, phi, near=None):
+        out = warm_pair(sector, alpha, mu, phi, near)
+        calls.append(("warm", alpha, out[0]))
+        return out
+
+    monkeypatch.setattr(spectrum, "coupled_spectrum", cold)
+    monkeypatch.setattr(spectrum, "_warm_pair", warm)
+    return calls
 
 
 class TestImmutable:
@@ -317,12 +391,13 @@ class TestAlphaField:
     def test_one_solve_per_distinct_mu(self, U23, bump_potential, exps23,
                                        monkeypatch):
         calls = []
+        solve = spectrum._solve_crossing
 
-        def counted(U, p, mu, tol):
+        def counted(sector, mu, tol, start=None):
             calls.append(mu)
-            return find_alpha_bar(U, p, mu, tol=tol)
+            return solve(sector, mu, tol, start)
 
-        monkeypatch.setattr(spectrum, "find_alpha_bar", counted)
+        monkeypatch.setattr(spectrum, "_solve_crossing", counted)
         M = 256
         for a, b in ((0.85, 0.6), (1.0, 0.5)):
             curve = build_curve(CurveSpec("ellipse", n=2, a=a, b=b), M)
@@ -346,6 +421,31 @@ class TestAlphaField:
             for i, j in zip(order[:-1], order[1:]):
                 if modes[i] is not modes[j]:
                     assert mus[j] - mus[i] > tol
+
+
+    @pytest.mark.parametrize("a, b", [(0.85, 0.6), (1.0, 0.5)])
+    def test_continuation_matches_cold_search(self, U23, bump_potential, exps23,
+                                              monkeypatch, a, b):
+        # every μ group against an independent cold find_alpha_bar: both are
+        # within tol of the root, so within 2·tol of each other
+        curve = build_curve(CurveSpec("ellipse", n=2, a=a, b=b), 256)
+        sf = compute_scalings(curve, sample_potential(bump_potential, curve),
+                              0.05, exps23)
+        calls = record_eigensolves(monkeypatch)
+        tol = 1e-8
+        abar, modes = alpha_field(sf, U23, tol=tol)
+        groups = list({id(m): m for m in modes}.values())
+        # measured 123 (0.85:0.6) and 127 (2:1) eigensolves for 65 groups
+        assert len(calls) <= 2 * len(groups)
+        monkeypatch.undo()
+        cold = {id(m): find_alpha_bar(U23, 3.0, m.mu, tol=tol) for m in groups}
+        assert max(abs(m.alpha_bar - cold[id(m)].alpha_bar) for m in groups) \
+            <= 2 * tol
+        warm_q = q_integrals(modes, 1)
+        cold_q = q_integrals([cold[id(m)] for m in modes], 1)
+        for name in ("q1", "q2", "q3"):
+            assert np.max(np.abs(getattr(warm_q, name) - getattr(cold_q, name))) \
+                < 1e-8
 
 
 class TestPerturbationProfiles:
