@@ -22,16 +22,17 @@ Everything here uses Fourier collocation in s̄: the coefficients are smooth
 periodic fields, so the discretization is spectrally accurate.  Derivatives
 of nodal fields come from the shared FFT helper
 ``geometry.periodic_derivative``; the collocation matrix D2 is built only
-for the eigensolve, once per gap scan.  The eigensolve computes only the
-2J+1 eigenpairs of the window, after counting the negative eigenvalues by
-inertia.
+for the eigensolve, once per gap scan.  The index j_ε needs no solve per ε:
+ν = 0 exactly when −ε²ξ'' = k²ᾱ²ξ, whatever the weight, so j_ε is the number
+of eigenvalues θ of the ε-free pencil −ξ'' = θk²ᾱ²ξ with ε²θ < 1 (Sylvester's
+law), and one list of θ serves every ε of a scan.  The eigensolve per ε
+computes only the 2J+1 eigenpairs of the window.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dsytrf
 
 from .errors import ValidationError, PhaseLawError
 from .geometry import periodic_derivative
@@ -65,17 +66,22 @@ class OverlapIntegrals:
 
 
 def q_integrals(modes, dim):
-    """Overlap integrals of the per-node crossing eigenpairs (Z, W)."""
+    """Overlap integrals of the per-node crossing eigenpairs (Z, W).
+
+    Nodes that share one CrossingMode object (alpha_field hands one to every
+    node of a μ group) share its integrals, computed once.
+    """
     omega = sphere_area(dim)
-    q1 = np.empty(len(modes))
-    q2 = np.empty(len(modes))
-    q3 = np.empty(len(modes))
-    for i, m in enumerate(modes):
-        r = m.U.grid.nodes
-        w = r ** (dim - 1)
-        q1[i] = omega * np.trapezoid(m.u_values**2 * w, r)
-        q2[i] = omega * np.trapezoid(m.v_values**2 * w, r)
-        q3[i] = omega * np.trapezoid(m.u_values * m.v_values * w, r)
+    per_mode = {}
+    for m in modes:
+        if id(m) not in per_mode:
+            r = m.U.grid.nodes
+            w = r ** (dim - 1)
+            per_mode[id(m)] = (
+                omega * np.trapezoid(m.u_values**2 * w, r),
+                omega * np.trapezoid(m.v_values**2 * w, r),
+                omega * np.trapezoid(m.u_values * m.v_values * w, r))
+    q1, q2, q3 = np.array([per_mode[id(m)] for m in modes]).T.copy()
     return OverlapIntegrals(q1=q1, q2=q2, q3=q3)
 
 
@@ -84,9 +90,10 @@ class ResonanceBasis:
     """Re-indexed fast-mode eigenbasis with companions and corrections.
 
     Arrays are indexed [j, node] with j running over the window
-    [-J, ..., J], J = floor(δ²/ε); ``offsets`` maps row a to j = a - J.
+    [-J, ..., J], J = floor(δ²/ε); ``window`` maps row a to j = a - J.
     ``nu`` holds the re-indexed eigenvalues (nu[J] is the first nonnegative
-    one).  ``weight_fn`` is 1/(1 + 2f'Q₃/(kᾱ)) per node.
+    one).  ``weight_fn`` is 1/(1 + 2f'Q₃/(kᾱ)) per node.  A gap-scan basis
+    leaves the corrections ``gamma``, ``kappa`` and ``qcorr`` None.
     """
 
     eps: float
@@ -111,19 +118,62 @@ class ResonanceBasis:
         return np.arange(-J, J + 1)
 
 
-def _negative_count(C):
-    """Number of negative eigenvalues of the symmetric matrix C, by inertia.
+class _FastModes:
+    """The weighted periodic eigenproblem of (sf, ᾱ, Q), ready for any ε.
 
-    The Bunch–Kaufman factorization C = L·D·Lᵀ (LAPACK ?sytrf) is a
-    congruence, so by Sylvester's law C and the block-diagonal D have the
-    same inertia.  A 2×2 block (a negative pivot index on both of its rows)
-    is chosen only when its off-diagonal entry dominates both diagonal ones,
-    so its determinant is negative and it holds exactly one negative
-    eigenvalue; a 1×1 block counts when it is negative.
+    With B = diag(1/wfun) and S = diag(√wfun), A·x = ν·B·x is the standard
+    problem C(ε)·y = ν·y for C = S·A·S and x = S·y, and yᵀy = 1 gives
+    xᵀBx = 1.  D2, the weight and the pencil spectrum θ of
+    K̃ = −diag(1/kᾱ)·D2·diag(1/kᾱ) are built once.  Since
+    C(ε) = G^{1/2}(ε²K̃ − I)G^{1/2} with G = diag(k²ᾱ²·wfun) > 0, Sylvester's
+    law makes the number of negative ν at any ε the number of θ below 1/ε².
     """
-    ldu, ipiv, _ = dsytrf(C, lower=1)
-    single = ipiv > 0
-    return int(np.sum(np.diagonal(ldu)[single] < 0) + np.sum(~single) // 2)
+
+    def __init__(self, sf, abar, Q):
+        self.sf, self.abar, self.Q = sf, abar, Q
+        self.ka = sf.k * abar
+        wfun = 1.0 + 2.0 * sf.fprime * Q.q3 / self.ka
+        if np.any(wfun <= 0):
+            raise PhaseLawError("resonance weight lost positivity; "
+                                "phase-speed constant too large")
+        self.wfun = wfun
+        self.sw = np.sqrt(wfun)
+        self.SS = np.outer(self.sw, self.sw)
+        self.diag = self.ka**2 * wfun
+        self.D2 = fourier_diff_matrices(sf.s.size, sf.L)[1]
+        self.theta = eigh(-self.D2 / np.outer(self.ka, self.ka),
+                          eigvals_only=True)
+
+    def matrix(self, eps):
+        """C(ε) = −ε²·S·D2·S − diag(k²ᾱ²·wfun)."""
+        C = -eps**2 * self.D2 * self.SS
+        C[np.diag_indices(self.sf.s.size)] -= self.diag
+        return C
+
+    def count(self, eps):
+        """j_ε: the number of negative eigenvalues of C(ε), ε²θ < 1."""
+        return int(np.searchsorted(self.theta, 1.0 / eps**2))
+
+    def window(self, eps, delta):
+        """ν, ξ and β (what Λ₀ reads) over |j| <= floor(δ²/ε) around j_ε;
+        the corrections γ, κ, q are left None."""
+        sf, Q, ka = self.sf, self.Q, self.ka
+        M, L = sf.s.size, sf.L
+        j_eps = self.count(eps)
+        J = int(np.floor(delta**2 / eps))
+        if j_eps - J < 0 or j_eps + J >= M:
+            raise ValidationError(
+                f"index window [{-J}, {J}] around j_eps={j_eps} leaves the grid; "
+                f"use more curve nodes or a larger eps")
+        nu, y = eigh(self.matrix(eps), subset_by_index=[j_eps - J, j_eps + J])
+        vecs = self.sw[:, None] * y / np.sqrt(L / M)   # ∫ ξ²/wfun ds̄ = 1
+        dxi = periodic_derivative(vecs, L).T
+        denom = ka**2 + 2.0 * sf.fprime * ka * Q.q3
+        beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None] / denom) * eps * dxi
+        return ResonanceBasis(eps=eps, delta=delta, s=sf.s.copy(), L=L, nu=nu,
+                              xi=vecs.T, beta=beta, gamma=None, kappa=None,
+                              qcorr=None, weight_fn=1.0 / self.wfun,
+                              j_eps=j_eps, sf=sf, abar=self.abar.copy(), Q=Q)
 
 
 def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3):
@@ -131,7 +181,8 @@ def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3):
 
     Eigenpairs are re-indexed around the first nonnegative eigenvalue and
     restricted to |j| <= floor(δ²/ε): the index j_ε of that eigenvalue is the
-    number of negative ones, counted by inertia, and only the window's
+    number of eigenvalues θ of the ε-free pencil −ξ'' = θk²ᾱ²ξ with ε²θ < 1
+    (ν = 0 exactly when ε²θ = 1, whatever the weight), and only the window's
     eigenpairs are computed.  The companion is
 
         β_j = -(1/kᾱ)(1 - Q₁ν_j/(k²ᾱ² + 2f'kᾱQ₃))·εξ_j',
@@ -147,40 +198,10 @@ def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3):
     algebraically equivalent stable form κ_j = ν_j ξ_j/(2k(kᾱ + 2f'Q₃)) is
     used there.
     """
-    return _eigenpairs(sf, abar, Q, eps, delta,
-                       fourier_diff_matrices(sf.s.size, sf.L)[1])
-
-
-def _eigenpairs(sf, abar, Q, eps, delta, D2):
-    """resonance_eigenpairs with the second-derivative matrix D2 given."""
-    M = sf.s.size
-    L = sf.L
-    k, fp = sf.k, sf.fprime
-    ka = k * abar
-    wfun = 1.0 + 2.0 * fp * Q.q3 / ka
-    if np.any(wfun <= 0):
-        raise PhaseLawError("resonance weight lost positivity; "
-                            "phase-speed constant too large")
-
-    # B = diag(1/wfun): with S = diag(√wfun), A·x = ν·B·x is the standard
-    # problem C·y = ν·y for C = S·A·S and x = S·y, and yᵀy = 1 gives xᵀBx = 1
-    sw = np.sqrt(wfun)
-    C = -eps**2 * D2 * np.outer(sw, sw)
-    C[np.diag_indices(M)] -= ka**2 * wfun
-    j_eps = _negative_count(C)
-    J = int(np.floor(delta**2 / eps))
-    if j_eps - J < 0 or j_eps + J >= M:
-        raise ValidationError(
-            f"index window [{-J}, {J}] around j_eps={j_eps} leaves the grid; "
-            f"use more curve nodes or a larger eps")
-    nu, y = eigh(C, subset_by_index=[j_eps - J, j_eps + J])
-    ds = L / M
-    vecs = sw[:, None] * y / np.sqrt(ds)   # ∫ ξ²/wfun ds̄ = 1
-    xi = vecs.T                             # [j, node]
-    dxi = periodic_derivative(vecs, L).T
-
-    denom = ka**2 + 2.0 * fp * ka * Q.q3
-    beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None] / denom) * eps * dxi
+    basis = _FastModes(sf, abar, Q).window(eps, delta)
+    k, fp, ka, L = sf.k, sf.fprime, sf.k * abar, sf.L
+    nu, xi, beta = basis.nu, basis.xi, basis.beta
+    dxi = periodic_derivative(xi.T, L).T
     dbeta = periodic_derivative(beta.T, L).T
     gamma = -(eps * dxi + ka * beta) / (2.0 * k * Q.q1)
     if np.min(Q.q2) > 1e-10:
@@ -188,11 +209,7 @@ def _eigenpairs(sf, abar, Q, eps, delta, D2):
     else:
         kappa = nu[:, None] * xi / (2.0 * k * (ka + 2.0 * fp * Q.q3))
     qcorr = -(eps * dxi + ka * beta + k * gamma) / ka
-
-    return ResonanceBasis(eps=eps, delta=delta, s=sf.s.copy(), L=L, nu=nu,
-                          xi=xi, beta=beta, gamma=gamma, kappa=kappa,
-                          qcorr=qcorr, weight_fn=1.0 / wfun, j_eps=j_eps,
-                          sf=sf, abar=abar.copy(), Q=Q)
+    return replace(basis, gamma=gamma, kappa=kappa, qcorr=qcorr)
 
 
 def weyl_slope(basis):
@@ -291,18 +308,21 @@ def lambda0_spectrum(basis):
 def gap_scan(sf, abar, Q, eps_grid, delta=0.3, threshold=0.1):
     """Scan ε for spectral gaps of Λ₀: admissible when min|eig| >= threshold·ε.
 
-    ``eps_grid`` must be descending.  Returns a list of records with the
-    minimal |generalized eigenvalue|, the admissibility flag, and the
-    empirical d(min-eigenvalue)/dε between consecutive grid points.
+    The ε-free work (D2, the weight, the pencil spectrum θ that counts j_ε
+    by ε²θ < 1) is done once; each ε forms its matrix and solves only the
+    window, building ν, ξ and β but not the corrections γ, κ, q, which Λ₀
+    does not read.  ``eps_grid`` must be descending.  Returns a list of
+    records with the minimal |generalized eigenvalue|, the admissibility
+    flag, and the empirical d(min-eigenvalue)/dε between consecutive grid
+    points.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(np.diff(eps_grid) >= 0):
         raise ValidationError("eps grid must be strictly descending")
-    _, D2 = fourier_diff_matrices(sf.s.size, sf.L)
+    modes = _FastModes(sf, abar, Q)
     records = []
     for eps in eps_grid:
-        basis = _eigenpairs(sf, abar, Q, eps, delta, D2)
-        vals = lambda0_spectrum(basis)
+        vals = lambda0_spectrum(modes.window(eps, delta))
         min_abs = float(np.min(np.abs(vals)))
         records.append({
             "eps": float(eps),

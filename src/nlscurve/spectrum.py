@@ -330,8 +330,10 @@ def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
     α is a cold coupled_spectrum; each later α continues every branch from
     its eigenvector at the previous α (_warm_pair), the lowest branch of a
     sector at the rigorous shift and the gauge branch at its eigenvalue
-    predicted from the Hellmann–Feynman slope.  An overlap between
-    consecutive eigenvectors below ``overlap_floor`` raises.
+    predicted from the Hellmann–Feynman slope.  Once the gauge value is not
+    below τ_α, that α and every later one take the second eigenpair of a
+    cold coupled_spectrum.  An overlap between consecutive eigenvectors
+    below ``overlap_floor`` raises.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if alpha_grid.size < 2 or np.any(np.diff(alpha_grid) <= 0) or alpha_grid[0] < 0:
@@ -343,14 +345,19 @@ def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
         cold = sector.cold(alpha_grid[0], mu, len(labels))
         for index, (lam, u, v, phi) in enumerate(cold):
             lams, funcs = [lam], [(u, v)]
+            unbound = False
             for prev, alpha in zip(alpha_grid[:-1], alpha_grid[1:]):
-                near = None if index == 0 else \
-                    lam + _slopes(U, u, v, prev, mu)[0] * (alpha - prev)
-                lam, new = _warm_pair(sector, alpha, mu, phi, near)
-                if near is not None and lam >= continuum_threshold(alpha, mu):
+                if not unbound:
+                    near = None if index == 0 else \
+                        lam + _slopes(U, u, v, prev, mu)[0] * (alpha - prev)
+                    lam, new = _warm_pair(sector, alpha, mu, phi, near)
                     # not a bound state: the branch has left them, or the
-                    # prediction found a box mode; take the second
-                    # eigenpair, as a cold trace does
+                    # prediction found a box mode
+                    unbound = near is not None and \
+                        lam >= continuum_threshold(alpha, mu)
+                if unbound:
+                    # take the second eigenpair, as a cold trace does, here
+                    # and at every later α
                     lam, _, _, new = sector.cold(alpha, mu, 2)[1]
                 overlap = abs(float(new @ phi))
                 if overlap < overlap_floor:

@@ -10,13 +10,13 @@ from scipy.linalg import eigh
 from nlscurve.errors import ValidationError
 from nlscurve.geometry import (CurveSpec, build_curve, periodic_derivative,
                                sample_potential)
-from nlscurve.resonance import (_negative_count, assemble_lambda0, constant_coefficient_nu_oracle,
+from nlscurve.resonance import (_FastModes, assemble_lambda0, constant_coefficient_nu_oracle,
                                 correction_identities, fourier_diff_matrices,
                                 gap_scan, gap_scan_oracle, lambda0_spectrum,
                                 q_integrals, resonance_eigenpairs, sharp_norm,
                                 verify_coupled_system, weyl_slope)
 from nlscurve.scalings import compute_scalings
-from nlscurve.spectrum import alpha_field
+from nlscurve.spectrum import alpha_field, sphere_area
 
 from conftest import circle_setup
 from oracles import constant_coefficient_gap_oracle
@@ -38,6 +38,18 @@ def layerA(U23, bump_potential, exps23):
     abar, modes = alpha_field(sf, U23)
     Q = q_integrals(modes, 1)
     return {"curve": curve, "sf": sf, "abar": abar, "Q": Q}
+
+
+@pytest.fixture(scope="module", params=["circle", "ellipse"])
+def runner_layer(request, U23, bump_potential, exps23):
+    """Resonance inputs of the two runner pipelines (phase speed 0.05)."""
+    spec = (CurveSpec("circle", n=2, radius=0.7012465)
+            if request.param == "circle" else CurveSpec("ellipse", n=2, a=0.85, b=0.6))
+    curve = build_curve(spec, 256)
+    sf = compute_scalings(curve, sample_potential(bump_potential, curve), 0.05,
+                          exps23)
+    abar, modes = alpha_field(sf, U23)
+    return {"sf": sf, "abar": abar, "modes": modes, "Q": q_integrals(modes, 1)}
 
 
 class TestFourierCollocation:
@@ -90,6 +102,31 @@ class TestQIntegrals:
         Q = layerA["Q"]
         assert np.max(np.abs(Q.q1 + Q.q2 - 1.0)) < 1e-8
 
+    def test_one_integral_per_distinct_mode(self, runner_layer, monkeypatch):
+        # alpha_field shares one CrossingMode among the nodes of a μ group;
+        # each distinct mode is integrated once (Q₁, Q₂, Q₃), to the same Q
+        modes, Q = runner_layer["modes"], runner_layer["Q"]
+        distinct = len({id(m) for m in modes})
+        assert distinct < len(modes)
+        calls = []
+        real = np.trapezoid
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "trapezoid", counted)
+        again = q_integrals(modes, 1)
+        assert len(calls) == 3 * distinct
+        for a, b in ((Q.q1, again.q1), (Q.q2, again.q2), (Q.q3, again.q3)):
+            assert np.array_equal(a, b)
+        # bitwise the per-node integrals
+        omega = sphere_area(1)
+        for i in (0, 77, 255):
+            u, v, r = modes[i].u_values, modes[i].v_values, modes[i].U.grid.nodes
+            assert (Q.q1[i], Q.q2[i], Q.q3[i]) == tuple(
+                omega * real(f * r**0, r) for f in (u**2, v**2, u * v))
+
     def test_cauchy_schwarz(self, layerA):
         Q = layerA["Q"]
         assert np.all(np.abs(Q.q3) <= np.sqrt(Q.q1 * Q.q2) + 1e-14)
@@ -135,27 +172,28 @@ class TestResonanceBasis:
             resonance_eigenpairs(sf, abar, Q, 1e-4, 0.9)
 
 
-@pytest.fixture(scope="module", params=["circle", "ellipse"])
-def runner_layer(request, U23, bump_potential, exps23):
-    """Resonance inputs of the two runner pipelines (phase speed 0.05)."""
-    spec = (CurveSpec("circle", n=2, radius=0.7012465)
-            if request.param == "circle" else CurveSpec("ellipse", n=2, a=0.85, b=0.6))
-    curve = build_curve(spec, 256)
-    sf = compute_scalings(curve, sample_potential(bump_potential, curve), 0.05,
-                          exps23)
-    abar, modes = alpha_field(sf, U23)
-    return {"sf": sf, "abar": abar, "Q": q_integrals(modes, 1)}
-
-
 class TestWindowedEigensolve:
-    def test_negative_count_is_the_inertia(self):
-        rng = np.random.default_rng(0)
-        for n in (1, 2, 7, 64):
-            X = rng.normal(size=(n, n))
-            C = X + X.T
-            # a zero diagonal forces 2×2 Bunch–Kaufman pivots
-            for mat in (C, C - np.diag(np.diag(C)), C + 3 * n * np.eye(n)):
-                assert _negative_count(mat) == np.sum(np.linalg.eigvalsh(mat) < 0)
+    def test_pencil_count_is_the_inertia(self, runner_layer):
+        # j_ε from the ε-free pencil against the negative eigenvalues of the
+        # matrix C(ε) itself, across the gap grid of the README run file
+        modes = _FastModes(runner_layer["sf"], runner_layer["abar"],
+                           runner_layer["Q"])
+        for eps in np.linspace(0.08, 0.02, 100):
+            assert modes.count(eps) == np.sum(np.linalg.eigvalsh(modes.matrix(eps)) < 0)
+
+    def test_pencil_spectrum_on_the_circle(self, layerA):
+        # constant coefficients: θ = (2πm/(L·kᾱ))², once for m = 0 and
+        # M/2, twice for every other m, whatever the weight
+        sf, abar, Q = layerA["sf"], layerA["abar"], layerA["Q"]
+        M, L, ka = sf.s.size, sf.L, sf.k[0] * abar[0]
+        modes = _FastModes(sf, abar, Q)
+        m = np.concatenate([[0], np.repeat(np.arange(1, M // 2), 2), [M // 2]])
+        theta = np.sort((2 * np.pi * m / (L * ka)) ** 2)
+        assert np.all(np.abs(modes.theta - theta) <= 1e-10 * np.maximum(theta, 1.0))
+        # the oracle's index counts the ν(m) < 0 with their multiplicity
+        m = np.arange(1, M // 2)
+        for eps in np.linspace(0.08, 0.02, 100):
+            assert modes.count(eps) == 1 + 2 * np.sum(2 * np.pi * m * eps / L < ka)
 
     def test_matches_full_generalized_eigensolve(self, runner_layer):
         # oracle: every eigenpair of the generalized problem A·x = ν·B·x,
@@ -304,6 +342,27 @@ class TestGapScan:
             basis = resonance_eigenpairs(sf, abar, Q, eps, 0.3)
             assert rec["min_abs_eigenvalue"] == float(
                 np.min(np.abs(lambda0_spectrum(basis))))
+
+    def test_one_pencil_solve_per_scan(self, layerA, monkeypatch):
+        # the ε-free pencil is solved once, each ε solves only its window,
+        # and no factorization counts the negative eigenvalues per ε
+        import nlscurve.resonance as resonance
+        sf, abar, Q = layerA["sf"], layerA["abar"], layerA["Q"]
+        grid = np.linspace(0.08, 0.02, 7)
+        calls = []
+        real = resonance.eigh
+
+        def counted(a, b=None, **kwargs):
+            calls.append("lambda0" if b is not None else
+                         "window" if "subset_by_index" in kwargs else "pencil")
+            return real(a, b, **kwargs)
+
+        monkeypatch.setattr(resonance, "eigh", counted)
+        gap_scan(sf, abar, Q, grid, 0.3, 0.1)
+        assert calls.count("pencil") == 1 and calls[0] == "pencil"
+        assert calls.count("window") == grid.size
+        assert calls.count("lambda0") == grid.size
+        assert not hasattr(resonance, "dsytrf")
 
     def test_descending_grid_required(self, layer0):
         sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]

@@ -139,19 +139,26 @@ class TestShift:
         # scipy: the Lanczos start vector is fixed
         calls = []
 
-        def counting(solve):
+        def counting(solve, name):
             def counted(*args, **kwargs):
-                calls.append(None)
+                calls.append(name)
                 return solve(*args, **kwargs)
             return counted
 
         for name in ("cho_solve_banded", "dgbtrs"):
-            monkeypatch.setattr(spectrum, name, counting(getattr(spectrum, name)))
+            monkeypatch.setattr(spectrum, name,
+                                counting(getattr(spectrum, name), name))
         trace_branches(U23, 3.0, 0.17, np.linspace(0.0, 2.2, 23))
         assert len(calls) <= 450       # 409 measured with scipy 1.17 (1,293 before)
         calls.clear()
         find_alpha_bar(U23, 3.0, 0.17)
         assert len(calls) <= 25        # 21 measured (28 before)
+        # at μ = 1 the gauge branch leaves the bound states near α = 1; from
+        # there on every α is a cold solve, with no LU iteration before it
+        calls.clear()
+        trace_branches(U23, 3.0, 1.0, np.linspace(0.0, 2.2, 23))
+        assert calls.count("dgbtrs") <= 110   # 103 measured (276 before)
+        assert len(calls) <= 2050             # 1,980 measured (2,153 before)
 
 
 class TestBoundStateCounts:
