@@ -4,7 +4,9 @@ For the radial potential V = 1/(1+r²) the reduced length R·V(R)^{θ/(p-1)}
 has an interior stationary point; the extremality condition picks the same
 radius through a completely different computation (normal gradient against
 curvature).  The second-variation operator assembled there is symmetric with
-a clean spectral gap: the nondegeneracy hypothesis is checkable by eye.
+a clean spectral gap: the nondegeneracy hypothesis is checkable by eye.  It
+is built from the Fourier collocation D2, so at zero phase speed its
+eigenvalues are the continuum symbol -8/3 + 2m² to round-off.
 """
 
 import numpy as np
@@ -37,6 +39,10 @@ for A in (0.0, 0.05):
           f"(residual sup {sup:.1e})")
     print(f"   reduced functional {red:.6f}; second-variation eigenvalues "
           f"{np.round(vals, 4)}")
+    if A == 0.0:
+        # R = 1/√2: the continuum symbol is exactly -8/3 + 2m², m ≠ 0 twice
+        m = np.array([0, 1, 1, 2, 2, 3])
+        print(f"   continuum symbol -8/3 + 2m²:    {np.round(-8 / 3 + 2.0 * m**2, 4)}")
     print(f"   nondegenerate: {verdict['invertible']} "
           f"(min |eig| = {verdict['min_abs_eigenvalue']:.4f})")
 

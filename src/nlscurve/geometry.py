@@ -12,7 +12,8 @@ in the normal coordinates y induced by the frame.  The loop holonomy of the
 normal connection is measured after one round trip and distributed uniformly
 as a closing rotation, so the stored frame is exactly L-periodic.  Fields
 sampled on the nodes are differentiated and integrated along s̄ by the
-periodic helpers here, which every later layer shares.
+periodic helpers here, which every later layer shares; every s̄-derivative
+is spectral (FFT, or the circulant Fourier collocation matrices).
 
 Potentials are given in a small arithmetic expression language over the
 ambient coordinates (x1..xn, r = |x|, r2 = |x|²) that is evaluated through a
@@ -502,6 +503,23 @@ def periodic_derivative(values, L, order=1):
     out = np.fft.ifft(mult.reshape((M,) + (1,) * (values.ndim - 1))
                       * np.fft.fft(values, axis=0), axis=0)
     return out if cplx else out.real
+
+
+def fourier_diff_matrices(M, L):
+    """First and second derivative Fourier collocation matrices (M x M).
+
+    Columns are the derivatives of the cardinal functions: D f evaluates the
+    spectral derivative of the trigonometric interpolant of f at the nodes.
+    Both matrices are circulant, D[i, j] = c[(i - j) mod M], with c the
+    derivative of the cardinal function at node 0 (fft(e₀) is all ones).
+    """
+    freqs = 2j * np.pi * np.fft.fftfreq(M, d=L / M)
+    lag = np.subtract.outer(np.arange(M), np.arange(M)) % M
+    D1 = np.real(np.fft.ifft(freqs))[lag]
+    D2 = np.real(np.fft.ifft(freqs**2))[lag]
+    D1 = 0.5 * (D1 - D1.T)
+    D2 = 0.5 * (D2 + D2.T)
+    return D1, D2
 
 
 def periodic_antiderivative(values, L):

@@ -20,9 +20,9 @@ selects the admissible values ε_k.
 
 Everything here uses Fourier collocation in s̄: the coefficients are smooth
 periodic fields, so the discretization is spectrally accurate.  Derivatives
-of nodal fields come from the shared FFT helper
-``geometry.periodic_derivative``; the collocation matrix D2 is built only
-for the eigensolve, once per gap scan.  The index j_ε needs no solve per ε:
+of nodal fields come from ``geometry.periodic_derivative``; the collocation
+matrix D2 (``geometry.fourier_diff_matrices``) is built only for the
+eigensolve, once per gap scan.  The index j_ε needs no solve per ε:
 ν = 0 exactly when −ε²ξ'' = k²ᾱ²ξ, whatever the weight, so j_ε is the number
 of eigenvalues θ of the ε-free pencil −ξ'' = θk²ᾱ²ξ with ε²θ < 1 (Sylvester's
 law), and one list of θ serves every ε of a scan.  The eigensolve per ε
@@ -35,25 +35,8 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import ValidationError, PhaseLawError
-from .geometry import periodic_derivative
+from .geometry import fourier_diff_matrices, periodic_derivative
 from .spectrum import sphere_area
-
-
-def fourier_diff_matrices(M, L):
-    """First and second derivative Fourier collocation matrices (M x M).
-
-    Columns are the derivatives of the cardinal functions: D f evaluates the
-    spectral derivative of the trigonometric interpolant of f at the nodes.
-    Both matrices are circulant, D[i, j] = c[(i - j) mod M], with c the
-    derivative of the cardinal function at node 0 (fft(e₀) is all ones).
-    """
-    freqs = 2j * np.pi * np.fft.fftfreq(M, d=L / M)
-    lag = np.subtract.outer(np.arange(M), np.arange(M)) % M
-    D1 = np.real(np.fft.ifft(freqs))[lag]
-    D2 = np.real(np.fft.ifft(freqs**2))[lag]
-    D1 = 0.5 * (D1 - D1.T)
-    D2 = 0.5 * (D2 + D2.T)
-    return D1, D2
 
 
 @dataclass
@@ -359,13 +342,9 @@ def constant_coefficient_nu_oracle(sf, abar, Q, eps, delta=0.3):
     L = sf.L
     k, fp, ab, q3 = sf.k[0], sf.fprime[0], abar[0], Q.q3[0]
     wfun = 1.0 + 2.0 * fp * q3 / (k * ab)
-    vals = []
-    for m in range(0, M // 2 + 1):
-        nu = (eps**2 * (2 * np.pi * m / L) ** 2 - k**2 * ab**2) * wfun
-        vals.append(nu)
-        if 0 < m < M / 2:
-            vals.append(nu)
-    vals = np.sort(np.array(vals))
+    m = np.arange(M // 2 + 1)
+    nu = (eps**2 * (2 * np.pi * m / L) ** 2 - k**2 * ab**2) * wfun
+    vals = np.sort(np.repeat(nu, np.where((m > 0) & (m < M / 2), 2, 1)))
     j_eps = int(np.searchsorted(vals, 0.0))
     J = int(np.floor(delta**2 / eps))
     if j_eps - J < 0 or j_eps + J >= vals.size:

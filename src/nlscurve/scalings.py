@@ -12,7 +12,8 @@ normal gradient of V to the curvature vector:
     ∇ᴺV = ((p-1)/θ · h^{p-1} - 2A² h^{2σ}) H.
 
 Nondegeneracy is the invertibility of the second-variation operator on
-normal sections (assembled here as a periodic finite-difference matrix,
+normal sections (assembled here from the Fourier collocation matrix D2 of
+``geometry``, so its low spectrum is the continuum one to round-off;
 self-adjoint in the plain L²(ds̄) product, generalized-symmetric against the
 h^θ mass), together with the divergence-form phase operator T.
 """
@@ -24,7 +25,8 @@ from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from .errors import ValidationError, ConvergenceError, PhaseLawError
-from .geometry import freeze_arrays, periodic_antiderivative
+from .geometry import (fourier_diff_matrices, freeze_arrays,
+                       periodic_antiderivative, periodic_derivative)
 from .radial import check_p
 
 
@@ -152,8 +154,9 @@ def compute_f1(sf, Phi, f1_drift, curve, pot):
     f1' = [2A(p-1)k^{n+1} ((p-1)/(2θ) - 1) <H,Φ> + A'(p-1)k^{n+1}]
           / ((p-1)h^{p+1} - 2σA²h^{2σ+2}),
 
-    with A' the nonlocal constant (an input here).  Satisfies the
-    divergence-form phase equation discretely to O(M^-2).
+    with A' the nonlocal constant (an input here).  The flux of the phase
+    equation (``f1_equation_residual``) is then its right side plus A' at
+    every node, so the equation holds to round-off.
     """
     exps = sf.exps
     A, p, sigma, theta = sf.phase_speed, exps.p, exps.sigma, exps.theta
@@ -170,7 +173,7 @@ def compute_f1(sf, Phi, f1_drift, curve, pot):
 
 
 def f1_equation_residual(sf, f1prime, Phi, curve):
-    """Discrete residual of the divergence-form equation defining f1.
+    """Sup residual (spectral ∂_s̄) of the divergence-form equation for f1.
 
     ∂_s̄( h²f1'[(p-1)h^{p-1} - 2σA²h^{2σ}] / ((p-1)k^{n+1}) )
         = 2A((p-1)/(2θ) - 1) ∂_s̄<H,Φ>.
@@ -182,9 +185,7 @@ def f1_equation_residual(sf, f1prime, Phi, curve):
         / ((p - 1.0) * sf.k ** (exps.n + 1.0))
     HdotPhi = np.einsum("ij,ij->i", curve.curvature, np.asarray(Phi, dtype=float))
     rhs = 2.0 * A * ((p - 1.0) / (2.0 * theta) - 1.0) * HdotPhi
-    ds = curve.L / curve.M
-    d = lambda arr: (np.roll(arr, -1) - np.roll(arr, 1)) / (2 * ds)
-    return float(np.max(np.abs(d(flux) - d(rhs))))
+    return float(np.max(np.abs(periodic_derivative(flux - rhs, curve.L))))
 
 
 def euler_residual(curve, pot, sf, exps):
@@ -232,16 +233,15 @@ def critical_circle_radius(V_of_R_builder, bracket, phase_speed, exps):
 # ---------------------------------------------------------------------------
 
 def _periodic_divergence_matrix(coeff, L):
-    """Matrix of v ↦ -∂_s̄(coeff·∂_s̄ v) on the periodic uniform grid."""
-    M = coeff.size
-    ds = L / M
-    cp = 0.5 * (coeff + np.roll(coeff, -1))   # midpoint value at i+1/2
-    cm = np.roll(cp, 1)
-    mat = np.zeros((M, M))
-    idx = np.arange(M)
-    mat[idx, idx] = (cp + cm) / ds**2
-    mat[idx, (idx + 1) % M] = -cp / ds**2
-    mat[idx, (idx - 1) % M] = -cm / ds**2
+    """Matrix of v ↦ -∂_s̄(coeff·∂_s̄ v) on the periodic uniform grid.
+
+    Spectral, as -½(coeff·D2 + D2·coeff) + ½coeff'' (the same operator, since
+    (a v)'' = a''v + 2a'v' + av''): exactly symmetric, and unlike D1ᵀ·a·D1
+    it keeps the Nyquist mode, which D1 drops.
+    """
+    D2 = fourier_diff_matrices(coeff.size, L)[1]
+    mat = -0.5 * (coeff[:, None] * D2 + D2 * coeff)
+    mat[np.diag_indices_from(mat)] += 0.5 * periodic_derivative(coeff, L, 2)
     return mat
 
 
@@ -271,8 +271,8 @@ def assemble_jacobi(curve, pot, sf, exps):
 
     The principal part is assembled in divergence form -∂(a∂·), which matches
     the stated coefficients exactly since a' reproduces the first-derivative
-    coefficient; the matrix is therefore symmetric by construction and the
-    reported asymmetry measures only the zeroth-order couplings.
+    coefficient, with the spectral D2; the matrix is therefore symmetric by
+    construction and the asymmetry measures only the zeroth-order couplings.
     """
     A, p, sigma, theta = sf.phase_speed, exps.p, exps.sigma, exps.theta
     small_speed_guard(A, sf.h, exps)
@@ -310,7 +310,7 @@ def assemble_T(curve, sf, exps):
 
         c = h²[(p-1)h^{p-1} - 2σA²h^{2σ}] / ((p-1)k^{n+1}).
 
-    Constants are in the kernel by construction (zero row sums).
+    Constants are in the kernel to round-off (row sums ½(c·D2·1 + D2·c - c'')).
     """
     A, p, sigma = sf.phase_speed, exps.p, exps.sigma
     c = sf.h**2 * ((p - 1.0) * sf.h ** (p - 1.0)
@@ -331,22 +331,21 @@ def weighted_eigenbasis(op_matrix, weight, count, per_node_components=1, ds=1.0)
     form of ∫ w φ_a φ_b ds̄ = δ_ab.
 
     Returns (eigenvalues ascending [count of them], eigenvectors as columns,
-    nondegeneracy verdict dict with the minimal |eigenvalue| and its margin).
+    nondegeneracy verdict dict): invertible when min |λ| exceeds 1e-6 times
+    the largest |λ| returned, a scale that, unlike the grid's M², is the
+    operator's own (so ``count`` must reach past any kernel).
     """
-    if np.any(weight <= 0):
-        raise ValidationError("weight must be positive")
+    if np.any(weight <= 0) or count < 1:
+        raise ValidationError("weight must be positive and count at least 1")
     dim = op_matrix.shape[0]
     if dim != weight.size * per_node_components:
         raise ValidationError("operator size does not match weight/node layout")
     w_full = np.repeat(weight, per_node_components)
     vals, vecs = eigh(op_matrix, np.diag(w_full))
     vecs = vecs / np.sqrt(ds)
-    amax = float(np.max(np.abs(vals)))
-    amin = float(np.min(np.abs(vals)))
-    verdict = {
-        "min_abs_eigenvalue": amin,
-        "max_abs_eigenvalue": amax,
-        "invertible": bool(amin > 1e-6 * amax),
-    }
     k = min(count, vals.size)
+    amax = float(np.max(np.abs(vals[:k])))
+    amin = float(np.min(np.abs(vals)))
+    verdict = {"min_abs_eigenvalue": amin, "max_abs_eigenvalue": amax,
+               "invertible": bool(amin > 1e-6 * amax)}
     return vals[:k], vecs[:, :k], verdict

@@ -72,11 +72,11 @@ def constant_coefficient_gap_oracle(k, abar, L, M, wfun, eps_values, delta,
 
 
 def fourier_symbol_jacobi_circle(h, Vpp, Hcomp, theta, sigma, p, A, L, M):
-    """Discrete Fourier symbol of the second-variation operator on a circle.
+    """Continuum Fourier symbol of the second-variation operator on a circle.
 
     Constant coefficients in the plane: the operator diagonalizes per mode m
-    with the finite-difference symbol a·(2 - 2cos(2πm/M))/Δs̄² plus the
-    zeroth-order block, all divided by the h^θ mass.
+    with the symbol a·(2πm/L)² plus the zeroth-order block, all divided by
+    the h^θ mass; m runs over the M grid modes -(M/2)+1 .. M/2.
     """
     a = h**theta - 2.0 * A**2 * theta / (p - 1.0) * h**sigma
     denom = (p - 1.0) * h**theta - 2.0 * sigma * A**2 * h**sigma
@@ -85,7 +85,6 @@ def fourier_symbol_jacobi_circle(h, Vpp, Hcomp, theta, sigma, p, A, L, M):
                + 2.0 * A**2 * (5.0 * sigma + 3.0 * theta) * h ** (theta + sigma)) / denom
     zero_order = (theta / (p - 1.0)) * h ** (-sigma) * Vpp \
         + a * Hcomp**2 + bracket * Hcomp**2
-    ds = L / M
-    vals = [(a * (2 - 2 * np.cos(2 * np.pi * m / M)) / ds**2 + zero_order)
-            / h**theta for m in range(-(M // 2) + 1, M // 2 + 1)]
+    vals = [(a * (2 * np.pi * m / L) ** 2 + zero_order) / h**theta
+            for m in range(-(M // 2) + 1, M // 2 + 1)]
     return np.sort(np.array(vals))

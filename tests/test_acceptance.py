@@ -152,8 +152,8 @@ def test_criterion_5_criticality(bump_potential, exps23):
         ("euler residual sup < 1e-8 at r*", sup < 1e-8),
         ("second variation symmetric to 1e-10", J.asymmetry < 1e-10),
         ("all eigenvalues real", bool(np.all(np.isreal(vals)))),
-        ("Fourier-oracle eigenvalues matched to 1e-6",
-         float(np.max(np.abs(vals - symbol[:12]))) < 1e-6),
+        ("continuum-symbol eigenvalues matched to 1e-10",
+         float(np.max(np.abs(vals - symbol[:12]))) < 1e-10),
         ("literal 1+r2 potential admits no critical circle", literal_rejected),
     ]
     _report(5, "criticality dual route", checks, t0, 30.0)

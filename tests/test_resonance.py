@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
 from nlscurve.errors import ValidationError
-from nlscurve.geometry import (CurveSpec, build_curve, periodic_derivative,
-                               sample_potential)
+from nlscurve.geometry import (CurveSpec, build_curve, fourier_diff_matrices,
+                               periodic_derivative, sample_potential)
 from nlscurve.resonance import (_FastModes, assemble_lambda0, constant_coefficient_nu_oracle,
-                                correction_identities, fourier_diff_matrices,
-                                gap_scan, gap_scan_oracle, lambda0_spectrum,
+                                correction_identities, gap_scan, gap_scan_oracle, lambda0_spectrum,
                                 q_integrals, resonance_eigenpairs, sharp_norm,
                                 verify_coupled_system, weyl_slope)
 from nlscurve.scalings import compute_scalings
@@ -307,6 +306,24 @@ class TestGapScan:
         flags = constant_coefficient_gap_oracle(
             sf.k[0], abar[0], sf.L, sf.s.size, 1.0, grid, 0.3, 0.1)
         assert all(r["admissible"] == f for r, f in zip(recs, flags))
+
+    @pytest.mark.parametrize("M", [255, 256])
+    def test_nu_oracle_equals_loop(self, M):
+        # the vectorized oracle against the per-mode loop it replaced, bitwise
+        from types import SimpleNamespace as NS
+        L, k, fp, ab, q3 = 4.4, 0.8, 0.1, 1.7, 0.2
+        sf = NS(k=np.full(M, k), fprime=np.full(M, fp), s=np.arange(M) * L / M, L=L)
+        Q = NS(q3=np.full(M, q3))
+        wfun = 1.0 + 2.0 * fp * q3 / (k * ab)
+        for eps in np.linspace(0.08, 0.02, 7):
+            vals = []
+            for m in range(0, M // 2 + 1):
+                nu = (eps**2 * (2 * np.pi * m / L) ** 2 - k**2 * ab**2) * wfun
+                vals += [nu, nu] if 0 < m < M / 2 else [nu]
+            vals = np.sort(np.array(vals))
+            j, J = int(np.searchsorted(vals, 0.0)), int(np.floor(0.3**2 / eps))
+            window = constant_coefficient_nu_oracle(sf, np.full(M, ab), Q, eps)
+            assert np.array_equal(window, vals[j - J: j + J + 1])
 
     def test_threshold_zero_admits_nonresonant(self, layer0):
         sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]

@@ -191,6 +191,22 @@ class TestPipeline:
         assert texts[0] == texts[1]
         assert b'"q_closure_error"' in texts[0] and b'"n_admissible"' in texts[0]
 
+    @pytest.mark.parametrize("curve, min_abs_eig", [
+        ("kind = circle\nradius = 0.7012465", 0.71076659),
+        ("kind = ellipse\na = 0.85\nb = 0.6", 0.03192731)])
+    def test_benchmark_curves_nondegenerate(self, tmp_path, curve, min_abs_eig):
+        # the curves of the pipeline benchmark workloads at their nominal
+        # A = 0.05 and 256 samples
+        text = (CRITICAL
+                .replace("phase_speed = 0.0", "phase_speed = 0.05")
+                .replace("kind = circle\nradius = 0.70710678118655", curve)
+                .replace("samples = 128", "samples = 256")
+                .replace("profile, geometry", "geometry"))
+        summary, _ = run_pipeline(parse_config(write(tmp_path, text)))
+        crit = summary["stages"]["criticality"]
+        assert crit["jacobi_invertible"]
+        assert abs(crit["jacobi_min_abs_eig"] - min_abs_eig) < 1e-8
+
     def test_empty_stage_selection(self, tmp_path):
         text = CRITICAL.replace(
             "stages = profile, geometry, scalings, criticality", "stages =")

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from nlscurve.errors import ConvergenceError
-from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
+from nlscurve.errors import ConvergenceError, ValidationError
+from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
+                               fourier_diff_matrices, periodic_derivative,
+                               sample_potential, straight_segment_curve)
 from nlscurve.scalings import (assemble_T, assemble_jacobi,
                                compute_exponents, compute_f1, compute_scalings,
                                critical_circle_radius, euler_residual,
@@ -165,16 +167,13 @@ class TestJacobi:
                           critical_circle["sf"])
         J = assemble_jacobi(curve, pot, sf, exps23)
         M = curve.M
-        ds = curve.L / M
         h = sf.h
         a = h**exps23.theta
         idx = np.arange(M)
-        hand = np.zeros((M, M))
-        ap = 0.5 * (a + np.roll(a, -1))
-        am = np.roll(ap, 1)
-        hand[idx, idx] = (ap + am) / ds**2
-        hand[idx, (idx + 1) % M] = -ap / ds**2
-        hand[idx, (idx - 1) % M] = -am / ds**2
+        # -∂(a∂v) = -½(a·v'' + (a v)'') + ½a''v with the Fourier D2
+        D2 = fourier_diff_matrices(M, curve.L)[1]
+        hand = -0.5 * (a[:, None] + a[None, :]) * D2
+        hand[idx, idx] += 0.5 * periodic_derivative(a, curve.L, 2)
         hand[idx, idx] += (exps23.theta / (exps23.p - 1)) * h ** (-exps23.sigma) \
             * pot.hess_normal[:, 0, 0]
         H2 = curve.curvature[:, 0] ** 2
@@ -197,15 +196,14 @@ class TestJacobi:
                 - 16 * sigma * theta * A**4 / (p - 1) * h ** (2 * sigma)
                 + 2 * A**2 * (5 * sigma + 3 * theta) * h ** (theta + sigma)) \
             / ((p - 1) * h**theta - 2 * sigma * A**2 * h**sigma)
-        ds = curve.L / M
-        ap = 0.5 * (a + np.roll(a, -1))
-        am = np.roll(ap, 1)
+        # -∂(a∂v) = -½(a·v'' + (a v)'') + ½a''v, per node and component
+        D2 = fourier_diff_matrices(M, curve.L)[1]
+        app = periodic_derivative(a, curve.L, 2)
         ref = np.zeros((2 * M, 2 * M))
         for i in range(M):
             for j in range(2):
-                ref[2 * i + j, 2 * i + j] += (ap[i] + am[i]) / ds**2
-                ref[2 * i + j, 2 * ((i + 1) % M) + j] -= ap[i] / ds**2
-                ref[2 * i + j, 2 * ((i - 1) % M) + j] -= am[i] / ds**2
+                ref[2 * i + j, j::2] -= 0.5 * (a[i] * D2[i] + D2[i] * a)
+                ref[2 * i + j, 2 * i + j] += 0.5 * app[i]
             ref[2 * i:2 * i + 2, 2 * i:2 * i + 2] += (
                 theta / (p - 1) * h[i] ** -sigma * pot.hess_normal[i]
                 + 0.5 * a[i] * pot.metric_d2g11[i] + curv[i] * np.outer(H[i], H[i]))
@@ -221,8 +219,59 @@ class TestJacobi:
         oracle = fourier_symbol_jacobi_circle(
             sf.h[0], pot.hess_normal[0, 0, 0], curve.curvature[0, 0],
             exps23.theta, exps23.sigma, exps23.p, 0.0, curve.L, curve.M)
-        assert np.max(np.abs(vals - oracle[:12])) < 1e-6
+        assert np.max(np.abs(vals - oracle[:12])) < 1e-10
         assert verdict["invertible"]
+
+    @pytest.mark.parametrize("M", [128, 256, 512])
+    def test_closed_form_critical_circle(self, bump_potential, exps23, M):
+        # A = 0, R = 1/√2, V = 1/(1+r²): h² = V = 2/3, H² = 2, V'' = 8/27, so
+        # λ_m = (3/2)V''/h² + H² - (8/3)H² + m²/R² = -8/3 + 2m², m ≠ 0 twice
+        curve, pot, sf = circle_setup(bump_potential, 2**-0.5, M, 0.0, exps23)
+        J = assemble_jacobi(curve, pot, sf, exps23)
+        vals, _, _ = weighted_eigenbasis(J.matrix, J.weight, 13, 1,
+                                         ds=curve.L / M)
+        m = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6])
+        assert np.max(np.abs(vals - (-8.0 / 3.0 + 2.0 * m**2))) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ellipse_spectrum_converged(self, n):
+        # variable coefficients: the lowest 6(n-1) eigenvalues do not move
+        # from M = 128 to 256 (a second-order stencil moves them ~2e-2)
+        exps = compute_exponents(n, 3)
+        V = PotentialField("1/(1+r2)", n)
+        low = []
+        for M in (128, 256):
+            curve = build_curve(CurveSpec("ellipse", n=n, a=0.85, b=0.6), M)
+            pot = sample_potential(V, curve)
+            sf = compute_scalings(curve, pot, 0.05, exps)
+            J = assemble_jacobi(curve, pot, sf, exps)
+            vals, _, _ = weighted_eigenbasis(J.matrix, J.weight, 6 * (n - 1),
+                                             n - 1, ds=curve.L / M)
+            low.append(vals)
+        assert np.ptp(low[0]) > 1.0
+        assert np.max(np.abs(low[0] - low[1])) < 1e-9
+
+    @pytest.mark.parametrize("M", [256, 1024])
+    def test_verdict_does_not_depend_on_grid(self, bump_potential, exps23, M):
+        # the ellipse's min |λ| ≈ 0.0319 sits under 1e-6 of the M² top of the
+        # grid spectrum at M = 1024; the verdict scales by the returned ones
+        curve = build_curve(CurveSpec("ellipse", n=2, a=0.85, b=0.6), M)
+        pot = sample_potential(bump_potential, curve)
+        sf = compute_scalings(curve, pot, 0.05, exps23)
+        J = assemble_jacobi(curve, pot, sf, exps23)
+        _, _, verdict = weighted_eigenbasis(J.matrix, J.weight, 10, 1,
+                                            ds=curve.L / M)
+        assert verdict["invertible"]
+        assert abs(verdict["min_abs_eigenvalue"] - 0.0319273) < 1e-6
+        # V ≡ 1 on a straight segment: J = -∂(h³∂), constants in the kernel
+        seg = straight_segment_curve(2.0, M)
+        pot = sample_potential(PotentialField("1", 2), seg)
+        sf = compute_scalings(seg, pot, 0.0, exps23)
+        J = assemble_jacobi(seg, pot, sf, exps23)
+        _, _, verdict = weighted_eigenbasis(J.matrix, J.weight, 10, 1,
+                                            ds=seg.L / M)
+        assert verdict["min_abs_eigenvalue"] < 1e-9
+        assert not verdict["invertible"]
 
     def test_symmetry_any_input(self, bump_potential, exps23):
         curve, pot, sf = circle_setup(bump_potential, 0.9, 128, 0.08, exps23)
@@ -248,6 +297,12 @@ class TestJacobi:
         ref = np.linalg.eigvalsh(A)
         assert np.max(np.abs(np.sort(vals) - ref)) < 1e-10
 
+    @pytest.mark.parametrize("weight, count", [(-1.0, 4), (1.0, 0)])
+    def test_rejects_bad_weight_and_count(self, weight, count):
+        # count 0 would leave the verdict no eigenvalue to scale by
+        with pytest.raises(ValidationError):
+            weighted_eigenbasis(np.eye(4), np.full(4, weight), count)
+
 
 class TestPhaseOperatorT:
     def test_constants_in_kernel(self, critical_circle, exps23):
@@ -259,10 +314,10 @@ class TestPhaseOperatorT:
     def test_fourier_symbol(self, critical_circle, exps23):
         curve, sf = critical_circle["curve"], critical_circle["sf"]
         T = assemble_T(curve, sf, exps23)
-        M, ds = curve.M, curve.L / curve.M
+        M, L = curve.M, curve.L
         h = sf.h[0]
         c = h**2 * (2 * h**2) / (2.0 * sf.k[0] ** 3)
-        sym = np.sort([-c * (2 - 2 * np.cos(2 * np.pi * m / M)) / ds**2
+        sym = np.sort([-c * (2 * np.pi * m / L) ** 2
                        for m in range(-(M // 2) + 1, M // 2 + 1)])
         vals = np.sort(np.linalg.eigvalsh(T))
         assert np.max(np.abs(vals - sym)) < 1e-9
@@ -287,12 +342,23 @@ class TestPhaseCorrection:
         f1p = compute_f1(sf, Phi, 0.0, curve, pot)   # A = 0 for this circle
         assert np.max(np.abs(f1p)) == 0.0
 
-    def test_divergence_form_residual(self, bump_potential, exps23):
-        curve, pot, sf = circle_setup(bump_potential, 0.75, 1024, 0.05, exps23)
-        Phi = np.cos(2 * np.pi * curve.s / curve.L)[:, None]
-        f1p = compute_f1(sf, Phi, 0.0, curve, pot)
-        res = f1_equation_residual(sf, f1p, Phi, curve)
-        assert res < 1e-4
+    def test_divergence_form_residual(self):
+        # flux - rhs is the constant drift A' at every node, so the equation
+        # holds to round-off, with or without a drift, at any M
+        for n in (2, 3):
+            exps = compute_exponents(n, 3)
+            V = PotentialField("1/(1+r2)", n)
+            for M in (128, 1024):
+                curve = build_curve(CurveSpec("ellipse", n=n, a=0.85, b=0.6), M)
+                pot = sample_potential(V, curve)
+                sf = compute_scalings(curve, pot, 0.05, exps)
+                Phi = np.cos(2 * np.pi * curve.s / curve.L)[:, None] \
+                    * np.ones(n - 1)
+                for drift in (0.0, 0.3):
+                    f1p = compute_f1(sf, Phi, drift, curve, pot)
+                    assert np.ptp(f1p) > 1e-3
+                    res = f1_equation_residual(sf, f1p, Phi, curve)
+                    assert res < 1e-10, (n, M, drift, res)
 
 
 class TestImmutable:
