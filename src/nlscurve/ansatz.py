@@ -31,9 +31,10 @@ Every corrector solve uses the scaled model operator: factoring the phase
 out of -∂²_ss leaves +(f')², so the zeroth-order coefficient is
 (f')² + V = k² and the solve reduces to the unit sectors via y = kz.
 
-The operators do not depend on the node, so each sector operator is
-factored once (one banded factorization) and solved with the sources of all
-curve nodes as its columns.
+The operators do not depend on the node, and every level-2 source term is
+a node coefficient times one of a few fixed radial functions: each sector
+solves those functions once and the nodes only combine the solutions.  Only
+w_ro is solved one row per node, for its per-node criticality check.
 """
 
 from dataclasses import dataclass
@@ -72,9 +73,10 @@ class CorrectorSet:
     """Per-node corrector data in the scaled radial variable y = k(s̄)|z|.
 
     Scalar coefficient arrays have shape (M,); solved radial fields live on
-    the common window ``ygrid`` as (M, ...) arrays.  ``removed_wro`` is the
-    relative kernel component projected out of the odd real solve, bounded
-    by the criticality of the curve.
+    the common window ``ygrid`` as (M, ...) arrays, each the node
+    coefficients times the sector solutions of the radial functions.
+    ``removed_wro`` is the relative kernel component projected out of the
+    odd real solve, bounded by the criticality of the curve.
     """
 
     ygrid: np.ndarray
@@ -99,9 +101,11 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     """All corrector data for the ansatz, one batched solve per sector operator.
 
     Solvability of the odd real corrector requires the curve to be critical;
-    the relative kernel component removed from its right-hand side is
-    recorded, and a CurveNotCriticalError is raised when it exceeds
-    ``criticality_tol``.
+    the relative kernel component removed from its right-hand side, one row
+    per node, is recorded, and a CurveNotCriticalError is raised when it
+    exceeds ``criticality_tol``.  The level-2 sources are node coefficients
+    times fixed radial functions, so their sectors solve a number of rows
+    that does not depend on M.
     """
     params = params or AnsatzParams()
     exps = sf.exps
@@ -151,113 +155,108 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
 
     # ---- odd real corrector w_ro: one ℓ=1 solve for all nodes -------------
     op_r1 = SectorOperator("Lr", 1, 0.0, d, p)
-    q = ((-(2.0 * fp[:, None]**2 * Hc + G) * (h / k)[:, None])[..., None] * y * Uv
-         - ((h * k)[:, None] * Hc)[..., None] * dU) / (k**2)[:, None, None]
     try:
-        w_ro, removed = sector_solve(op_r1, U, q, ill_posed_tol=criticality_tol)
+        w_ro, removed = sector_solve(
+            op_r1, U,
+            ((-(2.0 * fp[:, None]**2 * Hc + G) * (h / k)[:, None])[..., None]
+             * y * Uv - ((h * k)[:, None] * Hc)[..., None] * dU)
+            / (k**2)[:, None, None],
+            ill_posed_tol=criticality_tol)
     except IllPosedSolveError as exc:
         raise CurveNotCriticalError(
             "odd corrector source has a kernel component; "
             "the curve does not satisfy the extremality condition",
             exc.overlap) from exc
-    del q                                             # free before level 2
     w_ro = w_ro[..., :ny]                             # (M, d, ny)
     removed = np.max(removed, axis=1)
 
     # ---- level-2 sources in the section algebra ---------------------------
     # Parameter-independent parts only: w_re, w_io, f1, f2 terms are excluded
     # by construction (they carry their own bookkeeping in the expansion).
-    dw_ro = periodic_derivative(w_ro, L)              # ∂_s̄ at fixed y
-    yU, y2U, y3U = y * Uv, y**2 * Uv, y**3 * Uv
-    ydU, y2dU = y * dU, y**2 * dU
+    # Every w_ro row lies in the span of the ℓ=1 solves of yU and U'; an
+    # orthonormal basis phi of it keeps the coefficients w (w_ro ≈ w·phi)
+    # well conditioned where the raw solves are large and cancel (n = 3).
+    phi = np.zeros((2, r.size))
+    phi[:, :ny] = np.linalg.qr(
+        sector_solve(op_r1, U, np.stack([y * Uv, dU]))[0][:, :ny].T)[0].T
+    w = w_ro @ phi[:, :ny].T                          # (M, d, 2)
+    dw = periodic_derivative(w, L)                    # ∂_s̄ at fixed y
+    dphi = np.gradient(phi, y, axis=1, edge_order=2)
+    phi_y = np.hstack([dphi[:, :1], phi[:, 1:] / y[1:]])   # phi/y, y[0] = 0
     Upm2 = np.where(Uv > 0, Uv ** (p - 2.0), 0.0)
+    hpm2 = h ** (p - 2.0)
+    c_ie, dc_ie = c_wie, periodic_derivative(c_wie, L)
+    vec = (2.0 * fp[:, None]**2 * Hc + G) / k[:, None]   # (2f'²H + ∇V)/k
 
-    c_ie = c_wie
-    dc_ie = periodic_derivative(c_ie, L)
+    def sym(X):                                       # symmetrize in (m, l)
+        return 0.5 * (X + X.swapaxes(1, 2))
 
-    # right-hand sides of the ℓ=0, traceless ℓ=2 (upper triangle) and odd
-    # imaginary ℓ=1 solves, one row per node
-    upper = np.triu_indices(d)
-    rhs_even0 = np.empty((M, r.size))
-    rhs_even2 = np.empty((M, upper[0].size, r.size)) if d >= 2 else None
-    rhs_odd = np.empty((M, d, r.size))
+    # even source A + Σ C_ml ẑ_m ẑ_l = Σ_f (a_f + c_f,ml ẑ_m ẑ_l)·E_f(y);
+    # E_0..E_3 enter A only, then y²U, yU', phi/y, y·phi, ∂_y phi (two rows
+    # each) and the four products phi_s·phi_t
+    E = np.vstack([Uv, y**3 * dU, y**2 * d2U, Upm2 * y**4 * Uv**2,
+                   y**2 * Uv, y * dU, phi_y, y * phi, dphi,
+                   Upm2 * np.einsum("sy,ty->sty", phi, phi).reshape(4, -1)])
+    a, c = np.zeros((M, E.shape[0])), np.zeros((M, d, d, E.shape[0]))
+    # -(hU(kz))'' at fixed z, -f''·w_ie - 2f'·∂_s̄ w_ie, and the quadratic
+    # w_ie feedback through the nonlinearity
+    a[:, 0] = -h2p
+    a[:, 1] = -2.0 * fp * c_ie * kp / k**3
+    a[:, 2] = -h * kp**2 / k**2
+    a[:, 3] = -0.5 * (p - 1.0) * hpm2 * c_ie**2 / k**4
+    a[:, 4] = -(fpp * c_ie + 2.0 * fp * dc_ie) / k**2
+    a[:, 5] = -(2.0 * hp * kp + h * k2p) / k
+    # <H,z>²-type quadratic sources and the Hessian of V
+    HH = np.einsum("im,il->iml", Hc, Hc)
+    c[..., 4] = HH * (3.0 * fp**2 * h / k**2)[:, None, None] \
+        + 0.5 * (h / k**2)[:, None, None] * pot.hess_normal
+    c[..., 5] = HH * h[:, None, None]
+    # Σ_l H^l ∂_l w_ro
+    a[:, 6:8] = k[:, None] * np.einsum("ij,ijs->is", Hc, w)
+    Hw = sym(np.einsum("il,ijs->iljs", k[:, None] * Hc, w))
+    c[..., 6:8] = -Hw
+    c[..., 10:12] = Hw
+    # <H,z>·w_ro and <∇V,z>·w_ro
+    c[..., 8:10] = sym(np.einsum("im,ils->imls", vec, w))
+    # quadratic w_ro feedback through the nonlinearity
+    c[..., 12:] = (-0.5 * p * (p - 1.0) * hpm2)[:, None, None, None] \
+        * np.einsum("ims,ilt->imlst", w, w).reshape(M, d, d, 4)
 
-    for i in range(M):
-        ki, hi, fpi = k[i], h[i], fp[i]
-        phi_i = np.zeros((d, r.size))
-        dsphi_i = np.zeros((d, r.size))
-        phi_i[:, :ny] = w_ro[i]
-        dsphi_i[:, :ny] = dw_ro[i]
-        dphi_i = np.gradient(phi_i, y, axis=1, edge_order=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi_over_y = np.where(y > 0, phi_i / np.maximum(y, 1e-300), 0.0)
-        phi_over_y[:, 0] = dphi_i[:, 0]
+    # odd imaginary source B_j = Σ_f b_jf·O_f(y)
+    O = np.vstack([y * Uv, y**2 * dU, y**3 * Uv, phi, y * dphi,
+                   Upm2 * y**2 * Uv * phi])
+    b = np.zeros((M, d, O.shape[0]))
+    b[..., 0] = Hc * ((2.0 * fpp * h + 4.0 * fp * hp + 2.0 * c_ie)
+                      / k)[:, None] + dH * (fp * h / k)[:, None]
+    b[..., 1] = Hc * (4.0 * fp * h * kp / k**2 + c_ie / k)[:, None]
+    b[..., 2] = vec * (c_ie / k**2)[:, None]
+    b[..., 3:5] = 2.0 * fp[:, None, None] * dw + fpp[:, None, None] * w
+    b[..., 5:7] = (2.0 * fp * kp / k)[:, None, None] * w
+    b[..., 7:9] = (-(p - 1.0) * hpm2 * c_ie / k**2)[:, None, None] * w
 
-        A = np.zeros(r.size)
-        C = np.zeros((d, d, r.size))
-
-        # <H,z>²-type quadratic sources and the Hessian of V
-        C += np.einsum("m,l,y->mly", Hc[i], Hc[i],
-                       3.0 * fpi**2 * hi * y2U / ki**2 + hi * ydU)
-        C += 0.5 * (hi / ki**2) * np.einsum("ml,y->mly", pot.hess_normal[i], y2U)
-        # <H,z>·w_ro and <∇V,z>·w_ro
-        vec = 2.0 * fpi**2 * Hc[i] + G[i]
-        Cadd = np.einsum("m,ly->mly", vec / ki, y * phi_i)
-        C += 0.5 * (Cadd + Cadd.transpose(1, 0, 2))
-        # Σ_l H^l ∂_l w_ro
-        A += ki * np.einsum("j,jy->y", Hc[i], phi_over_y)
-        Cadd = np.einsum("l,jy->ljy", Hc[i], ki * (dphi_i - phi_over_y))
-        C += 0.5 * (Cadd + Cadd.transpose(1, 0, 2))
-        # -f''·w_ie - 2f'·∂_s̄ w_ie
-        A += (-fpp[i] * c_ie[i] * y2U / ki**2
-              - 2.0 * fpi * (dc_ie[i] * y2U / ki**2
-                             + c_ie[i] * kp[i] * y**3 * dU / ki**3))
-        # -(hU(kz))'' at fixed z
-        A += -(h2p[i] * Uv
-               + (2.0 * hp[i] * kp[i] + hi * k2p[i]) * ydU / ki
-               + hi * kp[i]**2 * y**2 * d2U / ki**2)
-        # quadratic corrector feedback through the nonlinearity
-        C += np.einsum("my,ly->mly", phi_i, phi_i) * \
-            (-0.5 * p * (p - 1.0) * hi ** (p - 2.0) * Upm2)
-        A += -0.5 * (p - 1.0) * hi ** (p - 2.0) * Upm2 * \
-            c_ie[i] ** 2 * y**4 * Uv**2 / ki**4
-
-        # trace of C folds into the ℓ=0 sector; traceless part solves at ℓ=2
-        tr = np.einsum("mmy->y", C)
-        rhs_even0[i] = -(A + tr / d) / ki**2
-        if d >= 2:
-            Ctl = C - np.einsum("ml,y->mly", np.eye(d), tr / d)
-            rhs_even2[i] = -Ctl[upper] / ki**2
-
-        # odd imaginary source
-        B = np.zeros((d, r.size))
-        X = 2.0 * fpp[i] * hi * Uv + 4.0 * fpi * (hp[i] * Uv + hi * kp[i] * ydU / ki)
-        B += np.einsum("j,y->jy", Hc[i], X * y / ki)
-        B += 2.0 * fpi * (dsphi_i + kp[i] * (y / ki) * dphi_i) + fpp[i] * phi_i
-        B += np.einsum("j,y->jy", dH[i], fpi * hi * yU / ki)
-        B += np.einsum("j,y->jy", Hc[i], c_ie[i] * (2.0 * yU + y2dU) / ki)
-        B += np.einsum("j,y->jy", Hc[i], 2.0 * fpi**2 * c_ie[i] * y3U / ki**3)
-        B += np.einsum("j,y->jy", G[i], c_ie[i] * y3U / ki**3)
-        B += -(p - 1.0) * hi ** (p - 2.0) * Upm2 * c_ie[i] * (y2U / ki**2) * phi_i
-        rhs_odd[i] = -B / ki**2
-
-    # one banded solve per sector operator, all nodes as right-hand sides
-    v0_even0 = sector_solve(SectorOperator("Lr", 0, 0.0, d, p), U,
-                            rhs_even0)[0][:, :ny]
+    # one banded solve per sector for its radial functions; the nodes only
+    # combine the solutions.  The trace of C folds into the ℓ=0 sector, the
+    # traceless part solves at ℓ=2, one upper-triangle entry at a time.
+    tr = np.einsum("immf->if", c) / d
+    v0_even0 = (-(a + tr) / k[:, None]**2) @ sector_solve(
+        SectorOperator("Lr", 0, 0.0, d, p), U, E)[0][:, :ny]
     v0_even2 = np.zeros((M, d, d, ny))
     if d >= 2:
+        ctl = -(c - np.eye(d)[:, :, None] * tr[:, None, None])[..., 4:] \
+            / k[:, None, None, None]**2
         sol2 = sector_solve(SectorOperator("Lr", 2, 0.0, d, p), U,
-                            rhs_even2)[0][..., :ny]
-        v0_even2[:, upper[0], upper[1]] = sol2
-        v0_even2[:, upper[1], upper[0]] = sol2
-    v0_odd = sector_solve(SectorOperator("Li", 1, 0.0, d, p), U,
-                          rhs_odd)[0][..., :ny]
+                            E[4:])[0][:, :ny]
+        for m, l in zip(*np.triu_indices(d)):
+            v0_even2[:, m, l] = v0_even2[:, l, m] = ctl[:, m, l] @ sol2
+    v0_odd = (-b / k[:, None, None]**2) @ sector_solve(
+        SectorOperator("Li", 1, 0.0, d, p), U, O)[0][:, :ny]
 
     return CorrectorSet(ygrid=ygrid, c_wre=c_wre, c_wie=c_wie, b_wio=b_wio,
                         w_ro=w_ro, removed_wro=removed, c_vt=c_vt,
                         v0_even0=v0_even0, v0_even2=v0_even2, v0_odd=v0_odd,
                         f1prime=f1p, f1=f1, f1_budget=float(f1_budget),
-                        source_even=(A, C), source_odd=B)
+                        source_even=(a[-1] @ E, c[-1] @ E),
+                        source_odd=b[-1] @ O)
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +277,20 @@ class AnsatzField:
 def _interp_rows(ygrid, rows, yq):
     """Row-wise linear interpolation, zero past the last node.
 
-    ``ygrid`` is uniform from 0; rows (M, ny) are evaluated at yq (M, ...),
-    yq >= 0, row i at yq[i].
+    ``ygrid`` is uniform from 0; rows (M, ..., ny) are evaluated at yq
+    (M, ...), yq >= 0, every row of node i at yq[i].  The result has shape
+    rows.shape[:-1] + yq.shape[1:].
     """
-    M, ny = rows.shape
-    t = yq.reshape(M, -1) / ygrid[1]
+    M, ny = rows.shape[0], rows.shape[-1]
+    shape = rows.shape[:-1] + yq.shape[1:]
+    yq = yq.reshape(M, 1, -1)
+    t = yq / ygrid[1]
     j = np.minimum(t, ny - 2).astype(np.intp)
-    lo = np.take_along_axis(rows, j, axis=1)
-    hi = np.take_along_axis(rows, j + 1, axis=1)
+    flat = j + ny * np.arange(rows.size // ny).reshape(M, -1, 1)
+    lo, hi = rows.take(flat), rows.take(flat + 1)
     out = lo + (t - j) * (hi - lo)
-    out[yq.reshape(M, -1) > ygrid[-1]] = 0.0
-    return out.reshape(yq.shape)
+    out[np.broadcast_to(yq > ygrid[-1], out.shape)] = 0.0
+    return out.reshape(shape)
 
 
 def assemble_ansatz(grid, curve, sf, U, correctors, params=None, crossing=None,
@@ -328,24 +330,19 @@ def assemble_ansatz(grid, curve, sf, U, correctors, params=None, crossing=None,
         w_re = co.c_wre.reshape(shape1) * ut0
         w_ie = co.c_wie.reshape(shape1) * grid.znorm[None] ** 2 * Uq
         w_io = np.einsum("ij,j...->i...", co.b_wio, grid.zcomp) * Uq
-        w_ro = np.zeros(field.shape)
-        for j in range(d):
-            radj = _interp_rows(co.ygrid, co.w_ro[:, j], yq)
-            w_ro += radj * grid.zhat[j][None]
+        w_ro = np.einsum("ij...,j...->i...",
+                         _interp_rows(co.ygrid, co.w_ro, yq), grid.zhat)
         field = field + eps * ((w_re + w_ro) + 1j * (w_ie + w_io))
 
     if level >= 2:
         vt = co.c_vt.reshape(shape1) * ut0
         v0e = _interp_rows(co.ygrid, co.v0_even0, yq)
         if d >= 2:
-            for m in range(d):
-                for l in range(d):
-                    v0e += _interp_rows(co.ygrid, co.v0_even2[:, m, l], yq) \
-                        * grid.zhat[m][None] * grid.zhat[l][None]
-        v0o = np.zeros(field.shape)
-        for j in range(d):
-            v0o += _interp_rows(co.ygrid, co.v0_odd[:, j], yq) \
-                * grid.zhat[j][None]
+            v0e += np.einsum("iml...,m...,l...->i...",
+                             _interp_rows(co.ygrid, co.v0_even2, yq),
+                             grid.zhat, grid.zhat)
+        v0o = np.einsum("ij...,j...->i...",
+                        _interp_rows(co.ygrid, co.v0_odd, yq), grid.zhat)
         field = field + eps**2 * (vt + v0e + 1j * v0o)
 
         if params.b is not None and np.any(np.asarray(params.b) != 0):
@@ -357,12 +354,10 @@ def assemble_ansatz(grid, curve, sf, U, correctors, params=None, crossing=None,
                 raise ValidationError("coefficients must match the basis window")
             beta = b @ basis.beta
             xi = b @ basis.xi
-            Zrows = np.stack([m.u_values for m in crossing])
-            Wrows = np.stack([m.v_values for m in crossing])
-            Zq = _interp_rows(U.grid.nodes, Zrows, yq)
-            Wq = _interp_rows(U.grid.nodes, Wrows, yq)
-            field = field + beta.reshape(shape1) * Zq \
-                + 1j * xi.reshape(shape1) * Wq
+            ZW = _interp_rows(U.grid.nodes, np.stack(
+                [(m.u_values, m.v_values) for m in crossing]), yq)
+            field = field + beta.reshape(shape1) * ZW[:, 0] \
+                + 1j * xi.reshape(shape1) * ZW[:, 1]
 
     return AnsatzField(values=field * grid.cutoff, phase_rate=phase_rate,
                        level=level, grid=grid)

@@ -88,3 +88,119 @@ def fourier_symbol_jacobi_circle(h, Vpp, Hcomp, theta, sigma, p, A, L, M):
     vals = [(a * (2 * np.pi * m / L) ** 2 + zero_order) / h**theta
             for m in range(-(M // 2) + 1, M // 2 + 1)]
     return np.sort(np.array(vals))
+
+
+def level2_correctors_per_node(curve, pot, sf, U, w_ro):
+    """Second-order correctors v⁰ with the sources assembled node by node.
+
+    The reference for ``ansatz.build_correctors``: for every curve node the
+    level-2 sources are built on the radial grid from that node's odd
+    corrector rows ``w_ro`` (M, d, ny), then each sector is solved with one
+    row per node.  Returns (v0_even0, v0_even2, v0_odd, (A, C), B) with the
+    sources of node M-1.
+    """
+    from nlscurve.geometry import periodic_derivative
+    from nlscurve.radial import SectorOperator, sector_solve
+
+    p = sf.exps.p
+    M, d = curve.M, curve.n - 1
+    r = U.grid.nodes
+    y = r
+    Uv = U.values
+    dU = U.derivative(r)
+    d2U = np.gradient(dU, y, edge_order=2)
+    ny = w_ro.shape[-1]
+    h, k, fp = sf.h, sf.k, sf.fprime
+    Hc = curve.curvature
+    G = pot.grad_normal
+    L = curve.L
+    hp = periodic_derivative(h, L)
+    h2p = periodic_derivative(h, L, 2)
+    kp = periodic_derivative(k, L)
+    k2p = periodic_derivative(k, L, 2)
+    fpp = periodic_derivative(fp, L)
+    dH = periodic_derivative(Hc, L)
+
+    dw_ro = periodic_derivative(w_ro, L)              # ∂_s̄ at fixed y
+    yU, y2U, y3U = y * Uv, y**2 * Uv, y**3 * Uv
+    ydU, y2dU = y * dU, y**2 * dU
+    Upm2 = np.where(Uv > 0, Uv ** (p - 2.0), 0.0)
+
+    c_ie = 0.25 * (p - 1.0) * fp * hp
+    dc_ie = periodic_derivative(c_ie, L)
+
+    upper = np.triu_indices(d)
+    rhs_even0 = np.empty((M, r.size))
+    rhs_even2 = np.empty((M, upper[0].size, r.size)) if d >= 2 else None
+    rhs_odd = np.empty((M, d, r.size))
+
+    for i in range(M):
+        ki, hi, fpi = k[i], h[i], fp[i]
+        phi_i = np.zeros((d, r.size))
+        dsphi_i = np.zeros((d, r.size))
+        phi_i[:, :ny] = w_ro[i]
+        dsphi_i[:, :ny] = dw_ro[i]
+        dphi_i = np.gradient(phi_i, y, axis=1, edge_order=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi_over_y = np.where(y > 0, phi_i / np.maximum(y, 1e-300), 0.0)
+        phi_over_y[:, 0] = dphi_i[:, 0]
+
+        A = np.zeros(r.size)
+        C = np.zeros((d, d, r.size))
+
+        # <H,z>²-type quadratic sources and the Hessian of V
+        C += np.einsum("m,l,y->mly", Hc[i], Hc[i],
+                       3.0 * fpi**2 * hi * y2U / ki**2 + hi * ydU)
+        C += 0.5 * (hi / ki**2) * np.einsum("ml,y->mly", pot.hess_normal[i], y2U)
+        # <H,z>·w_ro and <∇V,z>·w_ro
+        vec = 2.0 * fpi**2 * Hc[i] + G[i]
+        Cadd = np.einsum("m,ly->mly", vec / ki, y * phi_i)
+        C += 0.5 * (Cadd + Cadd.transpose(1, 0, 2))
+        # Σ_l H^l ∂_l w_ro
+        A += ki * np.einsum("j,jy->y", Hc[i], phi_over_y)
+        Cadd = np.einsum("l,jy->ljy", Hc[i], ki * (dphi_i - phi_over_y))
+        C += 0.5 * (Cadd + Cadd.transpose(1, 0, 2))
+        # -f''·w_ie - 2f'·∂_s̄ w_ie
+        A += (-fpp[i] * c_ie[i] * y2U / ki**2
+              - 2.0 * fpi * (dc_ie[i] * y2U / ki**2
+                             + c_ie[i] * kp[i] * y**3 * dU / ki**3))
+        # -(hU(kz))'' at fixed z
+        A += -(h2p[i] * Uv
+               + (2.0 * hp[i] * kp[i] + hi * k2p[i]) * ydU / ki
+               + hi * kp[i]**2 * y**2 * d2U / ki**2)
+        # quadratic corrector feedback through the nonlinearity
+        C += np.einsum("my,ly->mly", phi_i, phi_i) * \
+            (-0.5 * p * (p - 1.0) * hi ** (p - 2.0) * Upm2)
+        A += -0.5 * (p - 1.0) * hi ** (p - 2.0) * Upm2 * \
+            c_ie[i] ** 2 * y**4 * Uv**2 / ki**4
+
+        # trace of C folds into the ℓ=0 sector; traceless part solves at ℓ=2
+        tr = np.einsum("mmy->y", C)
+        rhs_even0[i] = -(A + tr / d) / ki**2
+        if d >= 2:
+            Ctl = C - np.einsum("ml,y->mly", np.eye(d), tr / d)
+            rhs_even2[i] = -Ctl[upper] / ki**2
+
+        # odd imaginary source
+        B = np.zeros((d, r.size))
+        X = 2.0 * fpp[i] * hi * Uv + 4.0 * fpi * (hp[i] * Uv + hi * kp[i] * ydU / ki)
+        B += np.einsum("j,y->jy", Hc[i], X * y / ki)
+        B += 2.0 * fpi * (dsphi_i + kp[i] * (y / ki) * dphi_i) + fpp[i] * phi_i
+        B += np.einsum("j,y->jy", dH[i], fpi * hi * yU / ki)
+        B += np.einsum("j,y->jy", Hc[i], c_ie[i] * (2.0 * yU + y2dU) / ki)
+        B += np.einsum("j,y->jy", Hc[i], 2.0 * fpi**2 * c_ie[i] * y3U / ki**3)
+        B += np.einsum("j,y->jy", G[i], c_ie[i] * y3U / ki**3)
+        B += -(p - 1.0) * hi ** (p - 2.0) * Upm2 * c_ie[i] * (y2U / ki**2) * phi_i
+        rhs_odd[i] = -B / ki**2
+
+    v0_even0 = sector_solve(SectorOperator("Lr", 0, 0.0, d, p), U,
+                            rhs_even0)[0][:, :ny]
+    v0_even2 = np.zeros((M, d, d, ny))
+    if d >= 2:
+        sol2 = sector_solve(SectorOperator("Lr", 2, 0.0, d, p), U,
+                            rhs_even2)[0][..., :ny]
+        v0_even2[:, upper[0], upper[1]] = sol2
+        v0_even2[:, upper[1], upper[0]] = sol2
+    v0_odd = sector_solve(SectorOperator("Li", 1, 0.0, d, p), U,
+                          rhs_odd)[0][..., :ny]
+    return v0_even0, v0_even2, v0_odd, (A, C), B

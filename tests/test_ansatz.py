@@ -19,6 +19,7 @@ from nlscurve.tube import (apply_S_eps, build_tube_grid, convergence_order,
                            smooth_step, weighted_norm)
 
 from conftest import circle_setup
+from oracles import level2_correctors_per_node
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,27 @@ def circle_run(U23, bump_potential, exps23):
     co = build_correctors(curve, pot, sf, U23)
     grid = build_tube_grid(curve, bump_potential, sf, 0.1, 3.0, dz_factor=16)
     return {"curve": curve, "pot": pot, "sf": sf, "co": co, "grid": grid}
+
+
+@pytest.fixture(scope="module")
+def circle_n3(grid30):
+    """Planar critical circle in R³ (d = 2) at A = 0.05: its radius and a
+    builder of (curve, pot, sf, U) at M nodes."""
+    U = ground_state(3, 3, grid30)
+    exps = compute_exponents(3, 3)
+    V = PotentialField("1/(1+r2)", 3)
+
+    def setup(R, M=64):
+        curve = build_curve(CurveSpec("circle", n=3, radius=R), M)
+        return curve, sample_potential(V, curve)
+
+    rstar = critical_circle_radius(setup, (0.6, 1.4), 0.05, exps)
+
+    def build(M):
+        curve, pot = setup(rstar, M)
+        return curve, pot, compute_scalings(curve, pot, 0.05, exps), U
+
+    return rstar, build
 
 
 class TestCutoff:
@@ -214,21 +236,12 @@ class TestCorrectors:
         # A=0 on a constant circle: the odd imaginary source vanishes
         assert np.max(np.abs(circle_run["co"].v0_odd)) == 0.0
 
-    def test_traceless_sector_n3(self, grid30):
+    def test_traceless_sector_n3(self, grid30, circle_n3):
         # planar critical circle in R³ (d = 2): the d×d source algebra and
         # the traceless ℓ=2 solve, checked against node M-1's source
-        U = ground_state(3, 3, grid30)
-        exps = compute_exponents(3, 3)
-        V = PotentialField("1/(1+r2)", 3)
-
-        def setup(R):
-            curve = build_curve(CurveSpec("circle", n=3, radius=R), 64)
-            return curve, sample_potential(V, curve)
-
-        rstar = critical_circle_radius(setup, (0.6, 1.4), 0.05, exps)
+        rstar, build = circle_n3
         assert abs(rstar - 0.99504) < 1e-4
-        curve, pot = setup(rstar)
-        sf = compute_scalings(curve, pot, 0.05, exps)
+        curve, pot, sf, U = build(64)
         co = build_correctors(curve, pot, sf, U)
         ny = co.ygrid.size
         assert co.w_ro.shape == (64, 2, ny) and co.v0_even2.shape == (64, 2, 2, ny)
@@ -244,6 +257,86 @@ class TestCorrectors:
             src = -Ctl[m, l] / sf.k[-1] ** 2
             # the stored window ends at ny; its last node sees a zero neighbour
             assert np.max(np.abs(back[1:ny - 1] - src[1:ny - 1])) < 1e-10
+
+
+class TestLevel2Correctors:
+    """The level-2 sources as node coefficients times fixed radial functions."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, U23, bump_potential, exps23, circle_n3):
+        def build(name, M=None):
+            if name == "circle-n2":
+                return circle_setup(bump_potential, 0.7012465, M or 80, 0.05,
+                                    exps23) + (U23,)
+            if name == "ellipse":
+                # variable coefficients: every source term is nonzero
+                curve = build_curve(CurveSpec("ellipse", n=2, a=0.85, b=0.6),
+                                    M or 256)
+                pot = sample_potential(bump_potential, curve)
+                return curve, pot, compute_scalings(curve, pot, 0.05,
+                                                    exps23), U23
+            return circle_n3[1](M or 64)
+        return build
+
+    @pytest.mark.parametrize("name, gate", [("circle-n2", 1e-11),
+                                            ("ellipse", 1e-11),
+                                            ("circle-n3", 1e-8)])
+    def test_matches_per_node_sources(self, cases, name, gate):
+        # the node-by-node assembly is the reference; for n = 3 the ℓ=1
+        # near-kernel leaves w_ro ~3e-10 (relative) off the span of its two
+        # radial solves, which bounds the agreement
+        curve, pot, sf, U = cases(name)
+        co = build_correctors(curve, pot, sf, U, criticality_tol=np.inf)
+        ref = level2_correctors_per_node(curve, pot, sf, U, co.w_ro)
+        got = (co.v0_even0, co.v0_even2, co.v0_odd, *co.source_even,
+               co.source_odd)
+        scale = np.max(np.abs(ref[0]))
+        for mine, theirs in zip(got, ref[:3] + ref[3] + ref[4:]):
+            assert mine.shape == theirs.shape
+            assert np.max(np.abs(mine - theirs)) <= gate * scale
+
+    @pytest.mark.parametrize("name", ["circle-n2", "circle-n3"])
+    def test_level2_solve_rows_independent_of_nodes(self, cases, name,
+                                                    monkeypatch):
+        import nlscurve.ansatz as ansatz_mod
+        real = ansatz_mod.sector_solve
+        calls = []
+
+        def counting(op, U, rhs, **kwargs):
+            calls.append((op.kind, op.ell, int(np.prod(np.shape(rhs)[:-1]))))
+            return real(op, U, rhs, **kwargs)
+
+        monkeypatch.setattr(ansatz_mod, "sector_solve", counting)
+        rows = {}
+        for M in (64, 256):
+            calls.clear()
+            curve, pot, sf, U = cases(name, M)
+            build_correctors(curve, pot, sf, U)
+            rows[M] = list(calls)
+        d = curve.n - 1
+        # only the odd real corrector w_ro is solved one row per node
+        for M in rows:
+            assert rows[M][0] == ("Lr", 1, M * d)
+        assert rows[64][1:] == rows[256][1:]
+        sectors = {("Lr", 0), ("Li", 1)} | ({("Lr", 2)} if d >= 2 else set())
+        assert sectors <= {call[:2] for call in rows[64][1:]}
+
+    @pytest.mark.parametrize("name", ["circle-n2", "circle-n3"])
+    def test_peak_memory_near_returned_tables(self, cases, name):
+        # memory grows with the tables build_correctors returns, not with
+        # per-node source buffers beside them
+        import tracemalloc
+        curve, pot, sf, U = cases(name, 320)
+        build_correctors(curve, pot, sf, U)
+        tracemalloc.start()
+        try:
+            co = build_correctors(curve, pot, sf, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = sum(t.nbytes for t in (co.w_ro, co.v0_even0, co.v0_even2,
+                                        co.v0_odd))
+        assert peak <= 1.5 * tables
 
 
 class TestAssembly:
@@ -316,6 +409,19 @@ class TestAssembly:
         tol = 4 * np.finfo(float).eps * ygrid.size * np.max(np.abs(np.diff(rows)))
         assert np.max(np.abs(out - ref)) < tol
         assert np.all(out[yq > ygrid[-1]] == 0.0)
+
+    def test_interp_rows_stacked(self):
+        # rows (M, ..., ny) interpolate as every (M, ny) slice does alone
+        rng = np.random.default_rng(4)
+        ygrid = np.linspace(0.0, 30.0, 3000)[:2842]
+        rows = rng.standard_normal((4, 2, 3, ygrid.size))
+        yq = rng.uniform(0.0, 32.0, (4, 7, 5))
+        out = _interp_rows(ygrid, rows, yq)
+        assert out.shape == (4, 2, 3, 7, 5)
+        for m in range(2):
+            for l in range(3):
+                assert np.array_equal(out[:, m, l],
+                                      _interp_rows(ygrid, rows[:, m, l], yq))
 
 
 @pytest.fixture(scope="module")

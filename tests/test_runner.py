@@ -48,6 +48,12 @@ def write(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def readme_run_file():
+    """The ```ini run file of README.md."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    return re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+
+
 class TestParseConfig:
     def test_minimal_defaults(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))
@@ -95,9 +101,7 @@ class TestParseConfig:
 
     def test_readme_example_parses(self, tmp_path):
         # the README's run file carries inline ';' comments after its values
-        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-        block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
-        cfg = parse_config(write(tmp_path, block))
+        cfg = parse_config(write(tmp_path, readme_run_file()))
         assert cfg.phase_speed == 0.05
         assert cfg.potential == "1/(1+r2)"
         assert cfg.curve.kind == "circle"
@@ -214,6 +218,20 @@ class TestPipeline:
         summary, csvs = run_pipeline(cfg)
         assert summary["stages"] == {} and csvs == {}
         assert summary["all_checks_pass"]
+
+    def test_residual_stage_on_readme_circle(self, tmp_path):
+        # the criterion-8 residual study on the README circle, N_s = 320
+        text = re.sub(r"stages = .*", "stages = profile, residual",
+                      readme_run_file()) + "\n[residual]\nbase_samples = 64\n"
+        summary, csvs = run_pipeline(parse_config(write(tmp_path, text)))
+        emit_report(summary, csvs, str(tmp_path / "out"))
+        checks = summary["stages"]["residual"]["checks"]
+        assert checks == {"level0_slope_ge_0.9": True,
+                          "level1_slope_ge_1.8": True,
+                          "level2_slope_ge_1.8": True,
+                          "level2_below_level1": True}
+        lines = (tmp_path / "out" / "residual.csv").read_text().splitlines()
+        assert lines[0] == "eps,level,norm" and len(lines) == 10
 
     def test_two_stages_two_csv_groups(self, tmp_path):
         text = CRITICAL.replace(
