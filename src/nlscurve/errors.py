@@ -6,7 +6,12 @@ class ValidationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver (shooting, Newton, bisection) failed to converge."""
+    """An iterative solver failed to converge or reached an inadmissible result.
+
+    The solvers: Petviashvili's iteration and Newton for the ground state,
+    Newton for the scalings, Brent's method for scalar roots, and the
+    eigen-solves of ``spectrum``.
+    """
 
 
 class IllPosedSolveError(RuntimeError):

@@ -24,15 +24,15 @@ are read.
 """
 
 import ast
+import itertools
 import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import logm
-from scipy.spatial import cKDTree
 
 from .errors import ConvergenceError, ValidationError
+from .radial import UniformCubic
 
 # largest t grid of the arc-length Fourier series; sampled loops stop here
 ARC_MODES_CAP = 1 << 16
@@ -320,8 +320,9 @@ class PotentialData:
 def _param_functions(spec):
     """(γ, γ', γ'') as functions of a 2π-periodic parameter.
 
-    Closed forms for circle and ellipse; periodic cubic spline derivatives
-    for sampled loops.
+    Closed forms for circle and ellipse; for sampled loops, the periodic
+    cubic spline through the samples on uniform parameters and its
+    derivatives.
     """
     if spec.kind in ("circle", "ellipse"):
         a = spec.radius if spec.kind == "circle" else spec.a
@@ -344,24 +345,56 @@ def _param_functions(spec):
     pts = np.asarray(spec.points, dtype=float)
     if pts.shape[0] < 8:
         raise ValidationError("parametric curve needs at least 8 samples")
-    t = np.linspace(0, 2 * np.pi, pts.shape[0] + 1)
-    closed = np.concatenate([pts, pts[:1]], axis=0)
-    spline = CubicSpline(t, closed, axis=0, bc_type="periodic")
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-    wrap = lambda f: (lambda tt: f(np.mod(tt, 2 * np.pi)))
-    return wrap(spline), wrap(d1), wrap(d2)
+    spline = UniformCubic.periodic(pts, 2 * np.pi)
+    wrap = lambda nu: (lambda tt: spline(np.mod(tt, 2 * np.pi), nu))
+    return wrap(0), wrap(1), wrap(2)
+
+
+def _close_pairs(points, rad):
+    """Index pairs (i, j), i < j, of points (M, n) at most ``rad`` apart.
+
+    Candidates share a cell, or touch cells, of a grid of cell size rad: the
+    points are sorted by one integer cell key, and each finds the points of
+    its own cell and of half its neighbours by binary search, so the memory
+    stays linear in M for a bounded number of points per cell.  Axes with a
+    single cell, and axes that would overflow the int64 key, are left out
+    of it, which only coarsens the cells.
+    """
+    M = points.shape[0]
+    cells = np.floor((points - points.min(axis=0)) / rad).astype(np.int64) + 1
+    span = cells.max(axis=0) + 2     # a cell ± 1 stays within [0, span]
+    axes, strides, size = [], [], 1
+    for ax in np.argsort(-span):
+        if span[ax] == 3 or size * (int(span[ax]) + 1) >= 2**62:
+            break
+        axes.append(ax)
+        strides.append(size)
+        size *= int(span[ax]) + 1
+    key = cells[:, axes] @ np.array(strides, dtype=np.int64)
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    # the own cell first, then each neighbour whose mirror image is not listed
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=len(axes))
+               if o >= (0,) * len(axes)] @ np.array(strides, dtype=np.int64)
+    other = (key[:, None] + offsets).ravel()
+    lo = np.searchsorted(sorted_key, other, "left")
+    count = np.searchsorted(sorted_key, other, "right") - lo
+    slot = np.repeat(np.arange(other.size), count)
+    i = slot // offsets.size
+    j = order[np.arange(slot.size) + np.repeat(lo - np.cumsum(count) + count, count)]
+    keep = (np.sum((points[i] - points[j]) ** 2, axis=1) <= rad**2) \
+        & ((i < j) | (slot % offsets.size > 0))
+    return np.sort(np.stack([i[keep], j[keep]]), axis=0)
 
 
 def _check_simple(positions):
     """Self-intersection test on the sample polyline: samples far apart along
-    the curve must not come within half a sampling step of each other.  The
-    k-d tree keeps the memory linear in the number of samples."""
+    the curve must not come within half a sampling step of each other."""
     M = positions.shape[0]
     step = np.max(np.linalg.norm(np.diff(positions, axis=0, append=positions[:1]),
                                  axis=1))
-    pairs = cKDTree(positions).query_pairs(0.5 * step, output_type="ndarray")
-    gap = np.abs(pairs[:, 0] - pairs[:, 1])
+    i, j = _close_pairs(positions, 0.5 * step)
+    gap = j - i
     if np.any(np.minimum(gap, M - gap) > max(4, M // 64)):
         raise ValidationError("curve appears to self-intersect")
 

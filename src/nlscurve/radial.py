@@ -18,19 +18,28 @@ sector solves with kernel projection.
 Discretization: uniform radial grid on [0, r_max], second-order finite
 differences in divergence form, with the (d-1)/r first-derivative term
 regularized at r = 0 by parity.  All sector matrices are symmetrized by the
-diagonal similarity induced by the radial volume weight r^{d-1}.
+diagonal similarity induced by the radial volume weight r^{d-1}.  The ground
+state is the solution of the discrete equation itself: Petviashvili's
+fixed-point iteration from e^{-r²}, then Newton on the same grid.  Between
+the nodes a profile is its not-a-knot cubic interpolant (``UniformCubic``).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import ValidationError, ConvergenceError, IllPosedSolveError
 
 KERNEL_TOL = 1e-6  # discrete eigenvalue |λ| below this counts as kernel
+# absolute tolerance of the tridiagonal bisection (LAPACK's stebz): twice the
+# underflow threshold is its most accurate setting; the default, eps times
+# the matrix norm (O(1/dr²)), leaves eigenvalue errors of order 1e-12
+BISECTION_TOL = 2 * np.finfo(float).tiny
+# Petviashvili's iteration for the ground state: step cap and the relative
+# change at which Newton takes over
+PETVIASHVILI_MAX_ITER = 200
+PETVIASHVILI_TOL = 1e-6
 
 
 def admissible_p_range(n):
@@ -69,22 +78,82 @@ class RadialGrid:
         return self.r_max / (self.m - 1)
 
 
+class UniformCubic:
+    """C² piecewise cubic through ``values`` (K+1, ...) on uniform knots.
+
+    ``moments`` are its second derivatives at the knots.  ``not_a_knot``
+    and ``periodic`` solve for them; a call evaluates the cubic, or its
+    ``nu``-th derivative (nu ≤ 2), by Horner's rule on the interval
+    [knots[i], knots[i+1]) that holds x (the last one closed), for x within
+    [knots[0], knots[-1]].
+    """
+
+    def __init__(self, knots, values, moments):
+        h = knots[1] - knots[0]
+        y0, y1, m0, m1 = values[:-1], values[1:], moments[:-1], moments[1:]
+        self.knots, self.h = knots, h
+        self.coef = np.stack([(m1 - m0) / (6.0 * h), 0.5 * m0,
+                              (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0, y0])
+
+    @classmethod
+    def not_a_knot(cls, knots, values):
+        """Third derivative continuous at the second and the second-to-last
+        knot: rows 1 and K-1 of the moment system become 6·M_i = rhs_i."""
+        h = knots[1] - knots[0]
+        rhs = 6.0 * (values[:-2] - 2.0 * values[1:-1] + values[2:]) / h**2
+        ab = np.ones((3, rhs.shape[0]))
+        ab[1] = 4.0
+        ab[1, [0, -1]] = 6.0
+        ab[0, 1] = ab[2, -2] = 0.0
+        inner = solve_banded((1, 1), ab, rhs)
+        ends = (2.0 * inner[:1] - inner[1:2], 2.0 * inner[-1:] - inner[-2:-1])
+        return cls(knots, values, np.concatenate([ends[0], inner, ends[1]]))
+
+    @classmethod
+    def periodic(cls, values, period):
+        """Periodic cubic through ``values`` (N, ...) on N knots of [0,
+        period): the moment system is circulant (1, 4, 1), solved by FFT."""
+        N = values.shape[0]
+        h = period / N
+        rhs = 6.0 * (np.roll(values, 1, axis=0) - 2.0 * values
+                     + np.roll(values, -1, axis=0)) / h**2
+        eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(N) / N)
+        mom = np.fft.ifft(np.fft.fft(rhs, axis=0)
+                          / eig.reshape((N,) + (1,) * (values.ndim - 1)),
+                          axis=0).real
+        closed = lambda a: np.concatenate([a, a[:1]], axis=0)
+        return cls(np.linspace(0.0, period, N + 1), closed(values), closed(mom))
+
+    def __call__(self, x, nu=0):
+        x = np.asarray(x, dtype=float)
+        k = self.knots
+        i = np.clip(np.floor((x - k[0]) / self.h).astype(np.intp), 0, k.size - 2)
+        i += (i < k.size - 2) & (x >= k[i + 1])
+        i -= (x < k[i]) & (i > 0)
+        t = (x - k[i]).reshape(x.shape + (1,) * (self.coef.ndim - 2))
+        weights = ((1.0, 1.0, 1.0, 1.0), (3.0, 2.0, 1.0), (6.0, 2.0))[nu]
+        out = weights[0] * self.coef[0][i]
+        for w, c in zip(weights[1:], self.coef[1:]):
+            out *= t
+            out += w * c[i]
+        return out
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """A radial function on R^d sampled on a RadialGrid.
 
     ``decay_rate`` is the exponential rate fitted on the last quarter of the
     grid after removing the known polynomial prefactor r^{-(d-1)/2}; it is 0.0
-    for profiles where no fit was requested.  ``shoot_amplitude`` is the
-    shooting value of U(0) for a solved ground state, None otherwise.
+    for profiles where no fit was requested.  Between the nodes the profile
+    is the not-a-knot cubic through its values.
     """
 
     grid: RadialGrid
     values: np.ndarray
     dim: int
     decay_rate: float = 0.0
-    shoot_amplitude: float = field(default=None, compare=False)
-    _spline: CubicSpline = field(default=None, repr=False, compare=False)
+    _cubic: UniformCubic = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)   # private, read-only copy
@@ -94,12 +163,13 @@ class RadialProfile:
         if not np.all(np.isfinite(vals)):
             raise ValidationError("profile values must be finite")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_spline", CubicSpline(self.grid.nodes, vals))
+        object.__setattr__(self, "_cubic",
+                           UniformCubic.not_a_knot(self.grid.nodes, vals))
 
     def __call__(self, r):
         """Evaluate at |r|, with exponential extrapolation past r_max."""
         r = np.abs(np.asarray(r, dtype=float))
-        out = self._spline(np.minimum(r, self.grid.r_max))
+        out = self._cubic(np.minimum(r, self.grid.r_max))
         beyond = r > self.grid.r_max
         if np.any(beyond):
             rate = self.decay_rate if self.decay_rate > 0 else 1.0
@@ -111,7 +181,7 @@ class RadialProfile:
         """Radial derivative du/dr evaluated at |r| (zero past r_max)."""
         r = np.asarray(r, dtype=float)
         inside = np.abs(r) <= self.grid.r_max
-        out = self._spline(np.clip(np.abs(r), 0, self.grid.r_max), 1)
+        out = self._cubic(np.clip(np.abs(r), 0, self.grid.r_max), 1)
         return np.where(inside, out, 0.0)
 
     def with_values(self, values, decay_rate=0.0):
@@ -168,42 +238,6 @@ def _fit_decay_rate(grid, values, dim):
 # ---------------------------------------------------------------------------
 # Ground state
 # ---------------------------------------------------------------------------
-
-def _shoot(a, d, p, r_max, dense=False):
-    """Integrate the radial ODE from r≈0 with u(0)=a.
-
-    The integrator is SciPy's Dormand–Prince 8(5,3) pair (``DOP853``) at
-    rtol 1e-12, atol 1e-14.  Returns (-1, sol) on overshoot (u crosses zero),
-    (+1, sol) on undershoot (u' turns positive while u > 0), (0, sol) if
-    integration reaches r_max.  ``sol.sol`` is the dense output when
-    ``dense`` is set and None otherwise: the bisection reads only the status.
-    """
-    r0 = 1e-6
-    u0 = a + (a - a**p) * r0**2 / (2 * d)
-    du0 = (a - a**p) * r0 / d
-
-    def rhs(r, y):
-        u, du = y
-        return [du, -(d - 1) / r * du + u - np.sign(u) * np.abs(u) ** p]
-
-    def cross_zero(r, y):
-        return y[0]
-    cross_zero.terminal = True
-    cross_zero.direction = -1
-
-    def turn_up(r, y):
-        return y[1]
-    turn_up.terminal = True
-    turn_up.direction = 1
-
-    sol = solve_ivp(rhs, (r0, r_max), [u0, du0], events=[cross_zero, turn_up],
-                    rtol=1e-12, atol=1e-14, dense_output=dense, method="DOP853")
-    if sol.t_events[0].size:
-        return -1, sol
-    if sol.t_events[1].size:
-        return +1, sol
-    return 0, sol
-
 
 def _laplacian_rows(grid, d, include_origin):
     """Divergence-form radial Laplacian (-Δ) as banded rows plus its weight.
@@ -288,60 +322,56 @@ def ode_residual(profile, p):
     return float(np.max(np.abs(lap + u - np.abs(u) ** p)))
 
 
+def _petviashvili(d, p, grid):
+    """Petviashvili's iteration for the discrete ground-state equation.
+
+    With A = -Δ + 1 (Dirichlet at r_max) and the stabilizing factor
+    M = <u, Au>_w / <u, u^p>_w, each step is u <- M^{p/(p-1)} A⁻¹u^p, one
+    banded solve; M -> 1 at the solution.  Starts from e^{-r²} and stops
+    once a step changes u by less than PETVIASHVILI_TOL relative to max|u|
+    (Pelinovsky and Stepanyants, SIAM J. Numer. Anal. 42 (2004) 1110–1127).
+    Returns the active-node values (all but r_max).
+    """
+    lower, diag, upper, weight, idx = _laplacian_rows(grid, d, include_origin=True)
+    ab = np.zeros((3, idx.size))
+    ab[0, 1:] = upper[:-1]
+    ab[1] = diag + 1.0
+    ab[2, :-1] = lower[1:]
+    u = np.exp(-grid.nodes[idx] ** 2)
+    for _ in range(PETVIASHVILI_MAX_ITER):
+        Au = ab[1] * u
+        Au[:-1] += ab[0, 1:] * u[1:]
+        Au[1:] += ab[2, :-1] * u[:-1]
+        up = np.abs(u) ** p
+        stab = np.dot(weight, u * Au) / np.dot(weight, u * up)
+        new = stab ** (p / (p - 1.0)) * solve_banded((1, 1), ab, up)
+        change = np.max(np.abs(new - u)) / np.max(np.abs(new))
+        u = new
+        if change < PETVIASHVILI_TOL:       # False for NaN: runs to the cap
+            return u
+    raise ConvergenceError(f"Petviashvili iteration for the ground state did "
+                           f"not converge in {PETVIASHVILI_MAX_ITER} steps")
+
+
 def solve_ground_state(n, p, grid=None):
     """Positive radial ground state of -ΔU + U = U^p in R^{n-1}.
 
-    Shooting on U(0) with bisection brackets the solution, then a Newton
-    relaxation on the finite-difference grid drives the discrete residual to
-    round-off.  Each shot integrates with the eighth-order Dormand–Prince
-    pair (``DOP853``, rtol 1e-12, atol 1e-14); the bisection shots read only
-    the over/undershoot status, and only the kept trajectory, one final shot
-    at the lower bracket end, carries dense output to seed the grid values.
-    The shooting amplitude is kept on the profile (field ``shoot_amplitude``)
-    as an independent high-order value of U(0).
+    The solution of the finite-difference equation on ``grid``: Petviashvili's
+    iteration (``_petviashvili``) brings e^{-r²} to a relative change of
+    PETVIASHVILI_TOL, then Newton (``_newton_polish``) drives the discrete
+    residual to round-off.  Raises ConvergenceError when either does not
+    converge or the result is not positive and decreasing.
     """
     check_p(n, p)
     grid = grid or RadialGrid()
     d = n - 1
-
-    a_lo, a_hi = 1.0 + 1e-9, 2.0
-    status, _ = _shoot(a_hi, d, p, grid.r_max)
-    tries = 0
-    while status != -1:
-        a_hi *= 2.0
-        tries += 1
-        if tries > 40:
-            raise ConvergenceError("could not bracket the ground state amplitude")
-        status, _ = _shoot(a_hi, d, p, grid.r_max)
-
-    for _ in range(80):
-        a_mid = 0.5 * (a_lo + a_hi)
-        status, _ = _shoot(a_mid, d, p, grid.r_max)
-        if status == -1:
-            a_hi = a_mid
-        else:
-            a_lo = a_mid
-        if a_hi - a_lo < 1e-15 * a_hi:
-            break
-    a_star = 0.5 * (a_lo + a_hi)
-    _, sol_keep = _shoot(a_lo, d, p, grid.r_max, dense=True)
-
-    r = grid.nodes
     u = np.zeros(grid.m)
-    r_reach = sol_keep.t[-1]
-    mid = (r > 1e-6) & (r <= r_reach)
-    u[mid] = sol_keep.sol(r[mid])[0]
-    u[0] = a_star
-    tail = r > r_reach
-    if tail.any():
-        u[tail] = max(u[~tail][-1], 1e-280) * np.exp(-(r[tail] - r_reach))
-    u = np.maximum(u, 0.0)
-
+    u[:-1] = _petviashvili(d, p, grid)
     u = _newton_polish(u, d, p, grid)
     if np.any(u[:-1] <= 0) or np.any(np.diff(u[: grid.m - 1]) > 1e-12):
         raise ConvergenceError("relaxed profile is not positive decreasing")
     rate = _fit_decay_rate(grid, u, d)
-    return RadialProfile(grid, u, d, decay_rate=rate, shoot_amplitude=a_star)
+    return RadialProfile(grid, u, d, decay_rate=rate)
 
 
 _GS_CACHE = {}
@@ -407,7 +437,8 @@ def sector_spectrum(op, U, count):
         raise ValidationError("count must be >= 1")
     diag, off, weight, idx = sector_matrix(op, U)
     vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(0, count - 1))
+                                  select_range=(0, count - 1),
+                                  tol=BISECTION_TOL)
     sqrtw = np.sqrt(weight)
     pairs = []
     for j in range(count):

@@ -284,8 +284,8 @@ def stage_profile(cfg, exps, V, state, csvs):
     U = _ensure_profile(cfg, state)
     res = ode_residual(U, cfg.p)
     csvs["profile"] = ("r,U", np.column_stack([U.grid.nodes, U.values]))
-    return {"U0": float(U.values[0]), "U0_shooting": float(U.shoot_amplitude),
-            "decay_rate": float(U.decay_rate), "ode_residual_sup": res,
+    return {"U0": float(U.values[0]), "decay_rate": float(U.decay_rate),
+            "ode_residual_sup": res,
             "checks": {"ode_residual_below_1e-8": bool(res < 1e-8),
                        "decay_rate_within_2pct": bool(abs(U.decay_rate - 1) < 0.02)}}
 

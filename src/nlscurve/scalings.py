@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import brentq
 
 from .errors import ValidationError, ConvergenceError, PhaseLawError
 from .geometry import (fourier_diff_matrices, freeze_arrays,
@@ -145,7 +144,7 @@ def match_phase_budget(curve, pot, exps, A_ref, eps_ref, eps_new):
         return compute_scalings(curve, pot, A, exps).phase_budget / eps_new - target
 
     hi = A_ref * eps_new / eps_ref * 2.0 + 1e-12
-    return brentq(mismatch, 0.0, hi, xtol=1e-15)
+    return _brentq(mismatch, 0.0, hi, xtol=1e-15)
 
 
 def compute_f1(sf, Phi, f1_drift, curve, pot):
@@ -204,6 +203,56 @@ def reduced_functional(curve, sf, exps):
     return float(np.sum(sf.h**exps.theta) * (curve.L / curve.M))
 
 
+def _brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100,
+            f_ends=None):
+    """Root of f on [xa, xb] by Brent's method.
+
+    A port of SciPy's ``brentq`` (its C routine ``brentq.c``), with the same
+    iterates, stopping rule |x - root| ≤ xtol + rtol·|x| and defaults.
+    ``f_ends`` passes f(xa), f(xb) when the caller has them.  Raises
+    ConvergenceError when f(xa) and f(xb) have the same sign or after
+    ``maxiter`` steps.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = f_ends if f_ends is not None else (f(xpre), f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise ConvergenceError(f"no sign change of f on [{xa}, {xb}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:            # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                       # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ConvergenceError(f"Brent's method did not converge in {maxiter} steps")
+
+
 def critical_circle_radius(V_of_R_builder, bracket, phase_speed, exps):
     """Radius at which a circle satisfies the extremality condition.
 
@@ -225,7 +274,7 @@ def critical_circle_radius(V_of_R_builder, bracket, phase_speed, exps):
             f"Euler residual has no zero on [{lo}, {hi}] "
             f"(defect {flo:.3e} .. {fhi:.3e}); the potential admits no critical "
             f"circle in this bracket")
-    return brentq(defect, lo, hi, xtol=1e-12)
+    return _brentq(defect, lo, hi, xtol=1e-12, f_ends=(flo, fhi))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ValidationError, BranchTrackingError, ConvergenceError
 from .geometry import freeze_arrays, readonly_view
-from .radial import SectorOperator, sector_matrix, sector_solve
+from .radial import BISECTION_TOL, SectorOperator, sector_matrix, sector_solve
 
 # distance of the shift-invert shift below the coupled spectrum's lower bound
 SHIFT_MARGIN = 1e-2
@@ -125,7 +125,8 @@ def sector_floors(U, p, ell):
     for kind in ("Lr", "Li"):
         diag, off, _, _ = sector_matrix(SectorOperator(kind, ell, 0.0, U.dim, p), U)
         floors.append(float(eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0]))
+            diag, off, eigvals_only=True, select="i", select_range=(0, 0),
+            tol=BISECTION_TOL)[0]))
     return tuple(floors)
 
 

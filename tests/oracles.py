@@ -1,17 +1,20 @@
 """Independent oracles used to freeze expected values.
 
 Each oracle is deliberately dumb and separate from the code paths it checks:
-collocation instead of shooting, golden-section instead of root finding,
-integer arithmetic instead of eigen-solves, closed forms wherever they exist.
+shooting and collocation instead of the grid equation, golden-section
+instead of root finding, integer arithmetic instead of eigen-solves, closed
+forms wherever they exist.
 """
 
 import numpy as np
-from scipy.integrate import solve_bvp
+from scipy.integrate import solve_bvp, solve_ivp
 from scipy.optimize import minimize_scalar
+
+from nlscurve.errors import ConvergenceError
 
 
 def ground_state_u0_collocation(n, p, r_max=30.0, tol=1e-10):
-    """U(0) via solve_bvp collocation (independent of the shooting path)."""
+    """U(0) via solve_bvp collocation (independent of the shooting oracle)."""
     d = n - 1
     r0 = 1e-8
 
@@ -31,6 +34,86 @@ def ground_state_u0_collocation(n, p, r_max=30.0, tol=1e-10):
     sol = solve_bvp(rhs, bc, x, y0, tol=tol, max_nodes=400000)
     assert sol.success, sol.message
     return float(sol.y[0, 0])
+
+
+def _shoot(a, d, p, r_max, dense=False):
+    """Integrate the radial ODE from r≈0 with u(0)=a.
+
+    The integrator is SciPy's Dormand–Prince 8(5,3) pair (``DOP853``) at
+    rtol 1e-12, atol 1e-14.  Returns (-1, sol) on overshoot (u crosses zero),
+    (+1, sol) on undershoot (u' turns positive while u > 0), (0, sol) if
+    integration reaches r_max.  ``sol.sol`` is the dense output when
+    ``dense`` is set and None otherwise: the bisection reads only the status.
+    """
+    r0 = 1e-6
+    u0 = a + (a - a**p) * r0**2 / (2 * d)
+    du0 = (a - a**p) * r0 / d
+
+    def rhs(r, y):
+        u, du = y
+        return [du, -(d - 1) / r * du + u - np.sign(u) * np.abs(u) ** p]
+
+    def cross_zero(r, y):
+        return y[0]
+    cross_zero.terminal = True
+    cross_zero.direction = -1
+
+    def turn_up(r, y):
+        return y[1]
+    turn_up.terminal = True
+    turn_up.direction = 1
+
+    sol = solve_ivp(rhs, (r0, r_max), [u0, du0], events=[cross_zero, turn_up],
+                    rtol=1e-12, atol=1e-14, dense_output=dense, method="DOP853")
+    if sol.t_events[0].size:
+        return -1, sol
+    if sol.t_events[1].size:
+        return +1, sol
+    return 0, sol
+
+
+def shooting_ground_state(n, p, grid):
+    """Shooting on U(0) with bisection, independent of the grid equation.
+
+    Returns (a_star, u): the bisected amplitude, an independent high-order
+    value of U(0) (√2 for n = 2, p = 3), and the kept trajectory, one dense
+    shot at the lower bracket end, sampled on ``grid`` with a_star at r = 0
+    and an e^{-r} tail past the point it reached.  Only that shot carries
+    dense output; the bisection shots read the over/undershoot status.
+    """
+    d = n - 1
+    a_lo, a_hi = 1.0 + 1e-9, 2.0
+    status, _ = _shoot(a_hi, d, p, grid.r_max)
+    tries = 0
+    while status != -1:
+        a_hi *= 2.0
+        tries += 1
+        if tries > 40:
+            raise ConvergenceError("could not bracket the ground state amplitude")
+        status, _ = _shoot(a_hi, d, p, grid.r_max)
+
+    for _ in range(80):
+        a_mid = 0.5 * (a_lo + a_hi)
+        status, _ = _shoot(a_mid, d, p, grid.r_max)
+        if status == -1:
+            a_hi = a_mid
+        else:
+            a_lo = a_mid
+        if a_hi - a_lo < 1e-15 * a_hi:
+            break
+    a_star = 0.5 * (a_lo + a_hi)
+    _, sol_keep = _shoot(a_lo, d, p, grid.r_max, dense=True)
+
+    r = grid.nodes
+    u = np.zeros(grid.m)
+    r_reach = sol_keep.t[-1]
+    mid = (r > 1e-6) & (r <= r_reach)
+    u[mid] = sol_keep.sol(r[mid])[0]
+    u[0] = a_star
+    tail = r > r_reach
+    if tail.any():
+        u[tail] = max(u[~tail][-1], 1e-280) * np.exp(-(r[tail] - r_reach))
+    return a_star, np.maximum(u, 0.0)
 
 
 def poschl_teller_levels(lmbda, count=2):

@@ -6,11 +6,32 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from nlscurve.errors import ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                sample_potential, straight_segment_curve,
                                tube_volume_coarea)
+from nlscurve.geometry import (_arc_length_parameters, _check_simple,
+                               _close_pairs, _param_functions)
+
+
+def _torus_knot(samples=200):
+    t = np.linspace(0, 2 * np.pi, samples, endpoint=False)
+    return np.stack([(2 + 0.5 * np.cos(3 * t)) * np.cos(t),
+                     (2 + 0.5 * np.cos(3 * t)) * np.sin(t),
+                     0.5 * np.sin(3 * t)], axis=1)
+
+
+def _figure_eight(samples=256):
+    t = np.linspace(0, 2 * np.pi, samples, endpoint=False)
+    return np.stack([np.cos(2 * t), np.sin(t)], axis=1)
+
+
+def _node_positions(spec, M):
+    """The curve nodes that build_curve hands to the self-intersection test."""
+    gamma, dgamma, _ = _param_functions(spec)
+    return gamma(_arc_length_parameters(dgamma, M)[2])
 
 
 class TestBuildCurve:
@@ -194,6 +215,87 @@ class TestBuildCurve:
         finally:
             tracemalloc.stop()
         assert peak < 30e6
+
+
+class TestSampledLoopSpline:
+    def test_matches_periodic_cubic_spline(self):
+        # the FFT-solved periodic cubic is SciPy's periodic CubicSpline; the
+        # second derivative of either carries rounding of order
+        # eps·max|γ|/h² (h = 2π/200): SciPy's knot values of γ'' sit 5.1e-12
+        # from a 30-digit solve of the moment system, these 2.9e-13
+        pts = _torus_knot()
+        funcs = _param_functions(CurveSpec("parametric", n=3, points=pts))
+        ref = CubicSpline(np.linspace(0, 2 * np.pi, pts.shape[0] + 1),
+                          np.concatenate([pts, pts[:1]]), axis=0,
+                          bc_type="periodic")
+        t = np.concatenate([np.random.default_rng(5).uniform(-7, 14, 4000),
+                            np.linspace(0, 2 * np.pi, 201)])
+        h = 2 * np.pi / pts.shape[0]
+        for nu, tol in enumerate((1e-12, 1e-12, 20 * np.finfo(float).eps * 2.5 / h**2)):
+            assert np.max(np.abs(funcs[nu](t) - ref(np.mod(t, 2 * np.pi), nu))) <= tol
+
+    def test_interpolates_and_solves_moment_system(self):
+        pts = _figure_eight(64)
+        gamma, _, d2gamma = _param_functions(CurveSpec("parametric", n=2, points=pts))
+        knots = np.arange(64) * (2 * np.pi / 64)
+        assert np.max(np.abs(gamma(knots) - pts)) <= 1e-15
+        mom, h = d2gamma(knots), 2 * np.pi / 64
+        lhs = np.roll(mom, 1, axis=0) + 4 * mom + np.roll(mom, -1, axis=0)
+        rhs = 6 * (np.roll(pts, 1, axis=0) - 2 * pts + np.roll(pts, -1, axis=0)) / h**2
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+
+class TestSelfIntersection:
+    @staticmethod
+    def brute_pairs(points, rad):
+        dist = np.linalg.norm(points[:, None] - points[None], axis=-1)
+        i, j = np.nonzero(np.triu(dist <= rad, k=1))
+        return set(zip(i.tolist(), j.tolist()))
+
+    @pytest.mark.parametrize("spec, M", [
+        (CurveSpec("parametric", n=3, points=_torus_knot()), 512),
+        (CurveSpec("parametric", n=2, points=_figure_eight()), 128),
+        (CurveSpec("ellipse", n=3, a=2.0, b=1.0), 256),
+        (CurveSpec("circle", n=2, radius=0.7), 128)],
+        ids=["knot", "figure-eight", "ellipse-n3", "circle"])
+    def test_matches_brute_force_pairs(self, spec, M):
+        # the same close pairs, hence the same verdict, as all M² distances
+        pos = _node_positions(spec, M)
+        step = np.max(np.linalg.norm(np.diff(pos, axis=0, append=pos[:1]), axis=1))
+        for rad in (0.5 * step, 2.0 * step):
+            pairs, ref = _close_pairs(pos, rad), self.brute_pairs(pos, rad)
+            assert set(zip(*pairs.tolist())) == ref and pairs.shape[1] == len(ref)
+        gap = np.array([j - i for i, j in self.brute_pairs(pos, 0.5 * step)])
+        crosses = bool(np.any(np.minimum(gap, M - gap) > max(4, M // 64)))
+        assert crosses == (spec.points is not None and spec.n == 2)
+        if crosses:
+            with pytest.raises(ValidationError):
+                _check_simple(pos)
+        else:
+            _check_simple(pos)
+
+    def test_point_cloud_pairs(self):
+        # many points per cell, in 2 to 4 dimensions
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 4):
+            pts = rng.uniform(-1, 1, (300, n))
+            for rad in (0.05, 0.3):
+                pairs, ref = _close_pairs(pts, rad), self.brute_pairs(pts, rad)
+                assert set(zip(*pairs.tolist())) == ref and pairs.shape[1] == len(ref)
+
+    def test_peak_memory_linear(self):
+        # the traced peak per sample stays flat from M = 1024 to 16384
+        per_sample = []
+        for M in (1024, 16384):
+            pos = build_curve(CurveSpec("ellipse", n=3, a=2.0, b=1.0), M).positions
+            tracemalloc.start()
+            try:
+                _check_simple(pos)
+                per_sample.append(tracemalloc.get_traced_memory()[1] / M)
+            finally:
+                tracemalloc.stop()
+        assert max(per_sample) < 400
+        assert per_sample[1] < 1.2 * per_sample[0]
 
 
 class TestPotential:

@@ -1,17 +1,27 @@
 """Ground-state and sector-operator tests."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
+import oracles
 from nlscurve import radial
-from nlscurve.errors import ValidationError
+from nlscurve.errors import ConvergenceError, ValidationError
 from nlscurve.radial import (RadialGrid, SectorOperator, apply_sector,
                              ground_state, ode_residual, scaled_profile,
                              sector_solve, sector_spectrum, solve_ground_state)
 
-from oracles import ground_state_u0_collocation, poschl_teller_levels
+from oracles import (ground_state_u0_collocation, poschl_teller_levels,
+                     shooting_ground_state)
+
+# the shooting oracle's (amplitude, seed values), one bisection per input
+_shot = lru_cache(maxsize=None)(shooting_ground_state)
+
+GROUND_STATE_CASES = [(2, 3), (3, 3), (4, 2), (2, 5), (3, 2), (2, 1.5), (4, 2.5)]
 
 
 class TestGroundState:
@@ -51,18 +61,16 @@ class TestGroundState:
 
     def test_cross_method_n4_p2(self, grid30):
         # shooting vs collocation as two independent discretizations
-        U = ground_state(4, 2, grid30)
         u0_bvp = ground_state_u0_collocation(4, 2)
-        assert abs(U.shoot_amplitude - u0_bvp) < 1e-6
+        assert abs(_shot(4, 2, grid30)[0] - u0_bvp) < 1e-6
 
     def test_cross_method_n3_p3(self, grid30):
-        U = ground_state(3, 3, grid30)
         u0_bvp = ground_state_u0_collocation(3, 3)
-        assert abs(U.shoot_amplitude - u0_bvp) < 1e-6
+        assert abs(_shot(3, 3, grid30)[0] - u0_bvp) < 1e-6
 
-    def test_shoot_amplitude_n2_p3(self, U23):
+    def test_shoot_amplitude_n2_p3(self, grid30):
         # U(0) = √2 exactly; eighth-order shooting lands within round-off
-        assert abs(U23.shoot_amplitude - np.sqrt(2)) < 1e-14
+        assert abs(_shot(2, 3, grid30)[0] - np.sqrt(2)) < 1e-14
 
     def test_one_dense_shot(self, monkeypatch):
         # the bisection shots read only the over/undershoot status; only
@@ -73,9 +81,24 @@ class TestGroundState:
             calls.append(kwargs.get("dense_output", False))
             return solve_ivp(*args, **kwargs)
 
-        monkeypatch.setattr(radial, "solve_ivp", counted)
-        solve_ground_state(2, 3, RadialGrid(30.0, 1000))
+        monkeypatch.setattr(oracles, "solve_ivp", counted)
+        shooting_ground_state(2, 3, RadialGrid(30.0, 1000))
         assert len(calls) > 50 and sum(calls) == 1
+
+    @pytest.mark.parametrize("n, p", GROUND_STATE_CASES)
+    def test_matches_shooting_seeded_newton(self, grid30, n, p):
+        # Petviashvili's iteration reaches the discrete solution that Newton
+        # reaches from the shooting trajectory
+        U = ground_state(n, p, grid30)
+        ref = radial._newton_polish(_shot(n, p, grid30)[1], n - 1, p, grid30)
+        assert np.max(np.abs(U.values - ref)) <= 1e-10
+
+    def test_petviashvili_cap_raises(self, monkeypatch):
+        # one step cannot reach the stopping test: a typed failure, not a
+        # NaN or a non-monotone profile handed to Newton
+        monkeypatch.setattr(radial, "PETVIASHVILI_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="Petviashvili"):
+            solve_ground_state(2, 3, RadialGrid(30.0, 1000))
 
     def test_decay_rate_other_dims(self, grid30):
         for n, p in [(3, 3), (4, 2)]:
@@ -93,6 +116,32 @@ class TestGroundState:
             RadialGrid(10.0, 3000)
         with pytest.raises(ValidationError):
             RadialGrid(30.0, 500)
+
+
+class TestUniformCubic:
+    @pytest.mark.parametrize("n, p", [(2, 3), (4, 2)])
+    def test_profile_matches_cubic_spline(self, grid30, n, p):
+        # the profile's not-a-knot cubic is SciPy's default CubicSpline
+        U = ground_state(n, p, grid30)
+        ref = CubicSpline(grid30.nodes, U.values)
+        r = np.concatenate([np.random.default_rng(3).uniform(0, 30, 20000),
+                            grid30.nodes, [0.0, 1e-300, 30.0]])
+        assert np.max(np.abs(U(r) - ref(r))) <= 1e-13
+        assert np.max(np.abs(U.derivative(r) - ref(r, 1))) <= 1e-13
+        # every node but r_max starts its own interval: the value itself
+        assert np.array_equal(U(grid30.nodes[:-1]), U.values[:-1])
+
+    def test_oscillating_rows(self, grid30):
+        # a non-monotone profile, and stacked value rows; an order-nu
+        # derivative carries rounding of order eps·max|y|/dr^nu in both codes
+        from nlscurve.radial import UniformCubic
+        r = grid30.nodes
+        rows = np.stack([np.sin(3 * r) * np.exp(-0.1 * r), np.cos(r) / (1 + r)], axis=1)
+        cubic = UniformCubic.not_a_knot(r, rows)
+        ref = CubicSpline(r, rows)
+        x = np.random.default_rng(4).uniform(0, 30, (50, 40))
+        for nu in (0, 1, 2):
+            assert np.max(np.abs(cubic(x, nu) - ref(x, nu))) <= 1e-13 / grid30.dr**nu
 
 
 class TestScaledProfile:

@@ -158,6 +158,54 @@ class TestCriticality:
                 (0.2, 2.0), 0.0, exps23)
 
 
+class TestBrent:
+    def test_matches_scipy_on_critical_circle(self, bump_potential, exps23,
+                                               critical_circle):
+        # the conftest defect: the port takes SciPy's iterates, so the same
+        # root and the same number of defect evaluations
+        from nlscurve.scalings import _brentq
+        calls = {"port": [], "scipy": []}
+
+        def defect(R, who):
+            calls[who].append(R)
+            curve, pot, sf = circle_setup(bump_potential, R, 128, 0.0, exps23)
+            return float(euler_residual(curve, pot, sf, exps23)[0][:, 0].mean())
+
+        port = _brentq(lambda R: defect(R, "port"), 0.4, 1.2, xtol=1e-12)
+        ref = brentq(lambda R: defect(R, "scipy"), 0.4, 1.2, xtol=1e-12)
+        assert abs(port - ref) <= 1e-14 * abs(ref)
+        assert calls["port"] == calls["scipy"] and len(calls["port"]) > 5
+        assert abs(critical_circle["rstar"] - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("func, lo, hi", [
+        (np.cos, 0.0, 3.0), (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+        (lambda x: np.exp(x) - 10, -5.0, 5.0),
+        (lambda x: np.tanh(50 * (x - 0.3)), -1.0, 1.0)])
+    @pytest.mark.parametrize("xtol", [1e-12, 1e-15])
+    def test_same_iterates_as_scipy(self, func, lo, hi, xtol):
+        from nlscurve.scalings import _brentq
+        seen = {"port": [], "scipy": []}
+        port = _brentq(lambda x: seen["port"].append(x) or func(x), lo, hi, xtol=xtol)
+        ref = brentq(lambda x: seen["scipy"].append(x) or func(x), lo, hi, xtol=xtol)
+        assert port == ref and seen["port"] == seen["scipy"]
+
+    def test_failures_are_typed(self):
+        from nlscurve.scalings import _brentq
+        with pytest.raises(ConvergenceError, match="sign"):
+            _brentq(lambda x: x**2 + 1, -1.0, 1.0, xtol=1e-12)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            _brentq(lambda x: (x - 0.7) ** 3, 0.0, 1.0, xtol=1e-15, maxiter=5)
+
+    def test_phase_budget_match_as_with_scipy(self, bump_potential, exps23):
+        curve = build_curve(CurveSpec("circle", n=2, radius=0.8), 128)
+        pot = sample_potential(bump_potential, curve)
+        target = compute_scalings(curve, pot, 0.1, exps23).phase_budget / 0.05
+        ref = brentq(lambda A: compute_scalings(curve, pot, A, exps23).phase_budget
+                     / 0.025 - target, 0.0, 0.1 * 0.025 / 0.05 * 2.0 + 1e-12,
+                     xtol=1e-15)
+        assert match_phase_budget(curve, pot, exps23, 0.1, 0.05, 0.025) == ref
+
+
 class TestJacobi:
     def test_zero_speed_reduction(self, critical_circle, exps23):
         # at A=0 the operator must coincide with the independently assembled
