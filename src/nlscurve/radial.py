@@ -24,6 +24,7 @@ fixed-point iteration from e^{-r²}, then Newton on the same grid.  Between
 the nodes a profile is its not-a-knot cubic interpolant (``UniformCubic``).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,13 +33,12 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from .errors import ValidationError, ConvergenceError, IllPosedSolveError
 
 KERNEL_TOL = 1e-6  # discrete eigenvalue |λ| below this counts as kernel
-# absolute tolerance of the tridiagonal bisection (LAPACK's stebz): twice the
-# underflow threshold is its most accurate setting; the default, eps times
-# the matrix norm (O(1/dr²)), leaves eigenvalue errors of order 1e-12
-BISECTION_TOL = 2 * np.finfo(float).tiny
 # Petviashvili's iteration for the ground state: step cap and the relative
-# change at which Newton takes over
-PETVIASHVILI_MAX_ITER = 200
+# change at which Newton takes over.  The error contracts by the next radial
+# eigenvalue of A⁻¹pU^{p-1}, (p+1)/(3p-1) for n = 2, which tends to 1 as
+# p -> 1: the steps grow like 8/(p-1) (426 at p = 1.02), so the cap admits
+# p down to about 1.01
+PETVIASHVILI_MAX_ITER = 1000
 PETVIASHVILI_TOL = 1e-6
 
 
@@ -273,9 +273,12 @@ def _laplacian_rows(grid, d, include_origin):
 def _newton_polish(u, d, p, grid, max_iter=40, tol=5e-11):
     """Newton iteration on the finite-difference system, Dirichlet at r_max.
 
-    Stops at ``tol`` or when the residual stagnates at its rounding floor
-    (the diagonal is O(1/dr²), so the floor sits well below any tolerance
-    the acceptance checks care about).
+    Stops one step after the residual falls below ``tol`` (quadratic
+    convergence takes that step to the rounding floor, so the result does
+    not depend on the start even where the Jacobian is ill-conditioned, as
+    for p near 1), or when the residual stagnates at its rounding floor (the
+    diagonal is O(1/dr²), so the floor sits well below any tolerance the
+    acceptance checks care about).
     """
     lower, diag, upper, weight, idx = _laplacian_rows(grid, d, include_origin=True)
     nact = idx.size
@@ -292,8 +295,6 @@ def _newton_polish(u, d, p, grid, max_iter=40, tol=5e-11):
     for _ in range(max_iter):
         res = residual(ua)
         rnorm = np.max(np.abs(res))
-        if rnorm < tol:
-            break
         stalled = stalled + 1 if rnorm > 0.5 * best else 0
         best = min(best, rnorm)
         if stalled >= 3 and best < 1e-9:
@@ -304,6 +305,8 @@ def _newton_polish(u, d, p, grid, max_iter=40, tol=5e-11):
         ab[1] = jac_diag
         ab[2, :-1] = lower[1:]
         ua = ua - solve_banded((1, 1), ab, res)
+        if rnorm < tol:
+            break
     else:
         raise ConvergenceError("Newton relaxation for the ground state did not converge")
     full = np.zeros(grid.m)
@@ -428,17 +431,59 @@ def sector_matrix(op, U):
     return diag, off, weight, idx
 
 
+def _split(a):
+    """Veltkamp's split a = hi + lo, each half with at most 26 significant bits."""
+    c = 134217729.0 * a                 # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a·b) and p + e = a·b exactly (Dekker's product)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _rayleigh_quotient(diag, off, v):
+    """v·Tv / v·v for the symmetric tridiagonal T = (diag, off), to round-off of
+    the result: the products are error-free and their leading parts summed
+    exactly, so the O(1/dr²) terms that cancel to an O(1) value leave no error
+    of order eps/dr²."""
+    p1, e1 = _two_product(diag, v)
+    p2, e2 = _two_product(p1, v)
+    p3, e3 = _two_product(2.0 * off, v[:-1])
+    p4, e4 = _two_product(p3, v[1:])
+    num = math.fsum(np.concatenate([p2, p4])) \
+        + (np.sum(e2 + e1 * v) + np.sum(e4 + e3 * v[1:]))
+    q, e = _two_product(v, v)
+    return float(num / (math.fsum(q) + np.sum(e)))
+
+
+def lowest_eigenpairs(diag, off, count):
+    """Lowest ``count`` eigenpairs (vals, vecs) of the symmetric tridiagonal.
+
+    LAPACK's bisection places an eigenvalue only to about eps·‖T‖, which is
+    1e-12 for ‖T‖ = O(1/dr²), even at its tightest tolerance.  Each value is
+    the Rayleigh quotient of its inverse-iteration eigenvector instead, whose
+    error is quadratic in the eigenvector's.
+    """
+    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+    vals = np.array([_rayleigh_quotient(diag, off, v) for v in vecs.T])
+    return vals, vecs
+
+
 def sector_spectrum(op, U, count):
     """Lowest ``count`` eigenpairs of the sector operator, ascending.
 
-    Eigenfunctions are RadialProfiles normalized so that ∫ u² r^{d-1} dr = 1.
+    Eigenvalues come from ``lowest_eigenpairs``; eigenfunctions are
+    RadialProfiles normalized so that ∫ u² r^{d-1} dr = 1.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
     diag, off, weight, idx = sector_matrix(op, U)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(0, count - 1),
-                                  tol=BISECTION_TOL)
+    vals, vecs = lowest_eigenpairs(diag, off, count)
     sqrtw = np.sqrt(weight)
     pairs = []
     for j in range(count):

@@ -28,6 +28,8 @@ from .geometry import (fourier_diff_matrices, freeze_arrays,
                        periodic_antiderivative, periodic_derivative)
 from .radial import check_p
 
+BRENT_MAX_ITER = 100  # step cap of Brent's method (SciPy's default)
+
 
 @dataclass(frozen=True)
 class Exponents:
@@ -203,16 +205,16 @@ def reduced_functional(curve, sf, exps):
     return float(np.sum(sf.h**exps.theta) * (curve.L / curve.M))
 
 
-def _brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100,
-            f_ends=None):
+def _brentq(f, xa, xb, xtol, f_ends=None):
     """Root of f on [xa, xb] by Brent's method.
 
     A port of SciPy's ``brentq`` (its C routine ``brentq.c``), with the same
-    iterates, stopping rule |x - root| ≤ xtol + rtol·|x| and defaults.
-    ``f_ends`` passes f(xa), f(xb) when the caller has them.  Raises
-    ConvergenceError when f(xa) and f(xb) have the same sign or after
-    ``maxiter`` steps.
+    iterates, stopping rule |x - root| ≤ xtol + 4·eps·|x| and step cap
+    BRENT_MAX_ITER (SciPy's defaults).  ``f_ends`` passes f(xa), f(xb) when
+    the caller has them.  Raises ConvergenceError when f(xa) and f(xb) have
+    the same sign or after BRENT_MAX_ITER steps.
     """
+    rtol = 4 * np.finfo(float).eps
     xpre, xcur = float(xa), float(xb)
     fpre, fcur = f_ends if f_ends is not None else (f(xpre), f(xcur))
     if fpre == 0:
@@ -222,7 +224,7 @@ def _brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100,
     if np.signbit(fpre) == np.signbit(fcur):
         raise ConvergenceError(f"no sign change of f on [{xa}, {xb}]")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAX_ITER):
         if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -250,7 +252,7 @@ def _brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100,
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise ConvergenceError(f"Brent's method did not converge in {maxiter} steps")
+    raise ConvergenceError(f"Brent's method did not converge in {BRENT_MAX_ITER} steps")
 
 
 def critical_circle_radius(V_of_R_builder, bracket, phase_speed, exps):

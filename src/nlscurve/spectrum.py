@@ -46,7 +46,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ValidationError, BranchTrackingError, ConvergenceError
 from .geometry import freeze_arrays, readonly_view
-from .radial import BISECTION_TOL, SectorOperator, sector_matrix, sector_solve
+from .radial import (SectorOperator, lowest_eigenpairs, sector_matrix,
+                     sector_solve)
 
 # distance of the shift-invert shift below the coupled spectrum's lower bound
 SHIFT_MARGIN = 1e-2
@@ -119,14 +120,19 @@ def sector_floors(U, p, ell):
     """Lowest eigenvalues (a, b) of the scalar L_r and L_i ℓ-sectors, unshifted.
 
     They depend on (U, p, ℓ) only, so one pair serves every α and μ of a
-    coupled eigensolve in that sector.
+    coupled eigensolve in that sector.  The ℓ = 0 L_r floor is η₀ of
+    _solve_crossing, to round-off as sector_spectrum gives it; the others
+    only place the shift SHIFT_MARGIN below the spectrum, for which LAPACK's
+    default bisection suffices.
     """
     floors = []
     for kind in ("Lr", "Li"):
         diag, off, _, _ = sector_matrix(SectorOperator(kind, ell, 0.0, U.dim, p), U)
-        floors.append(float(eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(0, 0),
-            tol=BISECTION_TOL)[0]))
+        if (kind, ell) == ("Lr", 0):
+            floors.append(float(lowest_eigenpairs(diag, off, 1)[0][0]))
+        else:
+            floors.append(float(eigh_tridiagonal(
+                diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0]))
     return tuple(floors)
 
 

@@ -21,7 +21,10 @@ from oracles import (ground_state_u0_collocation, poschl_teller_levels,
 # the shooting oracle's (amplitude, seed values), one bisection per input
 _shot = lru_cache(maxsize=None)(shooting_ground_state)
 
-GROUND_STATE_CASES = [(2, 3), (3, 3), (4, 2), (2, 5), (3, 2), (2, 1.5), (4, 2.5)]
+# p near 1 is where Petviashvili's iteration contracts slowest (and Newton's
+# Jacobian is worst conditioned)
+GROUND_STATE_CASES = [(2, 3), (3, 3), (4, 2), (2, 5), (3, 2), (2, 1.5), (4, 2.5),
+                      (2, 1.05), (3, 1.1)]
 
 
 class TestGroundState:
@@ -206,6 +209,20 @@ class TestSectorSpectrum:
         assert np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
         vals = sector_spectrum(op, U23, 3)
         assert all(np.isreal(v) for v, _ in vals)
+
+    def test_eigenvalues_to_round_off(self):
+        # shifted Dirichlet Laplacian, 2/h² - 3 and -1/h² exact in floats:
+        # λ_k = (4/h²) sin²(kπ/(2(N+1))) - 3 with ‖T‖ = 4e4, where LAPACK's
+        # bisection is about 4e-13 off even at its tightest tolerance
+        from nlscurve.radial import lowest_eigenpairs
+        h, N = 0.01, 2999
+        diag = np.full(N, 2 / h**2 - 3.0)
+        off = np.full(N - 1, -1 / h**2)
+        k = np.arange(1, 4)
+        exact = 4 / h**2 * np.sin(k * np.pi / (2 * (N + 1))) ** 2 - 3.0
+        vals, vecs = lowest_eigenpairs(diag, off, 3)
+        assert np.max(np.abs(vals - exact)) <= 4 * np.finfo(float).eps
+        assert vecs.shape == (N, 3)
 
     def test_higher_dim_kernels(self, grid30):
         U = ground_state(3, 3, grid30)

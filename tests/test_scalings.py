@@ -189,12 +189,13 @@ class TestBrent:
         ref = brentq(lambda x: seen["scipy"].append(x) or func(x), lo, hi, xtol=xtol)
         assert port == ref and seen["port"] == seen["scipy"]
 
-    def test_failures_are_typed(self):
-        from nlscurve.scalings import _brentq
+    def test_failures_are_typed(self, monkeypatch):
+        from nlscurve import scalings
         with pytest.raises(ConvergenceError, match="sign"):
-            _brentq(lambda x: x**2 + 1, -1.0, 1.0, xtol=1e-12)
+            scalings._brentq(lambda x: x**2 + 1, -1.0, 1.0, xtol=1e-12)
+        monkeypatch.setattr(scalings, "BRENT_MAX_ITER", 5)
         with pytest.raises(ConvergenceError, match="did not converge"):
-            _brentq(lambda x: (x - 0.7) ** 3, 0.0, 1.0, xtol=1e-15, maxiter=5)
+            scalings._brentq(lambda x: (x - 0.7) ** 3, 0.0, 1.0, xtol=1e-15)
 
     def test_phase_budget_match_as_with_scipy(self, bump_potential, exps23):
         curve = build_curve(CurveSpec("circle", n=2, radius=0.8), 128)
