@@ -75,8 +75,9 @@ class ResonanceBasis:
     Arrays are indexed [j, node] with j running over the window
     [-J, ..., J], J = floor(δ²/ε); ``window`` maps row a to j = a - J.
     ``nu`` holds the re-indexed eigenvalues (nu[J] is the first nonnegative
-    one).  ``weight_fn`` is 1/(1 + 2f'Q₃/(kᾱ)) per node.  A gap-scan basis
-    leaves the corrections ``gamma``, ``kappa`` and ``qcorr`` None.
+    one) and ``dxi`` the derivatives ξ_j' of the eigenfunctions.
+    ``weight_fn`` is 1/(1 + 2f'Q₃/(kᾱ)) per node.  A gap-scan basis leaves
+    the corrections ``gamma``, ``kappa`` and ``qcorr`` None.
     """
 
     eps: float
@@ -85,6 +86,7 @@ class ResonanceBasis:
     L: np.ndarray
     nu: np.ndarray
     xi: np.ndarray
+    dxi: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
     kappa: np.ndarray
@@ -101,8 +103,11 @@ class ResonanceBasis:
         return np.arange(-J, J + 1)
 
 
-class _FastModes:
+class FastModes:
     """The weighted periodic eigenproblem of (sf, ᾱ, Q), ready for any ε.
+
+    One instance serves every ε of a gap scan and a resonance basis of the
+    same (sf, ᾱ, Q), whose fields it keeps as ``sf``, ``abar`` and ``Q``.
 
     With B = diag(1/wfun) and S = diag(√wfun), A·x = ν·B·x is the standard
     problem C(ε)·y = ν·y for C = S·A·S and x = S·y, and yᵀy = 1 gives
@@ -138,8 +143,8 @@ class _FastModes:
         return int(np.searchsorted(self.theta, 1.0 / eps**2))
 
     def window(self, eps, delta):
-        """ν, ξ and β (what Λ₀ reads) over |j| <= floor(δ²/ε) around j_ε;
-        the corrections γ, κ, q are left None."""
+        """ν, ξ, ξ' and β (what Λ₀ reads) over |j| <= floor(δ²/ε) around
+        j_ε; the corrections γ, κ, q are left None."""
         sf, Q, ka = self.sf, self.Q, self.ka
         M, L = sf.s.size, sf.L
         j_eps = self.count(eps)
@@ -154,12 +159,12 @@ class _FastModes:
         denom = ka**2 + 2.0 * sf.fprime * ka * Q.q3
         beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None] / denom) * eps * dxi
         return ResonanceBasis(eps=eps, delta=delta, s=sf.s.copy(), L=L, nu=nu,
-                              xi=vecs.T, beta=beta, gamma=None, kappa=None,
-                              qcorr=None, weight_fn=1.0 / self.wfun,
+                              xi=vecs.T, dxi=dxi, beta=beta, gamma=None,
+                              kappa=None, qcorr=None, weight_fn=1.0 / self.wfun,
                               j_eps=j_eps, sf=sf, abar=self.abar.copy(), Q=Q)
 
 
-def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3):
+def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3, modes=None):
     """Solve the weighted periodic eigenproblem and build the full basis.
 
     Eigenpairs are re-indexed around the first nonnegative eigenvalue and
@@ -179,12 +184,14 @@ def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3):
 
     At zero phase speed Q₂ vanishes together with the numerator of κ_j; the
     algebraically equivalent stable form κ_j = ν_j ξ_j/(2k(kᾱ + 2f'Q₃)) is
-    used there.
+    used there.  ``modes``, a FastModes of the same (sf, ᾱ, Q), saves
+    building it again.
     """
-    basis = _FastModes(sf, abar, Q).window(eps, delta)
+    if modes is None:
+        modes = FastModes(sf, abar, Q)
+    basis = modes.window(eps, delta)
     k, fp, ka, L = sf.k, sf.fprime, sf.k * abar, sf.L
-    nu, xi, beta = basis.nu, basis.xi, basis.beta
-    dxi = periodic_derivative(xi.T, L).T
+    nu, xi, dxi, beta = basis.nu, basis.xi, basis.dxi, basis.beta
     dbeta = periodic_derivative(beta.T, L).T
     gamma = -(eps * dxi + ka * beta) / (2.0 * k * Q.q1)
     if np.min(Q.q2) > 1e-10:
@@ -262,7 +269,7 @@ def assemble_lambda0(basis):
     Bm = basis.beta
     Xm = basis.xi
     dB = periodic_derivative(Bm.T, basis.L).T
-    dX = periodic_derivative(Xm.T, basis.L).T
+    dX = basis.dxi
 
     def quad(fa, fb, w):
         return (fa * w) @ fb.T * ds
@@ -288,13 +295,14 @@ def lambda0_spectrum(basis):
     return vals
 
 
-def gap_scan(sf, abar, Q, eps_grid, delta=0.3, threshold=0.1):
+def gap_scan(sf, abar, Q, eps_grid, delta=0.3, threshold=0.1, modes=None):
     """Scan ε for spectral gaps of Λ₀: admissible when min|eig| >= threshold·ε.
 
     The ε-free work (D2, the weight, the pencil spectrum θ that counts j_ε
     by ε²θ < 1) is done once; each ε forms its matrix and solves only the
     window, building ν, ξ and β but not the corrections γ, κ, q, which Λ₀
-    does not read.  ``eps_grid`` must be descending.  Returns a list of
+    does not read; ``modes``, a FastModes of the same (sf, ᾱ, Q), saves
+    building it again.  ``eps_grid`` must be descending.  Returns a list of
     records with the minimal |generalized eigenvalue|, the admissibility
     flag, and the empirical d(min-eigenvalue)/dε between consecutive grid
     points.
@@ -302,7 +310,8 @@ def gap_scan(sf, abar, Q, eps_grid, delta=0.3, threshold=0.1):
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(np.diff(eps_grid) >= 0):
         raise ValidationError("eps grid must be strictly descending")
-    modes = _FastModes(sf, abar, Q)
+    if modes is None:
+        modes = FastModes(sf, abar, Q)
     records = []
     for eps in eps_grid:
         vals = lambda0_spectrum(modes.window(eps, delta))

@@ -33,9 +33,9 @@ from .geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from .radial import RadialGrid, ground_state, ode_residual, check_p
 from .scalings import (assemble_jacobi, compute_exponents, compute_scalings,
                        euler_residual, reduced_functional, weighted_eigenbasis)
-from .spectrum import (BOUND_BRANCHES, alpha_field, bound_state_counts,
-                       continuum_threshold, find_alpha_bar, trace_branches)
-from .resonance import (gap_scan, gap_scan_oracle, q_integrals,
+from .spectrum import (BOUND_BRANCHES, alpha_field, continuum_threshold,
+                       find_alpha_bar, trace_branches)
+from .resonance import (FastModes, gap_scan, gap_scan_oracle, q_integrals,
                         resonance_eigenpairs, verify_coupled_system)
 from .ansatz import residual_study
 
@@ -280,6 +280,15 @@ def _ensure_profile(cfg, state):
     return state["U"]
 
 
+def _ensure_fast_modes(cfg, sf, state):
+    """The crossing field, its overlap integrals and the fast-mode problem
+    built on them, shared by the resonance and gap-scan stages."""
+    if "modes" not in state:
+        abar, modes = alpha_field(sf, _ensure_profile(cfg, state))
+        state["modes"] = FastModes(sf, abar, q_integrals(modes, cfg.n - 1))
+    return state["modes"]
+
+
 def stage_profile(cfg, exps, V, state, csvs):
     U = _ensure_profile(cfg, state)
     res = ode_residual(U, cfg.p)
@@ -343,9 +352,12 @@ def stage_branches(cfg, exps, V, state, csvs):
     mu = float(np.max(np.abs(2 * sf.fprime / sf.k)))
     alphas = np.linspace(0.0, 2.2, 23)
     branches = trace_branches(U, cfg.p, mu, alphas)
-    # every eigenvalue under the continuum threshold is a traced branch
-    bound = all(np.all(bound_state_counts(U, cfg.p, mu, alphas, ell)
-                       == len(labels)) for ell, labels in BOUND_BRANCHES.items())
+    # every eigenvalue under the continuum threshold is a traced branch: at
+    # every α the sector's inertia count equals its finite traced values
+    bound = all(np.array_equal(
+        np.sum([np.isfinite(branches[label].eigenvalues) for label in labels],
+               axis=0), branches[labels[0]].sector_counts)
+        for labels in BOUND_BRANCHES.values())
     mode = find_alpha_bar(U, cfg.p, mu)
     names = ["ground", "translation", "gauge", "continuum_threshold"]
     rows = [alphas] + [branches[label].eigenvalues for label in names[:3]] \
@@ -363,12 +375,11 @@ def stage_branches(cfg, exps, V, state, csvs):
 
 
 def stage_resonance(cfg, exps, V, state, csvs):
-    U = _ensure_profile(cfg, state)
     sf = _ensure_scalings(cfg, exps, V, state)
-    abar, modes = alpha_field(sf, U)
-    Q = q_integrals(modes, cfg.n - 1)
-    state["abar"], state["Q"] = abar, Q
-    basis = resonance_eigenpairs(sf, abar, Q, cfg.res_eps, cfg.delta)
+    modes = _ensure_fast_modes(cfg, sf, state)
+    Q = modes.Q
+    basis = resonance_eigenpairs(sf, modes.abar, Q, cfg.res_eps, cfg.delta,
+                                 modes=modes)
     maxres, per_j = verify_coupled_system(basis)
     q_closure = float(np.max(np.abs(Q.q1 + Q.q2 - 1.0)))
     csvs["resonance_nu"] = ("j,nu,coupled_residual",
@@ -381,23 +392,20 @@ def stage_resonance(cfg, exps, V, state, csvs):
 
 
 def stage_gap_scan(cfg, exps, V, state, csvs):
-    U = _ensure_profile(cfg, state)
     sf = _ensure_scalings(cfg, exps, V, state)
-    if "abar" not in state:
-        abar, modes = alpha_field(sf, U)
-        state["abar"] = abar
-        state["Q"] = q_integrals(modes, cfg.n - 1)
-    records = gap_scan(sf, state["abar"], state["Q"], cfg.gap_eps_grid,
-                       cfg.delta, cfg.gap_threshold)
+    modes = _ensure_fast_modes(cfg, sf, state)
+    abar, Q = modes.abar, modes.Q
+    records = gap_scan(sf, abar, Q, cfg.gap_eps_grid, cfg.delta,
+                       cfg.gap_threshold, modes=modes)
     rows = np.array([[r["eps"], r["min_abs_eigenvalue"], float(r["admissible"])]
                      for r in records])
     csvs["gap_scan"] = ("eps,min_abs_eigenvalue,admissible", rows)
     out = {"n_admissible": int(sum(r["admissible"] for r in records)),
            "n_total": len(records), "checks": {}}
-    constant = np.ptp(sf.k) < 1e-10 and np.ptp(state["abar"]) < 1e-10
+    constant = np.ptp(sf.k) < 1e-10 and np.ptp(abar) < 1e-10
     if constant:
-        oracle = gap_scan_oracle(sf, state["abar"], state["Q"],
-                                 cfg.gap_eps_grid, cfg.delta, cfg.gap_threshold)
+        oracle = gap_scan_oracle(sf, abar, Q, cfg.gap_eps_grid, cfg.delta,
+                                 cfg.gap_threshold)
         agree = all(r["admissible"] == o["admissible"]
                     for r, o in zip(records, oracle))
         out["checks"]["gap_scan_matches_oracle"] = bool(agree)
@@ -461,8 +469,12 @@ def emit_report(summary, csvs, out_dir):
     written = [path]
     for name, (header, rows) in csvs.items():
         cpath = os.path.join(out_dir, f"{name}.csv")
-        np.savetxt(cpath, np.atleast_2d(rows), delimiter=",",
-                   header=header, comments="")
+        rows = np.atleast_2d(rows)
+        # np.savetxt's "%.18e" fields, formatted in one operation for all rows
+        line = ",".join(["%.18e"] * rows.shape[1]) + "\n"
+        with open(cpath, "w") as fh:
+            fh.write(header + "\n"
+                     + (line * rows.shape[0]) % tuple(rows.ravel().tolist()))
         written.append(cpath)
     return written
 

@@ -374,29 +374,39 @@ def assemble_T(curve, sf, exps):
 
 
 def weighted_eigenbasis(op_matrix, weight, count, per_node_components=1, ds=1.0):
-    """Generalized eigenpairs A φ = λ diag(weight) φ with weighted normalization.
+    """Lowest generalized eigenpairs A φ = λ diag(weight) φ, weighted normalization.
 
     ``weight`` is a per-node array, repeated for each of the
     ``per_node_components`` entries a node carries.  Eigenvectors come back
     normalized so Σ_i w_i |φ_a(i)|² Δs̄ = 1 with Δs̄ = ``ds``, the discrete
     form of ∫ w φ_a φ_b ds̄ = δ_ab.
 
-    Returns (eigenvalues ascending [count of them], eigenvectors as columns,
-    nondegeneracy verdict dict): invertible when min |λ| exceeds 1e-6 times
-    the largest |λ| returned, a scale that, unlike the grid's M², is the
-    operator's own (so ``count`` must reach past any kernel).
+    Returns (the lowest ``count`` eigenvalues ascending, their eigenvectors
+    as columns, nondegeneracy verdict dict): invertible when min |λ| exceeds
+    1e-6 times the largest |λ| of the lowest max(count, per_node_components
+    + 1), a scale that, unlike the grid's M², is the operator's own.  That
+    scale must lie past the kernel: a translation-invariant harness (V ≡ 1
+    on a straight segment) has per_node_components constant kernel vectors,
+    so the verdict reads at least one eigenvalue more than that.  Only the
+    pairs it reads are computed.  Since the spectrum is sorted, min |λ| is
+    among them unless they are all negative; then the remaining eigenvalues
+    are computed too, without vectors.
     """
     if np.any(weight <= 0) or count < 1:
         raise ValidationError("weight must be positive and count at least 1")
     dim = op_matrix.shape[0]
     if dim != weight.size * per_node_components:
         raise ValidationError("operator size does not match weight/node layout")
-    w_full = np.repeat(weight, per_node_components)
-    vals, vecs = eigh(op_matrix, np.diag(w_full))
+    B = np.diag(np.repeat(weight, per_node_components))
+    k = min(max(count, per_node_components + 1), dim)
+    vals, vecs = eigh(op_matrix, B, subset_by_index=[0, k - 1])
     vecs = vecs / np.sqrt(ds)
-    k = min(count, vals.size)
-    amax = float(np.max(np.abs(vals[:k])))
     amin = float(np.min(np.abs(vals)))
+    if vals[-1] < 0 and k < dim:
+        amin = min(amin, float(np.min(np.abs(eigh(
+            op_matrix, B, eigvals_only=True, subset_by_index=[k, dim - 1])))))
+    amax = float(np.max(np.abs(vals)))
     verdict = {"min_abs_eigenvalue": amin, "max_abs_eigenvalue": amax,
                "invertible": bool(amin > 1e-6 * amax)}
-    return vals[:k], vecs[:, :k], verdict
+    count = min(count, dim)
+    return vals[:count], vecs[:, :count], verdict

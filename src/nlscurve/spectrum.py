@@ -7,49 +7,50 @@ each transverse frequency α and coupling μ = 2f̂/k̂, the system on R^{n-1}
     -Δv + (1 + α²)v -  U^{p-1}v + μα u = λ v.
 
 Its first eigenvalue branch η_α starts negative, is simple and increasing,
-and crosses zero at a unique ᾱ whose eigenfunction pair (Z, W) decays faster
-than e^{-r}; the second branch σ_α starts at zero (translations (∂U, 0) and
-the gauge mode (0, U)) with zero slope and positive curvature.  Away from
-the core U vanishes and the coupling matrix has eigenvalues ±μα, so the
-essential spectrum starts at exactly τ_α = 1 + α² − |μα|; τ_α stays away
-from zero, and it is given in closed form, not traced: on a bounded radial
-box everything above it is discretized continuum whose lowest level depends
-on r_max.  This module discretizes the system sector-by-sector, traces the
-bound branches in α with eigenvector-overlap matching, certifies by an
-inertia count that no other eigenvalue lies below τ_α, locates ᾱ, and
-builds the second-order α-corrections of the eigenfunctions by
-kernel-projected sector solves.
+and crosses zero at a unique ᾱ whose eigenfunction pair (Z, W) decays like
+e^{-√τ_ᾱ r}, faster than e^{-r}; the second branch σ_α starts at zero
+(translations (∂U, 0) and the gauge mode (0, U)) with zero slope and
+positive curvature.  Away from the core U vanishes and the coupling matrix
+has eigenvalues ±μα, so the essential spectrum starts at exactly
+τ_α = 1 + α² − |μα|; τ_α stays away from zero, and it is given in closed
+form, not traced: on a bounded radial box everything above it is
+discretized continuum whose lowest level depends on r_max.  This module
+discretizes the system sector-by-sector, traces the bound branches in α
+with eigenvector-overlap matching, certifies by an inertia count which
+eigenvalues lie below τ_α, locates ᾱ, and builds the second-order
+α-corrections of the eigenfunctions by kernel-projected sector solves.
 
-The scalar-sector floors and the α = μ = 0 bands of a sector depend on
-(U, p, ℓ) only, so branch tracing and the crossing field build them once and
-only update the diagonal (+α²) and the coupling band (μα) per point.  A cold
-eigensolve (the first α of a branch, each Newton step of find_alpha_bar,
-which also solves the first μ of a crossing field, and coupled_spectrum's
-other callers) is banded shift-invert Lanczos with the shift just under a
-rigorous lower bound of the spectrum built from those floors.  Every later
-point is a continuation: inverse iteration from the neighbouring
-eigenvector, with the Rayleigh quotient as the eigenvalue.  The
-lowest branch of a sector keeps the banded Cholesky factor at the rigorous
-shift, which certifies the shift and makes the limit the lowest eigenpair;
-the gauge branch, which is not the lowest, is shifted to its predicted
-eigenvalue through a banded LU, and the overlap floor and the inertia
-count bound_state_counts guard it.
+One mechanism computes every eigenpair, and there is no Lanczos.  Every
+branch trace and every crossing search starts at α = 0, where the coupling
+μα vanishes and the lowest eigenpairs of an ℓ-sector are exactly the lowest
+of the scalar L_r and L_i tridiagonal spectra (radial.lowest_eigenpairs).
+Every later point is a continuation: inverse iteration on the banded
+pentadiagonal from the neighbouring eigenvector, with the Rayleigh quotient
+as the eigenvalue.  The lowest branch of a sector keeps the banded Cholesky
+factor at a rigorous shift under the spectrum, which certifies the shift and
+makes the limit the lowest eigenpair; the gauge branch, which is not the
+lowest, is shifted to its predicted eigenvalue through a banded LU, or,
+where that prediction overshoots towards the continuum, to a shift isolated
+by inertia counts; the overlap floor and the inertia count of
+bound_state_counts guard it.  A branch ends where the count says the bound
+states end.  The scalar
+tridiagonals and the α = μ = 0 bands of a sector depend on (U, p, ℓ) only,
+so they are built once and a point (α, μ) only updates the diagonal (+α²)
+and the coupling band (μα).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (LinAlgError, cho_solve_banded, cholesky_banded,
-                          eigh_tridiagonal)
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ValidationError, BranchTrackingError, ConvergenceError
 from .geometry import freeze_arrays, readonly_view
 from .radial import (SectorOperator, lowest_eigenpairs, sector_matrix,
                      sector_solve)
 
-# distance of the shift-invert shift below the coupled spectrum's lower bound
+# distance of the Cholesky shift below the coupled spectrum's lower bound
 SHIFT_MARGIN = 1e-2
 # relative gap in the sorted μ(s̄) that separates two crossing solves
 MU_GROUP_TOL = 1e-12
@@ -66,46 +67,6 @@ def sphere_area(d):
     return 2 * pi ** (d / 2) / gamma(d / 2)
 
 
-@dataclass(frozen=True)
-class CoupledSectorOperator:
-    """Two-component sector operator with frequency shift and coupling.
-
-    Blocks: (Lr-sector + α², μα; μα, Li-sector + α²).
-    """
-
-    alpha: float
-    mu: float
-    ell: int
-    dim: int
-    p: float
-
-    def components(self):
-        op_r = SectorOperator("Lr", self.ell, self.alpha**2, self.dim, self.p)
-        op_i = SectorOperator("Li", self.ell, self.alpha**2, self.dim, self.p)
-        return op_r, op_i
-
-
-def coupled_bands(op, U):
-    """Symmetric banded storage of the coupled sector operator.
-
-    The two components are interleaved node-wise, (u_0, v_0, u_1, v_1, ...),
-    which makes the operator pentadiagonal: the scalar-sector similarity
-    weight is shared by both blocks, so the coupling stays μα·Identity.
-    Returns (bands [lower form, 3 x 2*nact], weight, idx).
-    """
-    op_r, op_i = op.components()
-    diag_r, off_r, weight, idx = sector_matrix(op_r, U)
-    diag_i, off_i, _, _ = sector_matrix(op_i, U)
-    nact = diag_r.size
-    bands = np.zeros((3, 2 * nact))
-    bands[0, 0::2] = diag_r
-    bands[0, 1::2] = diag_i
-    bands[1, 0::2] = op.mu * op.alpha
-    bands[2, 0:-2:2] = off_r
-    bands[2, 1:-2:2] = off_i
-    return bands, weight, idx
-
-
 def _band_matvec(bands, x):
     """Symmetric matrix in lower band storage times x of shape (n,) or (n, k)."""
     b = bands.reshape(bands.shape + (1,) * (x.ndim - 1))
@@ -116,30 +77,19 @@ def _band_matvec(bands, x):
     return y
 
 
-def sector_floors(U, p, ell):
-    """Lowest eigenvalues (a, b) of the scalar L_r and L_i ℓ-sectors, unshifted.
-
-    They depend on (U, p, ℓ) only, so one pair serves every α and μ of a
-    coupled eigensolve in that sector.  The ℓ = 0 L_r floor is η₀ of
-    _solve_crossing, to round-off as sector_spectrum gives it; the others
-    only place the shift SHIFT_MARGIN below the spectrum, for which LAPACK's
-    default bisection suffices.
-    """
-    floors = []
-    for kind in ("Lr", "Li"):
-        diag, off, _, _ = sector_matrix(SectorOperator(kind, ell, 0.0, U.dim, p), U)
-        if (kind, ell) == ("Lr", 0):
-            floors.append(float(lowest_eigenpairs(diag, off, 1)[0][0]))
-        else:
-            floors.append(float(eigh_tridiagonal(
-                diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0]))
-    return tuple(floors)
-
-
 def _cholesky_below(bands, floors, alpha, mu):
-    """(σ, banded Cholesky factor of bands − σ), σ SHIFT_MARGIN under the
-    lower bound of the coupled spectrum (coupled_spectrum); ConvergenceError
-    if σ is not below the spectrum."""
+    """(σ, banded Cholesky factor of bands − σ), σ SHIFT_MARGIN under a
+    lower bound of the coupled spectrum; ConvergenceError if σ is not below
+    the spectrum.
+
+    The interleaved blocks are the scalar tridiagonals T_r + α² and
+    T_i + α², coupled by μα·Identity, so for a unit vector (x, y) the
+    Rayleigh quotient is at least α² + a|x|² + b|y|² − 2|μα||x||y|, with
+    a = λ_min(T_r) and b = λ_min(T_i) the unshifted ``floors`` of the
+    sector (_CoupledSector).  Minimizing over |x|² + |y|² = 1 gives
+    λ_min ≥ α² + (a+b)/2 − hypot((a−b)/2, μα), which is exact at μα = 0 and
+    close otherwise.
+    """
     a, b = floors
     sigma = (alpha**2 + 0.5 * (a + b) - np.hypot(0.5 * (a - b), mu * alpha)
              - SHIFT_MARGIN)
@@ -172,61 +122,39 @@ def _profiles(phi, weight, idx, m):
     return ufull, vfull
 
 
-def coupled_spectrum(op, U, count, floors=None):
-    """Lowest ``count`` eigenpairs of the coupled sector operator.
-
-    Shift-invert Lanczos with the shift SHIFT_MARGIN below a lower bound of
-    the spectrum.  The interleaved blocks are the scalar tridiagonals
-    T_r + α² and T_i + α², coupled by μα·Identity, so for a unit vector (x, y)
-    the Rayleigh quotient is at least α² + a|x|² + b|y|² − 2|μα||x||y|, with
-    a = λ_min(T_r) and b = λ_min(T_i) the unshifted ``floors`` of
-    sector_floors (computed here when omitted).  Minimizing over |x|² + |y|² = 1
-    gives λ_min ≥ α² + (a+b)/2 − hypot((a−b)/2, μα), which is exact at μα = 0
-    and close otherwise, so 1/(λ − shift) isolates the lowest eigenvalues.
-    The banded Cholesky factorization of the shifted pentadiagonal matrix
-    checks the bound (ConvergenceError if it fails) and serves every inverse
-    application.  The Lanczos start vector is fixed, so identical calls
-    return identical arrays.  Returns a list of (eigenvalue, u_values,
-    v_values) with the two-component eigenfunction on the full radial grid,
-    normalized to ∫(u²+v²) r^{d-1}dr = 1.
-    """
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    if floors is None:
-        floors = sector_floors(U, op.p, op.ell)
-    bands, weight, idx = coupled_bands(op, U)
-    sigma, chol = _cholesky_below(bands, floors, op.alpha, op.mu)
-    n = bands.shape[1]
-    K = LinearOperator((n, n), matvec=lambda x: _band_matvec(bands, x),
-                       dtype=float)
-    OPinv = LinearOperator(
-        (n, n), matvec=lambda x: cho_solve_banded((chol, True), x,
-                                                  check_finite=False),
-        dtype=float)
-    # a fixed start vector: eigsh would draw a fresh random one per call; a
-    # single eigenvalue sits alone near the shift, so 4 Lanczos vectors do
-    vals, vecs = eigsh(K, k=count, sigma=sigma, which="LM", OPinv=OPinv,
-                       v0=np.ones(n), ncv=4 if count == 1 else None)
-    # one Rayleigh quotient per vector: squares the eigenvalue accuracy
-    vals = np.einsum("ij,ij->j", vecs, _band_matvec(bands, vecs)) \
-        / np.einsum("ij,ij->j", vecs, vecs)
-    order = np.argsort(vals)
-    return [(float(vals[j]), *_profiles(vecs[:, j], weight, idx, U.grid.m))
-            for j in order]
+def _tridiagonals(U, p, ell):
+    """((diag_r, off_r, diag_i, off_i), weight, idx): the unshifted scalar
+    L_r and L_i ℓ-sectors (radial.sector_matrix), which share weight and
+    active nodes."""
+    (diag_r, off_r, weight, idx), (diag_i, off_i, _, _) = (
+        sector_matrix(SectorOperator(kind, ell, 0.0, U.dim, p), U)
+        for kind in ("Lr", "Li"))
+    return (diag_r, off_r, diag_i, off_i), weight, idx
 
 
 class _CoupledSector:
     """The coupled ℓ-sector of a fixed profile, ready for any (α, μ).
 
-    The scalar floors and the α = μ = 0 bands are built once; a point (α, μ)
-    only adds α² to the diagonal and sets the coupling band to μα.
+    Its operator is (L_r-sector + α², μα; μα, L_i-sector + α²).  The two
+    components are interleaved node-wise, (u_0, v_0, u_1, v_1, ...), which
+    makes it pentadiagonal: the scalar-sector similarity weight is shared by
+    both blocks, so the coupling stays μα·Identity.  The scalar tridiagonals,
+    the lowest ``count`` eigenpairs of each, their lowest eigenvalues
+    ``floors`` and the α = μ = 0 bands (lower band storage, 3 x 2·nact) are
+    built once; a point (α, μ) only adds α² to the diagonal and sets the
+    coupling band to μα.
     """
 
-    def __init__(self, U, p, ell):
+    def __init__(self, U, p, ell, count=1):
         self.U, self.p, self.ell = U, p, ell
-        self.floors = sector_floors(U, p, ell)
-        self.bands0, self.weight, self.idx = coupled_bands(
-            CoupledSectorOperator(0.0, 0.0, ell, U.dim, p), U)
+        self.tridiagonals, self.weight, self.idx = _tridiagonals(U, p, ell)
+        diag_r, off_r, diag_i, off_i = self.tridiagonals
+        self.bands0 = np.zeros((3, 2 * diag_r.size))
+        self.bands0[0, 0::2], self.bands0[0, 1::2] = diag_r, diag_i
+        self.bands0[2, 0:-2:2], self.bands0[2, 1:-2:2] = off_r, off_i
+        self.lowest = (lowest_eigenpairs(diag_r, off_r, count),
+                       lowest_eigenpairs(diag_i, off_i, count))
+        self.floors = tuple(float(vals[0]) for vals, _ in self.lowest)
 
     def bands(self, alpha, mu):
         bands = self.bands0.copy()
@@ -234,20 +162,48 @@ class _CoupledSector:
         bands[1, 0::2] = mu * alpha
         return bands
 
-    def cold(self, alpha, mu, count):
-        """coupled_spectrum at (α, μ): (λ, u, v, φ) with φ = √w·(u, v)."""
-        pairs = coupled_spectrum(CoupledSectorOperator(
-            alpha, mu, self.ell, self.U.dim, self.p), self.U, count, self.floors)
-        sqrtw = np.sqrt(self.weight)
-        out = []
-        for lam, u, v in pairs:
-            phi = np.empty(self.bands0.shape[1])
-            phi[0::2], phi[1::2] = u[self.idx] * sqrtw, v[self.idx] * sqrtw
-            out.append((lam, u, v, phi))
-        return out
+    def start(self, count):
+        """The lowest ``count`` eigenpairs (λ, unit φ) at α = 0, ascending.
+
+        μα = 0 decouples the components, so they are the lowest among the
+        L_r pairs, φ = (x, 0), and the L_i pairs, φ = (0, y), each eigenvalue
+        the exact Rayleigh quotient of lowest_eigenpairs.
+        """
+        pairs = []
+        for comp, (vals, vecs) in enumerate(self.lowest):
+            for lam, vec in zip(vals, vecs.T):
+                phi = np.zeros(self.bands0.shape[1])
+                phi[comp::2] = vec
+                pairs.append((float(lam), phi))
+        pairs.sort(key=lambda pair: pair[0])
+        return pairs[:count]
 
     def profiles(self, phi):
         return _profiles(phi, self.weight, self.idx, self.U.grid.m)
+
+    def isolating_shift(self, alpha, mu, k, lower, upper):
+        """A shift under the (k+1)-th eigenvalue λ_k at (α, μ), at least four
+        times nearer to it than to any other eigenvalue, by inertia counts.
+
+        The caller knows that λ_k is the one eigenvalue in (lower, upper):
+        ``lower`` is λ_{k−1} and exactly k + 1 eigenvalues lie below
+        ``upper``.  Each pass counts the eigenvalues below 16 shifts across
+        the bracket (_count_below) and keeps the interval where the count
+        reaches k + 1.
+        """
+        lo, hi = lower, upper
+        for _ in range(20):
+            shifts = np.linspace(lo, hi, 18)[1:-1]
+            counts = _count_below([self.tridiagonals],
+                                  np.full(shifts.size, abs(mu * alpha)),
+                                  alpha**2 - shifts)[0]
+            j = int(np.searchsorted(counts, k + 1))
+            lo = shifts[j - 1] if j else lo
+            hi = shifts[j] if j < shifts.size else hi
+            if 4 * (hi - lo) <= min(lo - lower, upper - lo):
+                return float(lo)
+        raise ConvergenceError(f"no shift isolates eigenvalue {k} at "
+                               f"alpha={alpha:.6g}")
 
 
 def _slopes(U, u, v, alpha, mu):
@@ -282,7 +238,7 @@ def _warm_pair(sector, alpha, mu, phi, near=None):
     """Eigenpair (λ, unit φ) at (α, μ) by inverse iteration from φ.
 
     With ``near`` None it is the lowest eigenpair: the banded Cholesky factor
-    at the rigorous shift of coupled_spectrum both certifies that the shift
+    at the rigorous shift of _cholesky_below both certifies that the shift
     lies below the spectrum and makes the lowest eigenvector dominant.
     Otherwise the shift is ``near`` and the limit is the eigenpair nearest
     it, through a banded LU.  λ is the Rayleigh quotient of the limit.
@@ -306,18 +262,35 @@ def _warm_pair(sector, alpha, mu, phi, near=None):
 
 @dataclass(frozen=True)
 class SpectralBranch:
-    """One eigenvalue branch over an α grid at fixed μ (immutable)."""
+    """One eigenvalue branch over an α grid at fixed μ (immutable).
+
+    ``sector_counts`` is the inertia count of the branch's sector per α
+    (bound_state_counts): the number of eigenvalues below τ_α.  A branch
+    that leaves the bound states reads NaN from the first α past its exit
+    bracket on, and ``eigenfunctions`` holds its (u, v) at the α before.
+    """
 
     label: str
     mu: float
     alphas: np.ndarray
     eigenvalues: np.ndarray
-    eigenfunctions: tuple  # per α: (u_values, v_values)
+    eigenfunctions: tuple  # per bound α: (u_values, v_values)
+    sector_counts: tuple
 
     def __post_init__(self):
         freeze_arrays(self)
         object.__setattr__(self, "eigenfunctions", tuple(
             (readonly_view(u), readonly_view(v)) for u, v in self.eigenfunctions))
+
+    @property
+    def exit_bracket(self):
+        """(last α with a bound value, first α without), or None if the
+        branch is bound on the whole grid."""
+        traced = len(self.eigenfunctions)
+        if traced == self.alphas.size:
+            return None
+        return (float(self.alphas[traced - 1]) if traced else None,
+                float(self.alphas[traced]))
 
 
 # the bound branches of each traced sector, in ascending order at α = 0
@@ -332,53 +305,82 @@ def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
       'gauge'        σ_α continuation of (0, U): next ℓ=0 branch,
       'translation'  σ_α continuation of (∂U, 0): lowest ℓ=1 branch.
 
-    The third branch τ_α is the continuum threshold (continuum_threshold);
-    bound_state_counts certifies that nothing else lies below it.  The first
-    α is a cold coupled_spectrum; each later α continues every branch from
-    its eigenvector at the previous α (_warm_pair), the lowest branch of a
+    The third branch τ_α is the continuum threshold (continuum_threshold).
+    The grid starts at α = 0, where each sector's pairs are exact
+    (_CoupledSector.start); each later α continues every branch from its
+    eigenvector at the previous α (_warm_pair), the lowest branch of a
     sector at the rigorous shift and the gauge branch at its eigenvalue
-    predicted from the Hellmann–Feynman slope.  Once the gauge value is not
-    below τ_α, that α and every later one take the second eigenpair of a
-    cold coupled_spectrum.  An overlap between consecutive eigenvectors
-    below ``overlap_floor`` raises.
+    predicted from the Hellmann–Feynman slope, or at a shift isolated by
+    inertia counts where that prediction overshoots towards the continuum
+    (_next_pair).  The k-th branch of a sector
+    is traced while bound_state_counts certifies more than k eigenvalues
+    below τ_α; from the first α where it does not, the branch reads NaN, so
+    wherever the count does not exceed the traced branches the number of
+    finite values equals it.  A continued value at or above τ_α where the
+    count says it is bound, or an overlap between consecutive eigenvectors
+    below ``overlap_floor``, raises BranchTrackingError.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
-    if alpha_grid.size < 2 or np.any(np.diff(alpha_grid) <= 0) or alpha_grid[0] < 0:
+    if alpha_grid.size < 2 or alpha_grid[0] != 0 or np.any(np.diff(alpha_grid) <= 0):
         raise ValidationError("alpha grid must be ascending from 0")
+    counts = bound_state_counts(U, p, mu, alpha_grid)
+    tau = continuum_threshold(alpha_grid, mu)
 
     out = {}
     for ell, labels in BOUND_BRANCHES.items():
-        sector = _CoupledSector(U, p, ell)
-        cold = sector.cold(alpha_grid[0], mu, len(labels))
-        for index, (lam, u, v, phi) in enumerate(cold):
-            lams, funcs = [lam], [(u, v)]
-            unbound = False
-            for prev, alpha in zip(alpha_grid[:-1], alpha_grid[1:]):
-                if not unbound:
-                    near = None if index == 0 else \
-                        lam + _slopes(U, u, v, prev, mu)[0] * (alpha - prev)
-                    lam, new = _warm_pair(sector, alpha, mu, phi, near)
-                    # not a bound state: the branch has left them, or the
-                    # prediction found a box mode
-                    unbound = near is not None and \
-                        lam >= continuum_threshold(alpha, mu)
-                if unbound:
-                    # take the second eigenpair, as a cold trace does, here
-                    # and at every later α
-                    lam, _, _, new = sector.cold(alpha, mu, 2)[1]
-                overlap = abs(float(new @ phi))
-                if overlap < overlap_floor:
-                    raise BranchTrackingError("branch tracking ambiguous",
-                                              alpha, overlap)
-                phi = new
+        sector = _CoupledSector(U, p, ell, len(labels))
+        bound = counts[ell][:, None] > np.arange(len(labels))
+        for index, (lam, phi) in enumerate(sector.start(len(labels))):
+            lams, funcs = np.full(alpha_grid.size, np.nan), []
+            for i, alpha in enumerate(alpha_grid):
+                if not bound[i, index]:
+                    break
+                if i:
+                    if index == 0:
+                        lam, new = _warm_pair(sector, alpha, mu, phi)
+                    else:
+                        prev = alpha_grid[i - 1]
+                        near = lam + _slopes(U, u, v, prev, mu)[0] * (alpha - prev)
+                        below = out[labels[index - 1]].eigenvalues[i]
+                        # τ_α bounds this eigenvalue alone where the count
+                        # admits no other above it
+                        upper = tau[i] if counts[ell][i] == index + 1 else None
+                        lam, new = _next_pair(sector, alpha, mu, phi, near, index,
+                                              below, upper, overlap_floor)
+                    overlap = abs(float(new @ phi))
+                    if overlap < overlap_floor or lam >= tau[i]:
+                        raise BranchTrackingError("branch tracking ambiguous",
+                                                  alpha, overlap)
+                    phi = new
                 u, v = sector.profiles(phi)
-                lams.append(lam)
+                lams[i] = lam
                 funcs.append((u, v))
             label = labels[index]
-            out[label] = SpectralBranch(label=label, mu=mu, alphas=alpha_grid,
-                                        eigenvalues=np.array(lams),
-                                        eigenfunctions=funcs)
+            out[label] = SpectralBranch(
+                label=label, mu=mu, alphas=alpha_grid, eigenvalues=lams,
+                eigenfunctions=funcs, sector_counts=tuple(counts[ell].tolist()))
     return out
+
+
+def _next_pair(sector, alpha, mu, phi, near, k, below, upper, overlap_floor):
+    """Continue the branch of the (k+1)-th eigenvalue of a sector from φ.
+
+    Inverse iteration at its predicted eigenvalue ``near``.  Near the
+    continuum the prediction can overshoot towards the box modes above τ_α;
+    where it gives no eigenpair below τ_α with the overlap floor, and the
+    inertia count says that only λ_k lies between the branch ``below``'s
+    value and ``upper`` = τ_α (None where it does not), the shift comes from
+    isolating_shift instead.
+    """
+    try:
+        lam, new = _warm_pair(sector, alpha, mu, phi, near)
+        if upper is None or (lam < upper and abs(new @ phi) >= overlap_floor):
+            return lam, new
+    except ConvergenceError:
+        if upper is None:
+            raise
+    shift = sector.isolating_shift(alpha, mu, k, below, upper)
+    return _warm_pair(sector, alpha, mu, phi, shift)
 
 
 def continuum_threshold(alpha, mu):
@@ -391,62 +393,65 @@ def continuum_threshold(alpha, mu):
     return 1.0 + alpha**2 - np.abs(mu * alpha)
 
 
-def bound_state_counts(U, p, mu, alpha_grid, ell):
-    """Number of eigenvalues of the ℓ-sector below τ_α, for every α at once.
+def bound_state_counts(U, p, mu, alpha_grid):
+    """Number of eigenvalues below τ_α of every sector of BOUND_BRANCHES, for
+    every α at once: {ℓ: counts over alpha_grid}.
 
-    Sylvester's law of inertia: the interleaved pentadiagonal is block
-    tridiagonal in 2×2 node blocks, and its block LDLᵀ factorization
-    K − τ_α = L·D·Lᵀ is a congruence, so the count is the number of negative
-    eigenvalues of the 2×2 pivots D_i = A_i − B D_{i−1}⁻¹ B.  Since
-    α² − τ_α = |μα| − 1, the pivots depend on α through |μα| only, and the
-    recurrence runs over the nodes with one lane per α.  A zero pivot (τ_α an
-    eigenvalue to round-off) leaves the count undefined: ConvergenceError.
+    Since α² − τ_α = |μα| − 1, the pivots of _count_below depend on α
+    through |μα| only, and one recurrence runs a lane per (sector, α).
     """
     m = np.abs(mu * np.asarray(alpha_grid, dtype=float))
-    dr, er, _, _ = sector_matrix(SectorOperator("Lr", ell, 0.0, U.dim, p), U)
-    di, ei, _, _ = sector_matrix(SectorOperator("Li", ell, 0.0, U.dim, p), U)
-    # block A_i = (dr_i + m − 1, m; m, di_i + m − 1), B = diag(er, ei)
-    shift = m - 1.0
-    ee, ff, ef = er**2, ei**2, er * ei
-    a, b, c = dr[0] + shift, di[0] + shift, m
-    dets = np.empty((dr.size, m.size))
-    leads = np.empty((dr.size, m.size))
-    for i in range(dr.size):
+    sectors = [_tridiagonals(U, p, ell)[0] for ell in BOUND_BRANCHES]
+    return dict(zip(BOUND_BRANCHES, _count_below(sectors, m, m - 1.0)))
+
+
+def _count_below(sectors, coupling, diagonal):
+    """Negative eigenvalues of (T_r + d, c; c, T_i + d) with c = coupling and
+    d = diagonal, one lane per entry of c and d, for every sector at once:
+    counts of shape (sectors, lanes).
+
+    ``sectors`` holds the unshifted scalar tridiagonals (diag_r, off_r,
+    diag_i, off_i) of each sector, so a point (α, μ) and a threshold s give
+    c = |μα| and d = α² − s (the sign of the coupling does not change the
+    inertia).  Sylvester's law of inertia: the interleaved pentadiagonal is
+    block tridiagonal in 2×2 node blocks, and its block LDLᵀ factorization
+    is a congruence, so the count is the number of negative eigenvalues of
+    the 2×2 pivots D_i = A_i − B D_{i−1}⁻¹ B.  A sector with fewer nodes
+    (ℓ ≥ 1 lacks the origin) ends in decoupled positive definite blocks,
+    which add no negative pivot.  A zero pivot (a shift that is an
+    eigenvalue to round-off) leaves the count undefined: ConvergenceError.
+    """
+    nodes = max(sector[0].size for sector in sectors)
+    # per node and sector, in the order (a, c, b) of a pivot (a, c; c, b):
+    # the node part of A_i and the coupling to the previous node, so that
+    # the new pivot is A_i + (d, c, d) + K_i·q·(b, c, a) of the previous
+    # one, q = 1/det
+    A = np.full((nodes, 3, len(sectors), 1),
+                1.0 + np.max(np.abs(coupling)) - np.min(diagonal))
+    A[:, 1] = 0.0
+    K = np.zeros((nodes, 3, len(sectors), 1))
+    for s, (dr, er, di, ei) in enumerate(sectors):
+        A[:dr.size, 0, s, 0], A[:dr.size, 2, s, 0] = dr, di
+        K[1:dr.size, 0, s, 0], K[1:dr.size, 1, s, 0], K[1:dr.size, 2, s, 0] = \
+            -er**2, er * ei, -ei**2
+    lanes = np.stack([diagonal, coupling, diagonal])[:, None, :]
+    dets = np.empty((nodes, len(sectors), lanes.shape[-1]))
+    leads = np.empty_like(dets)
+    P = A[0] + lanes
+    for i in range(nodes):
         if i:
-            q = 1.0 / dets[i - 1]
-            a, b, c = (dr[i] + shift - ee[i - 1] * q * b,
-                       di[i] + shift - ff[i - 1] * q * a,
-                       m + ef[i - 1] * q * c)
-        dets[i] = a * b - c * c
-        leads[i] = a
+            w = K[i] * (1.0 / dets[i - 1])
+            w *= P[::-1]
+            P = A[i] + lanes
+            P += w
+        dets[i] = P[0] * P[2] - P[1] * P[1]
+        leads[i] = P[0]
     if not np.all(np.isfinite(dets)) or np.any(dets == 0.0):
         raise ConvergenceError("a pivot of the inertia count vanished: the "
-                               "threshold is an eigenvalue to round-off")
+                               "shift is an eigenvalue to round-off")
     # a 2×2 pivot has one negative eigenvalue when det < 0, two when det > 0
     # and its leading entry is negative
     return np.sum((dets < 0) + 2 * ((dets > 0) & (leads < 0)), axis=0)
-
-
-def eigenvalue_at(U, p, mu, alpha, ell=0, index=0):
-    """Single eigenvalue of the coupled sector operator (lowest by default)."""
-    return coupled_spectrum(CoupledSectorOperator(alpha, mu, ell, U.dim, p),
-                            U, index + 1)[index][0]
-
-
-def eigenvalue_derivative(U, p, mu, alpha, ell=0, index=0, h_alpha=1e-3):
-    """Richardson-extrapolated centered dλ/dα (branches are simple, smooth)."""
-    lam = lambda a: eigenvalue_at(U, p, mu, a, ell, index)
-    d1 = (lam(alpha + h_alpha) - lam(alpha - h_alpha)) / (2 * h_alpha)
-    d2 = (lam(alpha + h_alpha / 2) - lam(alpha - h_alpha / 2)) / h_alpha
-    return float((4 * d2 - d1) / 3)
-
-
-def eigenvalue_second_derivative(U, p, mu, alpha, ell=0, index=0, h_alpha=1e-3):
-    lam = lambda a: eigenvalue_at(U, p, mu, a, ell, index)
-    c = lam(alpha)
-    dd1 = (lam(alpha + h_alpha) - 2 * c + lam(alpha - h_alpha)) / h_alpha**2
-    dd2 = (lam(alpha + h_alpha / 2) - 2 * c + lam(alpha - h_alpha / 2)) / (h_alpha / 2) ** 2
-    return float((4 * dd2 - dd1) / 3)
 
 
 @dataclass(frozen=True)
@@ -455,8 +460,10 @@ class CrossingMode:
 
     ``u_values``/``v_values`` are the real/imaginary profile components on
     the radial grid, normalized so ∫(Z² + W²) dy = 1 including the angular
-    volume factor; decay_rate is the fitted exponential rate of |Z| + |W|.
-    Immutable: alpha_field hands one mode to every node of a μ group.
+    volume factor.  decay_rate is √τ_ᾱ = √(1 + ᾱ² − |μᾱ|): past the core
+    the pair solves −Δ + τ_ᾱ on the lower eigenvector of the coupling, so
+    |Z| + |W| decays like e^{-√τ_ᾱ r} up to a power of r.  Immutable:
+    alpha_field hands one mode to every node of a μ group.
     """
 
     alpha_bar: float
@@ -475,9 +482,9 @@ class CrossingMode:
 def find_alpha_bar(U, p, mu, tol=1e-8):
     """Safeguarded Newton for the unique ᾱ with η_ᾱ = 0 in the ℓ=0 sector.
 
-    A cold search (_solve_crossing without a start): Newton from √(−η₀),
-    one coupled_spectrum eigensolve per step.  alpha_field continues it
-    from one μ to the next.
+    _solve_crossing from the exact α = 0 ground pair: Newton from √(−η₀),
+    one inverse iteration per step.  alpha_field continues it from one μ to
+    the next.
     """
     return _solve_crossing(_CoupledSector(U, p, 0), mu, tol)[0]
 
@@ -485,17 +492,17 @@ def find_alpha_bar(U, p, mu, tol=1e-8):
 def _solve_crossing(sector, mu, tol, start=None):
     """Newton for η_ᾱ = 0 at one μ; returns (CrossingMode, continuation state).
 
-    At α = 0 the coupling μα vanishes and the lowest coupled eigenvalue is
-    that of the scalar L_r ℓ=0 sector, so η_0 is the L_r floor of
-    sector_floors and does not depend on μ.  The branch slope comes for free
-    from the eigenvector (Hellmann-Feynman, _slopes), so each Newton step,
-    the last one included, costs one eigensolve, and the converged step's
-    eigenpair is the returned mode.  Without ``start`` the search is cold:
-    it starts at √(−η₀), exact for μ = 0 and close otherwise, and every
-    eigensolve is a coupled_spectrum.  ``start`` is the state returned by the
-    solve at a neighbouring μ₀: then the first step is ᾱ₀ + (μ − μ₀)·dᾱ/dμ,
-    with the exact predictor dᾱ/dμ = −(∂η/∂μ)/(∂η/∂α), and every eigensolve
-    is inverse iteration from the previous eigenvector (_warm_pair).
+    At α = 0 the coupling μα vanishes and the lowest coupled eigenpair is
+    that of the scalar L_r ℓ=0 sector, so η_0 is the L_r floor and does not
+    depend on μ.  The branch slope comes for free from the eigenvector
+    (Hellmann-Feynman, _slopes), so each Newton step, the last one included,
+    costs one eigensolve, and the converged step's eigenpair is the returned
+    mode.  Every eigensolve is inverse iteration at the rigorous shift
+    (_warm_pair) from the previous eigenvector.  Without ``start`` the first
+    step is √(−η₀), exact for μ = 0 and close otherwise, from the α = 0
+    ground eigenvector.  ``start`` is the state returned by the solve at a
+    neighbouring μ₀: then the first step is ᾱ₀ + (μ − μ₀)·dᾱ/dμ, with the
+    exact predictor dᾱ/dμ = −(∂η/∂μ)/(∂η/∂α), from ᾱ₀'s eigenvector.
     Bisection on the bracket [1e-6, sqrt(-2η_0) + 1] guards the steps; the η
     branch is increasing with η_0 < 0, and η at the upper end, which lies
     safely past the crossing for small μ, is solved only when a step leaves
@@ -506,16 +513,16 @@ def _solve_crossing(sector, mu, tol, start=None):
         raise ConvergenceError("ground branch does not start negative")
     lo, hi = 1e-6, float(np.sqrt(-2 * eta0) + 1.0)
     crossed = False           # some η > 0 was seen: the bracket holds the root
-    abar, phi = float(np.sqrt(-eta0)), None
-    if start is not None:
+    abar = float(np.sqrt(-eta0))
+    if start is None:
+        phi = sector.start(1)[0][1]
+    else:
         mu0, alpha0, phi, dalpha_dmu = start
         guess = alpha0 + (mu - mu0) * dalpha_dmu
         if lo < guess < hi:
             abar = guess
 
     def eigenpair(alpha, phi):
-        if start is None:
-            return sector.cold(alpha, mu, 1)[0]
         lam, phi = _warm_pair(sector, alpha, mu, phi)
         return (lam, *sector.profiles(phi), phi)
 
@@ -547,39 +554,20 @@ def _solve_crossing(sector, mu, tol, start=None):
     # renormalize with the angular factor: ∫(Z²+W²) dy = 1 over R^d
     mass = sphere_area(d) * np.trapezoid((u**2 + v**2) * r ** (d - 1), r)
     u, v = u / np.sqrt(mass), v / np.sqrt(mass)
-
-    rate = _decay_rate_windowed(r, np.abs(u) + np.abs(v), d)
     mode = CrossingMode(alpha_bar=float(abar), u_values=u, v_values=v,
-                        eta_residual=float(lam), decay_rate=rate, U=U, mu=mu,
-                        p=sector.p)
+                        eta_residual=float(lam),
+                        decay_rate=float(np.sqrt(continuum_threshold(abar, mu))),
+                        U=U, mu=mu, p=sector.p)
     return mode, (mu, abar, phi, -eta_mu / slope)
 
 
-def _decay_rate_windowed(r, w, dim):
-    """Exponential rate fitted where the values sit above the solver noise.
-
-    Eigenvector tails bottom out near 1e-14 of the peak; the fit window is
-    the decade band [1e-11, 1e-4] of the peak, with the polynomial prefactor
-    r^{-(d-1)/2} removed.
-    """
-    peak = np.max(w)
-    sel = (w > 1e-11 * peak) & (w < 1e-4 * peak) & (r > 1.0)
-    if sel.sum() < 10:
-        return 0.0
-    y = np.log(w[sel]) + 0.5 * (dim - 1) * np.log(r[sel])
-    return float(-np.polyfit(r[sel], y, 1)[0])
-
-
-def crossing_slope_identity(mode):
-    """(∂η/∂α at ᾱ, closed form 2ᾱ + 2μ∫ZW) for the crossing mode."""
-    U, p, mu = mode.U, mode.p, mode.mu
+def crossing_slope(mode):
+    """∂η/∂α at ᾱ in closed form, 2ᾱ + 2μ∫ZW (Hellmann–Feynman)."""
+    U, mu = mode.U, mode.mu
     d = U.dim
     r = U.grid.nodes
-    omega = sphere_area(d)
-    zw = omega * np.trapezoid(mode.u_values * mode.v_values * r ** (d - 1), r)
-    closed = 2 * mode.alpha_bar + 2 * mu * zw
-    numeric = eigenvalue_derivative(U, p, mu, mode.alpha_bar)
-    return float(numeric), float(closed)
+    zw = sphere_area(d) * np.trapezoid(mode.u_values * mode.v_values * r ** (d - 1), r)
+    return float(2 * mode.alpha_bar + 2 * mu * zw)
 
 
 def alpha_field(sf, U, tol=1e-8):
@@ -590,11 +578,12 @@ def alpha_field(sf, U, tol=1e-8):
     when their μ, sorted, follow each other with gaps of at most
     MU_GROUP_TOL·max(1, max|μ|); each group is solved at the μ of its first
     node, in ascending order of μ, by continuation: the ℓ=0 sector is set up
-    once, the first group is a cold find_alpha_bar search, and every later
-    one starts from the previous group's ᾱ, moved by the exact dᾱ/dμ, and its
-    eigenvector (_solve_crossing).  Each group's ᾱ is within tol of the root,
-    so it agrees with a cold search to 2·tol.  Returns (alpha_bar array,
-    modes list parallel to nodes).
+    once, the first group starts from the exact α = 0 ground pair as
+    find_alpha_bar does, and every later one starts from the previous
+    group's ᾱ, moved by the exact dᾱ/dμ, and its eigenvector
+    (_solve_crossing).  Each group's ᾱ is within tol of the root, so it
+    agrees with find_alpha_bar to 2·tol.  Returns (alpha_bar array, modes
+    list parallel to nodes).
     """
     mus = 2.0 * sf.fprime / sf.k
     order = np.argsort(mus, kind="stable")
@@ -616,25 +605,22 @@ def alpha_field(sf, U, tol=1e-8):
 # Perturbation solves: first and second α-derivatives of the eigenfunctions
 # ---------------------------------------------------------------------------
 
-def eta_curvature_identity(U, p, mu):
-    """Both sides of ∂²η/∂α²|₀ = 2 + 2μ∫(u₀ ∂v/∂α + v₀ ∂u/∂α).
+def eta_curvature(U, p, mu):
+    """∂²η/∂α²|₀ = 2 + 2μ∫(u₀ ∂v/∂α + v₀ ∂u/∂α) in closed form.
 
-    At α = 0 the ground eigenpair is (Z̃, 0) with eigenvalue η₀ < 0, so only
-    the first integral survives and ∂v/∂α solves (L_i - η₀)∂v = -μ Z̃ (an
-    invertible shifted solve).  Returns (finite-difference value, identity).
+    At α = 0 the ground eigenpair is (Z̃, 0) with eigenvalue η₀ < 0, the
+    exact start of the ℓ=0 sector, so only the first integral survives and
+    ∂v/∂α solves (L_i - η₀)∂v = -μ Z̃ (an invertible shifted solve).
     """
-    lam0, u0, v0 = coupled_spectrum(
-        CoupledSectorOperator(0.0, mu, 0, U.dim, p), U, 1)[0]
-    op = SectorOperator("Li", 0, -lam0, U.dim, p)
-    dv, _ = sector_solve(op, U, -mu * u0)
+    sector = _CoupledSector(U, p, 0)
+    lam0, phi0 = sector.start(1)[0]
+    u0, v0 = sector.profiles(phi0)
+    dv, _ = sector_solve(SectorOperator("Li", 0, -lam0, U.dim, p), U, -mu * u0)
     r = U.grid.nodes
-    d = U.dim
-    omega = sphere_area(d)
-    integral = omega * np.trapezoid(u0 * dv * r ** (d - 1), r)
-    mass = omega * np.trapezoid((u0**2 + v0**2) * r ** (d - 1), r)
-    closed = 2.0 + 2.0 * mu * integral / mass
-    numeric = eigenvalue_second_derivative(U, p, mu, 0.0)
-    return float(numeric), float(closed)
+    w = sphere_area(U.dim) * r ** (U.dim - 1)
+    integral = np.trapezoid(u0 * dv * w, r)
+    mass = np.trapezoid((u0**2 + v0**2) * w, r)
+    return float(2.0 + 2.0 * mu * integral / mass)
 
 
 def first_derivative_profiles(U, p, mu):

@@ -2,15 +2,23 @@
 
 Each oracle is deliberately dumb and separate from the code paths it checks:
 shooting and collocation instead of the grid equation, golden-section
-instead of root finding, integer arithmetic instead of eigen-solves, closed
-forms wherever they exist.
+instead of root finding, shift-invert Lanczos (ARPACK) instead of inverse
+iteration, finite differences instead of Hellmann–Feynman slopes, integer
+arithmetic instead of eigen-solves, closed forms wherever they exist.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_bvp, solve_ivp
+from scipy.linalg import cho_solve_banded
 from scipy.optimize import minimize_scalar
+from scipy.sparse.linalg import LinearOperator, eigsh
 
-from nlscurve.errors import ConvergenceError
+from nlscurve.errors import ConvergenceError, ValidationError
+from nlscurve.radial import SectorOperator, sector_matrix
+from nlscurve.spectrum import (_CoupledSector, _band_matvec, _cholesky_below,
+                               _profiles)
 
 
 def ground_state_u0_collocation(n, p, r_max=30.0, tol=1e-10):
@@ -287,3 +295,133 @@ def level2_correctors_per_node(curve, pot, sf, U, w_ro):
     v0_odd = sector_solve(SectorOperator("Li", 1, 0.0, d, p), U,
                           rhs_odd)[0][..., :ny]
     return v0_even0, v0_even2, v0_odd, (A, C), B
+
+
+@dataclass(frozen=True)
+class CoupledSectorOperator:
+    """The coupled ℓ-sector operator (Lr-sector + α², μα; μα, Li-sector + α²)
+    of the profile dimension ``dim``."""
+
+    alpha: float
+    mu: float
+    ell: int
+    dim: int
+    p: float
+
+
+def coupled_bands(op, U):
+    """(bands, weight, idx) of the coupled sector operator: the interleaved
+    pentadiagonal in lower band storage that spectrum's inverse iteration
+    solves with (spectrum._CoupledSector)."""
+    sector = _CoupledSector(U, op.p, op.ell)
+    return sector.bands(op.alpha, op.mu), sector.weight, sector.idx
+
+
+def sector_floors(U, p, ell):
+    """Lowest eigenvalues (a, b) of the scalar L_r and L_i ℓ-sectors,
+    unshifted: the floors under spectrum's Cholesky shift."""
+    return _CoupledSector(U, p, ell).floors
+
+
+def coupled_spectrum(op, U, count, floors=None):
+    """Lowest ``count`` eigenpairs of the coupled sector operator.
+
+    Shift-invert Lanczos (ARPACK) with the shift SHIFT_MARGIN below the lower
+    bound of the spectrum of spectrum._cholesky_below, built from the scalar
+    ``floors`` of sector_floors (computed here when omitted).  The banded
+    Cholesky factorization of the shifted pentadiagonal matrix checks the
+    bound (ConvergenceError if it fails) and serves every inverse
+    application.  The Lanczos start vector is fixed, so identical calls
+    return identical arrays.  Returns a list of (eigenvalue, u_values,
+    v_values) with the two-component eigenfunction on the full radial grid,
+    normalized to ∫(u²+v²) r^{d-1}dr = 1.
+    """
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    if floors is None:
+        floors = sector_floors(U, op.p, op.ell)
+    bands, weight, idx = coupled_bands(op, U)
+    sigma, chol = _cholesky_below(bands, floors, op.alpha, op.mu)
+    n = bands.shape[1]
+    K = LinearOperator((n, n), matvec=lambda x: _band_matvec(bands, x),
+                       dtype=float)
+    OPinv = LinearOperator(
+        (n, n), matvec=lambda x: cho_solve_banded((chol, True), x,
+                                                  check_finite=False),
+        dtype=float)
+    # a fixed start vector: eigsh would draw a fresh random one per call; a
+    # single eigenvalue sits alone near the shift, so 4 Lanczos vectors do
+    vals, vecs = eigsh(K, k=count, sigma=sigma, which="LM", OPinv=OPinv,
+                       v0=np.ones(n), ncv=4 if count == 1 else None)
+    # one Rayleigh quotient per vector: squares the eigenvalue accuracy
+    vals = np.einsum("ij,ij->j", vecs, _band_matvec(bands, vecs)) \
+        / np.einsum("ij,ij->j", vecs, vecs)
+    order = np.argsort(vals)
+    return [(float(vals[j]), *_profiles(vecs[:, j], weight, idx, U.grid.m))
+            for j in order]
+
+
+def eigenvalue_at(U, p, mu, alpha, ell=0, index=0):
+    """Single eigenvalue of the coupled sector operator (lowest by default)."""
+    return coupled_spectrum(CoupledSectorOperator(alpha, mu, ell, U.dim, p),
+                            U, index + 1)[index][0]
+
+
+def eigenvalue_derivative(U, p, mu, alpha, ell=0, index=0, h_alpha=1e-3):
+    """Richardson-extrapolated centered dλ/dα (branches are simple, smooth)."""
+    lam = lambda a: eigenvalue_at(U, p, mu, a, ell, index)
+    d1 = (lam(alpha + h_alpha) - lam(alpha - h_alpha)) / (2 * h_alpha)
+    d2 = (lam(alpha + h_alpha / 2) - lam(alpha - h_alpha / 2)) / h_alpha
+    return float((4 * d2 - d1) / 3)
+
+
+def eigenvalue_second_derivative(U, p, mu, alpha, ell=0, index=0, h_alpha=1e-3):
+    """Richardson-extrapolated centered d²λ/dα²."""
+    lam = lambda a: eigenvalue_at(U, p, mu, a, ell, index)
+    c = lam(alpha)
+    dd1 = (lam(alpha + h_alpha) - 2 * c + lam(alpha - h_alpha)) / h_alpha**2
+    dd2 = (lam(alpha + h_alpha / 2) - 2 * c + lam(alpha - h_alpha / 2)) / (h_alpha / 2) ** 2
+    return float((4 * dd2 - dd1) / 3)
+
+
+def decay_rate_windowed(r, w, dim):
+    """Exponential rate fitted where the values sit above the solver noise.
+
+    Eigenvector tails bottom out near 1e-14 of the peak; the fit window is
+    the decade band [1e-11, 1e-4] of the peak, with the polynomial prefactor
+    r^{-(d-1)/2} removed.
+    """
+    peak = np.max(w)
+    sel = (w > 1e-11 * peak) & (w < 1e-4 * peak) & (r > 1.0)
+    if sel.sum() < 10:
+        return 0.0
+    y = np.log(w[sel]) + 0.5 * (dim - 1) * np.log(r[sel])
+    return float(-np.polyfit(r[sel], y, 1)[0])
+
+
+def bound_state_counts_per_sector(U, p, mu, alpha_grid, ell):
+    """Number of eigenvalues of one ℓ-sector below τ_α, for every α.
+
+    The block LDLᵀ recurrence of spectrum.bound_state_counts run on a single
+    sector, with one lane per α: the count is the number of negative
+    eigenvalues of the 2×2 pivots.
+    """
+    m = np.abs(mu * np.asarray(alpha_grid, dtype=float))
+    dr, er, _, _ = sector_matrix(SectorOperator("Lr", ell, 0.0, U.dim, p), U)
+    di, ei, _, _ = sector_matrix(SectorOperator("Li", ell, 0.0, U.dim, p), U)
+    # block A_i = (dr_i + m − 1, m; m, di_i + m − 1), B = diag(er, ei)
+    shift = m - 1.0
+    ee, ff, ef = er**2, ei**2, er * ei
+    a, b, c = dr[0] + shift, di[0] + shift, m
+    dets = np.empty((dr.size, m.size))
+    leads = np.empty((dr.size, m.size))
+    for i in range(dr.size):
+        if i:
+            q = 1.0 / dets[i - 1]
+            a, b, c = (dr[i] + shift - ee[i - 1] * q * b,
+                       di[i] + shift - ff[i - 1] * q * a,
+                       m + ef[i - 1] * q * c)
+        dets[i] = a * b - c * c
+        leads[i] = a
+    return np.sum((dets < 0) + 2 * ((dets > 0) & (leads < 0)), axis=0)
+

@@ -21,14 +21,15 @@ from nlscurve.resonance import (gap_scan, gap_scan_oracle, lambda0_spectrum,
                                 constant_coefficient_nu_oracle)
 from nlscurve.scalings import (assemble_jacobi, critical_circle_radius,
                                euler_residual, weighted_eigenbasis)
-from nlscurve.spectrum import (CoupledSectorOperator, alpha_field,
-                               branch_curvature_closed_forms, coupled_spectrum,
-                               crossing_slope_identity, eigenvalue_derivative,
-                               eigenvalue_second_derivative, find_alpha_bar)
+from nlscurve.spectrum import (alpha_field, branch_curvature_closed_forms,
+                               crossing_slope, find_alpha_bar)
 from nlscurve.tube import build_tube_grid
 
 from conftest import circle_setup
-from oracles import fourier_symbol_jacobi_circle, reduced_length_stationary_radius
+from oracles import (CoupledSectorOperator, coupled_spectrum,
+                     eigenvalue_derivative, eigenvalue_second_derivative,
+                     fourier_symbol_jacobi_circle,
+                     reduced_length_stationary_radius)
 
 
 def _report(num, label, checks, t0, budget):
@@ -92,7 +93,8 @@ def test_criterion_4_branch_calculus(U23, exps23):
     mu = 0.05
     d0 = eigenvalue_derivative(U23, 3.0, mu, 0.0)
     mode = find_alpha_bar(U23, 3.0, mu)
-    numeric, closed = crossing_slope_identity(mode)
+    numeric = eigenvalue_derivative(U23, 3.0, mu, mode.alpha_bar)
+    closed = crossing_slope(mode)
     # both curvature branches at the matching model scaling (h_hat = 1)
     A = mu / 2.0
     ct, cg = branch_curvature_closed_forms(1.0, A, exps23)

@@ -1,5 +1,6 @@
-"""The package loads scipy.linalg and scipy.sparse.linalg, and no other SciPy
-subpackage: each of these costs about 0.2 s of start-up."""
+"""The package loads scipy.linalg and no other SciPy subpackage: each of the
+others costs 0.02–0.2 s of start-up.  No eigensolver of the package is
+ARPACK's; the tests keep it as an oracle."""
 
 import ast
 import os
@@ -9,7 +10,9 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 UNWANTED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
-            "scipy.spatial", "scipy.special")
+            "scipy.sparse", "scipy.spatial", "scipy.special")
+# the names of ARPACK's entry points and of the operator wrapper they take
+ARPACK_NAMES = ("eigs", "eigsh", "LinearOperator", "arpack")
 
 
 def _unwanted(name):
@@ -18,8 +21,9 @@ def _unwanted(name):
 
 def test_runner_import_and_set_up_load_no_unwanted_scipy():
     # a fresh interpreter imports the runner, then solves a ground state,
-    # builds a sampled loop and finds a critical circle (the code paths that
-    # used those subpackages), and lists the SciPy modules it holds
+    # traces its branches and finds their crossing, builds a sampled loop
+    # and finds a critical circle (the code paths that used those
+    # subpackages), and lists the SciPy modules it holds
     code = """
 import sys
 import nlscurve.runner
@@ -28,7 +32,10 @@ import numpy as np
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from nlscurve.radial import RadialGrid, ground_state
 from nlscurve.scalings import compute_exponents, critical_circle_radius
-ground_state(3, 3, RadialGrid(30.0, 1000))
+from nlscurve.spectrum import find_alpha_bar, trace_branches
+U = ground_state(3, 3, RadialGrid(30.0, 1000))
+trace_branches(U, 3.0, 0.1, np.linspace(0.0, 1.0, 3))
+find_alpha_bar(U, 3.0, 0.1)
 t = np.linspace(0, 2 * np.pi, 100, endpoint=False)
 build_curve(CurveSpec("parametric", n=2, points=np.stack([np.cos(t), 2 * np.sin(t)], 1)), 64)
 V = PotentialField("1/(1+r2)", 2)
@@ -61,4 +68,17 @@ def test_no_import_of_unwanted_scipy_in_source():
             else:
                 continue
             found += [(path.name, node.lineno, n) for n in names if _unwanted(n)]
+    assert not found
+
+
+def test_no_arpack_call_in_source():
+    # any name, attribute or imported alias, however it was imported
+    found = []
+    for path in sorted((SRC / "nlscurve").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name is not None and name.split(".")[-1] in ARPACK_NAMES:
+                found.append((path.name, getattr(node, "lineno", None), name))
     assert not found

@@ -10,7 +10,7 @@ from scipy.linalg import eigh
 from nlscurve.errors import ValidationError
 from nlscurve.geometry import (CurveSpec, build_curve, fourier_diff_matrices,
                                periodic_derivative, sample_potential)
-from nlscurve.resonance import (_FastModes, assemble_lambda0, constant_coefficient_nu_oracle,
+from nlscurve.resonance import (FastModes, assemble_lambda0, constant_coefficient_nu_oracle,
                                 correction_identities, gap_scan, gap_scan_oracle, lambda0_spectrum,
                                 q_integrals, resonance_eigenpairs, sharp_norm,
                                 verify_coupled_system, weyl_slope)
@@ -175,17 +175,30 @@ class TestWindowedEigensolve:
     def test_pencil_count_is_the_inertia(self, runner_layer):
         # j_ε from the ε-free pencil against the negative eigenvalues of the
         # matrix C(ε) itself, across the gap grid of the README run file
-        modes = _FastModes(runner_layer["sf"], runner_layer["abar"],
+        modes = FastModes(runner_layer["sf"], runner_layer["abar"],
                            runner_layer["Q"])
         for eps in np.linspace(0.08, 0.02, 100):
             assert modes.count(eps) == np.sum(np.linalg.eigvalsh(modes.matrix(eps)) < 0)
+
+    def test_window_derivative_is_the_fft(self, runner_layer):
+        # Λ₀ reads ξ' from the window, which computed it for β: the same
+        # bits as the FFT of ξ, so Λ₀ and the mass matrix are unchanged
+        modes = FastModes(runner_layer["sf"], runner_layer["abar"],
+                          runner_layer["Q"])
+        for eps in (0.08, 0.05, 0.02):
+            basis = modes.window(eps, 0.3)
+            fft = periodic_derivative(basis.xi.T, basis.L).T
+            assert np.array_equal(basis.dxi, fft)
+            for got, ref in zip(assemble_lambda0(basis),
+                                assemble_lambda0(replace(basis, dxi=fft))):
+                assert np.array_equal(got, ref)
 
     def test_pencil_spectrum_on_the_circle(self, layerA):
         # constant coefficients: θ = (2πm/(L·kᾱ))², once for m = 0 and
         # M/2, twice for every other m, whatever the weight
         sf, abar, Q = layerA["sf"], layerA["abar"], layerA["Q"]
         M, L, ka = sf.s.size, sf.L, sf.k[0] * abar[0]
-        modes = _FastModes(sf, abar, Q)
+        modes = FastModes(sf, abar, Q)
         m = np.concatenate([[0], np.repeat(np.arange(1, M // 2), 2), [M // 2]])
         theta = np.sort((2 * np.pi * m / (L * ka)) ** 2)
         assert np.all(np.abs(modes.theta - theta) <= 1e-10 * np.maximum(theta, 1.0))
@@ -212,10 +225,12 @@ class TestWindowedEigensolve:
             assert np.max(np.abs(basis.nu - nu)) <= 1e-12 * np.max(np.abs(nu))
             # the same basis from the full solve's vectors
             xi = vecs[:, window].T / np.sqrt(L / M)
+            dxi = periodic_derivative(xi.T, L).T
             beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None]
                                   / (ka**2 + 2.0 * sf.fprime * ka * Q.q3)) \
-                * eps * periodic_derivative(xi.T, L).T
-            ref = lambda0_spectrum(replace(basis, nu=nu, xi=xi, beta=beta))
+                * eps * dxi
+            ref = lambda0_spectrum(replace(basis, nu=nu, xi=xi, dxi=dxi,
+                                           beta=beta))
             got = lambda0_spectrum(basis)
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 

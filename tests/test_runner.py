@@ -5,9 +5,12 @@ import logging
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
+import nlscurve.runner as runner
 from nlscurve.errors import ValidationError
+from nlscurve.resonance import gap_scan
 from nlscurve.runner import emit_report, main, parse_config, run_pipeline
 
 MINIMAL = """
@@ -195,6 +198,35 @@ class TestPipeline:
         assert texts[0] == texts[1]
         assert b'"q_closure_error"' in texts[0] and b'"n_admissible"' in texts[0]
 
+    def test_resonance_and_gap_scan_share_fast_modes(self, tmp_path,
+                                                     monkeypatch):
+        # one FastModes (D2 and the pencil spectrum) serves both stages, and
+        # the gap-scan records are bitwise those of a scan that builds its own
+        built = []
+
+        class Counted(runner.FastModes):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(runner, "FastModes", Counted)
+        text = (CRITICAL
+                .replace("phase_speed = 0.0", "phase_speed = 0.05")
+                .replace("kind = circle\nradius = 0.70710678118655",
+                         "kind = ellipse\na = 0.85\nb = 0.6")
+                .replace("[resonance]", "[grids]\nradial_m = 1000\n\n[resonance]")
+                .replace("profile, geometry, scalings, criticality",
+                         "resonance, gap_scan"))
+        cfg = parse_config(write(tmp_path, text))
+        _, csvs = run_pipeline(cfg)
+        assert len(built) == 1
+        sf, abar, Q = built[0]
+        records = gap_scan(sf, abar, Q, cfg.gap_eps_grid, cfg.delta,
+                           cfg.gap_threshold)
+        rows = np.array([[r["eps"], r["min_abs_eigenvalue"], float(r["admissible"])]
+                         for r in records])
+        assert np.array_equal(csvs["gap_scan"][1], rows)
+
     @pytest.mark.parametrize("curve, min_abs_eig", [
         ("kind = circle\nradius = 0.7012465", 0.71076659),
         ("kind = ellipse\na = 0.85\nb = 0.6", 0.03192731)])
@@ -257,6 +289,25 @@ def test_csv_headers_name_every_column(tmp_path, n):
     assert (out / "curve.csv").read_text().startswith(
         "s," + ",".join(f"x{i}" for i in range(1, n + 1)) + ","
         + ",".join(f"H{j}" for j in range(1, n)) + "\n")
+
+
+def test_csv_bytes_are_savetxt(tmp_path):
+    # every CSV of a pipeline run through the gap scan, and a single row,
+    # byte for byte as np.savetxt writes them
+    text = (CRITICAL
+            .replace("phase_speed = 0.0", "phase_speed = 0.05")
+            .replace("radius = 0.70710678118655", "radius = 0.7012465")
+            .replace("[resonance]", "[grids]\nradial_m = 1000\n\n[resonance]")
+            .replace("criticality\n", "criticality, branches, resonance, gap_scan\n"))
+    summary, csvs = run_pipeline(parse_config(write(tmp_path, text)))
+    csvs["one_row"] = ("a,b,c", np.array([1.0, -2.5e-300, np.nan]))
+    emit_report(summary, csvs, str(tmp_path / "out"))
+    assert len(csvs) == 11          # ten of the pipeline and the single row
+    for name, (header, rows) in csvs.items():
+        ref = tmp_path / f"{name}.ref"
+        np.savetxt(ref, np.atleast_2d(rows), delimiter=",", header=header,
+                   comments="")
+        assert (tmp_path / "out" / f"{name}.csv").read_bytes() == ref.read_bytes()
 
 
 class TestMain:

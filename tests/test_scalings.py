@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from nlscurve.errors import ConvergenceError, ValidationError
@@ -321,6 +322,40 @@ class TestJacobi:
                                             ds=seg.L / M)
         assert verdict["min_abs_eigenvalue"] < 1e-9
         assert not verdict["invertible"]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_count_inside_the_kernel_reads_past_it(self, exps23, n):
+        # V ≡ 1 on a straight segment has n − 1 constant kernel vectors; a
+        # count that stays inside them must not make the kernel its own scale
+        M = 256
+        seg = straight_segment_curve(2.0, M, n)
+        pot = sample_potential(PotentialField("1", n), seg)
+        exps = compute_exponents(n, 3)
+        J = assemble_jacobi(seg, pot, compute_scalings(seg, pot, 0.0, exps), exps)
+        for count in range(1, n):
+            vals, vecs, verdict = weighted_eigenbasis(
+                J.matrix, J.weight, count, n - 1, ds=seg.L / M)
+            assert vals.shape == (count,) and vecs.shape == (M * (n - 1), count)
+            assert verdict["min_abs_eigenvalue"] < 1e-9
+            assert verdict["max_abs_eigenvalue"] > 1.0
+            assert not verdict["invertible"]
+
+    def test_lowest_pairs_and_min_abs_of_the_full_solve(self):
+        # only the lowest pairs are computed; min |λ| past them when all
+        # are negative, against a full eigendecomposition
+        rng = np.random.default_rng(5)
+        Araw = rng.normal(size=(60, 60))
+        weight = rng.uniform(0.5, 2.0, 60)
+        for shift in (0.0, 3.0):
+            A = 0.5 * (Araw + Araw.T) - shift * np.diag(weight)
+            full = eigh(A, np.diag(weight), eigvals_only=True)
+            for count in (4, 20, 60):
+                vals, _, verdict = weighted_eigenbasis(A, weight, count)
+                assert np.max(np.abs(vals - full[:count])) < 1e-12
+                assert verdict["min_abs_eigenvalue"] == pytest.approx(
+                    np.min(np.abs(full)), rel=1e-12)
+            if shift:      # count 20 reads past its pairs, all negative
+                assert np.all(full[:20] < 0)
 
     def test_symmetry_any_input(self, bump_potential, exps23):
         curve, pot, sf = circle_setup(bump_potential, 0.9, 128, 0.08, exps23)

@@ -14,21 +14,22 @@ from nlscurve.radial import (RadialGrid, SectorOperator, apply_sector,
                              ground_state, sector_kernel, sector_spectrum)
 from nlscurve.resonance import q_integrals
 from nlscurve.scalings import compute_scalings
-from nlscurve.spectrum import (BOUND_BRANCHES, CoupledSectorOperator,
-                               alpha_field, bound_state_counts,
+from nlscurve.spectrum import (BOUND_BRANCHES, alpha_field, bound_state_counts,
                                branch_curvature_closed_forms, continuum_threshold,
-                               coupled_bands, coupled_spectrum,
-                               crossing_slope_identity, eigenvalue_derivative,
-                               eigenvalue_second_derivative,
-                               eta_curvature_identity, find_alpha_bar,
+                               crossing_slope, eta_curvature, find_alpha_bar,
                                first_derivative_profiles, second_order_profiles,
-                               sector_floors, trace_branches)
+                               trace_branches)
 
+import oracles
 from conftest import circle_setup
-from oracles import poschl_teller_levels
+from oracles import (CoupledSectorOperator, bound_state_counts_per_sector,
+                     coupled_bands, coupled_spectrum, decay_rate_windowed,
+                     eigenvalue_derivative, eigenvalue_second_derivative,
+                     poschl_teller_levels, sector_floors)
 
 
 class TestCoupledSpectrum:
+    # the ARPACK oracle of tests/oracles.py against closed forms and LAPACK
     def test_decoupled_ground(self, U23):
         pairs = coupled_spectrum(CoupledSectorOperator(0.0, 0.0, 0, 1, 3.0), U23, 2)
         lam, u, v = pairs[0]
@@ -101,13 +102,13 @@ class TestShift:
         # and within SHIFT_MARGIN + |μα| of it
         U = U1000_by_dim[dim]
         shifts = []
-        lanczos = spectrum.eigsh
+        lanczos = oracles.eigsh
 
         def spied(*args, **kwargs):
             shifts.append(kwargs["sigma"])
             return lanczos(*args, **kwargs)
 
-        monkeypatch.setattr(spectrum, "eigsh", spied)
+        monkeypatch.setattr(oracles, "eigsh", spied)
         for alpha in (0.0, 0.5, 2.0):
             for mu in (0.0, 0.15, 1.0):
                 op = CoupledSectorOperator(alpha, mu, ell, dim, 3.0)
@@ -135,8 +136,7 @@ class TestShift:
             coupled_spectrum(op, U1000, 1, (a + 1.0, b + 1.0))
 
     def test_solve_counts(self, U23, monkeypatch):
-        # every banded solve, Cholesky and LU; deterministic for a fixed
-        # scipy: the Lanczos start vector is fixed
+        # every banded solve, Cholesky and LU; the α = 0 starts take none
         calls = []
 
         def counting(solve, name):
@@ -149,16 +149,17 @@ class TestShift:
             monkeypatch.setattr(spectrum, name,
                                 counting(getattr(spectrum, name), name))
         trace_branches(U23, 3.0, 0.17, np.linspace(0.0, 2.2, 23))
-        assert len(calls) <= 450       # 409 measured with scipy 1.17 (1,293 before)
+        assert len(calls) <= 380       # 362 measured (409 with Lanczos starts)
         calls.clear()
         find_alpha_bar(U23, 3.0, 0.17)
-        assert len(calls) <= 25        # 21 measured (28 before)
-        # at μ = 1 the gauge branch leaves the bound states near α = 1; from
-        # there on every α is a cold solve, with no LU iteration before it
+        assert len(calls) <= 13        # 12 measured (21 with Lanczos steps)
+        # at μ = 1 the gauge branch leaves the bound states between α = 0.9
+        # and 1.0 and is not traced past them (every α there was a cold
+        # Lanczos solve of a box mode: 1,980 solves)
         calls.clear()
         trace_branches(U23, 3.0, 1.0, np.linspace(0.0, 2.2, 23))
-        assert calls.count("dgbtrs") <= 110   # 103 measured (276 before)
-        assert len(calls) <= 2050             # 1,980 measured (2,153 before)
+        assert calls.count("dgbtrs") <= 75    # 71 measured (103 before)
+        assert len(calls) <= 425              # 404 measured
 
 
 class TestBoundStateCounts:
@@ -169,7 +170,7 @@ class TestBoundStateCounts:
         # from LAPACK's direct banded eigensolver; at μ = 1 the ℓ=0 gauge
         # eigenvalue leaves the bound states by α = 2.2
         alphas = np.array([0.0, 0.5, 1.3, 2.2])
-        counts = bound_state_counts(U1000, 3.0, mu, alphas, ell)
+        counts = bound_state_counts(U1000, 3.0, mu, alphas)[ell]
         for a, tau, count in zip(alphas, continuum_threshold(alphas, mu), counts):
             bands, _, _ = coupled_bands(CoupledSectorOperator(a, mu, ell, 1, 3.0),
                                         U1000)
@@ -179,11 +180,25 @@ class TestBoundStateCounts:
         if mu == 1.0 and ell == 0:
             assert counts[-1] == 1 < counts[0]
 
+    @pytest.mark.parametrize("mu", [0.0, 0.17, 1.0, 3.0])
+    def test_fused_matches_per_sector_recurrence(self, U1000_by_dim, mu):
+        # one recurrence over every sector and α against one per sector; the
+        # ℓ = 1 sector, one node shorter, ends in a decoupled positive
+        # definite block; at μ = 3 the ℓ = 0 counts drop from 2 (3 for n = 3)
+        # to 1
+        alphas = np.linspace(0.0, 2.2, 23)
+        for U in U1000_by_dim.values():
+            fused = bound_state_counts(U, 3.0, mu, alphas)
+            assert set(fused) == set(BOUND_BRANCHES)
+            for ell, counts in fused.items():
+                assert np.array_equal(counts, bound_state_counts_per_sector(
+                    U, 3.0, mu, alphas, ell))
+
     def test_traced_branches_are_all_bound_states(self, U23):
         alphas = np.linspace(0.0, 2.2, 23)
+        counts = bound_state_counts(U23, 3.0, 0.17, alphas)
         for ell, labels in BOUND_BRANCHES.items():
-            assert np.all(bound_state_counts(U23, 3.0, 0.17, alphas, ell)
-                          == len(labels))
+            assert np.all(counts[ell] == len(labels))
 
     def test_threshold_closed_form(self):
         assert continuum_threshold(0.0, 0.3) == 1.0
@@ -221,8 +236,9 @@ class TestBranches:
         assert abs(d0) < 1e-3
 
     def test_eta_curvature_identity(self, U23):
-        numeric, closed = eta_curvature_identity(U23, 3.0, 0.1)
-        assert abs(numeric - closed) < 1e-2
+        # the closed form against finite differences of ARPACK eigenvalues
+        numeric = eigenvalue_second_derivative(U23, 3.0, 0.1, 0.0)
+        assert abs(numeric - eta_curvature(U23, 3.0, 0.1)) < 1e-2
 
     def test_next_eigenvalues_are_continuum(self, U23):
         # the eigenvalue after the traced ones in each sector is the lowest
@@ -239,26 +255,93 @@ class TestBranches:
 
     @pytest.mark.parametrize("mu", [0.0, 0.17, 1.0])
     def test_continuation_matches_cold_trace(self, U23, mu):
-        # against cold eigensolves at every α matched by overlap; at μ = 1 the
-        # gauge branch leaves the bound states near α = 1, where both take
-        # the second eigenpair, a box mode of the continuum
+        # against cold ARPACK eigensolves at every α matched by overlap.  At
+        # μ = 1 the gauge branch leaves the bound states between α = 0.9 and
+        # 1.0: there the cold trace's second eigenpair is a box mode of the
+        # continuum, at or above τ_α, and the warm trace reads NaN
         alphas = np.linspace(0.0, 2.2, 23)
-        try:
-            warm = trace_branches(U23, 3.0, mu, alphas)
-        except BranchTrackingError as exc:
-            with pytest.raises(BranchTrackingError) as cold_exc:
-                cold_trace(U23, mu, alphas)
-            assert (cold_exc.value.alpha, round(cold_exc.value.overlap, 6)) \
-                == (exc.alpha, round(exc.overlap, 6))
-            return
+        tau = continuum_threshold(alphas, mu)
+        warm = trace_branches(U23, 3.0, mu, alphas)
         for label, (lams, funcs) in cold_trace(U23, mu, alphas).items():
-            assert np.max(np.abs(warm[label].eigenvalues - lams)) < 1e-10
+            traced = np.isfinite(warm[label].eigenvalues)
+            assert np.max(np.abs(warm[label].eigenvalues[traced]
+                                 - lams[traced])) < 1e-10
+            assert np.all(lams[traced] < tau[traced])
+            assert np.all(lams[~traced] >= tau[~traced])
+            assert len(warm[label].eigenfunctions) == np.sum(traced)
             for (u, v), (uc, vc) in zip(warm[label].eigenfunctions, funcs):
                 assert np.max(np.abs(u - uc)) + np.max(np.abs(v - vc)) < 1e-8
+        gauge = warm["gauge"]
+        if mu == 1.0:
+            assert gauge.exit_bracket == (0.9, 1.0)
+            assert np.all(np.isnan(gauge.eigenvalues[10:]))
+        else:
+            assert gauge.exit_bracket is None
+
+    @pytest.mark.parametrize("mu", [0.17, 1.0, 2.0, 3.0])
+    def test_traced_values_are_the_certified_count(self, U23, mu):
+        # at every α the finite traced values of a sector number its inertia
+        # count, the certificate the runner reports; at μ = 2 the gauge
+        # branch leaves between α = 0.4 and 0.5
+        alphas = np.linspace(0.0, 2.2, 23)
+        warm = trace_branches(U23, 3.0, mu, alphas)
+        counts = bound_state_counts(U23, 3.0, mu, alphas)
+        tau = continuum_threshold(alphas, mu)
+        for ell, labels in BOUND_BRANCHES.items():
+            values = np.array([warm[label].eigenvalues for label in labels])
+            finite = np.isfinite(values)
+            assert np.array_equal(finite.sum(axis=0), counts[ell])
+            assert np.all(np.where(finite, values, -np.inf) < tau)
+            assert all(warm[label].sector_counts == tuple(counts[ell])
+                       for label in labels)
+        if mu == 2.0:
+            assert warm["gauge"].exit_bracket == (0.4, 0.5)
+
+    @pytest.mark.parametrize("mu, index", [(1.5, 6), (3.0, 3)])
+    def test_overshoot_towards_the_continuum(self, U23, monkeypatch, mu, index):
+        # at the last α before the gauge branch leaves (μα = 0.9, 0.0245
+        # under τ_α) its predicted eigenvalue lies nearer the box modes above
+        # τ_α than the bound state: inverse iteration there does not converge
+        # (μ = 1.5) or finds a box mode (μ = 3).  The shift isolated by
+        # inertia counts finds the bound state, as ARPACK does
+        isolated = []
+        isolating_shift = spectrum._CoupledSector.isolating_shift
+
+        def spied(sector, alpha, *args):
+            isolated.append(alpha)
+            return isolating_shift(sector, alpha, *args)
+
+        monkeypatch.setattr(spectrum._CoupledSector, "isolating_shift", spied)
+        alphas = np.linspace(0.0, 2.2, 23)
+        gauge = trace_branches(U23, 3.0, mu, alphas)["gauge"]
+        alpha = alphas[index]
+        assert isolated == [alpha] and gauge.exit_bracket[0] == alpha
+        ref = coupled_spectrum(CoupledSectorOperator(alpha, mu, 0, 1, 3.0),
+                               U23, 2)[1][0]
+        assert abs(gauge.eigenvalues[index] - ref) < 1e-10
+        assert 0.02 < continuum_threshold(alpha, mu) - ref < 0.03
+
+    def test_start_is_the_lanczos_oracle(self, U1000_by_dim):
+        # at α = 0 the coupling vanishes: the sector's lowest pairs are the
+        # scalar tridiagonals' (the exact start of every trace and crossing
+        # search), equal to the ARPACK eigenpairs at any μ
+        for dim, U in U1000_by_dim.items():
+            for ell, labels in BOUND_BRANCHES.items():
+                sector = spectrum._CoupledSector(U, 3.0, ell, len(labels))
+                oracle = coupled_spectrum(
+                    CoupledSectorOperator(0.0, 0.4, ell, dim, 3.0), U, len(labels))
+                for (lam, phi), (lam_c, u_c, v_c) in zip(
+                        sector.start(len(labels)), oracle):
+                    u, v = sector.profiles(phi)
+                    assert abs(lam - lam_c) < 1e-12
+                    assert np.max(np.abs(u - u_c)) + np.max(np.abs(v - v_c)) < 1e-12
 
     def test_grid_validation(self, U23):
         with pytest.raises(ValidationError):
             trace_branches(U23, 3.0, 0.1, np.array([0.5, 0.2]))
+        # the exact starts hold at α = 0 only
+        with pytest.raises(ValidationError, match="from 0"):
+            trace_branches(U23, 3.0, 0.1, np.array([0.1, 0.5]))
 
 
 def cold_trace(U, mu, alphas, overlap_floor=0.5):
@@ -292,12 +375,25 @@ class TestCrossing:
 
     def test_decay_rate(self, U23):
         mode = find_alpha_bar(U23, 3.0, 0.05)
+        assert mode.decay_rate == np.sqrt(continuum_threshold(mode.alpha_bar, 0.05))
         assert mode.decay_rate > 1.0
 
+    @pytest.mark.parametrize("n, gate", [(2, 5e-5), (3, 1.2e-3)])
+    def test_eigenvector_decays_at_the_closed_form_rate(self, grid30, n, gate):
+        # the exponential rate fitted to the tail of |Z| + |W| against
+        # √τ_ᾱ; measured 2.6e-5 … 3.5e-5 (n = 2), 1.10e-3 … 1.19e-3 (n = 3)
+        U = ground_state(n, 3, grid30)
+        for mu in (0.0, 0.05, 0.17, 0.5):
+            mode = find_alpha_bar(U, 3.0, mu)
+            fitted = decay_rate_windowed(
+                grid30.nodes, np.abs(mode.u_values) + np.abs(mode.v_values), n - 1)
+            assert abs(fitted - mode.decay_rate) <= gate
+
     def test_slope_identity(self, U23):
+        # the closed form against finite differences of ARPACK eigenvalues
         mode = find_alpha_bar(U23, 3.0, 0.05)
-        numeric, closed = crossing_slope_identity(mode)
-        assert abs(numeric - closed) < 1e-3
+        numeric = eigenvalue_derivative(U23, 3.0, 0.05, mode.alpha_bar)
+        assert abs(numeric - crossing_slope(mode)) < 1e-3
 
     def test_normalization(self, U23, grid30):
         mode = find_alpha_bar(U23, 3.0, 0.05)
@@ -322,10 +418,11 @@ class TestCrossing:
         alphas = [a for _, a, _ in calls]
         eta0 = sector_spectrum(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23, 1)[0][0]
         assert len(set(alphas)) == len(alphas)
-        # cold Newton steps from √(-η₀); no step leaves the bracket, so η at
-        # its upper end is never solved
+        # Newton steps from √(-η₀), the first one from the exact α = 0
+        # ground pair; no step leaves the bracket, so η at its upper end is
+        # never solved
         assert alphas[0] == np.sqrt(-eta0)
-        assert set(kinds) == {"cold"}
+        assert set(kinds) == {"warm"}
         assert all(1e-6 < a < np.sqrt(-2 * eta0) + 1.0 for a in alphas)
         assert alphas[-1] == mode.alpha_bar
         assert calls[-1][2] == mode.eta_residual
@@ -345,22 +442,16 @@ class TestCrossing:
 
 
 def record_eigensolves(monkeypatch):
-    """Record (kind, α, eigenvalue) of every ℓ=0 eigensolve: 'cold' for
-    coupled_spectrum, 'warm' for the inverse iteration."""
+    """Record (kind, α, eigenvalue) of every eigensolve, all of them 'warm':
+    inverse iteration (the α = 0 starts solve nothing)."""
     calls = []
     warm_pair = spectrum._warm_pair
-
-    def cold(op, U, count, floors=None):
-        out = coupled_spectrum(op, U, count, floors)
-        calls.append(("cold", op.alpha, out[0][0]))
-        return out
 
     def warm(sector, alpha, mu, phi, near=None):
         out = warm_pair(sector, alpha, mu, phi, near)
         calls.append(("warm", alpha, out[0]))
         return out
 
-    monkeypatch.setattr(spectrum, "coupled_spectrum", cold)
     monkeypatch.setattr(spectrum, "_warm_pair", warm)
     return calls
 
@@ -433,8 +524,8 @@ class TestAlphaField:
     @pytest.mark.parametrize("a, b", [(0.85, 0.6), (1.0, 0.5)])
     def test_continuation_matches_cold_search(self, U23, bump_potential, exps23,
                                               monkeypatch, a, b):
-        # every μ group against an independent cold find_alpha_bar: both are
-        # within tol of the root, so within 2·tol of each other
+        # every μ group against an independent find_alpha_bar from α = 0:
+        # both are within tol of the root, so within 2·tol of each other
         curve = build_curve(CurveSpec("ellipse", n=2, a=a, b=b), 256)
         sf = compute_scalings(curve, sample_potential(bump_potential, curve),
                               0.05, exps23)
