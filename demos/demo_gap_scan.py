@@ -11,7 +11,7 @@ import numpy as np
 
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from nlscurve.radial import RadialGrid, ground_state
-from nlscurve.resonance import gap_scan, gap_scan_oracle, q_integrals
+from nlscurve.resonance import FastModes, gap_scan, gap_scan_oracle, q_integrals
 from nlscurve.scalings import compute_exponents, compute_scalings
 from nlscurve.spectrum import alpha_field
 
@@ -23,11 +23,12 @@ curve = build_curve(CurveSpec("circle", n=2, radius=2 ** -0.5), 256)
 pot = sample_potential(V, curve)
 sf = compute_scalings(curve, pot, 0.0, exps)
 abar, modes = alpha_field(sf, U)
-Q = q_integrals(modes, 1)
+# the fast-mode problem of (sf, ᾱ, Q), built once for the scan and the oracle
+fast = FastModes(sf, abar, q_integrals(modes))
 
 eps_grid = np.linspace(0.08, 0.02, 61)
-records = gap_scan(sf, abar, Q, eps_grid, delta=0.3, threshold=0.1)
-oracle = gap_scan_oracle(sf, abar, Q, eps_grid, delta=0.3, threshold=0.1)
+records = gap_scan(fast, eps_grid, delta=0.3, threshold=0.1)
+oracle = gap_scan_oracle(fast, eps_grid, delta=0.3, threshold=0.1)
 
 print("eps       min|eig|    admissible   oracle")
 for r, o in zip(records, oracle):

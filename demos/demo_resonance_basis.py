@@ -12,7 +12,7 @@ import numpy as np
 
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from nlscurve.radial import RadialGrid, ground_state
-from nlscurve.resonance import (assemble_lambda0, lambda0_spectrum,
+from nlscurve.resonance import (FastModes, assemble_lambda0, lambda0_spectrum,
                                 q_integrals, resonance_eigenpairs,
                                 verify_coupled_system, weyl_slope)
 from nlscurve.scalings import compute_exponents, compute_scalings
@@ -26,12 +26,15 @@ curve = build_curve(CurveSpec("circle", n=2, radius=0.7012465), 256)
 pot = sample_potential(V, curve)
 sf = compute_scalings(curve, pot, 0.05, exps)
 abar, modes = alpha_field(sf, U)
-Q = q_integrals(modes, 1)
+# the overlap integrals come with each crossing mode; one FastModes carries
+# (sf, ᾱ, Q) to every basis
+fast = FastModes(sf, abar, q_integrals(modes))
+Q = fast.Q
 print(f"crossing frequency ᾱ = {abar[0]:.6f};  "
       f"Q1 = {Q.q1[0]:.4f}, Q2 = {Q.q2[0]:.4f}, Q3 = {Q.q3[0]:.4f}")
 
 eps = 0.05
-basis = resonance_eigenpairs(sf, abar, Q, eps, delta=0.5)
+basis = resonance_eigenpairs(fast, eps, delta=0.5)
 print(f"\nwindow of {basis.nu.size} modes around the first nonnegative "
       f"eigenvalue (index {basis.j_eps}):")
 print("   j     nu_j")

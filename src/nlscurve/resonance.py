@@ -16,13 +16,16 @@ form that controls these degrees of freedom,
 
 is nearly diagonal in the (β_j) coordinates with approximate eigenvalues
 ν_j; scanning ε for a spectral gap of Λ₀ (relative to the weighted mass)
-selects the admissible values ε_k.
+selects the admissible values ε_k.  The crossing enters only through ᾱ
+and the overlap integrals Q of its pair (Z, W) (CrossingMode.q, gathered
+per node by q_integrals): one FastModes of (sf, ᾱ, Q) is the entry point
+of every solve here, and each ResonanceBasis refers back to it.
 
 Everything here uses Fourier collocation in s̄: the coefficients are smooth
 periodic fields, so the discretization is spectrally accurate.  Derivatives
 of nodal fields come from ``geometry.periodic_derivative``; the collocation
 matrix D2 (``geometry.fourier_diff_matrices``) is built only for the
-eigensolve, once per gap scan.  The index j_ε needs no solve per ε:
+eigensolve, once per FastModes.  The index j_ε needs no solve per ε:
 ν = 0 exactly when −ε²ξ'' = k²ᾱ²ξ, whatever the weight, so j_ε is the number
 of eigenvalues θ of the ε-free pencil −ξ'' = θk²ᾱ²ξ with ε²θ < 1 (Sylvester's
 law), and one list of θ serves every ε of a scan.  The eigensolve per ε
@@ -36,7 +39,6 @@ from scipy.linalg import eigh
 
 from .errors import ValidationError, PhaseLawError
 from .geometry import fourier_diff_matrices, periodic_derivative
-from .spectrum import sphere_area
 
 
 @dataclass
@@ -48,24 +50,11 @@ class OverlapIntegrals:
     q3: np.ndarray
 
 
-def q_integrals(modes, dim):
-    """Overlap integrals of the per-node crossing eigenpairs (Z, W).
-
-    Nodes that share one CrossingMode object (alpha_field hands one to every
-    node of a μ group) share its integrals, computed once.
-    """
-    omega = sphere_area(dim)
-    per_mode = {}
-    for m in modes:
-        if id(m) not in per_mode:
-            r = m.U.grid.nodes
-            w = r ** (dim - 1)
-            per_mode[id(m)] = (
-                omega * np.trapezoid(m.u_values**2 * w, r),
-                omega * np.trapezoid(m.v_values**2 * w, r),
-                omega * np.trapezoid(m.u_values * m.v_values * w, r))
-    q1, q2, q3 = np.array([per_mode[id(m)] for m in modes]).T.copy()
-    return OverlapIntegrals(q1=q1, q2=q2, q3=q3)
+def q_integrals(modes):
+    """Overlap integrals of the per-node crossing eigenpairs (Z, W): the
+    ``q`` of each node's CrossingMode, which the crossing solve integrated
+    once per μ group."""
+    return OverlapIntegrals(*np.array([m.q for m in modes]).T.copy())
 
 
 @dataclass
@@ -75,15 +64,13 @@ class ResonanceBasis:
     Arrays are indexed [j, node] with j running over the window
     [-J, ..., J], J = floor(δ²/ε); ``window`` maps row a to j = a - J.
     ``nu`` holds the re-indexed eigenvalues (nu[J] is the first nonnegative
-    one) and ``dxi`` the derivatives ξ_j' of the eigenfunctions.
-    ``weight_fn`` is 1/(1 + 2f'Q₃/(kᾱ)) per node.  A gap-scan basis leaves
-    the corrections ``gamma``, ``kappa`` and ``qcorr`` None.
+    one) and ``dxi`` the derivatives ξ_j' of the eigenfunctions; ``modes``
+    is the FastModes that made it.  A gap-scan basis leaves the corrections
+    ``gamma``, ``kappa`` and ``qcorr`` None.
     """
 
     eps: float
     delta: float
-    s: np.ndarray
-    L: np.ndarray
     nu: np.ndarray
     xi: np.ndarray
     dxi: np.ndarray
@@ -91,11 +78,8 @@ class ResonanceBasis:
     gamma: np.ndarray
     kappa: np.ndarray
     qcorr: np.ndarray
-    weight_fn: np.ndarray
     j_eps: int
-    sf: object
-    abar: np.ndarray
-    Q: OverlapIntegrals
+    modes: "FastModes"
 
     @property
     def window(self):
@@ -106,8 +90,9 @@ class ResonanceBasis:
 class FastModes:
     """The weighted periodic eigenproblem of (sf, ᾱ, Q), ready for any ε.
 
-    One instance serves every ε of a gap scan and a resonance basis of the
-    same (sf, ᾱ, Q), whose fields it keeps as ``sf``, ``abar`` and ``Q``.
+    The entry point of the layer: one instance serves every ε of a gap scan,
+    resonance basis and oracle of (sf, ᾱ, Q), kept as ``sf``, ``abar``,
+    ``Q``, with ``ka`` = kᾱ and the weight ``wfun`` = 1 + 2f'Q₃/(kᾱ).
 
     With B = diag(1/wfun) and S = diag(√wfun), A·x = ν·B·x is the standard
     problem C(ε)·y = ν·y for C = S·A·S and x = S·y, and yᵀy = 1 gives
@@ -124,8 +109,7 @@ class FastModes:
         if np.any(wfun <= 0):
             raise PhaseLawError("resonance weight lost positivity; "
                                 "phase-speed constant too large")
-        self.wfun = wfun
-        self.sw = np.sqrt(wfun)
+        self.wfun, self.sw = wfun, np.sqrt(wfun)
         self.SS = np.outer(self.sw, self.sw)
         self.diag = self.ka**2 * wfun
         self.D2 = fourier_diff_matrices(sf.s.size, sf.L)[1]
@@ -158,14 +142,13 @@ class FastModes:
         dxi = periodic_derivative(vecs, L).T
         denom = ka**2 + 2.0 * sf.fprime * ka * Q.q3
         beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None] / denom) * eps * dxi
-        return ResonanceBasis(eps=eps, delta=delta, s=sf.s.copy(), L=L, nu=nu,
-                              xi=vecs.T, dxi=dxi, beta=beta, gamma=None,
-                              kappa=None, qcorr=None, weight_fn=1.0 / self.wfun,
-                              j_eps=j_eps, sf=sf, abar=self.abar.copy(), Q=Q)
+        return ResonanceBasis(eps=eps, delta=delta, nu=nu, xi=vecs.T, dxi=dxi,
+                              beta=beta, gamma=None, kappa=None, qcorr=None,
+                              j_eps=j_eps, modes=self)
 
 
-def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3, modes=None):
-    """Solve the weighted periodic eigenproblem and build the full basis.
+def resonance_eigenpairs(modes, eps, delta=0.3):
+    """The full basis of the FastModes ``modes`` at ε.
 
     Eigenpairs are re-indexed around the first nonnegative eigenvalue and
     restricted to |j| <= floor(δ²/ε): the index j_ε of that eigenvalue is the
@@ -184,13 +167,11 @@ def resonance_eigenpairs(sf, abar, Q, eps, delta=0.3, modes=None):
 
     At zero phase speed Q₂ vanishes together with the numerator of κ_j; the
     algebraically equivalent stable form κ_j = ν_j ξ_j/(2k(kᾱ + 2f'Q₃)) is
-    used there.  ``modes``, a FastModes of the same (sf, ᾱ, Q), saves
-    building it again.
+    used there.
     """
-    if modes is None:
-        modes = FastModes(sf, abar, Q)
     basis = modes.window(eps, delta)
-    k, fp, ka, L = sf.k, sf.fprime, sf.k * abar, sf.L
+    sf, Q, ka = modes.sf, modes.Q, modes.ka
+    k, fp, L = sf.k, sf.fprime, sf.L
     nu, xi, dxi, beta = basis.nu, basis.xi, basis.dxi, basis.beta
     dbeta = periodic_derivative(beta.T, L).T
     gamma = -(eps * dxi + ka * beta) / (2.0 * k * Q.q1)
@@ -224,9 +205,9 @@ def verify_coupled_system(basis):
 
     Returns (max residual, per-j residual array).
     """
-    sf, Q = basis.sf, basis.Q
-    fp, ka = sf.fprime[:, None], (sf.k * basis.abar)[:, None]
-    eps, nu, L = basis.eps, basis.nu, basis.L
+    sf, Q = basis.modes.sf, basis.modes.Q
+    fp, ka = sf.fprime[:, None], basis.modes.ka[:, None]
+    eps, nu, L = basis.eps, basis.nu, sf.L
     b, x = basis.beta.T, basis.xi.T                   # [node, j]
     line1 = -eps**2 * periodic_derivative(b, L, 2) - ka**2 * b - nu * b
     line2 = -eps**2 * periodic_derivative(x, L, 2) - ka**2 * x - nu * x
@@ -245,8 +226,8 @@ def correction_identities(basis):
     Checks -ε²γ'' - ᾱ²k²γ and (-kᾱκ + εγ') per j, normalized by the mode
     amplitude, returning the two arrays max-ed over nodes.
     """
-    ka = (basis.sf.k * basis.abar)[:, None]
-    eps, L = basis.eps, basis.L
+    ka = basis.modes.ka[:, None]
+    eps, L = basis.eps, basis.modes.sf.L
     g, kp = basis.gamma.T, basis.kappa.T              # [node, j]
     r1 = np.max(np.abs(-eps**2 * periodic_derivative(g, L, 2) - ka**2 * g), axis=0)
     r2 = np.max(np.abs(-ka * kp + eps * periodic_derivative(g, L)), axis=0)
@@ -260,15 +241,11 @@ def assemble_lambda0(basis):
     (for variable coefficients the εβ'ξ̲-block is symmetric only up to an
     O(ε) coefficient-derivative term, which the reported asymmetry tracks).
     """
-    sf, Q = basis.sf, basis.Q
-    k, fp = sf.k, sf.fprime
-    ka = k * basis.abar
-    eps = basis.eps
-    ds = basis.L / basis.s.size
+    sf, Q, ka = basis.modes.sf, basis.modes.Q, basis.modes.ka
+    fp, eps, ds = sf.fprime, basis.eps, sf.L / sf.s.size
 
-    Bm = basis.beta
-    Xm = basis.xi
-    dB = periodic_derivative(Bm.T, basis.L).T
+    Bm, Xm = basis.beta, basis.xi
+    dB = periodic_derivative(Bm.T, sf.L).T
     dX = basis.dxi
 
     def quad(fa, fb, w):
@@ -291,27 +268,22 @@ def assemble_lambda0(basis):
 def lambda0_spectrum(basis):
     """Generalized eigenvalues of (Λ₀, mass), ascending."""
     lam, mass, _ = assemble_lambda0(basis)
-    vals = eigh(lam, mass, eigvals_only=True)
-    return vals
+    return eigh(lam, mass, eigvals_only=True)
 
 
-def gap_scan(sf, abar, Q, eps_grid, delta=0.3, threshold=0.1, modes=None):
+def gap_scan(modes, eps_grid, delta=0.3, threshold=0.1):
     """Scan ε for spectral gaps of Λ₀: admissible when min|eig| >= threshold·ε.
 
     The ε-free work (D2, the weight, the pencil spectrum θ that counts j_ε
-    by ε²θ < 1) is done once; each ε forms its matrix and solves only the
-    window, building ν, ξ and β but not the corrections γ, κ, q, which Λ₀
-    does not read; ``modes``, a FastModes of the same (sf, ᾱ, Q), saves
-    building it again.  ``eps_grid`` must be descending.  Returns a list of
-    records with the minimal |generalized eigenvalue|, the admissibility
-    flag, and the empirical d(min-eigenvalue)/dε between consecutive grid
-    points.
+    by ε²θ < 1) is done once, in the FastModes ``modes``; each ε forms its
+    matrix and solves only the window, building ν, ξ and β but not the
+    corrections γ, κ, q, which Λ₀ does not read.  ``eps_grid`` must be
+    descending.  Returns a list of records with the minimal |generalized
+    eigenvalue| and the admissibility flag.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(np.diff(eps_grid) >= 0):
         raise ValidationError("eps grid must be strictly descending")
-    if modes is None:
-        modes = FastModes(sf, abar, Q)
     records = []
     for eps in eps_grid:
         vals = lambda0_spectrum(modes.window(eps, delta))
@@ -321,19 +293,12 @@ def gap_scan(sf, abar, Q, eps_grid, delta=0.3, threshold=0.1, modes=None):
             "min_abs_eigenvalue": min_abs,
             "admissible": bool(min_abs >= threshold * eps),
         })
-    for i in range(len(records) - 1):
-        de = records[i]["eps"] - records[i + 1]["eps"]
-        dv = records[i]["min_abs_eigenvalue"] - records[i + 1]["min_abs_eigenvalue"]
-        records[i]["d_mineig_d_eps"] = dv / de
-    if len(records) > 1:
-        records[-1]["d_mineig_d_eps"] = records[-2]["d_mineig_d_eps"]
-    admissible = [r["eps"] for r in records if r["admissible"]]
-    if not admissible:
+    if not any(r["admissible"] for r in records):
         raise ValidationError("no admissible eps on the grid; refine the eps grid")
     return records
 
 
-def constant_coefficient_nu_oracle(sf, abar, Q, eps, delta=0.3):
+def constant_coefficient_nu_oracle(modes, eps, delta=0.3):
     """Arithmetic in-window eigenvalues for constant-coefficient runs.
 
     For constant k, ᾱ, f', Q₃, the eigenfunctions are Fourier modes and
@@ -344,11 +309,11 @@ def constant_coefficient_nu_oracle(sf, abar, Q, eps, delta=0.3):
     re-indexed exactly as resonance_eigenpairs does, so the window contents
     can be compared elementwise.  No eigensolver involved.
     """
+    sf, abar, Q = modes.sf, modes.abar, modes.Q
     for arr in (sf.k, sf.fprime, abar, Q.q3):
         if np.ptp(arr) > 1e-10 * (1 + np.max(np.abs(arr))):
             raise ValidationError("oracle needs constant coefficients")
-    M = sf.s.size
-    L = sf.L
+    M, L = sf.s.size, sf.L
     k, fp, ab, q3 = sf.k[0], sf.fprime[0], abar[0], Q.q3[0]
     wfun = 1.0 + 2.0 * fp * q3 / (k * ab)
     m = np.arange(M // 2 + 1)
@@ -361,11 +326,11 @@ def constant_coefficient_nu_oracle(sf, abar, Q, eps, delta=0.3):
     return vals[j_eps - J: j_eps + J + 1]
 
 
-def gap_scan_oracle(sf, abar, Q, eps_grid, delta=0.3, threshold=0.1):
+def gap_scan_oracle(modes, eps_grid, delta=0.3, threshold=0.1):
     """Admissibility flags from the arithmetic oracle (constant coefficients)."""
     out = []
     for eps in eps_grid:
-        window = constant_coefficient_nu_oracle(sf, abar, Q, eps, delta)
+        window = constant_coefficient_nu_oracle(modes, eps, delta)
         min_abs = float(np.min(np.abs(window)))
         out.append({"eps": float(eps), "min_abs_eigenvalue": min_abs,
                     "admissible": bool(min_abs >= threshold * eps)})

@@ -89,6 +89,12 @@ def _parse_float_list(text):
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
+def _parse_eps_grid(text):
+    """'hi:lo:count' -> the count values from hi down to lo."""
+    hi, lo, num = text.split(":")
+    return np.linspace(float(hi), float(lo), int(num))
+
+
 def parse_config(path):
     """Parse and fully validate a run file; aggregate all violations.
 
@@ -170,23 +176,17 @@ def parse_config(path):
     res_eps = grab("resonance", "eps", float, lambda v: v > 0, "eps > 0")
     gap_threshold = grab("resonance", "gap_threshold", float, lambda v: v >= 0,
                          "threshold >= 0")
-    spec_grid = cp.get("resonance", "gap_eps_grid")
-    try:
-        hi, lo, num = spec_grid.split(":")
-        gap_grid = np.linspace(float(hi), float(lo), int(num))
-        if np.any(np.diff(gap_grid) >= 0):
-            violations.append("[resonance] gap_eps_grid must descend")
-    except ValueError:
-        violations.append(f"[resonance] gap_eps_grid: expected 'hi:lo:count', "
-                          f"got {spec_grid!r}")
-        gap_grid = np.array([])
+    gap_grid = grab("resonance", "gap_eps_grid", _parse_eps_grid,
+                    lambda v: v.size >= 1 and np.all(v > 0)
+                    and np.all(np.diff(v) < 0),
+                    "need 'hi:lo:count' with count >= 1 and hi > lo > 0")
 
-    eps_list = _parse_float_list(cp.get("residual", "eps_list"))
-    if len(eps_list) < 3 or any(e <= 0 for e in eps_list):
-        violations.append("[residual] eps_list needs >= 3 positive values")
-    levels = [int(v) for v in _parse_float_list(cp.get("residual", "levels"))]
-    if any(lv not in (0, 1, 2) for lv in levels):
-        violations.append("[residual] levels must be within {0,1,2}")
+    eps_list = grab("residual", "eps_list", _parse_float_list,
+                    lambda v: len(v) >= 3 and all(e > 0 for e in v),
+                    "needs >= 3 positive values")
+    levels = grab("residual", "levels", _parse_float_list,
+                  lambda v: v and all(lv in (0, 1, 2) for lv in v),
+                  "need levels within {0,1,2}")
     base_M = grab("residual", "base_samples", int, lambda v: v >= 64,
                   "need >= 64 base samples")
 
@@ -207,7 +207,8 @@ def parse_config(path):
                      delta_bar=delta_bar, varsigma=varsigma, dz_factor=dz_factor,
                      delta=delta, res_eps=res_eps, gap_threshold=gap_threshold,
                      gap_eps_grid=gap_grid, residual_eps=eps_list,
-                     residual_levels=levels, residual_base_M=base_M,
+                     residual_levels=[int(lv) for lv in levels],
+                     residual_base_M=base_M,
                      stages=stages, out_dir=out_dir,
                      assert_acceptance=assert_acceptance)
 
@@ -285,7 +286,7 @@ def _ensure_fast_modes(cfg, sf, state):
     built on them, shared by the resonance and gap-scan stages."""
     if "modes" not in state:
         abar, modes = alpha_field(sf, _ensure_profile(cfg, state))
-        state["modes"] = FastModes(sf, abar, q_integrals(modes, cfg.n - 1))
+        state["modes"] = FastModes(sf, abar, q_integrals(modes))
     return state["modes"]
 
 
@@ -377,11 +378,9 @@ def stage_branches(cfg, exps, V, state, csvs):
 def stage_resonance(cfg, exps, V, state, csvs):
     sf = _ensure_scalings(cfg, exps, V, state)
     modes = _ensure_fast_modes(cfg, sf, state)
-    Q = modes.Q
-    basis = resonance_eigenpairs(sf, modes.abar, Q, cfg.res_eps, cfg.delta,
-                                 modes=modes)
+    basis = resonance_eigenpairs(modes, cfg.res_eps, cfg.delta)
     maxres, per_j = verify_coupled_system(basis)
-    q_closure = float(np.max(np.abs(Q.q1 + Q.q2 - 1.0)))
+    q_closure = float(np.max(np.abs(modes.Q.q1 + modes.Q.q2 - 1.0)))
     csvs["resonance_nu"] = ("j,nu,coupled_residual",
                             np.column_stack([basis.window, basis.nu, per_j]))
     return {"eps": cfg.res_eps, "window": int(basis.nu.size),
@@ -394,17 +393,15 @@ def stage_resonance(cfg, exps, V, state, csvs):
 def stage_gap_scan(cfg, exps, V, state, csvs):
     sf = _ensure_scalings(cfg, exps, V, state)
     modes = _ensure_fast_modes(cfg, sf, state)
-    abar, Q = modes.abar, modes.Q
-    records = gap_scan(sf, abar, Q, cfg.gap_eps_grid, cfg.delta,
-                       cfg.gap_threshold, modes=modes)
+    records = gap_scan(modes, cfg.gap_eps_grid, cfg.delta, cfg.gap_threshold)
     rows = np.array([[r["eps"], r["min_abs_eigenvalue"], float(r["admissible"])]
                      for r in records])
     csvs["gap_scan"] = ("eps,min_abs_eigenvalue,admissible", rows)
     out = {"n_admissible": int(sum(r["admissible"] for r in records)),
            "n_total": len(records), "checks": {}}
-    constant = np.ptp(sf.k) < 1e-10 and np.ptp(abar) < 1e-10
+    constant = np.ptp(sf.k) < 1e-10 and np.ptp(modes.abar) < 1e-10
     if constant:
-        oracle = gap_scan_oracle(sf, abar, Q, cfg.gap_eps_grid, cfg.delta,
+        oracle = gap_scan_oracle(modes, cfg.gap_eps_grid, cfg.delta,
                                  cfg.gap_threshold)
         agree = all(r["admissible"] == o["admissible"]
                     for r, o in zip(records, oracle))

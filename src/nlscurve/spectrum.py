@@ -33,10 +33,13 @@ lowest, is shifted to its predicted eigenvalue through a banded LU, or,
 where that prediction overshoots towards the continuum, to a shift isolated
 by inertia counts; the overlap floor and the inertia count of
 bound_state_counts guard it.  A branch ends where the count says the bound
-states end.  The scalar
-tridiagonals and the α = μ = 0 bands of a sector depend on (U, p, ℓ) only,
-so they are built once and a point (α, μ) only updates the diagonal (+α²)
-and the coupling band (μα).
+states end.  The scalar tridiagonals and the α = μ = 0 bands of a sector
+depend on (U, p, ℓ) only, so they are built once and a point (α, μ) only
+updates the diagonal (+α²) and the coupling band (μα).  Every slope
+(∂λ/∂α, ∂λ/∂μ) is read off the unit eigenvector (_slopes), exact for the
+discrete eigenvalue, so no step converts φ to profiles; a crossing converts
+its eigenvector once, and its CrossingMode carries the overlap integrals
+that the resonance layer reads.
 """
 
 from dataclasses import dataclass
@@ -57,6 +60,8 @@ MU_GROUP_TOL = 1e-12
 # inverse iteration stops once a step moves the unit vector by less than this
 INVERSE_ITERATION_TOL = 1e-10
 INVERSE_ITERATION_STEPS = 100
+# least |overlap| between a branch's eigenvectors at consecutive α
+OVERLAP_FLOOR = 0.5
 
 
 def sphere_area(d):
@@ -206,18 +211,15 @@ class _CoupledSector:
                                f"alpha={alpha:.6g}")
 
 
-def _slopes(U, u, v, alpha, mu):
-    """Hellmann–Feynman (∂λ/∂α, ∂λ/∂μ) of an eigenpair (u, v) at (α, μ).
+def _slopes(phi, alpha, mu):
+    """Hellmann–Feynman (∂λ/∂α, ∂λ/∂μ) of a unit eigenvector φ at (α, μ).
 
-    The operator depends on α through α² + μα·C and on μ through μα·C, with
-    C the coupling, so ∂λ/∂α = 2α + 2μ∫uv and ∂λ/∂μ = 2α∫uv for the
-    normalized pair.
+    The pentadiagonal depends on α through α² + μα·C and on μ through μα·C,
+    with C the coupling band (one per node pair), so ∂λ/∂α = 2α + 2μ·φ_u·φ_v
+    and ∂λ/∂μ = 2α·φ_u·φ_v: the exact derivatives of the discrete eigenvalue.
     """
-    r = U.grid.nodes
-    w = r ** (U.dim - 1)
-    mass = np.trapezoid((u**2 + v**2) * w, r)
-    uv = np.trapezoid(u * v * w, r)
-    return 2.0 * alpha + 2.0 * mu * uv / mass, 2.0 * alpha * uv / mass
+    uv = phi[0::2] @ phi[1::2]
+    return 2.0 * alpha + 2.0 * mu * uv, 2.0 * alpha * uv
 
 
 def _lu_solver(bands, shift):
@@ -297,7 +299,7 @@ class SpectralBranch:
 BOUND_BRANCHES = {0: ("ground", "gauge"), 1: ("translation",)}
 
 
-def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
+def trace_branches(U, p, mu, alpha_grid):
     """Trace the bound branches of the coupled system over an ascending α grid.
 
     Returns a dict of SpectralBranch, per sector as in BOUND_BRANCHES:
@@ -318,7 +320,7 @@ def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
     wherever the count does not exceed the traced branches the number of
     finite values equals it.  A continued value at or above τ_α where the
     count says it is bound, or an overlap between consecutive eigenvectors
-    below ``overlap_floor``, raises BranchTrackingError.
+    below OVERLAP_FLOOR, raises BranchTrackingError.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if alpha_grid.size < 2 or alpha_grid[0] != 0 or np.any(np.diff(alpha_grid) <= 0):
@@ -340,21 +342,20 @@ def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
                         lam, new = _warm_pair(sector, alpha, mu, phi)
                     else:
                         prev = alpha_grid[i - 1]
-                        near = lam + _slopes(U, u, v, prev, mu)[0] * (alpha - prev)
+                        near = lam + _slopes(phi, prev, mu)[0] * (alpha - prev)
                         below = out[labels[index - 1]].eigenvalues[i]
                         # τ_α bounds this eigenvalue alone where the count
                         # admits no other above it
                         upper = tau[i] if counts[ell][i] == index + 1 else None
                         lam, new = _next_pair(sector, alpha, mu, phi, near, index,
-                                              below, upper, overlap_floor)
+                                              below, upper)
                     overlap = abs(float(new @ phi))
-                    if overlap < overlap_floor or lam >= tau[i]:
+                    if overlap < OVERLAP_FLOOR or lam >= tau[i]:
                         raise BranchTrackingError("branch tracking ambiguous",
                                                   alpha, overlap)
                     phi = new
-                u, v = sector.profiles(phi)
                 lams[i] = lam
-                funcs.append((u, v))
+                funcs.append(sector.profiles(phi))
             label = labels[index]
             out[label] = SpectralBranch(
                 label=label, mu=mu, alphas=alpha_grid, eigenvalues=lams,
@@ -362,7 +363,7 @@ def trace_branches(U, p, mu, alpha_grid, overlap_floor=0.5):
     return out
 
 
-def _next_pair(sector, alpha, mu, phi, near, k, below, upper, overlap_floor):
+def _next_pair(sector, alpha, mu, phi, near, k, below, upper):
     """Continue the branch of the (k+1)-th eigenvalue of a sector from φ.
 
     Inverse iteration at its predicted eigenvalue ``near``.  Near the
@@ -374,7 +375,7 @@ def _next_pair(sector, alpha, mu, phi, near, k, below, upper, overlap_floor):
     """
     try:
         lam, new = _warm_pair(sector, alpha, mu, phi, near)
-        if upper is None or (lam < upper and abs(new @ phi) >= overlap_floor):
+        if upper is None or (lam < upper and abs(new @ phi) >= OVERLAP_FLOOR):
             return lam, new
     except ConvergenceError:
         if upper is None:
@@ -460,9 +461,10 @@ class CrossingMode:
 
     ``u_values``/``v_values`` are the real/imaginary profile components on
     the radial grid, normalized so ∫(Z² + W²) dy = 1 including the angular
-    volume factor.  decay_rate is √τ_ᾱ = √(1 + ᾱ² − |μᾱ|): past the core
-    the pair solves −Δ + τ_ᾱ on the lower eigenvector of the coupling, so
-    |Z| + |W| decays like e^{-√τ_ᾱ r} up to a power of r.  Immutable:
+    volume factor, and ``q`` holds the overlap integrals (∫Z², ∫W², ∫ZW) of
+    that trapezoid rule.  decay_rate is √τ_ᾱ = √(1 + ᾱ² − |μᾱ|): past the
+    core the pair solves −Δ + τ_ᾱ on the lower eigenvector of the coupling,
+    so |Z| + |W| decays like e^{-√τ_ᾱ r} up to a power of r.  Immutable:
     alpha_field hands one mode to every node of a μ group.
     """
 
@@ -471,6 +473,7 @@ class CrossingMode:
     v_values: np.ndarray
     eta_residual: float
     decay_rate: float
+    q: tuple
     U: object
     mu: float
     p: float
@@ -496,9 +499,9 @@ def _solve_crossing(sector, mu, tol, start=None):
     that of the scalar L_r ℓ=0 sector, so η_0 is the L_r floor and does not
     depend on μ.  The branch slope comes for free from the eigenvector
     (Hellmann-Feynman, _slopes), so each Newton step, the last one included,
-    costs one eigensolve, and the converged step's eigenpair is the returned
-    mode.  Every eigensolve is inverse iteration at the rigorous shift
-    (_warm_pair) from the previous eigenvector.  Without ``start`` the first
+    costs one eigensolve, and only the converged eigenvector is turned into
+    the mode's profiles and their integrals.  Every eigensolve is inverse
+    iteration at the rigorous shift (_warm_pair) from the previous one.  Without ``start`` the first
     step is √(−η₀), exact for μ = 0 and close otherwise, from the α = 0
     ground eigenvector.  ``start`` is the state returned by the solve at a
     neighbouring μ₀: then the first step is ᾱ₀ + (μ − μ₀)·dᾱ/dμ, with the
@@ -522,13 +525,9 @@ def _solve_crossing(sector, mu, tol, start=None):
         if lo < guess < hi:
             abar = guess
 
-    def eigenpair(alpha, phi):
-        lam, phi = _warm_pair(sector, alpha, mu, phi)
-        return (lam, *sector.profiles(phi), phi)
-
     for _ in range(60):
-        lam, u, v, phi = eigenpair(abar, phi)
-        slope, eta_mu = _slopes(sector.U, u, v, abar, mu)
+        lam, phi = _warm_pair(sector, abar, mu, phi)
+        slope, eta_mu = _slopes(phi, abar, mu)
         if lam > 0:
             hi, crossed = abar, True
         else:
@@ -540,7 +539,7 @@ def _solve_crossing(sector, mu, tol, start=None):
             abar = step
             continue
         if not crossed:
-            eta_hi, _, _, phi = eigenpair(hi, phi)
+            eta_hi, phi = _warm_pair(sector, hi, mu, phi)
             if eta_hi <= 0:
                 raise ConvergenceError("ground branch has no sign change on the "
                                        "interval; widen the search or reduce mu")
@@ -549,25 +548,23 @@ def _solve_crossing(sector, mu, tol, start=None):
     else:
         raise ConvergenceError("crossing search did not converge")
 
-    U, d = sector.U, sector.U.dim
-    r = U.grid.nodes
+    U, d, r = sector.U, sector.U.dim, sector.U.grid.nodes
+    w, omega = r ** (d - 1), sphere_area(d)
+    u, v = sector.profiles(phi)
     # renormalize with the angular factor: ∫(Z²+W²) dy = 1 over R^d
-    mass = sphere_area(d) * np.trapezoid((u**2 + v**2) * r ** (d - 1), r)
+    mass = omega * np.trapezoid((u**2 + v**2) * w, r)
     u, v = u / np.sqrt(mass), v / np.sqrt(mass)
+    q = tuple(float(omega * np.trapezoid(f * w, r)) for f in (u**2, v**2, u * v))
     mode = CrossingMode(alpha_bar=float(abar), u_values=u, v_values=v,
                         eta_residual=float(lam),
                         decay_rate=float(np.sqrt(continuum_threshold(abar, mu))),
-                        U=U, mu=mu, p=sector.p)
+                        q=q, U=U, mu=mu, p=sector.p)
     return mode, (mu, abar, phi, -eta_mu / slope)
 
 
 def crossing_slope(mode):
-    """∂η/∂α at ᾱ in closed form, 2ᾱ + 2μ∫ZW (Hellmann–Feynman)."""
-    U, mu = mode.U, mode.mu
-    d = U.dim
-    r = U.grid.nodes
-    zw = sphere_area(d) * np.trapezoid(mode.u_values * mode.v_values * r ** (d - 1), r)
-    return float(2 * mode.alpha_bar + 2 * mu * zw)
+    """∂η/∂α at ᾱ in closed form, 2ᾱ + 2μ·Q₃ (Hellmann–Feynman)."""
+    return float(2 * mode.alpha_bar + 2 * mode.mu * mode.q[2])
 
 
 def alpha_field(sf, U, tol=1e-8):

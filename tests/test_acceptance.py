@@ -15,7 +15,7 @@ from nlscurve.ansatz import (AnsatzParams, assemble_ansatz, build_correctors,
 from nlscurve.errors import ConvergenceError
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from nlscurve.radial import SectorOperator, ode_residual, sector_spectrum
-from nlscurve.resonance import (gap_scan, gap_scan_oracle, lambda0_spectrum,
+from nlscurve.resonance import (FastModes, gap_scan, gap_scan_oracle, lambda0_spectrum,
                                 q_integrals, resonance_eigenpairs,
                                 verify_coupled_system,
                                 constant_coefficient_nu_oracle)
@@ -171,9 +171,8 @@ def resonance_inputs(U23, bump_potential, exps23):
         rs = critical_circle_radius(builder, (0.4, 1.2), A, exps23)
         curve, pot, sf = circle_setup(bump_potential, rs, 256, A, exps23)
         abar, modes = alpha_field(sf, U23)
-        Q = q_integrals(modes, 1)
         out[A] = {"curve": curve, "pot": pot, "sf": sf, "abar": abar,
-                  "Q": Q, "rstar": rs}
+                  "fast": FastModes(sf, abar, q_integrals(modes)), "rstar": rs}
     return out
 
 
@@ -181,14 +180,14 @@ def test_criterion_6_resonance_layer(resonance_inputs):
     t0 = time.time()
     checks = []
     for A, data in resonance_inputs.items():
-        sf, abar, Q = data["sf"], data["abar"], data["Q"]
+        sf, fast = data["sf"], data["fast"]
         eps = 0.05
-        basis = resonance_eigenpairs(sf, abar, Q, eps, 0.3)
+        basis = resonance_eigenpairs(fast, eps, 0.3)
         if A == 0.0:
             # stated closed form has unit weight only at zero speed
             j0 = basis.j_eps
             M, L = sf.s.size, sf.L
-            oracle = constant_coefficient_nu_oracle(sf, abar, Q, eps, 0.3)
+            oracle = constant_coefficient_nu_oracle(fast, eps, 0.3)
             checks.append(("nu matches (2πεj/L)² - k²ᾱ² to 1e-8",
                            float(np.max(np.abs(basis.nu - oracle))) < 1e-8))
         maxres, _ = verify_coupled_system(basis)
@@ -208,8 +207,8 @@ def test_criterion_7_gap_scan(resonance_inputs):
     t0 = time.time()
     data = resonance_inputs[0.0]
     grid = np.linspace(0.08, 0.02, 100)
-    recs = gap_scan(data["sf"], data["abar"], data["Q"], grid, 0.3, 0.1)
-    oracle = gap_scan_oracle(data["sf"], data["abar"], data["Q"], grid, 0.3, 0.1)
+    recs = gap_scan(data["fast"], grid, 0.3, 0.1)
+    oracle = gap_scan_oracle(data["fast"], grid, 0.3, 0.1)
     agree = all(r["admissible"] == o["admissible"]
                 for r, o in zip(recs, oracle))
     n_adm = sum(r["admissible"] for r in recs)
@@ -280,8 +279,8 @@ def test_criterion_9_invariance_suite(U23, bump_potential, exps23,
                             <= np.exp(-c * np.asarray(eps_used) ** -0.5) + 1e-15)
                      and c > 0 and np.all(norm_diffs < 1e-12))
 
-    q_err = float(np.max(np.abs(resonance_inputs[0.05]["Q"].q1
-                                + resonance_inputs[0.05]["Q"].q2 - 1.0)))
+    q_err = float(np.max(np.abs(resonance_inputs[0.05]["fast"].Q.q1
+                                + resonance_inputs[0.05]["fast"].Q.q2 - 1.0)))
     checks = [
         ("spectrum-shift identity to 1e-10", shift_err < 1e-10),
         ("phase-constant invariance of residual norms to 1e-12",

@@ -11,7 +11,7 @@ from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                sample_potential, straight_segment_curve)
 from nlscurve.radial import (SectorOperator, apply_sector, ground_state,
                              sector_kernel)
-from nlscurve.resonance import q_integrals, resonance_eigenpairs
+from nlscurve.resonance import FastModes, q_integrals, resonance_eigenpairs
 from nlscurve.scalings import (compute_exponents, compute_scalings,
                                critical_circle_radius)
 from nlscurve.spectrum import alpha_field
@@ -430,7 +430,7 @@ def fast_mode_run(U23, bump_potential, exps23):
     curve, pot, sf = circle_setup(bump_potential, 0.7012465, 64, 0.05, exps23)
     co = build_correctors(curve, pot, sf, U23)
     abar, modes = alpha_field(sf, U23)
-    basis = resonance_eigenpairs(sf, abar, q_integrals(modes, 1), 0.1, 0.5)
+    basis = resonance_eigenpairs(FastModes(sf, abar, q_integrals(modes)), 0.1, 0.5)
     grid = build_tube_grid(curve, bump_potential, sf, 0.1, 3.0, dz_factor=8)
 
     def fast_part(b):

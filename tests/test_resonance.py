@@ -26,8 +26,9 @@ def layer0(U23, bump_potential, exps23):
     """Resonance inputs on the critical circle at phase speed 0."""
     curve, pot, sf = circle_setup(bump_potential, 2 ** -0.5, 256, 0.0, exps23)
     abar, modes = alpha_field(sf, U23)
-    Q = q_integrals(modes, 1)
-    return {"curve": curve, "sf": sf, "abar": abar, "Q": Q}
+    Q = q_integrals(modes)
+    return {"curve": curve, "sf": sf, "abar": abar, "Q": Q,
+            "fast": FastModes(sf, abar, Q)}
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +36,9 @@ def layerA(U23, bump_potential, exps23):
     """Same circle with phase speed 0.05 (nonzero coupling)."""
     curve, pot, sf = circle_setup(bump_potential, 0.701247, 256, 0.05, exps23)
     abar, modes = alpha_field(sf, U23)
-    Q = q_integrals(modes, 1)
-    return {"curve": curve, "sf": sf, "abar": abar, "Q": Q}
+    Q = q_integrals(modes)
+    return {"curve": curve, "sf": sf, "abar": abar, "Q": Q,
+            "fast": FastModes(sf, abar, Q)}
 
 
 @pytest.fixture(scope="module", params=["circle", "ellipse"])
@@ -48,7 +50,9 @@ def runner_layer(request, U23, bump_potential, exps23):
     sf = compute_scalings(curve, sample_potential(bump_potential, curve), 0.05,
                           exps23)
     abar, modes = alpha_field(sf, U23)
-    return {"sf": sf, "abar": abar, "modes": modes, "Q": q_integrals(modes, 1)}
+    Q = q_integrals(modes)
+    return {"sf": sf, "abar": abar, "modes": modes, "Q": Q,
+            "fast": FastModes(sf, abar, Q)}
 
 
 class TestFourierCollocation:
@@ -103,10 +107,10 @@ class TestQIntegrals:
 
     def test_one_integral_per_distinct_mode(self, runner_layer, monkeypatch):
         # alpha_field shares one CrossingMode among the nodes of a μ group;
-        # each distinct mode is integrated once (Q₁, Q₂, Q₃), to the same Q
+        # the crossing solve integrates each distinct mode once (its q), and
+        # q_integrals only gathers them, without a quadrature of its own
         modes, Q = runner_layer["modes"], runner_layer["Q"]
-        distinct = len({id(m) for m in modes})
-        assert distinct < len(modes)
+        assert len({id(m) for m in modes}) < len(modes)
         calls = []
         real = np.trapezoid
 
@@ -115,10 +119,11 @@ class TestQIntegrals:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np, "trapezoid", counted)
-        again = q_integrals(modes, 1)
-        assert len(calls) == 3 * distinct
+        again = q_integrals(modes)
+        assert calls == []
         for a, b in ((Q.q1, again.q1), (Q.q2, again.q2), (Q.q3, again.q3)):
             assert np.array_equal(a, b)
+        assert all((Q.q1[i], Q.q2[i], Q.q3[i]) == m.q for i, m in enumerate(modes))
         # bitwise the per-node integrals
         omega = sphere_area(1)
         for i in (0, 77, 255):
@@ -133,15 +138,15 @@ class TestQIntegrals:
 
 class TestResonanceBasis:
     def test_constant_coefficient_exact(self, layer0):
-        sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]
-        basis = resonance_eigenpairs(sf, abar, Q, 0.05, 0.3)
-        oracle = constant_coefficient_nu_oracle(sf, abar, Q, 0.05, 0.3)
+        fast = layer0["fast"]
+        basis = resonance_eigenpairs(fast, 0.05, 0.3)
+        oracle = constant_coefficient_nu_oracle(fast, 0.05, 0.3)
         assert np.max(np.abs(basis.nu - oracle)) < 1e-8
 
     def test_companions_at_zero_crossing(self, layer0):
         # at a ν = 0 crossing the companion is exactly -εξ'/(kᾱ)
-        sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]
-        basis = resonance_eigenpairs(sf, abar, Q, 0.05, 0.3)
+        sf, abar, Q, fast = (layer0[key] for key in ("sf", "abar", "Q", "fast"))
+        basis = resonance_eigenpairs(fast, 0.05, 0.3)
         D1, _ = fourier_diff_matrices(sf.s.size, sf.L)
         for a, nu in enumerate(basis.nu):
             expect = -(0.05 / (sf.k * abar)) * (1.0 - Q.q1 * nu
@@ -149,16 +154,17 @@ class TestResonanceBasis:
             assert np.max(np.abs(basis.beta[a] - expect)) < 1e-10
 
     def test_weight_normalization(self, layerA):
-        sf, abar, Q = layerA["sf"], layerA["abar"], layerA["Q"]
-        basis = resonance_eigenpairs(sf, abar, Q, 0.05, 0.5)
+        sf, fast = layerA["sf"], layerA["fast"]
+        basis = resonance_eigenpairs(fast, 0.05, 0.5)
+        assert basis.modes is fast
         ds = sf.L / sf.s.size
-        G = (basis.xi * basis.weight_fn) @ basis.xi.T * ds
+        G = (basis.xi / fast.wfun) @ basis.xi.T * ds
         assert np.max(np.abs(G - np.eye(basis.nu.size))) < 1e-10
 
     def test_weyl_slope_stability(self, layerA):
-        sf, abar, Q = layerA["sf"], layerA["abar"], layerA["Q"]
-        c1 = weyl_slope(resonance_eigenpairs(sf, abar, Q, 0.05, 0.5)) / 0.05
-        c2 = weyl_slope(resonance_eigenpairs(sf, abar, Q, 0.025, 0.5)) / 0.025
+        sf, abar, fast = layerA["sf"], layerA["abar"], layerA["fast"]
+        c1 = weyl_slope(resonance_eigenpairs(fast, 0.05, 0.5)) / 0.05
+        c2 = weyl_slope(resonance_eigenpairs(fast, 0.025, 0.5)) / 0.025
         assert abs(c1 - c2) / abs(c1) < 0.10
         # constant coefficients: consecutive j step through sin/cos pairs, so
         # the slope is (2π k ᾱ / L)·(weight) per unit j
@@ -166,28 +172,25 @@ class TestResonanceBasis:
         assert abs(c1 - expect) / expect < 0.10
 
     def test_window_leaves_grid(self, layer0):
-        sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]
         with pytest.raises(ValidationError):
-            resonance_eigenpairs(sf, abar, Q, 1e-4, 0.9)
+            resonance_eigenpairs(layer0["fast"], 1e-4, 0.9)
 
 
 class TestWindowedEigensolve:
     def test_pencil_count_is_the_inertia(self, runner_layer):
         # j_ε from the ε-free pencil against the negative eigenvalues of the
         # matrix C(ε) itself, across the gap grid of the README run file
-        modes = FastModes(runner_layer["sf"], runner_layer["abar"],
-                           runner_layer["Q"])
+        modes = runner_layer["fast"]
         for eps in np.linspace(0.08, 0.02, 100):
             assert modes.count(eps) == np.sum(np.linalg.eigvalsh(modes.matrix(eps)) < 0)
 
     def test_window_derivative_is_the_fft(self, runner_layer):
         # Λ₀ reads ξ' from the window, which computed it for β: the same
         # bits as the FFT of ξ, so Λ₀ and the mass matrix are unchanged
-        modes = FastModes(runner_layer["sf"], runner_layer["abar"],
-                          runner_layer["Q"])
+        modes = runner_layer["fast"]
         for eps in (0.08, 0.05, 0.02):
             basis = modes.window(eps, 0.3)
-            fft = periodic_derivative(basis.xi.T, basis.L).T
+            fft = periodic_derivative(basis.xi.T, modes.sf.L).T
             assert np.array_equal(basis.dxi, fft)
             for got, ref in zip(assemble_lambda0(basis),
                                 assemble_lambda0(replace(basis, dxi=fft))):
@@ -196,9 +199,8 @@ class TestWindowedEigensolve:
     def test_pencil_spectrum_on_the_circle(self, layerA):
         # constant coefficients: θ = (2πm/(L·kᾱ))², once for m = 0 and
         # M/2, twice for every other m, whatever the weight
-        sf, abar, Q = layerA["sf"], layerA["abar"], layerA["Q"]
+        sf, abar, modes = layerA["sf"], layerA["abar"], layerA["fast"]
         M, L, ka = sf.s.size, sf.L, sf.k[0] * abar[0]
-        modes = FastModes(sf, abar, Q)
         m = np.concatenate([[0], np.repeat(np.arange(1, M // 2), 2), [M // 2]])
         theta = np.sort((2 * np.pi * m / (L * ka)) ** 2)
         assert np.all(np.abs(modes.theta - theta) <= 1e-10 * np.maximum(theta, 1.0))
@@ -210,14 +212,14 @@ class TestWindowedEigensolve:
     def test_matches_full_generalized_eigensolve(self, runner_layer):
         # oracle: every eigenpair of the generalized problem A·x = ν·B·x,
         # B = diag(1/wfun), across the gap grid of the README run file
-        sf, abar, Q = runner_layer["sf"], runner_layer["abar"], runner_layer["Q"]
+        sf, abar, Q, fast = (runner_layer[key] for key in ("sf", "abar", "Q", "fast"))
         M, L, delta = sf.s.size, sf.L, 0.3
         ka = sf.k * abar
         wfun = 1.0 + 2.0 * sf.fprime * Q.q3 / ka
         D2 = fourier_diff_matrices(M, L)[1]
         for eps in np.linspace(0.08, 0.02, 100):
             vals, vecs = eigh(-eps**2 * D2 - np.diag(ka**2), np.diag(1.0 / wfun))
-            basis = resonance_eigenpairs(sf, abar, Q, eps, delta)
+            basis = resonance_eigenpairs(fast, eps, delta)
             assert basis.j_eps == np.searchsorted(vals, 0.0)
             J = (basis.nu.size - 1) // 2
             window = slice(basis.j_eps - J, basis.j_eps + J + 1)
@@ -237,16 +239,15 @@ class TestWindowedEigensolve:
 
 class TestCoupledSystem:
     def test_decoupled_exact(self, layer0):
-        sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]
-        basis = resonance_eigenpairs(sf, abar, Q, 0.05, 0.3)
+        basis = resonance_eigenpairs(layer0["fast"], 0.05, 0.3)
         maxres, _ = verify_coupled_system(basis)
         assert maxres < 1e-10
 
     def test_order_eps_bound(self, layerA):
-        sf, abar, Q = layerA["sf"], layerA["abar"], layerA["Q"]
+        fast = layerA["fast"]
         consts = []
         for eps in (0.05, 0.025):
-            basis = resonance_eigenpairs(sf, abar, Q, eps, 0.3)
+            basis = resonance_eigenpairs(fast, eps, 0.3)
             maxres, per_j = verify_coupled_system(basis)
             consts.append(maxres / (np.max(basis.nu**2) + eps))
         assert consts[0] < 20.0 and consts[1] < 20.0
@@ -259,8 +260,8 @@ class TestCoupledSystem:
             curve, pot, sf = circle_setup(bump_potential, 0.701247, M, 0.05,
                                           exps23)
             abar, modes = alpha_field(sf, U23)
-            Q = q_integrals(modes, 1)
-            basis = resonance_eigenpairs(sf, abar, Q, 0.05, 0.3)
+            fast = FastModes(sf, abar, q_integrals(modes))
+            basis = resonance_eigenpairs(fast, 0.05, 0.3)
             maxres, _ = verify_coupled_system(basis)
             vals.append(maxres)
         assert abs(vals[0] - vals[1]) / vals[0] < 0.1
@@ -268,8 +269,8 @@ class TestCoupledSystem:
     def test_correction_identities(self, layerA):
         # both residuals are O(ν_j²); the κ-relation constant carries the
         # 1/Q₂ amplification of the exact-cancellation definition
-        sf, abar, Q = layerA["sf"], layerA["abar"], layerA["Q"]
-        basis = resonance_eigenpairs(sf, abar, Q, 0.05, 0.5)
+        Q, fast = layerA["Q"], layerA["fast"]
+        basis = resonance_eigenpairs(fast, 0.05, 0.5)
         r1, r2 = correction_identities(basis)
         scale = basis.nu**2 + 1e-12
         assert np.all(r1 / scale < 10.0)
@@ -281,9 +282,9 @@ class TestCoupledSystem:
 
 class TestLambda0:
     def test_diagonal_constant_coefficients(self, layer0):
-        sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]
+        fast = layer0["fast"]
         eps = 0.05
-        basis = resonance_eigenpairs(sf, abar, Q, eps, 0.3)
+        basis = resonance_eigenpairs(fast, eps, 0.3)
         lam, mass, asym = assemble_lambda0(basis)
         assert asym < 1e-10
         # Fourier closed form: Λ/mass reproduces ν exactly here
@@ -293,17 +294,16 @@ class TestLambda0:
         assert np.max(np.abs(np.sort(vals) - np.sort(basis.nu))) < 1e-8
 
     def test_spectrum_matches_nu_with_coupling(self, layerA):
-        sf, abar, Q = layerA["sf"], layerA["abar"], layerA["Q"]
+        fast = layerA["fast"]
         eps = 0.05
-        basis = resonance_eigenpairs(sf, abar, Q, eps, 0.5)
+        basis = resonance_eigenpairs(fast, eps, 0.5)
         vals = lambda0_spectrum(basis)
         diff = np.max(np.abs(np.sort(vals) - np.sort(basis.nu)))
         bound = np.max(basis.nu**2) + eps
         assert diff < bound
 
     def test_symmetry(self, layerA):
-        basis = resonance_eigenpairs(layerA["sf"], layerA["abar"], layerA["Q"],
-                                     0.05, 0.5)
+        basis = resonance_eigenpairs(layerA["fast"], 0.05, 0.5)
         lam, mass, asym = assemble_lambda0(basis)
         assert np.max(np.abs(lam - lam.T)) < 1e-10
         assert np.max(np.abs(mass - mass.T)) < 1e-10
@@ -311,10 +311,10 @@ class TestLambda0:
 
 class TestGapScan:
     def test_matches_arithmetic_oracle(self, layer0):
-        sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]
+        sf, abar, fast = layer0["sf"], layer0["abar"], layer0["fast"]
         grid = np.linspace(0.08, 0.02, 100)
-        recs = gap_scan(sf, abar, Q, grid, 0.3, 0.1)
-        oracle = gap_scan_oracle(sf, abar, Q, grid, 0.3, 0.1)
+        recs = gap_scan(fast, grid, 0.3, 0.1)
+        oracle = gap_scan_oracle(fast, grid, 0.3, 0.1)
         assert all(r["admissible"] == o["admissible"]
                    for r, o in zip(recs, oracle))
         # fully independent integer-arithmetic oracle
@@ -328,7 +328,7 @@ class TestGapScan:
         from types import SimpleNamespace as NS
         L, k, fp, ab, q3 = 4.4, 0.8, 0.1, 1.7, 0.2
         sf = NS(k=np.full(M, k), fprime=np.full(M, fp), s=np.arange(M) * L / M, L=L)
-        Q = NS(q3=np.full(M, q3))
+        fast = NS(sf=sf, abar=np.full(M, ab), Q=NS(q3=np.full(M, q3)))
         wfun = 1.0 + 2.0 * fp * q3 / (k * ab)
         for eps in np.linspace(0.08, 0.02, 7):
             vals = []
@@ -337,20 +337,20 @@ class TestGapScan:
                 vals += [nu, nu] if 0 < m < M / 2 else [nu]
             vals = np.sort(np.array(vals))
             j, J = int(np.searchsorted(vals, 0.0)), int(np.floor(0.3**2 / eps))
-            window = constant_coefficient_nu_oracle(sf, np.full(M, ab), Q, eps)
+            window = constant_coefficient_nu_oracle(fast, eps)
             assert np.array_equal(window, vals[j - J: j + J + 1])
 
     def test_threshold_zero_admits_nonresonant(self, layer0):
-        sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]
+        fast = layer0["fast"]
         grid = np.linspace(0.08, 0.02, 40)
-        recs = gap_scan(sf, abar, Q, grid, 0.3, 0.0)
+        recs = gap_scan(fast, grid, 0.3, 0.0)
         assert all(r["admissible"] for r in recs)
 
     def test_admissible_fraction(self, layer0):
-        sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]
+        sf, abar, fast = layer0["sf"], layer0["abar"], layer0["fast"]
         grid = np.linspace(0.08, 0.02, 100)
         thr = 0.1 * sf.k[0] * abar[0] * (2 * np.pi / sf.L)
-        recs = gap_scan(sf, abar, Q, grid, 0.3, thr)
+        recs = gap_scan(fast, grid, 0.3, thr)
         frac = np.mean([r["admissible"] for r in recs])
         assert frac >= 0.5
 
@@ -368,10 +368,10 @@ class TestGapScan:
             return real(M, L)
 
         monkeypatch.setattr(resonance, "fourier_diff_matrices", counted)
-        recs = gap_scan(sf, abar, Q, grid, 0.3, 0.1)
+        recs = gap_scan(FastModes(sf, abar, Q), grid, 0.3, 0.1)
         assert sizes == [sf.s.size]
         for rec, eps in zip(recs, grid):
-            basis = resonance_eigenpairs(sf, abar, Q, eps, 0.3)
+            basis = resonance_eigenpairs(layerA["fast"], eps, 0.3)
             assert rec["min_abs_eigenvalue"] == float(
                 np.min(np.abs(lambda0_spectrum(basis))))
 
@@ -390,16 +390,15 @@ class TestGapScan:
             return real(a, b, **kwargs)
 
         monkeypatch.setattr(resonance, "eigh", counted)
-        gap_scan(sf, abar, Q, grid, 0.3, 0.1)
+        gap_scan(FastModes(sf, abar, Q), grid, 0.3, 0.1)
         assert calls.count("pencil") == 1 and calls[0] == "pencil"
         assert calls.count("window") == grid.size
         assert calls.count("lambda0") == grid.size
         assert not hasattr(resonance, "dsytrf")
 
     def test_descending_grid_required(self, layer0):
-        sf, abar, Q = layer0["sf"], layer0["abar"], layer0["Q"]
         with pytest.raises(ValidationError):
-            gap_scan(sf, abar, Q, np.array([0.02, 0.08]), 0.3, 0.1)
+            gap_scan(layer0["fast"], np.array([0.02, 0.08]), 0.3, 0.1)
 
 
 class TestSharpNorm:

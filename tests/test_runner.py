@@ -10,7 +10,7 @@ import pytest
 
 import nlscurve.runner as runner
 from nlscurve.errors import ValidationError
-from nlscurve.resonance import gap_scan
+from nlscurve.resonance import FastModes, gap_scan
 from nlscurve.runner import emit_report, main, parse_config, run_pipeline
 
 MINIMAL = """
@@ -113,6 +113,21 @@ class TestParseConfig:
     def test_semicolon_separated_eps_list(self, tmp_path):
         text = MINIMAL + "\n[residual]\neps_list = 0.2;0.1;0.05\n"
         assert parse_config(write(tmp_path, text)).residual_eps == [0.2, 0.1, 0.05]
+
+    @pytest.mark.parametrize("section, line", [
+        ("residual", "eps_list = 0.2,abc,0.05"),
+        ("residual", "levels = 0,1.5,2"),
+        ("residual", "levels ="),
+        ("resonance", "gap_eps_grid = 0.08:0.02:0")],
+        ids=["eps_list", "levels", "no_levels", "gap_eps_grid"])
+    def test_bad_list_value_is_a_violation(self, tmp_path, section, line):
+        # a non-numeric value, a non-integer level, no level and an empty ε
+        # scan are run-file violations (exit status 2), not a crash or a
+        # silent read
+        path = write(tmp_path, MINIMAL + f"\n[{section}]\n{line}\n")
+        with pytest.raises(ValidationError, match=line.split(" =")[0]):
+            parse_config(path)
+        assert main([path]) == 2
 
     def test_bad_boolean_is_a_violation(self, tmp_path):
         text = MINIMAL + "\n[run]\nassert_acceptance = maybe\n"
@@ -220,8 +235,7 @@ class TestPipeline:
         cfg = parse_config(write(tmp_path, text))
         _, csvs = run_pipeline(cfg)
         assert len(built) == 1
-        sf, abar, Q = built[0]
-        records = gap_scan(sf, abar, Q, cfg.gap_eps_grid, cfg.delta,
+        records = gap_scan(FastModes(*built[0]), cfg.gap_eps_grid, cfg.delta,
                            cfg.gap_threshold)
         rows = np.array([[r["eps"], r["min_abs_eigenvalue"], float(r["admissible"])]
                          for r in records])

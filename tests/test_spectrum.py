@@ -344,7 +344,7 @@ class TestBranches:
             trace_branches(U23, 3.0, 0.1, np.array([0.1, 0.5]))
 
 
-def cold_trace(U, mu, alphas, overlap_floor=0.5):
+def cold_trace(U, mu, alphas):
     """Branches from a cold coupled_spectrum at every α, each continued by
     the largest eigenvector overlap with its previous sample."""
     r, out = U.grid.nodes, {}
@@ -358,7 +358,7 @@ def cold_trace(U, mu, alphas, overlap_floor=0.5):
                 ovs = [abs(np.trapezoid((u0 * u + v0 * v) * r ** (U.dim - 1), r))
                        for _, u, v in cands]
                 best = int(np.argmax(ovs))
-                if ovs[best] < overlap_floor:
+                if ovs[best] < spectrum.OVERLAP_FLOOR:
                     raise BranchTrackingError("branch tracking ambiguous",
                                               alpha, ovs[best])
                 lams.append(cands[best][0])
@@ -394,6 +394,38 @@ class TestCrossing:
         mode = find_alpha_bar(U23, 3.0, 0.05)
         numeric = eigenvalue_derivative(U23, 3.0, 0.05, mode.alpha_bar)
         assert abs(numeric - crossing_slope(mode)) < 1e-3
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_slope_is_the_reintegrated_closed_form(self, grid30, n):
+        # crossing_slope reads Q₃ from the mode: bitwise 2ᾱ + 2μ·ω∫ZW r^{d-1}
+        # integrated again from the profiles
+        U = ground_state(n, 3, grid30)
+        r, d = grid30.nodes, n - 1
+        for mu in (0.0, 0.05, 0.17):
+            mode = find_alpha_bar(U, 3.0, mu)
+            zw = spectrum.sphere_area(d) * np.trapezoid(
+                mode.u_values * mode.v_values * r ** (d - 1), r)
+            assert crossing_slope(mode) == float(2 * mode.alpha_bar + 2 * mu * zw)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_eigenvector_slopes_are_the_eigenvalue_derivatives(self, grid30, n):
+        # Hellmann–Feynman on the unit eigenvector against a Richardson
+        # central difference (h = 2e-3, 1e-3) of the lowest ℓ=0 eigenvalue
+        # in α and in μ; measured <= 1e-9
+        sector = spectrum._CoupledSector(ground_state(n, 3, grid30), 3.0, 0)
+        phi = sector.start(1)[0][1]
+        for alpha, mu in ((1.0, 0.17), (0.5, 1.0), (1.5, 0.5)):
+            _, phi = spectrum._warm_pair(sector, alpha, mu, phi)
+
+            def richardson(lam):
+                d1, d2 = ((lam(h) - lam(-h)) / (2 * h) for h in (2e-3, 1e-3))
+                return (4 * d2 - d1) / 3
+
+            numeric = (
+                richardson(lambda h: spectrum._warm_pair(sector, alpha + h, mu, phi)[0]),
+                richardson(lambda h: spectrum._warm_pair(sector, alpha, mu + h, phi)[0]))
+            exact = spectrum._slopes(phi, alpha, mu)
+            assert np.max(np.abs(np.subtract(exact, numeric))) <= 1e-8
 
     def test_normalization(self, U23, grid30):
         mode = find_alpha_bar(U23, 3.0, 0.05)
@@ -539,8 +571,8 @@ class TestAlphaField:
         cold = {id(m): find_alpha_bar(U23, 3.0, m.mu, tol=tol) for m in groups}
         assert max(abs(m.alpha_bar - cold[id(m)].alpha_bar) for m in groups) \
             <= 2 * tol
-        warm_q = q_integrals(modes, 1)
-        cold_q = q_integrals([cold[id(m)] for m in modes], 1)
+        warm_q = q_integrals(modes)
+        cold_q = q_integrals([cold[id(m)] for m in modes])
         for name in ("q1", "q2", "q3"):
             assert np.max(np.abs(getattr(warm_q, name) - getattr(cold_q, name))) \
                 < 1e-8
