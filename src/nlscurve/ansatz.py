@@ -49,6 +49,8 @@ from .scalings import compute_f1, compute_scalings
 from .tube import (apply_S_eps, build_tube_grid, convergence_order,
                    weighted_norm)
 
+VARSIGMA = 0.5      # decay weight ς of the residual norms, 𝔭 = ς·k
+
 
 @dataclass
 class AnsatzParams:
@@ -173,9 +175,10 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     # ---- level-2 sources in the section algebra ---------------------------
     # Parameter-independent parts only: w_re, w_io, f1, f2 terms are excluded
     # by construction (they carry their own bookkeeping in the expansion).
-    # Every w_ro row lies in the span of the ℓ=1 solves of yU and U'; an
-    # orthonormal basis phi of it keeps the coefficients w (w_ro ≈ w·phi)
-    # well conditioned where the raw solves are large and cancel (n = 3).
+    # Every w_ro row lies in the span of the ℓ=1 solves of yU and U'.  U' is
+    # almost all kernel, so its solve is round-off or grid error (1e-10 for
+    # n = 2, 3e-5 for n = 3) and the solves' Gram matrix has condition
+    # 1e9–1e19: an orthonormal basis phi makes w (w_ro ≈ w·phi) a projection.
     phi = np.zeros((2, r.size))
     phi[:, :ny] = np.linalg.qr(
         sector_solve(op_r1, U, np.stack([y * Uv, dU]))[0][:, :ny].T)[0].T
@@ -368,18 +371,19 @@ def residual_field(ansatz):
     return apply_S_eps(ansatz.values, ansatz.grid, ansatz.phase_rate)
 
 
-def residual_norm(ansatz, sf, varsigma=0.5):
-    """Weighted sup of S_ε(ansatz) on the core, decay weight 𝔭 = ς·k(εs)."""
+def residual_norm(ansatz, sf):
+    """Weighted sup of S_ε(ansatz) on the core, decay weight 𝔭 = ς·k(εs)
+    with ς = VARSIGMA."""
     res = residual_field(ansatz)
-    return weighted_norm(res, ansatz.grid, varsigma * sf.k)
+    return weighted_norm(res, ansatz.grid, VARSIGMA * sf.k)
 
 
-def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list,
-                               delta_bar=0.5, level=0, dz_factor=8,
-                               varsigma=0.5):
+def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list):
     """Effect of the cross-section cutoff, against a cutoff-free wide grid.
 
-    Two quantities per ε:
+    The level-0 ansatz on tubes with δ̄ = 0.5, which puts the cutoff deep in
+    the tail, and dz_factor 8; weights use ς = VARSIGMA.  Two quantities per
+    ε:
 
     * the relative difference of the *reported* residual norms (ς-weighted
       sup over the cutoff-interior window) — zero, because the window's
@@ -391,21 +395,22 @@ def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list,
     Returns (norm_diffs, field_diffs, c) with c > 0 the largest constant for
     which every field difference sits below e^{-c·ε^{-δ̄}}.
     """
+    delta_bar = 0.5
     norm_diffs, field_diffs = [], []
     for eps in eps_list:
         norms, fields = [], []
         grids = []
         for wide, off in ((False, False), (True, True)):
             grid = build_tube_grid(curve, V, sf, eps, sf.exps.p,
-                                   delta_bar=delta_bar, dz_factor=dz_factor,
+                                   delta_bar=delta_bar, dz_factor=8,
                                    radius_factor=1.6 if wide else 1.0,
                                    cutoff_off=off)
             grids.append(grid)
             ans = assemble_ansatz(grid, curve, sf, U, correctors,
-                                  AnsatzParams(level=level))
+                                  AnsatzParams(level=0))
             res = residual_field(ans)
             zwin = eps ** (-delta_bar) / np.max(grid.K) - 4 * grid.dz
-            norms.append(weighted_norm(res, grid, varsigma * sf.k, "sup",
+            norms.append(weighted_norm(res, grid, VARSIGMA * sf.k, "sup",
                                        "all", z_window=zwin))
             fields.append(ans)
         norm_diffs.append(abs(norms[0] - norms[1]) / norms[1])
@@ -415,7 +420,7 @@ def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list,
         lo = (g2.z_shape[0] - n1) // 2
         sub = fields[1].values[(slice(None),) + tuple(
             slice(lo, lo + n1) for _ in range(g1.d))]
-        w = np.exp(varsigma * sf.k.reshape(-1, *([1] * g1.d)) * g1.znorm[None])
+        w = np.exp(VARSIGMA * sf.k.reshape(-1, *([1] * g1.d)) * g1.znorm[None])
         fd = np.max(w * np.abs(fields[0].values - sub)) \
             / np.max(w * np.abs(sub))
         field_diffs.append(fd)
@@ -429,7 +434,7 @@ def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list,
 
 def residual_study(curve_for, V, phase_speed, exps, U, eps_list,
                    levels=(0, 1, 2), base_M=256, delta_bar=0.25,
-                   varsigma=0.5, dz_factor=16, f1_drift=0.0):
+                   varsigma=VARSIGMA, dz_factor=16, f1_drift=0.0):
     """Residual norms of the leveled ansatz over a family of ε.
 
     ``curve_for(M)`` must return the concentration curve sampled at M nodes.

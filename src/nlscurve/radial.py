@@ -13,7 +13,7 @@ which act sector-by-sector in spherical-harmonic modes ℓ.  Their classical
 spectral facts (single negative eigenvalue of L_r, kernel of L_r spanned by
 the ∂U, kernel of L_i spanned by U) are what every downstream construction
 leans on, so this module also provides sector eigensolvers and minimal-norm
-sector solves with kernel projection.
+sector solves that project off those known kernels (``sector_kernel``).
 
 Discretization: uniform radial grid on [0, r_max], second-order finite
 differences in divergence form, with the (d-1)/r first-derivative term
@@ -32,7 +32,6 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import ValidationError, ConvergenceError, IllPosedSolveError
 
-KERNEL_TOL = 1e-6  # discrete eigenvalue |λ| below this counts as kernel
 # Petviashvili's iteration for the ground state: step cap and the relative
 # change at which Newton takes over.  The error contracts by the next radial
 # eigenvalue of A⁻¹pU^{p-1}, (p+1)/(3p-1) for n = 2, which tends to 1 as
@@ -40,6 +39,8 @@ KERNEL_TOL = 1e-6  # discrete eigenvalue |λ| below this counts as kernel
 # p down to about 1.01
 PETVIASHVILI_MAX_ITER = 1000
 PETVIASHVILI_TOL = 1e-6
+# Newton's step cap, and the residual after which it takes one last step
+NEWTON_MAX_ITER, NEWTON_TOL = 40, 5e-11
 
 
 def admissible_p_range(n):
@@ -184,8 +185,8 @@ class RadialProfile:
         out = self._cubic(np.clip(np.abs(r), 0, self.grid.r_max), 1)
         return np.where(inside, out, 0.0)
 
-    def with_values(self, values, decay_rate=0.0):
-        return RadialProfile(self.grid, values, self.dim, decay_rate)
+    def with_values(self, values):
+        return RadialProfile(self.grid, values, self.dim)
 
     def to_csv(self, path):
         np.savetxt(path, np.column_stack([self.grid.nodes, self.values]),
@@ -270,10 +271,10 @@ def _laplacian_rows(grid, d, include_origin):
     return lower, diag, upper, weight, idx
 
 
-def _newton_polish(u, d, p, grid, max_iter=40, tol=5e-11):
+def _newton_polish(u, d, p, grid):
     """Newton iteration on the finite-difference system, Dirichlet at r_max.
 
-    Stops one step after the residual falls below ``tol`` (quadratic
+    Stops one step after the residual falls below NEWTON_TOL (quadratic
     convergence takes that step to the rounding floor, so the result does
     not depend on the start even where the Jacobian is ill-conditioned, as
     for p near 1), or when the residual stagnates at its rounding floor (the
@@ -292,7 +293,7 @@ def _newton_polish(u, d, p, grid, max_iter=40, tol=5e-11):
     ua = u[:-1].copy()
     best = np.inf
     stalled = 0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         res = residual(ua)
         rnorm = np.max(np.abs(res))
         stalled = stalled + 1 if rnorm > 0.5 * best else 0
@@ -305,7 +306,7 @@ def _newton_polish(u, d, p, grid, max_iter=40, tol=5e-11):
         ab[1] = jac_diag
         ab[2, :-1] = lower[1:]
         ua = ua - solve_banded((1, 1), ab, res)
-        if rnorm < tol:
+        if rnorm < NEWTON_TOL:
             break
     else:
         raise ConvergenceError("Newton relaxation for the ground state did not converge")
@@ -498,54 +499,63 @@ def sector_spectrum(op, U, count):
 
 
 def sector_kernel(op, U):
-    """Discrete kernel vectors (|λ| < KERNEL_TOL) in φ-coordinates."""
-    diag, off, weight, idx = sector_matrix(op, U)
-    vals, vecs = eigh_tridiagonal(diag, off, select="v",
-                                  select_range=(-KERNEL_TOL, KERNEL_TOL))
-    return vals, vecs, weight, idx
+    """(kernel, sector_matrix(op, U)) with the unit kernel vector or None.
+
+    U is nondegenerate, Ker L_r = span{∂_jU} and Ker L_i = span{U}
+    (Weinstein, SIAM J. Math. Anal. 16 (1985); Kwong, ARMA 105 (1989)), so
+    only the unshifted L_i ℓ=0 and L_r ℓ=1 sectors have a kernel: their
+    lowest eigenvector in φ-coordinates, whatever the grid leaves of its
+    eigenvalue (round-off for d = 1, 1.48e-4 for d = 2, -3.8e-6 for d = 3 on
+    the (30, 3000) grid).  Every other sector runs no eigensolve.
+    """
+    matrix = sector_matrix(op, U)
+    if op.shift != 0.0 or (op.kind, op.ell) not in (("Li", 0), ("Lr", 1)):
+        return None, matrix
+    _, vecs = eigh_tridiagonal(matrix[0], matrix[1], select="i",
+                               select_range=(0, 0))
+    return vecs[:, 0], matrix
 
 
 def sector_solve(op, U, rhs, ill_posed_tol=np.inf):
     """Minimal-norm solutions of (sector operator) u = rhs, one per row.
 
-    ``rhs`` holds nodal values on U's grid, shape (..., m).  Every row is
-    projected off the discrete kernel first; ``removed`` (shape
-    rhs.shape[:-1]) is the relative norm of the removed component against
-    the row, both in the weighted norm.  If any row's removed fraction
-    exceeds ``ill_posed_tol``, an IllPosedSolveError carrying the largest is
-    raised.  All rows share one banded solve, and the solutions are projected
-    off the kernel again, which makes each the minimal-norm one.  Returns
-    (values, removed) with values of rhs's shape.
+    ``rhs`` holds nodal values on U's grid, shape (..., m).  In the two
+    sectors with a kernel (``sector_kernel``) every row is projected off it
+    first; ``removed`` (shape rhs.shape[:-1]) is the relative norm of the
+    removed component against the row, both in the weighted norm, and is 0
+    in every other sector.  If any row's removed fraction exceeds
+    ``ill_posed_tol``, an IllPosedSolveError carrying the largest is raised.
+    All rows share one banded solve, and the solutions are projected off the
+    kernel again, which makes each the minimal-norm one.  Returns (values,
+    removed) with values of rhs's shape.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[-1:] != (U.grid.m,) or not np.all(np.isfinite(rhs)):
         raise ValidationError("right-hand sides must be finite nodal values "
                               "on the profile's grid")
-    diag, off, weight, idx = sector_matrix(op, U)
-    _, kvecs = eigh_tridiagonal(diag, off, select="v",
-                                select_range=(-KERNEL_TOL, KERNEL_TOL))
+    kernel, (diag, off, weight, idx) = sector_kernel(op, U)
     sqrtw = np.sqrt(weight)
     act = slice(idx[0], idx[-1] + 1)
     b = rhs.reshape(-1, rhs.shape[-1])[:, act] * sqrtw      # (rows, nact)
 
     removed = np.zeros(b.shape[0])
-    if kvecs.shape[1]:
-        coeffs = b @ kvecs
+    if kernel is not None:
+        coeffs = b @ kernel
         bnorm = np.linalg.norm(b, axis=1)
-        removed = np.linalg.norm(coeffs, axis=1) / np.maximum(bnorm, 1e-300)
+        removed = np.abs(coeffs) / np.maximum(bnorm, 1e-300)
         if np.any(removed > ill_posed_tol):
             raise IllPosedSolveError(
                 "sector solve right-hand side lies in the kernel",
                 float(np.max(removed)))
-        b -= coeffs @ kvecs.T
+        b -= np.outer(coeffs, kernel)
 
     ab = np.zeros((3, diag.size))
     ab[0, 1:] = off
     ab[1] = diag
     ab[2, :-1] = off
     x = solve_banded((1, 1), ab, b.T, overwrite_b=True).T
-    if kvecs.shape[1]:
-        x -= (x @ kvecs) @ kvecs.T
+    if kernel is not None:
+        x -= np.outer(x @ kernel, kernel)
     x /= sqrtw
 
     out = np.zeros(b.shape[:1] + rhs.shape[-1:])

@@ -16,7 +16,8 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from nlscurve.errors import ConvergenceError, ValidationError
-from nlscurve.radial import SectorOperator, sector_matrix
+from nlscurve.radial import (SectorOperator, sector_kernel, sector_matrix,
+                             sector_solve)
 from nlscurve.spectrum import (_CoupledSector, _band_matvec, _cholesky_below,
                                _profiles)
 
@@ -191,7 +192,6 @@ def level2_correctors_per_node(curve, pot, sf, U, w_ro):
     sources of node M-1.
     """
     from nlscurve.geometry import periodic_derivative
-    from nlscurve.radial import SectorOperator, sector_solve
 
     p = sf.exps.p
     M, d = curve.M, curve.n - 1
@@ -425,3 +425,29 @@ def bound_state_counts_per_sector(U, p, mu, alpha_grid, ell):
         leads[i] = a
     return np.sum((dets < 0) + 2 * ((dets > 0) & (leads < 0)), axis=0)
 
+
+def kernel_projected(op, U, values):
+    """Nodal ``values`` without their weighted-norm component along the
+    sector's kernel (``sector_kernel``), zero off the active nodes."""
+    kernel, (_, _, w, idx) = sector_kernel(op, U)
+    b = values[idx] * np.sqrt(w)
+    if kernel is not None:
+        b = b - kernel * (kernel @ b)
+    out = np.zeros_like(values)
+    out[idx] = b / np.sqrt(w)
+    return out
+
+
+def lr_sector_oracle_error(U, p, ell):
+    """Sup error of the ℓ = 1 or 2 L_r sector solve against its closed form.
+
+    For a harmonic polynomial P of degree ℓ, Δ(PU) = PΔU + 2ℓ(P/r)U′, so
+    L_r(r^ℓU) = −(p−1)r^ℓU^p − 2ℓr^{ℓ−1}U′.  The solve is the minimal-norm
+    one, so r^ℓU first loses its component along the sector's kernel (the
+    translations, for ℓ = 1).
+    """
+    r = U.grid.nodes
+    op = SectorOperator("Lr", ell, 0.0, U.dim, p)
+    sol, _ = sector_solve(op, U, -(p - 1.0) * r**ell * U.values**p
+                          - 2.0 * ell * r ** (ell - 1) * U.derivative(r))
+    return float(np.max(np.abs(sol - kernel_projected(op, U, r**ell * U.values))))

@@ -9,8 +9,7 @@ from nlscurve.ansatz import (AnsatzParams, _interp_rows, assemble_ansatz,
 from nlscurve.errors import CurveNotCriticalError, ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                sample_potential, straight_segment_curve)
-from nlscurve.radial import (SectorOperator, apply_sector, ground_state,
-                             sector_kernel)
+from nlscurve.radial import SectorOperator, apply_sector, ground_state
 from nlscurve.resonance import FastModes, q_integrals, resonance_eigenpairs
 from nlscurve.scalings import (compute_exponents, compute_scalings,
                                critical_circle_radius)
@@ -19,7 +18,8 @@ from nlscurve.tube import (apply_S_eps, build_tube_grid, convergence_order,
                            smooth_step, weighted_norm)
 
 from conftest import circle_setup
-from oracles import level2_correctors_per_node
+from oracles import (kernel_projected, level2_correctors_per_node,
+                     lr_sector_oracle_error)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,8 @@ def circle_run(U23, bump_potential, exps23):
 @pytest.fixture(scope="module")
 def circle_n3(grid30):
     """Planar critical circle in R³ (d = 2) at A = 0.05: its radius and a
-    builder of (curve, pot, sf, U) at M nodes."""
+    builder of (curve, pot, sf, U) at M nodes, on a circle of radius R
+    (the critical one by default)."""
     U = ground_state(3, 3, grid30)
     exps = compute_exponents(3, 3)
     V = PotentialField("1/(1+r2)", 3)
@@ -56,8 +57,8 @@ def circle_n3(grid30):
 
     rstar = critical_circle_radius(setup, (0.6, 1.4), 0.05, exps)
 
-    def build(M):
-        curve, pot = setup(rstar, M)
+    def build(M, R=rstar):
+        curve, pot = setup(R, M)
         return curve, pot, compute_scalings(curve, pot, 0.05, exps), U
 
     return rstar, build
@@ -165,15 +166,10 @@ class TestCorrectors:
         q = (-(2 * sf.fprime[0] ** 2 * H + G) * (h / k) * r * U23.values
              - h * k * H * U23.derivative(r)) / k**2
         op = SectorOperator("Lr", 1, 0.0, 1, 3.0)
-        _, kv, w, idx = sector_kernel(op, U23)
-        b = q[idx] * np.sqrt(w)
-        b -= kv @ (kv.T @ b)
-        proj = np.zeros_like(q)
-        proj[idx] = b / np.sqrt(w)
         sol = np.zeros(grid30.m)
         sol[: co.ygrid.size] = co.w_ro[0, 0]
         back = apply_sector(op, U23, U23.with_values(sol))
-        assert np.max(np.abs(back.values[idx] - proj[idx])) < 1e-7
+        assert np.max(np.abs(back.values - kernel_projected(op, U23, q))) < 1e-7
 
     def test_f1_budget_telescopes(self, U23, bump_potential, exps23):
         curve, pot, sf = circle_setup(bump_potential, 0.701247, 64, 0.05, exps23)
@@ -189,6 +185,16 @@ class TestCorrectors:
                                       0.0, exps23)
         with pytest.raises(CurveNotCriticalError):
             build_correctors(curve, pot, sf, U23, criticality_tol=0.05)
+
+    def test_n3_criticality_check_acts(self, circle_n3):
+        # d = 2 projects its translation kernel too (lowest eigenvalue
+        # 1.48e-4): the critical circle removes a small nonzero part, and
+        # the default criticality_tol rejects a 1.3× off-critical circle
+        rstar, build = circle_n3
+        removed = build_correctors(*build(64)).removed_wro
+        assert np.all((removed > 0.0) & (removed <= 2e-4))
+        with pytest.raises(CurveNotCriticalError):
+            build_correctors(*build(64, 1.3 * rstar))
 
     def test_constant_potential_rejected_upstream(self, U23, exps23):
         # constant V admits no critical closed curve: the odd corrector
@@ -248,7 +254,8 @@ class TestCorrectors:
         assert np.array_equal(co.v0_even2, co.v0_even2.transpose(0, 2, 1, 3))
         (A, C), _ = co.source_even, co.source_odd
         Ctl = C - np.eye(2)[:, :, None] * np.einsum("mmy->y", C) / 2
-        assert np.max(np.abs(Ctl)) > 1.0          # the ℓ=2 sector is driven
+        assert np.max(np.abs(Ctl)) > 0.1          # the ℓ=2 sector is driven
+        assert lr_sector_oracle_error(U, 3.0, 2) < 5e-5
         op = SectorOperator("Lr", 2, 0.0, 2, 3.0)
         for m, l in ((0, 0), (0, 1), (1, 1)):
             sol = np.zeros(grid30.m)
@@ -280,11 +287,9 @@ class TestLevel2Correctors:
 
     @pytest.mark.parametrize("name, gate", [("circle-n2", 1e-11),
                                             ("ellipse", 1e-11),
-                                            ("circle-n3", 1e-8)])
+                                            ("circle-n3", 1e-11)])
     def test_matches_per_node_sources(self, cases, name, gate):
-        # the node-by-node assembly is the reference; for n = 3 the ℓ=1
-        # near-kernel leaves w_ro ~3e-10 (relative) off the span of its two
-        # radial solves, which bounds the agreement
+        # the node-by-node assembly is the reference
         curve, pot, sf, U = cases(name)
         co = build_correctors(curve, pot, sf, U, criticality_tol=np.inf)
         ref = level2_correctors_per_node(curve, pot, sf, U, co.w_ro)

@@ -13,9 +13,11 @@ from nlscurve import radial
 from nlscurve.errors import ConvergenceError, ValidationError
 from nlscurve.radial import (RadialGrid, SectorOperator, apply_sector,
                              ground_state, ode_residual, scaled_profile,
-                             sector_solve, sector_spectrum, solve_ground_state)
+                             sector_kernel, sector_solve, sector_spectrum,
+                             solve_ground_state)
 
-from oracles import (ground_state_u0_collocation, poschl_teller_levels,
+from oracles import (ground_state_u0_collocation, kernel_projected,
+                     lr_sector_oracle_error, poschl_teller_levels,
                      shooting_ground_state)
 
 # the shooting oracle's (amplitude, seed values), one bisection per input
@@ -256,7 +258,6 @@ class TestSectorSolve:
         assert np.max(np.abs(sol)) < 1e-8
 
     def test_round_trip_gaussian_bumps(self, U23, grid30):
-        from nlscurve.radial import sector_kernel
         r = grid30.nodes
         for kind, ell in [("Lr", 0), ("Lr", 1), ("Li", 0), ("Li", 1)]:
             op = SectorOperator(kind, ell, 0.0, 1, 3.0)
@@ -268,29 +269,23 @@ class TestSectorSolve:
                 sol, removed = sector_solve(op, U23, rhs.values)
                 back = apply_sector(op, U23, U23.with_values(sol))
                 # compare against the projected rhs on the active nodes
-                _, kv, w, idx = sector_kernel(op, U23)
-                b = rhs.values[idx] * np.sqrt(w)
-                if kv.shape[1]:
-                    b = b - kv @ (kv.T @ b)
-                proj = np.zeros_like(rhs.values)
-                proj[idx] = b / np.sqrt(w)
+                proj = kernel_projected(op, U23, rhs.values)
                 scale = max(np.max(np.abs(proj)), 1.0)
-                assert np.max(np.abs(back.values[idx] - proj[idx])) < 1e-8 * scale
+                assert np.max(np.abs(back.values - proj)) < 1e-8 * scale
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_stacked_rows_match_single_solves(self, grid30, n):
         # one call on a (2, 3, m) stack equals six one-row calls, and every
         # row round-trips onto its own kernel-projected right-hand side
-        from nlscurve.radial import sector_kernel
         U = ground_state(n, 3, grid30)
         d, r = n - 1, grid30.nodes
         for kind in ("Lr", "Li"):
             for ell in range(2 if d == 1 else 3):
                 op = SectorOperator(kind, ell, 0.0, d, 3.0)
-                _, kv, w, idx = sector_kernel(op, U)
+                kv, (_, _, w, idx) = sector_kernel(op, U)
                 kern = np.zeros(grid30.m)
-                if kv.shape[1]:
-                    kern[idx] = kv[:, 0] / np.sqrt(w)
+                if kv is not None:
+                    kern[idx] = kv / np.sqrt(w)
                 bumps = [np.exp(-((r - c) ** 2)) * (r / (1 + r) if ell else 1.0)
                          for c in (1.0, 3.0, 6.0)]
                 rows = np.array(bumps + [bumps[0] + kern, kern,
@@ -303,18 +298,13 @@ class TestSectorSolve:
                         scale = max(np.max(np.abs(one)), 1.0)
                         assert np.max(np.abs(sol[a, c] - one)) < 1e-12 * scale
                         assert abs(removed[a, c] - rem) < 1e-12
-                        b = rows[a, c, idx] * np.sqrt(w)
-                        if kv.shape[1]:
-                            b = b - kv @ (kv.T @ b)
+                        proj = kernel_projected(op, U, rows[a, c])
                         back = apply_sector(op, U, U.with_values(sol[a, c]))
-                        # forward error plus the backward error of a solve
-                        # whose solution is large (near-singular sectors)
-                        tol = 1e-8 * max(np.max(np.abs(b / np.sqrt(w))), 1.0) \
-                            + 1e-14 * np.max(np.abs(sol[a, c])) / grid30.dr**2
-                        assert np.max(np.abs(back.values[idx] - b / np.sqrt(w))) < tol
+                        tol = 1e-8 * max(np.max(np.abs(proj)), 1.0)
+                        assert np.max(np.abs(back.values - proj)) < tol
                 # the zero row solves to zero with nothing removed
                 assert removed[1, 2] == 0.0 and np.all(sol[1, 2] == 0.0)
-                if kv.shape[1]:
+                if kv is not None:
                     assert removed[1, 1] > 0.999
                     assert np.all(removed[0] < removed[1, 1])
                 else:
@@ -333,3 +323,38 @@ class TestSectorSolve:
         with pytest.raises(IllPosedSolveError) as info:
             sector_solve(op, U23, rows, ill_posed_tol=tol)
         assert info.value.overlap == pytest.approx(removed[2], rel=1e-12)
+
+    @pytest.mark.parametrize("n, p, ell", [(2, 3.0, 1), (3, 3.0, 1), (4, 2.0, 1),
+                                           (3, 3.0, 2), (4, 2.0, 2)])
+    def test_lr_sector_oracles(self, grid30, n, p, ell):
+        # L_r(rU) = -(p-1)rU^p - 2U' and L_r(r²U) = -(p-1)r²U^p - 4rU' to
+        # the grid's O(dr²); for d ≥ 2 the ℓ=1 solve matches only once the
+        # translation kernel is projected off (lowest eigenvalue 1.48e-4
+        # for n = 3, -3.8e-6 for n = 4)
+        gate = 1e-4 if ell == 1 else 5e-5
+        assert lr_sector_oracle_error(ground_state(n, p, grid30), p, ell) < gate
+
+    def test_eigensolve_only_in_kernel_sectors(self, grid30, monkeypatch):
+        # the kernels are known: the unshifted L_i ℓ=0 and L_r ℓ=1 sectors
+        # take one eigenvector each, every other sector none, and removes 0
+        real = radial.eigh_tridiagonal
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "eigh_tridiagonal", counting)
+        for n, p in ((2, 3.0), (3, 3.0), (4, 2.0)):
+            U, d = ground_state(n, p, grid30), n - 1
+            bump = np.exp(-((grid30.nodes - 2.0) ** 2)) * grid30.nodes
+            for kind in ("Lr", "Li"):
+                for ell in range(2 if d == 1 else 3):
+                    for shift in (0.0, 0.5, -0.5):
+                        calls.clear()
+                        op = SectorOperator(kind, ell, shift, d, p)
+                        _, removed = sector_solve(op, U, bump)
+                        if shift == 0.0 and (kind, ell) in (("Li", 0), ("Lr", 1)):
+                            assert len(calls) == 1 and removed > 0.0
+                        else:
+                            assert calls == [] and removed == 0.0

@@ -11,7 +11,7 @@ from nlscurve.errors import (BranchTrackingError, ConvergenceError,
                              ValidationError)
 from nlscurve.geometry import CurveSpec, build_curve, sample_potential
 from nlscurve.radial import (RadialGrid, SectorOperator, apply_sector,
-                             ground_state, sector_kernel, sector_spectrum)
+                             ground_state, sector_spectrum)
 from nlscurve.resonance import q_integrals
 from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import (BOUND_BRANCHES, alpha_field, bound_state_counts,
@@ -25,7 +25,7 @@ from conftest import circle_setup
 from oracles import (CoupledSectorOperator, bound_state_counts_per_sector,
                      coupled_bands, coupled_spectrum, decay_rate_windowed,
                      eigenvalue_derivative, eigenvalue_second_derivative,
-                     poschl_teller_levels, sector_floors)
+                     kernel_projected, poschl_teller_levels, sector_floors)
 
 
 class TestCoupledSpectrum:
@@ -239,6 +239,23 @@ class TestBranches:
         # the closed form against finite differences of ARPACK eigenvalues
         numeric = eigenvalue_second_derivative(U23, 3.0, 0.1, 0.0)
         assert abs(numeric - eta_curvature(U23, 3.0, 0.1)) < 1e-2
+
+    def test_eta_curvature_shifted_solve_removes_nothing(self, U23,
+                                                          monkeypatch):
+        # the L_i ℓ=0 solve is shifted by -η₀ > 0, so it has no kernel
+        real = spectrum.sector_solve
+        seen = []
+
+        def recording(op, U, rhs, **kwargs):
+            out = real(op, U, rhs, **kwargs)
+            seen.append((op, out[1]))
+            return out
+
+        monkeypatch.setattr(spectrum, "sector_solve", recording)
+        eta_curvature(U23, 3.0, 0.1)
+        [(op, removed)] = seen
+        assert (op.kind, op.ell) == ("Li", 0) and op.shift > 0.0
+        assert removed == 0.0
 
     def test_next_eigenvalues_are_continuum(self, U23):
         # the eigenvalue after the traced ones in each sector is the lowest
@@ -603,13 +620,8 @@ class TestPerturbationProfiles:
         c_th = (2.0 - 4.0 * A2h * exps23.theta / 2.0)
         rhs = c_th * dU - 2.0 * dU - 4.0 * A2h * r * U23.values
         op = SectorOperator("Lr", 1, 0.0, 1, 3.0)
-        _, kv, w, idx = sector_kernel(op, U23)
-        b = rhs[idx] * np.sqrt(w)
-        b -= kv @ (kv.T @ b)
-        proj = np.zeros_like(rhs)
-        proj[idx] = b / np.sqrt(w)
         back = apply_sector(op, U23, X.with_values(2 * X.values))
-        assert np.max(np.abs(back.values[idx] - proj[idx])) < 1e-7
+        assert np.max(np.abs(back.values - kernel_projected(op, U23, rhs))) < 1e-7
 
     def test_branch_curvatures_match_closed_forms(self, U23, exps23):
         # finite-difference curvature of both zero branches at α = 0 against
