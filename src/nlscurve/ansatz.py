@@ -31,20 +31,21 @@ Every corrector solve uses the scaled model operator: factoring the phase
 out of -∂²_ss leaves +(f')², so the zeroth-order coefficient is
 (f')² + V = k² and the solve reduces to the unit sectors via y = kz.
 
-The operators do not depend on the node, and every level-2 source term is
+The operators do not depend on the node, and every corrector source term is
 a node coefficient times one of a few fixed radial functions: each sector
-solves those functions once and the nodes only combine the solutions.  Only
-w_ro is solved one row per node, for its per-node criticality check.
+solves those functions once and the nodes only combine the solutions.  The
+w_ro source is the combination of yU and U' whose kernel part measures the
+criticality of the curve at each node.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, CurveNotCriticalError, IllPosedSolveError
+from .errors import ValidationError, CurveNotCriticalError
 from .geometry import (periodic_antiderivative, periodic_derivative,
                        sample_potential)
-from .radial import SectorOperator, sector_solve
+from .radial import SectorOperator, sector_kernel, sector_solve
 from .scalings import compute_f1, compute_scalings
 from .tube import (apply_S_eps, build_tube_grid, convergence_order,
                    weighted_norm)
@@ -77,8 +78,9 @@ class CorrectorSet:
     Scalar coefficient arrays have shape (M,); solved radial fields live on
     the common window ``ygrid`` as (M, ...) arrays, each the node
     coefficients times the sector solutions of the radial functions.
-    ``removed_wro`` is the relative kernel component projected out of the
-    odd real solve, bounded by the criticality of the curve.
+    ``removed_wro`` is, per node, the largest relative kernel component of
+    the odd real corrector's source over the normal directions, bounded by
+    the criticality of the curve.
     """
 
     ygrid: np.ndarray
@@ -102,12 +104,12 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
                      criticality_tol=0.1):
     """All corrector data for the ansatz, one batched solve per sector operator.
 
-    Solvability of the odd real corrector requires the curve to be critical;
-    the relative kernel component removed from its right-hand side, one row
-    per node, is recorded, and a CurveNotCriticalError is raised when it
-    exceeds ``criticality_tol``.  The level-2 sources are node coefficients
-    times fixed radial functions, so their sectors solve a number of rows
-    that does not depend on M.
+    Solvability of the odd real corrector requires the curve to be critical:
+    the relative kernel component of its source at each node is recorded,
+    and a CurveNotCriticalError is raised when it exceeds
+    ``criticality_tol``.  Every source is node coefficients times fixed
+    radial functions, so each sector solves a number of rows that does not
+    depend on M.
     """
     params = params or AnsatzParams()
     exps = sf.exps
@@ -156,40 +158,38 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     ygrid = r[:ny]
 
     # ---- odd real corrector w_ro: one ℓ=1 solve for all nodes -------------
+    # its source at each node and normal direction is w·(yU, U'), so the
+    # solves phi of those two rows give w_ro = w·phi, and the source's removed
+    # kernel fraction is |w·κ|/√(w·Γ·w) with the weighted rows' kernel
+    # overlaps κ and Gram matrix Γ
+    vec = (2.0 * fp[:, None]**2 * Hc + G) / k[:, None]   # (2f'²H + ∇V)/k
+    w = np.stack([-vec * (h / k**2)[:, None], -Hc * (h / k)[:, None]],
+                 axis=-1)                             # (M, d, 2)
     op_r1 = SectorOperator("Lr", 1, 0.0, d, p)
-    try:
-        w_ro, removed = sector_solve(
-            op_r1, U,
-            ((-(2.0 * fp[:, None]**2 * Hc + G) * (h / k)[:, None])[..., None]
-             * y * Uv - ((h * k)[:, None] * Hc)[..., None] * dU)
-            / (k**2)[:, None, None],
-            ill_posed_tol=criticality_tol)
-    except IllPosedSolveError as exc:
+    rows = np.stack([y * Uv, dU])
+    phi = np.zeros((2, r.size))
+    phi[:, :ny] = sector_solve(op_r1, U, rows)[0][:, :ny]
+    w_ro = w @ phi[:, :ny]                            # (M, d, ny)
+    kernel, (_, _, weight, idx) = sector_kernel(op_r1, U)
+    rows = rows[:, idx] * np.sqrt(weight)             # weighted, as in the solve
+    wGw = np.maximum(np.einsum("ijf,fg,ijg->ij", w, rows @ rows.T, w), 0.0)
+    removed = np.max(np.abs(w @ (rows @ kernel))
+                     / np.maximum(np.sqrt(wGw), 1e-300), axis=1)
+    if np.max(removed) > criticality_tol:
         raise CurveNotCriticalError(
             "odd corrector source has a kernel component; "
             "the curve does not satisfy the extremality condition",
-            exc.overlap) from exc
-    w_ro = w_ro[..., :ny]                             # (M, d, ny)
-    removed = np.max(removed, axis=1)
+            float(np.max(removed)))
 
     # ---- level-2 sources in the section algebra ---------------------------
     # Parameter-independent parts only: w_re, w_io, f1, f2 terms are excluded
     # by construction (they carry their own bookkeeping in the expansion).
-    # Every w_ro row lies in the span of the ℓ=1 solves of yU and U'.  U' is
-    # almost all kernel, so its solve is round-off or grid error (1e-10 for
-    # n = 2, 3e-5 for n = 3) and the solves' Gram matrix has condition
-    # 1e9–1e19: an orthonormal basis phi makes w (w_ro ≈ w·phi) a projection.
-    phi = np.zeros((2, r.size))
-    phi[:, :ny] = np.linalg.qr(
-        sector_solve(op_r1, U, np.stack([y * Uv, dU]))[0][:, :ny].T)[0].T
-    w = w_ro @ phi[:, :ny].T                          # (M, d, 2)
     dw = periodic_derivative(w, L)                    # ∂_s̄ at fixed y
     dphi = np.gradient(phi, y, axis=1, edge_order=2)
     phi_y = np.hstack([dphi[:, :1], phi[:, 1:] / y[1:]])   # phi/y, y[0] = 0
     Upm2 = np.where(Uv > 0, Uv ** (p - 2.0), 0.0)
     hpm2 = h ** (p - 2.0)
     c_ie, dc_ie = c_wie, periodic_derivative(c_wie, L)
-    vec = (2.0 * fp[:, None]**2 * Hc + G) / k[:, None]   # (2f'²H + ∇V)/k
 
     def sym(X):                                       # symmetrize in (m, l)
         return 0.5 * (X + X.swapaxes(1, 2))

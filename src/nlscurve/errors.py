@@ -14,17 +14,6 @@ class ConvergenceError(RuntimeError):
     """
 
 
-class IllPosedSolveError(RuntimeError):
-    """A linear solve was requested with a large component in the operator kernel.
-
-    The offending overlap magnitude is stored in ``overlap``.
-    """
-
-    def __init__(self, message, overlap):
-        super().__init__(f"{message} (kernel overlap {overlap:.3e})")
-        self.overlap = overlap
-
-
 class BranchTrackingError(RuntimeError):
     """Eigenvector-overlap matching between consecutive samples became ambiguous."""
 
@@ -43,7 +32,7 @@ class PhaseLawError(RuntimeError):
 
 
 class CurveNotCriticalError(RuntimeError):
-    """A corrector solve removed a kernel component larger than tolerated.
+    """The odd corrector's source has a kernel component larger than tolerated.
 
     Solvability of the odd corrector equation requires the curve to satisfy
     the extremality condition; a large projected-off component means it does

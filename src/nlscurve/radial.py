@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from .errors import ValidationError, ConvergenceError, IllPosedSolveError
+from .errors import ValidationError, ConvergenceError
 
 # Petviashvili's iteration for the ground state: step cap and the relative
 # change at which Newton takes over.  The error contracts by the next radial
@@ -147,7 +147,7 @@ class RadialProfile:
     ``decay_rate`` is the exponential rate fitted on the last quarter of the
     grid after removing the known polynomial prefactor r^{-(d-1)/2}; it is 0.0
     for profiles where no fit was requested.  Between the nodes the profile
-    is the not-a-knot cubic through its values.
+    is the not-a-knot cubic through its values; past r_max it is 0.
     """
 
     grid: RadialGrid
@@ -168,15 +168,10 @@ class RadialProfile:
                            UniformCubic.not_a_knot(self.grid.nodes, vals))
 
     def __call__(self, r):
-        """Evaluate at |r|, with exponential extrapolation past r_max."""
+        """Evaluate at |r| (zero past r_max, the Dirichlet wall)."""
         r = np.abs(np.asarray(r, dtype=float))
         out = self._cubic(np.minimum(r, self.grid.r_max))
-        beyond = r > self.grid.r_max
-        if np.any(beyond):
-            rate = self.decay_rate if self.decay_rate > 0 else 1.0
-            edge = self.values[-1]
-            out = np.where(beyond, edge * np.exp(-rate * (r - self.grid.r_max)), out)
-        return out
+        return np.where(r <= self.grid.r_max, out, 0.0)
 
     def derivative(self, r):
         """Radial derivative du/dr evaluated at |r| (zero past r_max)."""
@@ -516,18 +511,18 @@ def sector_kernel(op, U):
     return vecs[:, 0], matrix
 
 
-def sector_solve(op, U, rhs, ill_posed_tol=np.inf):
+def sector_solve(op, U, rhs):
     """Minimal-norm solutions of (sector operator) u = rhs, one per row.
 
     ``rhs`` holds nodal values on U's grid, shape (..., m).  In the two
     sectors with a kernel (``sector_kernel``) every row is projected off it
     first; ``removed`` (shape rhs.shape[:-1]) is the relative norm of the
     removed component against the row, both in the weighted norm, and is 0
-    in every other sector.  If any row's removed fraction exceeds
-    ``ill_posed_tol``, an IllPosedSolveError carrying the largest is raised.
-    All rows share one banded solve, and the solutions are projected off the
-    kernel again, which makes each the minimal-norm one.  Returns (values,
-    removed) with values of rhs's shape.
+    in every other sector.  All rows share one banded solve, and the
+    solutions are projected off the kernel again, which makes each the
+    minimal-norm one.  The solve is linear in the rows, so a combination of
+    rows solves to the same combination of their solutions.  Returns
+    (values, removed) with values of rhs's shape.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[-1:] != (U.grid.m,) or not np.all(np.isfinite(rhs)):
@@ -543,10 +538,6 @@ def sector_solve(op, U, rhs, ill_posed_tol=np.inf):
         coeffs = b @ kernel
         bnorm = np.linalg.norm(b, axis=1)
         removed = np.abs(coeffs) / np.maximum(bnorm, 1e-300)
-        if np.any(removed > ill_posed_tol):
-            raise IllPosedSolveError(
-                "sector solve right-hand side lies in the kernel",
-                float(np.max(removed)))
         b -= np.outer(coeffs, kernel)
 
     ab = np.zeros((3, diag.size))

@@ -182,6 +182,25 @@ def fourier_symbol_jacobi_circle(h, Vpp, Hcomp, theta, sigma, p, A, L, M):
     return np.sort(np.array(vals))
 
 
+def odd_corrector_per_node(curve, pot, sf, U):
+    """The odd real corrector solved one row per node and normal direction.
+
+    The reference for ``ansatz.build_correctors``: the ℓ=1 sector solve of
+    each node's source [-(2f'²H + ∇V)(h/k)·yU - hkH·U']/k², as the paper
+    writes it.  Returns (w_ro, removed) with w_ro (M, d, m) on U's whole
+    grid and removed (M, d) each row's removed kernel fraction.
+    """
+    r = U.grid.nodes
+    h, k, fp = sf.h, sf.k, sf.fprime
+    Hc, G = curve.curvature, pot.grad_normal
+    src = ((-(2.0 * fp[:, None]**2 * Hc + G) * (h / k)[:, None])[..., None]
+           * r * U.values
+           - ((h * k)[:, None] * Hc)[..., None] * U.derivative(r)) \
+        / (k**2)[:, None, None]
+    return sector_solve(SectorOperator("Lr", 1, 0.0, curve.n - 1, sf.exps.p),
+                        U, src)
+
+
 def level2_correctors_per_node(curve, pot, sf, U, w_ro):
     """Second-order correctors v⁰ with the sources assembled node by node.
 

@@ -19,7 +19,7 @@ from nlscurve.tube import (apply_S_eps, build_tube_grid, convergence_order,
 
 from conftest import circle_setup
 from oracles import (kernel_projected, level2_correctors_per_node,
-                     lr_sector_oracle_error)
+                     lr_sector_oracle_error, odd_corrector_per_node)
 
 
 @pytest.fixture(scope="module")
@@ -282,8 +282,24 @@ class TestLevel2Correctors:
                 pot = sample_potential(bump_potential, curve)
                 return curve, pot, compute_scalings(curve, pot, 0.05,
                                                     exps23), U23
+            if name == "circle-n3-off":
+                return circle_n3[1](M or 64, 1.3 * circle_n3[0])
             return circle_n3[1](M or 64)
         return build
+
+    @pytest.mark.parametrize("name", ["circle-n2", "ellipse", "circle-n3",
+                                      "circle-n3-off"])
+    def test_odd_corrector_matches_per_node_solve(self, cases, name):
+        # every node's own source solved row by row is the reference; the
+        # ellipse and the 1.3× off-critical n = 3 circle keep a large
+        # kernel part
+        curve, pot, sf, U = cases(name)
+        co = build_correctors(curve, pot, sf, U, criticality_tol=np.inf)
+        ref, removed = odd_corrector_per_node(curve, pot, sf, U)
+        ny = co.ygrid.size
+        scale = np.max(np.abs(co.w_ro))
+        assert np.max(np.abs(co.w_ro - ref[..., :ny])) <= 1e-12 * scale
+        assert np.max(np.abs(co.removed_wro - removed.max(axis=1))) <= 1e-12
 
     @pytest.mark.parametrize("name, gate", [("circle-n2", 1e-11),
                                             ("ellipse", 1e-11),
@@ -307,9 +323,9 @@ class TestLevel2Correctors:
         real = ansatz_mod.sector_solve
         calls = []
 
-        def counting(op, U, rhs, **kwargs):
+        def counting(op, U, rhs):
             calls.append((op.kind, op.ell, int(np.prod(np.shape(rhs)[:-1]))))
-            return real(op, U, rhs, **kwargs)
+            return real(op, U, rhs)
 
         monkeypatch.setattr(ansatz_mod, "sector_solve", counting)
         rows = {}
@@ -319,12 +335,12 @@ class TestLevel2Correctors:
             build_correctors(curve, pot, sf, U)
             rows[M] = list(calls)
         d = curve.n - 1
-        # only the odd real corrector w_ro is solved one row per node
-        for M in rows:
-            assert rows[M][0] == ("Lr", 1, M * d)
-        assert rows[64][1:] == rows[256][1:]
+        # every sector, the odd real corrector's two rows included, solves
+        # the same rows at any M
+        assert rows[64] == rows[256]
+        assert ("Lr", 1, 2) in rows[64]
         sectors = {("Lr", 0), ("Li", 1)} | ({("Lr", 2)} if d >= 2 else set())
-        assert sectors <= {call[:2] for call in rows[64][1:]}
+        assert sectors <= {call[:2] for call in rows[64]}
 
     @pytest.mark.parametrize("name", ["circle-n2", "circle-n3"])
     def test_peak_memory_near_returned_tables(self, cases, name):
@@ -632,6 +648,21 @@ class TestResidualStudy:
         norms, sizes = ladder(16, levels=(0,))
         assert norms.size == 3
         assert sizes == [80] and len(calls) == 1
+
+    def test_n3_critical_circle_orders(self, circle_n3):
+        # the n = 3 corrector and tube path on the planar critical circle
+        # in R³ at A = 0.05 (slopes 1.195, 2.24, 2.545 here)
+        rstar, build = circle_n3
+        records, fits = residual_study(
+            lambda M: build_curve(CurveSpec("circle", n=3, radius=rstar), M),
+            PotentialField("1/(1+r2)", 3), 0.05, compute_exponents(3, 3),
+            build(64)[3], [0.2, 0.1, 0.05], base_M=16)
+        assert fits[0]["slope"] >= 1.1
+        assert fits[1]["slope"] >= 2.1
+        assert fits[2]["slope"] >= 2.4
+        norms = {(r["eps"], r["level"]): r["norm"] for r in records}
+        for eps in (0.2, 0.1, 0.05):
+            assert norms[eps, 2] < norms[eps, 1]
 
 
 class TestConvergenceOrder:

@@ -136,6 +136,14 @@ class TestUniformCubic:
         # every node but r_max starts its own interval: the value itself
         assert np.array_equal(U(grid30.nodes[:-1]), U.values[:-1])
 
+    def test_zero_past_r_max(self, U23, grid30):
+        # past the Dirichlet wall a profile and its derivative are 0,
+        # whatever value it takes at the wall
+        r = np.array([30.0 + 1e-12, 31.0, 100.0, -31.0])
+        for prof in (U23, U23.with_values(np.ones(grid30.m))):
+            assert np.all(prof(r) == 0.0)
+            assert np.all(prof.derivative(r) == 0.0)
+
     def test_oscillating_rows(self, grid30):
         # a non-monotone profile, and stacked value rows; an order-nu
         # derivative carries rounding of order eps·max|y|/dr^nu in both codes
@@ -309,20 +317,6 @@ class TestSectorSolve:
                     assert np.all(removed[0] < removed[1, 1])
                 else:
                     assert np.all(removed == 0.0)
-
-    def test_ill_posed_row_raises(self, U23, grid30):
-        # the check is per row: one kernel-dominated row among clean ones
-        # raises with its own removed fraction
-        from nlscurve.errors import IllPosedSolveError
-        op = SectorOperator("Li", 0, 0.0, 1, 3.0)
-        bump = np.exp(-((grid30.nodes - 6.0) ** 2))
-        rows = np.array([bump, bump, bump + 10.0 * U23.values])
-        _, removed = sector_solve(op, U23, rows)
-        tol = 0.5 * (removed[0] + removed[2])
-        sector_solve(op, U23, rows[:2], ill_posed_tol=tol)
-        with pytest.raises(IllPosedSolveError) as info:
-            sector_solve(op, U23, rows, ill_posed_tol=tol)
-        assert info.value.overlap == pytest.approx(removed[2], rel=1e-12)
 
     @pytest.mark.parametrize("n, p, ell", [(2, 3.0, 1), (3, 3.0, 1), (4, 2.0, 1),
                                            (3, 3.0, 2), (4, 2.0, 2)])
