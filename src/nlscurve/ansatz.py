@@ -48,7 +48,7 @@ from .geometry import (periodic_antiderivative, periodic_derivative,
 from .radial import SectorOperator, sector_kernel, sector_solve
 from .scalings import compute_f1, compute_scalings
 from .tube import (apply_S_eps, build_tube_grid, convergence_order,
-                   weighted_norm)
+                   core_radius, weighted_norm, z_spacing)
 
 VARSIGMA = 0.5      # decay weight ς of the residual norms, 𝔭 = ς·k
 
@@ -166,11 +166,12 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     w = np.stack([-vec * (h / k**2)[:, None], -Hc * (h / k)[:, None]],
                  axis=-1)                             # (M, d, 2)
     op_r1 = SectorOperator("Lr", 1, 0.0, d, p)
+    setup = sector_kernel(op_r1, U)                   # shared by solve and check
     rows = np.stack([y * Uv, dU])
     phi = np.zeros((2, r.size))
-    phi[:, :ny] = sector_solve(op_r1, U, rows)[0][:, :ny]
+    phi[:, :ny] = sector_solve(op_r1, U, rows, setup)[0][:, :ny]
     w_ro = w @ phi[:, :ny]                            # (M, d, ny)
-    kernel, (_, _, weight, idx) = sector_kernel(op_r1, U)
+    kernel, (_, _, weight, idx) = setup
     rows = rows[:, idx] * np.sqrt(weight)             # weighted, as in the solve
     wGw = np.maximum(np.einsum("ijf,fg,ijg->ij", w, rows @ rows.T, w), 0.0)
     removed = np.max(np.abs(w @ (rows @ kernel))
@@ -400,11 +401,11 @@ def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list):
     for eps in eps_list:
         norms, fields = [], []
         grids = []
-        for wide, off in ((False, False), (True, True)):
+        for wide in (False, True):
             grid = build_tube_grid(curve, V, sf, eps, sf.exps.p,
                                    delta_bar=delta_bar, dz_factor=8,
-                                   radius_factor=1.6 if wide else 1.0,
-                                   cutoff_off=off)
+                                   half_width=1.6 * grids[0].R_outer
+                                   if wide else None, cutoff_off=wide)
             grids.append(grid)
             ans = assemble_ansatz(grid, curve, sf, U, correctors,
                                   AnsatzParams(level=0))
@@ -444,20 +445,27 @@ def residual_study(curve_for, V, phase_speed, exps, U, eps_list,
     s-spacing 1/ds at the largest ε.  For each ε only the tube grid is
     built, and the requested ansatz levels are assembled and measured.  All
     ε are measured over the common z-window given by the largest ε's cutoff
-    interior, keeping the log-log order fits free of window effects.
-    Returns (records, fits).
+    interior (``core_radius``), keeping the log-log order fits free of
+    window effects.  Each ε's tube grid covers only that window plus the
+    stencil margin, so its size does not grow with 1/ε: at a window node
+    the cutoff is 1, the field is assembled pointwise, and S_ε reads only
+    the node's z-column and 2 nodes either side, so the norms equal those
+    of the full grid bit for bit.  Returns (records, fits).
     """
     eps_list = list(eps_list)
     curve = curve_for(int(np.ceil(base_M / max(eps_list))))
     pot = sample_potential(V, curve)
     sf = compute_scalings(curve, pot, phase_speed, exps)
     correctors = build_correctors(curve, pot, sf, U, f1_drift=f1_drift)
-    grids = [build_tube_grid(curve, V, sf, eps, exps.p, delta_bar=delta_bar,
-                             dz_factor=dz_factor) for eps in eps_list]
-    z_window = min(float(np.min(grid.core_radius)) for grid in grids)
+    dz = z_spacing(sf, dz_factor)
+    z_window = min(float(np.min(core_radius(np.sqrt(pot.values), eps,
+                                            delta_bar, dz)))
+                   for eps in eps_list)
 
     records = []
-    for eps, grid in zip(eps_list, grids):
+    for eps in eps_list:
+        grid = build_tube_grid(curve, V, sf, eps, exps.p, delta_bar=delta_bar,
+                               half_width=z_window, dz_factor=dz_factor)
         for level in levels:
             ans = assemble_ansatz(grid, curve, sf, U, correctors,
                                   AnsatzParams(level=level))

@@ -511,7 +511,7 @@ def sector_kernel(op, U):
     return vecs[:, 0], matrix
 
 
-def sector_solve(op, U, rhs):
+def sector_solve(op, U, rhs, setup=None):
     """Minimal-norm solutions of (sector operator) u = rhs, one per row.
 
     ``rhs`` holds nodal values on U's grid, shape (..., m).  In the two
@@ -522,13 +522,14 @@ def sector_solve(op, U, rhs):
     solutions are projected off the kernel again, which makes each the
     minimal-norm one.  The solve is linear in the rows, so a combination of
     rows solves to the same combination of their solutions.  Returns
-    (values, removed) with values of rhs's shape.
+    (values, removed) with values of rhs's shape.  ``setup`` is
+    ``sector_kernel(op, U)`` when the caller already has it.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[-1:] != (U.grid.m,) or not np.all(np.isfinite(rhs)):
         raise ValidationError("right-hand sides must be finite nodal values "
                               "on the profile's grid")
-    kernel, (diag, off, weight, idx) = sector_kernel(op, U)
+    kernel, (diag, off, weight, idx) = setup or sector_kernel(op, U)
     sqrtw = np.sqrt(weight)
     act = slice(idx[0], idx[-1] + 1)
     b = rhs.reshape(-1, rhs.shape[-1])[:, act] * sqrtw      # (rows, nact)

@@ -51,7 +51,8 @@ class TubeGrid:
     Shapes: s-dependent arrays are (N_s,); z-dependent are z_shape; mixed
     are (N_s, *z_shape).  ``mask_core`` marks nodes where the cutoff is
     identically 1 with a stencil-width margin — the region used for
-    residual norms.
+    residual norms.  ``R_outer`` is the radius of the cutoff ball, whatever
+    part of it the grid covers.
     """
 
     eps: float
@@ -72,7 +73,7 @@ class TubeGrid:
     H_comp: np.ndarray            # curvature components per node, (N_s, d)
     V_amb: np.ndarray             # ambient potential at grid points, (N_s, *z_shape)
     dz: float
-    core_radius: np.ndarray = None   # per-node radius of the core mask
+    R_outer: float                # (ε^{-δ̄}+1)/min K, the cutoff ball
 
     stencil_order = 4             # z-stencils of apply_S_eps (class constant)
 
@@ -85,25 +86,42 @@ class TubeGrid:
         return len(self.z_axes)
 
 
-def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, radius_factor=1.0,
+MARGIN = 3                        # z-stencil half-width 2, plus one node
+
+
+def z_spacing(sf, dz_factor):
+    """Normal grid spacing 1/(dz_factor·max k̂); it does not depend on ε."""
+    return 1.0 / (dz_factor * float(np.max(sf.k)))
+
+
+def core_radius(K, eps, delta_bar, dz):
+    """Per-node radius of the core: the cutoff is identically 1 up to
+    ε^{-δ̄}/K, less a resolution-independent physical margin of at least
+    the stencil width, so reported norms are grid-stable."""
+    return eps ** (-delta_bar) / K - np.maximum(0.5 / K, MARGIN * dz)
+
+
+def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, half_width=None,
                     dz_factor=10.0, cutoff_off=False):
     """Tube grid on the curve's s̄ nodes, N_s = curve.M for every ε.
 
     Phase-factored fields are smooth in s̄, so the curve sampling alone sets
-    the resolution along it.  The z extent is radius_factor·(ε^{-δ̄}+1)/min K
-    plus the stencil margin; spacing is 1/(dz_factor·max k̂).  ``cutoff_off``
-    replaces the cutoff by 1 (reference runs on wider grids).
+    the resolution along it.  The z axes cover |z_j| <= ``half_width``
+    (by default the cutoff ball's radius R_outer = (ε^{-δ̄}+1)/min K) plus
+    the stencil margin, with spacing ``z_spacing``.  The focal-distance
+    check covers the whole cutoff ball, or the grid if it is wider.
+    ``cutoff_off`` replaces the cutoff by 1 (reference runs on wider grids).
     """
     N_s = curve.M
     sbar = curve.s.copy()
     L = curve.L
 
     Kcurve = np.sqrt(V(curve.positions))
-    kmax = float(np.max(sf.k))
-    dz = 1.0 / (dz_factor * kmax)
-    margin = 3                     # z-stencil half-width 2, plus one node
-    R_outer = radius_factor * (eps ** (-delta_bar) + 1.0) / np.min(Kcurve)
-    half = int(np.ceil(R_outer / dz)) + margin
+    dz = z_spacing(sf, dz_factor)
+    R_outer = (eps ** (-delta_bar) + 1.0) / np.min(Kcurve)
+    if half_width is None:
+        half_width = R_outer
+    half = int(np.ceil(half_width / dz)) + MARGIN
     axis = np.arange(-half, half + 1) * dz
 
     d = curve.n - 1
@@ -119,24 +137,23 @@ def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, radius_factor=1.0,
     else:
         cutoff = smooth_step(Kcurve.reshape(-1, *([1] * d)) * znorm[None]
                              - eps ** (-delta_bar))
-    # core: cutoff ≡ 1 with a resolution-independent physical margin (at
-    # least the stencil width), so reported norms are grid-stable
-    phys_margin = np.maximum(0.5 / Kcurve, margin * dz)
-    core_r = (eps ** (-delta_bar)) / Kcurve - phys_margin
+    core_r = core_radius(Kcurve, eps, delta_bar, dz)
     mask_core = znorm[None] <= core_r.reshape(-1, *([1] * d))
 
     Hc = curve.curvature                              # (N_s, d)
-    Hz = np.tensordot(Hc, zcomp, axes=(1, 0))         # (N_s, *z_shape)
-    metric_a = 1.0 - eps * Hz
-    # the field is supported in the cutoff ball; tensor corners beyond it may
+    # a = 1 - ε<H, z> is exact in Fermi coordinates, so it stays positive
+    # on the ball |z| <= R iff ε·max|H|·R < 1
+    R_ball = max(R_outer, half_width) + (MARGIN + 1) * dz
+    if eps * float(np.max(np.linalg.norm(Hc, axis=1))) * R_ball >= 1.0:
+        raise ValidationError("tube radius exceeds the focal distance: "
+                              "metric factor loses positivity inside the "
+                              "cutoff ball")
+    # the field is supported in the ball; tensor corners beyond it may
     # legitimately pass the focal distance, where the metric factor is
     # clamped (values there are identically zero)
-    ball = znorm <= R_outer + (margin + 1) * dz
-    if np.any(metric_a[np.broadcast_to(ball[None], metric_a.shape)] <= 0):
-        raise ValidationError("tube radius exceeds the focal distance: "
-                              "metric factor lost positivity inside the "
-                              "cutoff ball")
-    metric_a = np.where(ball[None], metric_a, np.maximum(metric_a, 0.5))
+    metric_a = 1.0 - eps * np.tensordot(Hc, zcomp, axes=(1, 0))
+    metric_a = np.where((znorm <= R_ball)[None], metric_a,
+                        np.maximum(metric_a, 0.5))
 
     ds_a = -(eps**2) * np.tensordot(periodic_derivative(Hc, L), zcomp, axes=(1, 0))
 
@@ -152,7 +169,7 @@ def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, radius_factor=1.0,
                     z_axes=z_axes, z_shape=z_shape, znorm=znorm, zhat=zhat,
                     zcomp=zcomp, K=Kcurve, cutoff=cutoff, mask_core=mask_core,
                     metric_a=metric_a, ds_a=ds_a, H_comp=Hc, V_amb=V_amb,
-                    dz=dz, core_radius=core_r)
+                    dz=dz, R_outer=float(R_outer))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,16 @@ from scipy.linalg import cho_solve_banded
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from nlscurve.ansatz import (VARSIGMA, AnsatzParams, assemble_ansatz,
+                             build_correctors, residual_field)
 from nlscurve.errors import ConvergenceError, ValidationError
+from nlscurve.geometry import sample_potential
 from nlscurve.radial import (SectorOperator, sector_kernel, sector_matrix,
                              sector_solve)
+from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import (_CoupledSector, _band_matvec, _cholesky_below,
                                _profiles)
+from nlscurve.tube import build_tube_grid, weighted_norm
 
 
 def ground_state_u0_collocation(n, p, r_max=30.0, tol=1e-10):
@@ -470,3 +475,29 @@ def lr_sector_oracle_error(U, p, ell):
     sol, _ = sector_solve(op, U, -(p - 1.0) * r**ell * U.values**p
                           - 2.0 * ell * r ** (ell - 1) * U.derivative(r))
     return float(np.max(np.abs(sol - kernel_projected(op, U, r**ell * U.values))))
+
+
+def residual_norms_full_grid(curve_for, V, phase_speed, exps, U, eps_list,
+                             levels=(0, 1, 2), base_M=256, delta_bar=0.25,
+                             dz_factor=16):
+    """The residual study's norms, in its record order, from full tube grids
+    out to the cutoff ball at every ε.  Each is measured up to the largest
+    |z| that lies in the core mask of every node at every ε, read off the
+    masks rather than from the core-radius formula."""
+    curve = curve_for(int(np.ceil(base_M / max(eps_list))))
+    pot = sample_potential(V, curve)
+    sf = compute_scalings(curve, pot, phase_speed, exps)
+    correctors = build_correctors(curve, pot, sf, U)
+    grids = [build_tube_grid(curve, V, sf, eps, exps.p, delta_bar=delta_bar,
+                             dz_factor=dz_factor) for eps in eps_list]
+    window = min(float(np.min(np.where(g.mask_core, g.znorm, 0.0)
+                              .reshape(g.n_s, -1).max(axis=1)))
+                 for g in grids)
+    norms = []
+    for grid in grids:
+        for level in levels:
+            ans = assemble_ansatz(grid, curve, sf, U, correctors,
+                                  AnsatzParams(level=level))
+            norms.append(weighted_norm(residual_field(ans), grid,
+                                       VARSIGMA * sf.k, z_window=window))
+    return norms

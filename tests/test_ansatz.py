@@ -15,11 +15,12 @@ from nlscurve.scalings import (compute_exponents, compute_scalings,
                                critical_circle_radius)
 from nlscurve.spectrum import alpha_field
 from nlscurve.tube import (apply_S_eps, build_tube_grid, convergence_order,
-                           smooth_step, weighted_norm)
+                           core_radius, smooth_step, weighted_norm, z_spacing)
 
 from conftest import circle_setup
 from oracles import (kernel_projected, level2_correctors_per_node,
-                     lr_sector_oracle_error, odd_corrector_per_node)
+                     lr_sector_oracle_error, odd_corrector_per_node,
+                     residual_norms_full_grid)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,28 @@ class TestCutoff:
         outer = grid.znorm[None] >= (eps ** (-grid.delta_bar) + 1) / K
         assert np.all(grid.cutoff[np.broadcast_to(inner, grid.cutoff.shape)] == 1.0)
         assert np.all(grid.cutoff[np.broadcast_to(outer, grid.cutoff.shape)] == 0.0)
+
+    def test_focal_distance_covers_cutoff_ball(self, bump_potential, exps23):
+        # on the A = 0.05 critical circle at ε = 0.25 the residual window
+        # reaches ε|z|/R ≈ 0.40 (its grid, margin included, 0.49), but the
+        # cutoff ball reaches ≈ 1.05: the build must refuse the tube all the
+        # same
+        R, eps = 0.7012465, 0.25
+        curve, pot, sf = circle_setup(bump_potential, R, 64, 0.05, exps23)
+        K = np.sqrt(pot.values)
+        dz = z_spacing(sf, 16)
+        window = float(np.min(core_radius(K, eps, 0.25, dz)))
+        box = (np.ceil(window / dz) + 3) * dz
+        assert 0.35 < eps * window / R < 0.45 and eps * box / R < 0.5
+        assert eps * (eps ** -0.25 + 1.0) / np.min(K) / R > 1.0
+        with pytest.raises(ValidationError, match="focal distance"):
+            build_tube_grid(curve, bump_potential, sf, eps, 3.0,
+                            half_width=window, dz_factor=16)
+        # ε = 0.2 keeps its cutoff ball inside the focal distance
+        grid = build_tube_grid(curve, bump_potential, sf, 0.2, 3.0,
+                               half_width=window, dz_factor=16)
+        assert grid.z_axes[0][-1] == pytest.approx(box)
+        assert np.all(grid.metric_a > 0)
 
 
 class TestApplySEps:
@@ -323,9 +346,9 @@ class TestLevel2Correctors:
         real = ansatz_mod.sector_solve
         calls = []
 
-        def counting(op, U, rhs):
+        def counting(op, U, rhs, *setup):
             calls.append((op.kind, op.ell, int(np.prod(np.shape(rhs)[:-1]))))
-            return real(op, U, rhs)
+            return real(op, U, rhs, *setup)
 
         monkeypatch.setattr(ansatz_mod, "sector_solve", counting)
         rows = {}
@@ -648,6 +671,62 @@ class TestResidualStudy:
         norms, sizes = ladder(16, levels=(0,))
         assert norms.size == 3
         assert sizes == [80] and len(calls) == 1
+
+    @pytest.fixture(scope="class")
+    def circles(self, U23, bump_potential, exps23, circle_n3):
+        """Residual-study inputs (curve_for, V, A, exps, U) on the A = 0.05
+        critical circles for n = 2 and n = 3."""
+        def builder(R):
+            curve = build_curve(CurveSpec("circle", n=2, radius=R), 128)
+            return curve, sample_potential(bump_potential, curve)
+
+        r2 = critical_circle_radius(builder, (0.4, 1.2), 0.05, exps23)
+        r3, build = circle_n3
+        return {
+            2: (lambda M: build_curve(CurveSpec("circle", n=2, radius=r2), M),
+                bump_potential, 0.05, exps23, U23),
+            3: (lambda M: build_curve(CurveSpec("circle", n=3, radius=r3), M),
+                PotentialField("1/(1+r2)", 3), 0.05, compute_exponents(3, 3),
+                build(64)[3])}
+
+    @pytest.fixture
+    def grid_shapes(self, monkeypatch):
+        """(N_s, *z_shape) of every tube grid the residual study builds."""
+        import nlscurve.ansatz as ansatz_mod
+        real = ansatz_mod.build_tube_grid
+        shapes = []
+
+        def recording(*args, **kwargs):
+            grid = real(*args, **kwargs)
+            shapes.append((grid.n_s,) + grid.z_shape)
+            return grid
+
+        monkeypatch.setattr(ansatz_mod, "build_tube_grid", recording)
+        return shapes
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_windowed_norms_match_full_grids(self, circles, grid_shapes, n):
+        # every ε's grid covers only the common window plus the stencil
+        # margin, so all have one size, and each norm equals bit for bit
+        # the norm on the full grid out to the cutoff ball
+        args = circles[n] + ([0.2, 0.1, 0.05],)
+        records, _ = residual_study(*args, base_M=16)
+        assert [r["norm"] for r in records] == \
+            residual_norms_full_grid(*args, base_M=16)
+        assert len(grid_shapes) == 3 and len(set(grid_shapes)) == 1
+
+    def test_n3_peak_memory_on_window(self, circles, grid_shapes):
+        # the n = 3 study peaks (tracemalloc) at 29.7 complex fields on the
+        # window box; full grids out to the cutoff ball peaked at 191
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            residual_study(*circles[3], [0.2, 0.1, 0.05], base_M=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field = 16 * np.prod(grid_shapes[0])
+        assert peak <= 36 * field
 
     def test_n3_critical_circle_orders(self, circle_n3):
         # the n = 3 corrector and tube path on the planar critical circle
