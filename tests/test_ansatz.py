@@ -728,14 +728,11 @@ class TestResidualStudy:
         field = 16 * np.prod(grid_shapes[0])
         assert peak <= 36 * field
 
-    def test_n3_critical_circle_orders(self, circle_n3):
+    def test_n3_critical_circle_orders(self, circles):
         # the n = 3 corrector and tube path on the planar critical circle
         # in R³ at A = 0.05 (slopes 1.195, 2.24, 2.545 here)
-        rstar, build = circle_n3
-        records, fits = residual_study(
-            lambda M: build_curve(CurveSpec("circle", n=3, radius=rstar), M),
-            PotentialField("1/(1+r2)", 3), 0.05, compute_exponents(3, 3),
-            build(64)[3], [0.2, 0.1, 0.05], base_M=16)
+        records, fits = residual_study(*circles[3], [0.2, 0.1, 0.05],
+                                       base_M=16)
         assert fits[0]["slope"] >= 1.1
         assert fits[1]["slope"] >= 2.1
         assert fits[2]["slope"] >= 2.4
