@@ -15,14 +15,15 @@ import numpy as np
 
 from nlscurve.radial import RadialGrid, ground_state
 from nlscurve.spectrum import (BOUND_BRANCHES, bound_state_counts,
-                               continuum_threshold, crossing_slope,
-                               find_alpha_bar, trace_branches)
+                               continuum_threshold, coupled_sectors,
+                               crossing_slope, find_alpha_bar, trace_branches)
 
-U = ground_state(2, 3, RadialGrid(30.0, 3000))
+# the coupled ℓ-sectors of the profile, set up once for every μ
+sectors = coupled_sectors(ground_state(2, 3, RadialGrid(30.0, 3000)), 3.0)
 alphas = np.linspace(0.0, 2.0, 21)
 
 for mu in (0.0, 0.1):
-    branches = trace_branches(U, 3.0, mu, alphas)
+    branches = trace_branches(sectors, mu, alphas)
     print(f"mu = {mu}:")
     tau = continuum_threshold(alphas, mu)
     print("   alpha      ground   translation   gauge    threshold")
@@ -30,11 +31,11 @@ for mu in (0.0, 0.1):
         row = [branches[k].eigenvalues[i]
                for k in ("ground", "translation", "gauge")] + [tau[i]]
         print(f"   {alphas[i]:.2f}    " + "  ".join(f"{v:+8.4f}" for v in row))
-    for ell, counts in bound_state_counts(U, 3.0, mu, alphas).items():
+    for ell, counts in bound_state_counts(sectors, mu, alphas).items():
         print(f"   l={ell}: eigenvalues below the threshold at every alpha: "
               f"{sorted(set(counts.tolist()))} "
               f"(traced: {len(BOUND_BRANCHES[ell])})")
-    mode = find_alpha_bar(U, 3.0, mu)
+    mode = find_alpha_bar(sectors, mu)
     print(f"   crossing at alpha_bar = {mode.alpha_bar:.6f} "
           f"(mu=0 closed form sqrt(3) = {np.sqrt(3):.6f})")
     print(f"   crossing slope 2a+2mu∫ZW = {crossing_slope(mode):.6f}")

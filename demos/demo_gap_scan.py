@@ -13,16 +13,16 @@ from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_pot
 from nlscurve.radial import RadialGrid, ground_state
 from nlscurve.resonance import FastModes, gap_scan, gap_scan_oracle, q_integrals
 from nlscurve.scalings import compute_exponents, compute_scalings
-from nlscurve.spectrum import alpha_field
+from nlscurve.spectrum import alpha_field, coupled_sectors
 
 exps = compute_exponents(2, 3)
 V = PotentialField("1/(1+r2)", 2)
-U = ground_state(2, 3, RadialGrid(30.0, 3000))
+sectors = coupled_sectors(ground_state(2, 3, RadialGrid(30.0, 3000)), 3.0)
 
 curve = build_curve(CurveSpec("circle", n=2, radius=2 ** -0.5), 256)
 pot = sample_potential(V, curve)
 sf = compute_scalings(curve, pot, 0.0, exps)
-abar, modes = alpha_field(sf, U)
+abar, modes = alpha_field(sf, sectors)
 # the fast-mode problem of (sf, ᾱ, Q), built once for the scan and the oracle
 fast = FastModes(sf, abar, q_integrals(modes))
 

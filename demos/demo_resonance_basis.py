@@ -16,16 +16,16 @@ from nlscurve.resonance import (FastModes, assemble_lambda0, lambda0_spectrum,
                                 q_integrals, resonance_eigenpairs,
                                 verify_coupled_system, weyl_slope)
 from nlscurve.scalings import compute_exponents, compute_scalings
-from nlscurve.spectrum import alpha_field
+from nlscurve.spectrum import alpha_field, coupled_sectors
 
 exps = compute_exponents(2, 3)
 V = PotentialField("1/(1+r2)", 2)
-U = ground_state(2, 3, RadialGrid(30.0, 3000))
+sectors = coupled_sectors(ground_state(2, 3, RadialGrid(30.0, 3000)), 3.0)
 
 curve = build_curve(CurveSpec("circle", n=2, radius=0.7012465), 256)
 pot = sample_potential(V, curve)
 sf = compute_scalings(curve, pot, 0.05, exps)
-abar, modes = alpha_field(sf, U)
+abar, modes = alpha_field(sf, sectors)
 # the overlap integrals come with each crossing mode; one FastModes carries
 # (sf, ᾱ, Q) to every basis
 fast = FastModes(sf, abar, q_integrals(modes))

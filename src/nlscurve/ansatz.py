@@ -411,8 +411,8 @@ def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list):
                                   AnsatzParams(level=0))
             res = residual_field(ans)
             zwin = eps ** (-delta_bar) / np.max(grid.K) - 4 * grid.dz
-            norms.append(weighted_norm(res, grid, VARSIGMA * sf.k, "sup",
-                                       "all", z_window=zwin))
+            norms.append(weighted_norm(res, grid, VARSIGMA * sf.k, "all",
+                                       z_window=zwin))
             fields.append(ans)
         norm_diffs.append(abs(norms[0] - norms[1]) / norms[1])
         # field-level effect over the narrow grid's support
@@ -450,9 +450,13 @@ def residual_study(curve_for, V, phase_speed, exps, U, eps_list,
     stencil margin, so its size does not grow with 1/ε: at a window node
     the cutoff is 1, the field is assembled pointwise, and S_ε reads only
     the node's z-column and 2 nodes either side, so the norms equal those
-    of the full grid bit for bit.  Returns (records, fits).
+    of the full grid bit for bit.  Returns (records, fits); a repeated ε or
+    level, which would fit an order to fewer distinct points than it
+    counts, raises ValidationError.
     """
     eps_list = list(eps_list)
+    if len(set(eps_list)) < len(eps_list) or len(set(levels)) < len(levels):
+        raise ValidationError("eps_list and levels must not repeat a value")
     curve = curve_for(int(np.ceil(base_M / max(eps_list))))
     pot = sample_potential(V, curve)
     sf = compute_scalings(curve, pot, phase_speed, exps)

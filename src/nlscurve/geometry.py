@@ -566,25 +566,6 @@ def periodic_antiderivative(values, L):
     return np.concatenate([np.zeros_like(cums[:1]), cums[:-1]]), cums[-1]
 
 
-def straight_segment_curve(L, M, n=2):
-    """Periodic straight-segment harness (not a closed curve).
-
-    Useful for manufactured-solution tests: zero curvature, constant frame,
-    arc length identified with the first coordinate modulo L.
-    """
-    sb = np.arange(M) * (L / M)
-    positions = np.zeros((M, n))
-    positions[:, 0] = sb
-    tangents = np.zeros((M, n))
-    tangents[:, 0] = 1.0
-    frame = np.zeros((M, n - 1, n))
-    for j in range(n - 1):
-        frame[:, j, j + 1] = 1.0
-    curvature = np.zeros((M, n - 1))
-    return CurveData(s=sb, L=float(L), positions=positions, tangents=tangents,
-                     frame=frame, curvature=curvature, holonomy_angle=0.0)
-
-
 def _transport_rotations(t0, t1):
     """Per row i, the rotation in span(t0[i], t1[i]) mapping t0[i] to t1[i]
     (identity elsewhere); unit rows (M, n) give (M, n, n)."""
@@ -623,36 +604,3 @@ def sample_potential(V, curve):
     return PotentialData(values=vals, grad_normal=np.einsum("ijk,ik->ij", E, grad),
                          hess_normal=0.5 * (hess_n + hess_n.transpose(0, 2, 1)),
                          metric_d2g11=d2g11)
-
-
-def tube_volume_coarea(curve, rho):
-    """Volume of the tube of radius rho via the co-area factorization.
-
-    The flat Fermi volume element is (1 - <H, y>) dy ds; the linear term
-    integrates to zero over the symmetric cross-section, so the volume is
-    L · |B^{n-1}_rho| — checked against this quadrature in tests.
-    """
-    nm1 = curve.n - 1
-    q = 64
-    # radial-angular quadrature of ∫ (1 - <H,y>) dy over the ball, per node
-    if nm1 == 1:
-        y = np.linspace(-rho, rho, 2 * q + 1)
-        w = np.full(y.size, y[1] - y[0])
-        w[0] = w[-1] = 0.5 * (y[1] - y[0])
-        sections = ((1.0 - curve.curvature[:, 0][:, None] * y[None, :]) * w).sum(axis=1)
-    else:
-        # <H, y> integrates to zero exactly over any origin-symmetric node set
-        rng = np.random.default_rng(7)
-        pts = rng.normal(size=(2048, nm1))
-        radii = rng.random(2048) ** (1.0 / nm1) * rho
-        pts = pts / np.linalg.norm(pts, axis=1)[:, None] * radii[:, None]
-        pts = np.concatenate([pts, -pts], axis=0)
-        ball = _ball_volume(nm1, rho)
-        vals = 1.0 - curve.curvature @ pts.T
-        sections = ball * vals.mean(axis=1)
-    return float(np.sum(sections) * (curve.L / curve.M))
-
-
-def _ball_volume(d, rho):
-    from math import gamma, pi
-    return pi ** (d / 2) / gamma(d / 2 + 1) * rho**d

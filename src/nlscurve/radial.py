@@ -385,23 +385,6 @@ def ground_state(n, p, grid=None):
     return _GS_CACHE[key]
 
 
-def scaled_profile(U, f_hat, V_hat, p):
-    """Scaling (ĥ, k̂, x' ↦ ĥ·U(k̂ x')) solving -ΔÛ + (f̂² + V̂)Û = Û^p.
-
-    ĥ = (f̂² + V̂)^{1/(p-1)},  k̂ = (f̂² + V̂)^{1/2}.
-    """
-    if V_hat <= 0:
-        raise ValidationError("V_hat must be positive")
-    base = f_hat**2 + V_hat
-    h_hat = base ** (1.0 / (p - 1.0))
-    k_hat = float(np.sqrt(base))
-
-    def evaluator(x):
-        return h_hat * U(k_hat * np.asarray(x))
-
-    return h_hat, k_hat, evaluator
-
-
 # ---------------------------------------------------------------------------
 # Sector operators
 # ---------------------------------------------------------------------------
@@ -553,15 +536,3 @@ def sector_solve(op, U, rhs, setup=None):
     out = np.zeros(b.shape[:1] + rhs.shape[-1:])
     out[:, act] = x
     return out.reshape(rhs.shape), removed.reshape(rhs.shape[:-1])
-
-
-def apply_sector(op, U, prof):
-    """Apply the sector operator to a profile (for round-trip checks)."""
-    diag, off, weight, idx = sector_matrix(op, U)
-    phi = prof.values[idx] * np.sqrt(weight)
-    y = diag * phi
-    y[:-1] += off * phi[1:]
-    y[1:] += off * phi[:-1]
-    u = np.zeros(U.grid.m)
-    u[idx] = y / np.sqrt(weight)
-    return prof.with_values(u)

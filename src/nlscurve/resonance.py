@@ -335,17 +335,3 @@ def gap_scan_oracle(modes, eps_grid, delta=0.3, threshold=0.1):
         out.append({"eps": float(eps), "min_abs_eigenvalue": min_abs,
                     "admissible": bool(min_abs >= threshold * eps)})
     return out
-
-
-def sharp_norm(b):
-    """Fourier-weighted norm (Σ b_j²(1+|j|)²)^{1/2} on window coefficients.
-
-    Coefficients are indexed symmetrically: b has odd length 2J+1 with j = 0
-    in the middle.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size % 2 == 0:
-        raise ValidationError("coefficients must form an odd-length window")
-    J = (b.size - 1) // 2
-    j = np.arange(-J, J + 1)
-    return float(np.sqrt(np.sum(b**2 * (1.0 + np.abs(j)) ** 2)))

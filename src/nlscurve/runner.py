@@ -34,7 +34,7 @@ from .radial import RadialGrid, ground_state, ode_residual, check_p
 from .scalings import (assemble_jacobi, compute_exponents, compute_scalings,
                        euler_residual, reduced_functional, weighted_eigenbasis)
 from .spectrum import (BOUND_BRANCHES, alpha_field, continuum_threshold,
-                       find_alpha_bar, trace_branches)
+                       coupled_sectors, find_alpha_bar, trace_branches)
 from .resonance import (FastModes, gap_scan, gap_scan_oracle, q_integrals,
                         resonance_eigenpairs, verify_coupled_system)
 from .ansatz import residual_study
@@ -182,11 +182,13 @@ def parse_config(path):
                     "need 'hi:lo:count' with count >= 1 and hi > lo > 0")
 
     eps_list = grab("residual", "eps_list", _parse_float_list,
-                    lambda v: len(v) >= 3 and all(e > 0 for e in v),
-                    "needs >= 3 positive values")
+                    lambda v: len(set(v)) == len(v) >= 3
+                    and all(e > 0 for e in v),
+                    "needs >= 3 distinct positive values")
     levels = grab("residual", "levels", _parse_float_list,
-                  lambda v: v and all(lv in (0, 1, 2) for lv in v),
-                  "need levels within {0,1,2}")
+                  lambda v: v and len(set(v)) == len(v)
+                  and all(lv in (0, 1, 2) for lv in v),
+                  "need distinct levels within {0,1,2}")
     base_M = grab("residual", "base_samples", int, lambda v: v >= 64,
                   "need >= 64 base samples")
 
@@ -281,11 +283,19 @@ def _ensure_profile(cfg, state):
     return state["U"]
 
 
+def _ensure_sectors(cfg, state):
+    """The coupled sectors of the profile, set up once for the branches
+    stage and the crossing field."""
+    if "sectors" not in state:
+        state["sectors"] = coupled_sectors(_ensure_profile(cfg, state), cfg.p)
+    return state["sectors"]
+
+
 def _ensure_fast_modes(cfg, sf, state):
     """The crossing field, its overlap integrals and the fast-mode problem
     built on them, shared by the resonance and gap-scan stages."""
     if "modes" not in state:
-        abar, modes = alpha_field(sf, _ensure_profile(cfg, state))
+        abar, modes = alpha_field(sf, _ensure_sectors(cfg, state))
         state["modes"] = FastModes(sf, abar, q_integrals(modes))
     return state["modes"]
 
@@ -349,17 +359,18 @@ def stage_criticality(cfg, exps, V, state, csvs):
 
 def stage_branches(cfg, exps, V, state, csvs):
     U = _ensure_profile(cfg, state)
+    sectors = _ensure_sectors(cfg, state)
     sf = _ensure_scalings(cfg, exps, V, state)
     mu = float(np.max(np.abs(2 * sf.fprime / sf.k)))
     alphas = np.linspace(0.0, 2.2, 23)
-    branches = trace_branches(U, cfg.p, mu, alphas)
+    branches = trace_branches(sectors, mu, alphas)
     # every eigenvalue under the continuum threshold is a traced branch: at
     # every α the sector's inertia count equals its finite traced values
     bound = all(np.array_equal(
         np.sum([np.isfinite(branches[label].eigenvalues) for label in labels],
                axis=0), branches[labels[0]].sector_counts)
         for labels in BOUND_BRANCHES.values())
-    mode = find_alpha_bar(U, cfg.p, mu)
+    mode = find_alpha_bar(sectors, mu)
     names = ["ground", "translation", "gauge", "continuum_threshold"]
     rows = [alphas] + [branches[label].eigenvalues for label in names[:3]] \
         + [continuum_threshold(alphas, mu)]

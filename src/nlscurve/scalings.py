@@ -134,21 +134,6 @@ def compute_scalings(curve, pot, phase_speed, exps):
                          phase_budget=float(phase_budget))
 
 
-def match_phase_budget(curve, pot, exps, A_ref, eps_ref, eps_new):
-    """Phase-speed constant A' with phase_budget(A')/eps_new = budget(A_ref)/eps_ref.
-
-    As ε varies, the speed constant must track it so the total variation of
-    phase stays fixed; this helper performs that adjustment by a scalar solve.
-    """
-    target = compute_scalings(curve, pot, A_ref, exps).phase_budget / eps_ref
-
-    def mismatch(A):
-        return compute_scalings(curve, pot, A, exps).phase_budget / eps_new - target
-
-    hi = A_ref * eps_new / eps_ref * 2.0 + 1e-12
-    return _brentq(mismatch, 0.0, hi, xtol=1e-15)
-
-
 def compute_f1(sf, Phi, f1_drift, curve, pot):
     """First phase correction f1' from the normal displacement Φ.
 

@@ -33,13 +33,14 @@ lowest, is shifted to its predicted eigenvalue through a banded LU, or,
 where that prediction overshoots towards the continuum, to a shift isolated
 by inertia counts; the overlap floor and the inertia count of
 bound_state_counts guard it.  A branch ends where the count says the bound
-states end.  The scalar tridiagonals and the α = μ = 0 bands of a sector
-depend on (U, p, ℓ) only, so they are built once and a point (α, μ) only
-updates the diagonal (+α²) and the coupling band (μα).  Every slope
-(∂λ/∂α, ∂λ/∂μ) is read off the unit eigenvector (_slopes), exact for the
-discrete eigenvalue, so no step converts φ to profiles; a crossing converts
-its eigenvector once, and its CrossingMode carries the overlap integrals
-that the resonance layer reads.
+states end.  The scalar tridiagonals, their lowest pairs and the α = μ = 0
+bands of a sector depend on (U, p, ℓ) only, so coupled_sectors sets each up
+once per profile for every caller, and a point (α, μ) only updates the
+diagonal (+α²) and the coupling band (μα).  Every slope (∂λ/∂α, ∂λ/∂μ)
+is read off the unit eigenvector (_slopes), exact for the discrete
+eigenvalue, so no step converts φ to profiles; a crossing converts its
+eigenvector once, and its CrossingMode carries the overlap integrals that
+the resonance layer reads.
 """
 
 from dataclasses import dataclass
@@ -127,14 +128,8 @@ def _profiles(phi, weight, idx, m):
     return ufull, vfull
 
 
-def _tridiagonals(U, p, ell):
-    """((diag_r, off_r, diag_i, off_i), weight, idx): the unshifted scalar
-    L_r and L_i ℓ-sectors (radial.sector_matrix), which share weight and
-    active nodes."""
-    (diag_r, off_r, weight, idx), (diag_i, off_i, _, _) = (
-        sector_matrix(SectorOperator(kind, ell, 0.0, U.dim, p), U)
-        for kind in ("Lr", "Li"))
-    return (diag_r, off_r, diag_i, off_i), weight, idx
+# the bound branches of each traced sector, in ascending order at α = 0
+BOUND_BRANCHES = {0: ("ground", "gauge"), 1: ("translation",)}
 
 
 class _CoupledSector:
@@ -143,20 +138,25 @@ class _CoupledSector:
     Its operator is (L_r-sector + α², μα; μα, L_i-sector + α²).  The two
     components are interleaved node-wise, (u_0, v_0, u_1, v_1, ...), which
     makes it pentadiagonal: the scalar-sector similarity weight is shared by
-    both blocks, so the coupling stays μα·Identity.  The scalar tridiagonals,
-    the lowest ``count`` eigenpairs of each, their lowest eigenvalues
-    ``floors`` and the α = μ = 0 bands (lower band storage, 3 x 2·nact) are
-    built once; a point (α, μ) only adds α² to the diagonal and sets the
-    coupling band to μα.
+    both blocks, so the coupling stays μα·Identity.  The unshifted scalar L_r
+    and L_i tridiagonals (radial.sector_matrix, which share weight and active
+    nodes), the lowest eigenpairs of each that the sector's traced branches
+    need (one per label of BOUND_BRANCHES[ℓ], one for any other ℓ), their
+    lowest eigenvalues ``floors`` and the α = μ = 0 bands (lower band
+    storage, 3 x 2·nact) are built once; a point (α, μ) only adds α² to the
+    diagonal and sets the coupling band to μα.
     """
 
-    def __init__(self, U, p, ell, count=1):
+    def __init__(self, U, p, ell):
         self.U, self.p, self.ell = U, p, ell
-        self.tridiagonals, self.weight, self.idx = _tridiagonals(U, p, ell)
-        diag_r, off_r, diag_i, off_i = self.tridiagonals
+        (diag_r, off_r, self.weight, self.idx), (diag_i, off_i, _, _) = (
+            sector_matrix(SectorOperator(kind, ell, 0.0, U.dim, p), U)
+            for kind in ("Lr", "Li"))
+        self.tridiagonals = (diag_r, off_r, diag_i, off_i)
         self.bands0 = np.zeros((3, 2 * diag_r.size))
         self.bands0[0, 0::2], self.bands0[0, 1::2] = diag_r, diag_i
         self.bands0[2, 0:-2:2], self.bands0[2, 1:-2:2] = off_r, off_i
+        count = len(BOUND_BRANCHES[ell]) if ell in BOUND_BRANCHES else 1
         self.lowest = (lowest_eigenpairs(diag_r, off_r, count),
                        lowest_eigenpairs(diag_i, off_i, count))
         self.floors = tuple(float(vals[0]) for vals, _ in self.lowest)
@@ -167,14 +167,16 @@ class _CoupledSector:
         bands[1, 0::2] = mu * alpha
         return bands
 
-    def start(self, count):
-        """The lowest ``count`` eigenpairs (λ, unit φ) at α = 0, ascending.
+    def start(self):
+        """The lowest eigenpairs (λ, unit φ) at α = 0, ascending, as many as
+        the sector keeps of each scalar tridiagonal.
 
         μα = 0 decouples the components, so they are the lowest among the
         L_r pairs, φ = (x, 0), and the L_i pairs, φ = (0, y), each eigenvalue
         the exact Rayleigh quotient of lowest_eigenpairs.
         """
         pairs = []
+        count = self.lowest[0][0].size
         for comp, (vals, vecs) in enumerate(self.lowest):
             for lam, vec in zip(vals, vecs.T):
                 phi = np.zeros(self.bands0.shape[1])
@@ -295,12 +297,16 @@ class SpectralBranch:
                 float(self.alphas[traced]))
 
 
-# the bound branches of each traced sector, in ascending order at α = 0
-BOUND_BRANCHES = {0: ("ground", "gauge"), 1: ("translation",)}
+def coupled_sectors(U, p):
+    """{ℓ: the coupled ℓ-sector of U} for every sector of BOUND_BRANCHES, the
+    set-up that trace_branches, bound_state_counts, find_alpha_bar and
+    alpha_field share."""
+    return {ell: _CoupledSector(U, p, ell) for ell in BOUND_BRANCHES}
 
 
-def trace_branches(U, p, mu, alpha_grid):
-    """Trace the bound branches of the coupled system over an ascending α grid.
+def trace_branches(sectors, mu, alpha_grid):
+    """Trace the bound branches of the coupled system over an ascending α
+    grid, in ``sectors`` (coupled_sectors).
 
     Returns a dict of SpectralBranch, per sector as in BOUND_BRANCHES:
       'ground'       η_α: lowest ℓ=0 branch (simple, increasing, crosses 0),
@@ -325,14 +331,14 @@ def trace_branches(U, p, mu, alpha_grid):
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if alpha_grid.size < 2 or alpha_grid[0] != 0 or np.any(np.diff(alpha_grid) <= 0):
         raise ValidationError("alpha grid must be ascending from 0")
-    counts = bound_state_counts(U, p, mu, alpha_grid)
+    counts = bound_state_counts(sectors, mu, alpha_grid)
     tau = continuum_threshold(alpha_grid, mu)
 
     out = {}
     for ell, labels in BOUND_BRANCHES.items():
-        sector = _CoupledSector(U, p, ell, len(labels))
+        sector = sectors[ell]
         bound = counts[ell][:, None] > np.arange(len(labels))
-        for index, (lam, phi) in enumerate(sector.start(len(labels))):
+        for index, (lam, phi) in enumerate(sector.start()):
             lams, funcs = np.full(alpha_grid.size, np.nan), []
             for i, alpha in enumerate(alpha_grid):
                 if not bound[i, index]:
@@ -394,16 +400,16 @@ def continuum_threshold(alpha, mu):
     return 1.0 + alpha**2 - np.abs(mu * alpha)
 
 
-def bound_state_counts(U, p, mu, alpha_grid):
-    """Number of eigenvalues below τ_α of every sector of BOUND_BRANCHES, for
-    every α at once: {ℓ: counts over alpha_grid}.
+def bound_state_counts(sectors, mu, alpha_grid):
+    """Number of eigenvalues below τ_α of every sector of ``sectors``
+    (coupled_sectors), for every α at once: {ℓ: counts over alpha_grid}.
 
     Since α² − τ_α = |μα| − 1, the pivots of _count_below depend on α
     through |μα| only, and one recurrence runs a lane per (sector, α).
     """
     m = np.abs(mu * np.asarray(alpha_grid, dtype=float))
-    sectors = [_tridiagonals(U, p, ell)[0] for ell in BOUND_BRANCHES]
-    return dict(zip(BOUND_BRANCHES, _count_below(sectors, m, m - 1.0)))
+    return dict(zip(sectors, _count_below(
+        [sector.tridiagonals for sector in sectors.values()], m, m - 1.0)))
 
 
 def _count_below(sectors, coupling, diagonal):
@@ -482,14 +488,15 @@ class CrossingMode:
         freeze_arrays(self)
 
 
-def find_alpha_bar(U, p, mu, tol=1e-8):
-    """Safeguarded Newton for the unique ᾱ with η_ᾱ = 0 in the ℓ=0 sector.
+def find_alpha_bar(sectors, mu, tol=1e-8):
+    """Safeguarded Newton for the unique ᾱ with η_ᾱ = 0 in the ℓ=0 sector
+    of ``sectors`` (coupled_sectors).
 
     _solve_crossing from the exact α = 0 ground pair: Newton from √(−η₀),
     one inverse iteration per step.  alpha_field continues it from one μ to
     the next.
     """
-    return _solve_crossing(_CoupledSector(U, p, 0), mu, tol)[0]
+    return _solve_crossing(sectors[0], mu, tol)[0]
 
 
 def _solve_crossing(sector, mu, tol, start=None):
@@ -518,7 +525,7 @@ def _solve_crossing(sector, mu, tol, start=None):
     crossed = False           # some η > 0 was seen: the bracket holds the root
     abar = float(np.sqrt(-eta0))
     if start is None:
-        phi = sector.start(1)[0][1]
+        phi = sector.start()[0][1]
     else:
         mu0, alpha0, phi, dalpha_dmu = start
         guess = alpha0 + (mu - mu0) * dalpha_dmu
@@ -567,20 +574,20 @@ def crossing_slope(mode):
     return float(2 * mode.alpha_bar + 2 * mode.mu * mode.q[2])
 
 
-def alpha_field(sf, U, tol=1e-8):
+def alpha_field(sf, sectors, tol=1e-8):
     """Per-node crossing data with μ(s̄) = 2f'(s̄)/k(s̄).
 
     In the variable-coefficient model the profile argument is k(s̄)z, so the
     crossing equation per node only depends on μ(s̄).  Nodes share one solve
     when their μ, sorted, follow each other with gaps of at most
     MU_GROUP_TOL·max(1, max|μ|); each group is solved at the μ of its first
-    node, in ascending order of μ, by continuation: the ℓ=0 sector is set up
-    once, the first group starts from the exact α = 0 ground pair as
-    find_alpha_bar does, and every later one starts from the previous
-    group's ᾱ, moved by the exact dᾱ/dμ, and its eigenvector
-    (_solve_crossing).  Each group's ᾱ is within tol of the root, so it
-    agrees with find_alpha_bar to 2·tol.  Returns (alpha_bar array, modes
-    list parallel to nodes).
+    node, in ascending order of μ, by continuation in the ℓ=0 sector of
+    ``sectors`` (coupled_sectors): the first group starts from the exact
+    α = 0 ground pair as find_alpha_bar does, and every later one starts
+    from the previous group's ᾱ, moved by the exact dᾱ/dμ, and its
+    eigenvector (_solve_crossing).  Each group's ᾱ is within tol of the
+    root, so it agrees with find_alpha_bar to 2·tol.  Returns (alpha_bar
+    array, modes list parallel to nodes).
     """
     mus = 2.0 * sf.fprime / sf.k
     order = np.argsort(mus, kind="stable")
@@ -589,10 +596,9 @@ def alpha_field(sf, U, tol=1e-8):
     group = np.empty(mus.size, dtype=int)
     group[order] = np.cumsum(np.concatenate([[False], gaps]))
     first = np.minimum.reduceat(order, starts)
-    sector = _CoupledSector(U, sf.exps.p, 0)
     solved, state = [], None
     for i in first:
-        mode, state = _solve_crossing(sector, float(mus[i]), tol, state)
+        mode, state = _solve_crossing(sectors[0], float(mus[i]), tol, state)
         solved.append(mode)
     modes = [solved[g] for g in group]
     return np.array([m.alpha_bar for m in modes]), modes
@@ -602,15 +608,16 @@ def alpha_field(sf, U, tol=1e-8):
 # Perturbation solves: first and second α-derivatives of the eigenfunctions
 # ---------------------------------------------------------------------------
 
-def eta_curvature(U, p, mu):
+def eta_curvature(sectors, mu):
     """∂²η/∂α²|₀ = 2 + 2μ∫(u₀ ∂v/∂α + v₀ ∂u/∂α) in closed form.
 
     At α = 0 the ground eigenpair is (Z̃, 0) with eigenvalue η₀ < 0, the
     exact start of the ℓ=0 sector, so only the first integral survives and
     ∂v/∂α solves (L_i - η₀)∂v = -μ Z̃ (an invertible shifted solve).
     """
-    sector = _CoupledSector(U, p, 0)
-    lam0, phi0 = sector.start(1)[0]
+    sector = sectors[0]
+    U, p = sector.U, sector.p
+    lam0, phi0 = sector.start()[0]
     u0, v0 = sector.profiles(phi0)
     dv, _ = sector_solve(SectorOperator("Li", 0, -lam0, U.dim, p), U, -mu * u0)
     r = U.grid.nodes

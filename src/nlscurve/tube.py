@@ -222,14 +222,11 @@ def apply_S_eps(values, grid, phase_rate=None):
     return -lap + grid.V_amb * values - np.abs(values) ** (grid.p - 1) * values
 
 
-def weighted_norm(values, grid, decay_weight, mode="sup", region="core",
-                  z_window=None):
-    """Discrete weighted norms e^{𝔭(εs)|z|}·|values|.
+def weighted_norm(values, grid, decay_weight, region="core", z_window=None):
+    """Discrete weighted sup norm of e^{𝔭(εs)|z|}·|values| over a region.
 
-    mode 'sup': max over the region; mode 'l2s': ℓ² in s̄ of the per-slice
-    weighted sup, sqrt(Σ_s Δs̄ (sup_z ...)²).  region 'core' restricts to the
-    cutoff-interior mask, 'all' uses every node; ``z_window`` additionally
-    restricts to |z| <= z_window.
+    region 'core' restricts to the cutoff-interior mask, 'all' uses every
+    node; ``z_window`` additionally restricts to |z| <= z_window.
     """
     w = np.asarray(decay_weight, dtype=float)
     if w.ndim == 0:
@@ -243,14 +240,7 @@ def weighted_norm(values, grid, decay_weight, mode="sup", region="core",
         raise ValidationError(f"unknown region {region!r}")
     if z_window is not None:
         mask &= (grid.znorm <= z_window)[None]
-    amp = np.where(mask, amp, 0.0)
-    if mode == "sup":
-        return float(np.max(amp))
-    if mode == "l2s":
-        per_slice = amp.reshape(grid.n_s, -1).max(axis=1)
-        dsbar = grid.L / grid.n_s
-        return float(np.sqrt(np.sum(per_slice**2) * dsbar))
-    raise ValidationError(f"unknown norm mode {mode!r}")
+    return float(np.max(np.where(mask, amp, 0.0)))
 
 
 def convergence_order(eps_list, norms):

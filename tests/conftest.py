@@ -6,6 +6,7 @@ from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_pot
 from nlscurve.radial import RadialGrid, ground_state
 from nlscurve.scalings import (compute_exponents, compute_scalings,
                                critical_circle_radius)
+from nlscurve.spectrum import coupled_sectors
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +18,12 @@ def grid30():
 def U23(grid30):
     """Ground state for (n, p) = (2, 3): U = sqrt(2)·sech."""
     return ground_state(2, 3, grid30)
+
+
+@pytest.fixture(scope="session")
+def sectors23(U23):
+    """The coupled sectors of U23, set up once (spectrum.coupled_sectors)."""
+    return coupled_sectors(U23, 3.0)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ Each oracle is deliberately dumb and separate from the code paths it checks:
 shooting and collocation instead of the grid equation, golden-section
 instead of root finding, shift-invert Lanczos (ARPACK) instead of inverse
 iteration, finite differences instead of Hellmann–Feynman slopes, integer
-arithmetic instead of eigen-solves, closed forms wherever they exist.
+arithmetic instead of eigen-solves, closed forms wherever they exist.  The
+straight-segment curve harness and the sector operator's apply, which the
+round-trip checks multiply solutions by, live here too.
 """
 
 from dataclasses import dataclass
@@ -18,13 +20,32 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from nlscurve.ansatz import (VARSIGMA, AnsatzParams, assemble_ansatz,
                              build_correctors, residual_field)
 from nlscurve.errors import ConvergenceError, ValidationError
-from nlscurve.geometry import sample_potential
+from nlscurve.geometry import CurveData, sample_potential
 from nlscurve.radial import (SectorOperator, sector_kernel, sector_matrix,
                              sector_solve)
 from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import (_CoupledSector, _band_matvec, _cholesky_below,
                                _profiles)
 from nlscurve.tube import build_tube_grid, weighted_norm
+
+
+def straight_segment_curve(L, M, n=2):
+    """Periodic straight-segment harness (not a closed curve).
+
+    Useful for manufactured-solution tests: zero curvature, constant frame,
+    arc length identified with the first coordinate modulo L.
+    """
+    sb = np.arange(M) * (L / M)
+    positions = np.zeros((M, n))
+    positions[:, 0] = sb
+    tangents = np.zeros((M, n))
+    tangents[:, 0] = 1.0
+    frame = np.zeros((M, n - 1, n))
+    for j in range(n - 1):
+        frame[:, j, j + 1] = 1.0
+    curvature = np.zeros((M, n - 1))
+    return CurveData(s=sb, L=float(L), positions=positions, tangents=tangents,
+                     frame=frame, curvature=curvature, holonomy_angle=0.0)
 
 
 def ground_state_u0_collocation(n, p, r_max=30.0, tol=1e-10):
@@ -448,6 +469,18 @@ def bound_state_counts_per_sector(U, p, mu, alpha_grid, ell):
         dets[i] = a * b - c * c
         leads[i] = a
     return np.sum((dets < 0) + 2 * ((dets > 0) & (leads < 0)), axis=0)
+
+
+def apply_sector(op, U, prof):
+    """Apply the sector operator to a profile (for round-trip checks)."""
+    diag, off, weight, idx = sector_matrix(op, U)
+    phi = prof.values[idx] * np.sqrt(weight)
+    y = diag * phi
+    y[:-1] += off * phi[1:]
+    y[1:] += off * phi[:-1]
+    u = np.zeros(U.grid.m)
+    u[idx] = y / np.sqrt(weight)
+    return prof.with_values(u)
 
 
 def kernel_projected(op, U, values):

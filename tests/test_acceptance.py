@@ -74,11 +74,11 @@ def test_criterion_2_kernel_structure(U23, grid30):
     _report(2, "kernel structure", checks, t0, 10.0)
 
 
-def test_criterion_3_poschl_teller(U23):
+def test_criterion_3_poschl_teller(U23, sectors23):
     t0 = time.time()
     lam_sector = sector_spectrum(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23, 1)[0][0]
     eta0 = coupled_spectrum(CoupledSectorOperator(0.0, 0.0, 0, 1, 3.0), U23, 1)[0][0]
-    mode = find_alpha_bar(U23, 3.0, 0.0)
+    mode = find_alpha_bar(sectors23, 0.0)
     checks = [
         ("lowest L_r eigenvalue = -3 within 1e-3", abs(lam_sector + 3.0) < 1e-3),
         ("coupled eta_0 matches the sector value", abs(eta0 - lam_sector) < 1e-8),
@@ -88,11 +88,11 @@ def test_criterion_3_poschl_teller(U23):
     _report(3, "Poschl-Teller oracle", checks, t0, 10.0)
 
 
-def test_criterion_4_branch_calculus(U23, exps23):
+def test_criterion_4_branch_calculus(U23, sectors23, exps23):
     t0 = time.time()
     mu = 0.05
     d0 = eigenvalue_derivative(U23, 3.0, mu, 0.0)
-    mode = find_alpha_bar(U23, 3.0, mu)
+    mode = find_alpha_bar(sectors23, mu)
     numeric = eigenvalue_derivative(U23, 3.0, mu, mode.alpha_bar)
     closed = crossing_slope(mode)
     # both curvature branches at the matching model scaling (h_hat = 1)
@@ -162,7 +162,7 @@ def test_criterion_5_criticality(bump_potential, exps23):
 
 
 @pytest.fixture(scope="module")
-def resonance_inputs(U23, bump_potential, exps23):
+def resonance_inputs(sectors23, bump_potential, exps23):
     out = {}
     for A in (0.0, 0.05):
         def builder(R):
@@ -170,7 +170,7 @@ def resonance_inputs(U23, bump_potential, exps23):
             return c, sample_potential(bump_potential, c)
         rs = critical_circle_radius(builder, (0.4, 1.2), A, exps23)
         curve, pot, sf = circle_setup(bump_potential, rs, 256, A, exps23)
-        abar, modes = alpha_field(sf, U23)
+        abar, modes = alpha_field(sf, sectors23)
         out[A] = {"curve": curve, "pot": pot, "sf": sf, "abar": abar,
                   "fast": FastModes(sf, abar, q_integrals(modes)), "rstar": rs}
     return out

@@ -8,8 +8,8 @@ from nlscurve.ansatz import (AnsatzParams, _interp_rows, assemble_ansatz,
                              build_correctors, residual_norm, residual_study)
 from nlscurve.errors import CurveNotCriticalError, ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
-                               sample_potential, straight_segment_curve)
-from nlscurve.radial import SectorOperator, apply_sector, ground_state
+                               sample_potential)
+from nlscurve.radial import SectorOperator, ground_state
 from nlscurve.resonance import FastModes, q_integrals, resonance_eigenpairs
 from nlscurve.scalings import (compute_exponents, compute_scalings,
                                critical_circle_radius)
@@ -18,9 +18,10 @@ from nlscurve.tube import (apply_S_eps, build_tube_grid, convergence_order,
                            core_radius, smooth_step, weighted_norm, z_spacing)
 
 from conftest import circle_setup
-from oracles import (kernel_projected, level2_correctors_per_node,
-                     lr_sector_oracle_error, odd_corrector_per_node,
-                     residual_norms_full_grid)
+from oracles import (apply_sector, kernel_projected,
+                     level2_correctors_per_node, lr_sector_oracle_error,
+                     odd_corrector_per_node, residual_norms_full_grid,
+                     straight_segment_curve)
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +114,7 @@ class TestApplySEps:
             grid = build_tube_grid(seg, V, sf, 0.1, 3.0, dz_factor=dzf)
             psi = (U23(grid.znorm)[None] * grid.cutoff).astype(complex)
             res = apply_S_eps(psi, grid)
-            norms.append(weighted_norm(res, grid, 0.0, "sup", "core"))
+            norms.append(weighted_norm(res, grid, 0.0, "core"))
         assert np.log2(norms[0] / norms[1]) > 1.9   # 4th-order z-stencils
 
     def test_constant_field(self, segment_setup):
@@ -469,11 +470,11 @@ class TestAssembly:
 
 
 @pytest.fixture(scope="module")
-def fast_mode_run(U23, bump_potential, exps23):
+def fast_mode_run(U23, sectors23, bump_potential, exps23):
     """A = 0.05 critical circle with its crossing modes and resonance basis."""
     curve, pot, sf = circle_setup(bump_potential, 0.7012465, 64, 0.05, exps23)
     co = build_correctors(curve, pot, sf, U23)
-    abar, modes = alpha_field(sf, U23)
+    abar, modes = alpha_field(sf, sectors23)
     basis = resonance_eigenpairs(FastModes(sf, abar, q_integrals(modes)), 0.1, 0.5)
     grid = build_tube_grid(curve, bump_potential, sf, 0.1, 3.0, dz_factor=8)
 
@@ -540,14 +541,13 @@ class TestWeightedNorms:
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
         grid = build_tube_grid(seg, V, sf, 0.1, 3.0)
         field = np.exp(-sf.k[0] * grid.znorm)[None] * np.ones((grid.n_s, 1))
-        val = weighted_norm(field.astype(complex), grid, sf.k, "sup", "core")
+        val = weighted_norm(field.astype(complex), grid, sf.k, "core")
         assert abs(val - 1.0) < 1e-10
 
     @given(st.floats(-5, 5).filter(lambda c: abs(c) > 1e-3))
     @settings(max_examples=20, deadline=None)
     def test_homogeneity(self, c):
         # built once per example; small grid keeps this cheap
-        from nlscurve.geometry import straight_segment_curve, sample_potential
         seg = straight_segment_curve(5.0, 64, 2)
         V = PotentialField("1", 2)
         from nlscurve.scalings import compute_exponents, compute_scalings
@@ -557,8 +557,8 @@ class TestWeightedNorms:
         rng = np.random.default_rng(11)
         f = rng.normal(size=(grid.n_s,) + grid.z_shape) \
             + 1j * rng.normal(size=(grid.n_s,) + grid.z_shape)
-        n1 = weighted_norm(c * f, grid, 0.3, "sup", "all")
-        n2 = weighted_norm(f, grid, 0.3, "sup", "all")
+        n1 = weighted_norm(c * f, grid, 0.3, "all")
+        n2 = weighted_norm(f, grid, 0.3, "all")
         assert abs(n1 - abs(c) * n2) < 1e-12 * max(n1, 1.0)
 
     def test_triangle_inequality(self, segment_setup):
@@ -566,13 +566,12 @@ class TestWeightedNorms:
         grid = build_tube_grid(seg, V, sf, 0.2, 3.0, dz_factor=8)
         rng = np.random.default_rng(5)
         shape = (grid.n_s,) + grid.z_shape
-        for mode in ("sup", "l2s"):
-            for _ in range(5):
-                f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                nfg = weighted_norm(f + g, grid, 0.2, mode, "all")
-                assert nfg <= weighted_norm(f, grid, 0.2, mode, "all") \
-                    + weighted_norm(g, grid, 0.2, mode, "all") + 1e-12
+        for _ in range(5):
+            f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            nfg = weighted_norm(f + g, grid, 0.2, "all")
+            assert nfg <= weighted_norm(f, grid, 0.2, "all") \
+                + weighted_norm(g, grid, 0.2, "all") + 1e-12
 
 
 class TestParityBookkeeping:
@@ -739,6 +738,18 @@ class TestResidualStudy:
         norms = {(r["eps"], r["level"]): r["norm"] for r in records}
         for eps in (0.2, 0.1, 0.05):
             assert norms[eps, 2] < norms[eps, 1]
+
+    @pytest.mark.parametrize("eps_list, levels", [
+        ([0.2, 0.2, 0.1], (0, 1, 2)), ([0.2, 0.1, 0.05], (0, 0, 1))],
+        ids=["repeated_eps", "repeated_level"])
+    def test_repeated_eps_or_level_rejected(self, circles, grid_shapes,
+                                            eps_list, levels):
+        # a repeated ε would fit an order over fewer distinct ε than it
+        # counts, a repeated level would mismatch the fit; both are refused
+        # before any grid is built
+        with pytest.raises(ValidationError, match="repeat"):
+            residual_study(*circles[2], eps_list, levels)
+        assert grid_shapes == []
 
 
 class TestConvergenceOrder:

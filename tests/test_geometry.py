@@ -1,4 +1,4 @@
-"""Curve construction, frames, holonomy, potential sampling, co-area."""
+"""Curve construction, frames, holonomy, potential sampling."""
 
 import tracemalloc
 import warnings
@@ -10,10 +10,11 @@ from scipy.interpolate import CubicSpline
 
 from nlscurve.errors import ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
-                               sample_potential, straight_segment_curve,
-                               tube_volume_coarea)
+                               sample_potential)
 from nlscurve.geometry import (_arc_length_parameters, _check_simple,
                                _close_pairs, _param_functions)
+
+from oracles import straight_segment_curve
 
 
 def _torus_knot(samples=200):
@@ -451,18 +452,6 @@ class TestPotentialJet:
             g2, h2 = PotentialField("r2", 2).jet(origin)
         assert np.all(g1 == 0) and np.all(h1 == 0) and g1.shape == (3, 2)
         assert np.all(g2 == 0) and np.all(h2 == 2 * np.eye(2)) and h2.shape == (3, 2, 2)
-
-
-class TestCoarea:
-    def test_tube_volume_circle_r3(self):
-        c = build_curve(CurveSpec("circle", n=3, radius=2.0), 256)
-        vol = tube_volume_coarea(c, 0.3)
-        assert abs(vol - 4 * np.pi * np.pi * 0.09) < 1e-7
-
-    def test_tube_area_circle_r2(self):
-        c = build_curve(CurveSpec("circle", n=2, radius=1.0), 256)
-        area = tube_volume_coarea(c, 0.25)
-        assert abs(area - 2 * np.pi * 0.5) < 1e-7
 
 
 def test_straight_segment_harness():

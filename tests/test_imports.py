@@ -32,10 +32,10 @@ import numpy as np
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from nlscurve.radial import RadialGrid, ground_state
 from nlscurve.scalings import compute_exponents, critical_circle_radius
-from nlscurve.spectrum import find_alpha_bar, trace_branches
-U = ground_state(3, 3, RadialGrid(30.0, 1000))
-trace_branches(U, 3.0, 0.1, np.linspace(0.0, 1.0, 3))
-find_alpha_bar(U, 3.0, 0.1)
+from nlscurve.spectrum import coupled_sectors, find_alpha_bar, trace_branches
+sectors = coupled_sectors(ground_state(3, 3, RadialGrid(30.0, 1000)), 3.0)
+trace_branches(sectors, 0.1, np.linspace(0.0, 1.0, 3))
+find_alpha_bar(sectors, 0.1)
 t = np.linspace(0, 2 * np.pi, 100, endpoint=False)
 build_curve(CurveSpec("parametric", n=2, points=np.stack([np.cos(t), 2 * np.sin(t)], 1)), 64)
 V = PotentialField("1/(1+r2)", 2)

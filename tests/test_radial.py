@@ -4,21 +4,19 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 import oracles
 from nlscurve import radial
 from nlscurve.errors import ConvergenceError, ValidationError
-from nlscurve.radial import (RadialGrid, SectorOperator, apply_sector,
-                             ground_state, ode_residual, scaled_profile,
-                             sector_kernel, sector_solve, sector_spectrum,
-                             solve_ground_state)
+from nlscurve.radial import (RadialGrid, SectorOperator, ground_state,
+                             ode_residual, sector_kernel, sector_solve,
+                             sector_spectrum, solve_ground_state)
 
-from oracles import (ground_state_u0_collocation, kernel_projected,
-                     lr_sector_oracle_error, poschl_teller_levels,
-                     shooting_ground_state)
+from oracles import (apply_sector, ground_state_u0_collocation,
+                     kernel_projected, lr_sector_oracle_error,
+                     poschl_teller_levels, shooting_ground_state)
 
 # the shooting oracle's (amplitude, seed values), one bisection per input
 _shot = lru_cache(maxsize=None)(shooting_ground_state)
@@ -155,35 +153,6 @@ class TestUniformCubic:
         x = np.random.default_rng(4).uniform(0, 30, (50, 40))
         for nu in (0, 1, 2):
             assert np.max(np.abs(cubic(x, nu) - ref(x, nu))) <= 1e-13 / grid30.dr**nu
-
-
-class TestScaledProfile:
-    def test_identity_scaling(self, U23):
-        h, k, ev = scaled_profile(U23, 0.0, 1.0, 3.0)
-        assert h == 1.0 and k == 1.0
-        x = np.linspace(0, 5, 50)
-        assert_allclose(ev(x), U23(x), rtol=0, atol=1e-14)
-
-    def test_direct_arithmetic(self, U23):
-        h, k, _ = scaled_profile(U23, 0.0, 4.0, 3.0)
-        assert_allclose([h, k], [2.0, 2.0], atol=1e-14)
-        h, k, _ = scaled_profile(U23, 1.0, 3.0, 3.0)
-        assert_allclose([h, k], [2.0, 2.0], atol=1e-14)
-
-    def test_scaled_equation_residual(self, U23, grid30):
-        # -ΔÛ + (f̂²+V̂)Û = Û^p: substitute ĥU(k̂x) into the discrete scaled
-        # equation at x = r/k̂ (arguments land exactly on profile nodes)
-        h, k, ev = scaled_profile(U23, 1.0, 3.0, 3.0)
-        vals = h * U23.values          # = ev(nodes/k) without interpolation
-        dx = grid30.dr / k
-        lap = (vals[:-2] - 2 * vals[1:-1] + vals[2:]) / dx**2
-        res = -lap + 4.0 * vals[1:-1] - vals[1:-1] ** 3
-        keep = grid30.nodes[1:-1] < 25.0
-        assert np.max(np.abs(res[keep])) < 1e-7
-
-    def test_invalid_potential(self, U23):
-        with pytest.raises(ValidationError):
-            scaled_profile(U23, 0.0, -1.0, 3.0)
 
 
 class TestSectorSpectrum:

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
 from nlscurve.errors import ValidationError
@@ -12,7 +11,7 @@ from nlscurve.geometry import (CurveSpec, build_curve, fourier_diff_matrices,
                                periodic_derivative, sample_potential)
 from nlscurve.resonance import (FastModes, assemble_lambda0, constant_coefficient_nu_oracle,
                                 correction_identities, gap_scan, gap_scan_oracle, lambda0_spectrum,
-                                q_integrals, resonance_eigenpairs, sharp_norm,
+                                q_integrals, resonance_eigenpairs,
                                 verify_coupled_system, weyl_slope)
 from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import alpha_field, sphere_area
@@ -22,34 +21,34 @@ from oracles import constant_coefficient_gap_oracle
 
 
 @pytest.fixture(scope="module")
-def layer0(U23, bump_potential, exps23):
+def layer0(sectors23, bump_potential, exps23):
     """Resonance inputs on the critical circle at phase speed 0."""
     curve, pot, sf = circle_setup(bump_potential, 2 ** -0.5, 256, 0.0, exps23)
-    abar, modes = alpha_field(sf, U23)
+    abar, modes = alpha_field(sf, sectors23)
     Q = q_integrals(modes)
     return {"curve": curve, "sf": sf, "abar": abar, "Q": Q,
             "fast": FastModes(sf, abar, Q)}
 
 
 @pytest.fixture(scope="module")
-def layerA(U23, bump_potential, exps23):
+def layerA(sectors23, bump_potential, exps23):
     """Same circle with phase speed 0.05 (nonzero coupling)."""
     curve, pot, sf = circle_setup(bump_potential, 0.701247, 256, 0.05, exps23)
-    abar, modes = alpha_field(sf, U23)
+    abar, modes = alpha_field(sf, sectors23)
     Q = q_integrals(modes)
     return {"curve": curve, "sf": sf, "abar": abar, "Q": Q,
             "fast": FastModes(sf, abar, Q)}
 
 
 @pytest.fixture(scope="module", params=["circle", "ellipse"])
-def runner_layer(request, U23, bump_potential, exps23):
+def runner_layer(request, sectors23, bump_potential, exps23):
     """Resonance inputs of the two runner pipelines (phase speed 0.05)."""
     spec = (CurveSpec("circle", n=2, radius=0.7012465)
             if request.param == "circle" else CurveSpec("ellipse", n=2, a=0.85, b=0.6))
     curve = build_curve(spec, 256)
     sf = compute_scalings(curve, sample_potential(bump_potential, curve), 0.05,
                           exps23)
-    abar, modes = alpha_field(sf, U23)
+    abar, modes = alpha_field(sf, sectors23)
     Q = q_integrals(modes)
     return {"sf": sf, "abar": abar, "modes": modes, "Q": Q,
             "fast": FastModes(sf, abar, Q)}
@@ -254,12 +253,12 @@ class TestCoupledSystem:
         # stability of the reported constant under refinement in eps
         assert 0.2 < consts[0] / consts[1] < 5.0
 
-    def test_grid_refinement_stability(self, U23, bump_potential, exps23):
+    def test_grid_refinement_stability(self, sectors23, bump_potential, exps23):
         vals = []
         for M in (256, 512):
             curve, pot, sf = circle_setup(bump_potential, 0.701247, M, 0.05,
                                           exps23)
-            abar, modes = alpha_field(sf, U23)
+            abar, modes = alpha_field(sf, sectors23)
             fast = FastModes(sf, abar, q_integrals(modes))
             basis = resonance_eigenpairs(fast, 0.05, 0.3)
             maxres, _ = verify_coupled_system(basis)
@@ -399,25 +398,3 @@ class TestGapScan:
     def test_descending_grid_required(self, layer0):
         with pytest.raises(ValidationError):
             gap_scan(layer0["fast"], np.array([0.02, 0.08]), 0.3, 0.1)
-
-
-class TestSharpNorm:
-    def test_unit_vectors(self):
-        e0 = np.zeros(7)
-        e0[3] = 1.0
-        assert sharp_norm(e0) == 1.0
-        e2 = np.zeros(7)
-        e2[5] = 1.0   # j = +2
-        assert sharp_norm(e2) == 3.0
-
-    @given(st.lists(st.floats(-10, 10), min_size=3, max_size=21))
-    @settings(max_examples=40, deadline=None)
-    def test_dominates_l2(self, coeffs):
-        if len(coeffs) % 2 == 0:
-            coeffs = coeffs[:-1]
-        b = np.array(coeffs)
-        assert sharp_norm(b) >= np.linalg.norm(b) - 1e-12
-
-    def test_rejects_even_windows(self):
-        with pytest.raises(ValidationError):
-            sharp_norm(np.ones(4))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nlscurve.runner as runner
+import nlscurve.spectrum as spectrum
 from nlscurve.errors import ValidationError
 from nlscurve.resonance import FastModes, gap_scan
 from nlscurve.runner import emit_report, main, parse_config, run_pipeline
@@ -118,12 +119,16 @@ class TestParseConfig:
         ("residual", "eps_list = 0.2,abc,0.05"),
         ("residual", "levels = 0,1.5,2"),
         ("residual", "levels ="),
-        ("resonance", "gap_eps_grid = 0.08:0.02:0")],
-        ids=["eps_list", "levels", "no_levels", "gap_eps_grid"])
+        ("resonance", "gap_eps_grid = 0.08:0.02:0"),
+        ("residual", "eps_list = 0.2,0.2,0.1"),
+        ("residual", "levels = 0,0,1")],
+        ids=["eps_list", "levels", "no_levels", "gap_eps_grid", "repeated_eps",
+             "repeated_levels"])
     def test_bad_list_value_is_a_violation(self, tmp_path, section, line):
-        # a non-numeric value, a non-integer level, no level and an empty ε
-        # scan are run-file violations (exit status 2), not a crash or a
-        # silent read
+        # a non-numeric value, a non-integer level, no level, an empty ε
+        # scan and a repeated ε or level are run-file violations (exit
+        # status 2), not a crash, a silent read or an order fit over fewer
+        # distinct ε than the list counts
         path = write(tmp_path, MINIMAL + f"\n[{section}]\n{line}\n")
         with pytest.raises(ValidationError, match=line.split(" =")[0]):
             parse_config(path)
@@ -240,6 +245,30 @@ class TestPipeline:
         rows = np.array([[r["eps"], r["min_abs_eigenvalue"], float(r["admissible"])]
                          for r in records])
         assert np.array_equal(csvs["gap_scan"][1], rows)
+
+    def test_each_coupled_sector_is_set_up_once(self, tmp_path, monkeypatch):
+        # the branches, resonance and gap-scan stages share one ℓ = 0 and one
+        # ℓ = 1 sector: each builds its two scalar tridiagonals and their
+        # lowest pairs once
+        calls = []
+
+        def counting(name, func):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return counted
+
+        for name in ("sector_matrix", "lowest_eigenpairs"):
+            monkeypatch.setattr(spectrum, name,
+                                counting(name, getattr(spectrum, name)))
+        monkeypatch.setattr(spectrum._CoupledSector, "__init__", counting(
+            "set-up", spectrum._CoupledSector.__init__))
+        text = re.sub(r"stages = .*", "stages = branches, resonance, gap_scan",
+                      readme_run_file())
+        summary, _ = run_pipeline(parse_config(write(tmp_path, text)))
+        assert summary["all_checks_pass"]
+        assert [calls.count(name) for name in
+                ("set-up", "sector_matrix", "lowest_eigenpairs")] == [2, 4, 4]
 
     @pytest.mark.parametrize("curve, min_abs_eig", [
         ("kind = circle\nradius = 0.7012465", 0.71076659),

@@ -9,15 +9,16 @@ from scipy.optimize import brentq
 from nlscurve.errors import ConvergenceError, ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                fourier_diff_matrices, periodic_derivative,
-                               sample_potential, straight_segment_curve)
+                               sample_potential)
 from nlscurve.scalings import (assemble_T, assemble_jacobi,
                                compute_exponents, compute_f1, compute_scalings,
                                critical_circle_radius, euler_residual,
-                               f1_equation_residual, match_phase_budget,
-                               reduced_functional, weighted_eigenbasis)
+                               f1_equation_residual, reduced_functional,
+                               weighted_eigenbasis)
 
 from conftest import circle_setup
-from oracles import fourier_symbol_jacobi_circle, reduced_length_stationary_radius
+from oracles import (fourier_symbol_jacobi_circle,
+                     reduced_length_stationary_radius, straight_segment_curve)
 
 
 class TestExponents:
@@ -70,14 +71,6 @@ class TestScalings:
         assert f_at_L == sf.phase_budget
         total = np.sum(0.5 * (sf.fprime + np.roll(sf.fprime, -1)) * ds)
         assert abs(total - sf.phase_budget) < 1e-13
-
-    def test_budget_matching_across_eps(self, bump_potential, exps23):
-        curve = build_curve(CurveSpec("circle", n=2, radius=0.8), 128)
-        pot = sample_potential(bump_potential, curve)
-        A2 = match_phase_budget(curve, pot, exps23, 0.1, 0.05, 0.025)
-        b1 = compute_scalings(curve, pot, 0.1, exps23).phase_budget / 0.05
-        b2 = compute_scalings(curve, pot, A2, exps23).phase_budget / 0.025
-        assert abs(b1 - b2) < 1e-10
 
     def test_large_speed_divergence_names_node(self, exps23):
         V = PotentialField("1", 3)
@@ -199,13 +192,21 @@ class TestBrent:
             scalings._brentq(lambda x: (x - 0.7) ** 3, 0.0, 1.0, xtol=1e-15)
 
     def test_phase_budget_match_as_with_scipy(self, bump_potential, exps23):
+        # the phase speed whose budget over ε = 0.025 matches that of A = 0.1
+        # over ε = 0.05, at xtol = 1e-15: the same root as SciPy's
+        from nlscurve.scalings import _brentq
         curve = build_curve(CurveSpec("circle", n=2, radius=0.8), 128)
         pot = sample_potential(bump_potential, curve)
         target = compute_scalings(curve, pot, 0.1, exps23).phase_budget / 0.05
-        ref = brentq(lambda A: compute_scalings(curve, pot, A, exps23).phase_budget
-                     / 0.025 - target, 0.0, 0.1 * 0.025 / 0.05 * 2.0 + 1e-12,
-                     xtol=1e-15)
-        assert match_phase_budget(curve, pot, exps23, 0.1, 0.05, 0.025) == ref
+
+        def mismatch(A):
+            return compute_scalings(curve, pot, A, exps23).phase_budget / 0.025 \
+                - target
+
+        hi = 0.1 * 0.025 / 0.05 * 2.0 + 1e-12
+        ref = brentq(mismatch, 0.0, hi, xtol=1e-15)
+        assert _brentq(mismatch, 0.0, hi, xtol=1e-15) == ref
+        assert abs(mismatch(ref)) < 1e-10
 
 
 class TestJacobi:

@@ -10,20 +10,21 @@ import nlscurve.spectrum as spectrum
 from nlscurve.errors import (BranchTrackingError, ConvergenceError,
                              ValidationError)
 from nlscurve.geometry import CurveSpec, build_curve, sample_potential
-from nlscurve.radial import (RadialGrid, SectorOperator, apply_sector,
-                             ground_state, sector_spectrum)
+from nlscurve.radial import (RadialGrid, SectorOperator, ground_state,
+                             sector_spectrum)
 from nlscurve.resonance import q_integrals
 from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import (BOUND_BRANCHES, alpha_field, bound_state_counts,
                                branch_curvature_closed_forms, continuum_threshold,
-                               crossing_slope, eta_curvature, find_alpha_bar,
-                               first_derivative_profiles, second_order_profiles,
-                               trace_branches)
+                               coupled_sectors, crossing_slope, eta_curvature,
+                               find_alpha_bar, first_derivative_profiles,
+                               second_order_profiles, trace_branches)
 
 import oracles
 from conftest import circle_setup
-from oracles import (CoupledSectorOperator, bound_state_counts_per_sector,
-                     coupled_bands, coupled_spectrum, decay_rate_windowed,
+from oracles import (CoupledSectorOperator, apply_sector,
+                     bound_state_counts_per_sector, coupled_bands,
+                     coupled_spectrum, decay_rate_windowed,
                      eigenvalue_derivative, eigenvalue_second_derivative,
                      kernel_projected, poschl_teller_levels, sector_floors)
 
@@ -135,7 +136,7 @@ class TestShift:
         with pytest.raises(ConvergenceError, match="not below"):
             coupled_spectrum(op, U1000, 1, (a + 1.0, b + 1.0))
 
-    def test_solve_counts(self, U23, monkeypatch):
+    def test_solve_counts(self, sectors23, monkeypatch):
         # every banded solve, Cholesky and LU; the α = 0 starts take none
         calls = []
 
@@ -148,16 +149,16 @@ class TestShift:
         for name in ("cho_solve_banded", "dgbtrs"):
             monkeypatch.setattr(spectrum, name,
                                 counting(getattr(spectrum, name), name))
-        trace_branches(U23, 3.0, 0.17, np.linspace(0.0, 2.2, 23))
+        trace_branches(sectors23, 0.17, np.linspace(0.0, 2.2, 23))
         assert len(calls) <= 380       # 362 measured (409 with Lanczos starts)
         calls.clear()
-        find_alpha_bar(U23, 3.0, 0.17)
+        find_alpha_bar(sectors23, 0.17)
         assert len(calls) <= 13        # 12 measured (21 with Lanczos steps)
         # at μ = 1 the gauge branch leaves the bound states between α = 0.9
         # and 1.0 and is not traced past them (every α there was a cold
         # Lanczos solve of a box mode: 1,980 solves)
         calls.clear()
-        trace_branches(U23, 3.0, 1.0, np.linspace(0.0, 2.2, 23))
+        trace_branches(sectors23, 1.0, np.linspace(0.0, 2.2, 23))
         assert calls.count("dgbtrs") <= 75    # 71 measured (103 before)
         assert len(calls) <= 425              # 404 measured
 
@@ -170,7 +171,7 @@ class TestBoundStateCounts:
         # from LAPACK's direct banded eigensolver; at μ = 1 the ℓ=0 gauge
         # eigenvalue leaves the bound states by α = 2.2
         alphas = np.array([0.0, 0.5, 1.3, 2.2])
-        counts = bound_state_counts(U1000, 3.0, mu, alphas)[ell]
+        counts = bound_state_counts(coupled_sectors(U1000, 3.0), mu, alphas)[ell]
         for a, tau, count in zip(alphas, continuum_threshold(alphas, mu), counts):
             bands, _, _ = coupled_bands(CoupledSectorOperator(a, mu, ell, 1, 3.0),
                                         U1000)
@@ -188,15 +189,15 @@ class TestBoundStateCounts:
         # to 1
         alphas = np.linspace(0.0, 2.2, 23)
         for U in U1000_by_dim.values():
-            fused = bound_state_counts(U, 3.0, mu, alphas)
+            fused = bound_state_counts(coupled_sectors(U, 3.0), mu, alphas)
             assert set(fused) == set(BOUND_BRANCHES)
             for ell, counts in fused.items():
                 assert np.array_equal(counts, bound_state_counts_per_sector(
                     U, 3.0, mu, alphas, ell))
 
-    def test_traced_branches_are_all_bound_states(self, U23):
+    def test_traced_branches_are_all_bound_states(self, sectors23):
         alphas = np.linspace(0.0, 2.2, 23)
-        counts = bound_state_counts(U23, 3.0, 0.17, alphas)
+        counts = bound_state_counts(sectors23, 0.17, alphas)
         for ell, labels in BOUND_BRANCHES.items():
             assert np.all(counts[ell] == len(labels))
 
@@ -206,15 +207,15 @@ class TestBoundStateCounts:
 
 
 @pytest.fixture(scope="module")
-def traced(U23):
-    return trace_branches(U23, 3.0, 0.1, np.linspace(0.0, 1.6, 17))
+def traced(sectors23):
+    return trace_branches(sectors23, 0.1, np.linspace(0.0, 1.6, 17))
 
 
 class TestBranches:
 
-    def test_decoupled_ground_branch_is_shift(self, U23):
+    def test_decoupled_ground_branch_is_shift(self, sectors23):
         alphas = np.linspace(0.0, 1.2, 7)
-        br = trace_branches(U23, 3.0, 0.0, alphas)
+        br = trace_branches(sectors23, 0.0, alphas)
         eta = br["ground"].eigenvalues
         assert np.max(np.abs(eta - (eta[0] + alphas**2))) < 1e-9
 
@@ -235,12 +236,12 @@ class TestBranches:
         d0 = eigenvalue_derivative(U23, 3.0, 0.1, 0.0)
         assert abs(d0) < 1e-3
 
-    def test_eta_curvature_identity(self, U23):
+    def test_eta_curvature_identity(self, U23, sectors23):
         # the closed form against finite differences of ARPACK eigenvalues
         numeric = eigenvalue_second_derivative(U23, 3.0, 0.1, 0.0)
-        assert abs(numeric - eta_curvature(U23, 3.0, 0.1)) < 1e-2
+        assert abs(numeric - eta_curvature(sectors23, 0.1)) < 1e-2
 
-    def test_eta_curvature_shifted_solve_removes_nothing(self, U23,
+    def test_eta_curvature_shifted_solve_removes_nothing(self, sectors23,
                                                           monkeypatch):
         # the L_i ℓ=0 solve is shifted by -η₀ > 0, so it has no kernel
         real = spectrum.sector_solve
@@ -252,7 +253,7 @@ class TestBranches:
             return out
 
         monkeypatch.setattr(spectrum, "sector_solve", recording)
-        eta_curvature(U23, 3.0, 0.1)
+        eta_curvature(sectors23, 0.1)
         [(op, removed)] = seen
         assert (op.kind, op.ell) == ("Li", 0) and op.shift > 0.0
         assert removed == 0.0
@@ -271,14 +272,14 @@ class TestBranches:
             assert np.all(nxt - tau < 0.02)   # box modes crowd the threshold
 
     @pytest.mark.parametrize("mu", [0.0, 0.17, 1.0])
-    def test_continuation_matches_cold_trace(self, U23, mu):
+    def test_continuation_matches_cold_trace(self, U23, sectors23, mu):
         # against cold ARPACK eigensolves at every α matched by overlap.  At
         # μ = 1 the gauge branch leaves the bound states between α = 0.9 and
         # 1.0: there the cold trace's second eigenpair is a box mode of the
         # continuum, at or above τ_α, and the warm trace reads NaN
         alphas = np.linspace(0.0, 2.2, 23)
         tau = continuum_threshold(alphas, mu)
-        warm = trace_branches(U23, 3.0, mu, alphas)
+        warm = trace_branches(sectors23, mu, alphas)
         for label, (lams, funcs) in cold_trace(U23, mu, alphas).items():
             traced = np.isfinite(warm[label].eigenvalues)
             assert np.max(np.abs(warm[label].eigenvalues[traced]
@@ -296,13 +297,13 @@ class TestBranches:
             assert gauge.exit_bracket is None
 
     @pytest.mark.parametrize("mu", [0.17, 1.0, 2.0, 3.0])
-    def test_traced_values_are_the_certified_count(self, U23, mu):
+    def test_traced_values_are_the_certified_count(self, sectors23, mu):
         # at every α the finite traced values of a sector number its inertia
         # count, the certificate the runner reports; at μ = 2 the gauge
         # branch leaves between α = 0.4 and 0.5
         alphas = np.linspace(0.0, 2.2, 23)
-        warm = trace_branches(U23, 3.0, mu, alphas)
-        counts = bound_state_counts(U23, 3.0, mu, alphas)
+        warm = trace_branches(sectors23, mu, alphas)
+        counts = bound_state_counts(sectors23, mu, alphas)
         tau = continuum_threshold(alphas, mu)
         for ell, labels in BOUND_BRANCHES.items():
             values = np.array([warm[label].eigenvalues for label in labels])
@@ -315,7 +316,8 @@ class TestBranches:
             assert warm["gauge"].exit_bracket == (0.4, 0.5)
 
     @pytest.mark.parametrize("mu, index", [(1.5, 6), (3.0, 3)])
-    def test_overshoot_towards_the_continuum(self, U23, monkeypatch, mu, index):
+    def test_overshoot_towards_the_continuum(self, U23, sectors23, monkeypatch,
+                                             mu, index):
         # at the last α before the gauge branch leaves (μα = 0.9, 0.0245
         # under τ_α) its predicted eigenvalue lies nearer the box modes above
         # τ_α than the bound state: inverse iteration there does not converge
@@ -330,7 +332,7 @@ class TestBranches:
 
         monkeypatch.setattr(spectrum._CoupledSector, "isolating_shift", spied)
         alphas = np.linspace(0.0, 2.2, 23)
-        gauge = trace_branches(U23, 3.0, mu, alphas)["gauge"]
+        gauge = trace_branches(sectors23, mu, alphas)["gauge"]
         alpha = alphas[index]
         assert isolated == [alpha] and gauge.exit_bracket[0] == alpha
         ref = coupled_spectrum(CoupledSectorOperator(alpha, mu, 0, 1, 3.0),
@@ -343,22 +345,22 @@ class TestBranches:
         # scalar tridiagonals' (the exact start of every trace and crossing
         # search), equal to the ARPACK eigenpairs at any μ
         for dim, U in U1000_by_dim.items():
-            for ell, labels in BOUND_BRANCHES.items():
-                sector = spectrum._CoupledSector(U, 3.0, ell, len(labels))
-                oracle = coupled_spectrum(
-                    CoupledSectorOperator(0.0, 0.4, ell, dim, 3.0), U, len(labels))
-                for (lam, phi), (lam_c, u_c, v_c) in zip(
-                        sector.start(len(labels)), oracle):
+            for ell, sector in coupled_sectors(U, 3.0).items():
+                start = sector.start()
+                assert len(start) == len(BOUND_BRANCHES[ell])
+                oracle = coupled_spectrum(CoupledSectorOperator(
+                    0.0, 0.4, ell, dim, 3.0), U, len(start))
+                for (lam, phi), (lam_c, u_c, v_c) in zip(start, oracle):
                     u, v = sector.profiles(phi)
                     assert abs(lam - lam_c) < 1e-12
                     assert np.max(np.abs(u - u_c)) + np.max(np.abs(v - v_c)) < 1e-12
 
-    def test_grid_validation(self, U23):
+    def test_grid_validation(self, sectors23):
         with pytest.raises(ValidationError):
-            trace_branches(U23, 3.0, 0.1, np.array([0.5, 0.2]))
+            trace_branches(sectors23, 0.1, np.array([0.5, 0.2]))
         # the exact starts hold at α = 0 only
         with pytest.raises(ValidationError, match="from 0"):
-            trace_branches(U23, 3.0, 0.1, np.array([0.1, 0.5]))
+            trace_branches(sectors23, 0.1, np.array([0.1, 0.5]))
 
 
 def cold_trace(U, mu, alphas):
@@ -385,13 +387,13 @@ def cold_trace(U, mu, alphas):
 
 
 class TestCrossing:
-    def test_alpha_bar_decoupled(self, U23):
-        mode = find_alpha_bar(U23, 3.0, 0.0)
+    def test_alpha_bar_decoupled(self, sectors23):
+        mode = find_alpha_bar(sectors23, 0.0)
         assert abs(mode.alpha_bar - np.sqrt(3.0)) < 1e-4
         assert np.max(np.abs(mode.v_values)) < 1e-9
 
-    def test_decay_rate(self, U23):
-        mode = find_alpha_bar(U23, 3.0, 0.05)
+    def test_decay_rate(self, sectors23):
+        mode = find_alpha_bar(sectors23, 0.05)
         assert mode.decay_rate == np.sqrt(continuum_threshold(mode.alpha_bar, 0.05))
         assert mode.decay_rate > 1.0
 
@@ -399,16 +401,16 @@ class TestCrossing:
     def test_eigenvector_decays_at_the_closed_form_rate(self, grid30, n, gate):
         # the exponential rate fitted to the tail of |Z| + |W| against
         # √τ_ᾱ; measured 2.6e-5 … 3.5e-5 (n = 2), 1.10e-3 … 1.19e-3 (n = 3)
-        U = ground_state(n, 3, grid30)
+        sectors = coupled_sectors(ground_state(n, 3, grid30), 3.0)
         for mu in (0.0, 0.05, 0.17, 0.5):
-            mode = find_alpha_bar(U, 3.0, mu)
+            mode = find_alpha_bar(sectors, mu)
             fitted = decay_rate_windowed(
                 grid30.nodes, np.abs(mode.u_values) + np.abs(mode.v_values), n - 1)
             assert abs(fitted - mode.decay_rate) <= gate
 
-    def test_slope_identity(self, U23):
+    def test_slope_identity(self, U23, sectors23):
         # the closed form against finite differences of ARPACK eigenvalues
-        mode = find_alpha_bar(U23, 3.0, 0.05)
+        mode = find_alpha_bar(sectors23, 0.05)
         numeric = eigenvalue_derivative(U23, 3.0, 0.05, mode.alpha_bar)
         assert abs(numeric - crossing_slope(mode)) < 1e-3
 
@@ -416,10 +418,10 @@ class TestCrossing:
     def test_slope_is_the_reintegrated_closed_form(self, grid30, n):
         # crossing_slope reads Q₃ from the mode: bitwise 2ᾱ + 2μ·ω∫ZW r^{d-1}
         # integrated again from the profiles
-        U = ground_state(n, 3, grid30)
+        sectors = coupled_sectors(ground_state(n, 3, grid30), 3.0)
         r, d = grid30.nodes, n - 1
         for mu in (0.0, 0.05, 0.17):
-            mode = find_alpha_bar(U, 3.0, mu)
+            mode = find_alpha_bar(sectors, mu)
             zw = spectrum.sphere_area(d) * np.trapezoid(
                 mode.u_values * mode.v_values * r ** (d - 1), r)
             assert crossing_slope(mode) == float(2 * mode.alpha_bar + 2 * mu * zw)
@@ -430,7 +432,7 @@ class TestCrossing:
         # central difference (h = 2e-3, 1e-3) of the lowest ℓ=0 eigenvalue
         # in α and in μ; measured <= 1e-9
         sector = spectrum._CoupledSector(ground_state(n, 3, grid30), 3.0, 0)
-        phi = sector.start(1)[0][1]
+        phi = sector.start()[0][1]
         for alpha, mu in ((1.0, 0.17), (0.5, 1.0), (1.5, 0.5)):
             _, phi = spectrum._warm_pair(sector, alpha, mu, phi)
 
@@ -444,8 +446,8 @@ class TestCrossing:
             exact = spectrum._slopes(phi, alpha, mu)
             assert np.max(np.abs(np.subtract(exact, numeric))) <= 1e-8
 
-    def test_normalization(self, U23, grid30):
-        mode = find_alpha_bar(U23, 3.0, 0.05)
+    def test_normalization(self, sectors23, grid30):
+        mode = find_alpha_bar(sectors23, 0.05)
         r = grid30.nodes
         mass = 2.0 * np.trapezoid(mode.u_values**2 + mode.v_values**2, r)
         assert abs(mass - 1.0) < 1e-12
@@ -460,12 +462,12 @@ class TestCrossing:
         assert abs(eta0 + 3.0) < 1e-4
 
     @pytest.mark.parametrize("mu", [0.0, 0.05])
-    def test_one_eigensolve_per_distinct_alpha(self, U23, monkeypatch, mu):
+    def test_one_eigensolve_per_distinct_alpha(self, sectors23, monkeypatch, mu):
         calls = record_eigensolves(monkeypatch)
-        mode = find_alpha_bar(U23, 3.0, mu)
+        mode = find_alpha_bar(sectors23, mu)
         kinds = [kind for kind, _, _ in calls]
         alphas = [a for _, a, _ in calls]
-        eta0 = sector_spectrum(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23, 1)[0][0]
+        eta0 = sectors23[0].floors[0]      # the search starts from the floor
         assert len(set(alphas)) == len(alphas)
         # Newton steps from √(-η₀), the first one from the exact α = 0
         # ground pair; no step leaves the bracket, so η at its upper end is
@@ -478,13 +480,13 @@ class TestCrossing:
         if mu == 0.0:
             assert len(calls) == 1     # √(-η₀) is the crossing itself
 
-    def test_no_sign_change_raises(self, U23, monkeypatch):
+    def test_no_sign_change_raises(self, sectors23, monkeypatch):
         # at μ = 3 the ground branch stays negative on the whole bracket: a
         # Newton step leaves it, η at the upper end is solved, and it is ≤ 0
         calls = record_eigensolves(monkeypatch)
         with pytest.raises(ConvergenceError, match="no sign change"):
-            find_alpha_bar(U23, 3.0, 3.0)
-        eta0 = sector_spectrum(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23, 1)[0][0]
+            find_alpha_bar(sectors23, 3.0)
+        eta0 = sectors23[0].floors[0]      # the bracket comes from the floor
         _, alpha, eta_hi = calls[-1]
         assert alpha == np.sqrt(-2 * eta0) + 1.0 and eta_hi <= 0
         assert all(eta <= 0 for _, _, eta in calls)
@@ -514,8 +516,8 @@ class TestImmutable:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
-    def test_crossing_mode_frozen(self, U23):
-        mode = find_alpha_bar(U23, 3.0, 0.05)
+    def test_crossing_mode_frozen(self, sectors23):
+        mode = find_alpha_bar(sectors23, 0.05)
         with pytest.raises(FrozenInstanceError):
             mode.alpha_bar = 1.0
         for arr in (mode.u_values, mode.v_values):
@@ -524,18 +526,19 @@ class TestImmutable:
 
 
 class TestAlphaField:
-    def test_zero_speed_uniform(self, U23, bump_potential, exps23):
+    def test_zero_speed_uniform(self, sectors23, bump_potential, exps23):
         curve, pot, sf = circle_setup(bump_potential, 0.8, 96, 0.0, exps23)
-        abar, modes = alpha_field(sf, U23)
+        abar, modes = alpha_field(sf, sectors23)
         assert np.ptp(abar) == 0.0
         assert abs(abar[0] - np.sqrt(3.0)) < 1e-3   # eta0 ≈ -3 at any k
 
-    def test_constant_coefficients_constant(self, U23, exps23, bump_potential):
+    def test_constant_coefficients_constant(self, sectors23, exps23,
+                                            bump_potential):
         curve, pot, sf = circle_setup(bump_potential, 0.8, 96, 0.05, exps23)
-        abar, _ = alpha_field(sf, U23)
+        abar, _ = alpha_field(sf, sectors23)
         assert np.ptp(abar) < 1e-10
 
-    def test_one_solve_per_distinct_mu(self, U23, bump_potential, exps23,
+    def test_one_solve_per_distinct_mu(self, sectors23, bump_potential, exps23,
                                        monkeypatch):
         calls = []
         solve = spectrum._solve_crossing
@@ -551,7 +554,7 @@ class TestAlphaField:
             sf = compute_scalings(curve, sample_potential(bump_potential, curve),
                                   0.05, exps23)
             calls.clear()
-            abar, modes = alpha_field(sf, U23)
+            abar, modes = alpha_field(sf, sectors23)
             mus = 2.0 * sf.fprime / sf.k
             tol = spectrum.MU_GROUP_TOL * max(1.0, np.max(np.abs(mus)))
             # the ellipse's symmetries s -> -s, s -> s + L/2 leave M/4 + 1
@@ -571,8 +574,8 @@ class TestAlphaField:
 
 
     @pytest.mark.parametrize("a, b", [(0.85, 0.6), (1.0, 0.5)])
-    def test_continuation_matches_cold_search(self, U23, bump_potential, exps23,
-                                              monkeypatch, a, b):
+    def test_continuation_matches_cold_search(self, sectors23, bump_potential,
+                                              exps23, monkeypatch, a, b):
         # every μ group against an independent find_alpha_bar from α = 0:
         # both are within tol of the root, so within 2·tol of each other
         curve = build_curve(CurveSpec("ellipse", n=2, a=a, b=b), 256)
@@ -580,12 +583,12 @@ class TestAlphaField:
                               0.05, exps23)
         calls = record_eigensolves(monkeypatch)
         tol = 1e-8
-        abar, modes = alpha_field(sf, U23, tol=tol)
+        abar, modes = alpha_field(sf, sectors23, tol=tol)
         groups = list({id(m): m for m in modes}.values())
         # measured 123 (0.85:0.6) and 127 (2:1) eigensolves for 65 groups
         assert len(calls) <= 2 * len(groups)
         monkeypatch.undo()
-        cold = {id(m): find_alpha_bar(U23, 3.0, m.mu, tol=tol) for m in groups}
+        cold = {id(m): find_alpha_bar(sectors23, m.mu, tol=tol) for m in groups}
         assert max(abs(m.alpha_bar - cold[id(m)].alpha_bar) for m in groups) \
             <= 2 * tol
         warm_q = q_integrals(modes)
