@@ -48,6 +48,20 @@ def straight_segment_curve(L, M, n=2):
                      frame=frame, curvature=curvature, holonomy_angle=0.0)
 
 
+def budget_mismatch(curve, pot, exps, A_ref, eps_ref, eps_new):
+    """Mismatch A -> budget(A)/eps_new - budget(A_ref)/eps_ref, and a bracket top.
+
+    Its root is the phase-speed constant that keeps the total phase variation
+    of A_ref over eps_ref when ε becomes eps_new; the root lies in [0, hi].
+    """
+    target = compute_scalings(curve, pot, A_ref, exps).phase_budget / eps_ref
+
+    def mismatch(A):
+        return compute_scalings(curve, pot, A, exps).phase_budget / eps_new - target
+
+    return mismatch, A_ref * eps_new / eps_ref * 2.0 + 1e-12
+
+
 def ground_state_u0_collocation(n, p, r_max=30.0, tol=1e-10):
     """U(0) via solve_bvp collocation (independent of the shooting oracle)."""
     d = n - 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 from scipy.optimize import brentq
 
+from nlscurve import scalings
 from nlscurve.errors import ConvergenceError, ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                fourier_diff_matrices, periodic_derivative,
@@ -17,7 +18,7 @@ from nlscurve.scalings import (assemble_T, assemble_jacobi,
                                weighted_eigenbasis)
 
 from conftest import circle_setup
-from oracles import (fourier_symbol_jacobi_circle,
+from oracles import (budget_mismatch, fourier_symbol_jacobi_circle,
                      reduced_length_stationary_radius, straight_segment_curve)
 
 
@@ -71,6 +72,17 @@ class TestScalings:
         assert f_at_L == sf.phase_budget
         total = np.sum(0.5 * (sf.fprime + np.roll(sf.fprime, -1)) * ds)
         assert abs(total - sf.phase_budget) < 1e-13
+
+    def test_budget_matching_across_eps(self, bump_potential, exps23):
+        # the phase speed A2 whose budget over ε = 0.025 matches that of
+        # A = 0.1 over ε = 0.05
+        curve = build_curve(CurveSpec("circle", n=2, radius=0.8), 128)
+        pot = sample_potential(bump_potential, curve)
+        mismatch, hi = budget_mismatch(curve, pot, exps23, 0.1, 0.05, 0.025)
+        A2 = scalings._brentq(mismatch, 0.0, hi, xtol=1e-15)
+        b1 = compute_scalings(curve, pot, 0.1, exps23).phase_budget / 0.05
+        b2 = compute_scalings(curve, pot, A2, exps23).phase_budget / 0.025
+        assert abs(b1 - b2) < 1e-10
 
     def test_large_speed_divergence_names_node(self, exps23):
         V = PotentialField("1", 3)
@@ -184,7 +196,6 @@ class TestBrent:
         assert port == ref and seen["port"] == seen["scipy"]
 
     def test_failures_are_typed(self, monkeypatch):
-        from nlscurve import scalings
         with pytest.raises(ConvergenceError, match="sign"):
             scalings._brentq(lambda x: x**2 + 1, -1.0, 1.0, xtol=1e-12)
         monkeypatch.setattr(scalings, "BRENT_MAX_ITER", 5)
@@ -192,21 +203,11 @@ class TestBrent:
             scalings._brentq(lambda x: (x - 0.7) ** 3, 0.0, 1.0, xtol=1e-15)
 
     def test_phase_budget_match_as_with_scipy(self, bump_potential, exps23):
-        # the phase speed whose budget over ε = 0.025 matches that of A = 0.1
-        # over ε = 0.05, at xtol = 1e-15: the same root as SciPy's
-        from nlscurve.scalings import _brentq
         curve = build_curve(CurveSpec("circle", n=2, radius=0.8), 128)
         pot = sample_potential(bump_potential, curve)
-        target = compute_scalings(curve, pot, 0.1, exps23).phase_budget / 0.05
-
-        def mismatch(A):
-            return compute_scalings(curve, pot, A, exps23).phase_budget / 0.025 \
-                - target
-
-        hi = 0.1 * 0.025 / 0.05 * 2.0 + 1e-12
+        mismatch, hi = budget_mismatch(curve, pot, exps23, 0.1, 0.05, 0.025)
         ref = brentq(mismatch, 0.0, hi, xtol=1e-15)
-        assert _brentq(mismatch, 0.0, hi, xtol=1e-15) == ref
-        assert abs(mismatch(ref)) < 1e-10
+        assert scalings._brentq(mismatch, 0.0, hi, xtol=1e-15) == ref
 
 
 class TestJacobi:
