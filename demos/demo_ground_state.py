@@ -10,8 +10,8 @@ kernel of L_i.
 
 import numpy as np
 
-from nlscurve.radial import (RadialGrid, SectorOperator, ground_state,
-                             ode_residual, sector_spectrum)
+from nlscurve.radial import (RadialGrid, Sector, ground_state, ode_residual,
+                             sector_spectrum)
 
 grid = RadialGrid(30.0, 3000)
 
@@ -31,8 +31,7 @@ for kind, ell, note in [("Lr", 0, "single negative eigenvalue"),
                         ("Lr", 1, "translation kernel"),
                         ("Li", 0, "gauge kernel"),
                         ("Li", 1, "positive")]:
-    op = SectorOperator(kind, ell, 0.0, 1, 3.0)
-    vals = [v for v, _ in sector_spectrum(op, U, 3)]
+    vals = [v for v, _ in sector_spectrum(Sector(U, 3.0, kind, ell), 3)]
     print(f"   {kind} sector {ell}: {np.round(vals, 6)}   ({note})")
 
 U.to_csv("ground_state.csv")

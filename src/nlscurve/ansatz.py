@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ValidationError, CurveNotCriticalError
 from .geometry import (periodic_antiderivative, periodic_derivative,
                        sample_potential)
-from .radial import SectorOperator, sector_kernel, sector_solve
+from .radial import Sector, sector_solve
 from .scalings import compute_f1, compute_scalings
 from .tube import (apply_S_eps, build_tube_grid, convergence_order,
                    core_radius, weighted_norm, z_spacing)
@@ -127,6 +127,8 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     f2 = np.asarray(f2, dtype=float)
     if Phi.shape != (M, d) or f2.shape != (M,):
         raise ValidationError("parameter fields must be sampled on the curve nodes")
+    if U.dim != d:
+        raise ValidationError("profile and curve dimensions disagree")
 
     h, k, fp = sf.h, sf.k, sf.fprime
     Hc = curve.curvature
@@ -165,16 +167,14 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     vec = (2.0 * fp[:, None]**2 * Hc + G) / k[:, None]   # (2f'²H + ∇V)/k
     w = np.stack([-vec * (h / k**2)[:, None], -Hc * (h / k)[:, None]],
                  axis=-1)                             # (M, d, 2)
-    op_r1 = SectorOperator("Lr", 1, 0.0, d, p)
-    setup = sector_kernel(op_r1, U)                   # shared by solve and check
+    r1 = Sector(U, p, "Lr", 1)                        # its kernel serves the check
     rows = np.stack([y * Uv, dU])
     phi = np.zeros((2, r.size))
-    phi[:, :ny] = sector_solve(op_r1, U, rows, setup)[0][:, :ny]
+    phi[:, :ny] = sector_solve(r1, rows)[0][:, :ny]
     w_ro = w @ phi[:, :ny]                            # (M, d, ny)
-    kernel, (_, _, weight, idx) = setup
-    rows = rows[:, idx] * np.sqrt(weight)             # weighted, as in the solve
+    rows = rows[:, r1.idx] * np.sqrt(r1.weight)       # weighted, as in the solve
     wGw = np.maximum(np.einsum("ijf,fg,ijg->ij", w, rows @ rows.T, w), 0.0)
-    removed = np.max(np.abs(w @ (rows @ kernel))
+    removed = np.max(np.abs(w @ (rows @ r1.kernel))
                      / np.maximum(np.sqrt(wGw), 1e-300), axis=1)
     if np.max(removed) > criticality_tol:
         raise CurveNotCriticalError(
@@ -243,17 +243,16 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     # traceless part solves at ℓ=2, one upper-triangle entry at a time.
     tr = np.einsum("immf->if", c) / d
     v0_even0 = (-(a + tr) / k[:, None]**2) @ sector_solve(
-        SectorOperator("Lr", 0, 0.0, d, p), U, E)[0][:, :ny]
+        Sector(U, p, "Lr", 0), E)[0][:, :ny]
     v0_even2 = np.zeros((M, d, d, ny))
     if d >= 2:
         ctl = -(c - np.eye(d)[:, :, None] * tr[:, None, None])[..., 4:] \
             / k[:, None, None, None]**2
-        sol2 = sector_solve(SectorOperator("Lr", 2, 0.0, d, p), U,
-                            E[4:])[0][:, :ny]
+        sol2 = sector_solve(Sector(U, p, "Lr", 2), E[4:])[0][:, :ny]
         for m, l in zip(*np.triu_indices(d)):
             v0_even2[:, m, l] = v0_even2[:, l, m] = ctl[:, m, l] @ sol2
     v0_odd = (-b / k[:, None, None]**2) @ sector_solve(
-        SectorOperator("Li", 1, 0.0, d, p), U, O)[0][:, :ny]
+        Sector(U, p, "Li", 1), O)[0][:, :ny]
 
     return CorrectorSet(ygrid=ygrid, c_wre=c_wre, c_wie=c_wie, b_wio=b_wio,
                         w_ro=w_ro, removed_wro=removed, c_vt=c_vt,

@@ -12,8 +12,10 @@ scalar equation around U gives the two model operators
 which act sector-by-sector in spherical-harmonic modes ℓ.  Their classical
 spectral facts (single negative eigenvalue of L_r, kernel of L_r spanned by
 the ∂U, kernel of L_i spanned by U) are what every downstream construction
-leans on, so this module also provides sector eigensolvers and minimal-norm
-sector solves that project off those known kernels (``sector_kernel``).
+leans on.  A ``Sector`` holds one (kind, ℓ, shift) sector of a profile: its
+symmetric tridiagonal, set up once, and its kernel, computed on first use
+and only in the two sectors that have one.  ``sector_spectrum`` and the
+minimal-norm ``sector_solve``, which projects off that kernel, take it.
 
 Discretization: uniform radial grid on [0, r_max], second-order finite
 differences in divergence form, with the (d-1)/r first-derivative term
@@ -26,6 +28,7 @@ the nodes a profile is its not-a-knot cubic interpolant (``UniformCubic``).
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
@@ -186,33 +189,6 @@ class RadialProfile:
     def to_csv(self, path):
         np.savetxt(path, np.column_stack([self.grid.nodes, self.values]),
                    delimiter=",", header="r,value", comments="")
-
-
-@dataclass(frozen=True)
-class SectorOperator:
-    """One spherical-harmonic sector of L_r or L_i, plus an additive shift.
-
-    kind 'Lr' carries the coefficient p U^{p-1}, kind 'Li' carries U^{p-1}.
-    For dim == 1 the sectors are parities: ℓ = 0 even, ℓ = 1 odd.
-    """
-
-    kind: str
-    ell: int
-    shift: float
-    dim: int
-    p: float
-
-    def __post_init__(self):
-        if self.kind not in ("Lr", "Li"):
-            raise ValidationError(f"kind must be 'Lr' or 'Li', got {self.kind!r}")
-        if self.ell < 0:
-            raise ValidationError("angular mode must be nonnegative")
-        if self.dim == 1 and self.ell > 1:
-            raise ValidationError("dim 1 has only parity sectors ell in {0, 1}")
-
-    @property
-    def nonlinear_coeff(self):
-        return self.p if self.kind == "Lr" else 1.0
 
 
 def _fit_decay_rate(grid, values, dim):
@@ -389,25 +365,54 @@ def ground_state(n, p, grid=None):
 # Sector operators
 # ---------------------------------------------------------------------------
 
-def sector_matrix(op, U):
-    """Symmetric tridiagonal form of a sector operator.
+class Sector:
+    """One spherical-harmonic sector of L_r or L_i, plus an additive shift.
 
-    Returns (diag, off, weight, idx): the operator on nodal values u is
-    similar, via D^{1/2} with D = diag(weight), to the symmetric tridiagonal
-    (diag, off) acting on φ = sqrt(weight)·u; idx are the active node indices.
+    kind 'Lr' carries the coefficient p U^{p-1}, kind 'Li' carries U^{p-1}.
+    For U.dim == 1 the sectors are parities: ℓ = 0 even, ℓ = 1 odd.  The
+    operator on nodal values u is similar, via D^{1/2} with D =
+    diag(weight), to the symmetric tridiagonal (diag, off) acting on
+    φ = sqrt(weight)·u; idx are the active node indices.  All four are built
+    once, here, and read-only.
     """
-    grid, d = U.grid, op.dim
-    if d != U.dim:
-        raise ValidationError("operator and profile dimensions disagree")
-    include_origin = op.ell == 0
-    lower, diag, upper, weight, idx = _laplacian_rows(grid, d, include_origin)
-    r = grid.nodes[idx]
-    pot = 1.0 + op.shift - op.nonlinear_coeff * U.values[idx] ** (op.p - 1.0)
-    if op.ell >= 1 and d >= 2:
-        pot = pot + op.ell * (op.ell + d - 2) / r**2
-    diag = diag + pot
-    off = upper[:-1] * np.sqrt(weight[:-1] / weight[1:])
-    return diag, off, weight, idx
+
+    def __init__(self, U, p, kind, ell, shift=0.0):
+        if kind not in ("Lr", "Li"):
+            raise ValidationError(f"kind must be 'Lr' or 'Li', got {kind!r}")
+        if ell < 0:
+            raise ValidationError("angular mode must be nonnegative")
+        if U.dim == 1 and ell > 1:
+            raise ValidationError("dim 1 has only parity sectors ell in {0, 1}")
+        self.U, self.p, self.kind, self.ell, self.shift = U, p, kind, ell, shift
+        d = U.dim
+        _, diag, upper, weight, idx = _laplacian_rows(U.grid, d, ell == 0)
+        coeff = p if kind == "Lr" else 1.0
+        pot = 1.0 + shift - coeff * U.values[idx] ** (p - 1.0)
+        if ell >= 1 and d >= 2:
+            pot = pot + ell * (ell + d - 2) / U.grid.nodes[idx]**2
+        self.diag = diag + pot
+        self.off = upper[:-1] * np.sqrt(weight[:-1] / weight[1:])
+        self.weight, self.idx = weight, idx
+        for a in (self.diag, self.off, weight, idx):    # shared by every user
+            a.setflags(write=False)
+
+    @cached_property
+    def kernel(self):
+        """The unit kernel vector in φ-coordinates, or None.
+
+        U is nondegenerate, Ker L_r = span{∂_jU} and Ker L_i = span{U}
+        (Weinstein, SIAM J. Math. Anal. 16 (1985); Kwong, ARMA 105 (1989)),
+        so only the unshifted L_i ℓ=0 and L_r ℓ=1 sectors have a kernel:
+        their lowest eigenvector, whatever the grid leaves of its eigenvalue
+        (round-off for d = 1, 1.48e-4 for d = 2, -3.8e-6 for d = 3 on the
+        (30, 3000) grid).  Computed on first use; every other sector runs no
+        eigensolve.
+        """
+        if self.shift != 0.0 or (self.kind, self.ell) not in (("Li", 0), ("Lr", 1)):
+            return None
+        _, vecs = eigh_tridiagonal(self.diag, self.off, select="i",
+                                   select_range=(0, 0))
+        return vecs[:, 0]
 
 
 def _split(a):
@@ -453,16 +458,16 @@ def lowest_eigenpairs(diag, off, count):
     return vals, vecs
 
 
-def sector_spectrum(op, U, count):
-    """Lowest ``count`` eigenpairs of the sector operator, ascending.
+def sector_spectrum(sector, count):
+    """Lowest ``count`` eigenpairs of the sector, ascending.
 
     Eigenvalues come from ``lowest_eigenpairs``; eigenfunctions are
     RadialProfiles normalized so that ∫ u² r^{d-1} dr = 1.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    diag, off, weight, idx = sector_matrix(op, U)
-    vals, vecs = lowest_eigenpairs(diag, off, count)
+    U, weight, idx = sector.U, sector.weight, sector.idx
+    vals, vecs = lowest_eigenpairs(sector.diag, sector.off, count)
     sqrtw = np.sqrt(weight)
     pairs = []
     for j in range(count):
@@ -476,44 +481,25 @@ def sector_spectrum(op, U, count):
     return pairs
 
 
-def sector_kernel(op, U):
-    """(kernel, sector_matrix(op, U)) with the unit kernel vector or None.
-
-    U is nondegenerate, Ker L_r = span{∂_jU} and Ker L_i = span{U}
-    (Weinstein, SIAM J. Math. Anal. 16 (1985); Kwong, ARMA 105 (1989)), so
-    only the unshifted L_i ℓ=0 and L_r ℓ=1 sectors have a kernel: their
-    lowest eigenvector in φ-coordinates, whatever the grid leaves of its
-    eigenvalue (round-off for d = 1, 1.48e-4 for d = 2, -3.8e-6 for d = 3 on
-    the (30, 3000) grid).  Every other sector runs no eigensolve.
-    """
-    matrix = sector_matrix(op, U)
-    if op.shift != 0.0 or (op.kind, op.ell) not in (("Li", 0), ("Lr", 1)):
-        return None, matrix
-    _, vecs = eigh_tridiagonal(matrix[0], matrix[1], select="i",
-                               select_range=(0, 0))
-    return vecs[:, 0], matrix
-
-
-def sector_solve(op, U, rhs, setup=None):
+def sector_solve(sector, rhs):
     """Minimal-norm solutions of (sector operator) u = rhs, one per row.
 
-    ``rhs`` holds nodal values on U's grid, shape (..., m).  In the two
-    sectors with a kernel (``sector_kernel``) every row is projected off it
-    first; ``removed`` (shape rhs.shape[:-1]) is the relative norm of the
+    ``rhs`` holds nodal values on the profile's grid, shape (..., m).  In the
+    two sectors with a kernel (``Sector.kernel``) every row is projected off
+    it first; ``removed`` (shape rhs.shape[:-1]) is the relative norm of the
     removed component against the row, both in the weighted norm, and is 0
     in every other sector.  All rows share one banded solve, and the
     solutions are projected off the kernel again, which makes each the
     minimal-norm one.  The solve is linear in the rows, so a combination of
     rows solves to the same combination of their solutions.  Returns
-    (values, removed) with values of rhs's shape.  ``setup`` is
-    ``sector_kernel(op, U)`` when the caller already has it.
+    (values, removed) with values of rhs's shape.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[-1:] != (U.grid.m,) or not np.all(np.isfinite(rhs)):
+    if rhs.shape[-1:] != (sector.U.grid.m,) or not np.all(np.isfinite(rhs)):
         raise ValidationError("right-hand sides must be finite nodal values "
                               "on the profile's grid")
-    kernel, (diag, off, weight, idx) = setup or sector_kernel(op, U)
-    sqrtw = np.sqrt(weight)
+    kernel, diag, idx = sector.kernel, sector.diag, sector.idx
+    sqrtw = np.sqrt(sector.weight)
     act = slice(idx[0], idx[-1] + 1)
     b = rhs.reshape(-1, rhs.shape[-1])[:, act] * sqrtw      # (rows, nact)
 
@@ -525,9 +511,9 @@ def sector_solve(op, U, rhs, setup=None):
         b -= np.outer(coeffs, kernel)
 
     ab = np.zeros((3, diag.size))
-    ab[0, 1:] = off
+    ab[0, 1:] = sector.off
     ab[1] = diag
-    ab[2, :-1] = off
+    ab[2, :-1] = sector.off
     x = solve_banded((1, 1), ab, b.T, overwrite_b=True).T
     if kernel is not None:
         x -= np.outer(x @ kernel, kernel)

@@ -33,14 +33,14 @@ lowest, is shifted to its predicted eigenvalue through a banded LU, or,
 where that prediction overshoots towards the continuum, to a shift isolated
 by inertia counts; the overlap floor and the inertia count of
 bound_state_counts guard it.  A branch ends where the count says the bound
-states end.  The scalar tridiagonals, their lowest pairs and the α = μ = 0
-bands of a sector depend on (U, p, ℓ) only, so coupled_sectors sets each up
-once per profile for every caller, and a point (α, μ) only updates the
-diagonal (+α²) and the coupling band (μα).  Every slope (∂λ/∂α, ∂λ/∂μ)
-is read off the unit eigenvector (_slopes), exact for the discrete
-eigenvalue, so no step converts φ to profiles; a crossing converts its
-eigenvector once, and its CrossingMode carries the overlap integrals that
-the resonance layer reads.
+states end.  The scalar tridiagonals (the L_r and L_i radial.Sector of its
+ℓ), their lowest pairs and the α = μ = 0 bands of a sector depend on
+(U, p, ℓ) only, so coupled_sectors sets each up once per profile for every
+caller, and a point (α, μ) only updates the diagonal (+α²) and the
+coupling band (μα).  Every slope (∂λ/∂α, ∂λ/∂μ) is read off the unit
+eigenvector (_slopes), exact for the discrete eigenvalue, so no step
+converts φ to profiles; a crossing converts its eigenvector once, and its
+CrossingMode carries the overlap integrals that the resonance layer reads.
 """
 
 from dataclasses import dataclass
@@ -51,8 +51,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ValidationError, BranchTrackingError, ConvergenceError
 from .geometry import freeze_arrays, readonly_view
-from .radial import (SectorOperator, lowest_eigenpairs, sector_matrix,
-                     sector_solve)
+from .radial import Sector, lowest_eigenpairs, sector_solve
 
 # distance of the Cholesky shift below the coupled spectrum's lower bound
 SHIFT_MARGIN = 1e-2
@@ -138,27 +137,27 @@ class _CoupledSector:
     Its operator is (L_r-sector + α², μα; μα, L_i-sector + α²).  The two
     components are interleaved node-wise, (u_0, v_0, u_1, v_1, ...), which
     makes it pentadiagonal: the scalar-sector similarity weight is shared by
-    both blocks, so the coupling stays μα·Identity.  The unshifted scalar L_r
-    and L_i tridiagonals (radial.sector_matrix, which share weight and active
-    nodes), the lowest eigenpairs of each that the sector's traced branches
-    need (one per label of BOUND_BRANCHES[ℓ], one for any other ℓ), their
-    lowest eigenvalues ``floors`` and the α = μ = 0 bands (lower band
-    storage, 3 x 2·nact) are built once; a point (α, μ) only adds α² to the
-    diagonal and sets the coupling band to μα.
+    both blocks, so the coupling stays μα·Identity.  The tridiagonals of the
+    unshifted L_r and L_i ℓ-sectors (radial.Sector, which share weight and
+    active nodes; their kernels are never read), the lowest eigenpairs of
+    each that the sector's traced branches need (one per label of
+    BOUND_BRANCHES[ℓ], one for any other ℓ), their lowest eigenvalues
+    ``floors`` and the α = μ = 0 bands (lower band storage, 3 x 2·nact) are
+    built once; a point (α, μ) only adds α² to the diagonal and sets the
+    coupling band to μα.
     """
 
     def __init__(self, U, p, ell):
         self.U, self.p, self.ell = U, p, ell
-        (diag_r, off_r, self.weight, self.idx), (diag_i, off_i, _, _) = (
-            sector_matrix(SectorOperator(kind, ell, 0.0, U.dim, p), U)
-            for kind in ("Lr", "Li"))
-        self.tridiagonals = (diag_r, off_r, diag_i, off_i)
-        self.bands0 = np.zeros((3, 2 * diag_r.size))
-        self.bands0[0, 0::2], self.bands0[0, 1::2] = diag_r, diag_i
-        self.bands0[2, 0:-2:2], self.bands0[2, 1:-2:2] = off_r, off_i
+        lr, li = (Sector(U, p, kind, ell) for kind in ("Lr", "Li"))
+        self.weight, self.idx = lr.weight, lr.idx
+        self.tridiagonals = (lr.diag, lr.off, li.diag, li.off)
+        self.bands0 = np.zeros((3, 2 * lr.diag.size))
+        self.bands0[0, 0::2], self.bands0[0, 1::2] = lr.diag, li.diag
+        self.bands0[2, 0:-2:2], self.bands0[2, 1:-2:2] = lr.off, li.off
         count = len(BOUND_BRANCHES[ell]) if ell in BOUND_BRANCHES else 1
-        self.lowest = (lowest_eigenpairs(diag_r, off_r, count),
-                       lowest_eigenpairs(diag_i, off_i, count))
+        self.lowest = tuple(lowest_eigenpairs(s.diag, s.off, count)
+                            for s in (lr, li))
         self.floors = tuple(float(vals[0]) for vals, _ in self.lowest)
 
     def bands(self, alpha, mu):
@@ -619,7 +618,7 @@ def eta_curvature(sectors, mu):
     U, p = sector.U, sector.p
     lam0, phi0 = sector.start()[0]
     u0, v0 = sector.profiles(phi0)
-    dv, _ = sector_solve(SectorOperator("Li", 0, -lam0, U.dim, p), U, -mu * u0)
+    dv, _ = sector_solve(Sector(U, p, "Li", 0, -lam0), -mu * u0)
     r = U.grid.nodes
     w = sphere_area(U.dim) * r ** (U.dim - 1)
     integral = np.trapezoid(u0 * dv * w, r)
@@ -636,11 +635,8 @@ def first_derivative_profiles(U, p, mu):
     with closed form μ(U/(p-1) + ∇U·y/2).  Returns the two solved profiles.
     """
     r = U.grid.nodes
-    op_i1 = SectorOperator("Li", 1, 0.0, U.dim, p)
-    dv, _ = sector_solve(op_i1, U, -mu * U.derivative(r))
-
-    op_r0 = SectorOperator("Lr", 0, 0.0, U.dim, p)
-    du, _ = sector_solve(op_r0, U, -mu * U.values)
+    dv, _ = sector_solve(Sector(U, p, "Li", 1), -mu * U.derivative(r))
+    du, _ = sector_solve(Sector(U, p, "Lr", 0), -mu * U.values)
     return U.with_values(du), U.with_values(dv)
 
 
@@ -669,13 +665,11 @@ def second_order_profiles(h_hat, k_hat, phase_speed, exps, U):
 
     c_th = 2.0 / (p - 1.0) * ((p - 1.0) - 2.0 * A2h * theta)
     rhs_r = c_th * dU - 2.0 * dU - 4.0 * A2h * r * U.values
-    op_r1 = SectorOperator("Lr", 1, 0.0, U.dim, p)
-    X2, rem_r = sector_solve(op_r1, U, rhs_r)
+    X2, rem_r = sector_solve(Sector(U, p, "Lr", 1), rhs_r)
 
     c_sg = 2.0 / (p - 1.0) * ((p - 1.0) - 2.0 * A2h * sigma)
     rhs_i = c_sg * U.values - 2.0 * U.values - 8.0 * A2h * Utilde
-    op_i0 = SectorOperator("Li", 0, 0.0, U.dim, p)
-    Y2, rem_i = sector_solve(op_i0, U, rhs_i)
+    Y2, rem_i = sector_solve(Sector(U, p, "Li", 0), rhs_i)
 
     return (U.with_values(0.5 * X2), U.with_values(0.5 * Y2),
             float(rem_r), float(rem_i))

@@ -176,20 +176,24 @@ def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, half_width=None,
 # Finite-difference machinery
 # ---------------------------------------------------------------------------
 
-def _diff_z(values, axis, dz, kind):
-    """4th-order centered z-derivative with zero padding."""
+def _diff_z(values, axis, dz):
+    """4th-order centered first and second z-derivatives with zero padding.
+
+    The stencil taps are views of one padded copy.  Returns (d1, d2).
+    """
     ax = axis + 1  # axis 0 is s̄
     pad = [(0, 0)] * values.ndim
     pad[ax] = (2, 2)
     v = np.pad(values, pad)
-    sl = lambda k: np.take(v, np.arange(2 + k, 2 + k + values.shape[ax]), axis=ax)
-    if kind == "d2":
-        # neighbours enter as differences from the centre, so the round-off
-        # scales with those differences rather than with |ψ|
-        c = sl(0)
-        return (16 * ((sl(1) - c) + (sl(-1) - c))
-                - ((sl(2) - c) + (sl(-2) - c))) / (12 * dz**2)
-    return (sl(-2) - 8 * sl(-1) + 8 * sl(1) - sl(2)) / (12 * dz)
+    n = values.shape[ax]
+    sl = lambda k: v[(slice(None),) * ax + (slice(2 + k, 2 + k + n),)]
+    c = sl(0)
+    d1 = (sl(-2) - 8 * sl(-1) + 8 * sl(1) - sl(2)) / (12 * dz)
+    # neighbours enter the second derivative as differences from the centre,
+    # so the round-off scales with those differences rather than with |ψ|
+    d2 = (16 * ((sl(1) - c) + (sl(-1) - c))
+          - ((sl(2) - c) + (sl(-2) - c))) / (12 * dz**2)
+    return d1, d2
 
 
 def apply_S_eps(values, grid, phase_rate=None):
@@ -214,10 +218,10 @@ def apply_S_eps(values, grid, phase_rate=None):
     lap = dss_phi / a**2 - grid.ds_a / a**3 * ds_phi
 
     for j in range(grid.d):
-        d2z = _diff_z(values, j, grid.dz, "d2")
-        d1z = _diff_z(values, j, grid.dz, "d1")
+        d1z, d2z = _diff_z(values, j, grid.dz)
         Hj = grid.H_comp[:, j].reshape(-1, *([1] * grid.d))
         lap += d2z - (grid.eps * Hj / a) * d1z
+        del d1z, d2z            # freed before the next axis pads its copy
 
     return -lap + grid.V_amb * values - np.abs(values) ** (grid.p - 1) * values
 

@@ -21,11 +21,9 @@ from nlscurve.ansatz import (VARSIGMA, AnsatzParams, assemble_ansatz,
                              build_correctors, residual_field)
 from nlscurve.errors import ConvergenceError, ValidationError
 from nlscurve.geometry import CurveData, sample_potential
-from nlscurve.radial import (SectorOperator, sector_kernel, sector_matrix,
-                             sector_solve)
+from nlscurve.radial import Sector, sector_solve
 from nlscurve.scalings import compute_scalings
-from nlscurve.spectrum import (_CoupledSector, _band_matvec, _cholesky_below,
-                               _profiles)
+from nlscurve.spectrum import _CoupledSector, _band_matvec, _cholesky_below
 from nlscurve.tube import build_tube_grid, weighted_norm
 
 
@@ -237,8 +235,7 @@ def odd_corrector_per_node(curve, pot, sf, U):
            * r * U.values
            - ((h * k)[:, None] * Hc)[..., None] * U.derivative(r)) \
         / (k**2)[:, None, None]
-    return sector_solve(SectorOperator("Lr", 1, 0.0, curve.n - 1, sf.exps.p),
-                        U, src)
+    return sector_solve(Sector(U, sf.exps.p, "Lr", 1), src)
 
 
 def level2_correctors_per_node(curve, pot, sf, U, w_ro):
@@ -343,16 +340,13 @@ def level2_correctors_per_node(curve, pot, sf, U, w_ro):
         B += -(p - 1.0) * hi ** (p - 2.0) * Upm2 * c_ie[i] * (y2U / ki**2) * phi_i
         rhs_odd[i] = -B / ki**2
 
-    v0_even0 = sector_solve(SectorOperator("Lr", 0, 0.0, d, p), U,
-                            rhs_even0)[0][:, :ny]
+    v0_even0 = sector_solve(Sector(U, p, "Lr", 0), rhs_even0)[0][:, :ny]
     v0_even2 = np.zeros((M, d, d, ny))
     if d >= 2:
-        sol2 = sector_solve(SectorOperator("Lr", 2, 0.0, d, p), U,
-                            rhs_even2)[0][..., :ny]
+        sol2 = sector_solve(Sector(U, p, "Lr", 2), rhs_even2)[0][..., :ny]
         v0_even2[:, upper[0], upper[1]] = sol2
         v0_even2[:, upper[1], upper[0]] = sol2
-    v0_odd = sector_solve(SectorOperator("Li", 1, 0.0, d, p), U,
-                          rhs_odd)[0][..., :ny]
+    v0_odd = sector_solve(Sector(U, p, "Li", 1), rhs_odd)[0][..., :ny]
     return v0_even0, v0_even2, v0_odd, (A, C), B
 
 
@@ -387,19 +381,20 @@ def coupled_spectrum(op, U, count, floors=None):
 
     Shift-invert Lanczos (ARPACK) with the shift SHIFT_MARGIN below the lower
     bound of the spectrum of spectrum._cholesky_below, built from the scalar
-    ``floors`` of sector_floors (computed here when omitted).  The banded
-    Cholesky factorization of the shifted pentadiagonal matrix checks the
-    bound (ConvergenceError if it fails) and serves every inverse
-    application.  The Lanczos start vector is fixed, so identical calls
+    ``floors`` of sector_floors (when omitted, read off the one coupled
+    sector that the call sets up for its bands).  The banded Cholesky
+    factorization of the shifted pentadiagonal matrix checks the bound
+    (ConvergenceError if it fails) and serves every inverse application.  The Lanczos start vector is fixed, so identical calls
     return identical arrays.  Returns a list of (eigenvalue, u_values,
     v_values) with the two-component eigenfunction on the full radial grid,
     normalized to ∫(u²+v²) r^{d-1}dr = 1.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
+    sector = _CoupledSector(U, op.p, op.ell)
     if floors is None:
-        floors = sector_floors(U, op.p, op.ell)
-    bands, weight, idx = coupled_bands(op, U)
+        floors = sector.floors
+    bands = sector.bands(op.alpha, op.mu)
     sigma, chol = _cholesky_below(bands, floors, op.alpha, op.mu)
     n = bands.shape[1]
     K = LinearOperator((n, n), matvec=lambda x: _band_matvec(bands, x),
@@ -416,8 +411,7 @@ def coupled_spectrum(op, U, count, floors=None):
     vals = np.einsum("ij,ij->j", vecs, _band_matvec(bands, vecs)) \
         / np.einsum("ij,ij->j", vecs, vecs)
     order = np.argsort(vals)
-    return [(float(vals[j]), *_profiles(vecs[:, j], weight, idx, U.grid.m))
-            for j in order]
+    return [(float(vals[j]), *sector.profiles(vecs[:, j])) for j in order]
 
 
 def eigenvalue_at(U, p, mu, alpha, ell=0, index=0):
@@ -466,8 +460,8 @@ def bound_state_counts_per_sector(U, p, mu, alpha_grid, ell):
     eigenvalues of the 2×2 pivots.
     """
     m = np.abs(mu * np.asarray(alpha_grid, dtype=float))
-    dr, er, _, _ = sector_matrix(SectorOperator("Lr", ell, 0.0, U.dim, p), U)
-    di, ei, _, _ = sector_matrix(SectorOperator("Li", ell, 0.0, U.dim, p), U)
+    lr, li = Sector(U, p, "Lr", ell), Sector(U, p, "Li", ell)
+    dr, er, di, ei = lr.diag, lr.off, li.diag, li.off
     # block A_i = (dr_i + m − 1, m; m, di_i + m − 1), B = diag(er, ei)
     shift = m - 1.0
     ee, ff, ef = er**2, ei**2, er * ei
@@ -485,22 +479,22 @@ def bound_state_counts_per_sector(U, p, mu, alpha_grid, ell):
     return np.sum((dets < 0) + 2 * ((dets > 0) & (leads < 0)), axis=0)
 
 
-def apply_sector(op, U, prof):
-    """Apply the sector operator to a profile (for round-trip checks)."""
-    diag, off, weight, idx = sector_matrix(op, U)
-    phi = prof.values[idx] * np.sqrt(weight)
-    y = diag * phi
-    y[:-1] += off * phi[1:]
-    y[1:] += off * phi[:-1]
-    u = np.zeros(U.grid.m)
-    u[idx] = y / np.sqrt(weight)
+def apply_sector(sector, prof):
+    """Apply a radial.Sector to a profile (for round-trip checks)."""
+    idx, sqrtw = sector.idx, np.sqrt(sector.weight)
+    phi = prof.values[idx] * sqrtw
+    y = sector.diag * phi
+    y[:-1] += sector.off * phi[1:]
+    y[1:] += sector.off * phi[:-1]
+    u = np.zeros(sector.U.grid.m)
+    u[idx] = y / sqrtw
     return prof.with_values(u)
 
 
-def kernel_projected(op, U, values):
+def kernel_projected(sector, values):
     """Nodal ``values`` without their weighted-norm component along the
-    sector's kernel (``sector_kernel``), zero off the active nodes."""
-    kernel, (_, _, w, idx) = sector_kernel(op, U)
+    sector's kernel (``Sector.kernel``), zero off the active nodes."""
+    kernel, w, idx = sector.kernel, sector.weight, sector.idx
     b = values[idx] * np.sqrt(w)
     if kernel is not None:
         b = b - kernel * (kernel @ b)
@@ -518,10 +512,11 @@ def lr_sector_oracle_error(U, p, ell):
     translations, for ℓ = 1).
     """
     r = U.grid.nodes
-    op = SectorOperator("Lr", ell, 0.0, U.dim, p)
-    sol, _ = sector_solve(op, U, -(p - 1.0) * r**ell * U.values**p
+    sector = Sector(U, p, "Lr", ell)
+    sol, _ = sector_solve(sector, -(p - 1.0) * r**ell * U.values**p
                           - 2.0 * ell * r ** (ell - 1) * U.derivative(r))
-    return float(np.max(np.abs(sol - kernel_projected(op, U, r**ell * U.values))))
+    return float(np.max(np.abs(sol - kernel_projected(sector,
+                                                      r**ell * U.values))))
 
 
 def residual_norms_full_grid(curve_for, V, phase_speed, exps, U, eps_list,

@@ -14,7 +14,7 @@ from nlscurve.ansatz import (AnsatzParams, assemble_ansatz, build_correctors,
                              residual_study)
 from nlscurve.errors import ConvergenceError
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
-from nlscurve.radial import SectorOperator, ode_residual, sector_spectrum
+from nlscurve.radial import Sector, ode_residual, sector_spectrum
 from nlscurve.resonance import (FastModes, gap_scan, gap_scan_oracle, lambda0_spectrum,
                                 q_integrals, resonance_eigenpairs,
                                 verify_coupled_system,
@@ -58,8 +58,8 @@ def test_criterion_1_ground_state(U23):
 def test_criterion_2_kernel_structure(U23, grid30):
     t0 = time.time()
     r = grid30.nodes
-    lam_i, ei = sector_spectrum(SectorOperator("Li", 0, 0.0, 1, 3.0), U23, 1)[0]
-    lam_r, er = sector_spectrum(SectorOperator("Lr", 1, 0.0, 1, 3.0), U23, 1)[0]
+    lam_i, ei = sector_spectrum(Sector(U23, 3.0, "Li", 0), 1)[0]
+    lam_r, er = sector_spectrum(Sector(U23, 3.0, "Lr", 1), 1)[0]
     dU = np.abs(U23.derivative(r))
     ov_i = abs(np.trapezoid(ei.values * U23.values, r)) / np.sqrt(
         np.trapezoid(ei.values**2, r) * np.trapezoid(U23.values**2, r))
@@ -76,7 +76,7 @@ def test_criterion_2_kernel_structure(U23, grid30):
 
 def test_criterion_3_poschl_teller(U23, sectors23):
     t0 = time.time()
-    lam_sector = sector_spectrum(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23, 1)[0][0]
+    lam_sector = sector_spectrum(Sector(U23, 3.0, "Lr", 0), 1)[0][0]
     eta0 = coupled_spectrum(CoupledSectorOperator(0.0, 0.0, 0, 1, 3.0), U23, 1)[0][0]
     mode = find_alpha_bar(sectors23, 0.0)
     checks = [

@@ -9,7 +9,7 @@ from nlscurve.ansatz import (AnsatzParams, _interp_rows, assemble_ansatz,
 from nlscurve.errors import CurveNotCriticalError, ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                sample_potential)
-from nlscurve.radial import SectorOperator, ground_state
+from nlscurve.radial import Sector, ground_state
 from nlscurve.resonance import FastModes, q_integrals, resonance_eigenpairs
 from nlscurve.scalings import (compute_exponents, compute_scalings,
                                critical_circle_radius)
@@ -189,11 +189,11 @@ class TestCorrectors:
         H = curve.curvature[0, 0]
         q = (-(2 * sf.fprime[0] ** 2 * H + G) * (h / k) * r * U23.values
              - h * k * H * U23.derivative(r)) / k**2
-        op = SectorOperator("Lr", 1, 0.0, 1, 3.0)
+        sector = Sector(U23, 3.0, "Lr", 1)
         sol = np.zeros(grid30.m)
         sol[: co.ygrid.size] = co.w_ro[0, 0]
-        back = apply_sector(op, U23, U23.with_values(sol))
-        assert np.max(np.abs(back.values - kernel_projected(op, U23, q))) < 1e-7
+        back = apply_sector(sector, U23.with_values(sol))
+        assert np.max(np.abs(back.values - kernel_projected(sector, q))) < 1e-7
 
     def test_f1_budget_telescopes(self, U23, bump_potential, exps23):
         curve, pot, sf = circle_setup(bump_potential, 0.701247, 64, 0.05, exps23)
@@ -219,6 +219,14 @@ class TestCorrectors:
         assert np.all((removed > 0.0) & (removed <= 2e-4))
         with pytest.raises(CurveNotCriticalError):
             build_correctors(*build(64, 1.3 * rstar))
+
+    def test_profile_dimension_must_match_curve(self, bump_potential, exps23,
+                                               grid30):
+        # an n = 3 profile on a planar circle in R² is a typed error
+        curve, pot, sf = circle_setup(bump_potential, 0.7012465, 64, 0.05,
+                                      exps23)
+        with pytest.raises(ValidationError, match="dimensions disagree"):
+            build_correctors(curve, pot, sf, ground_state(3, 3.0, grid30))
 
     def test_constant_potential_rejected_upstream(self, U23, exps23):
         # constant V admits no critical closed curve: the odd corrector
@@ -256,10 +264,9 @@ class TestCorrectors:
         (A, C), _ = co.source_even, co.source_odd
         k = sf.k[0]
         A_eff = A + C[0, 0]
-        op = SectorOperator("Lr", 0, 0.0, 1, 3.0)
         sol = np.zeros(grid30.m)
         sol[: co.ygrid.size] = co.v0_even0[0]
-        back = apply_sector(op, U23, U23.with_values(sol))
+        back = apply_sector(Sector(U23, 3.0, "Lr", 0), U23.with_values(sol))
         assert np.max(np.abs(back.values + A_eff / k**2)) < 1e-6
 
     def test_odd_imaginary_corrector_zero_at_rest(self, circle_run):
@@ -280,11 +287,11 @@ class TestCorrectors:
         Ctl = C - np.eye(2)[:, :, None] * np.einsum("mmy->y", C) / 2
         assert np.max(np.abs(Ctl)) > 0.1          # the ℓ=2 sector is driven
         assert lr_sector_oracle_error(U, 3.0, 2) < 5e-5
-        op = SectorOperator("Lr", 2, 0.0, 2, 3.0)
+        sector = Sector(U, 3.0, "Lr", 2)
         for m, l in ((0, 0), (0, 1), (1, 1)):
             sol = np.zeros(grid30.m)
             sol[:ny] = co.v0_even2[-1, m, l]
-            back = apply_sector(op, U, U.with_values(sol)).values
+            back = apply_sector(sector, U.with_values(sol)).values
             src = -Ctl[m, l] / sf.k[-1] ** 2
             # the stored window ends at ny; its last node sees a zero neighbour
             assert np.max(np.abs(back[1:ny - 1] - src[1:ny - 1])) < 1e-10
@@ -347,9 +354,10 @@ class TestLevel2Correctors:
         real = ansatz_mod.sector_solve
         calls = []
 
-        def counting(op, U, rhs, *setup):
-            calls.append((op.kind, op.ell, int(np.prod(np.shape(rhs)[:-1]))))
-            return real(op, U, rhs, *setup)
+        def counting(sector, rhs):
+            calls.append((sector.kind, sector.ell,
+                          int(np.prod(np.shape(rhs)[:-1]))))
+            return real(sector, rhs)
 
         monkeypatch.setattr(ansatz_mod, "sector_solve", counting)
         rows = {}

@@ -9,11 +9,12 @@ from scipy.interpolate import CubicSpline
 
 import oracles
 from nlscurve import radial
+from nlscurve.ansatz import build_correctors
 from nlscurve.errors import ConvergenceError, ValidationError
-from nlscurve.radial import (RadialGrid, SectorOperator, ground_state,
-                             ode_residual, sector_kernel, sector_solve,
-                             sector_spectrum, solve_ground_state)
+from nlscurve.radial import (RadialGrid, Sector, ground_state, ode_residual,
+                             sector_solve, sector_spectrum, solve_ground_state)
 
+from conftest import circle_setup
 from oracles import (apply_sector, ground_state_u0_collocation,
                      kernel_projected, lr_sector_oracle_error,
                      poschl_teller_levels, shooting_ground_state)
@@ -158,15 +159,14 @@ class TestUniformCubic:
 class TestSectorSpectrum:
     def test_poschl_teller_lowest(self, U23):
         # L_r for p=3, n=2 is -d²/dx² + 1 - 6 sech², even sector
-        op = SectorOperator("Lr", 0, 0.0, 1, 3.0)
-        pairs = sector_spectrum(op, U23, 1)
+        pairs = sector_spectrum(Sector(U23, 3.0, "Lr", 0), 1)
         expected = 1.0 + poschl_teller_levels(2)[0]
         assert abs(pairs[0][0] - expected) < 1e-3
 
     def test_kernels(self, U23, grid30):
         r = grid30.nodes
-        lam_r, er = sector_spectrum(SectorOperator("Lr", 1, 0.0, 1, 3.0), U23, 1)[0]
-        lam_i, ei = sector_spectrum(SectorOperator("Li", 0, 0.0, 1, 3.0), U23, 1)[0]
+        lam_r, er = sector_spectrum(Sector(U23, 3.0, "Lr", 1), 1)[0]
+        lam_i, ei = sector_spectrum(Sector(U23, 3.0, "Li", 0), 1)[0]
         assert abs(lam_r) < 1e-4 and abs(lam_i) < 1e-4
         dU = np.abs(U23.derivative(r))
         ov_r = np.trapezoid(er.values * dU, r) / np.sqrt(
@@ -176,17 +176,15 @@ class TestSectorSpectrum:
         assert abs(ov_r) > 0.999 and abs(ov_i) > 0.999
 
     def test_shift_identity(self, U23):
-        base = sector_spectrum(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23, 4)
-        shifted = sector_spectrum(SectorOperator("Lr", 0, 2.25, 1, 3.0), U23, 4)
+        base = sector_spectrum(Sector(U23, 3.0, "Lr", 0), 4)
+        shifted = sector_spectrum(Sector(U23, 3.0, "Lr", 0, 2.25), 4)
         for (l0, _), (l1, _) in zip(base, shifted):
             assert abs((l1 - l0) - 2.25) < 1e-10
 
     def test_symmetry_and_real(self, U23):
-        from nlscurve.radial import sector_matrix
-        op = SectorOperator("Li", 1, 0.3, 1, 3.0)
-        diag, off, w, idx = sector_matrix(op, U23)
-        assert np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
-        vals = sector_spectrum(op, U23, 3)
+        sector = Sector(U23, 3.0, "Li", 1, 0.3)
+        assert np.all(np.isfinite(sector.diag)) and np.all(np.isfinite(sector.off))
+        vals = sector_spectrum(sector, 3)
         assert all(np.isreal(v) for v, _ in vals)
 
     def test_eigenvalues_to_round_off(self):
@@ -205,9 +203,9 @@ class TestSectorSpectrum:
 
     def test_higher_dim_kernels(self, grid30):
         U = ground_state(3, 3, grid30)
-        lam_i = sector_spectrum(SectorOperator("Li", 0, 0.0, 2, 3.0), U, 1)[0][0]
+        lam_i = sector_spectrum(Sector(U, 3.0, "Li", 0), 1)[0][0]
         assert abs(lam_i) < 1e-6
-        lam_r = sector_spectrum(SectorOperator("Lr", 1, 0.0, 2, 3.0), U, 1)[0][0]
+        lam_r = sector_spectrum(Sector(U, 3.0, "Lr", 1), 1)[0][0]
         assert abs(lam_r) < 5e-4
 
 
@@ -215,8 +213,7 @@ class TestSectorSolve:
     def test_lr_closed_form(self, U23, grid30):
         # L_r(-U/(p-1) - ∇U·y/2) = U in the even sector
         r = grid30.nodes
-        sol, _ = sector_solve(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23,
-                              U23.values.copy())
+        sol, _ = sector_solve(Sector(U23, 3.0, "Lr", 0), U23.values.copy())
         target = -U23.values / 2.0 - 0.5 * r * U23.derivative(r)
         assert np.max(np.abs(sol - target)) < 5e-5
 
@@ -224,29 +221,28 @@ class TestSectorSolve:
         # L_i(yU) = -2 ∂U in the odd sector
         r = grid30.nodes
         rhs = -2.0 * U23.derivative(r)
-        sol, _ = sector_solve(SectorOperator("Li", 1, 0.0, 1, 3.0), U23, rhs)
+        sol, _ = sector_solve(Sector(U23, 3.0, "Li", 1), rhs)
         assert np.max(np.abs(sol - r * U23.values)) < 5e-5
 
     def test_zero_after_projection(self, U23):
         # rhs proportional to the kernel solves to zero
-        op = SectorOperator("Li", 0, 0.0, 1, 3.0)
-        sol, removed = sector_solve(op, U23, U23.values)
+        sol, removed = sector_solve(Sector(U23, 3.0, "Li", 0), U23.values)
         assert removed > 0.999   # rhs was entirely kernel
         assert np.max(np.abs(sol)) < 1e-8
 
     def test_round_trip_gaussian_bumps(self, U23, grid30):
         r = grid30.nodes
         for kind, ell in [("Lr", 0), ("Lr", 1), ("Li", 0), ("Li", 1)]:
-            op = SectorOperator(kind, ell, 0.0, 1, 3.0)
+            sector = Sector(U23, 3.0, kind, ell)
             for center in (1.0, 3.0, 6.0):
                 bump = np.exp(-((r - center) ** 2))
                 if ell >= 1:
                     bump *= r / (1 + r)    # odd-sector radial parts vanish at 0
                 rhs = U23.with_values(bump)
-                sol, removed = sector_solve(op, U23, rhs.values)
-                back = apply_sector(op, U23, U23.with_values(sol))
+                sol, removed = sector_solve(sector, rhs.values)
+                back = apply_sector(sector, U23.with_values(sol))
                 # compare against the projected rhs on the active nodes
-                proj = kernel_projected(op, U23, rhs.values)
+                proj = kernel_projected(sector, rhs.values)
                 scale = max(np.max(np.abs(proj)), 1.0)
                 assert np.max(np.abs(back.values - proj)) < 1e-8 * scale
 
@@ -258,25 +254,25 @@ class TestSectorSolve:
         d, r = n - 1, grid30.nodes
         for kind in ("Lr", "Li"):
             for ell in range(2 if d == 1 else 3):
-                op = SectorOperator(kind, ell, 0.0, d, 3.0)
-                kv, (_, _, w, idx) = sector_kernel(op, U)
+                sector = Sector(U, 3.0, kind, ell)
+                kv = sector.kernel
                 kern = np.zeros(grid30.m)
                 if kv is not None:
-                    kern[idx] = kv / np.sqrt(w)
+                    kern[sector.idx] = kv / np.sqrt(sector.weight)
                 bumps = [np.exp(-((r - c) ** 2)) * (r / (1 + r) if ell else 1.0)
                          for c in (1.0, 3.0, 6.0)]
                 rows = np.array(bumps + [bumps[0] + kern, kern,
                                          np.zeros(grid30.m)]).reshape(2, 3, -1)
-                sol, removed = sector_solve(op, U, rows)
+                sol, removed = sector_solve(sector, rows)
                 assert sol.shape == rows.shape and removed.shape == (2, 3)
                 for a in range(2):
                     for c in range(3):
-                        one, rem = sector_solve(op, U, rows[a, c])
+                        one, rem = sector_solve(sector, rows[a, c])
                         scale = max(np.max(np.abs(one)), 1.0)
                         assert np.max(np.abs(sol[a, c] - one)) < 1e-12 * scale
                         assert abs(removed[a, c] - rem) < 1e-12
-                        proj = kernel_projected(op, U, rows[a, c])
-                        back = apply_sector(op, U, U.with_values(sol[a, c]))
+                        proj = kernel_projected(sector, rows[a, c])
+                        back = apply_sector(sector, U.with_values(sol[a, c]))
                         tol = 1e-8 * max(np.max(np.abs(proj)), 1.0)
                         assert np.max(np.abs(back.values - proj)) < tol
                 # the zero row solves to zero with nothing removed
@@ -297,9 +293,11 @@ class TestSectorSolve:
         gate = 1e-4 if ell == 1 else 5e-5
         assert lr_sector_oracle_error(ground_state(n, p, grid30), p, ell) < gate
 
-    def test_eigensolve_only_in_kernel_sectors(self, grid30, monkeypatch):
+    def test_eigensolve_only_in_kernel_sectors(self, grid30, U23, exps23,
+                                               bump_potential, monkeypatch):
         # the kernels are known: the unshifted L_i ℓ=0 and L_r ℓ=1 sectors
-        # take one eigenvector each, every other sector none, and removes 0
+        # take one eigenvector each, every other sector none, and removes 0;
+        # a Sector computes its kernel once, however many solves read it
         real = radial.eigh_tridiagonal
         calls = []
 
@@ -315,9 +313,28 @@ class TestSectorSolve:
                 for ell in range(2 if d == 1 else 3):
                     for shift in (0.0, 0.5, -0.5):
                         calls.clear()
-                        op = SectorOperator(kind, ell, shift, d, p)
-                        _, removed = sector_solve(op, U, bump)
+                        sector = Sector(U, p, kind, ell, shift)
+                        assert calls == []          # set-up runs no eigensolve
+                        removed = [sector_solve(sector, bump)[1]
+                                   for _ in range(3)]
                         if shift == 0.0 and (kind, ell) in (("Li", 0), ("Lr", 1)):
-                            assert len(calls) == 1 and removed > 0.0
+                            assert len(calls) == 1 and min(removed) > 0.0
                         else:
-                            assert calls == [] and removed == 0.0
+                            assert calls == [] and removed == [0.0] * 3
+        # the corrector build reads the L_r ℓ=1 kernel for its solve and for
+        # its criticality check, and computes it once
+        calls.clear()
+        build_correctors(*circle_setup(bump_potential, 0.7012465, 64, 0.05,
+                                       exps23), U23)
+        assert len(calls) == 1
+
+
+class TestSector:
+    @pytest.mark.parametrize("n, kind, ell, match", [
+        (2, "Lx", 0, "kind must be"),
+        (3, "Lr", -1, "nonnegative"),
+        (2, "Li", 2, "parity sectors"),
+        (2, "Lr", 3, "parity sectors")])
+    def test_invalid_sector_rejected(self, grid30, n, kind, ell, match):
+        with pytest.raises(ValidationError, match=match):
+            Sector(ground_state(n, 3.0, grid30), 3.0, kind, ell)

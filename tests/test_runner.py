@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import nlscurve.radial as radial
 import nlscurve.runner as runner
 import nlscurve.spectrum as spectrum
 from nlscurve.errors import ValidationError
@@ -249,7 +250,8 @@ class TestPipeline:
     def test_each_coupled_sector_is_set_up_once(self, tmp_path, monkeypatch):
         # the branches, resonance and gap-scan stages share one ℓ = 0 and one
         # ℓ = 1 sector: each builds its two scalar tridiagonals and their
-        # lowest pairs once
+        # lowest pairs once, and no stage computes a sector kernel (every
+        # tridiagonal eigensolve is one of lowest_eigenpairs)
         calls = []
 
         def counting(name, func):
@@ -258,9 +260,11 @@ class TestPipeline:
                 return func(*args, **kwargs)
             return counted
 
-        for name in ("sector_matrix", "lowest_eigenpairs"):
+        for name in ("Sector", "lowest_eigenpairs"):
             monkeypatch.setattr(spectrum, name,
                                 counting(name, getattr(spectrum, name)))
+        monkeypatch.setattr(radial, "eigh_tridiagonal", counting(
+            "eigh_tridiagonal", radial.eigh_tridiagonal))
         monkeypatch.setattr(spectrum._CoupledSector, "__init__", counting(
             "set-up", spectrum._CoupledSector.__init__))
         text = re.sub(r"stages = .*", "stages = branches, resonance, gap_scan",
@@ -268,7 +272,8 @@ class TestPipeline:
         summary, _ = run_pipeline(parse_config(write(tmp_path, text)))
         assert summary["all_checks_pass"]
         assert [calls.count(name) for name in
-                ("set-up", "sector_matrix", "lowest_eigenpairs")] == [2, 4, 4]
+                ("set-up", "Sector", "lowest_eigenpairs", "eigh_tridiagonal")
+                ] == [2, 4, 4, 4]
 
     @pytest.mark.parametrize("curve, min_abs_eig", [
         ("kind = circle\nradius = 0.7012465", 0.71076659),

@@ -10,8 +10,7 @@ import nlscurve.spectrum as spectrum
 from nlscurve.errors import (BranchTrackingError, ConvergenceError,
                              ValidationError)
 from nlscurve.geometry import CurveSpec, build_curve, sample_potential
-from nlscurve.radial import (RadialGrid, SectorOperator, ground_state,
-                             sector_spectrum)
+from nlscurve.radial import RadialGrid, Sector, ground_state, sector_spectrum
 from nlscurve.resonance import q_integrals
 from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import (BOUND_BRANCHES, alpha_field, bound_state_counts,
@@ -247,15 +246,15 @@ class TestBranches:
         real = spectrum.sector_solve
         seen = []
 
-        def recording(op, U, rhs, **kwargs):
-            out = real(op, U, rhs, **kwargs)
-            seen.append((op, out[1]))
+        def recording(sector, rhs):
+            out = real(sector, rhs)
+            seen.append((sector, out[1]))
             return out
 
         monkeypatch.setattr(spectrum, "sector_solve", recording)
         eta_curvature(sectors23, 0.1)
-        [(op, removed)] = seen
-        assert (op.kind, op.ell) == ("Li", 0) and op.shift > 0.0
+        [(sector, removed)] = seen
+        assert (sector.kind, sector.ell) == ("Li", 0) and sector.shift > 0.0
         assert removed == 0.0
 
     def test_next_eigenvalues_are_continuum(self, U23):
@@ -456,7 +455,7 @@ class TestCrossing:
     def test_eta0_from_scalar_sector(self, U23, mu):
         # at α = 0 the coupling vanishes: the coupled ground eigenvalue is
         # the L_r ℓ=0 one for every μ, -3 for (d, p) = (1, 3)
-        eta0 = sector_spectrum(SectorOperator("Lr", 0, 0.0, 1, 3.0), U23, 1)[0][0]
+        eta0 = sector_spectrum(Sector(U23, 3.0, "Lr", 0), 1)[0][0]
         coupled = coupled_spectrum(CoupledSectorOperator(0.0, mu, 0, 1, 3.0), U23, 1)
         assert abs(coupled[0][0] - eta0) < 1e-12
         assert abs(eta0 + 3.0) < 1e-4
@@ -622,9 +621,9 @@ class TestPerturbationProfiles:
         dU = U23.derivative(r)
         c_th = (2.0 - 4.0 * A2h * exps23.theta / 2.0)
         rhs = c_th * dU - 2.0 * dU - 4.0 * A2h * r * U23.values
-        op = SectorOperator("Lr", 1, 0.0, 1, 3.0)
-        back = apply_sector(op, U23, X.with_values(2 * X.values))
-        assert np.max(np.abs(back.values - kernel_projected(op, U23, rhs))) < 1e-7
+        sector = Sector(U23, 3.0, "Lr", 1)
+        back = apply_sector(sector, X.with_values(2 * X.values))
+        assert np.max(np.abs(back.values - kernel_projected(sector, rhs))) < 1e-7
 
     def test_branch_curvatures_match_closed_forms(self, U23, exps23):
         # finite-difference curvature of both zero branches at α = 0 against
