@@ -38,7 +38,7 @@ w_ro source is the combination of yU and U' whose kernel part measures the
 criticality of the curve at each node.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -371,13 +371,6 @@ def residual_field(ansatz):
     return apply_S_eps(ansatz.values, ansatz.grid, ansatz.phase_rate)
 
 
-def residual_norm(ansatz, sf):
-    """Weighted sup of S_ε(ansatz) on the core, decay weight 𝔭 = ς·k(εs)
-    with ς = VARSIGMA."""
-    res = residual_field(ansatz)
-    return weighted_norm(res, ansatz.grid, VARSIGMA * sf.k)
-
-
 def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list):
     """Effect of the cross-section cutoff, against a cutoff-free wide grid.
 
@@ -386,7 +379,7 @@ def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list):
     ε:
 
     * the relative difference of the *reported* residual norms (ς-weighted
-      sup over the cutoff-interior window) — zero, because the window's
+      sup over the window min ``core_radius``) — zero, because the window's
       z-columns are cutoff-free at every s̄ node: the s̄-derivatives act along
       those columns and the z-stencils stay inside the window's margin;
     * the relative field-level effect sup w·|Ψ_cut - Ψ_free| / sup w·|Ψ|,
@@ -398,20 +391,20 @@ def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list):
     delta_bar = 0.5
     norm_diffs, field_diffs = [], []
     for eps in eps_list:
-        norms, fields = [], []
-        grids = []
+        norms, fields, grids = [], [], []
         for wide in (False, True):
-            grid = build_tube_grid(curve, V, sf, eps, sf.exps.p,
-                                   delta_bar=delta_bar, dz_factor=8,
-                                   half_width=1.6 * grids[0].R_outer
-                                   if wide else None, cutoff_off=wide)
+            grid = build_tube_grid(curve, V, sf, eps, delta_bar=delta_bar,
+                                   dz_factor=8, half_width=1.6 * grids[0].R_outer
+                                   if wide else None)
+            if wide:
+                grid = replace(grid, cutoff=np.ones_like(grid.cutoff))
             grids.append(grid)
             ans = assemble_ansatz(grid, curve, sf, U, correctors,
                                   AnsatzParams(level=0))
             res = residual_field(ans)
-            zwin = eps ** (-delta_bar) / np.max(grid.K) - 4 * grid.dz
-            norms.append(weighted_norm(res, grid, VARSIGMA * sf.k, "all",
-                                       z_window=zwin))
+            z_window = float(np.min(core_radius(grid.K, eps, delta_bar,
+                                                grid.dz)))
+            norms.append(weighted_norm(res, grid, VARSIGMA * sf.k, z_window))
             fields.append(ans)
         norm_diffs.append(abs(norms[0] - norms[1]) / norms[1])
         # field-level effect over the narrow grid's support
@@ -467,13 +460,13 @@ def residual_study(curve_for, V, phase_speed, exps, U, eps_list,
 
     records = []
     for eps in eps_list:
-        grid = build_tube_grid(curve, V, sf, eps, exps.p, delta_bar=delta_bar,
+        grid = build_tube_grid(curve, V, sf, eps, delta_bar=delta_bar,
                                half_width=z_window, dz_factor=dz_factor)
         for level in levels:
             ans = assemble_ansatz(grid, curve, sf, U, correctors,
                                   AnsatzParams(level=level))
             res = residual_field(ans)
-            nrm = weighted_norm(res, grid, varsigma * sf.k, z_window=z_window)
+            nrm = weighted_norm(res, grid, varsigma * sf.k, z_window)
             records.append({"eps": float(eps), "level": int(level),
                             "norm": float(nrm)})
 

@@ -7,7 +7,7 @@ frequencies of order 1/ε are governed by the weighted periodic problem
 
 whose eigenvalues behave like ν_j = Ĉ₀ εj + O(ε²j² + ε) once re-indexed so
 j = 0 is the first nonnegative one.  Each eigenfunction ξ_j gets a companion
-β_j and small corrections γ_j, κ_j, q_j; with those the pair (β_j, ξ_j)
+β_j and small corrections γ_j, κ_j; with those the pair (β_j, ξ_j)
 satisfies the coupled first-order system up to O(ν_j² + ε).  The quadratic
 form that controls these degrees of freedom,
 
@@ -66,7 +66,7 @@ class ResonanceBasis:
     ``nu`` holds the re-indexed eigenvalues (nu[J] is the first nonnegative
     one) and ``dxi`` the derivatives ξ_j' of the eigenfunctions; ``modes``
     is the FastModes that made it.  A gap-scan basis leaves the corrections
-    ``gamma``, ``kappa`` and ``qcorr`` None.
+    ``gamma`` and ``kappa`` None.
     """
 
     eps: float
@@ -77,7 +77,6 @@ class ResonanceBasis:
     beta: np.ndarray
     gamma: np.ndarray
     kappa: np.ndarray
-    qcorr: np.ndarray
     j_eps: int
     modes: "FastModes"
 
@@ -128,7 +127,7 @@ class FastModes:
 
     def window(self, eps, delta):
         """ν, ξ, ξ' and β (what Λ₀ reads) over |j| <= floor(δ²/ε) around
-        j_ε; the corrections γ, κ, q are left None."""
+        j_ε; the corrections γ and κ are left None."""
         sf, Q, ka = self.sf, self.Q, self.ka
         M, L = sf.s.size, sf.L
         j_eps = self.count(eps)
@@ -143,7 +142,7 @@ class FastModes:
         denom = ka**2 + 2.0 * sf.fprime * ka * Q.q3
         beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None] / denom) * eps * dxi
         return ResonanceBasis(eps=eps, delta=delta, nu=nu, xi=vecs.T, dxi=dxi,
-                              beta=beta, gamma=None, kappa=None, qcorr=None,
+                              beta=beta, gamma=None, kappa=None,
                               j_eps=j_eps, modes=self)
 
 
@@ -162,8 +161,7 @@ def resonance_eigenpairs(modes, eps, delta=0.3):
     them,
 
         γ_j = -(εξ_j' + kᾱβ_j)/(2kQ₁),
-        κ_j = -(kᾱξ_j - εβ_j')/(2kQ₂),
-        q_j = -(εξ_j' + kᾱβ_j + kγ_j)/(kᾱ).
+        κ_j = -(kᾱξ_j - εβ_j')/(2kQ₂).
 
     At zero phase speed Q₂ vanishes together with the numerator of κ_j; the
     algebraically equivalent stable form κ_j = ν_j ξ_j/(2k(kᾱ + 2f'Q₃)) is
@@ -179,8 +177,7 @@ def resonance_eigenpairs(modes, eps, delta=0.3):
         kappa = -(ka * xi - eps * dbeta) / (2.0 * k * Q.q2)
     else:
         kappa = nu[:, None] * xi / (2.0 * k * (ka + 2.0 * fp * Q.q3))
-    qcorr = -(eps * dxi + ka * beta + k * gamma) / ka
-    return replace(basis, gamma=gamma, kappa=kappa, qcorr=qcorr)
+    return replace(basis, gamma=gamma, kappa=kappa)
 
 
 def weyl_slope(basis):

@@ -22,6 +22,8 @@ cutoff vanishes on the outermost nodes.
 
 The cross-section cutoff is η̄(K(εs)|z| - ε^{-δ̄}) with η̄ the standard C^∞
 step: identically 1 for |z| ≤ ε^{-δ̄}/K and 0 beyond (ε^{-δ̄}+1)/K.
+Residual norms are weighted sups over one window |z| ≤ z_window at every s̄
+node, taken from ``core_radius``: the cutoff is identically 1 up to there.
 """
 
 from dataclasses import dataclass
@@ -49,16 +51,14 @@ class TubeGrid:
     """Tensor grid (s̄, z) around the scaled curve with metric and cutoff data.
 
     Shapes: s-dependent arrays are (N_s,); z-dependent are z_shape; mixed
-    are (N_s, *z_shape).  ``mask_core`` marks nodes where the cutoff is
-    identically 1 with a stencil-width margin — the region used for
-    residual norms.  ``R_outer`` is the radius of the cutoff ball, whatever
-    part of it the grid covers.
+    are (N_s, *z_shape).  The s̄ nodes are the curve's.  ``p`` is the
+    scalings' exponent.  ``R_outer`` is the radius of the cutoff ball,
+    whatever part of it the grid covers.
     """
 
     eps: float
     delta_bar: float
     p: float
-    sbar: np.ndarray              # curve nodes, uniform on [0, L)
     L: float
     z_axes: list                  # one 1D array per normal direction
     z_shape: tuple
@@ -67,7 +67,6 @@ class TubeGrid:
     zcomp: np.ndarray             # coordinates, shape (d, *z_shape)
     K: np.ndarray                 # sqrt(V) along the curve, (N_s,)
     cutoff: np.ndarray            # (N_s, *z_shape)
-    mask_core: np.ndarray         # bool, (N_s, *z_shape)
     metric_a: np.ndarray          # 1 - eps<H, z>, (N_s, *z_shape)
     ds_a: np.ndarray              # ∂_s a = -eps²<H'(εs), z>, (N_s, *z_shape)
     H_comp: np.ndarray            # curvature components per node, (N_s, d)
@@ -79,7 +78,7 @@ class TubeGrid:
 
     @property
     def n_s(self):
-        return self.sbar.size
+        return self.K.size
 
     @property
     def d(self):
@@ -101,19 +100,18 @@ def core_radius(K, eps, delta_bar, dz):
     return eps ** (-delta_bar) / K - np.maximum(0.5 / K, MARGIN * dz)
 
 
-def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, half_width=None,
-                    dz_factor=10.0, cutoff_off=False):
+def build_tube_grid(curve, V, sf, eps, delta_bar=0.25, half_width=None,
+                    dz_factor=10.0):
     """Tube grid on the curve's s̄ nodes, N_s = curve.M for every ε.
 
     Phase-factored fields are smooth in s̄, so the curve sampling alone sets
     the resolution along it.  The z axes cover |z_j| <= ``half_width``
     (by default the cutoff ball's radius R_outer = (ε^{-δ̄}+1)/min K) plus
     the stencil margin, with spacing ``z_spacing``.  The focal-distance
-    check covers the whole cutoff ball, or the grid if it is wider.
-    ``cutoff_off`` replaces the cutoff by 1 (reference runs on wider grids).
+    check covers the whole cutoff ball, or the grid if it is wider.  The
+    nonlinearity's exponent is that of the scalings ``sf``.
     """
     N_s = curve.M
-    sbar = curve.s.copy()
     L = curve.L
 
     Kcurve = np.sqrt(V(curve.positions))
@@ -132,13 +130,8 @@ def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, half_width=None,
     znorm = np.sqrt(np.sum(zcomp**2, axis=0))
     zhat = np.where(znorm > 0, zcomp / np.maximum(znorm, 1e-300), 0.0)
 
-    if cutoff_off:
-        cutoff = np.ones((N_s,) + znorm.shape)
-    else:
-        cutoff = smooth_step(Kcurve.reshape(-1, *([1] * d)) * znorm[None]
-                             - eps ** (-delta_bar))
-    core_r = core_radius(Kcurve, eps, delta_bar, dz)
-    mask_core = znorm[None] <= core_r.reshape(-1, *([1] * d))
+    cutoff = smooth_step(Kcurve.reshape(-1, *([1] * d)) * znorm[None]
+                         - eps ** (-delta_bar))
 
     Hc = curve.curvature                              # (N_s, d)
     # a = 1 - ε<H, z> is exact in Fermi coordinates, so it stays positive
@@ -165,9 +158,9 @@ def build_tube_grid(curve, V, sf, eps, p, delta_bar=0.25, half_width=None,
             [d] + list(range(d)) + [d + 1])
     V_amb = V(amb)
 
-    return TubeGrid(eps=eps, delta_bar=delta_bar, p=p, sbar=sbar, L=L,
+    return TubeGrid(eps=eps, delta_bar=delta_bar, p=sf.exps.p, L=L,
                     z_axes=z_axes, z_shape=z_shape, znorm=znorm, zhat=zhat,
-                    zcomp=zcomp, K=Kcurve, cutoff=cutoff, mask_core=mask_core,
+                    zcomp=zcomp, K=Kcurve, cutoff=cutoff,
                     metric_a=metric_a, ds_a=ds_a, H_comp=Hc, V_amb=V_amb,
                     dz=dz, R_outer=float(R_outer))
 
@@ -226,25 +219,12 @@ def apply_S_eps(values, grid, phase_rate=None):
     return -lap + grid.V_amb * values - np.abs(values) ** (grid.p - 1) * values
 
 
-def weighted_norm(values, grid, decay_weight, region="core", z_window=None):
-    """Discrete weighted sup norm of e^{𝔭(εs)|z|}·|values| over a region.
-
-    region 'core' restricts to the cutoff-interior mask, 'all' uses every
-    node; ``z_window`` additionally restricts to |z| <= z_window.
-    """
-    w = np.asarray(decay_weight, dtype=float)
-    if w.ndim == 0:
-        w = np.full(grid.n_s, float(w))
+def weighted_norm(values, grid, decay_weight, z_window):
+    """Discrete weighted sup norm of e^{𝔭(εs)|z|}·|values| over |z| <=
+    ``z_window`` at every s̄ node."""
+    w = np.broadcast_to(np.asarray(decay_weight, dtype=float), (grid.n_s,))
     amp = np.exp(w.reshape(-1, *([1] * grid.d)) * grid.znorm[None]) * np.abs(values)
-    if region == "core":
-        mask = grid.mask_core.copy()
-    elif region == "all":
-        mask = np.ones_like(grid.mask_core)
-    else:
-        raise ValidationError(f"unknown region {region!r}")
-    if z_window is not None:
-        mask &= (grid.znorm <= z_window)[None]
-    return float(np.max(np.where(mask, amp, 0.0)))
+    return float(np.max(np.where((grid.znorm <= z_window)[None], amp, 0.0)))
 
 
 def convergence_order(eps_list, norms):

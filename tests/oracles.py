@@ -24,7 +24,7 @@ from nlscurve.geometry import CurveData, sample_potential
 from nlscurve.radial import Sector, sector_solve
 from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import _CoupledSector, _band_matvec, _cholesky_below
-from nlscurve.tube import build_tube_grid, weighted_norm
+from nlscurve.tube import build_tube_grid, core_radius, weighted_norm
 
 
 def straight_segment_curve(L, M, n=2):
@@ -352,13 +352,12 @@ def level2_correctors_per_node(curve, pot, sf, U, w_ro):
 
 @dataclass(frozen=True)
 class CoupledSectorOperator:
-    """The coupled ℓ-sector operator (Lr-sector + α², μα; μα, Li-sector + α²)
-    of the profile dimension ``dim``."""
+    """The coupled ℓ-sector operator (Lr-sector + α², μα; μα, Li-sector + α²);
+    the profile it is applied to sets the dimension."""
 
     alpha: float
     mu: float
     ell: int
-    dim: int
     p: float
 
 
@@ -416,7 +415,7 @@ def coupled_spectrum(op, U, count, floors=None):
 
 def eigenvalue_at(U, p, mu, alpha, ell=0, index=0):
     """Single eigenvalue of the coupled sector operator (lowest by default)."""
-    return coupled_spectrum(CoupledSectorOperator(alpha, mu, ell, U.dim, p),
+    return coupled_spectrum(CoupledSectorOperator(alpha, mu, ell, p),
                             U, index + 1)[index][0]
 
 
@@ -519,20 +518,33 @@ def lr_sector_oracle_error(U, p, ell):
                                                       r**ell * U.values))))
 
 
+def core_mask(grid):
+    """The nodes (N_s, *z_shape) with |z| up to their own node's
+    ``core_radius``, where the cutoff is identically 1."""
+    radius = core_radius(grid.K, grid.eps, grid.delta_bar, grid.dz)
+    return grid.znorm[None] <= radius.reshape(-1, *([1] * grid.d))
+
+
+def core_window(grid):
+    """The z-window inside every node's core: min ``core_radius``."""
+    return float(np.min(core_radius(grid.K, grid.eps, grid.delta_bar,
+                                    grid.dz)))
+
+
 def residual_norms_full_grid(curve_for, V, phase_speed, exps, U, eps_list,
                              levels=(0, 1, 2), base_M=256, delta_bar=0.25,
                              dz_factor=16):
     """The residual study's norms, in its record order, from full tube grids
     out to the cutoff ball at every ε.  Each is measured up to the largest
     |z| that lies in the core mask of every node at every ε, read off the
-    masks rather than from the core-radius formula."""
+    per-node masks rather than from the window formula."""
     curve = curve_for(int(np.ceil(base_M / max(eps_list))))
     pot = sample_potential(V, curve)
     sf = compute_scalings(curve, pot, phase_speed, exps)
     correctors = build_correctors(curve, pot, sf, U)
-    grids = [build_tube_grid(curve, V, sf, eps, exps.p, delta_bar=delta_bar,
+    grids = [build_tube_grid(curve, V, sf, eps, delta_bar=delta_bar,
                              dz_factor=dz_factor) for eps in eps_list]
-    window = min(float(np.min(np.where(g.mask_core, g.znorm, 0.0)
+    window = min(float(np.min(np.where(core_mask(g), g.znorm, 0.0)
                               .reshape(g.n_s, -1).max(axis=1)))
                  for g in grids)
     norms = []
@@ -541,5 +553,5 @@ def residual_norms_full_grid(curve_for, V, phase_speed, exps, U, eps_list,
             ans = assemble_ansatz(grid, curve, sf, U, correctors,
                                   AnsatzParams(level=level))
             norms.append(weighted_norm(residual_field(ans), grid,
-                                       VARSIGMA * sf.k, z_window=window))
+                                       VARSIGMA * sf.k, window))
     return norms

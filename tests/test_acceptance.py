@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from nlscurve.ansatz import (AnsatzParams, assemble_ansatz, build_correctors,
-                             cutoff_negligibility_study, residual_norm,
-                             residual_study)
+from nlscurve.ansatz import (VARSIGMA, AnsatzParams, assemble_ansatz,
+                             build_correctors, cutoff_negligibility_study,
+                             residual_field, residual_study)
 from nlscurve.errors import ConvergenceError
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from nlscurve.radial import Sector, ode_residual, sector_spectrum
@@ -23,10 +23,10 @@ from nlscurve.scalings import (assemble_jacobi, critical_circle_radius,
                                euler_residual, weighted_eigenbasis)
 from nlscurve.spectrum import (alpha_field, branch_curvature_closed_forms,
                                crossing_slope, find_alpha_bar)
-from nlscurve.tube import build_tube_grid
+from nlscurve.tube import build_tube_grid, weighted_norm
 
 from conftest import circle_setup
-from oracles import (CoupledSectorOperator, coupled_spectrum,
+from oracles import (CoupledSectorOperator, core_window, coupled_spectrum,
                      eigenvalue_derivative, eigenvalue_second_derivative,
                      fourier_symbol_jacobi_circle,
                      reduced_length_stationary_radius)
@@ -77,7 +77,7 @@ def test_criterion_2_kernel_structure(U23, grid30):
 def test_criterion_3_poschl_teller(U23, sectors23):
     t0 = time.time()
     lam_sector = sector_spectrum(Sector(U23, 3.0, "Lr", 0), 1)[0][0]
-    eta0 = coupled_spectrum(CoupledSectorOperator(0.0, 0.0, 0, 1, 3.0), U23, 1)[0][0]
+    eta0 = coupled_spectrum(CoupledSectorOperator(0.0, 0.0, 0, 3.0), U23, 1)[0][0]
     mode = find_alpha_bar(sectors23, 0.0)
     checks = [
         ("lowest L_r eigenvalue = -3 within 1e-3", abs(lam_sector + 3.0) < 1e-3),
@@ -251,8 +251,8 @@ def test_criterion_9_invariance_suite(U23, bump_potential, exps23,
                                       resonance_inputs):
     t0 = time.time()
     # spectrum-shift identity on the coupled operator
-    base = coupled_spectrum(CoupledSectorOperator(0.0, 0.0, 0, 1, 3.0), U23, 3)
-    shifted = coupled_spectrum(CoupledSectorOperator(0.7, 0.0, 0, 1, 3.0), U23, 3)
+    base = coupled_spectrum(CoupledSectorOperator(0.0, 0.0, 0, 3.0), U23, 3)
+    shifted = coupled_spectrum(CoupledSectorOperator(0.7, 0.0, 0, 3.0), U23, 3)
     shift_err = max(abs((b - a) - 0.49)
                     for (a, _, _), (b, _, _) in zip(base, shifted))
 
@@ -261,12 +261,12 @@ def test_criterion_9_invariance_suite(U23, bump_potential, exps23,
     data = resonance_inputs[0.0]
     curve, pot, sf = data["curve"], data["pot"], data["sf"]
     co = build_correctors(curve, pot, sf, U23)
-    grid = build_tube_grid(curve, bump_potential, sf, 0.1, 3.0, dz_factor=12)
-    n_base = residual_norm(assemble_ansatz(grid, curve, sf, U23, co,
-                                           AnsatzParams(level=1)), sf)
-    sf2 = dataclasses.replace(sf, f=sf.f + 0.7531)
-    n_shift = residual_norm(assemble_ansatz(grid, curve, sf2, U23, co,
-                                            AnsatzParams(level=1)), sf2)
+    grid = build_tube_grid(curve, bump_potential, sf, 0.1, dz_factor=12)
+    n_base, n_shift = (
+        weighted_norm(residual_field(assemble_ansatz(
+            grid, curve, s, U23, co, AnsatzParams(level=1))),
+            grid, VARSIGMA * s.k, core_window(grid))
+        for s in (sf, dataclasses.replace(sf, f=sf.f + 0.7531)))
 
     # cutoff negligibility
     curve64, pot64, sf64 = circle_setup(bump_potential, data["rstar"], 64,

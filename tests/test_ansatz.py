@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlscurve.ansatz import (AnsatzParams, _interp_rows, assemble_ansatz,
-                             build_correctors, residual_norm, residual_study)
+from nlscurve.ansatz import (VARSIGMA, AnsatzParams, _interp_rows,
+                             assemble_ansatz, build_correctors, residual_field,
+                             residual_study)
 from nlscurve.errors import CurveNotCriticalError, ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                sample_potential)
@@ -18,7 +19,7 @@ from nlscurve.tube import (apply_S_eps, build_tube_grid, convergence_order,
                            core_radius, smooth_step, weighted_norm, z_spacing)
 
 from conftest import circle_setup
-from oracles import (apply_sector, kernel_projected,
+from oracles import (apply_sector, core_mask, core_window, kernel_projected,
                      level2_correctors_per_node, lr_sector_oracle_error,
                      odd_corrector_per_node, residual_norms_full_grid,
                      straight_segment_curve)
@@ -40,7 +41,7 @@ def circle_run(U23, bump_potential, exps23):
     rstar = 2 ** -0.5
     curve, pot, sf = circle_setup(bump_potential, rstar, 256, 0.0, exps23)
     co = build_correctors(curve, pot, sf, U23)
-    grid = build_tube_grid(curve, bump_potential, sf, 0.1, 3.0, dz_factor=16)
+    grid = build_tube_grid(curve, bump_potential, sf, 0.1, dz_factor=16)
     return {"curve": curve, "pot": pot, "sf": sf, "co": co, "grid": grid}
 
 
@@ -96,10 +97,10 @@ class TestCutoff:
         assert 0.35 < eps * window / R < 0.45 and eps * box / R < 0.5
         assert eps * (eps ** -0.25 + 1.0) / np.min(K) / R > 1.0
         with pytest.raises(ValidationError, match="focal distance"):
-            build_tube_grid(curve, bump_potential, sf, eps, 3.0,
-                            half_width=window, dz_factor=16)
+            build_tube_grid(curve, bump_potential, sf, eps, half_width=window,
+                            dz_factor=16)
         # ε = 0.2 keeps its cutoff ball inside the focal distance
-        grid = build_tube_grid(curve, bump_potential, sf, 0.2, 3.0,
+        grid = build_tube_grid(curve, bump_potential, sf, 0.2,
                                half_width=window, dz_factor=16)
         assert grid.z_axes[0][-1] == pytest.approx(box)
         assert np.all(grid.metric_a > 0)
@@ -111,18 +112,18 @@ class TestApplySEps:
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
         norms = []
         for dzf in (8, 16):
-            grid = build_tube_grid(seg, V, sf, 0.1, 3.0, dz_factor=dzf)
+            grid = build_tube_grid(seg, V, sf, 0.1, dz_factor=dzf)
             psi = (U23(grid.znorm)[None] * grid.cutoff).astype(complex)
             res = apply_S_eps(psi, grid)
-            norms.append(weighted_norm(res, grid, 0.0, "core"))
+            norms.append(weighted_norm(res, grid, 0.0, core_window(grid)))
         assert np.log2(norms[0] / norms[1]) > 1.9   # 4th-order z-stencils
 
     def test_constant_field(self, segment_setup):
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
-        grid = build_tube_grid(seg, V, sf, 0.1, 3.0)
+        grid = build_tube_grid(seg, V, sf, 0.1)
         c = 0.7 + 0.0j
         res = apply_S_eps(np.full((grid.n_s,) + grid.z_shape, c), grid)
-        assert np.max(np.abs(res[grid.mask_core] - (c - abs(c) ** 2 * c))) < 1e-12
+        assert np.max(np.abs(res[core_mask(grid)] - (c - abs(c) ** 2 * c))) < 1e-12
 
     def test_phase_factored_oracle(self, segment_setup):
         # φ = g(s̄)W(z) with a varying phase rate c(s̄) on the straight
@@ -140,7 +141,7 @@ class TestApplySEps:
         col = lambda v: v[:, None]
         floors = []
         for dzf in (8, 16):
-            grid = build_tube_grid(seg, V, sf, eps, 3.0, dz_factor=dzf)
+            grid = build_tube_grid(seg, V, sf, eps, dz_factor=dzf)
             z = grid.znorm
             W = np.exp(-2 * z**2)
             d2W = (16 * z**2 - 4) * W
@@ -152,14 +153,14 @@ class TestApplySEps:
             # z-only reference: g ≡ 1 and no phase
             w1 = np.broadcast_to(W[None], phi.shape).astype(complex)
             err_z = (apply_S_eps(w1, grid) - (-d2W + W - W**3)[None])[0]
-            core = grid.mask_core
+            core = core_mask(grid)
             assert np.max(np.abs(err - col(g) * err_z[None])[core]) < 1e-12
             floors.append(np.max(np.abs(err_z[core[0]])))
         assert floors[1] > 0 and floors[0] / floors[1] >= 3.5
 
     def test_small_amplitude_linearity(self, segment_setup):
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
-        grid = build_tube_grid(seg, V, sf, 0.1, 3.0)
+        grid = build_tube_grid(seg, V, sf, 0.1)
         amp = 1e-5
         psi = amp * np.exp(-grid.znorm**2)[None] * grid.cutoff + 0.0j
         res = apply_S_eps(psi, grid)
@@ -398,7 +399,7 @@ class TestAssembly:
                                circle_run["co"], circle_run["grid"])
         ans = assemble_ansatz(grid, curve, sf, U23, co, AnsatzParams(level=0))
         assert np.max(np.abs(ans.values.imag)) == 0.0
-        core = ans.values.real[grid.mask_core]
+        core = ans.values.real[core_mask(grid)]
         assert np.all(core > 0)
         assert np.all(ans.phase_rate == 0.0)
 
@@ -430,11 +431,11 @@ class TestAssembly:
         import dataclasses
         curve, sf, co, grid = (circle_run["curve"], circle_run["sf"],
                                circle_run["co"], circle_run["grid"])
-        n0 = residual_norm(assemble_ansatz(grid, curve, sf, U23, co,
-                                           AnsatzParams(level=1)), sf)
-        sf2 = dataclasses.replace(sf, f=sf.f + 1.234)
-        n1 = residual_norm(assemble_ansatz(grid, curve, sf2, U23, co,
-                                           AnsatzParams(level=1)), sf2)
+        norms = [weighted_norm(residual_field(assemble_ansatz(
+                     grid, curve, s, U23, co, AnsatzParams(level=1))),
+                     grid, VARSIGMA * s.k, core_window(grid))
+                 for s in (sf, dataclasses.replace(sf, f=sf.f + 1.234))]
+        n0, n1 = norms
         assert abs(n0 - n1) < 1e-12 * max(n0, 1e-30)
 
     def test_levels_zero_speed_reduce(self, U23, circle_run):
@@ -484,7 +485,7 @@ def fast_mode_run(U23, sectors23, bump_potential, exps23):
     co = build_correctors(curve, pot, sf, U23)
     abar, modes = alpha_field(sf, sectors23)
     basis = resonance_eigenpairs(FastModes(sf, abar, q_integrals(modes)), 0.1, 0.5)
-    grid = build_tube_grid(curve, bump_potential, sf, 0.1, 3.0, dz_factor=8)
+    grid = build_tube_grid(curve, bump_potential, sf, 0.1, dz_factor=8)
 
     def fast_part(b):
         # level-2 field with coefficients b minus the field with b = 0
@@ -547,9 +548,10 @@ class TestFastModes:
 class TestWeightedNorms:
     def test_exponential_identity(self, segment_setup, U23):
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
-        grid = build_tube_grid(seg, V, sf, 0.1, 3.0)
+        grid = build_tube_grid(seg, V, sf, 0.1)
         field = np.exp(-sf.k[0] * grid.znorm)[None] * np.ones((grid.n_s, 1))
-        val = weighted_norm(field.astype(complex), grid, sf.k, "core")
+        val = weighted_norm(field.astype(complex), grid, sf.k,
+                            core_window(grid))
         assert abs(val - 1.0) < 1e-10
 
     @given(st.floats(-5, 5).filter(lambda c: abs(c) > 1e-3))
@@ -561,25 +563,25 @@ class TestWeightedNorms:
         from nlscurve.scalings import compute_exponents, compute_scalings
         sf = compute_scalings(seg, sample_potential(V, seg), 0.0,
                               compute_exponents(2, 3))
-        grid = build_tube_grid(seg, V, sf, 0.2, 3.0, dz_factor=8)
+        grid = build_tube_grid(seg, V, sf, 0.2, dz_factor=8)
         rng = np.random.default_rng(11)
         f = rng.normal(size=(grid.n_s,) + grid.z_shape) \
             + 1j * rng.normal(size=(grid.n_s,) + grid.z_shape)
-        n1 = weighted_norm(c * f, grid, 0.3, "all")
-        n2 = weighted_norm(f, grid, 0.3, "all")
+        n1 = weighted_norm(c * f, grid, 0.3, np.inf)
+        n2 = weighted_norm(f, grid, 0.3, np.inf)
         assert abs(n1 - abs(c) * n2) < 1e-12 * max(n1, 1.0)
 
     def test_triangle_inequality(self, segment_setup):
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
-        grid = build_tube_grid(seg, V, sf, 0.2, 3.0, dz_factor=8)
+        grid = build_tube_grid(seg, V, sf, 0.2, dz_factor=8)
         rng = np.random.default_rng(5)
         shape = (grid.n_s,) + grid.z_shape
         for _ in range(5):
             f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            nfg = weighted_norm(f + g, grid, 0.2, "all")
-            assert nfg <= weighted_norm(f, grid, 0.2, "all") \
-                + weighted_norm(g, grid, 0.2, "all") + 1e-12
+            nfg = weighted_norm(f + g, grid, 0.2, np.inf)
+            assert nfg <= weighted_norm(f, grid, 0.2, np.inf) \
+                + weighted_norm(g, grid, 0.2, np.inf) + 1e-12
 
 
 class TestParityBookkeeping:
@@ -594,18 +596,18 @@ class TestParityBookkeeping:
             curve, pot, sf = circle_setup(bump_potential, radius, 256,
                                           0.0, exps23)
             co = build_correctors(curve, pot, sf, U23, criticality_tol=tol)
-            grid = build_tube_grid(curve, bump_potential, sf, eps, 3.0,
-                                   dz_factor=12)
+            grid = build_tube_grid(curve, bump_potential, sf, eps, dz_factor=12)
             ans = assemble_ansatz(grid, curve, sf, U23, co,
                                   AnsatzParams(level=1))
             res = apply_S_eps(ans.values, grid, ans.phase_rate).real
             odd = 0.5 * (res - res[:, ::-1])
             z = grid.z_axes[0]
             dU = np.sign(z) * U23.derivative(sf.k[0] * np.abs(z))
-            mask = grid.mask_core[0]
+            core = core_mask(grid)
+            mask = core[0]
             proj = np.abs(odd[:, mask] @ dU[mask]) * grid.dz \
                 / np.sqrt(np.sum(dU[mask] ** 2) * grid.dz)
-            scale = float(np.max(np.abs(res[grid.mask_core])))
+            scale = float(np.max(np.abs(res[core])))
             return float(np.max(proj)) / scale
 
         # at criticality the translation component is one ε-order below the
@@ -626,10 +628,11 @@ class TestGridIndependence:
         V = PotentialField("1/(1+r2)", 2)
         norms = []
         for dzf in (16, 32):
-            grid = build_tube_grid(curve, V, sf, 0.1, 3.0, dz_factor=dzf)
+            grid = build_tube_grid(curve, V, sf, 0.1, dz_factor=dzf)
             ans = assemble_ansatz(grid, curve, sf, U23, co,
                                   AnsatzParams(level=1))
-            norms.append(residual_norm(ans, sf))
+            norms.append(weighted_norm(residual_field(ans), grid,
+                                       VARSIGMA * sf.k, core_window(grid)))
         assert abs(norms[0] - norms[1]) / norms[1] < 0.05
 
 

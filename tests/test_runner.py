@@ -372,6 +372,16 @@ class TestMain:
         bad = write(tmp_path, MINIMAL.replace("p = 3.0", "p = 0.1"))
         assert main([bad]) == 2
 
+    def test_cli_rejects_parametric_curve(self, tmp_path, capsys):
+        # a run file has no key for sample points, so it cannot build a
+        # parametric curve: the README lists circle and ellipse only
+        bad = write(tmp_path, MINIMAL.replace("kind = circle", "kind = parametric"))
+        assert main([bad]) == 2
+        assert "[curve] parametric curve needs sample points" \
+            in capsys.readouterr().err
+        assert re.search(r"kind = circle +; circle \| ellipse\n",
+                         readme_run_file())
+
     def test_cli_stage_override(self, tmp_path):
         cfgpath = write(tmp_path, CRITICAL)
         out = tmp_path / "out2"

@@ -31,7 +31,7 @@ from oracles import (CoupledSectorOperator, apply_sector,
 class TestCoupledSpectrum:
     # the ARPACK oracle of tests/oracles.py against closed forms and LAPACK
     def test_decoupled_ground(self, U23):
-        pairs = coupled_spectrum(CoupledSectorOperator(0.0, 0.0, 0, 1, 3.0), U23, 2)
+        pairs = coupled_spectrum(CoupledSectorOperator(0.0, 0.0, 0, 3.0), U23, 2)
         lam, u, v = pairs[0]
         assert abs(lam - (1.0 + poschl_teller_levels(2)[0])) < 1e-3
         assert np.max(np.abs(v)) < 1e-9          # eigenvector of the form (Z, 0)
@@ -40,27 +40,27 @@ class TestCoupledSpectrum:
         # ℓ=0 second eigenpair is (0, U); ℓ=1 first is (∂U, 0)
         r = grid30.nodes
         lam0, u0, v0 = coupled_spectrum(
-            CoupledSectorOperator(0.0, 0.0, 0, 1, 3.0), U23, 2)[1]
+            CoupledSectorOperator(0.0, 0.0, 0, 3.0), U23, 2)[1]
         assert abs(lam0) < 1e-6
         ov = np.trapezoid(v0 * U23.values, r) / np.sqrt(
             np.trapezoid(v0**2, r) * np.trapezoid(U23.values**2, r))
         assert abs(ov) > 0.999 and np.max(np.abs(u0)) < 1e-6
         lam1, u1, v1 = coupled_spectrum(
-            CoupledSectorOperator(0.0, 0.0, 1, 1, 3.0), U23, 1)[0]
+            CoupledSectorOperator(0.0, 0.0, 1, 3.0), U23, 1)[0]
         dU = np.abs(U23.derivative(r))
         ov1 = np.trapezoid(np.abs(u1) * dU, r) / np.sqrt(
             np.trapezoid(u1**2, r) * np.trapezoid(dU**2, r))
         assert abs(lam1) < 1e-4 and abs(ov1) > 0.999
 
     def test_decoupled_shift(self, U23):
-        base = coupled_spectrum(CoupledSectorOperator(0.0, 0.0, 0, 1, 3.0), U23, 3)
-        shifted = coupled_spectrum(CoupledSectorOperator(0.7, 0.0, 0, 1, 3.0), U23, 3)
+        base = coupled_spectrum(CoupledSectorOperator(0.0, 0.0, 0, 3.0), U23, 3)
+        shifted = coupled_spectrum(CoupledSectorOperator(0.7, 0.0, 0, 3.0), U23, 3)
         for (l0, _, _), (l1, _, _) in zip(base, shifted):
             assert abs((l1 - l0) - 0.49) < 1e-10
 
     def test_reproducible(self, U1000):
         # a fixed Lanczos start vector: identical calls, identical arrays
-        op = CoupledSectorOperator(1.7, 0.15, 0, 1, 3.0)
+        op = CoupledSectorOperator(1.7, 0.15, 0, 3.0)
         first, second = (coupled_spectrum(op, U1000, 2) for _ in range(2))
         for a, b in zip(first, second):
             assert a[0] == b[0]
@@ -69,7 +69,7 @@ class TestCoupledSpectrum:
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     @pytest.mark.parametrize("ell, count", [(0, 4), (1, 2)])
     def test_matches_dense_eigh(self, U1000, alpha, ell, count):
-        op = CoupledSectorOperator(alpha, 0.15, ell, 1, 3.0)
+        op = CoupledSectorOperator(alpha, 0.15, ell, 3.0)
         bands, weight, idx = coupled_bands(op, U1000)
         dense = np.diag(bands[0])
         for lag in (1, 2):
@@ -111,7 +111,7 @@ class TestShift:
         monkeypatch.setattr(oracles, "eigsh", spied)
         for alpha in (0.0, 0.5, 2.0):
             for mu in (0.0, 0.15, 1.0):
-                op = CoupledSectorOperator(alpha, mu, ell, dim, 3.0)
+                op = CoupledSectorOperator(alpha, mu, ell, 3.0)
                 lam = coupled_spectrum(op, U, 1)[0][0]
                 bands, _, _ = coupled_bands(op, U)
                 lowest = eig_banded(bands, lower=True, eigvals_only=True,
@@ -122,7 +122,7 @@ class TestShift:
 
     def test_floors_argument_changes_nothing(self, U1000):
         for ell, count in ((0, 4), (1, 2), (0, 1)):
-            op = CoupledSectorOperator(0.9, 0.15, ell, 1, 3.0)
+            op = CoupledSectorOperator(0.9, 0.15, ell, 3.0)
             given = coupled_spectrum(op, U1000, count, sector_floors(U1000, 3.0, ell))
             for a, b in zip(given, coupled_spectrum(op, U1000, count)):
                 assert a[0] == b[0]
@@ -130,7 +130,7 @@ class TestShift:
 
     def test_floors_above_spectrum_fail_factorization(self, U1000):
         # floors that are not lower bounds put the shift inside the spectrum
-        op = CoupledSectorOperator(0.5, 0.15, 0, 1, 3.0)
+        op = CoupledSectorOperator(0.5, 0.15, 0, 3.0)
         a, b = sector_floors(U1000, 3.0, 0)
         with pytest.raises(ConvergenceError, match="not below"):
             coupled_spectrum(op, U1000, 1, (a + 1.0, b + 1.0))
@@ -172,7 +172,7 @@ class TestBoundStateCounts:
         alphas = np.array([0.0, 0.5, 1.3, 2.2])
         counts = bound_state_counts(coupled_sectors(U1000, 3.0), mu, alphas)[ell]
         for a, tau, count in zip(alphas, continuum_threshold(alphas, mu), counts):
-            bands, _, _ = coupled_bands(CoupledSectorOperator(a, mu, ell, 1, 3.0),
+            bands, _, _ = coupled_bands(CoupledSectorOperator(a, mu, ell, 3.0),
                                         U1000)
             below = eig_banded(bands, lower=True, eigvals_only=True, select="v",
                                select_range=(-np.inf, tau))
@@ -265,7 +265,7 @@ class TestBranches:
         for ell, labels in BOUND_BRANCHES.items():
             count = len(labels) + 1
             nxt = np.array([coupled_spectrum(
-                CoupledSectorOperator(a, 0.17, ell, 1, 3.0), U23, count)[-1][0]
+                CoupledSectorOperator(a, 0.17, ell, 3.0), U23, count)[-1][0]
                 for a in alphas])
             assert np.all(nxt > tau)
             assert np.all(nxt - tau < 0.02)   # box modes crowd the threshold
@@ -334,7 +334,7 @@ class TestBranches:
         gauge = trace_branches(sectors23, mu, alphas)["gauge"]
         alpha = alphas[index]
         assert isolated == [alpha] and gauge.exit_bracket[0] == alpha
-        ref = coupled_spectrum(CoupledSectorOperator(alpha, mu, 0, 1, 3.0),
+        ref = coupled_spectrum(CoupledSectorOperator(alpha, mu, 0, 3.0),
                                U23, 2)[1][0]
         assert abs(gauge.eigenvalues[index] - ref) < 1e-10
         assert 0.02 < continuum_threshold(alpha, mu) - ref < 0.03
@@ -343,12 +343,12 @@ class TestBranches:
         # at α = 0 the coupling vanishes: the sector's lowest pairs are the
         # scalar tridiagonals' (the exact start of every trace and crossing
         # search), equal to the ARPACK eigenpairs at any μ
-        for dim, U in U1000_by_dim.items():
+        for U in U1000_by_dim.values():
             for ell, sector in coupled_sectors(U, 3.0).items():
                 start = sector.start()
                 assert len(start) == len(BOUND_BRANCHES[ell])
                 oracle = coupled_spectrum(CoupledSectorOperator(
-                    0.0, 0.4, ell, dim, 3.0), U, len(start))
+                    0.0, 0.4, ell, 3.0), U, len(start))
                 for (lam, phi), (lam_c, u_c, v_c) in zip(start, oracle):
                     u, v = sector.profiles(phi)
                     assert abs(lam - lam_c) < 1e-12
@@ -367,7 +367,7 @@ def cold_trace(U, mu, alphas):
     the largest eigenvector overlap with its previous sample."""
     r, out = U.grid.nodes, {}
     for ell, labels in BOUND_BRANCHES.items():
-        per_alpha = [coupled_spectrum(CoupledSectorOperator(a, mu, ell, U.dim, 3.0),
+        per_alpha = [coupled_spectrum(CoupledSectorOperator(a, mu, ell, 3.0),
                                       U, len(labels)) for a in alphas]
         for start, label in enumerate(labels):
             lams, funcs = [per_alpha[0][start][0]], [per_alpha[0][start][1:]]
@@ -456,7 +456,7 @@ class TestCrossing:
         # at α = 0 the coupling vanishes: the coupled ground eigenvalue is
         # the L_r ℓ=0 one for every μ, -3 for (d, p) = (1, 3)
         eta0 = sector_spectrum(Sector(U23, 3.0, "Lr", 0), 1)[0][0]
-        coupled = coupled_spectrum(CoupledSectorOperator(0.0, mu, 0, 1, 3.0), U23, 1)
+        coupled = coupled_spectrum(CoupledSectorOperator(0.0, mu, 0, 3.0), U23, 1)
         assert abs(coupled[0][0] - eta0) < 1e-12
         assert abs(eta0 + 3.0) < 1e-4
 
