@@ -28,8 +28,11 @@ matrix D2 (``geometry.fourier_diff_matrices``) is built only for the
 eigensolve, once per FastModes.  The index j_ε needs no solve per ε:
 ν = 0 exactly when −ε²ξ'' = k²ᾱ²ξ, whatever the weight, so j_ε is the number
 of eigenvalues θ of the ε-free pencil −ξ'' = θk²ᾱ²ξ with ε²θ < 1 (Sylvester's
-law), and one list of θ serves every ε of a scan.  The eigensolve per ε
-computes only the 2J+1 eigenpairs of the window.
+law), and one list of θ serves every ε of a scan.  With variable
+coefficients the eigensolve per ε computes only the 2J+1 eigenpairs of the
+window.  With constant kᾱ and weight there is no solve per ε at all: C(ε)
+is then a scalar multiple of ε²K̃ − I, so every ε shares the eigenvectors
+of K̃ and its window is a slice of the one pencil eigendecomposition.
 """
 
 from dataclasses import dataclass, replace
@@ -39,6 +42,11 @@ from scipy.linalg import eigh
 
 from .errors import ValidationError, PhaseLawError
 from .geometry import fourier_diff_matrices, periodic_derivative
+
+# Relative spread below which kᾱ and the weight count as constant along the
+# curve: a circle spreads them by at most one rounding step, an ellipse by
+# 1e-1 (kᾱ) and 3e-3 (weight).
+CONSTANT_RTOL = 8 * np.finfo(float).eps
 
 
 @dataclass
@@ -99,6 +107,12 @@ class FastModes:
     K̃ = −diag(1/kᾱ)·D2·diag(1/kᾱ) are built once.  Since
     C(ε) = G^{1/2}(ε²K̃ − I)G^{1/2} with G = diag(k²ᾱ²·wfun) > 0, Sylvester's
     law makes the number of negative ν at any ε the number of θ below 1/ε².
+
+    When kᾱ and the weight are constant (to CONSTANT_RTOL), G is the scalar
+    g = k²ᾱ²·wfun, so C(ε) = g(ε²K̃ − I) has the eigenvectors of K̃ at every
+    ε and ν_i = g(ε²θ_i − 1): ``basis`` keeps those eigenvectors, and a
+    window is a slice of (θ, basis) with no solve per ε.  For variable
+    coefficients ``basis`` is None and each window solves C(ε).
     """
 
     def __init__(self, sf, abar, Q):
@@ -112,8 +126,14 @@ class FastModes:
         self.SS = np.outer(self.sw, self.sw)
         self.diag = self.ka**2 * wfun
         self.D2 = fourier_diff_matrices(sf.s.size, sf.L)[1]
-        self.theta = eigh(-self.D2 / np.outer(self.ka, self.ka),
-                          eigvals_only=True)
+        pencil = -self.D2 / np.outer(self.ka, self.ka)
+        if all(np.ptp(x) <= CONSTANT_RTOL * np.max(np.abs(x))
+               for x in (self.ka, wfun)):
+            # evd, not the default evr: K̃'s exactly paired eigenvalues make
+            # evr's vectors several times slower than the whole evd solve
+            self.theta, self.basis = eigh(pencil, driver="evd")
+        else:
+            self.theta, self.basis = eigh(pencil, eigvals_only=True), None
 
     def matrix(self, eps):
         """C(ε) = −ε²·S·D2·S − diag(k²ᾱ²·wfun)."""
@@ -136,7 +156,12 @@ class FastModes:
             raise ValidationError(
                 f"index window [{-J}, {J}] around j_eps={j_eps} leaves the grid; "
                 f"use more curve nodes or a larger eps")
-        nu, y = eigh(self.matrix(eps), subset_by_index=[j_eps - J, j_eps + J])
+        if self.basis is None:
+            nu, y = eigh(self.matrix(eps), subset_by_index=[j_eps - J, j_eps + J])
+        else:
+            rows = slice(j_eps - J, j_eps + J + 1)
+            nu = self.diag[0] * (eps**2 * self.theta[rows] - 1.0)
+            y = self.basis[:, rows]
         vecs = self.sw[:, None] * y / np.sqrt(L / M)   # ∫ ξ²/wfun ds̄ = 1
         dxi = periodic_derivative(vecs, L).T
         denom = ka**2 + 2.0 * sf.fprime * ka * Q.q3
@@ -199,6 +224,13 @@ def verify_coupled_system(basis):
     both are expected O(ν² + ε) in sup norm.  The ξ-line coupling carries
     f'·Q₃/Q₂, which is identically zero when the phase speed vanishes (then
     W = 0 makes Q₂ = 0 as well); that case is treated as zero coupling.
+
+    Inside an exactly degenerate ν pair (on a circle, the two Fourier modes
+    of each 0 < m < M/2) the eigenvectors are fixed only up to a rotation
+    of the pair, and the per-j sup norms depend on the rotation the
+    eigensolver returns: on the README circle two such rotations differ by
+    up to 4.4e-4 relative in these values.  A residual per pair, or of the
+    pair's projector, would not depend on it.
 
     Returns (max residual, per-j residual array).
     """
@@ -272,11 +304,12 @@ def gap_scan(modes, eps_grid, delta=0.3, threshold=0.1):
     """Scan ε for spectral gaps of Λ₀: admissible when min|eig| >= threshold·ε.
 
     The ε-free work (D2, the weight, the pencil spectrum θ that counts j_ε
-    by ε²θ < 1) is done once, in the FastModes ``modes``; each ε forms its
-    matrix and solves only the window, building ν, ξ and β but not the
-    corrections γ, κ, q, which Λ₀ does not read.  ``eps_grid`` must be
-    descending.  Returns a list of records with the minimal |generalized
-    eigenvalue| and the admissibility flag.
+    by ε²θ < 1) is done once, in the FastModes ``modes``; each ε solves
+    only its window, or slices it from ``modes.basis`` for constant
+    coefficients, building ν, ξ and β but not the corrections γ, κ, q,
+    which Λ₀ does not read.  ``eps_grid`` must be descending.  Returns a
+    list of records with the minimal |generalized eigenvalue| and the
+    admissibility flag.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(np.diff(eps_grid) >= 0):

@@ -4,9 +4,19 @@ import pytest
 
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from nlscurve.radial import RadialGrid, ground_state
+from nlscurve.resonance import FastModes, q_integrals
 from nlscurve.scalings import (compute_exponents, compute_scalings,
                                critical_circle_radius)
-from nlscurve.spectrum import coupled_sectors
+from nlscurve.spectrum import alpha_field, coupled_sectors
+
+# The curves of the runner pipelines, with their phase speed: the README
+# circle and ellipse, and the same circle at A = 0.0537, where kᾱ spreads by
+# one rounding step along the curve instead of being bitwise constant.
+RUNNER_CURVES = {
+    "circle": (CurveSpec("circle", n=2, radius=0.7012465), 0.05),
+    "ellipse": (CurveSpec("ellipse", n=2, a=0.85, b=0.6), 0.05),
+    "circle_A0.0537": (CurveSpec("circle", n=2, radius=0.7012465), 0.0537),
+}
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +66,14 @@ def critical_circle(bump_potential, exps23):
     rstar = critical_circle_radius(builder, (0.4, 1.2), 0.0, exps23)
     curve, pot, sf = circle_setup(V, rstar, 256, 0.0, exps23)
     return {"rstar": rstar, "curve": curve, "pot": pot, "sf": sf, "V": V}
+
+
+def runner_setup(name, sectors, V, exps):
+    """Resonance inputs of the runner curve ``name`` at 256 nodes."""
+    spec, phase_speed = RUNNER_CURVES[name]
+    curve = build_curve(spec, 256)
+    sf = compute_scalings(curve, sample_potential(V, curve), phase_speed, exps)
+    abar, modes = alpha_field(sf, sectors)
+    Q = q_integrals(modes)
+    return {"name": name, "kind": spec.kind, "sf": sf, "abar": abar,
+            "modes": modes, "Q": Q, "fast": FastModes(sf, abar, Q)}

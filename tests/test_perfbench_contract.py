@@ -8,12 +8,14 @@ it fails here, not only in a traced benchmark run.
 
 import inspect
 
+import numpy as np
 import pytest
 
-from nlscurve import ansatz, scalings, spectrum, tube
+from nlscurve import ansatz, resonance, scalings, spectrum, tube
 from nlscurve.geometry import PotentialField, sample_potential
 from nlscurve.runner import parse_config
 
+from conftest import runner_setup
 from oracles import straight_segment_curve
 
 
@@ -29,6 +31,8 @@ LEADING = [
                              "eps_list", "levels", "base_M"]),
     (scalings.critical_circle_radius,
      ["V_of_R_builder", "bracket", "phase_speed", "exps"]),
+    # the runner's gap-scan stage
+    (resonance.gap_scan, ["modes", "eps_grid", "delta", "threshold"]),
 ]
 
 
@@ -56,3 +60,16 @@ def test_run_config_attributes(tmp_path):
                     "[curve]\nkind = circle\nradius = 1.0\nsamples = 64\n")
     cfg = parse_config(str(path))
     assert cfg.curve_samples == 64 and cfg.radial.m == 3000
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse"])
+def test_gap_scan_records(name, sectors23, bump_potential, exps23):
+    # the tracer's resonance.gap_scan_points is len(result), and the runner
+    # writes each record's eps, min_abs_eigenvalue and admissible; the
+    # circle takes the constant-coefficient path, the ellipse the other
+    modes = runner_setup(name, sectors23, bump_potential, exps23)["fast"]
+    grid = np.linspace(0.08, 0.02, 100)
+    records = resonance.gap_scan(modes, grid, 0.3, 0.1)
+    assert len(records) == grid.size
+    for record in records:
+        assert {"eps", "min_abs_eigenvalue", "admissible"} <= set(record)

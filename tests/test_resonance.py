@@ -7,16 +7,15 @@ import pytest
 from scipy.linalg import eigh
 
 from nlscurve.errors import ValidationError
-from nlscurve.geometry import (CurveSpec, build_curve, fourier_diff_matrices,
-                               periodic_derivative, sample_potential)
-from nlscurve.resonance import (FastModes, assemble_lambda0, constant_coefficient_nu_oracle,
-                                correction_identities, gap_scan, gap_scan_oracle, lambda0_spectrum,
+from nlscurve.geometry import fourier_diff_matrices, periodic_derivative
+from nlscurve.resonance import (CONSTANT_RTOL, FastModes, assemble_lambda0,
+                                constant_coefficient_nu_oracle, correction_identities,
+                                gap_scan, gap_scan_oracle, lambda0_spectrum,
                                 q_integrals, resonance_eigenpairs,
                                 verify_coupled_system, weyl_slope)
-from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import alpha_field, sphere_area
 
-from conftest import circle_setup
+from conftest import RUNNER_CURVES, circle_setup, runner_setup
 from oracles import constant_coefficient_gap_oracle
 
 
@@ -40,18 +39,10 @@ def layerA(sectors23, bump_potential, exps23):
             "fast": FastModes(sf, abar, Q)}
 
 
-@pytest.fixture(scope="module", params=["circle", "ellipse"])
+@pytest.fixture(scope="module", params=list(RUNNER_CURVES))
 def runner_layer(request, sectors23, bump_potential, exps23):
-    """Resonance inputs of the two runner pipelines (phase speed 0.05)."""
-    spec = (CurveSpec("circle", n=2, radius=0.7012465)
-            if request.param == "circle" else CurveSpec("ellipse", n=2, a=0.85, b=0.6))
-    curve = build_curve(spec, 256)
-    sf = compute_scalings(curve, sample_potential(bump_potential, curve), 0.05,
-                          exps23)
-    abar, modes = alpha_field(sf, sectors23)
-    Q = q_integrals(modes)
-    return {"sf": sf, "abar": abar, "modes": modes, "Q": Q,
-            "fast": FastModes(sf, abar, Q)}
+    """Resonance inputs of the runner pipelines' curves (conftest)."""
+    return runner_setup(request.param, sectors23, bump_potential, exps23)
 
 
 class TestFourierCollocation:
@@ -176,6 +167,20 @@ class TestResonanceBasis:
 
 
 class TestWindowedEigensolve:
+    def test_basis_only_for_constant_coefficients(self, runner_layer):
+        # both circles keep the pencil's eigenvectors, the A = 0.0537 one
+        # although kᾱ is not bitwise constant; the ellipse keeps none
+        modes = runner_layer["fast"]
+        if runner_layer["kind"] == "ellipse":
+            assert modes.basis is None
+            return
+        M = modes.sf.s.size
+        assert modes.basis.shape == (M, M)
+        assert np.max(np.abs(modes.basis.T @ modes.basis - np.eye(M))) < 1e-12
+        assert np.ptp(modes.ka) <= CONSTANT_RTOL * np.max(modes.ka)
+        if runner_layer["name"] == "circle_A0.0537":
+            assert np.ptp(modes.ka) > 0
+
     def test_pencil_count_is_the_inertia(self, runner_layer):
         # j_ε from the ε-free pencil against the negative eigenvalues of the
         # matrix C(ε) itself, across the gap grid of the README run file
@@ -374,25 +379,33 @@ class TestGapScan:
             assert rec["min_abs_eigenvalue"] == float(
                 np.min(np.abs(lambda0_spectrum(basis))))
 
-    def test_one_pencil_solve_per_scan(self, layerA, monkeypatch):
-        # the ε-free pencil is solved once, each ε solves only its window,
-        # and no factorization counts the negative eigenvalues per ε
+    def test_one_pencil_solve_per_scan(self, runner_layer, monkeypatch):
+        # the ε-free pencil is solved once, and no factorization counts the
+        # negative eigenvalues per ε; with constant coefficients the pencil's
+        # eigenvectors are every window's, so no ε solves one, otherwise each
+        # ε solves only its window
         import nlscurve.resonance as resonance
-        sf, abar, Q = layerA["sf"], layerA["abar"], layerA["Q"]
+        sf, abar, Q = (runner_layer[key] for key in ("sf", "abar", "Q"))
         grid = np.linspace(0.08, 0.02, 7)
         calls = []
         real = resonance.eigh
 
         def counted(a, b=None, **kwargs):
+            out = real(a, b, **kwargs)
             calls.append("lambda0" if b is not None else
-                         "window" if "subset_by_index" in kwargs else "pencil")
-            return real(a, b, **kwargs)
+                         "window" if "subset_by_index" in kwargs else
+                         "pencil+vectors" if isinstance(out, tuple) else "pencil")
+            return out
 
         monkeypatch.setattr(resonance, "eigh", counted)
         gap_scan(FastModes(sf, abar, Q), grid, 0.3, 0.1)
-        assert calls.count("pencil") == 1 and calls[0] == "pencil"
-        assert calls.count("window") == grid.size
+        constant = runner_layer["kind"] == "circle"
+        pencil = "pencil+vectors" if constant else "pencil"
+        windows = 0 if constant else grid.size
+        assert calls[0] == pencil
+        assert calls.count("window") == windows
         assert calls.count("lambda0") == grid.size
+        assert len(calls) == 1 + windows + grid.size
         assert not hasattr(resonance, "dsytrf")
 
     def test_descending_grid_required(self, layer0):
