@@ -172,7 +172,7 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     phi = np.zeros((2, r.size))
     phi[:, :ny] = sector_solve(r1, rows)[0][:, :ny]
     w_ro = w @ phi[:, :ny]                            # (M, d, ny)
-    rows = rows[:, r1.idx] * np.sqrt(r1.weight)       # weighted, as in the solve
+    rows = r1.to_phi(rows)                            # weighted, as in the solve
     wGw = np.maximum(np.einsum("ijf,fg,ijg->ij", w, rows @ rows.T, w), 0.0)
     removed = np.max(np.abs(w @ (rows @ r1.kernel))
                      / np.maximum(np.sqrt(wGw), 1e-300), axis=1)

@@ -13,17 +13,21 @@ which act sector-by-sector in spherical-harmonic modes ℓ.  Their classical
 spectral facts (single negative eigenvalue of L_r, kernel of L_r spanned by
 the ∂U, kernel of L_i spanned by U) are what every downstream construction
 leans on.  A ``Sector`` holds one (kind, ℓ, shift) sector of a profile: its
-symmetric tridiagonal, set up once, and its kernel, computed on first use
-and only in the two sectors that have one.  ``sector_spectrum`` and the
+symmetric tridiagonal, set up once, its kernel, computed on first use and
+only in the two sectors that have one, and the map φ = √weight·u between
+its symmetric form and nodal values.  ``sector_spectrum`` and the
 minimal-norm ``sector_solve``, which projects off that kernel, take it.
 
 Discretization: uniform radial grid on [0, r_max], second-order finite
 differences in divergence form, with the (d-1)/r first-derivative term
-regularized at r = 0 by parity.  All sector matrices are symmetrized by the
-diagonal similarity induced by the radial volume weight r^{d-1}.  The ground
-state is the solution of the discrete equation itself: Petviashvili's
-fixed-point iteration from e^{-r²}, then Newton on the same grid.  Between
-the nodes a profile is its not-a-knot cubic interpolant (``UniformCubic``).
+regularized at r = 0 by parity.  This module alone knows it:
+``_laplacian_rows`` builds -Δ in banded form, with its weight and active
+nodes, and the ground state and every Sector read it.  All sector matrices
+are symmetrized by the diagonal similarity induced by the radial volume
+weight r^{d-1}.  The ground state is the solution of the discrete equation
+itself: Petviashvili's fixed-point iteration from e^{-r²}, then Newton on
+the same grid.  Between the nodes a profile is its not-a-knot cubic
+interpolant (``UniformCubic``).
 """
 
 import math
@@ -212,11 +216,13 @@ def _fit_decay_rate(grid, values, dim):
 # ---------------------------------------------------------------------------
 
 def _laplacian_rows(grid, d, include_origin):
-    """Divergence-form radial Laplacian (-Δ) as banded rows plus its weight.
+    """Divergence-form radial Laplacian (-Δ) in solve_banded layout, plus its
+    weight and active nodes: (ab, weight, idx).
 
-    Active nodes are [0, m-2] when the origin is included, [1, m-2] otherwise
-    (Dirichlet at r_max either way).  The matrix is self-adjoint with respect
-    to the returned weight.
+    ab is 3 x nact: ab[0, 1:] the upper, ab[1] the main and ab[2, :-1] the
+    lower diagonal.  Active nodes are [0, m-2] when the origin is included,
+    [1, m-2] otherwise (Dirichlet at r_max either way).  The matrix is
+    self-adjoint with respect to the returned weight.
     """
     r = grid.nodes
     dr = grid.dr
@@ -229,17 +235,30 @@ def _laplacian_rows(grid, d, include_origin):
     rho_ph = (rj + dr / 2) ** (d - 1)
     rho_mh = np.maximum(rj - dr / 2, 0.0) ** (d - 1)
 
-    diag = (rho_ph + rho_mh) / (rho * dr**2)
-    upper = -rho_ph / (rho * dr**2)
-    lower = -rho_mh / (rho * dr**2)
+    ab = np.zeros((3, idx.size))
+    ab[0, 1:] = -rho_ph[:-1] / (rho[:-1] * dr**2)
+    ab[1] = (rho_ph + rho_mh) / (rho * dr**2)
+    ab[2, :-1] = -rho_mh[1:] / (rho[1:] * dr**2)
     weight = rho * dr
     if include_origin:
         # Δu(0) = d·u''(0) for even radial u; cell mass ∫_0^{dr/2} r^{d-1} dr
-        diag[0] = 2 * d / dr**2
-        upper[0] = -2 * d / dr**2
-        lower[0] = 0.0
+        ab[1, 0] = 2 * d / dr**2
+        ab[0, 1] = -2 * d / dr**2
         weight[0] = (dr / 2) ** d / d
-    return lower, diag, upper, weight, idx
+    return ab, weight, idx
+
+
+def tridiagonal_apply(ab, x):
+    """The tridiagonal ab (solve_banded layout) times x of shape (nact,)."""
+    y = ab[1] * x
+    y[:-1] += ab[0, 1:] * x[1:]
+    y[1:] += ab[2, :-1] * x[:-1]
+    return y
+
+
+def _ground_state_residual(lap, u, p):
+    """-Δu + u - |u|^{p-1}u on the active nodes, with -Δ = lap."""
+    return tridiagonal_apply(lap, u) + u - np.sign(u) * np.abs(u) ** p
 
 
 def _newton_polish(u, d, p, grid):
@@ -252,31 +271,20 @@ def _newton_polish(u, d, p, grid):
     diagonal is O(1/dr²), so the floor sits well below any tolerance the
     acceptance checks care about).
     """
-    lower, diag, upper, weight, idx = _laplacian_rows(grid, d, include_origin=True)
-    nact = idx.size
-
-    def residual(ua):
-        lap = diag * ua
-        lap[:-1] += upper[:-1] * ua[1:]
-        lap[1:] += lower[1:] * ua[:-1]
-        return lap + ua - np.sign(ua) * np.abs(ua) ** p
-
+    lap, _, _ = _laplacian_rows(grid, d, include_origin=True)
+    jac = lap.copy()
     ua = u[:-1].copy()
     best = np.inf
     stalled = 0
     for _ in range(NEWTON_MAX_ITER):
-        res = residual(ua)
+        res = _ground_state_residual(lap, ua, p)
         rnorm = np.max(np.abs(res))
         stalled = stalled + 1 if rnorm > 0.5 * best else 0
         best = min(best, rnorm)
         if stalled >= 3 and best < 1e-9:
             break
-        jac_diag = diag + 1.0 - p * np.abs(ua) ** (p - 1)
-        ab = np.zeros((3, nact))
-        ab[0, 1:] = upper[:-1]
-        ab[1] = jac_diag
-        ab[2, :-1] = lower[1:]
-        ua = ua - solve_banded((1, 1), ab, res)
+        jac[1] = lap[1] + 1.0 - p * np.abs(ua) ** (p - 1)
+        ua = ua - solve_banded((1, 1), jac, res)
         if rnorm < NEWTON_TOL:
             break
     else:
@@ -288,13 +296,8 @@ def _newton_polish(u, d, p, grid):
 
 def ode_residual(profile, p):
     """Sup-norm of the discrete ground-state equation over the active nodes."""
-    grid, d = profile.grid, profile.dim
-    lower, diag, upper, _, _ = _laplacian_rows(grid, d, include_origin=True)
-    u = profile.values[:-1]
-    lap = diag * u
-    lap[:-1] += upper[:-1] * u[1:]
-    lap[1:] += lower[1:] * u[:-1]
-    return float(np.max(np.abs(lap + u - np.abs(u) ** p)))
+    lap, _, _ = _laplacian_rows(profile.grid, profile.dim, include_origin=True)
+    return float(np.max(np.abs(_ground_state_residual(lap, profile.values[:-1], p))))
 
 
 def _petviashvili(d, p, grid):
@@ -307,16 +310,11 @@ def _petviashvili(d, p, grid):
     (Pelinovsky and Stepanyants, SIAM J. Numer. Anal. 42 (2004) 1110–1127).
     Returns the active-node values (all but r_max).
     """
-    lower, diag, upper, weight, idx = _laplacian_rows(grid, d, include_origin=True)
-    ab = np.zeros((3, idx.size))
-    ab[0, 1:] = upper[:-1]
-    ab[1] = diag + 1.0
-    ab[2, :-1] = lower[1:]
+    ab, weight, idx = _laplacian_rows(grid, d, include_origin=True)
+    ab[1] += 1.0
     u = np.exp(-grid.nodes[idx] ** 2)
     for _ in range(PETVIASHVILI_MAX_ITER):
-        Au = ab[1] * u
-        Au[:-1] += ab[0, 1:] * u[1:]
-        Au[1:] += ab[2, :-1] * u[:-1]
+        Au = tridiagonal_apply(ab, u)
         up = np.abs(u) ** p
         stab = np.dot(weight, u * Au) / np.dot(weight, u * up)
         new = stab ** (p / (p - 1.0)) * solve_banded((1, 1), ab, up)
@@ -371,9 +369,11 @@ class Sector:
     kind 'Lr' carries the coefficient p U^{p-1}, kind 'Li' carries U^{p-1}.
     For U.dim == 1 the sectors are parities: ℓ = 0 even, ℓ = 1 odd.  The
     operator on nodal values u is similar, via D^{1/2} with D =
-    diag(weight), to the symmetric tridiagonal (diag, off) acting on
-    φ = sqrt(weight)·u; idx are the active node indices.  All four are built
-    once, here, and read-only.
+    diag(weight), to the symmetric tridiagonal ``bands`` (solve_banded
+    layout; ``diag`` and ``off`` are views of it) acting on φ = sqrtw·u,
+    sqrtw = √weight; idx are the active node indices, a contiguous range.
+    All are built once, here, and read-only.  ``to_phi``, ``from_phi`` and
+    ``profiles`` are the one map between φ and nodal values.
     """
 
     def __init__(self, U, p, kind, ell, shift=0.0):
@@ -385,16 +385,42 @@ class Sector:
             raise ValidationError("dim 1 has only parity sectors ell in {0, 1}")
         self.U, self.p, self.kind, self.ell, self.shift = U, p, kind, ell, shift
         d = U.dim
-        _, diag, upper, weight, idx = _laplacian_rows(U.grid, d, ell == 0)
+        lap, weight, idx = _laplacian_rows(U.grid, d, ell == 0)
         coeff = p if kind == "Lr" else 1.0
         pot = 1.0 + shift - coeff * U.values[idx] ** (p - 1.0)
         if ell >= 1 and d >= 2:
             pot = pot + ell * (ell + d - 2) / U.grid.nodes[idx]**2
-        self.diag = diag + pot
-        self.off = upper[:-1] * np.sqrt(weight[:-1] / weight[1:])
-        self.weight, self.idx = weight, idx
-        for a in (self.diag, self.off, weight, idx):    # shared by every user
+        bands = np.zeros_like(lap)
+        bands[1] = lap[1] + pot
+        bands[0, 1:] = bands[2, :-1] = lap[0, 1:] * np.sqrt(weight[:-1] / weight[1:])
+        self.bands, self.weight, self.idx = bands, weight, idx
+        self.sqrtw = np.sqrt(weight)
+        self._active = slice(idx[0], idx[-1] + 1)
+        for a in (bands, weight, self.sqrtw, idx):      # shared by every user
             a.setflags(write=False)
+        self.diag, self.off = bands[1], bands[0, 1:]
+
+    def to_phi(self, values):
+        """φ = sqrtw·u of nodal values (..., m) on the active nodes.  A slice,
+        not a gather: the result is C-ordered like ``values``, so products
+        with it sum in one order."""
+        return values[..., self._active] * self.sqrtw
+
+    def from_phi(self, phi):
+        """Nodal values (..., m) of φ (..., nact), zero off the active nodes."""
+        out = np.zeros(phi.shape[:-1] + (self.U.grid.m,))
+        out[..., self._active] = phi / self.sqrtw
+        return out
+
+    def profiles(self, *phis):
+        """Nodal values of the components φ_k, jointly normalized to
+        ∫Σu_k² r^{d-1}dr = 1, with the component largest just off the first
+        active node (the later one on a tie) positive there."""
+        full = self.from_phi(np.stack(phis))
+        full /= np.sqrt(np.sum(np.sum(full[:, self._active]**2, axis=0)
+                               * self.weight))
+        lead = max(reversed(full[:, self.idx[0] + 1]), key=abs)
+        return tuple(-full if lead < 0 else full)
 
     @cached_property
     def kernel(self):
@@ -466,19 +492,9 @@ def sector_spectrum(sector, count):
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    U, weight, idx = sector.U, sector.weight, sector.idx
     vals, vecs = lowest_eigenpairs(sector.diag, sector.off, count)
-    sqrtw = np.sqrt(weight)
-    pairs = []
-    for j in range(count):
-        u = vecs[:, j] / sqrtw
-        u /= np.sqrt(np.sum(u**2 * weight))
-        full = np.zeros(U.grid.m)
-        full[idx] = u
-        if full[idx[0] + 1] < 0:  # sign convention: positive just off the origin
-            full = -full
-        pairs.append((float(vals[j]), U.with_values(full)))
-    return pairs
+    return [(float(vals[j]), sector.U.with_values(sector.profiles(vecs[:, j])[0]))
+            for j in range(count)]
 
 
 def sector_solve(sector, rhs):
@@ -498,10 +514,8 @@ def sector_solve(sector, rhs):
     if rhs.shape[-1:] != (sector.U.grid.m,) or not np.all(np.isfinite(rhs)):
         raise ValidationError("right-hand sides must be finite nodal values "
                               "on the profile's grid")
-    kernel, diag, idx = sector.kernel, sector.diag, sector.idx
-    sqrtw = np.sqrt(sector.weight)
-    act = slice(idx[0], idx[-1] + 1)
-    b = rhs.reshape(-1, rhs.shape[-1])[:, act] * sqrtw      # (rows, nact)
+    kernel = sector.kernel
+    b = sector.to_phi(rhs.reshape(-1, rhs.shape[-1]))      # (rows, nact)
 
     removed = np.zeros(b.shape[0])
     if kernel is not None:
@@ -510,15 +524,8 @@ def sector_solve(sector, rhs):
         removed = np.abs(coeffs) / np.maximum(bnorm, 1e-300)
         b -= np.outer(coeffs, kernel)
 
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = sector.off
-    ab[1] = diag
-    ab[2, :-1] = sector.off
-    x = solve_banded((1, 1), ab, b.T, overwrite_b=True).T
+    x = solve_banded((1, 1), sector.bands, b.T, overwrite_b=True).T
     if kernel is not None:
         x -= np.outer(x @ kernel, kernel)
-    x /= sqrtw
-
-    out = np.zeros(b.shape[:1] + rhs.shape[-1:])
-    out[:, act] = x
-    return out.reshape(rhs.shape), removed.reshape(rhs.shape[:-1])
+    return (sector.from_phi(x).reshape(rhs.shape),
+            removed.reshape(rhs.shape[:-1]))

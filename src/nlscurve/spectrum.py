@@ -107,26 +107,6 @@ def _cholesky_below(bands, floors, alpha, mu):
             f"shift {sigma:.6g} is not below the coupled spectrum: {exc}") from exc
 
 
-def _profiles(phi, weight, idx, m):
-    """(u, v) on the full radial grid from the interleaved φ = √w·(u, v).
-
-    Normalized to ∫(u²+v²) r^{d-1}dr = 1, with the larger component just off
-    the first active node positive.
-    """
-    sqrtw = np.sqrt(weight)
-    u = phi[0::2] / sqrtw
-    v = phi[1::2] / sqrtw
-    nrm = np.sqrt(np.sum((u**2 + v**2) * weight))
-    ufull = np.zeros(m)
-    vfull = np.zeros(m)
-    ufull[idx], vfull[idx] = u / nrm, v / nrm
-    lead = ufull[idx[0] + 1] if abs(ufull[idx[0] + 1]) > abs(vfull[idx[0] + 1]) \
-        else vfull[idx[0] + 1]
-    if lead < 0:
-        ufull, vfull = -ufull, -vfull
-    return ufull, vfull
-
-
 # the bound branches of each traced sector, in ascending order at α = 0
 BOUND_BRANCHES = {0: ("ground", "gauge"), 1: ("translation",)}
 
@@ -139,7 +119,8 @@ class _CoupledSector:
     makes it pentadiagonal: the scalar-sector similarity weight is shared by
     both blocks, so the coupling stays μα·Identity.  The tridiagonals of the
     unshifted L_r and L_i ℓ-sectors (radial.Sector, which share weight and
-    active nodes; their kernels are never read), the lowest eigenpairs of
+    active nodes, so the L_r one, ``lr``, maps φ for both; their kernels
+    are never read), the lowest eigenpairs of
     each that the sector's traced branches need (one per label of
     BOUND_BRANCHES[ℓ], one for any other ℓ), their lowest eigenvalues
     ``floors`` and the α = μ = 0 bands (lower band storage, 3 x 2·nact) are
@@ -150,7 +131,7 @@ class _CoupledSector:
     def __init__(self, U, p, ell):
         self.U, self.p, self.ell = U, p, ell
         lr, li = (Sector(U, p, kind, ell) for kind in ("Lr", "Li"))
-        self.weight, self.idx = lr.weight, lr.idx
+        self.lr = lr
         self.tridiagonals = (lr.diag, lr.off, li.diag, li.off)
         self.bands0 = np.zeros((3, 2 * lr.diag.size))
         self.bands0[0, 0::2], self.bands0[0, 1::2] = lr.diag, li.diag
@@ -185,7 +166,8 @@ class _CoupledSector:
         return pairs[:count]
 
     def profiles(self, phi):
-        return _profiles(phi, self.weight, self.idx, self.U.grid.m)
+        """(u, v) on the full radial grid from the interleaved φ = √w·(u, v)."""
+        return self.lr.profiles(phi[0::2], phi[1::2])
 
     def isolating_shift(self, alpha, mu, k, lower, upper):
         """A shift under the (k+1)-th eigenvalue λ_k at (α, μ), at least four

@@ -21,7 +21,7 @@ from nlscurve.ansatz import (VARSIGMA, AnsatzParams, assemble_ansatz,
                              build_correctors, residual_field)
 from nlscurve.errors import ConvergenceError, ValidationError
 from nlscurve.geometry import CurveData, sample_potential
-from nlscurve.radial import Sector, sector_solve
+from nlscurve.radial import Sector, sector_solve, tridiagonal_apply
 from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import _CoupledSector, _band_matvec, _cholesky_below
 from nlscurve.tube import build_tube_grid, core_radius, weighted_norm
@@ -362,11 +362,12 @@ class CoupledSectorOperator:
 
 
 def coupled_bands(op, U):
-    """(bands, weight, idx) of the coupled sector operator: the interleaved
+    """(bands, scalar) of the coupled sector operator: the interleaved
     pentadiagonal in lower band storage that spectrum's inverse iteration
-    solves with (spectrum._CoupledSector)."""
+    solves with (spectrum._CoupledSector), and its L_r radial.Sector, whose
+    φ map both components share."""
     sector = _CoupledSector(U, op.p, op.ell)
-    return sector.bands(op.alpha, op.mu), sector.weight, sector.idx
+    return sector.bands(op.alpha, op.mu), sector.lr
 
 
 def sector_floors(U, p, ell):
@@ -480,26 +481,17 @@ def bound_state_counts_per_sector(U, p, mu, alpha_grid, ell):
 
 def apply_sector(sector, prof):
     """Apply a radial.Sector to a profile (for round-trip checks)."""
-    idx, sqrtw = sector.idx, np.sqrt(sector.weight)
-    phi = prof.values[idx] * sqrtw
-    y = sector.diag * phi
-    y[:-1] += sector.off * phi[1:]
-    y[1:] += sector.off * phi[:-1]
-    u = np.zeros(sector.U.grid.m)
-    u[idx] = y / sqrtw
-    return prof.with_values(u)
+    phi = sector.to_phi(prof.values)
+    return prof.with_values(sector.from_phi(tridiagonal_apply(sector.bands, phi)))
 
 
 def kernel_projected(sector, values):
     """Nodal ``values`` without their weighted-norm component along the
     sector's kernel (``Sector.kernel``), zero off the active nodes."""
-    kernel, w, idx = sector.kernel, sector.weight, sector.idx
-    b = values[idx] * np.sqrt(w)
+    kernel, b = sector.kernel, sector.to_phi(values)
     if kernel is not None:
         b = b - kernel * (kernel @ b)
-    out = np.zeros_like(values)
-    out[idx] = b / np.sqrt(w)
-    return out
+    return sector.from_phi(b)
 
 
 def lr_sector_oracle_error(U, p, ell):

@@ -256,9 +256,7 @@ class TestSectorSolve:
             for ell in range(2 if d == 1 else 3):
                 sector = Sector(U, 3.0, kind, ell)
                 kv = sector.kernel
-                kern = np.zeros(grid30.m)
-                if kv is not None:
-                    kern[sector.idx] = kv / np.sqrt(sector.weight)
+                kern = np.zeros(grid30.m) if kv is None else sector.from_phi(kv)
                 bumps = [np.exp(-((r - c) ** 2)) * (r / (1 + r) if ell else 1.0)
                          for c in (1.0, 3.0, 6.0)]
                 rows = np.array(bumps + [bumps[0] + kern, kern,
@@ -338,3 +336,57 @@ class TestSector:
     def test_invalid_sector_rejected(self, grid30, n, kind, ell, match):
         with pytest.raises(ValidationError, match=match):
             Sector(ground_state(n, 3.0, grid30), 3.0, kind, ell)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_to_phi_is_a_contiguous_slice(self, grid30, n):
+        # φ = √weight·u on the active nodes, bitwise, and C-ordered for a
+        # stack of rows too: a gather (values[..., idx]) of a stack is
+        # F-ordered, and products with it sum in another order
+        U = ground_state(n, 3.0, grid30)
+        rows = np.stack([U.values, np.exp(-grid30.nodes), U.derivative(grid30.nodes)])
+        cases = [("Lr", 0), ("Li", 0), ("Lr", 1)] + ([("Li", 2)] if n > 2 else [])
+        for kind, ell in cases:
+            sector = Sector(U, 3.0, kind, ell)
+            sqrtw = np.sqrt(sector.weight)
+            for values in (rows[0], rows):
+                phi = sector.to_phi(values)
+                assert phi.flags.c_contiguous
+                assert phi.tobytes() == (values[..., sector.idx] * sqrtw).tobytes()
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_profiles_normalize_and_sign(self, U23, grid30, ell):
+        # profiles(to_phi(u)) is u normalized in the weight, with the sign
+        # rule; two components share one norm, and the larger component just
+        # off the first active node (the later one on a tie) is positive there
+        sector = Sector(U23, 3.0, "Lr", ell)
+        r = grid30.nodes
+        u = U23.values * (r if ell else 1.0)
+        u[-1] = 0.0
+        first = sector.idx[0] + 1
+        mass = lambda *fs: sum(np.sum(f[sector.idx] ** 2 * sector.weight) for f in fs)
+        close = lambda a, b: np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+        (one,) = sector.profiles(sector.to_phi(-u))
+        assert close(one, u / np.sqrt(mass(u))) and one[first] > 0
+        assert abs(mass(one) - 1.0) < 1e-14
+        assert np.all(one[:sector.idx[0]] == 0.0)
+        for a, b, flip in [(2.0, -1.0, False), (-1.0, 1.0, False),
+                           (1.0, -1.0, True), (-2.0, 1.0, True)]:
+            pu, pv = sector.profiles(sector.to_phi(a * u), sector.to_phi(b * u))
+            scale = (-1.0 if flip else 1.0) / np.sqrt(mass(a * u, b * u))
+            assert close(pu, a * u * scale) and close(pv, b * u * scale)
+            assert abs(mass(pu, pv) - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_coupled_profiles_share_the_sector_convention(self, grid30, n):
+        # at α = 0 the ground pair of the coupled ℓ = 0 sector is (Z, 0) with
+        # Z the lowest L_r eigenfunction: the coupled sector's profiles and
+        # sector_spectrum read one φ map, so Z agrees bitwise.  Both ask
+        # LAPACK for as many eigenpairs: its bisection places λ₀ to a few
+        # ulps differently for another count, and the vector with it
+        from nlscurve.spectrum import BOUND_BRANCHES, coupled_sectors
+        U = ground_state(n, 3.0, grid30)
+        coupled = coupled_sectors(U, 3.0)[0]
+        u, v = coupled.profiles(coupled.start()[0][1])
+        _, Z = sector_spectrum(Sector(U, 3.0, "Lr", 0), len(BOUND_BRANCHES[0]))[0]
+        assert u.tobytes() == Z.values.tobytes()
+        assert not np.any(v)

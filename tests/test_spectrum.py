@@ -70,17 +70,16 @@ class TestCoupledSpectrum:
     @pytest.mark.parametrize("ell, count", [(0, 4), (1, 2)])
     def test_matches_dense_eigh(self, U1000, alpha, ell, count):
         op = CoupledSectorOperator(alpha, 0.15, ell, 3.0)
-        bands, weight, idx = coupled_bands(op, U1000)
+        bands, scalar = coupled_bands(op, U1000)
         dense = np.diag(bands[0])
         for lag in (1, 2):
             off = np.diag(bands[lag, :-lag], -lag)
             dense += off + off.T
         vals, vecs = eigh(dense, subset_by_index=[0, count - 1])
-        sqrtw = np.sqrt(weight)
         for j, (lam, u, v) in enumerate(coupled_spectrum(op, U1000, count)):
             assert abs(lam - vals[j]) < 1e-10
-            phi = np.empty(2 * idx.size)
-            phi[0::2], phi[1::2] = u[idx] * sqrtw, v[idx] * sqrtw
+            phi = np.empty(bands.shape[1])
+            phi[0::2], phi[1::2] = scalar.to_phi(u), scalar.to_phi(v)
             assert abs(phi @ vecs[:, j]) >= 1.0 - 1e-10   # both unit weighted norm
 
 
@@ -113,7 +112,7 @@ class TestShift:
             for mu in (0.0, 0.15, 1.0):
                 op = CoupledSectorOperator(alpha, mu, ell, 3.0)
                 lam = coupled_spectrum(op, U, 1)[0][0]
-                bands, _, _ = coupled_bands(op, U)
+                bands, _ = coupled_bands(op, U)
                 lowest = eig_banded(bands, lower=True, eigvals_only=True,
                                     select="i", select_range=(0, 0))[0]
                 gap = lowest - shifts[-1]
@@ -172,7 +171,7 @@ class TestBoundStateCounts:
         alphas = np.array([0.0, 0.5, 1.3, 2.2])
         counts = bound_state_counts(coupled_sectors(U1000, 3.0), mu, alphas)[ell]
         for a, tau, count in zip(alphas, continuum_threshold(alphas, mu), counts):
-            bands, _, _ = coupled_bands(CoupledSectorOperator(a, mu, ell, 3.0),
+            bands, _ = coupled_bands(CoupledSectorOperator(a, mu, ell, 3.0),
                                         U1000)
             below = eig_banded(bands, lower=True, eigvals_only=True, select="v",
                                select_range=(-np.inf, tau))
