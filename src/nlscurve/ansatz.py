@@ -413,10 +413,9 @@ def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list):
         lo = (g2.z_shape[0] - n1) // 2
         sub = fields[1].values[(slice(None),) + tuple(
             slice(lo, lo + n1) for _ in range(g1.d))]
-        w = np.exp(VARSIGMA * sf.k.reshape(-1, *([1] * g1.d)) * g1.znorm[None])
-        fd = np.max(w * np.abs(fields[0].values - sub)) \
-            / np.max(w * np.abs(sub))
-        field_diffs.append(fd)
+        field_diffs.append(
+            weighted_norm(fields[0].values - sub, g1, VARSIGMA * sf.k, np.inf)
+            / weighted_norm(sub, g1, VARSIGMA * sf.k, np.inf))
     norm_diffs = np.array(norm_diffs)
     field_diffs = np.array(field_diffs)
     x = np.asarray(eps_list, dtype=float) ** (-delta_bar)

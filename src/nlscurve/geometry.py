@@ -128,10 +128,10 @@ class PotentialField:
 
     Variables: x1..xn (coordinates), r (|x|), r2 (|x|²).  Operators: + - * /
     ** and unary minus; functions: exp, sqrt, log, sin, cos, tanh, abs.
-    Everything else is rejected at parse time.  One walk of the parsed
-    expression evaluates it on arrays (``__call__``) or on second-order jets
-    (``jet``), which gives the gradient and Hessian exactly, without a step
-    size.
+    Everything else is rejected at parse time, by the one walk that compiles
+    the expression into an evaluator.  That evaluator runs on arrays
+    (``__call__``) or on second-order jets (``jet``), which gives the
+    gradient and Hessian exactly, without a step size.
     """
 
     def __init__(self, expression, n):
@@ -141,52 +141,46 @@ class PotentialField:
             tree = ast.parse(expression, mode="eval")
         except SyntaxError as exc:
             raise ValidationError(f"cannot parse potential {expression!r}: {exc}") from exc
-        self._validate(tree.body)
-        self._tree = tree.body
+        self._expr = self._compile(tree.body)
         self._uses_r = any(isinstance(node, ast.Name) and node.id == "r"
                            for node in ast.walk(tree))
 
-    def _validate(self, node):
+    def _compile(self, node):
+        """Check ``node`` and return its evaluator ``env -> value``, which
+        runs on arrays and on jets alike."""
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ValidationError("only numeric constants allowed in potentials")
-        elif isinstance(node, ast.Name):
+            return lambda env: np.float64(node.value)
+        if isinstance(node, ast.Name):
             names = {f"x{i + 1}" for i in range(self.n)} | {"r", "r2"}
             if node.id not in names:
                 raise ValidationError(f"unknown symbol {node.id!r} in potential")
-        elif isinstance(node, ast.BinOp):
+            return lambda env: env[node.id]
+        if isinstance(node, ast.BinOp):
             if type(node.op) not in _ALLOWED_BINOPS:
                 raise ValidationError("operator not allowed in potential")
-            self._validate(node.left)
-            self._validate(node.right)
-        elif isinstance(node, ast.UnaryOp):
+            op = _ALLOWED_BINOPS[type(node.op)]
+            left, right = self._compile(node.left), self._compile(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp):
             if not isinstance(node.op, (ast.USub, ast.UAdd)):
                 raise ValidationError("unary operator not allowed in potential")
-            self._validate(node.operand)
-        elif isinstance(node, ast.Call):
+            operand = self._compile(node.operand)
+            if isinstance(node.op, ast.UAdd):
+                return operand
+            return lambda env: -operand(env)
+        if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS \
                     or node.keywords or len(node.args) != 1:
                 raise ValidationError("function not allowed in potential")
-            self._validate(node.args[0])
-        else:
-            raise ValidationError(f"construct {type(node).__name__} not allowed in potential")
+            funcs, arg = _ALLOWED_FUNCS[node.func.id], self._compile(node.args[0])
 
-    def _eval(self, node, env):
-        if isinstance(node, ast.Constant):
-            return np.float64(node.value)
-        if isinstance(node, ast.Name):
-            return env[node.id]
-        if isinstance(node, ast.BinOp):
-            return _ALLOWED_BINOPS[type(node.op)](self._eval(node.left, env),
-                                                  self._eval(node.right, env))
-        if isinstance(node, ast.UnaryOp):
-            val = self._eval(node.operand, env)
-            return -val if isinstance(node.op, ast.USub) else val
-        if isinstance(node, ast.Call):
-            funcs = _ALLOWED_FUNCS[node.func.id]
-            val = self._eval(node.args[0], env)
-            return val.chain(*funcs) if isinstance(val, _Jet) else funcs[0](val)
-        raise AssertionError("unreachable: node was validated")
+            def call(env):
+                val = arg(env)
+                return val.chain(*funcs) if isinstance(val, _Jet) else funcs[0](val)
+            return call
+        raise ValidationError(f"construct {type(node).__name__} not allowed in potential")
 
     def _env(self, points, jets):
         pts = np.asarray(points, dtype=float)
@@ -209,12 +203,12 @@ class PotentialField:
     def __call__(self, points):
         """Evaluate on points of shape (..., n)."""
         shape, env = self._env(points, jets=False)
-        return np.broadcast_to(self._eval(self._tree, env), shape).copy()
+        return np.broadcast_to(self._expr(env), shape).copy()
 
     def jet(self, points):
         """Exact gradient (..., n) and Hessian (..., n, n) on points (..., n)."""
         shape, env = self._env(points, jets=True)
-        out = self._eval(self._tree, env)
+        out = self._expr(env)
         if not isinstance(out, _Jet):      # constant expression
             out = _Jet(out, 0.0, 0.0)
         return (np.broadcast_to(out.grad, shape + (self.n,)).copy(),

@@ -24,7 +24,8 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +42,6 @@ from .ansatz import residual_study
 
 log = logging.getLogger(__name__)
 
-ALL_STAGES = ("profile", "geometry", "scalings", "criticality", "branches",
-              "resonance", "gap_scan", "residual")
-
 DEFAULTS = {
     "problem": {"n": "2", "p": "3.0", "phase_speed": "0.0", "f1_drift": "0.0",
                 "potential": "1"},
@@ -58,9 +56,10 @@ DEFAULTS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration."""
+    """Validated run configuration; frozen, so an override makes a new one
+    (``dataclasses.replace``)."""
 
     n: int
     p: float
@@ -95,6 +94,15 @@ def _parse_eps_grid(text):
     return np.linspace(float(hi), float(lo), int(num))
 
 
+def _parse_stages(text):
+    """Comma-separated stage names, each one of ALL_STAGES."""
+    stages = [s.strip() for s in text.split(",") if s.strip()]
+    bad = [s for s in stages if s not in ALL_STAGES]
+    if bad:
+        raise ValidationError(f"unknown stages {bad}")
+    return stages
+
+
 def parse_config(path):
     """Parse and fully validate a run file; aggregate all violations.
 
@@ -123,6 +131,9 @@ def parse_config(path):
         raw = cp.get(section, key)
         try:
             val = conv(raw)
+        except ValidationError as exc:
+            violations.append(f"[{section}] {key}: {exc}")
+            return None
         except Exception:
             violations.append(f"[{section}] {key}: cannot parse {raw!r}")
             return None
@@ -192,10 +203,7 @@ def parse_config(path):
     base_M = grab("residual", "base_samples", int, lambda v: v >= 64,
                   "need >= 64 base samples")
 
-    stages = [s.strip() for s in cp.get("run", "stages").split(",") if s.strip()]
-    for s in stages:
-        if s not in ALL_STAGES:
-            violations.append(f"[run] unknown stage {s!r}")
+    stages = grab("run", "stages", _parse_stages)
     out_dir = cp.get("run", "out_dir") or os.environ.get("NLSCURVE_OUT", "out")
     assert_acceptance = grab("run", "assert_acceptance",
                              lambda v: cp.BOOLEAN_STATES[v.lower()])
@@ -219,10 +227,6 @@ def parse_config(path):
 # Stages
 # ---------------------------------------------------------------------------
 
-def _stage_order(requested):
-    return [s for s in ALL_STAGES if s in requested]
-
-
 def _numbered(prefix, count):
     return [f"{prefix}{i}" for i in range(1, count + 1)]
 
@@ -240,17 +244,13 @@ def run_pipeline(cfg):
         "n": cfg.n, "p": cfg.p, "phase_speed": cfg.phase_speed,
         "potential": cfg.potential, "curve_kind": cfg.curve.kind,
     }, "stages": {}, "checks": {}}
-    csvs = {}
-    state = {}
+    run = _Run(cfg)
 
-    exps = compute_exponents(cfg.n, cfg.p)
-    V = PotentialField(cfg.potential, cfg.n)
-
-    for stage in _stage_order(cfg.stages):
+    for stage in [s for s in ALL_STAGES if s in cfg.stages]:
         t0 = time.time()
         log.info("[%s] ...", stage)
         try:
-            out = STAGE_FUNCS[stage](cfg, exps, V, state, csvs)
+            out = STAGE_FUNCS[stage](run)
         except Exception as exc:
             raise RuntimeError(f"stage {stage!r} failed: {exc}") from exc
         summary["stages"][stage] = out
@@ -260,65 +260,68 @@ def run_pipeline(cfg):
 
     summary["all_checks_pass"] = all(summary["checks"].values()) \
         if summary["checks"] else True
-    return summary, csvs
+    return summary, run.csvs
 
 
-def _ensure_curve(cfg, V, state):
-    if "curve" not in state:
-        state["curve"] = build_curve(cfg.curve, cfg.curve_samples)
-        state["pot"] = sample_potential(V, state["curve"])
-    return state["curve"], state["pot"]
+class _Run:
+    """One pipeline run: its config, exponents, potential and CSV artifacts,
+    and the products the stages share, each built once on first use."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.exps = compute_exponents(cfg.n, cfg.p)
+        self.V = PotentialField(cfg.potential, cfg.n)
+        self.csvs = {}
+
+    @cached_property
+    def curve(self):
+        return build_curve(self.cfg.curve, self.cfg.curve_samples)
+
+    @cached_property
+    def pot(self):
+        return sample_potential(self.V, self.curve)
+
+    @cached_property
+    def sf(self):
+        return compute_scalings(self.curve, self.pot, self.cfg.phase_speed,
+                                self.exps)
+
+    @cached_property
+    def U(self):
+        return ground_state(self.cfg.n, self.cfg.p, self.cfg.radial)
+
+    @cached_property
+    def sectors(self):
+        """The coupled sectors of the profile, set up once for the branches
+        stage and the crossing field."""
+        return coupled_sectors(self.U, self.cfg.p)
+
+    @cached_property
+    def modes(self):
+        """The crossing field, its overlap integrals and the fast-mode problem
+        built on them, shared by the resonance and gap-scan stages."""
+        abar, modes = alpha_field(self.sf, self.sectors)
+        return FastModes(self.sf, abar, q_integrals(modes))
 
 
-def _ensure_scalings(cfg, exps, V, state):
-    curve, pot = _ensure_curve(cfg, V, state)
-    if "sf" not in state:
-        state["sf"] = compute_scalings(curve, pot, cfg.phase_speed, exps)
-    return state["sf"]
-
-
-def _ensure_profile(cfg, state):
-    if "U" not in state:
-        state["U"] = ground_state(cfg.n, cfg.p, cfg.radial)
-    return state["U"]
-
-
-def _ensure_sectors(cfg, state):
-    """The coupled sectors of the profile, set up once for the branches
-    stage and the crossing field."""
-    if "sectors" not in state:
-        state["sectors"] = coupled_sectors(_ensure_profile(cfg, state), cfg.p)
-    return state["sectors"]
-
-
-def _ensure_fast_modes(cfg, sf, state):
-    """The crossing field, its overlap integrals and the fast-mode problem
-    built on them, shared by the resonance and gap-scan stages."""
-    if "modes" not in state:
-        abar, modes = alpha_field(sf, _ensure_sectors(cfg, state))
-        state["modes"] = FastModes(sf, abar, q_integrals(modes))
-    return state["modes"]
-
-
-def stage_profile(cfg, exps, V, state, csvs):
-    U = _ensure_profile(cfg, state)
-    res = ode_residual(U, cfg.p)
-    csvs["profile"] = ("r,U", np.column_stack([U.grid.nodes, U.values]))
+def stage_profile(run):
+    U = run.U
+    res = ode_residual(U, run.cfg.p)
+    run.csvs["profile"] = ("r,U", np.column_stack([U.grid.nodes, U.values]))
     return {"U0": float(U.values[0]), "decay_rate": float(U.decay_rate),
             "ode_residual_sup": res,
             "checks": {"ode_residual_below_1e-8": bool(res < 1e-8),
                        "decay_rate_within_2pct": bool(abs(U.decay_rate - 1) < 0.02)}}
 
 
-def stage_geometry(cfg, exps, V, state, csvs):
-    curve, pot = _ensure_curve(cfg, V, state)
+def stage_geometry(run):
+    curve, pot, n = run.curve, run.pot, run.cfg.n
     frame_orth = np.max(np.abs(curve.frame @ curve.frame.transpose(0, 2, 1)
-                               - np.eye(cfg.n - 1)))
-    nm1 = cfg.n - 1
-    csvs["curve"] = (",".join(["s", *_numbered("x", cfg.n), *_numbered("H", nm1)]),
-                     np.column_stack([curve.s, curve.positions, curve.curvature]))
-    csvs["potential"] = (",".join(["s", "V", *_numbered("dV", nm1)]),
-                         np.column_stack([curve.s, pot.values, pot.grad_normal]))
+                               - np.eye(n - 1)))
+    run.csvs["curve"] = (",".join(["s", *_numbered("x", n), *_numbered("H", n - 1)]),
+                         np.column_stack([curve.s, curve.positions, curve.curvature]))
+    run.csvs["potential"] = (",".join(["s", "V", *_numbered("dV", n - 1)]),
+                             np.column_stack([curve.s, pot.values, pot.grad_normal]))
     return {"length": float(curve.L),
             "holonomy_angle": float(curve.holonomy_angle),
             "max_curvature": float(np.max(np.linalg.norm(
@@ -326,30 +329,28 @@ def stage_geometry(cfg, exps, V, state, csvs):
             "checks": {"frame_orthonormal": bool(frame_orth < 1e-10)}}
 
 
-def stage_scalings(cfg, exps, V, state, csvs):
-    sf = _ensure_scalings(cfg, exps, V, state)
-    pot = state["pot"]
-    err = sf.consistency_error(pot.values)
-    csvs["scalings"] = ("s,h,k,fprime,f",
-                        np.column_stack([sf.s, sf.h, sf.k, sf.fprime, sf.f]))
-    return {"sigma": exps.sigma, "theta": exps.theta,
+def stage_scalings(run):
+    sf = run.sf
+    err = sf.consistency_error(run.pot.values)
+    run.csvs["scalings"] = ("s,h,k,fprime,f",
+                            np.column_stack([sf.s, sf.h, sf.k, sf.fprime, sf.f]))
+    return {"sigma": run.exps.sigma, "theta": run.exps.theta,
             "phase_budget": sf.phase_budget, "consistency_error": err,
             "checks": {"scaling_consistency_1e-10": bool(err < 1e-10)}}
 
 
-def stage_criticality(cfg, exps, V, state, csvs):
-    curve, pot = _ensure_curve(cfg, V, state)
-    sf = _ensure_scalings(cfg, exps, V, state)
+def stage_criticality(run):
+    curve, pot, sf, exps, n = run.curve, run.pot, run.sf, run.exps, run.cfg.n
     res, sup = euler_residual(curve, pot, sf, exps)
     red = reduced_functional(curve, sf, exps)
     J = assemble_jacobi(curve, pot, sf, exps)
     vals, vecs, verdict = weighted_eigenbasis(
         J.matrix, J.weight, min(10, J.matrix.shape[0]),
-        per_node_components=cfg.n - 1, ds=curve.L / curve.M)
-    csvs["euler_residual"] = (",".join(["s", *_numbered("R", cfg.n - 1)]),
-                              np.column_stack([curve.s, res]))
-    csvs["jacobi_spectrum"] = ("index,eigenvalue",
-                               np.column_stack([np.arange(vals.size), vals]))
+        per_node_components=n - 1, ds=curve.L / curve.M)
+    run.csvs["euler_residual"] = (",".join(["s", *_numbered("R", n - 1)]),
+                                  np.column_stack([curve.s, res]))
+    run.csvs["jacobi_spectrum"] = ("index,eigenvalue",
+                                   np.column_stack([np.arange(vals.size), vals]))
     return {"euler_residual_sup": sup, "reduced_functional": red,
             "jacobi_asymmetry": J.asymmetry,
             "jacobi_min_abs_eig": verdict["min_abs_eigenvalue"],
@@ -357,10 +358,8 @@ def stage_criticality(cfg, exps, V, state, csvs):
             "checks": {"jacobi_symmetric_1e-10": bool(J.asymmetry < 1e-10)}}
 
 
-def stage_branches(cfg, exps, V, state, csvs):
-    U = _ensure_profile(cfg, state)
-    sectors = _ensure_sectors(cfg, state)
-    sf = _ensure_scalings(cfg, exps, V, state)
+def stage_branches(run):
+    sectors, sf = run.sectors, run.sf
     mu = float(np.max(np.abs(2 * sf.fprime / sf.k)))
     alphas = np.linspace(0.0, 2.2, 23)
     branches = trace_branches(sectors, mu, alphas)
@@ -374,9 +373,9 @@ def stage_branches(cfg, exps, V, state, csvs):
     names = ["ground", "translation", "gauge", "continuum_threshold"]
     rows = [alphas] + [branches[label].eigenvalues for label in names[:3]] \
         + [continuum_threshold(alphas, mu)]
-    csvs["branches"] = (",".join(["alpha", *names]), np.column_stack(rows))
-    csvs["crossing_mode"] = ("r,Z,W", np.column_stack(
-        [U.grid.nodes, mode.u_values, mode.v_values]))
+    run.csvs["branches"] = (",".join(["alpha", *names]), np.column_stack(rows))
+    run.csvs["crossing_mode"] = ("r,Z,W", np.column_stack(
+        [run.U.grid.nodes, mode.u_values, mode.v_values]))
     eta = branches["ground"].eigenvalues
     return {"mu": mu, "alpha_bar": mode.alpha_bar,
             "zw_decay_rate": mode.decay_rate,
@@ -386,14 +385,13 @@ def stage_branches(cfg, exps, V, state, csvs):
                        "zw_decay_above_1": bool(mode.decay_rate > 1.0)}}
 
 
-def stage_resonance(cfg, exps, V, state, csvs):
-    sf = _ensure_scalings(cfg, exps, V, state)
-    modes = _ensure_fast_modes(cfg, sf, state)
+def stage_resonance(run):
+    cfg, modes = run.cfg, run.modes
     basis = resonance_eigenpairs(modes, cfg.res_eps, cfg.delta)
     maxres, per_j = verify_coupled_system(basis)
     q_closure = float(np.max(np.abs(modes.Q.q1 + modes.Q.q2 - 1.0)))
-    csvs["resonance_nu"] = ("j,nu,coupled_residual",
-                            np.column_stack([basis.window, basis.nu, per_j]))
+    run.csvs["resonance_nu"] = ("j,nu,coupled_residual",
+                                np.column_stack([basis.window, basis.nu, per_j]))
     return {"eps": cfg.res_eps, "window": int(basis.nu.size),
             "coupled_system_residual": maxres,
             "residual_over_eps": maxres / cfg.res_eps,
@@ -401,16 +399,15 @@ def stage_resonance(cfg, exps, V, state, csvs):
             "checks": {"q1_plus_q2_is_1": bool(q_closure < 1e-8)}}
 
 
-def stage_gap_scan(cfg, exps, V, state, csvs):
-    sf = _ensure_scalings(cfg, exps, V, state)
-    modes = _ensure_fast_modes(cfg, sf, state)
+def stage_gap_scan(run):
+    cfg, modes = run.cfg, run.modes
     records = gap_scan(modes, cfg.gap_eps_grid, cfg.delta, cfg.gap_threshold)
     rows = np.array([[r["eps"], r["min_abs_eigenvalue"], float(r["admissible"])]
                      for r in records])
-    csvs["gap_scan"] = ("eps,min_abs_eigenvalue,admissible", rows)
+    run.csvs["gap_scan"] = ("eps,min_abs_eigenvalue,admissible", rows)
     out = {"n_admissible": int(sum(r["admissible"] for r in records)),
            "n_total": len(records), "checks": {}}
-    constant = np.ptp(sf.k) < 1e-10 and np.ptp(modes.abar) < 1e-10
+    constant = np.ptp(run.sf.k) < 1e-10 and np.ptp(modes.abar) < 1e-10
     if constant:
         oracle = gap_scan_oracle(modes, cfg.gap_eps_grid, cfg.delta,
                                  cfg.gap_threshold)
@@ -420,20 +417,20 @@ def stage_gap_scan(cfg, exps, V, state, csvs):
     return out
 
 
-def stage_residual(cfg, exps, V, state, csvs):
-    U = _ensure_profile(cfg, state)
+def stage_residual(run):
+    cfg = run.cfg
 
     def curve_for(M):
         return build_curve(cfg.curve, M)
 
-    records, fits = residual_study(curve_for, V, cfg.phase_speed, exps, U,
-                                   cfg.residual_eps, cfg.residual_levels,
+    records, fits = residual_study(curve_for, run.V, cfg.phase_speed, run.exps,
+                                   run.U, cfg.residual_eps, cfg.residual_levels,
                                    base_M=cfg.residual_base_M,
                                    delta_bar=cfg.delta_bar,
                                    varsigma=cfg.varsigma,
                                    dz_factor=cfg.dz_factor,
                                    f1_drift=cfg.f1_drift)
-    csvs["residual"] = ("eps,level,norm", np.array(
+    run.csvs["residual"] = ("eps,level,norm", np.array(
         [[r["eps"], r["level"], r["norm"]] for r in records]))
     out = {"records": records,
            "slopes": {str(lv): fits[lv]["slope"] for lv in fits},
@@ -461,6 +458,8 @@ STAGE_FUNCS = {
     "gap_scan": stage_gap_scan,
     "residual": stage_residual,
 }
+ALL_STAGES = tuple(STAGE_FUNCS)
+
 
 def emit_report(summary, csvs, out_dir):
     """Write the JSON summary and CSV artifacts; deterministic file names.
@@ -525,18 +524,11 @@ def main(argv=None):
 def _run(args):
     try:
         cfg = parse_config(args.config)
+        stages = _parse_stages(args.stages) if args.stages else cfg.stages
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.stages:
-        stages = [s.strip() for s in args.stages.split(",") if s.strip()]
-        bad = [s for s in stages if s not in ALL_STAGES]
-        if bad:
-            print(f"error: unknown stages {bad}", file=sys.stderr)
-            return 2
-        cfg.stages = stages
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
+    cfg = replace(cfg, stages=stages, out_dir=args.out_dir or cfg.out_dir)
 
     try:
         summary, csvs = run_pipeline(cfg)

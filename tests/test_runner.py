@@ -1,5 +1,6 @@
 """Config parsing, pipeline execution, report determinism."""
 
+import dataclasses
 import json
 import logging
 import pathlib
@@ -132,6 +133,19 @@ class TestParseConfig:
         # distinct ε than the list counts
         path = write(tmp_path, MINIMAL + f"\n[{section}]\n{line}\n")
         with pytest.raises(ValidationError, match=line.split(" =")[0]):
+            parse_config(path)
+        assert main([path]) == 2
+
+    def test_config_is_frozen(self, tmp_path):
+        # an override (--stages, -o) makes a new config; none is assigned
+        cfg = parse_config(write(tmp_path, MINIMAL))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.stages = ["geometry"]
+
+    def test_unknown_stage_is_named(self, tmp_path):
+        path = write(tmp_path, MINIMAL + "\n[run]\nstages = profile, wibble\n")
+        with pytest.raises(ValidationError,
+                           match=r"\[run\] stages: unknown stages \['wibble'\]"):
             parse_config(path)
         assert main([path]) == 2
 
@@ -291,6 +305,32 @@ class TestPipeline:
         assert crit["jacobi_invertible"]
         assert abs(crit["jacobi_min_abs_eig"] - min_abs_eig) < 1e-8
 
+    @pytest.mark.parametrize("potential, invertible", [
+        ("1/(1+r2+x3*x3)", True), ("1/(1+r2)", False)])
+    def test_readme_circle_n3_nondegeneracy(self, tmp_path, potential,
+                                             invertible):
+        # the README circle in R³ at its critical radius: 1/(1+r²) is
+        # SO(3)-invariant, so the two rotations that tilt the circle out of
+        # its plane are an exact kernel pair of the Jacobi operator; the x3
+        # term keeps the potential on the plane, and so the critical
+        # radius, and lifts that pair
+        text = readme_run_file()
+        for pattern, repl in [
+                (r"\nn = 2\n", "\nn = 3\n"),
+                (r"\nradius = .*", "\nradius = 0.9950370682751267"),
+                (r"\npotential = .*", f"\npotential = {potential}"),
+                (r"\nstages = .*", "\nstages = geometry, scalings, criticality")]:
+            text, count = re.subn(pattern, repl, text)
+            assert count == 1, pattern
+        summary, _ = run_pipeline(parse_config(write(tmp_path, text)))
+        crit = summary["stages"]["criticality"]
+        assert crit["euler_residual_sup"] <= 1e-14
+        assert crit["jacobi_invertible"] == invertible
+        if invertible:
+            assert abs(crit["jacobi_min_abs_eig"] - 0.009950493835881789) < 1e-8
+        else:
+            assert crit["jacobi_min_abs_eig"] < 1e-10
+
     def test_empty_stage_selection(self, tmp_path):
         text = CRITICAL.replace(
             "stages = profile, geometry, scalings, criticality", "stages =")
@@ -389,6 +429,13 @@ class TestMain:
         assert rc == 0
         summary = json.load(open(out / "summary.json"))
         assert list(summary["stages"]) == ["geometry"]
+
+    def test_cli_rejects_unknown_stage(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([write(tmp_path, CRITICAL), "-o", str(out),
+                     "--stages", "geometry, wibble"]) == 2
+        assert "error: unknown stages ['wibble']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_default_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLSCURVE_OUT", str(tmp_path / "envout"))
