@@ -305,7 +305,6 @@ class PotentialData:
     values: np.ndarray            # (M,)
     grad_normal: np.ndarray       # (M, n-1) components <∇V, E_j>
     hess_normal: np.ndarray       # (M, n-1, n-1) components D²V[E_j, E_l]
-    metric_d2g11: np.ndarray      # (M, n-1, n-1) = 2 H^j H^l (flat Fermi metric)
 
     def __post_init__(self):
         freeze_arrays(self)
@@ -583,8 +582,7 @@ def sample_potential(V, curve):
     """Sample V and its normal derivatives along the curve.
 
     The normal gradient <∇V, E_j> and Hessian D²V[E_j, E_l] are contractions
-    of the exact derivatives ``V.jet`` with the frame.  Fills the flat-metric
-    second derivatives ∂²_{jl} g_11 = 2 H^j H^l alongside.
+    of the exact derivatives ``V.jet`` with the frame.
     """
     pos = curve.positions
     vals = V(pos)
@@ -594,7 +592,5 @@ def sample_potential(V, curve):
     grad, hess = V.jet(pos)
     E = curve.frame
     hess_n = np.einsum("ijk,ikm,ilm->ijl", E, hess, E)   # symmetric up to rounding
-    d2g11 = 2.0 * np.einsum("ij,il->ijl", curve.curvature, curve.curvature)
     return PotentialData(values=vals, grad_normal=np.einsum("ijk,ik->ij", E, grad),
-                         hess_normal=0.5 * (hess_n + hess_n.transpose(0, 2, 1)),
-                         metric_d2g11=d2g11)
+                         hess_normal=0.5 * (hess_n + hess_n.transpose(0, 2, 1)))

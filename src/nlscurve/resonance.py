@@ -112,7 +112,9 @@ class FastModes:
     g = k²ᾱ²·wfun, so C(ε) = g(ε²K̃ − I) has the eigenvectors of K̃ at every
     ε and ν_i = g(ε²θ_i − 1): ``basis`` keeps those eigenvectors, and a
     window is a slice of (θ, basis) with no solve per ε.  For variable
-    coefficients ``basis`` is None and each window solves C(ε).
+    coefficients ``basis`` is None and each window solves C(ε).  This is the
+    one constant-coefficient test: the arithmetic oracle and the runner read
+    ``basis``.
     """
 
     def __init__(self, sf, abar, Q):
@@ -329,9 +331,10 @@ def gap_scan(modes, eps_grid, delta=0.3, threshold=0.1):
 
 
 def constant_coefficient_nu_oracle(modes, eps, delta=0.3):
-    """Arithmetic in-window eigenvalues for constant-coefficient runs.
+    """Arithmetic in-window eigenvalues for a FastModes that found kᾱ and the
+    weight constant (a ``basis``; ValidationError without).
 
-    For constant k, ᾱ, f', Q₃, the eigenfunctions are Fourier modes and
+    Its eigenfunctions are Fourier modes and, with kᾱ and the weight of node 0,
 
         ν(m) = (ε²(2πm/L)² - k²ᾱ²)·(1 + 2f'Q₃/(kᾱ)),
 
@@ -339,15 +342,11 @@ def constant_coefficient_nu_oracle(modes, eps, delta=0.3):
     re-indexed exactly as resonance_eigenpairs does, so the window contents
     can be compared elementwise.  No eigensolver involved.
     """
-    sf, abar, Q = modes.sf, modes.abar, modes.Q
-    for arr in (sf.k, sf.fprime, abar, Q.q3):
-        if np.ptp(arr) > 1e-10 * (1 + np.max(np.abs(arr))):
-            raise ValidationError("oracle needs constant coefficients")
-    M, L = sf.s.size, sf.L
-    k, fp, ab, q3 = sf.k[0], sf.fprime[0], abar[0], Q.q3[0]
-    wfun = 1.0 + 2.0 * fp * q3 / (k * ab)
+    if modes.basis is None:
+        raise ValidationError("oracle needs constant coefficients")
+    M, L = modes.sf.s.size, modes.sf.L
     m = np.arange(M // 2 + 1)
-    nu = (eps**2 * (2 * np.pi * m / L) ** 2 - k**2 * ab**2) * wfun
+    nu = (eps**2 * (2 * np.pi * m / L) ** 2 - modes.ka[0]**2) * modes.wfun[0]
     vals = np.sort(np.repeat(nu, np.where((m > 0) & (m < M / 2), 2, 1)))
     j_eps = int(np.searchsorted(vals, 0.0))
     J = int(np.floor(delta**2 / eps))

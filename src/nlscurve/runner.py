@@ -30,7 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CurveSpec, PotentialField, build_curve, sample_potential
+from .geometry import (CurveSpec, PotentialField, build_curve, freeze_arrays,
+                       sample_potential)
 from .radial import RadialGrid, ground_state, ode_residual, check_p
 from .scalings import (assemble_jacobi, compute_exponents, compute_scalings,
                        euler_residual, reduced_functional, weighted_eigenbasis)
@@ -58,8 +59,8 @@ DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; frozen, so an override makes a new one
-    (``dataclasses.replace``)."""
+    """Validated run configuration; frozen, sequences included (tuples and a
+    read-only ε grid), so an override makes a new one (``dataclasses.replace``)."""
 
     n: int
     p: float
@@ -76,16 +77,19 @@ class RunConfig:
     res_eps: float
     gap_threshold: float
     gap_eps_grid: np.ndarray
-    residual_eps: list
-    residual_levels: list
+    residual_eps: tuple
+    residual_levels: tuple
     residual_base_M: int
-    stages: list
+    stages: tuple
     out_dir: str
     assert_acceptance: bool
 
+    def __post_init__(self):
+        freeze_arrays(self)
+
 
 def _parse_float_list(text):
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
 
 
 def _parse_eps_grid(text):
@@ -96,7 +100,7 @@ def _parse_eps_grid(text):
 
 def _parse_stages(text):
     """Comma-separated stage names, each one of ALL_STAGES."""
-    stages = [s.strip() for s in text.split(",") if s.strip()]
+    stages = tuple(s.strip() for s in text.split(",") if s.strip())
     bad = [s for s in stages if s not in ALL_STAGES]
     if bad:
         raise ValidationError(f"unknown stages {bad}")
@@ -217,7 +221,7 @@ def parse_config(path):
                      delta_bar=delta_bar, varsigma=varsigma, dz_factor=dz_factor,
                      delta=delta, res_eps=res_eps, gap_threshold=gap_threshold,
                      gap_eps_grid=gap_grid, residual_eps=eps_list,
-                     residual_levels=[int(lv) for lv in levels],
+                     residual_levels=tuple(int(lv) for lv in levels),
                      residual_base_M=base_M,
                      stages=stages, out_dir=out_dir,
                      assert_acceptance=assert_acceptance)
@@ -407,8 +411,7 @@ def stage_gap_scan(run):
     run.csvs["gap_scan"] = ("eps,min_abs_eigenvalue,admissible", rows)
     out = {"n_admissible": int(sum(r["admissible"] for r in records)),
            "n_total": len(records), "checks": {}}
-    constant = np.ptp(run.sf.k) < 1e-10 and np.ptp(modes.abar) < 1e-10
-    if constant:
+    if modes.basis is not None:     # constant coefficients
         oracle = gap_scan_oracle(modes, cfg.gap_eps_grid, cfg.delta,
                                  cfg.gap_threshold)
         agree = all(r["admissible"] == o["admissible"]

@@ -329,10 +329,10 @@ def assemble_jacobi(curve, pot, sf, exps):
                   + 2.0 * A**2 * (5.0 * sigma + 3.0 * theta) * h ** (theta + sigma)) / denom
 
     full = np.kron(principal, np.eye(nm1))
-    Hc = curve.curvature
+    # H⊗H: the flat metric has ∂²_{jl}g11 = 2H^jH^l, so its term is a·H^m<H, V>
+    HH = curve.curvature[:, :, None] * curve.curvature[:, None, :]
     blocks = (hess_coeff[:, None, None] * pot.hess_normal
-              + 0.5 * a[:, None, None] * pot.metric_d2g11
-              + curv_coeff[:, None, None] * (Hc[:, :, None] * Hc[:, None, :]))
+              + a[:, None, None] * HH + curv_coeff[:, None, None] * HH)
     idx = np.arange(M)
     full.reshape(M, nm1, M, nm1)[idx, :, idx, :] += blocks
 

@@ -17,8 +17,8 @@ form, not traced: on a bounded radial box everything above it is
 discretized continuum whose lowest level depends on r_max.  This module
 discretizes the system sector-by-sector, traces the bound branches in α
 with eigenvector-overlap matching, certifies by an inertia count which
-eigenvalues lie below τ_α, locates ᾱ, and builds the second-order
-α-corrections of the eigenfunctions by kernel-projected sector solves.
+eigenvalues lie below τ_α, locates ᾱ, and gives the α-curvatures of the
+branches at α = 0 (eta_curvature, branch_curvature_closed_forms).
 
 One mechanism computes every eigenpair, and there is no Lanczos.  Every
 branch trace and every crossing search starts at α = 0, where the coupling
@@ -586,7 +586,7 @@ def alpha_field(sf, sectors, tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# Perturbation solves: first and second α-derivatives of the eigenfunctions
+# α-curvatures of the branches at α = 0
 # ---------------------------------------------------------------------------
 
 def eta_curvature(sectors, mu):
@@ -608,59 +608,15 @@ def eta_curvature(sectors, mu):
     return float(2.0 + 2.0 * mu * integral / mass)
 
 
-def first_derivative_profiles(U, p, mu):
-    """∂_α eigenfunction components at α = 0 for the two zero branches.
-
-    For the translation branch (∂_jU, 0) the imaginary component obeys
-    L_i⁰ ∂v/∂α = -μ ∂_jU (ℓ=1 sector), with closed form (μ/2)·yU; for the
-    gauge branch (0, U) the real component obeys L_r⁰ ∂u/∂α = -μU (ℓ=0),
-    with closed form μ(U/(p-1) + ∇U·y/2).  Returns the two solved profiles.
-    """
-    r = U.grid.nodes
-    dv, _ = sector_solve(Sector(U, p, "Li", 1), -mu * U.derivative(r))
-    du, _ = sector_solve(Sector(U, p, "Lr", 0), -mu * U.values)
-    return U.with_values(du), U.with_values(dv)
-
-
-def second_order_profiles(h_hat, k_hat, phase_speed, exps, U):
-    """Half second α-derivatives of the zero-branch eigenfunctions at α = 0.
-
-    The translation branch gives (per normal direction, ℓ=1 sector)
-
-        L_r⁰ (2·X) = c_th ∂U - 2∂U - 4A²ĥ^{2σ-p+1} yU,
-        c_th = 2((p-1) - 2A²θ ĥ^{2σ-p+1})/(p-1),
-
-    and the gauge branch (ℓ=0 sector)
-
-        L_i⁰ (2·Y) = c_sg U - 2U - 8A²ĥ^{2σ-p+1} Ũ,
-        c_sg = 2((p-1) - 2A²σ ĥ^{2σ-p+1})/(p-1),  Ũ = U/(p-1) + ∇U·y/2.
-
-    Kernel components of the right-hand sides vanish by construction; the
-    projected-off magnitude is returned for verification.  Output: (X profile
-    [ℓ=1], Y profile [ℓ=0], removed_r, removed_i).
-    """
-    p, sigma, theta = exps.p, exps.sigma, exps.theta
-    A2h = phase_speed**2 * h_hat ** (2 * sigma - p + 1.0)
-    r = U.grid.nodes
-    dU = U.derivative(r)
-    Utilde = U.values / (p - 1.0) + 0.5 * r * dU
-
-    c_th = 2.0 / (p - 1.0) * ((p - 1.0) - 2.0 * A2h * theta)
-    rhs_r = c_th * dU - 2.0 * dU - 4.0 * A2h * r * U.values
-    X2, rem_r = sector_solve(Sector(U, p, "Lr", 1), rhs_r)
-
-    c_sg = 2.0 / (p - 1.0) * ((p - 1.0) - 2.0 * A2h * sigma)
-    rhs_i = c_sg * U.values - 2.0 * U.values - 8.0 * A2h * Utilde
-    Y2, rem_i = sector_solve(Sector(U, p, "Li", 0), rhs_i)
-
-    return (U.with_values(0.5 * X2), U.with_values(0.5 * Y2),
-            float(rem_r), float(rem_i))
-
-
 def branch_curvature_closed_forms(h_hat, phase_speed, exps):
-    """Closed-form ∂²σ_α/∂α²|₀ along the translation and gauge branches."""
+    """Closed-form ∂²σ_α/∂α²|₀ of the translation and gauge branches,
+    c_th = 2((p-1) - 2aθ)/(p-1) and c_sg = 2((p-1) - 2aσ)/(p-1) with
+    a = A²ĥ^{2σ-p+1}: the values that make the second-order α-equations
+    solvable (Fredholm), since then the sources c_th ∂U - 2∂U - 4a·yU of
+    L_r⁰ (ℓ=1) and c_sg U - 2U - 8a(U/(p-1) + ∇U·y/2) of L_i⁰ (ℓ=0) have no
+    component along the kernels ∂U and U.
+    """
     p, sigma, theta = exps.p, exps.sigma, exps.theta
-    A2h = phase_speed**2 * h_hat ** (2 * sigma - p + 1.0)
-    val_translation = 2.0 / (p - 1.0) * ((p - 1.0) - 2.0 * A2h * theta)
-    val_gauge = 2.0 / (p - 1.0) * ((p - 1.0) - 2.0 * A2h * sigma)
-    return float(val_translation), float(val_gauge)
+    a = phase_speed**2 * h_hat ** (2 * sigma - p + 1.0)
+    return tuple(float(2.0 / (p - 1.0) * ((p - 1.0) - 2.0 * a * c))
+                 for c in (theta, sigma))

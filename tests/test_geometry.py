@@ -325,12 +325,6 @@ class TestPotential:
         assert np.max(np.abs(pd.grad_normal[:, 0] - 2.0)) < 1e-6
         assert np.max(np.abs(pd.hess_normal[:, 0, 0] - 2.0)) < 1e-6
 
-    def test_metric_second_derivatives(self):
-        # ∂²_11 g11 = 2 H¹H¹ = 2 on the unit circle
-        c = build_curve(CurveSpec("circle", n=2, radius=1.0), 128)
-        pd = sample_potential(PotentialField("r2", 2), c)
-        assert np.max(np.abs(pd.metric_d2g11[:, 0, 0] - 2.0)) < 1e-8
-
     def test_positivity_enforced(self):
         c = build_curve(CurveSpec("circle", n=2, radius=1.0), 128)
         with pytest.raises(ValidationError):

@@ -329,20 +329,35 @@ class TestGapScan:
     @pytest.mark.parametrize("M", [255, 256])
     def test_nu_oracle_equals_loop(self, M):
         # the vectorized oracle against the per-mode loop it replaced, bitwise
+        # (a FastModes that found constant coefficients: any basis)
         from types import SimpleNamespace as NS
         L, k, fp, ab, q3 = 4.4, 0.8, 0.1, 1.7, 0.2
-        sf = NS(k=np.full(M, k), fprime=np.full(M, fp), s=np.arange(M) * L / M, L=L)
-        fast = NS(sf=sf, abar=np.full(M, ab), Q=NS(q3=np.full(M, q3)))
-        wfun = 1.0 + 2.0 * fp * q3 / (k * ab)
+        ka, wfun = k * ab, 1.0 + 2.0 * fp * q3 / (k * ab)
+        fast = NS(sf=NS(s=np.arange(M) * L / M, L=L), ka=np.full(M, ka),
+                  wfun=np.full(M, wfun), basis=np.eye(M))
         for eps in np.linspace(0.08, 0.02, 7):
             vals = []
             for m in range(0, M // 2 + 1):
-                nu = (eps**2 * (2 * np.pi * m / L) ** 2 - k**2 * ab**2) * wfun
+                nu = (eps**2 * (2 * np.pi * m / L) ** 2 - ka**2) * wfun
                 vals += [nu, nu] if 0 < m < M / 2 else [nu]
             vals = np.sort(np.array(vals))
             j, J = int(np.searchsorted(vals, 0.0)), int(np.floor(0.3**2 / eps))
             window = constant_coefficient_nu_oracle(fast, eps)
             assert np.array_equal(window, vals[j - J: j + J + 1])
+
+    def test_nu_oracle_reads_the_fast_modes_decision(self, runner_layer):
+        # the oracle refuses the ellipse's FastModes (no basis) and takes
+        # both circles, the A = 0.0537 one too, whose kᾱ is not bitwise
+        # constant; there it is the window's ν (measured to 2.3e-13)
+        fast = runner_layer["fast"]
+        if runner_layer["kind"] == "ellipse":
+            with pytest.raises(ValidationError, match="constant coefficients"):
+                constant_coefficient_nu_oracle(fast, 0.05)
+            return
+        for eps in np.linspace(0.08, 0.02, 7):
+            oracle = constant_coefficient_nu_oracle(fast, eps)
+            nu = fast.window(eps, 0.3).nu
+            assert np.max(np.abs(oracle - nu)) <= 1e-12 * np.max(np.abs(nu))
 
     def test_threshold_zero_admits_nonresonant(self, layer0):
         fast = layer0["fast"]

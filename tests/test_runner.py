@@ -65,7 +65,7 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, MINIMAL))
         assert cfg.n == 2 and cfg.p == 3.0
         assert cfg.curve.kind == "circle"
-        assert cfg.stages == ["profile"]
+        assert cfg.stages == ("profile",)
         assert cfg.radial.m == 3000
 
     def test_p_out_of_range_rejected(self, tmp_path):
@@ -115,7 +115,7 @@ class TestParseConfig:
 
     def test_semicolon_separated_eps_list(self, tmp_path):
         text = MINIMAL + "\n[residual]\neps_list = 0.2;0.1;0.05\n"
-        assert parse_config(write(tmp_path, text)).residual_eps == [0.2, 0.1, 0.05]
+        assert parse_config(write(tmp_path, text)).residual_eps == (0.2, 0.1, 0.05)
 
     @pytest.mark.parametrize("section, line", [
         ("residual", "eps_list = 0.2,abc,0.05"),
@@ -137,10 +137,17 @@ class TestParseConfig:
         assert main([path]) == 2
 
     def test_config_is_frozen(self, tmp_path):
-        # an override (--stages, -o) makes a new config; none is assigned
+        # an override (--stages, -o) makes a new config; none is assigned,
+        # and no sequence of a parsed config is changed in place
         cfg = parse_config(write(tmp_path, MINIMAL))
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.stages = ["geometry"]
+        for seq in (cfg.stages, cfg.residual_eps, cfg.residual_levels):
+            with pytest.raises(AttributeError):
+                seq.append(1)
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.gap_eps_grid[0] = 1.0
+        assert cfg.residual_levels == (0, 1, 2)
 
     def test_unknown_stage_is_named(self, tmp_path):
         path = write(tmp_path, MINIMAL + "\n[run]\nstages = profile, wibble\n")
@@ -288,6 +295,19 @@ class TestPipeline:
         assert [calls.count(name) for name in
                 ("set-up", "Sector", "lowest_eigenpairs", "eigh_tridiagonal")
                 ] == [2, 4, 4, 4]
+
+    @pytest.mark.parametrize("kind, gate", [("circle", True), ("ellipse", None)])
+    def test_oracle_gate_reads_the_fast_modes_decision(self, tmp_path, kind, gate):
+        # the README circle's gap scan is gated by the arithmetic oracle and
+        # passes it; the README ellipse, whose FastModes found variable
+        # coefficients, has no oracle and no such check
+        text = re.sub(r"stages = .*", "stages = gap_scan", readme_run_file())
+        if kind == "ellipse":
+            text, count = re.subn(r"kind = circle.*\nradius = .*",
+                                  "kind = ellipse\na = 0.85\nb = 0.6", text)
+            assert count == 1
+        summary, _ = run_pipeline(parse_config(write(tmp_path, text)))
+        assert summary["checks"].get("gap_scan.gap_scan_matches_oracle") is gate
 
     @pytest.mark.parametrize("curve, min_abs_eig", [
         ("kind = circle\nradius = 0.7012465", 0.71076659),

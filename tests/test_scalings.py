@@ -258,7 +258,7 @@ class TestJacobi:
                 ref[2 * i + j, 2 * i + j] += 0.5 * app[i]
             ref[2 * i:2 * i + 2, 2 * i:2 * i + 2] += (
                 theta / (p - 1) * h[i] ** -sigma * pot.hess_normal[i]
-                + 0.5 * a[i] * pot.metric_d2g11[i] + curv[i] * np.outer(H[i], H[i]))
+                + a[i] * np.outer(H[i], H[i]) + curv[i] * np.outer(H[i], H[i]))
         assert np.max(np.abs(pot.hess_normal[:, 0, 1])) > 1e-3
         assert np.max(np.abs(J.matrix - 0.5 * (ref + ref.T))) <= 1e-12 * np.max(np.abs(ref))
 
