@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ValidationError, CurveNotCriticalError
 from .geometry import (periodic_antiderivative, periodic_derivative,
                        sample_potential)
-from .radial import Sector, sector_solve
+from .radial import Sector, _interp_rows, sector_solve
 from .scalings import compute_f1, compute_scalings
 from .tube import (apply_S_eps, build_tube_grid, convergence_order,
                    core_radius, weighted_norm, z_spacing)
@@ -115,10 +115,9 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     exps = sf.exps
     p, theta = exps.p, exps.theta
     M, d = curve.M, curve.n - 1
-    r = U.grid.nodes
-    y = r
+    y = U.grid.nodes
     Uv = U.values
-    dU = U.derivative(r)
+    dU = U.derivative(y)
     d2U = np.gradient(dU, y, edge_order=2)
 
     Phi = params.Phi if params.Phi is not None else np.zeros((M, d))
@@ -156,8 +155,8 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
 
     # restrict stored radial solutions to the y-range the tube can reach
     ymax = min(U.grid.r_max, float(np.max(k)) * 40.0)
-    ny = int(np.count_nonzero(r <= ymax))
-    ygrid = r[:ny]
+    ny = int(np.count_nonzero(y <= ymax))
+    ygrid = y[:ny]
 
     # ---- odd real corrector w_ro: one ℓ=1 solve for all nodes -------------
     # its source at each node and normal direction is w·(yU, U'), so the
@@ -169,7 +168,7 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
                  axis=-1)                             # (M, d, 2)
     r1 = Sector(U, p, "Lr", 1)                        # its kernel serves the check
     rows = np.stack([y * Uv, dU])
-    phi = np.zeros((2, r.size))
+    phi = np.zeros((2, y.size))
     phi[:, :ny] = sector_solve(r1, rows)[0][:, :ny]
     w_ro = w @ phi[:, :ny]                            # (M, d, ny)
     rows = r1.to_phi(rows)                            # weighted, as in the solve
@@ -275,25 +274,6 @@ class AnsatzField:
     phase_rate: np.ndarray
     level: int
     grid: object
-
-
-def _interp_rows(ygrid, rows, yq):
-    """Row-wise linear interpolation, zero past the last node.
-
-    ``ygrid`` is uniform from 0; rows (M, ..., ny) are evaluated at yq
-    (M, ...), yq >= 0, every row of node i at yq[i].  The result has shape
-    rows.shape[:-1] + yq.shape[1:].
-    """
-    M, ny = rows.shape[0], rows.shape[-1]
-    shape = rows.shape[:-1] + yq.shape[1:]
-    yq = yq.reshape(M, 1, -1)
-    t = yq / ygrid[1]
-    j = np.minimum(t, ny - 2).astype(np.intp)
-    flat = j + ny * np.arange(rows.size // ny).reshape(M, -1, 1)
-    lo, hi = rows.take(flat), rows.take(flat + 1)
-    out = lo + (t - j) * (hi - lo)
-    out[np.broadcast_to(yq > ygrid[-1], out.shape)] = 0.0
-    return out.reshape(shape)
 
 
 def assemble_ansatz(grid, curve, sf, U, correctors, params=None, crossing=None,

@@ -24,10 +24,12 @@ regularized at r = 0 by parity.  This module alone knows it:
 ``_laplacian_rows`` builds -Δ in banded form, with its weight and active
 nodes, and the ground state and every Sector read it.  All sector matrices
 are symmetrized by the diagonal similarity induced by the radial volume
-weight r^{d-1}.  The ground state is the solution of the discrete equation
-itself: Petviashvili's fixed-point iteration from e^{-r²}, then Newton on
-the same grid.  Between the nodes a profile is its not-a-knot cubic
-interpolant (``UniformCubic``).
+weight r^{d-1}, so every radial integral is the inner product of φ-forms
+and every eigenpair comes from ``lowest_eigenpairs``.  The ground state is
+the solution of the discrete equation itself: Petviashvili's iteration from
+e^{-r²}, then Newton on the same grid.  Between the nodes a profile is its
+not-a-knot cubic (``UniformCubic``) and solved rows are linear
+(``_interp_rows``).
 """
 
 import math
@@ -193,6 +195,22 @@ class RadialProfile:
     def to_csv(self, path):
         np.savetxt(path, np.column_stack([self.grid.nodes, self.values]),
                    delimiter=",", header="r,value", comments="")
+
+
+def _interp_rows(ygrid, rows, yq):
+    """Row-wise linear interpolation on ``ygrid``, uniform from 0, and zero
+    past its last node: rows (M, ..., ny) at yq (M, ...) >= 0, every row of
+    node i at yq[i], of shape rows.shape[:-1] + yq.shape[1:]."""
+    M, ny = rows.shape[0], rows.shape[-1]
+    shape = rows.shape[:-1] + yq.shape[1:]
+    yq = yq.reshape(M, 1, -1)
+    t = yq / ygrid[1]
+    j = np.minimum(t, ny - 2).astype(np.intp)
+    flat = j + ny * np.arange(rows.size // ny).reshape(M, -1, 1)
+    lo, hi = rows.take(flat), rows.take(flat + 1)
+    out = lo + (t - j) * (hi - lo)
+    out[np.broadcast_to(yq > ygrid[-1], out.shape)] = 0.0
+    return out.reshape(shape)
 
 
 def _fit_decay_rate(grid, values, dim):
@@ -431,14 +449,12 @@ class Sector:
         so only the unshifted L_i ℓ=0 and L_r ℓ=1 sectors have a kernel:
         their lowest eigenvector, whatever the grid leaves of its eigenvalue
         (round-off for d = 1, 1.48e-4 for d = 2, -3.8e-6 for d = 3 on the
-        (30, 3000) grid).  Computed on first use; every other sector runs no
-        eigensolve.
+        (30, 3000) grid): the vector of pair 0 of ``lowest_eigenpairs``.
+        Computed on first use; every other sector runs no eigensolve.
         """
         if self.shift != 0.0 or (self.kind, self.ell) not in (("Li", 0), ("Lr", 1)):
             return None
-        _, vecs = eigh_tridiagonal(self.diag, self.off, select="i",
-                                   select_range=(0, 0))
-        return vecs[:, 0]
+        return _eigenvector(self.diag, self.off, 0)
 
 
 def _split(a):
@@ -471,15 +487,23 @@ def _rayleigh_quotient(diag, off, v):
     return float(num / (math.fsum(q) + np.sum(e)))
 
 
+def _eigenvector(diag, off, j):
+    """Unit eigenvector j (from 0, ascending) of the symmetric tridiagonal,
+    selected by its own index: LAPACK's bisection places an eigenvalue
+    differently within a range of indices, and inverse iteration carries
+    that into the vector."""
+    return eigh_tridiagonal(diag, off, select="i", select_range=(j, j))[1][:, 0]
+
+
 def lowest_eigenpairs(diag, off, count):
     """Lowest ``count`` eigenpairs (vals, vecs) of the symmetric tridiagonal.
 
-    LAPACK's bisection places an eigenvalue only to about eps·‖T‖, which is
-    1e-12 for ‖T‖ = O(1/dr²), even at its tightest tolerance.  Each value is
-    the Rayleigh quotient of its inverse-iteration eigenvector instead, whose
-    error is quadratic in the eigenvector's.
+    Each vector is ``_eigenvector``'s, so pair j does not depend on
+    ``count``.  Bisection places a value only to about eps·‖T‖ (1e-12 for
+    ‖T‖ = O(1/dr²)), so each value is the Rayleigh quotient of its vector,
+    whose error is quadratic in the vector's.
     """
-    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+    vecs = np.column_stack([_eigenvector(diag, off, j) for j in range(count)])
     vals = np.array([_rayleigh_quotient(diag, off, v) for v in vecs.T])
     return vals, vecs
 

@@ -99,7 +99,8 @@ class FastModes:
 
     The entry point of the layer: one instance serves every ε of a gap scan,
     resonance basis and oracle of (sf, ᾱ, Q), kept as ``sf``, ``abar``,
-    ``Q``, with ``ka`` = kᾱ and the weight ``wfun`` = 1 + 2f'Q₃/(kᾱ).
+    ``Q``, with ``ka`` = kᾱ, the weight ``wfun`` = 1 + 2f'Q₃/(kᾱ) and
+    ``diag`` = k²ᾱ²·wfun = k²ᾱ² + 2f'kᾱQ₃, which C(ε), β and κ all read.
 
     With B = diag(1/wfun) and S = diag(√wfun), A·x = ν·B·x is the standard
     problem C(ε)·y = ν·y for C = S·A·S and x = S·y, and yᵀy = 1 gives
@@ -166,8 +167,7 @@ class FastModes:
             y = self.basis[:, rows]
         vecs = self.sw[:, None] * y / np.sqrt(L / M)   # ∫ ξ²/wfun ds̄ = 1
         dxi = periodic_derivative(vecs, L).T
-        denom = ka**2 + 2.0 * sf.fprime * ka * Q.q3
-        beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None] / denom) * eps * dxi
+        beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None] / self.diag) * eps * dxi
         return ResonanceBasis(eps=eps, delta=delta, nu=nu, xi=vecs.T, dxi=dxi,
                               beta=beta, gamma=None, kappa=None,
                               j_eps=j_eps, modes=self)
@@ -192,18 +192,18 @@ def resonance_eigenpairs(modes, eps, delta=0.3):
 
     At zero phase speed Q₂ vanishes together with the numerator of κ_j; the
     algebraically equivalent stable form κ_j = ν_j ξ_j/(2k(kᾱ + 2f'Q₃)) is
-    used there.
+    used there, with kᾱ + 2f'Q₃ = k²ᾱ²·wfun/(kᾱ) read off ``modes.diag``.
     """
     basis = modes.window(eps, delta)
     sf, Q, ka = modes.sf, modes.Q, modes.ka
-    k, fp, L = sf.k, sf.fprime, sf.L
+    k, L = sf.k, sf.L
     nu, xi, dxi, beta = basis.nu, basis.xi, basis.dxi, basis.beta
     dbeta = periodic_derivative(beta.T, L).T
     gamma = -(eps * dxi + ka * beta) / (2.0 * k * Q.q1)
     if np.min(Q.q2) > 1e-10:
         kappa = -(ka * xi - eps * dbeta) / (2.0 * k * Q.q2)
     else:
-        kappa = nu[:, None] * xi / (2.0 * k * (ka + 2.0 * fp * Q.q3))
+        kappa = nu[:, None] * xi * ka / (2.0 * k * modes.diag)
     return replace(basis, gamma=gamma, kappa=kappa)
 
 

@@ -41,8 +41,11 @@ coupling band (μα).  Every slope (∂λ/∂α, ∂λ/∂μ) is read off the un
 eigenvector (_slopes), exact for the discrete eigenvalue, so no step
 converts φ to profiles; a crossing converts its eigenvector once, and its
 CrossingMode carries the overlap integrals that the resonance layer reads.
+Every integral is the cell-weight inner product of φ-forms (radial), so
+crossing_slope and eta_curvature are exact for the discrete eigenvalues.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +68,8 @@ OVERLAP_FLOOR = 0.5
 
 
 def sphere_area(d):
-    """|S^{d-1}|; d = 1 counts the two half-lines."""
-    from math import gamma, pi
-    if d == 1:
-        return 2.0
-    return 2 * pi ** (d / 2) / gamma(d / 2)
+    """|S^{d-1}| = 2π^{d/2}/Γ(d/2); d = 1 counts the two half-lines."""
+    return 2 * math.pi ** (d / 2) / math.gamma(d / 2)
 
 
 def _band_matvec(bands, x):
@@ -120,9 +120,9 @@ class _CoupledSector:
     both blocks, so the coupling stays μα·Identity.  The tridiagonals of the
     unshifted L_r and L_i ℓ-sectors (radial.Sector, which share weight and
     active nodes, so the L_r one, ``lr``, maps φ for both; their kernels
-    are never read), the lowest eigenpairs of
-    each that the sector's traced branches need (one per label of
-    BOUND_BRANCHES[ℓ], one for any other ℓ), their lowest eigenvalues
+    are never read), the lowest eigenpairs of each that the sector's traced
+    branches need (one per label of BOUND_BRANCHES[ℓ], one for any other
+    ℓ), their lowest eigenvalues
     ``floors`` and the α = μ = 0 bands (lower band storage, 3 x 2·nact) are
     built once; a point (α, μ) only adds α² to the diagonal and sets the
     coupling band to μα.
@@ -448,9 +448,10 @@ class CrossingMode:
 
     ``u_values``/``v_values`` are the real/imaginary profile components on
     the radial grid, normalized so ∫(Z² + W²) dy = 1 including the angular
-    volume factor, and ``q`` holds the overlap integrals (∫Z², ∫W², ∫ZW) of
-    that trapezoid rule.  decay_rate is √τ_ᾱ = √(1 + ᾱ² − |μᾱ|): past the
-    core the pair solves −Δ + τ_ᾱ on the lower eigenvector of the coupling,
+    volume factor, and ``q`` holds the overlap integrals (∫Z², ∫W², ∫ZW) in
+    the grid's cell weights, (φ_u·φ_u, φ_v·φ_v, φ_u·φ_v) of the unit
+    eigenvector φ.  decay_rate is √τ_ᾱ = √(1 + ᾱ² − |μᾱ|): past the core
+    the pair solves −Δ + τ_ᾱ on the lower eigenvector of the coupling,
     so |Z| + |W| decays like e^{-√τ_ᾱ r} up to a power of r.  Immutable:
     alpha_field hands one mode to every node of a μ group.
     """
@@ -487,13 +488,14 @@ def _solve_crossing(sector, mu, tol, start=None):
     that of the scalar L_r ℓ=0 sector, so η_0 is the L_r floor and does not
     depend on μ.  The branch slope comes for free from the eigenvector
     (Hellmann-Feynman, _slopes), so each Newton step, the last one included,
-    costs one eigensolve, and only the converged eigenvector is turned into
-    the mode's profiles and their integrals.  Every eigensolve is inverse
-    iteration at the rigorous shift (_warm_pair) from the previous one.  Without ``start`` the first
-    step is √(−η₀), exact for μ = 0 and close otherwise, from the α = 0
-    ground eigenvector.  ``start`` is the state returned by the solve at a
-    neighbouring μ₀: then the first step is ᾱ₀ + (μ − μ₀)·dᾱ/dμ, with the
-    exact predictor dᾱ/dμ = −(∂η/∂μ)/(∂η/∂α), from ᾱ₀'s eigenvector.
+    costs one eigensolve, and only the converged unit eigenvector is turned
+    into the mode: its profiles, and its overlaps Q, which make crossing_slope
+    the last step's slope.  Every eigensolve is inverse iteration at the
+    rigorous shift (_warm_pair) from the previous one.  Without ``start``
+    the first step is √(−η₀), exact for μ = 0 and close otherwise, from the
+    α = 0 ground eigenvector.  ``start`` is the state returned by the solve
+    at a neighbouring μ₀: then the first step is ᾱ₀ + (μ − μ₀)·dᾱ/dμ, with
+    the exact predictor dᾱ/dμ = −(∂η/∂μ)/(∂η/∂α), from ᾱ₀'s eigenvector.
     Bisection on the bracket [1e-6, sqrt(-2η_0) + 1] guards the steps; the η
     branch is increasing with η_0 < 0, and η at the upper end, which lies
     safely past the crossing for small μ, is solved only when a step leaves
@@ -536,22 +538,19 @@ def _solve_crossing(sector, mu, tol, start=None):
     else:
         raise ConvergenceError("crossing search did not converge")
 
-    U, d, r = sector.U, sector.U.dim, sector.U.grid.nodes
-    w, omega = r ** (d - 1), sphere_area(d)
-    u, v = sector.profiles(phi)
-    # renormalize with the angular factor: ∫(Z²+W²) dy = 1 over R^d
-    mass = omega * np.trapezoid((u**2 + v**2) * w, r)
-    u, v = u / np.sqrt(mass), v / np.sqrt(mass)
-    q = tuple(float(omega * np.trapezoid(f * w, r)) for f in (u**2, v**2, u * v))
+    # the angular factor makes ∫(Z²+W²) dy = 1 over R^d
+    u, v = (f / np.sqrt(sphere_area(sector.U.dim)) for f in sector.profiles(phi))
+    pu, pv = phi[0::2], phi[1::2]
     mode = CrossingMode(alpha_bar=float(abar), u_values=u, v_values=v,
                         eta_residual=float(lam),
                         decay_rate=float(np.sqrt(continuum_threshold(abar, mu))),
-                        q=q, U=U, mu=mu, p=sector.p)
+                        q=(float(pu @ pu), float(pv @ pv), float(pu @ pv)),
+                        U=sector.U, mu=mu, p=sector.p)
     return mode, (mu, abar, phi, -eta_mu / slope)
 
 
 def crossing_slope(mode):
-    """∂η/∂α at ᾱ in closed form, 2ᾱ + 2μ·Q₃ (Hellmann–Feynman)."""
+    """∂η/∂α at ᾱ in closed form, 2ᾱ + 2μ·Q₃: bitwise ``_slopes``' value."""
     return float(2 * mode.alpha_bar + 2 * mode.mu * mode.q[2])
 
 
@@ -594,18 +593,14 @@ def eta_curvature(sectors, mu):
 
     At α = 0 the ground eigenpair is (Z̃, 0) with eigenvalue η₀ < 0, the
     exact start of the ℓ=0 sector, so only the first integral survives and
-    ∂v/∂α solves (L_i - η₀)∂v = -μ Z̃ (an invertible shifted solve).
+    ∂v/∂α solves (L_i - η₀)∂v = -μ Z̃ (an invertible shifted solve); the
+    integral is φ(u₀)·φ(∂v), with u₀ unit, exact for the discrete η.
     """
     sector = sectors[0]
-    U, p = sector.U, sector.p
     lam0, phi0 = sector.start()[0]
-    u0, v0 = sector.profiles(phi0)
-    dv, _ = sector_solve(Sector(U, p, "Li", 0, -lam0), -mu * u0)
-    r = U.grid.nodes
-    w = sphere_area(U.dim) * r ** (U.dim - 1)
-    integral = np.trapezoid(u0 * dv * w, r)
-    mass = np.trapezoid((u0**2 + v0**2) * w, r)
-    return float(2.0 + 2.0 * mu * integral / mass)
+    u0, _ = sector.profiles(phi0)
+    dv, _ = sector_solve(Sector(sector.U, sector.p, "Li", 0, -lam0), -mu * u0)
+    return float(2.0 + 2.0 * mu * (sector.lr.to_phi(u0) @ sector.lr.to_phi(dv)))
 
 
 def branch_curvature_closed_forms(h_hat, phase_speed, exps):

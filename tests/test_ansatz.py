@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlscurve.ansatz import (VARSIGMA, AnsatzParams, _interp_rows,
-                             assemble_ansatz, build_correctors, residual_field,
-                             residual_study)
+from nlscurve.ansatz import (VARSIGMA, AnsatzParams, assemble_ansatz,
+                             build_correctors, residual_field, residual_study)
 from nlscurve.errors import CurveNotCriticalError, ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                sample_potential)
-from nlscurve.radial import Sector, ground_state
+from nlscurve.radial import Sector, _interp_rows, ground_state
 from nlscurve.resonance import FastModes, q_integrals, resonance_eigenpairs
 from nlscurve.scalings import (compute_exponents, compute_scalings,
                                critical_circle_radius)

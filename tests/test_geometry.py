@@ -404,6 +404,22 @@ class TestPotentialJet:
         assert np.max(np.abs(grad - g_ex)) < 1e-13
         assert np.max(np.abs(hess - h_ex)) < 1e-13
 
+    def test_difference_negation_and_quotient(self):
+        # binary and unary minus and division by an expression:
+        # V = 2 - g + x2 with g = f/q, f = x1·x2, q = 1 + |x|²
+        x = np.random.default_rng(4).normal(size=(100, 2))
+        grad, hess = PotentialField("2 - x1*x2/(1 + r2) - -x2", 2).jet(x)
+        f, q = x[:, 0] * x[:, 1], 1 + np.sum(x**2, axis=1)
+        df, dq = x[:, ::-1], 2 * x
+        outer = lambda a, b: a[:, :, None] * b[:, None, :]
+        g_grad = df / q[:, None] - (f / q**2)[:, None] * dq
+        g_hess = (np.array([[0.0, 1.0], [1.0, 0.0]]) / q[:, None, None]
+                  - (outer(df, dq) + outer(dq, df)) / (q**2)[:, None, None]
+                  - (2 * f / q**2)[:, None, None] * np.eye(2)
+                  + (2 * f / q**3)[:, None, None] * outer(dq, dq))
+        assert np.max(np.abs(grad - (np.array([0.0, 1.0]) - g_grad))) < 1e-13
+        assert np.max(np.abs(hess + g_hess)) < 1e-13
+
     @pytest.mark.parametrize("name", sorted(_HAND_DERIVATIVES))
     def test_functions(self, name):
         d1, d2 = _HAND_DERIVATIVES[name]

@@ -71,14 +71,28 @@ def test_no_import_of_unwanted_scipy_in_source():
     assert not found
 
 
-def test_no_arpack_call_in_source():
-    # any name, attribute or imported alias, however it was imported
-    found = []
+def _referenced_names():
+    """(module, line, name) of every name, attribute and imported alias in
+    the package, however it was imported."""
     for path in sorted((SRC / "nlscurve").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             name = (node.id if isinstance(node, ast.Name) else
                     node.attr if isinstance(node, ast.Attribute) else
                     node.name if isinstance(node, ast.alias) else None)
-            if name is not None and name.split(".")[-1] in ARPACK_NAMES:
-                found.append((path.name, getattr(node, "lineno", None), name))
-    assert not found
+            if name is not None:
+                yield path.name, getattr(node, "lineno", None), name.split(".")[-1]
+
+
+def test_no_arpack_call_in_source():
+    assert not [ref for ref in _referenced_names() if ref[2] in ARPACK_NAMES]
+
+
+def test_radial_grid_primitives_live_in_radial():
+    # the radial quadrature, the tridiagonal eigensolver and the row
+    # interpolation on the radial grid have one home
+    assert not [ref for ref in _referenced_names() if ref[0] != "radial.py"
+                and ref[2] in ("trapezoid", "eigh_tridiagonal")]
+    defined = [path.name for path in sorted((SRC / "nlscurve").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.FunctionDef) and node.name == "_interp_rows"]
+    assert defined == ["radial.py"]

@@ -201,6 +201,21 @@ class TestSectorSpectrum:
         assert np.max(np.abs(vals - exact)) <= 4 * np.finfo(float).eps
         assert vecs.shape == (N, 3)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pairs_do_not_depend_on_the_count(self, grid30, n):
+        # each pair is selected by its own index: pair j is bitwise the same
+        # whether 1, 2 or 3 pairs are asked for
+        from nlscurve.radial import lowest_eigenpairs
+        U = ground_state(n, 3, grid30)
+        for kind in ("Lr", "Li"):
+            for ell in (0, 1):
+                sector = Sector(U, 3.0, kind, ell)
+                vals, vecs = lowest_eigenpairs(sector.diag, sector.off, 3)
+                for count in (1, 2):
+                    v, w = lowest_eigenpairs(sector.diag, sector.off, count)
+                    assert np.array_equal(v, vals[:count])
+                    assert np.array_equal(w, vecs[:, :count])
+
     def test_higher_dim_kernels(self, grid30):
         U = ground_state(3, 3, grid30)
         lam_i = sector_spectrum(Sector(U, 3.0, "Li", 0), 1)[0][0]

@@ -8,6 +8,7 @@ from scipy.linalg import eigh
 
 from nlscurve.errors import ValidationError
 from nlscurve.geometry import fourier_diff_matrices, periodic_derivative
+from nlscurve.radial import Sector
 from nlscurve.resonance import (CONSTANT_RTOL, FastModes, assemble_lambda0,
                                 constant_coefficient_nu_oracle, correction_identities,
                                 gap_scan, gap_scan_oracle, lambda0_spectrum,
@@ -95,31 +96,24 @@ class TestQIntegrals:
         Q = layerA["Q"]
         assert np.max(np.abs(Q.q1 + Q.q2 - 1.0)) < 1e-8
 
-    def test_one_integral_per_distinct_mode(self, runner_layer, monkeypatch):
+    def test_one_integral_per_distinct_mode(self, runner_layer):
         # alpha_field shares one CrossingMode among the nodes of a μ group;
-        # the crossing solve integrates each distinct mode once (its q), and
-        # q_integrals only gathers them, without a quadrature of its own
+        # the crossing solve forms each distinct mode's q once, as products
+        # of its unit eigenvector, and q_integrals only gathers them
         modes, Q = runner_layer["modes"], runner_layer["Q"]
         assert len({id(m) for m in modes}) < len(modes)
-        calls = []
-        real = np.trapezoid
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np, "trapezoid", counted)
         again = q_integrals(modes)
-        assert calls == []
         for a, b in ((Q.q1, again.q1), (Q.q2, again.q2), (Q.q3, again.q3)):
             assert np.array_equal(a, b)
         assert all((Q.q1[i], Q.q2[i], Q.q3[i]) == m.q for i, m in enumerate(modes))
-        # bitwise the per-node integrals
-        omega = sphere_area(1)
+        # the cell-weight integrals of the mode's profiles, to round-off
+        # (measured <= 8.9e-16 over every node of the three curves)
+        omega, lr = sphere_area(1), Sector(modes[0].U, modes[0].p, "Lr", 0)
         for i in (0, 77, 255):
-            u, v, r = modes[i].u_values, modes[i].v_values, modes[i].U.grid.nodes
-            assert (Q.q1[i], Q.q2[i], Q.q3[i]) == tuple(
-                omega * real(f * r**0, r) for f in (u**2, v**2, u * v))
+            Z, W = lr.to_phi(modes[i].u_values), lr.to_phi(modes[i].v_values)
+            assert np.max(np.abs(np.subtract(
+                (Q.q1[i], Q.q2[i], Q.q3[i]),
+                (omega * Z @ Z, omega * W @ W, omega * Z @ W)))) <= 2e-15
 
     def test_cauchy_schwarz(self, layerA):
         Q = layerA["Q"]

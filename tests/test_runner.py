@@ -272,7 +272,8 @@ class TestPipeline:
         # the branches, resonance and gap-scan stages share one ℓ = 0 and one
         # ℓ = 1 sector: each builds its two scalar tridiagonals and their
         # lowest pairs once, and no stage computes a sector kernel (every
-        # tridiagonal eigensolve is one of lowest_eigenpairs)
+        # tridiagonal eigensolve is one pair of lowest_eigenpairs: two of
+        # each ℓ = 0 tridiagonal, one of each ℓ = 1 one)
         calls = []
 
         def counting(name, func):
@@ -294,7 +295,7 @@ class TestPipeline:
         assert summary["all_checks_pass"]
         assert [calls.count(name) for name in
                 ("set-up", "Sector", "lowest_eigenpairs", "eigh_tridiagonal")
-                ] == [2, 4, 4, 4]
+                ] == [2, 4, 4, 6]
 
     @pytest.mark.parametrize("kind, gate", [("circle", True), ("ellipse", None)])
     def test_oracle_gate_reads_the_fast_modes_decision(self, tmp_path, kind, gate):
@@ -456,6 +457,21 @@ class TestMain:
                      "--stages", "geometry, wibble"]) == 2
         assert "error: unknown stages ['wibble']" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_acceptance_check_exits_1(self, tmp_path, capsys):
+        # at p = 1.1 the Dirichlet wall truncates the profile's tail, so
+        # its fitted decay rate misses 1 by more than 2%
+        text = MINIMAL.replace("p = 3.0", "p = 1.1") \
+            + "\n[run]\nstages = profile\nassert_acceptance = true\n"
+        assert main([write(tmp_path, text), "-o", str(tmp_path / "out")]) == 1
+        assert "profile.decay_rate_within_2pct" in capsys.readouterr().err
+
+    def test_failed_stage_exits_3(self, tmp_path, capsys):
+        # 1 - r2 is negative on a circle of radius 2
+        text = MINIMAL.replace("potential = 1", "potential = 1-r2").replace(
+            "radius = 1.0", "radius = 2.0") + "\n[run]\nstages = profile, geometry\n"
+        assert main([write(tmp_path, text), "-o", str(tmp_path / "out")]) == 3
+        assert "stage 'geometry' failed" in capsys.readouterr().err
 
     def test_env_default_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLSCURVE_OUT", str(tmp_path / "envout"))

@@ -238,6 +238,20 @@ class TestBranches:
         numeric = eigenvalue_second_derivative(U23, 3.0, 0.1, 0.0)
         assert abs(numeric - eta_curvature(sectors23, 0.1)) < 1e-2
 
+    def test_eta_curvature_is_the_traced_curvature(self, grid30):
+        # the closed form against a two-level Richardson extrapolation
+        # (h = 0.08, 0.04, 0.02) of the traced ground eigenvalue, which is
+        # even in α; measured 7.4e-9 at n = 3 (the trapezoid rule's integral
+        # gave 1.5e-7)
+        sectors = coupled_sectors(ground_state(3, 3, grid30), 3.0)
+        h = np.array([0.02, 0.04, 0.08])
+        eta = trace_branches(sectors, 0.17, np.concatenate([[0.0], h]))[
+            "ground"].eigenvalues
+        d2 = 2 * (eta[1:] - eta[0]) / h**2
+        once = (4 * d2[:-1] - d2[1:]) / 3
+        twice = (16 * once[0] - once[1]) / 15
+        assert abs(eta_curvature(sectors, 0.17) - twice) < 2e-8
+
     def test_eta_curvature_shifted_solve_removes_nothing(self, sectors23,
                                                           monkeypatch):
         # the L_i ℓ=0 solve is shifted by -η₀ > 0, so it has no kernel
@@ -412,16 +426,23 @@ class TestCrossing:
         assert abs(numeric - crossing_slope(mode)) < 1e-3
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_slope_is_the_reintegrated_closed_form(self, grid30, n):
-        # crossing_slope reads Q₃ from the mode: bitwise 2ᾱ + 2μ·ω∫ZW r^{d-1}
-        # integrated again from the profiles
+    def test_slope_is_the_eigenvector_slope(self, grid30, n):
+        # crossing_slope reads Q₃ off the unit eigenvector the crossing
+        # converged: bitwise the Hellmann–Feynman slope its Newton steps with
         sectors = coupled_sectors(ground_state(n, 3, grid30), 3.0)
-        r, d = grid30.nodes, n - 1
         for mu in (0.0, 0.05, 0.17):
-            mode = find_alpha_bar(sectors, mu)
-            zw = spectrum.sphere_area(d) * np.trapezoid(
-                mode.u_values * mode.v_values * r ** (d - 1), r)
-            assert crossing_slope(mode) == float(2 * mode.alpha_bar + 2 * mu * zw)
+            mode, (_, abar, phi, _) = spectrum._solve_crossing(sectors[0], mu, 1e-8)
+            assert crossing_slope(mode) == spectrum._slopes(phi, abar, mu)[0]
+
+    def test_bisection_guards_a_step_out_of_the_bracket(self, sectors23):
+        # a start at ᾱ₀ = 2e-6 with dᾱ/dμ = 0: the slope there is about
+        # 4e-6, so the first Newton step leaves the bracket, η is solved at
+        # its upper end and the search bisects
+        sector, mu, tol = sectors23[0], 0.05, 1e-8
+        start = (mu, 2e-6, sector.start()[0][1], 0.0)
+        mode, _ = spectrum._solve_crossing(sector, mu, tol, start)
+        assert abs(mode.alpha_bar - find_alpha_bar(sectors23, mu).alpha_bar) \
+            <= 2 * tol
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_eigenvector_slopes_are_the_eigenvalue_derivatives(self, grid30, n):
