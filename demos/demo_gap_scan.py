@@ -11,7 +11,7 @@ import numpy as np
 
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from nlscurve.radial import RadialGrid, ground_state
-from nlscurve.resonance import FastModes, gap_scan, gap_scan_oracle, q_integrals
+from nlscurve.resonance import FastModes, gap_scan, gap_scan_oracle
 from nlscurve.scalings import compute_exponents, compute_scalings
 from nlscurve.spectrum import alpha_field, coupled_sectors
 
@@ -22,9 +22,9 @@ sectors = coupled_sectors(ground_state(2, 3, RadialGrid(30.0, 3000)), 3.0)
 curve = build_curve(CurveSpec("circle", n=2, radius=2 ** -0.5), 256)
 pot = sample_potential(V, curve)
 sf = compute_scalings(curve, pot, 0.0, exps)
-abar, modes = alpha_field(sf, sectors)
-# the fast-mode problem of (sf, ᾱ, Q), built once for the scan and the oracle
-fast = FastModes(sf, abar, q_integrals(modes))
+# the fast-mode problem of the crossing field (ᾱ and Q per node), built once
+# for the scan and the oracle
+fast = FastModes(sf, alpha_field(sf, sectors))
 
 eps_grid = np.linspace(0.08, 0.02, 61)
 records = gap_scan(fast, eps_grid, delta=0.3, threshold=0.1)

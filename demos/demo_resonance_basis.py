@@ -13,8 +13,8 @@ import numpy as np
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from nlscurve.radial import RadialGrid, ground_state
 from nlscurve.resonance import (FastModes, assemble_lambda0, lambda0_spectrum,
-                                q_integrals, resonance_eigenpairs,
-                                verify_coupled_system, weyl_slope)
+                                resonance_eigenpairs, verify_coupled_system,
+                                weyl_slope)
 from nlscurve.scalings import compute_exponents, compute_scalings
 from nlscurve.spectrum import alpha_field, coupled_sectors
 
@@ -25,13 +25,12 @@ sectors = coupled_sectors(ground_state(2, 3, RadialGrid(30.0, 3000)), 3.0)
 curve = build_curve(CurveSpec("circle", n=2, radius=0.7012465), 256)
 pot = sample_potential(V, curve)
 sf = compute_scalings(curve, pot, 0.05, exps)
-abar, modes = alpha_field(sf, sectors)
-# the overlap integrals come with each crossing mode; one FastModes carries
-# (sf, ᾱ, Q) to every basis
-fast = FastModes(sf, abar, q_integrals(modes))
-Q = fast.Q
-print(f"crossing frequency ᾱ = {abar[0]:.6f};  "
-      f"Q1 = {Q.q1[0]:.4f}, Q2 = {Q.q2[0]:.4f}, Q3 = {Q.q3[0]:.4f}")
+# the crossing field: one CrossingMode per node, with ᾱ and the overlap
+# integrals Q of its pair (Z, W); one FastModes gathers them for every basis
+crossing = alpha_field(sf, sectors)
+fast = FastModes(sf, crossing)
+print(f"crossing frequency ᾱ = {fast.abar[0]:.6f};  "
+      f"Q1 = {fast.q1[0]:.4f}, Q2 = {fast.q2[0]:.4f}, Q3 = {fast.q3[0]:.4f}")
 
 eps = 0.05
 basis = resonance_eigenpairs(fast, eps, delta=0.5)

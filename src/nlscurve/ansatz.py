@@ -134,7 +134,7 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     G = pot.grad_normal
     L = curve.L
 
-    f1p = compute_f1(sf, Phi, f1_drift, curve, pot)
+    f1p = compute_f1(sf, Phi, f1_drift, curve)
     f1, f1_budget = periodic_antiderivative(f1p, L)
 
     # s̄-derivatives of the coefficient fields (spectral, periodic)
@@ -276,13 +276,13 @@ class AnsatzField:
     grid: object
 
 
-def assemble_ansatz(grid, curve, sf, U, correctors, params=None, crossing=None,
-                    basis=None):
+def assemble_ansatz(grid, curve, sf, U, correctors, params=None, basis=None):
     """Build the ansatz field of the requested level on the tube grid.
 
-    ``crossing`` (per-node CrossingMode list) and ``basis`` (ResonanceBasis)
-    are needed only when params.b is nonzero; the fast component is then
-    v_δ = β(εs)Z(kz) + iξ(εs)W(kz) with β = Σ b_j β_j, ξ = Σ b_j ξ_j.
+    ``basis`` (ResonanceBasis) is needed only when params.b is nonzero; the
+    fast component is then v_δ = β(εs)Z(kz) + iξ(εs)W(kz) with
+    β = Σ b_j β_j, ξ = Σ b_j ξ_j, and (Z, W) per node from
+    ``basis.modes.crossing``, the crossing field whose Q built the basis.
     """
     params = params or AnsatzParams()
     level = params.level
@@ -329,16 +329,15 @@ def assemble_ansatz(grid, curve, sf, U, correctors, params=None, crossing=None,
         field = field + eps**2 * (vt + v0e + 1j * v0o)
 
         if params.b is not None and np.any(np.asarray(params.b) != 0):
-            if basis is None or crossing is None:
-                raise ValidationError("fast-mode coefficients need a resonance "
-                                      "basis and crossing modes")
+            if basis is None:
+                raise ValidationError("fast-mode coefficients need a resonance basis")
             b = np.asarray(params.b, dtype=float)
             if b.shape != basis.nu.shape:
                 raise ValidationError("coefficients must match the basis window")
             beta = b @ basis.beta
             xi = b @ basis.xi
             ZW = _interp_rows(U.grid.nodes, np.stack(
-                [(m.u_values, m.v_values) for m in crossing]), yq)
+                [(m.u_values, m.v_values) for m in basis.modes.crossing]), yq)
             field = field + beta.reshape(shape1) * ZW[:, 0] \
                 + 1j * xi.reshape(shape1) * ZW[:, 1]
 

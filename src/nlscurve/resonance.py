@@ -17,9 +17,10 @@ form that controls these degrees of freedom,
 is nearly diagonal in the (β_j) coordinates with approximate eigenvalues
 ν_j; scanning ε for a spectral gap of Λ₀ (relative to the weighted mass)
 selects the admissible values ε_k.  The crossing enters only through ᾱ
-and the overlap integrals Q of its pair (Z, W) (CrossingMode.q, gathered
-per node by q_integrals): one FastModes of (sf, ᾱ, Q) is the entry point
-of every solve here, and each ResonanceBasis refers back to it.
+and the overlap integrals Q of its pair (Z, W): one FastModes of (sf,
+crossing), the per-node CrossingMode list of spectrum.alpha_field, gathers
+both once and is the entry point of every solve here; each ResonanceBasis
+refers back to it, and the ansatz reads (Z, W) from the same list.
 
 Everything here uses Fourier collocation in s̄: the coefficients are smooth
 periodic fields, so the discretization is spectrally accurate.  Derivatives
@@ -47,22 +48,6 @@ from .geometry import fourier_diff_matrices, periodic_derivative
 # curve: a circle spreads them by at most one rounding step, an ellipse by
 # 1e-1 (kᾱ) and 3e-3 (weight).
 CONSTANT_RTOL = 8 * np.finfo(float).eps
-
-
-@dataclass
-class OverlapIntegrals:
-    """Q₁ = ∫Z², Q₂ = ∫W², Q₃ = ∫ZW per curve node (unit total mass)."""
-
-    q1: np.ndarray
-    q2: np.ndarray
-    q3: np.ndarray
-
-
-def q_integrals(modes):
-    """Overlap integrals of the per-node crossing eigenpairs (Z, W): the
-    ``q`` of each node's CrossingMode, which the crossing solve integrated
-    once per μ group."""
-    return OverlapIntegrals(*np.array([m.q for m in modes]).T.copy())
 
 
 @dataclass
@@ -95,11 +80,15 @@ class ResonanceBasis:
 
 
 class FastModes:
-    """The weighted periodic eigenproblem of (sf, ᾱ, Q), ready for any ε.
+    """The weighted periodic eigenproblem of the crossing field, ready for
+    any ε.
 
     The entry point of the layer: one instance serves every ε of a gap scan,
-    resonance basis and oracle of (sf, ᾱ, Q), kept as ``sf``, ``abar``,
-    ``Q``, with ``ka`` = kᾱ, the weight ``wfun`` = 1 + 2f'Q₃/(kᾱ) and
+    resonance basis and oracle of (sf, crossing), where ``crossing`` is the
+    per-node CrossingMode list of spectrum.alpha_field, kept as given.  It
+    gathers ᾱ (``abar``) and the overlap integrals Q₁ = ∫Z², Q₂ = ∫W²,
+    Q₃ = ∫ZW (``q1``, ``q2``, ``q3``, the modes' ``q``) once per node, with
+    ``ka`` = kᾱ, the weight ``wfun`` = 1 + 2f'Q₃/(kᾱ) and
     ``diag`` = k²ᾱ²·wfun = k²ᾱ² + 2f'kᾱQ₃, which C(ε), β and κ all read.
 
     With B = diag(1/wfun) and S = diag(√wfun), A·x = ν·B·x is the standard
@@ -118,10 +107,12 @@ class FastModes:
     ``basis``.
     """
 
-    def __init__(self, sf, abar, Q):
-        self.sf, self.abar, self.Q = sf, abar, Q
-        self.ka = sf.k * abar
-        wfun = 1.0 + 2.0 * sf.fprime * Q.q3 / self.ka
+    def __init__(self, sf, crossing):
+        self.sf, self.crossing = sf, crossing
+        self.abar = np.array([m.alpha_bar for m in crossing])
+        self.q1, self.q2, self.q3 = np.array([m.q for m in crossing]).T.copy()
+        self.ka = sf.k * self.abar
+        wfun = 1.0 + 2.0 * sf.fprime * self.q3 / self.ka
         if np.any(wfun <= 0):
             raise PhaseLawError("resonance weight lost positivity; "
                                 "phase-speed constant too large")
@@ -151,7 +142,7 @@ class FastModes:
     def window(self, eps, delta):
         """ν, ξ, ξ' and β (what Λ₀ reads) over |j| <= floor(δ²/ε) around
         j_ε; the corrections γ and κ are left None."""
-        sf, Q, ka = self.sf, self.Q, self.ka
+        sf, ka = self.sf, self.ka
         M, L = sf.s.size, sf.L
         j_eps = self.count(eps)
         J = int(np.floor(delta**2 / eps))
@@ -167,14 +158,16 @@ class FastModes:
             y = self.basis[:, rows]
         vecs = self.sw[:, None] * y / np.sqrt(L / M)   # ∫ ξ²/wfun ds̄ = 1
         dxi = periodic_derivative(vecs, L).T
-        beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None] / self.diag) * eps * dxi
+        beta = -(1.0 / ka) * (1.0 - self.q1 * nu[:, None] / self.diag) * eps * dxi
         return ResonanceBasis(eps=eps, delta=delta, nu=nu, xi=vecs.T, dxi=dxi,
                               beta=beta, gamma=None, kappa=None,
                               j_eps=j_eps, modes=self)
 
 
 def resonance_eigenpairs(modes, eps, delta=0.3):
-    """The full basis of the FastModes ``modes`` at ε.
+    """The full basis of the FastModes ``modes`` at ε.  The basis keeps
+    ``modes``, so ``basis.modes.crossing`` is the crossing field whose Q
+    built it and whose pair (Z, W) the ansatz's fast component reads.
 
     Eigenpairs are re-indexed around the first nonnegative eigenvalue and
     restricted to |j| <= floor(δ²/ε): the index j_ε of that eigenvalue is the
@@ -195,13 +188,12 @@ def resonance_eigenpairs(modes, eps, delta=0.3):
     used there, with kᾱ + 2f'Q₃ = k²ᾱ²·wfun/(kᾱ) read off ``modes.diag``.
     """
     basis = modes.window(eps, delta)
-    sf, Q, ka = modes.sf, modes.Q, modes.ka
-    k, L = sf.k, sf.L
+    k, L, ka = modes.sf.k, modes.sf.L, modes.ka
     nu, xi, dxi, beta = basis.nu, basis.xi, basis.dxi, basis.beta
     dbeta = periodic_derivative(beta.T, L).T
-    gamma = -(eps * dxi + ka * beta) / (2.0 * k * Q.q1)
-    if np.min(Q.q2) > 1e-10:
-        kappa = -(ka * xi - eps * dbeta) / (2.0 * k * Q.q2)
+    gamma = -(eps * dxi + ka * beta) / (2.0 * k * modes.q1)
+    if np.min(modes.q2) > 1e-10:
+        kappa = -(ka * xi - eps * dbeta) / (2.0 * k * modes.q2)
     else:
         kappa = nu[:, None] * xi * ka / (2.0 * k * modes.diag)
     return replace(basis, gamma=gamma, kappa=kappa)
@@ -236,16 +228,16 @@ def verify_coupled_system(basis):
 
     Returns (max residual, per-j residual array).
     """
-    sf, Q = basis.modes.sf, basis.modes.Q
-    fp, ka = sf.fprime[:, None], basis.modes.ka[:, None]
+    modes = basis.modes
+    q1, q2, q3 = (q[:, None] for q in (modes.q1, modes.q2, modes.q3))
+    sf, fp, ka = modes.sf, modes.sf.fprime[:, None], modes.ka[:, None]
     eps, nu, L = basis.eps, basis.nu, sf.L
     b, x = basis.beta.T, basis.xi.T                   # [node, j]
     line1 = -eps**2 * periodic_derivative(b, L, 2) - ka**2 * b - nu * b
     line2 = -eps**2 * periodic_derivative(x, L, 2) - ka**2 * x - nu * x
     if np.any(fp != 0):
-        q3 = Q.q3[:, None]
-        line1 -= 2.0 * fp * (q3 / Q.q1[:, None]) * (eps * periodic_derivative(x, L) + ka * b)
-        line2 += 2.0 * fp * (q3 / np.maximum(Q.q2, 1e-300)[:, None]) \
+        line1 -= 2.0 * fp * (q3 / q1) * (eps * periodic_derivative(x, L) + ka * b)
+        line2 += 2.0 * fp * (q3 / np.maximum(q2, 1e-300)) \
             * (eps * periodic_derivative(b, L) - ka * x)
     res = np.maximum(np.max(np.abs(line1), axis=0), np.max(np.abs(line2), axis=0))
     return float(np.max(res)), res
@@ -272,7 +264,8 @@ def assemble_lambda0(basis):
     (for variable coefficients the εβ'ξ̲-block is symmetric only up to an
     O(ε) coefficient-derivative term, which the reported asymmetry tracks).
     """
-    sf, Q, ka = basis.modes.sf, basis.modes.Q, basis.modes.ka
+    modes = basis.modes
+    sf, ka, q1, q2 = modes.sf, modes.ka, modes.q1, modes.q2
     fp, eps, ds = sf.fprime, basis.eps, sf.L / sf.s.size
 
     Bm, Xm = basis.beta, basis.xi
@@ -282,14 +275,14 @@ def assemble_lambda0(basis):
     def quad(fa, fb, w):
         return (fa * w) @ fb.T * ds
 
-    cross = 2.0 * fp * Q.q3
-    lam = (eps**2 * quad(dB, dB, Q.q1) - quad(Bm, Bm, Q.q1 * ka**2)
-           + eps**2 * quad(dX, dX, Q.q2) - quad(Xm, Xm, Q.q2 * ka**2))
+    cross = 2.0 * fp * modes.q3
+    lam = (eps**2 * quad(dB, dB, q1) - quad(Bm, Bm, q1 * ka**2)
+           + eps**2 * quad(dX, dX, q2) - quad(Xm, Xm, q2 * ka**2))
     # 2f'Q₃(εβ'ξ̲ - εξ'β̲ - kᾱββ̲ - kᾱξξ̲): rows unbarred, columns barred
     lam += eps * quad(dB, Xm, cross) - eps * quad(dX, Bm, cross) \
         - quad(Bm, Bm, cross * ka) - quad(Xm, Xm, cross * ka)
 
-    mass = quad(Bm, Bm, Q.q1) + quad(Xm, Xm, Q.q2)
+    mass = quad(Bm, Bm, q1) + quad(Xm, Xm, q2)
     asym = float(np.max(np.abs(lam - lam.T)))
     lam = 0.5 * (lam + lam.T)
     mass = 0.5 * (mass + mass.T)

@@ -37,7 +37,7 @@ from .scalings import (assemble_jacobi, compute_exponents, compute_scalings,
                        euler_residual, reduced_functional, weighted_eigenbasis)
 from .spectrum import (BOUND_BRANCHES, alpha_field, continuum_threshold,
                        coupled_sectors, find_alpha_bar, trace_branches)
-from .resonance import (FastModes, gap_scan, gap_scan_oracle, q_integrals,
+from .resonance import (FastModes, gap_scan, gap_scan_oracle,
                         resonance_eigenpairs, verify_coupled_system)
 from .ansatz import residual_study
 
@@ -302,10 +302,10 @@ class _Run:
 
     @cached_property
     def modes(self):
-        """The crossing field, its overlap integrals and the fast-mode problem
-        built on them, shared by the resonance and gap-scan stages."""
-        abar, modes = alpha_field(self.sf, self.sectors)
-        return FastModes(self.sf, abar, q_integrals(modes))
+        """The fast-mode problem of the crossing field (alpha_field), which
+        keeps the field as ``modes.crossing``, shared by the resonance and
+        gap-scan stages."""
+        return FastModes(self.sf, alpha_field(self.sf, self.sectors))
 
 
 def stage_profile(run):
@@ -374,33 +374,35 @@ def stage_branches(run):
                axis=0), branches[labels[0]].sector_counts)
         for labels in BOUND_BRANCHES.values())
     mode = find_alpha_bar(sectors, mu)
+    # the Newton ᾱ against the independent trace: the ground branch changes
+    # sign on the grid cell that holds ᾱ (false when ᾱ is off the grid)
+    i = int(np.searchsorted(alphas, mode.alpha_bar, side="right")) - 1
+    eta = branches["ground"].eigenvalues
+    in_bracket = 0 <= i < alphas.size - 1 and eta[i] <= 0 < eta[i + 1]
     names = ["ground", "translation", "gauge", "continuum_threshold"]
     rows = [alphas] + [branches[label].eigenvalues for label in names[:3]] \
         + [continuum_threshold(alphas, mu)]
     run.csvs["branches"] = (",".join(["alpha", *names]), np.column_stack(rows))
     run.csvs["crossing_mode"] = ("r,Z,W", np.column_stack(
         [run.U.grid.nodes, mode.u_values, mode.v_values]))
-    eta = branches["ground"].eigenvalues
     return {"mu": mu, "alpha_bar": mode.alpha_bar,
             "zw_decay_rate": mode.decay_rate,
             "branch_labels": names,
             "checks": {"ground_branch_increasing": bool(np.all(np.diff(eta) > 0)),
                        "bound_states_are_the_traced_branches": bool(bound),
-                       "zw_decay_above_1": bool(mode.decay_rate > 1.0)}}
+                       "zw_decay_above_1": bool(mode.decay_rate > 1.0),
+                       "alpha_bar_in_traced_bracket": bool(in_bracket)}}
 
 
 def stage_resonance(run):
     cfg, modes = run.cfg, run.modes
     basis = resonance_eigenpairs(modes, cfg.res_eps, cfg.delta)
     maxres, per_j = verify_coupled_system(basis)
-    q_closure = float(np.max(np.abs(modes.Q.q1 + modes.Q.q2 - 1.0)))
     run.csvs["resonance_nu"] = ("j,nu,coupled_residual",
                                 np.column_stack([basis.window, basis.nu, per_j]))
     return {"eps": cfg.res_eps, "window": int(basis.nu.size),
             "coupled_system_residual": maxres,
-            "residual_over_eps": maxres / cfg.res_eps,
-            "q_closure_error": q_closure,
-            "checks": {"q1_plus_q2_is_1": bool(q_closure < 1e-8)}}
+            "residual_over_eps": maxres / cfg.res_eps, "checks": {}}
 
 
 def stage_gap_scan(run):

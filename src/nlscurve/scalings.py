@@ -134,7 +134,7 @@ def compute_scalings(curve, pot, phase_speed, exps):
                          phase_budget=float(phase_budget))
 
 
-def compute_f1(sf, Phi, f1_drift, curve, pot):
+def compute_f1(sf, Phi, f1_drift, curve):
     """First phase correction f1' from the normal displacement Φ.
 
     f1' = [2A(p-1)k^{n+1} ((p-1)/(2θ) - 1) <H,Φ> + A'(p-1)k^{n+1}]
@@ -150,8 +150,7 @@ def compute_f1(sf, Phi, f1_drift, curve, pot):
     denom = (p - 1.0) * sf.h ** (p + 1.0) - 2.0 * sigma * A**2 * sf.h ** (2 * sigma + 2.0)
     if np.any(np.abs(denom) < 1e-12):
         raise PhaseLawError("vanishing denominator in the phase-correction formula")
-    HdotPhi = np.einsum("ij,ij->i", curve.curvature, np.asarray(Phi, dtype=float)) \
-        if Phi is not None else np.zeros(curve.M)
+    HdotPhi = np.einsum("ij,ij->i", curve.curvature, np.asarray(Phi, dtype=float))
     kpow = sf.k ** (n + 1.0)
     f1p = (2.0 * A * (p - 1.0) * kpow * ((p - 1.0) / (2.0 * theta) - 1.0) * HdotPhi
            + f1_drift * (p - 1.0) * kpow) / denom

@@ -267,16 +267,6 @@ class SpectralBranch:
         object.__setattr__(self, "eigenfunctions", tuple(
             (readonly_view(u), readonly_view(v)) for u, v in self.eigenfunctions))
 
-    @property
-    def exit_bracket(self):
-        """(last α with a bound value, first α without), or None if the
-        branch is bound on the whole grid."""
-        traced = len(self.eigenfunctions)
-        if traced == self.alphas.size:
-            return None
-        return (float(self.alphas[traced - 1]) if traced else None,
-                float(self.alphas[traced]))
-
 
 def coupled_sectors(U, p):
     """{ℓ: the coupled ℓ-sector of U} for every sector of BOUND_BRANCHES, the
@@ -453,7 +443,9 @@ class CrossingMode:
     eigenvector φ.  decay_rate is √τ_ᾱ = √(1 + ᾱ² − |μᾱ|): past the core
     the pair solves −Δ + τ_ᾱ on the lower eigenvector of the coupling,
     so |Z| + |W| decays like e^{-√τ_ᾱ r} up to a power of r.  Immutable:
-    alpha_field hands one mode to every node of a μ group.
+    alpha_field hands one mode to every node of a μ group, and the per-node
+    list is the crossing field that resonance.FastModes reads ᾱ and Q from
+    and the ansatz reads (Z, W) from.
     """
 
     alpha_bar: float
@@ -462,9 +454,7 @@ class CrossingMode:
     eta_residual: float
     decay_rate: float
     q: tuple
-    U: object
     mu: float
-    p: float
 
     def __post_init__(self):
         freeze_arrays(self)
@@ -545,7 +535,7 @@ def _solve_crossing(sector, mu, tol, start=None):
                         eta_residual=float(lam),
                         decay_rate=float(np.sqrt(continuum_threshold(abar, mu))),
                         q=(float(pu @ pu), float(pv @ pv), float(pu @ pv)),
-                        U=sector.U, mu=mu, p=sector.p)
+                        mu=mu)
     return mode, (mu, abar, phi, -eta_mu / slope)
 
 
@@ -566,8 +556,9 @@ def alpha_field(sf, sectors, tol=1e-8):
     α = 0 ground pair as find_alpha_bar does, and every later one starts
     from the previous group's ᾱ, moved by the exact dᾱ/dμ, and its
     eigenvector (_solve_crossing).  Each group's ᾱ is within tol of the
-    root, so it agrees with find_alpha_bar to 2·tol.  Returns (alpha_bar
-    array, modes list parallel to nodes).
+    root, so it agrees with find_alpha_bar to 2·tol.  Returns the crossing
+    field: the list of CrossingMode parallel to the nodes, whose
+    ``alpha_bar`` are the per-node ᾱ.
     """
     mus = 2.0 * sf.fprime / sf.k
     order = np.argsort(mus, kind="stable")
@@ -580,8 +571,7 @@ def alpha_field(sf, sectors, tol=1e-8):
     for i in first:
         mode, state = _solve_crossing(sectors[0], float(mus[i]), tol, state)
         solved.append(mode)
-    modes = [solved[g] for g in group]
-    return np.array([m.alpha_bar for m in modes]), modes
+    return [solved[g] for g in group]
 
 
 # ---------------------------------------------------------------------------

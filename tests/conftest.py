@@ -4,7 +4,7 @@ import pytest
 
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from nlscurve.radial import RadialGrid, ground_state
-from nlscurve.resonance import FastModes, q_integrals
+from nlscurve.resonance import FastModes
 from nlscurve.scalings import (compute_exponents, compute_scalings,
                                critical_circle_radius)
 from nlscurve.spectrum import alpha_field, coupled_sectors
@@ -73,7 +73,7 @@ def runner_setup(name, sectors, V, exps):
     spec, phase_speed = RUNNER_CURVES[name]
     curve = build_curve(spec, 256)
     sf = compute_scalings(curve, sample_potential(V, curve), phase_speed, exps)
-    abar, modes = alpha_field(sf, sectors)
-    Q = q_integrals(modes)
-    return {"name": name, "kind": spec.kind, "sf": sf, "abar": abar,
-            "modes": modes, "Q": Q, "fast": FastModes(sf, abar, Q)}
+    crossing = alpha_field(sf, sectors)
+    fast = FastModes(sf, crossing)
+    return {"name": name, "kind": spec.kind, "sf": sf, "abar": fast.abar,
+            "crossing": crossing, "fast": fast}

@@ -16,8 +16,7 @@ from nlscurve.errors import ConvergenceError
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential
 from nlscurve.radial import Sector, ode_residual, sector_spectrum
 from nlscurve.resonance import (FastModes, gap_scan, gap_scan_oracle, lambda0_spectrum,
-                                q_integrals, resonance_eigenpairs,
-                                verify_coupled_system,
+                                resonance_eigenpairs, verify_coupled_system,
                                 constant_coefficient_nu_oracle)
 from nlscurve.scalings import (assemble_jacobi, critical_circle_radius,
                                euler_residual, weighted_eigenbasis)
@@ -170,9 +169,9 @@ def resonance_inputs(sectors23, bump_potential, exps23):
             return c, sample_potential(bump_potential, c)
         rs = critical_circle_radius(builder, (0.4, 1.2), A, exps23)
         curve, pot, sf = circle_setup(bump_potential, rs, 256, A, exps23)
-        abar, modes = alpha_field(sf, sectors23)
-        out[A] = {"curve": curve, "pot": pot, "sf": sf, "abar": abar,
-                  "fast": FastModes(sf, abar, q_integrals(modes)), "rstar": rs}
+        fast = FastModes(sf, alpha_field(sf, sectors23))
+        out[A] = {"curve": curve, "pot": pot, "sf": sf, "abar": fast.abar,
+                  "fast": fast, "rstar": rs}
     return out
 
 
@@ -279,8 +278,8 @@ def test_criterion_9_invariance_suite(U23, bump_potential, exps23,
                             <= np.exp(-c * np.asarray(eps_used) ** -0.5) + 1e-15)
                      and c > 0 and np.all(norm_diffs < 1e-12))
 
-    q_err = float(np.max(np.abs(resonance_inputs[0.05]["fast"].Q.q1
-                                + resonance_inputs[0.05]["fast"].Q.q2 - 1.0)))
+    fast = resonance_inputs[0.05]["fast"]
+    q_err = float(np.max(np.abs(fast.q1 + fast.q2 - 1.0)))
     checks = [
         ("spectrum-shift identity to 1e-10", shift_err < 1e-10),
         ("phase-constant invariance of residual norms to 1e-12",

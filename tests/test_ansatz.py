@@ -10,7 +10,7 @@ from nlscurve.errors import CurveNotCriticalError, ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                sample_potential)
 from nlscurve.radial import Sector, _interp_rows, ground_state
-from nlscurve.resonance import FastModes, q_integrals, resonance_eigenpairs
+from nlscurve.resonance import FastModes, resonance_eigenpairs
 from nlscurve.scalings import (compute_exponents, compute_scalings,
                                critical_circle_radius)
 from nlscurve.spectrum import alpha_field
@@ -479,22 +479,21 @@ class TestAssembly:
 
 @pytest.fixture(scope="module")
 def fast_mode_run(U23, sectors23, bump_potential, exps23):
-    """A = 0.05 critical circle with its crossing modes and resonance basis."""
+    """A = 0.05 critical circle with its crossing field and resonance basis."""
     curve, pot, sf = circle_setup(bump_potential, 0.7012465, 64, 0.05, exps23)
     co = build_correctors(curve, pot, sf, U23)
-    abar, modes = alpha_field(sf, sectors23)
-    basis = resonance_eigenpairs(FastModes(sf, abar, q_integrals(modes)), 0.1, 0.5)
+    crossing = alpha_field(sf, sectors23)
+    basis = resonance_eigenpairs(FastModes(sf, crossing), 0.1, 0.5)
     grid = build_tube_grid(curve, bump_potential, sf, 0.1, dz_factor=8)
 
     def fast_part(b):
         # level-2 field with coefficients b minus the field with b = 0
         fields = [assemble_ansatz(grid, curve, sf, U23, co,
-                                  AnsatzParams(level=2, b=bb), crossing=modes,
-                                  basis=basis).values
+                                  AnsatzParams(level=2, b=bb), basis=basis).values
                   for bb in (b, np.zeros_like(b))]
         return fields[0] - fields[1]
 
-    return {"curve": curve, "sf": sf, "co": co, "modes": modes,
+    return {"curve": curve, "sf": sf, "co": co, "crossing": crossing,
             "basis": basis, "grid": grid, "fast_part": fast_part}
 
 
@@ -504,13 +503,13 @@ class TestFastModes:
         # Z and W are interpolated node by node here, independently of the
         # assembly's row-wise interpolation
         run = fast_mode_run
-        basis, grid, modes, k = run["basis"], run["grid"], run["modes"], run["sf"].k
+        basis, grid, k = run["basis"], run["grid"], run["sf"].k
         r = U23.grid.nodes
         assert basis.nu.size >= 3
         for j in range(basis.nu.size):
             diff = run["fast_part"](np.eye(basis.nu.size)[j])
             expected = np.empty_like(diff)
-            for i, mode in enumerate(modes):
+            for i, mode in enumerate(run["crossing"]):
                 yq = k[i] * grid.znorm
                 Z = np.interp(yq, r, mode.u_values, right=0.0)
                 W = np.interp(yq, r, mode.v_values, right=0.0)
@@ -536,12 +535,10 @@ class TestFastModes:
         args = (run["grid"], run["curve"], run["sf"], U23, run["co"])
         b = AnsatzParams(level=2, b=np.eye(size)[0])
         with pytest.raises(ValidationError, match="resonance basis"):
-            assemble_ansatz(*args, b, crossing=run["modes"])
-        with pytest.raises(ValidationError, match="resonance basis"):
-            assemble_ansatz(*args, b, basis=run["basis"])
+            assemble_ansatz(*args, b)
         with pytest.raises(ValidationError, match="window"):
             assemble_ansatz(*args, AnsatzParams(level=2, b=np.ones(size + 1)),
-                            crossing=run["modes"], basis=run["basis"])
+                            basis=run["basis"])
 
 
 class TestWeightedNorms:

@@ -12,8 +12,8 @@ from nlscurve.radial import Sector
 from nlscurve.resonance import (CONSTANT_RTOL, FastModes, assemble_lambda0,
                                 constant_coefficient_nu_oracle, correction_identities,
                                 gap_scan, gap_scan_oracle, lambda0_spectrum,
-                                q_integrals, resonance_eigenpairs,
-                                verify_coupled_system, weyl_slope)
+                                resonance_eigenpairs, verify_coupled_system,
+                                weyl_slope)
 from nlscurve.spectrum import alpha_field, sphere_area
 
 from conftest import RUNNER_CURVES, circle_setup, runner_setup
@@ -24,20 +24,18 @@ from oracles import constant_coefficient_gap_oracle
 def layer0(sectors23, bump_potential, exps23):
     """Resonance inputs on the critical circle at phase speed 0."""
     curve, pot, sf = circle_setup(bump_potential, 2 ** -0.5, 256, 0.0, exps23)
-    abar, modes = alpha_field(sf, sectors23)
-    Q = q_integrals(modes)
-    return {"curve": curve, "sf": sf, "abar": abar, "Q": Q,
-            "fast": FastModes(sf, abar, Q)}
+    fast = FastModes(sf, alpha_field(sf, sectors23))
+    return {"curve": curve, "sf": sf, "abar": fast.abar, "fast": fast}
 
 
 @pytest.fixture(scope="module")
 def layerA(sectors23, bump_potential, exps23):
     """Same circle with phase speed 0.05 (nonzero coupling)."""
     curve, pot, sf = circle_setup(bump_potential, 0.701247, 256, 0.05, exps23)
-    abar, modes = alpha_field(sf, sectors23)
-    Q = q_integrals(modes)
-    return {"curve": curve, "sf": sf, "abar": abar, "Q": Q,
-            "fast": FastModes(sf, abar, Q)}
+    crossing = alpha_field(sf, sectors23)
+    fast = FastModes(sf, crossing)
+    return {"curve": curve, "sf": sf, "abar": fast.abar, "crossing": crossing,
+            "fast": fast}
 
 
 @pytest.fixture(scope="module", params=list(RUNNER_CURVES))
@@ -87,37 +85,40 @@ class TestFourierCollocation:
 
 class TestQIntegrals:
     def test_zero_speed(self, layer0):
-        Q = layer0["Q"]
-        assert np.max(np.abs(Q.q1 - 1.0)) < 1e-12
-        assert np.max(np.abs(Q.q2)) < 1e-12
-        assert np.max(np.abs(Q.q3)) < 1e-10
+        fast = layer0["fast"]
+        assert np.max(np.abs(fast.q1 - 1.0)) < 1e-12
+        assert np.max(np.abs(fast.q2)) < 1e-12
+        assert np.max(np.abs(fast.q3)) < 1e-10
 
     def test_unit_mass(self, layerA):
-        Q = layerA["Q"]
-        assert np.max(np.abs(Q.q1 + Q.q2 - 1.0)) < 1e-8
+        fast = layerA["fast"]
+        assert np.max(np.abs(fast.q1 + fast.q2 - 1.0)) < 1e-8
 
-    def test_one_integral_per_distinct_mode(self, runner_layer):
+    def test_one_integral_per_distinct_mode(self, runner_layer, U23):
         # alpha_field shares one CrossingMode among the nodes of a μ group;
         # the crossing solve forms each distinct mode's q once, as products
-        # of its unit eigenvector, and q_integrals only gathers them
-        modes, Q = runner_layer["modes"], runner_layer["Q"]
-        assert len({id(m) for m in modes}) < len(modes)
-        again = q_integrals(modes)
-        for a, b in ((Q.q1, again.q1), (Q.q2, again.q2), (Q.q3, again.q3)):
-            assert np.array_equal(a, b)
-        assert all((Q.q1[i], Q.q2[i], Q.q3[i]) == m.q for i, m in enumerate(modes))
+        # of its unit eigenvector, and FastModes only gathers ᾱ and Q
+        crossing, fast = runner_layer["crossing"], runner_layer["fast"]
+        assert len({id(m) for m in crossing}) < len(crossing)
+        assert np.array_equal(fast.abar, [m.alpha_bar for m in crossing])
+        assert all((fast.q1[i], fast.q2[i], fast.q3[i]) == m.q
+                   for i, m in enumerate(crossing))
+        # the basis refers back to the field whose Q built it, which the
+        # ansatz's fast component reads (Z, W) from
+        basis = resonance_eigenpairs(fast, 0.05, 0.3)
+        assert fast.crossing is crossing and basis.modes.crossing is crossing
         # the cell-weight integrals of the mode's profiles, to round-off
         # (measured <= 8.9e-16 over every node of the three curves)
-        omega, lr = sphere_area(1), Sector(modes[0].U, modes[0].p, "Lr", 0)
+        omega, lr = sphere_area(1), Sector(U23, 3.0, "Lr", 0)
         for i in (0, 77, 255):
-            Z, W = lr.to_phi(modes[i].u_values), lr.to_phi(modes[i].v_values)
+            Z, W = lr.to_phi(crossing[i].u_values), lr.to_phi(crossing[i].v_values)
             assert np.max(np.abs(np.subtract(
-                (Q.q1[i], Q.q2[i], Q.q3[i]),
+                (fast.q1[i], fast.q2[i], fast.q3[i]),
                 (omega * Z @ Z, omega * W @ W, omega * Z @ W)))) <= 2e-15
 
     def test_cauchy_schwarz(self, layerA):
-        Q = layerA["Q"]
-        assert np.all(np.abs(Q.q3) <= np.sqrt(Q.q1 * Q.q2) + 1e-14)
+        fast = layerA["fast"]
+        assert np.all(np.abs(fast.q3) <= np.sqrt(fast.q1 * fast.q2) + 1e-14)
 
 
 class TestResonanceBasis:
@@ -129,11 +130,11 @@ class TestResonanceBasis:
 
     def test_companions_at_zero_crossing(self, layer0):
         # at a ν = 0 crossing the companion is exactly -εξ'/(kᾱ)
-        sf, abar, Q, fast = (layer0[key] for key in ("sf", "abar", "Q", "fast"))
+        sf, abar, fast = (layer0[key] for key in ("sf", "abar", "fast"))
         basis = resonance_eigenpairs(fast, 0.05, 0.3)
         D1, _ = fourier_diff_matrices(sf.s.size, sf.L)
         for a, nu in enumerate(basis.nu):
-            expect = -(0.05 / (sf.k * abar)) * (1.0 - Q.q1 * nu
+            expect = -(0.05 / (sf.k * abar)) * (1.0 - fast.q1 * nu
                       / (sf.k**2 * abar**2)) * (D1 @ basis.xi[a])
             assert np.max(np.abs(basis.beta[a] - expect)) < 1e-10
 
@@ -210,10 +211,10 @@ class TestWindowedEigensolve:
     def test_matches_full_generalized_eigensolve(self, runner_layer):
         # oracle: every eigenpair of the generalized problem A·x = ν·B·x,
         # B = diag(1/wfun), across the gap grid of the README run file
-        sf, abar, Q, fast = (runner_layer[key] for key in ("sf", "abar", "Q", "fast"))
+        sf, abar, fast = (runner_layer[key] for key in ("sf", "abar", "fast"))
         M, L, delta = sf.s.size, sf.L, 0.3
         ka = sf.k * abar
-        wfun = 1.0 + 2.0 * sf.fprime * Q.q3 / ka
+        wfun = 1.0 + 2.0 * sf.fprime * fast.q3 / ka
         D2 = fourier_diff_matrices(M, L)[1]
         for eps in np.linspace(0.08, 0.02, 100):
             vals, vecs = eigh(-eps**2 * D2 - np.diag(ka**2), np.diag(1.0 / wfun))
@@ -226,8 +227,8 @@ class TestWindowedEigensolve:
             # the same basis from the full solve's vectors
             xi = vecs[:, window].T / np.sqrt(L / M)
             dxi = periodic_derivative(xi.T, L).T
-            beta = -(1.0 / ka) * (1.0 - Q.q1 * nu[:, None]
-                                  / (ka**2 + 2.0 * sf.fprime * ka * Q.q3)) \
+            beta = -(1.0 / ka) * (1.0 - fast.q1 * nu[:, None]
+                                  / (ka**2 + 2.0 * sf.fprime * ka * fast.q3)) \
                 * eps * dxi
             ref = lambda0_spectrum(replace(basis, nu=nu, xi=xi, dxi=dxi,
                                            beta=beta))
@@ -257,8 +258,7 @@ class TestCoupledSystem:
         for M in (256, 512):
             curve, pot, sf = circle_setup(bump_potential, 0.701247, M, 0.05,
                                           exps23)
-            abar, modes = alpha_field(sf, sectors23)
-            fast = FastModes(sf, abar, q_integrals(modes))
+            fast = FastModes(sf, alpha_field(sf, sectors23))
             basis = resonance_eigenpairs(fast, 0.05, 0.3)
             maxres, _ = verify_coupled_system(basis)
             vals.append(maxres)
@@ -267,12 +267,12 @@ class TestCoupledSystem:
     def test_correction_identities(self, layerA):
         # both residuals are O(ν_j²); the κ-relation constant carries the
         # 1/Q₂ amplification of the exact-cancellation definition
-        Q, fast = layerA["Q"], layerA["fast"]
+        fast = layerA["fast"]
         basis = resonance_eigenpairs(fast, 0.05, 0.5)
         r1, r2 = correction_identities(basis)
         scale = basis.nu**2 + 1e-12
         assert np.all(r1 / scale < 10.0)
-        assert np.all(r2 / scale * np.min(Q.q2) < 10.0)
+        assert np.all(r2 / scale * np.min(fast.q2) < 10.0)
         # the ratio is flat in j: genuinely quadratic in ν, not lower order
         ratios = r2 / scale
         assert np.ptp(ratios) / np.mean(ratios) < 0.05
@@ -371,7 +371,7 @@ class TestGapScan:
         # D2 is built once per scan, and every point equals a standalone
         # resonance_eigenpairs call bitwise
         import nlscurve.resonance as resonance
-        sf, abar, Q = layerA["sf"], layerA["abar"], layerA["Q"]
+        sf, crossing = layerA["sf"], layerA["crossing"]
         grid = np.linspace(0.08, 0.02, 7)
         sizes = []
         real = resonance.fourier_diff_matrices
@@ -381,7 +381,7 @@ class TestGapScan:
             return real(M, L)
 
         monkeypatch.setattr(resonance, "fourier_diff_matrices", counted)
-        recs = gap_scan(FastModes(sf, abar, Q), grid, 0.3, 0.1)
+        recs = gap_scan(FastModes(sf, crossing), grid, 0.3, 0.1)
         assert sizes == [sf.s.size]
         for rec, eps in zip(recs, grid):
             basis = resonance_eigenpairs(layerA["fast"], eps, 0.3)
@@ -394,7 +394,7 @@ class TestGapScan:
         # eigenvectors are every window's, so no ε solves one, otherwise each
         # ε solves only its window
         import nlscurve.resonance as resonance
-        sf, abar, Q = (runner_layer[key] for key in ("sf", "abar", "Q"))
+        sf, crossing = runner_layer["sf"], runner_layer["crossing"]
         grid = np.linspace(0.08, 0.02, 7)
         calls = []
         real = resonance.eigh
@@ -407,7 +407,7 @@ class TestGapScan:
             return out
 
         monkeypatch.setattr(resonance, "eigh", counted)
-        gap_scan(FastModes(sf, abar, Q), grid, 0.3, 0.1)
+        gap_scan(FastModes(sf, crossing), grid, 0.3, 0.1)
         constant = runner_layer["kind"] == "circle"
         pencil = "pencil+vectors" if constant else "pencil"
         windows = 0 if constant else grid.size

@@ -230,7 +230,7 @@ class TestPipeline:
                 .replace("kind = circle\nradius = 0.70710678118655",
                          "kind = ellipse\na = 0.85\nb = 0.6")
                 .replace("[resonance]", "[grids]\nradial_m = 1000\n\n[resonance]")
-                .replace("criticality\n", "resonance, gap_scan\n"))
+                .replace("criticality\n", "branches, resonance, gap_scan\n"))
         cfg = parse_config(write(tmp_path, text))
         texts = []
         for name in ("a", "b"):
@@ -238,7 +238,31 @@ class TestPipeline:
             texts.append(re.sub(rb'"timestamp": "[^"]*"', b"",
                                 (tmp_path / name / "summary.json").read_bytes()))
         assert texts[0] == texts[1]
-        assert b'"q_closure_error"' in texts[0] and b'"n_admissible"' in texts[0]
+        assert b'"branches.alpha_bar_in_traced_bracket": true' in texts[0]
+        assert b'"n_admissible"' in texts[0]
+
+    def test_alpha_bar_checked_against_the_traced_branch(self, tmp_path,
+                                                         monkeypatch):
+        # the Newton ᾱ lies in the grid cell where the traced ground branch
+        # changes sign; moved by 0.2, two cells of the α grid, it does not
+        text = (CRITICAL
+                .replace("phase_speed = 0.0", "phase_speed = 0.05")
+                .replace("radius = 0.70710678118655", "radius = 0.7012465")
+                .replace("[resonance]", "[grids]\nradial_m = 1000\n\n[resonance]")
+                .replace("profile, geometry, scalings, criticality", "branches"))
+        cfg = parse_config(write(tmp_path, text))
+        key = "branches.alpha_bar_in_traced_bracket"
+        assert run_pipeline(cfg)[0]["checks"][key] is True
+        find_alpha_bar = runner.find_alpha_bar
+
+        def moved(sectors, mu):
+            mode = find_alpha_bar(sectors, mu)
+            return dataclasses.replace(mode, alpha_bar=mode.alpha_bar + 0.2)
+
+        monkeypatch.setattr(runner, "find_alpha_bar", moved)
+        summary, _ = run_pipeline(cfg)
+        assert summary["checks"][key] is False
+        assert summary["all_checks_pass"] is False
 
     def test_resonance_and_gap_scan_share_fast_modes(self, tmp_path,
                                                      monkeypatch):

@@ -418,14 +418,14 @@ class TestPhaseCorrection:
     def test_zero_cases(self, critical_circle, exps23):
         curve, pot, sf = (critical_circle["curve"], critical_circle["pot"],
                           critical_circle["sf"])
-        f1p = compute_f1(sf, np.zeros((curve.M, 1)), 0.0, curve, pot)
+        f1p = compute_f1(sf, np.zeros((curve.M, 1)), 0.0, curve)
         assert np.max(np.abs(f1p)) == 0.0
 
     def test_zero_speed_kills_first_term(self, critical_circle, exps23):
         curve, pot, sf = (critical_circle["curve"], critical_circle["pot"],
                           critical_circle["sf"])
         Phi = np.cos(2 * np.pi * curve.s / curve.L)[:, None]
-        f1p = compute_f1(sf, Phi, 0.0, curve, pot)   # A = 0 for this circle
+        f1p = compute_f1(sf, Phi, 0.0, curve)   # A = 0 for this circle
         assert np.max(np.abs(f1p)) == 0.0
 
     def test_divergence_form_residual(self):
@@ -441,7 +441,7 @@ class TestPhaseCorrection:
                 Phi = np.cos(2 * np.pi * curve.s / curve.L)[:, None] \
                     * np.ones(n - 1)
                 for drift in (0.0, 0.3):
-                    f1p = compute_f1(sf, Phi, drift, curve, pot)
+                    f1p = compute_f1(sf, Phi, drift, curve)
                     assert np.ptp(f1p) > 1e-3
                     res = f1_equation_residual(sf, f1p, Phi, curve)
                     assert res < 1e-10, (n, M, drift, res)

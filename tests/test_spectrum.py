@@ -12,7 +12,6 @@ from nlscurve.errors import (BranchTrackingError, ConvergenceError,
 from nlscurve.geometry import CurveSpec, build_curve, sample_potential
 from nlscurve.radial import (RadialGrid, Sector, ground_state, sector_solve,
                              sector_spectrum)
-from nlscurve.resonance import q_integrals
 from nlscurve.scalings import compute_scalings
 from nlscurve.spectrum import (BOUND_BRANCHES, alpha_field, bound_state_counts,
                                branch_curvature_closed_forms, continuum_threshold,
@@ -301,11 +300,12 @@ class TestBranches:
             for (u, v), (uc, vc) in zip(warm[label].eigenfunctions, funcs):
                 assert np.max(np.abs(u - uc)) + np.max(np.abs(v - vc)) < 1e-8
         gauge = warm["gauge"]
+        bound = np.isfinite(gauge.eigenvalues)
         if mu == 1.0:
-            assert gauge.exit_bracket == (0.9, 1.0)
+            assert alphas[bound][-1] == 0.9 and alphas[~bound][0] == 1.0
             assert np.all(np.isnan(gauge.eigenvalues[10:]))
         else:
-            assert gauge.exit_bracket is None
+            assert np.all(bound)
 
     @pytest.mark.parametrize("mu", [0.17, 1.0, 2.0, 3.0])
     def test_traced_values_are_the_certified_count(self, sectors23, mu):
@@ -324,7 +324,8 @@ class TestBranches:
             assert all(warm[label].sector_counts == tuple(counts[ell])
                        for label in labels)
         if mu == 2.0:
-            assert warm["gauge"].exit_bracket == (0.4, 0.5)
+            bound = np.isfinite(warm["gauge"].eigenvalues)
+            assert alphas[bound][-1] == 0.4 and alphas[~bound][0] == 0.5
 
     @pytest.mark.parametrize("mu, index", [(1.5, 6), (3.0, 3)])
     def test_overshoot_towards_the_continuum(self, U23, sectors23, monkeypatch,
@@ -345,7 +346,8 @@ class TestBranches:
         alphas = np.linspace(0.0, 2.2, 23)
         gauge = trace_branches(sectors23, mu, alphas)["gauge"]
         alpha = alphas[index]
-        assert isolated == [alpha] and gauge.exit_bracket[0] == alpha
+        assert isolated == [alpha]
+        assert alphas[np.isfinite(gauge.eigenvalues)][-1] == alpha
         ref = coupled_spectrum(CoupledSectorOperator(alpha, mu, 0, 3.0),
                                U23, 2)[1][0]
         assert abs(gauge.eigenvalues[index] - ref) < 1e-10
@@ -546,14 +548,14 @@ class TestImmutable:
 class TestAlphaField:
     def test_zero_speed_uniform(self, sectors23, bump_potential, exps23):
         curve, pot, sf = circle_setup(bump_potential, 0.8, 96, 0.0, exps23)
-        abar, modes = alpha_field(sf, sectors23)
+        abar = np.array([m.alpha_bar for m in alpha_field(sf, sectors23)])
         assert np.ptp(abar) == 0.0
         assert abs(abar[0] - np.sqrt(3.0)) < 1e-3   # eta0 ≈ -3 at any k
 
     def test_constant_coefficients_constant(self, sectors23, exps23,
                                             bump_potential):
         curve, pot, sf = circle_setup(bump_potential, 0.8, 96, 0.05, exps23)
-        abar, _ = alpha_field(sf, sectors23)
+        abar = np.array([m.alpha_bar for m in alpha_field(sf, sectors23)])
         assert np.ptp(abar) < 1e-10
 
     def test_one_solve_per_distinct_mu(self, sectors23, bump_potential, exps23,
@@ -572,22 +574,21 @@ class TestAlphaField:
             sf = compute_scalings(curve, sample_potential(bump_potential, curve),
                                   0.05, exps23)
             calls.clear()
-            abar, modes = alpha_field(sf, sectors23)
+            crossing = alpha_field(sf, sectors23)
             mus = 2.0 * sf.fprime / sf.k
             tol = spectrum.MU_GROUP_TOL * max(1.0, np.max(np.abs(mus)))
             # the ellipse's symmetries s -> -s, s -> s + L/2 leave M/4 + 1
             # distinct values of μ, one solve each, in ascending order
             assert len(calls) == M // 4 + 1
-            assert len({id(m) for m in modes}) == len(calls)
+            assert len({id(m) for m in crossing}) == len(calls)
             assert sorted(calls) == calls
             # every node within the tolerance of the μ of its group's solve
-            for mu, mode, alpha in zip(mus, modes, abar):
+            for mu, mode in zip(mus, crossing):
                 assert abs(mode.mu - mu) <= tol
-                assert alpha == mode.alpha_bar
             # neighbours in sorted μ from different groups are farther apart
             order = np.argsort(mus)
             for i, j in zip(order[:-1], order[1:]):
-                if modes[i] is not modes[j]:
+                if crossing[i] is not crossing[j]:
                     assert mus[j] - mus[i] > tol
 
 
@@ -601,19 +602,16 @@ class TestAlphaField:
                               0.05, exps23)
         calls = record_eigensolves(monkeypatch)
         tol = 1e-8
-        abar, modes = alpha_field(sf, sectors23, tol=tol)
-        groups = list({id(m): m for m in modes}.values())
+        crossing = alpha_field(sf, sectors23, tol=tol)
+        groups = list({id(m): m for m in crossing}.values())
         # measured 123 (0.85:0.6) and 127 (2:1) eigensolves for 65 groups
         assert len(calls) <= 2 * len(groups)
         monkeypatch.undo()
         cold = {id(m): find_alpha_bar(sectors23, m.mu, tol=tol) for m in groups}
         assert max(abs(m.alpha_bar - cold[id(m)].alpha_bar) for m in groups) \
             <= 2 * tol
-        warm_q = q_integrals(modes)
-        cold_q = q_integrals([cold[id(m)] for m in modes])
-        for name in ("q1", "q2", "q3"):
-            assert np.max(np.abs(getattr(warm_q, name) - getattr(cold_q, name))) \
-                < 1e-8
+        for m in groups:
+            assert np.max(np.abs(np.subtract(m.q, cold[id(m)].q))) < 1e-8
 
 
 class TestPerturbationProfiles:
