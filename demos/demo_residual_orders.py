@@ -5,7 +5,8 @@ removes it; the second correctors cancel the parameter-independent O(ε²)
 part as well.  On a critical circle the log-log slopes come out close to
 1, 2 and 3, with the level-2 norm strictly below level 1 at every ε.
 
-Runtime is about 5 s: one s̄ grid of 1280 sections serves every ε.
+Runtime is about 0.7 s on 2 vCPUs: one s̄ grid of 1280 sections serves
+every ε.
 """
 
 from nlscurve.geometry import CurveSpec, PotentialField, build_curve, sample_potential

@@ -404,33 +404,45 @@ def cutoff_negligibility_study(curve, V, sf, U, correctors, eps_list):
 
 
 def residual_study(curve_for, V, phase_speed, exps, U, eps_list,
-                   levels=(0, 1, 2), base_M=256, delta_bar=0.25,
-                   varsigma=VARSIGMA, dz_factor=16, f1_drift=0.0):
-    """Residual norms of the leveled ansatz over a family of ε.
+                   levels=(0, 1, 2), base_M=256):
+    """``residual_orders`` on a curve of N_s = ceil(base_M / max ε) nodes.
 
-    ``curve_for(M)`` must return the concentration curve sampled at M nodes.
-    The curve, scalings and correctors are built once, at
-    N_s = ceil(base_M / max ε) nodes: the phase-factored tube fields are
-    smooth in s̄, so one s̄ grid serves every ε, and ``base_M`` is the
-    s-spacing 1/ds at the largest ε.  For each ε only the tube grid is
-    built, and the requested ansatz levels are assembled and measured.  All
-    ε are measured over the common z-window given by the largest ε's cutoff
-    interior (``core_radius``), keeping the log-log order fits free of
-    window effects.  Each ε's tube grid covers only that window plus the
-    stencil margin, so its size does not grow with 1/ε: at a window node
-    the cutoff is 1, the field is assembled pointwise, and S_ε reads only
-    the node's z-column and 2 nodes either side, so the norms equal those
-    of the full grid bit for bit.  Returns (records, fits); a repeated ε or
+    ``curve_for(M)`` must return the concentration curve sampled at M
+    nodes; its potential samples and scalings at ``phase_speed`` are built
+    here, and ``base_M`` is the s-spacing 1/ds at the largest ε.  The other
+    arguments and the return value are those of ``residual_orders``.
+    """
+    curve = curve_for(int(np.ceil(base_M / max(eps_list))))
+    pot = sample_potential(V, curve)
+    sf = compute_scalings(curve, pot, phase_speed, exps)
+    return residual_orders(curve, V, pot, sf, U, eps_list, levels)
+
+
+def residual_orders(curve, V, pot, sf, U, eps_list, levels=(0, 1, 2)):
+    """Residual norms of the leveled ansatz over a family of ε, on ``curve``.
+
+    ``pot`` and ``sf`` are the potential ``V`` sampled on the curve and the
+    scalings there.  The correctors are built once, on the curve's s̄ nodes
+    and with no f₁ drift: the phase-factored tube fields are smooth in s̄,
+    so one s̄ grid that resolves the curve's coefficients serves every ε.
+    For each ε only the tube grid is built (cutoff exponent δ̄ = 0.25,
+    dz_factor 16), and the requested ansatz levels are assembled and
+    measured in the norm weighted by ς = VARSIGMA.  All ε are measured over
+    the common z-window given by the largest ε's cutoff interior
+    (``core_radius``), keeping the log-log order fits free of window
+    effects.  Each ε's tube grid covers only that window plus the stencil
+    margin, so its size does not grow with 1/ε: at a window node the
+    cutoff is 1, the field is assembled pointwise, and S_ε reads only the
+    node's z-column and 2 nodes either side, so the norms equal those of
+    the full grid bit for bit.  Returns (records, fits); a repeated ε or
     level, which would fit an order to fewer distinct points than it
     counts, raises ValidationError.
     """
     eps_list = list(eps_list)
     if len(set(eps_list)) < len(eps_list) or len(set(levels)) < len(levels):
         raise ValidationError("eps_list and levels must not repeat a value")
-    curve = curve_for(int(np.ceil(base_M / max(eps_list))))
-    pot = sample_potential(V, curve)
-    sf = compute_scalings(curve, pot, phase_speed, exps)
-    correctors = build_correctors(curve, pot, sf, U, f1_drift=f1_drift)
+    delta_bar, dz_factor = 0.25, 16
+    correctors = build_correctors(curve, pot, sf, U)
     dz = z_spacing(sf, dz_factor)
     z_window = min(float(np.min(core_radius(np.sqrt(pot.values), eps,
                                             delta_bar, dz)))
@@ -444,7 +456,7 @@ def residual_study(curve_for, V, phase_speed, exps, U, eps_list,
             ans = assemble_ansatz(grid, curve, sf, U, correctors,
                                   AnsatzParams(level=level))
             res = residual_field(ans)
-            nrm = weighted_norm(res, grid, varsigma * sf.k, z_window)
+            nrm = weighted_norm(res, grid, VARSIGMA * sf.k, z_window)
             records.append({"eps": float(eps), "level": int(level),
                             "norm": float(nrm)})
 

@@ -9,8 +9,9 @@ class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge or reached an inadmissible result.
 
     The solvers: Petviashvili's iteration and Newton for the ground state,
-    Newton for the scalings, Brent's method for scalar roots, and the
-    eigen-solves of ``spectrum``.
+    Newton for the scalings, Brent's method for scalar roots, the
+    eigen-solves of ``spectrum``, and the runner's α grid, which must reach
+    the traced ground branch's sign change.
     """
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .geometry import (CurveSpec, PotentialField, build_curve, freeze_arrays,
                        sample_potential)
 from .radial import RadialGrid, ground_state, ode_residual, check_p
@@ -39,22 +39,22 @@ from .spectrum import (BOUND_BRANCHES, alpha_field, continuum_threshold,
                        coupled_sectors, find_alpha_bar, trace_branches)
 from .resonance import (FastModes, gap_scan, gap_scan_oracle,
                         resonance_eigenpairs, verify_coupled_system)
-from .ansatz import residual_study
+from .ansatz import residual_orders
 
 log = logging.getLogger(__name__)
 
 DEFAULTS = {
-    "problem": {"n": "2", "p": "3.0", "phase_speed": "0.0", "f1_drift": "0.0",
-                "potential": "1"},
+    "problem": {"n": "2", "p": "3.0", "phase_speed": "0.0", "potential": "1"},
     "curve": {"kind": "circle", "radius": "1.0", "a": "2.0", "b": "1.0",
               "samples": "256"},
-    "grids": {"radial_m": "3000", "radial_rmax": "30.0", "tube_delta_bar": "0.25",
-              "varsigma": "0.5", "dz_factor": "16"},
+    "grids": {"radial_m": "3000", "radial_rmax": "30.0"},
     "resonance": {"delta": "0.3", "eps": "0.05", "gap_threshold": "0.1",
                   "gap_eps_grid": "0.08:0.02:25"},
-    "residual": {"eps_list": "0.2,0.1,0.05", "levels": "0,1,2", "base_samples": "256"},
+    "residual": {"eps_list": "0.2,0.1,0.05"},
     "run": {"stages": "profile", "out_dir": "", "assert_acceptance": "false"},
 }
+
+ALPHA_GRID_MAX = 5.0    # the branches stage's α grid ends by here
 
 
 @dataclass(frozen=True)
@@ -65,21 +65,15 @@ class RunConfig:
     n: int
     p: float
     phase_speed: float
-    f1_drift: float
     potential: str
     curve: CurveSpec
     curve_samples: int
     radial: RadialGrid
-    delta_bar: float
-    varsigma: float
-    dz_factor: float
     delta: float
     res_eps: float
     gap_threshold: float
     gap_eps_grid: np.ndarray
     residual_eps: tuple
-    residual_levels: tuple
-    residual_base_M: int
     stages: tuple
     out_dir: str
     assert_acceptance: bool
@@ -155,7 +149,6 @@ def parse_config(path):
             violations.append(str(exc))
     phase_speed = grab("problem", "phase_speed", float, lambda v: v >= 0,
                        "phase speed must be nonnegative")
-    f1_drift = grab("problem", "f1_drift", float)
     potential = cp.get("problem", "potential")
     try:
         PotentialField(potential, n or 2)
@@ -180,12 +173,6 @@ def parse_config(path):
     grid = None
     if radial_m and radial_rmax:
         grid = RadialGrid(radial_rmax, radial_m)
-    delta_bar = grab("grids", "tube_delta_bar", float, lambda v: 0 < v < 1,
-                     "delta_bar in (0,1)")
-    varsigma = grab("grids", "varsigma", float, lambda v: 0 <= v < 1,
-                    "varsigma in [0,1)")
-    dz_factor = grab("grids", "dz_factor", float, lambda v: v >= 8,
-                     "z spacing must be at least 1/(8 k)")
 
     delta = grab("resonance", "delta", float, lambda v: 0 < v < 1, "delta in (0,1)")
     res_eps = grab("resonance", "eps", float, lambda v: v > 0, "eps > 0")
@@ -200,12 +187,6 @@ def parse_config(path):
                     lambda v: len(set(v)) == len(v) >= 3
                     and all(e > 0 for e in v),
                     "needs >= 3 distinct positive values")
-    levels = grab("residual", "levels", _parse_float_list,
-                  lambda v: v and len(set(v)) == len(v)
-                  and all(lv in (0, 1, 2) for lv in v),
-                  "need distinct levels within {0,1,2}")
-    base_M = grab("residual", "base_samples", int, lambda v: v >= 64,
-                  "need >= 64 base samples")
 
     stages = grab("run", "stages", _parse_stages)
     out_dir = cp.get("run", "out_dir") or os.environ.get("NLSCURVE_OUT", "out")
@@ -215,14 +196,10 @@ def parse_config(path):
     if violations:
         raise ValidationError("invalid run file:\n  " + "\n  ".join(violations))
 
-    return RunConfig(n=n, p=p, phase_speed=phase_speed, f1_drift=f1_drift,
-                     potential=potential,
+    return RunConfig(n=n, p=p, phase_speed=phase_speed, potential=potential,
                      curve=curve_spec, curve_samples=samples, radial=grid,
-                     delta_bar=delta_bar, varsigma=varsigma, dz_factor=dz_factor,
                      delta=delta, res_eps=res_eps, gap_threshold=gap_threshold,
                      gap_eps_grid=gap_grid, residual_eps=eps_list,
-                     residual_levels=tuple(int(lv) for lv in levels),
-                     residual_base_M=base_M,
                      stages=stages, out_dir=out_dir,
                      assert_acceptance=assert_acceptance)
 
@@ -365,8 +342,17 @@ def stage_criticality(run):
 def stage_branches(run):
     sectors, sf = run.sectors, run.sf
     mu = float(np.max(np.abs(2 * sf.fprime / sf.k)))
-    alphas = np.linspace(0.0, 2.2, 23)
-    branches = trace_branches(sectors, mu, alphas)
+    # [0, 2.2] in steps of 0.1, extended by 0.1 while the traced ground
+    # branch is still <= 0 at the grid's end: the end follows from the trace,
+    # not from the Newton ᾱ, so the bracket check below stays independent
+    for end in range(22, round(10 * ALPHA_GRID_MAX) + 1):
+        alphas = np.linspace(0.0, end / 10, end + 1)
+        branches = trace_branches(sectors, mu, alphas)
+        if not branches["ground"].eigenvalues[-1] <= 0:
+            break
+    else:
+        raise ConvergenceError(f"the traced ground branch is still <= 0 at "
+                               f"alpha = {ALPHA_GRID_MAX}")
     # every eigenvalue under the continuum threshold is a traced branch: at
     # every α the sector's inertia count equals its finite traced values
     bound = all(np.array_equal(
@@ -423,34 +409,20 @@ def stage_gap_scan(run):
 
 
 def stage_residual(run):
-    cfg = run.cfg
-
-    def curve_for(M):
-        return build_curve(cfg.curve, M)
-
-    records, fits = residual_study(curve_for, run.V, cfg.phase_speed, run.exps,
-                                   run.U, cfg.residual_eps, cfg.residual_levels,
-                                   base_M=cfg.residual_base_M,
-                                   delta_bar=cfg.delta_bar,
-                                   varsigma=cfg.varsigma,
-                                   dz_factor=cfg.dz_factor,
-                                   f1_drift=cfg.f1_drift)
+    # levels 0-2 on the run's own curve: its s̄ grid serves every ε
+    records, fits = residual_orders(run.curve, run.V, run.pot, run.sf, run.U,
+                                    run.cfg.residual_eps)
     run.csvs["residual"] = ("eps,level,norm", np.array(
         [[r["eps"], r["level"], r["norm"]] for r in records]))
-    out = {"records": records,
-           "slopes": {str(lv): fits[lv]["slope"] for lv in fits},
-           "checks": {}}
-    if 0 in fits:
-        out["checks"]["level0_slope_ge_0.9"] = bool(fits[0]["slope"] >= 0.9)
-    for lv in (1, 2):
-        if lv in fits:
-            out["checks"][f"level{lv}_slope_ge_1.8"] = bool(fits[lv]["slope"] >= 1.8)
-    if 1 in fits and 2 in fits:
-        n1 = {r["eps"]: r["norm"] for r in records if r["level"] == 1}
-        n2 = {r["eps"]: r["norm"] for r in records if r["level"] == 2}
-        out["checks"]["level2_below_level1"] = bool(
-            all(n2[e] < n1[e] for e in n1))
-    return out
+    n1 = {r["eps"]: r["norm"] for r in records if r["level"] == 1}
+    n2 = {r["eps"]: r["norm"] for r in records if r["level"] == 2}
+    return {"records": records,
+            "slopes": {str(lv): fits[lv]["slope"] for lv in fits},
+            "checks": {
+                "level0_slope_ge_0.9": bool(fits[0]["slope"] >= 0.9),
+                "level1_slope_ge_1.8": bool(fits[1]["slope"] >= 1.8),
+                "level2_slope_ge_1.8": bool(fits[2]["slope"] >= 1.8),
+                "level2_below_level1": bool(all(n2[e] < n1[e] for e in n1))}}
 
 
 STAGE_FUNCS = {

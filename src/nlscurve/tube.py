@@ -100,16 +100,16 @@ def core_radius(K, eps, delta_bar, dz):
     return eps ** (-delta_bar) / K - np.maximum(0.5 / K, MARGIN * dz)
 
 
-def build_tube_grid(curve, V, sf, eps, delta_bar=0.25, half_width=None,
-                    dz_factor=10.0):
+def build_tube_grid(curve, V, sf, eps, dz_factor, delta_bar=0.25,
+                    half_width=None):
     """Tube grid on the curve's s̄ nodes, N_s = curve.M for every ε.
 
     Phase-factored fields are smooth in s̄, so the curve sampling alone sets
     the resolution along it.  The z axes cover |z_j| <= ``half_width``
     (by default the cutoff ball's radius R_outer = (ε^{-δ̄}+1)/min K) plus
-    the stencil margin, with spacing ``z_spacing``.  The focal-distance
-    check covers the whole cutoff ball, or the grid if it is wider.  The
-    nonlinearity's exponent is that of the scalings ``sf``.
+    the stencil margin, with spacing ``z_spacing(sf, dz_factor)``.  The
+    focal-distance check covers the whole cutoff ball, or the grid if it is
+    wider.  The nonlinearity's exponent is that of the scalings ``sf``.
     """
     N_s = curve.M
     L = curve.L

@@ -119,7 +119,7 @@ class TestApplySEps:
 
     def test_constant_field(self, segment_setup):
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
-        grid = build_tube_grid(seg, V, sf, 0.1)
+        grid = build_tube_grid(seg, V, sf, 0.1, dz_factor=10)
         c = 0.7 + 0.0j
         res = apply_S_eps(np.full((grid.n_s,) + grid.z_shape, c), grid)
         assert np.max(np.abs(res[core_mask(grid)] - (c - abs(c) ** 2 * c))) < 1e-12
@@ -159,7 +159,7 @@ class TestApplySEps:
 
     def test_small_amplitude_linearity(self, segment_setup):
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
-        grid = build_tube_grid(seg, V, sf, 0.1)
+        grid = build_tube_grid(seg, V, sf, 0.1, dz_factor=10)
         amp = 1e-5
         psi = amp * np.exp(-grid.znorm**2)[None] * grid.cutoff + 0.0j
         res = apply_S_eps(psi, grid)
@@ -544,7 +544,7 @@ class TestFastModes:
 class TestWeightedNorms:
     def test_exponential_identity(self, segment_setup, U23):
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
-        grid = build_tube_grid(seg, V, sf, 0.1)
+        grid = build_tube_grid(seg, V, sf, 0.1, dz_factor=10)
         field = np.exp(-sf.k[0] * grid.znorm)[None] * np.ones((grid.n_s, 1))
         val = weighted_norm(field.astype(complex), grid, sf.k,
                             core_window(grid))

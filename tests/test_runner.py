@@ -5,14 +5,16 @@ import json
 import logging
 import pathlib
 import re
+import types
 
 import numpy as np
 import pytest
 
+import nlscurve.ansatz as ansatz
 import nlscurve.radial as radial
 import nlscurve.runner as runner
 import nlscurve.spectrum as spectrum
-from nlscurve.errors import ValidationError
+from nlscurve.errors import ConvergenceError, ValidationError
 from nlscurve.resonance import FastModes, gap_scan
 from nlscurve.runner import emit_report, main, parse_config, run_pipeline
 
@@ -117,20 +119,30 @@ class TestParseConfig:
         text = MINIMAL + "\n[residual]\neps_list = 0.2;0.1;0.05\n"
         assert parse_config(write(tmp_path, text)).residual_eps == (0.2, 0.1, 0.05)
 
+    @pytest.mark.parametrize("section, key", [
+        ("residual", "base_samples"), ("residual", "levels"),
+        ("grids", "tube_delta_bar"), ("grids", "varsigma"),
+        ("grids", "dz_factor"), ("problem", "f1_drift")])
+    def test_removed_residual_key_is_rejected(self, tmp_path, section, key,
+                                              capsys):
+        # the residual stage runs levels 0-2 on the run's curve with the
+        # library's tube and weight defaults; these keys no longer exist
+        text = MINIMAL if f"[{section}]" in MINIMAL else MINIMAL + f"\n[{section}]\n"
+        path = write(tmp_path, text.replace(f"[{section}]\n",
+                                            f"[{section}]\n{key} = 1\n"))
+        assert main([path]) == 2
+        assert f"unknown key {key!r} in section [{section}]" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, line", [
         ("residual", "eps_list = 0.2,abc,0.05"),
-        ("residual", "levels = 0,1.5,2"),
-        ("residual", "levels ="),
         ("resonance", "gap_eps_grid = 0.08:0.02:0"),
-        ("residual", "eps_list = 0.2,0.2,0.1"),
-        ("residual", "levels = 0,0,1")],
-        ids=["eps_list", "levels", "no_levels", "gap_eps_grid", "repeated_eps",
-             "repeated_levels"])
+        ("residual", "eps_list = 0.2,0.2,0.1")],
+        ids=["eps_list", "gap_eps_grid", "repeated_eps"])
     def test_bad_list_value_is_a_violation(self, tmp_path, section, line):
-        # a non-numeric value, a non-integer level, no level, an empty ε
-        # scan and a repeated ε or level are run-file violations (exit
-        # status 2), not a crash, a silent read or an order fit over fewer
-        # distinct ε than the list counts
+        # a non-numeric value, an empty ε scan and a repeated ε are run-file
+        # violations (exit status 2), not a crash, a silent read or an order
+        # fit over fewer distinct ε than the list counts
         path = write(tmp_path, MINIMAL + f"\n[{section}]\n{line}\n")
         with pytest.raises(ValidationError, match=line.split(" =")[0]):
             parse_config(path)
@@ -142,12 +154,11 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, MINIMAL))
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.stages = ["geometry"]
-        for seq in (cfg.stages, cfg.residual_eps, cfg.residual_levels):
+        for seq in (cfg.stages, cfg.residual_eps):
             with pytest.raises(AttributeError):
                 seq.append(1)
         with pytest.raises(ValueError, match="read-only"):
             cfg.gap_eps_grid[0] = 1.0
-        assert cfg.residual_levels == (0, 1, 2)
 
     def test_unknown_stage_is_named(self, tmp_path):
         path = write(tmp_path, MINIMAL + "\n[run]\nstages = profile, wibble\n")
@@ -263,6 +274,52 @@ class TestPipeline:
         summary, _ = run_pipeline(cfg)
         assert summary["checks"][key] is False
         assert summary["all_checks_pass"] is False
+
+    @pytest.mark.parametrize("n, potential, alpha_end", [
+        (2, "1/(1+r2)", 2.2), (3, "1/(1+r2)", 2.4), (3, "1/(1+r2+x3*x3)", 2.4)],
+        ids=["n2", "n3", "n3_nondegenerate"])
+    def test_alpha_grid_reaches_the_ground_crossing(self, tmp_path, n,
+                                                    potential, alpha_end):
+        # the α grid is [0, 2.2] in steps of 0.1, extended while the traced
+        # ground branch is still <= 0 at its end: on the README circle in R³
+        # (ᾱ = 2.3304) it reads -0.589 at 2.2, -0.140 at 2.3 and 0.328 at
+        # 2.4, so the grid ends at 2.4 and brackets ᾱ.  The n = 3 count
+        # finds a second ℓ = 0 bound state that no branch traces yet.
+        text = readme_run_file()
+        for pattern, repl in [
+                (r"\nn = 2\n", f"\nn = {n}\n"),
+                (r"\nradius = .*", "\nradius = 0.9950370682751267" if n == 3
+                 else "\nradius = 0.7012465"),
+                (r"\npotential = .*", f"\npotential = {potential}"),
+                (r"\nstages = .*", "\nstages = branches")]:
+            text, count = re.subn(pattern, repl, text)
+            assert count == 1, pattern
+        summary, csvs = run_pipeline(parse_config(write(tmp_path, text)))
+        alphas = csvs["branches"][1][:, 0]
+        assert np.array_equal(alphas, np.linspace(0.0, alpha_end,
+                                                  round(10 * alpha_end) + 1))
+        checks = summary["stages"]["branches"]["checks"]
+        assert checks["alpha_bar_in_traced_bracket"] is True
+        assert checks["bound_states_are_the_traced_branches"] is (n == 2)
+
+    def test_alpha_grid_ends_at_its_stated_maximum(self, tmp_path,
+                                                   monkeypatch):
+        # a ground branch that stays negative stops the grid at
+        # ALPHA_GRID_MAX with a ConvergenceError, a failed stage (exit 3)
+        ends = []
+
+        def negative(sectors, mu, alphas):
+            ends.append(alphas[-1])
+            return {"ground": types.SimpleNamespace(
+                eigenvalues=-np.ones(alphas.size))}
+
+        monkeypatch.setattr(runner, "trace_branches", negative)
+        text = re.sub(r"stages = .*", "stages = branches", readme_run_file())
+        with pytest.raises(RuntimeError, match="still <= 0 at alpha = 5.0") \
+                as info:
+            run_pipeline(parse_config(write(tmp_path, text)))
+        assert isinstance(info.value.__cause__, ConvergenceError)
+        assert ends == [k / 10 for k in range(22, 51)]
 
     def test_resonance_and_gap_scan_share_fast_modes(self, tmp_path,
                                                      monkeypatch):
@@ -384,11 +441,29 @@ class TestPipeline:
         assert summary["stages"] == {} and csvs == {}
         assert summary["all_checks_pass"]
 
-    def test_residual_stage_on_readme_circle(self, tmp_path):
-        # the criterion-8 residual study on the README circle, N_s = 320
-        text = re.sub(r"stages = .*", "stages = profile, residual",
-                      readme_run_file()) + "\n[residual]\nbase_samples = 64\n"
+    def test_residual_stage_on_readme_circle(self, tmp_path, monkeypatch):
+        # the criterion-8 residual study on the README circle runs on the
+        # run's one curve: every tube grid has its [curve] samples = 256 s̄
+        # nodes, whatever ε
+        curves, grids = [], []
+        build_curve, build_tube_grid = runner.build_curve, ansatz.build_tube_grid
+
+        def curve(*args):
+            curves.append(build_curve(*args))
+            return curves[-1]
+
+        def tube(*args, **kwargs):
+            grids.append(build_tube_grid(*args, **kwargs))
+            assert args[0] is curves[0]
+            return grids[-1]
+
+        monkeypatch.setattr(runner, "build_curve", curve)
+        monkeypatch.setattr(ansatz, "build_tube_grid", tube)
+        text = re.sub(r"stages = .*", "stages = profile, geometry, residual",
+                      readme_run_file())
         summary, csvs = run_pipeline(parse_config(write(tmp_path, text)))
+        assert len(curves) == 1
+        assert [grid.n_s for grid in grids] == [256] * 3
         emit_report(summary, csvs, str(tmp_path / "out"))
         checks = summary["stages"]["residual"]["checks"]
         assert checks == {"level0_slope_ge_0.9": True,
