@@ -48,6 +48,11 @@ from .geometry import fourier_diff_matrices, periodic_derivative
 # curve: a circle spreads them by at most one rounding step, an ellipse by
 # 1e-1 (kᾱ) and 3e-3 (weight).
 CONSTANT_RTOL = 8 * np.finfo(float).eps
+# Gap between sorted ν, relative to max |ν| of the window, up to which they
+# form one cluster in verify_coupled_system: a circle's Fourier pairs split
+# by round-off (1e-14), the 0.85:0.6 ellipse's by 2e-9 at ε = 0.05, and
+# distinct modes by about 1/J, J the half-width of the window.
+NU_CLUSTER_RTOL = 1e-6
 
 
 @dataclass
@@ -219,19 +224,24 @@ def verify_coupled_system(basis):
     f'·Q₃/Q₂, which is identically zero when the phase speed vanishes (then
     W = 0 makes Q₂ = 0 as well); that case is treated as zero coupling.
 
-    Inside an exactly degenerate ν pair (on a circle, the two Fourier modes
-    of each 0 < m < M/2) the eigenvectors are fixed only up to a rotation
-    of the pair, and the per-j sup norms depend on the rotation the
-    eigensolver returns: on the README circle two such rotations differ by
-    up to 4.4e-4 relative in these values.  A residual per pair, or of the
-    pair's projector, would not depend on it.
+    Inside a cluster of equal ν (on a circle, the two Fourier modes of each
+    0 < m < M/2; ν within NU_CLUSTER_RTOL·max|ν| of each other) the
+    eigenvectors are fixed only up to a rotation of the cluster.  So the
+    lines take the cluster's mean ν, each line is measured per node by its
+    Euclidean norm across the cluster, which a rotation does not change, and
+    each j reports its cluster's sup over the nodes.
 
     Returns (max residual, per-j residual array).
     """
     modes = basis.modes
     q1, q2, q3 = (q[:, None] for q in (modes.q1, modes.q2, modes.q3))
     sf, fp, ka = modes.sf, modes.sf.fprime[:, None], modes.ka[:, None]
-    eps, nu, L = basis.eps, basis.nu, sf.L
+    eps, L = basis.eps, sf.L
+    order = np.argsort(basis.nu)
+    cluster = np.empty(basis.nu.size, dtype=int)
+    cluster[order] = np.cumsum(np.concatenate([[0], np.diff(basis.nu[order])
+                               > NU_CLUSTER_RTOL * np.max(np.abs(basis.nu))]))
+    nu = (np.bincount(cluster, basis.nu) / np.bincount(cluster))[cluster]
     b, x = basis.beta.T, basis.xi.T                   # [node, j]
     line1 = -eps**2 * periodic_derivative(b, L, 2) - ka**2 * b - nu * b
     line2 = -eps**2 * periodic_derivative(x, L, 2) - ka**2 * x - nu * x
@@ -239,7 +249,9 @@ def verify_coupled_system(basis):
         line1 -= 2.0 * fp * (q3 / q1) * (eps * periodic_derivative(x, L) + ka * b)
         line2 += 2.0 * fp * (q3 / np.maximum(q2, 1e-300)) \
             * (eps * periodic_derivative(b, L) - ka * x)
-    res = np.maximum(np.max(np.abs(line1), axis=0), np.max(np.abs(line2), axis=0))
+    same = (cluster[:, None] == cluster).astype(float)
+    res = np.maximum(*(np.max(np.sqrt(line**2 @ same), axis=0)
+                       for line in (line1, line2)))
     return float(np.max(res)), res
 
 

@@ -25,8 +25,12 @@ branch trace and every crossing search starts at α = 0, where the coupling
 μα vanishes and the lowest eigenpairs of an ℓ-sector are exactly the lowest
 of the scalar L_r and L_i tridiagonal spectra (radial.lowest_eigenpairs).
 Every later point is a continuation: inverse iteration on the banded
-pentadiagonal from the neighbouring eigenvector, with the Rayleigh quotient
-as the eigenvalue.  The lowest branch of a sector keeps the banded Cholesky
+pentadiagonal from the neighbouring eigenvector, or in a trace from the line
+through the previous two (scaled by the α spacings), with the Rayleigh
+quotient as the eigenvalue.  The iteration stops when a step is below
+INVERSE_ITERATION_TOL or, once the steps decrease, when the next step
+predicted at their rate is, which saves the solve that would only confirm
+convergence.  The lowest branch of a sector keeps the banded Cholesky
 factor at a rigorous shift under the spectrum, which certifies the shift and
 makes the limit the lowest eigenpair; the gauge branch, which is not the
 lowest, is shifted to its predicted eigenvalue through a banded LU, or,
@@ -60,7 +64,8 @@ from .radial import Sector, lowest_eigenpairs, sector_solve
 SHIFT_MARGIN = 1e-2
 # relative gap in the sorted μ(s̄) that separates two crossing solves
 MU_GROUP_TOL = 1e-12
-# inverse iteration stops once a step moves the unit vector by less than this
+# inverse iteration stops once a step moves the unit vector by less than
+# this, or once the next step predicted at the observed rate would (_converged)
 INVERSE_ITERATION_TOL = 1e-10
 INVERSE_ITERATION_STEPS = 100
 # least |overlap| between a branch's eigenvectors at consecutive α
@@ -226,7 +231,12 @@ def _warm_pair(sector, alpha, mu, phi, near=None):
     at the rigorous shift of _cholesky_below both certifies that the shift
     lies below the spectrum and makes the lowest eigenvector dominant.
     Otherwise the shift is ``near`` and the limit is the eigenpair nearest
-    it, through a banded LU.  λ is the Rayleigh quotient of the limit.
+    it, through a banded LU.  λ is the Rayleigh quotient of the limit.  φ
+    need not be a unit vector: trace_branches passes the line through the
+    eigenvectors at the previous two α.  The iteration converges linearly,
+    so it stops when the next step, predicted at the observed rate, would be
+    below INVERSE_ITERATION_TOL (_converged), without the solve that would
+    only confirm it.
     """
     bands = sector.bands(alpha, mu)
     if near is None:
@@ -235,14 +245,25 @@ def _warm_pair(sector, alpha, mu, phi, near=None):
     else:
         solve = _lu_solver(bands, near)
     x = phi / np.linalg.norm(phi)
+    last = 0.0                # no previous step: the rate needs two
     for _ in range(INVERSE_ITERATION_STEPS):
         y = solve(x)
         y /= np.linalg.norm(y) if y @ x > 0 else -np.linalg.norm(y)
         step, x = np.linalg.norm(y - x), y
-        if step < INVERSE_ITERATION_TOL:
+        if _converged(step, last):
             return float(x @ _band_matvec(bands, x)), x
+        last = step
     raise ConvergenceError(f"inverse iteration at alpha={alpha:.6g} did not "
                            "converge")
+
+
+def _converged(step, last):
+    """Whether inverse iteration stops after a step of length ``step`` that
+    followed one of length ``last`` (0 before the second step): when the
+    step is below INVERSE_ITERATION_TOL, or when the steps decrease and the
+    next one, predicted at their observed rate as step²/last, would be."""
+    return step < INVERSE_ITERATION_TOL or (
+        step < last and step * step < INVERSE_ITERATION_TOL * last)
 
 
 @dataclass(frozen=True)
@@ -286,18 +307,20 @@ def trace_branches(sectors, mu, alpha_grid):
 
     The third branch τ_α is the continuum threshold (continuum_threshold).
     The grid starts at α = 0, where each sector's pairs are exact
-    (_CoupledSector.start); each later α continues every branch from its
-    eigenvector at the previous α (_warm_pair), the lowest branch of a
-    sector at the rigorous shift and the gauge branch at its eigenvalue
-    predicted from the Hellmann–Feynman slope, or at a shift isolated by
-    inertia counts where that prediction overshoots towards the continuum
-    (_next_pair).  The k-th branch of a sector
-    is traced while bound_state_counts certifies more than k eigenvalues
-    below τ_α; from the first α where it does not, the branch reads NaN, so
-    wherever the count does not exceed the traced branches the number of
-    finite values equals it.  A continued value at or above τ_α where the
-    count says it is bound, or an overlap between consecutive eigenvectors
-    below OVERLAP_FLOOR, raises BranchTrackingError.
+    (_CoupledSector.start); each later α continues every branch by inverse
+    iteration (_warm_pair) from its eigenvector extrapolated linearly from
+    the previous two α, with the ratio of the grid spacings (from the α = 0
+    eigenvector at the first step): the lowest branch of a sector at the
+    rigorous shift and the gauge branch at its eigenvalue predicted from
+    the Hellmann–Feynman slope, or at a shift isolated by inertia counts
+    where that prediction overshoots towards the continuum (_next_pair).
+    The k-th branch of a sector is traced while bound_state_counts
+    certifies more than k eigenvalues below τ_α; from the first α where it
+    does not, the branch reads NaN, so wherever the count does not exceed
+    the traced branches the number of finite values equals it.  A
+    continued value at or above τ_α where the count says it is bound, or an
+    overlap below OVERLAP_FLOOR between the eigenvectors at consecutive α
+    (not the extrapolated start), raises BranchTrackingError.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if alpha_grid.size < 2 or alpha_grid[0] != 0 or np.any(np.diff(alpha_grid) <= 0):
@@ -315,22 +338,27 @@ def trace_branches(sectors, mu, alpha_grid):
                 if not bound[i, index]:
                     break
                 if i:
+                    prev = alpha_grid[i - 1]
+                    start = phi
+                    if i > 1:
+                        # the line through the previous two eigenvectors
+                        start = phi + (phi - older) * (
+                            (alpha - prev) / (prev - alpha_grid[i - 2]))
                     if index == 0:
-                        lam, new = _warm_pair(sector, alpha, mu, phi)
+                        lam, new = _warm_pair(sector, alpha, mu, start)
                     else:
-                        prev = alpha_grid[i - 1]
                         near = lam + _slopes(phi, prev, mu)[0] * (alpha - prev)
                         below = out[labels[index - 1]].eigenvalues[i]
                         # τ_α bounds this eigenvalue alone where the count
                         # admits no other above it
                         upper = tau[i] if counts[ell][i] == index + 1 else None
-                        lam, new = _next_pair(sector, alpha, mu, phi, near, index,
-                                              below, upper)
+                        lam, new = _next_pair(sector, alpha, mu, start, phi, near,
+                                              index, below, upper)
                     overlap = abs(float(new @ phi))
                     if overlap < OVERLAP_FLOOR or lam >= tau[i]:
                         raise BranchTrackingError("branch tracking ambiguous",
                                                   alpha, overlap)
-                    phi = new
+                    older, phi = phi, new
                 lams[i] = lam
                 funcs.append(sector.profiles(phi))
             label = labels[index]
@@ -340,8 +368,9 @@ def trace_branches(sectors, mu, alpha_grid):
     return out
 
 
-def _next_pair(sector, alpha, mu, phi, near, k, below, upper):
-    """Continue the branch of the (k+1)-th eigenvalue of a sector from φ.
+def _next_pair(sector, alpha, mu, start, phi, near, k, below, upper):
+    """Continue the branch of the (k+1)-th eigenvalue of a sector, whose
+    eigenvector at the previous α is φ, by inverse iteration from ``start``.
 
     Inverse iteration at its predicted eigenvalue ``near``.  Near the
     continuum the prediction can overshoot towards the box modes above τ_α;
@@ -351,14 +380,14 @@ def _next_pair(sector, alpha, mu, phi, near, k, below, upper):
     isolating_shift instead.
     """
     try:
-        lam, new = _warm_pair(sector, alpha, mu, phi, near)
+        lam, new = _warm_pair(sector, alpha, mu, start, near)
         if upper is None or (lam < upper and abs(new @ phi) >= OVERLAP_FLOOR):
             return lam, new
     except ConvergenceError:
         if upper is None:
             raise
     shift = sector.isolating_shift(alpha, mu, k, below, upper)
-    return _warm_pair(sector, alpha, mu, phi, shift)
+    return _warm_pair(sector, alpha, mu, start, shift)
 
 
 def continuum_threshold(alpha, mu):
@@ -400,36 +429,48 @@ def _count_below(sectors, coupling, diagonal):
     eigenvalue to round-off) leaves the count undefined: ConvergenceError.
     """
     nodes = max(sector[0].size for sector in sectors)
-    # per node and sector, in the order (a, c, b) of a pivot (a, c; c, b):
-    # the node part of A_i and the coupling to the previous node, so that
-    # the new pivot is A_i + (d, c, d) + K_i·q·(b, c, a) of the previous
-    # one, q = 1/det
-    A = np.full((nodes, 3, len(sectors), 1),
+    # per node and sector, in the row order (x, c, y, c) of a pivot
+    # (a, c; c, b), with (x, y) = (a, b) at even nodes and (b, a) at odd
+    # ones: the node part of A_i and the coupling to the previous node.  The
+    # new pivot is then A_i + (d, c, d, c) + K_i·q·(the previous pivot) row
+    # by row, q = 1/det, and its det is x·y − c·c, the product of its halves
+    A = np.full((nodes, 4, len(sectors), 1),
                 1.0 + np.max(np.abs(coupling)) - np.min(diagonal))
-    A[:, 1] = 0.0
-    K = np.zeros((nodes, 3, len(sectors), 1))
+    A[:, 1::2] = 0.0
+    K = np.zeros_like(A)
     for s, (dr, er, di, ei) in enumerate(sectors):
         A[:dr.size, 0, s, 0], A[:dr.size, 2, s, 0] = dr, di
         K[1:dr.size, 0, s, 0], K[1:dr.size, 1, s, 0], K[1:dr.size, 2, s, 0] = \
             -er**2, er * ei, -ei**2
-    lanes = np.stack([diagonal, coupling, diagonal])[:, None, :]
-    dets = np.empty((nodes, len(sectors), lanes.shape[-1]))
-    leads = np.empty_like(dets)
-    P = A[0] + lanes
-    for i in range(nodes):
-        if i:
-            w = K[i] * (1.0 / dets[i - 1])
-            w *= P[::-1]
-            P = A[i] + lanes
-            P += w
-        dets[i] = P[0] * P[2] - P[1] * P[1]
-        leads[i] = P[0]
+    K[:, 3] = K[:, 1]
+    A[1::2, [0, 2]], K[1::2, [0, 2]] = A[1::2, [2, 0]], K[1::2, [2, 0]]
+    lanes = np.stack([diagonal, coupling, diagonal, coupling])[:, None, :]
+    # a unit det before the first node, where K_0 = 0
+    dets = np.ones((nodes + 1, len(sectors), lanes.shape[-1]))
+    # x < 0 at every node: where det > 0, x·y > c² makes a and b of one sign
+    negative = np.empty(dets[1:].shape, dtype=bool)
+    # fixed buffers for the pivot P, the update w, q and (x·y, c·c), so that
+    # the loop allocates nothing
+    P = np.zeros((4,) + dets.shape[1:])
+    w, q, prods = np.empty_like(P), np.empty_like(dets[0]), np.empty_like(P[:2])
+    head, tail, lead, xy, cc = P[:2], P[2:], P[0], prods[0], prods[1]
+    for k, a, last, det, neg in zip(K, A, dets, dets[1:], negative):
+        np.divide(1.0, last, out=q)
+        np.multiply(k, q, out=w)
+        w *= P
+        np.add(a, lanes, out=P)
+        P += w
+        np.multiply(head, tail, out=prods)
+        np.subtract(xy, cc, out=det)
+        np.less(lead, 0.0, out=neg)
+    dets = dets[1:]
     if not np.all(np.isfinite(dets)) or np.any(dets == 0.0):
         raise ConvergenceError("a pivot of the inertia count vanished: the "
                                "shift is an eigenvalue to round-off")
     # a 2×2 pivot has one negative eigenvalue when det < 0, two when det > 0
     # and its leading entry is negative
-    return np.sum((dets < 0) + 2 * ((dets > 0) & (leads < 0)), axis=0)
+    return (np.count_nonzero(dets < 0, axis=0)
+            + 2 * np.count_nonzero((dets > 0) & negative, axis=0))
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,31 @@ class TestCoupledSystem:
             vals.append(maxres)
         assert abs(vals[0] - vals[1]) / vals[0] < 0.1
 
+    def test_residual_is_rotation_invariant(self, sectors23, bump_potential,
+                                            exps23):
+        # the README circle's window holds one degenerate ν pair (rows 1, 2),
+        # whose eigenvectors eigh fixes only up to a rotation.  A quarter
+        # turn permutes the pair exactly and must leave every value as it
+        # is; a generic turn leaves them within the round-off that the FFT
+        # second derivative amplifies (measured ≤ 3.4e-13; per-j sup norms
+        # without the cluster norm moved by up to 7.2e-5)
+        fast = runner_setup("circle", sectors23, bump_potential, exps23)["fast"]
+        basis = resonance_eigenpairs(fast, 0.05, 0.3)
+        assert abs(basis.nu[1] - basis.nu[2]) < 1e-12 * abs(basis.nu[1])
+        maxres, ref = verify_coupled_system(basis)
+        for (c, s), gate in (((0.0, 1.0), 1e-14), ((np.cos(0.3), np.sin(0.3)), 1e-11),
+                             ((np.cos(2.0), np.sin(2.0)), 1e-11)):
+            def turn(rows):
+                rows = rows.copy()
+                rows[1:3] = np.array([[c, -s], [s, c]]) @ rows[1:3]
+                return rows
+
+            turned = replace(basis, xi=turn(basis.xi), dxi=turn(basis.dxi),
+                             beta=turn(basis.beta))
+            got_max, got = verify_coupled_system(turned)
+            assert np.all(np.abs(got - ref) <= gate * ref)
+            assert abs(got_max - maxres) <= gate * maxres
+
     def test_correction_identities(self, layerA):
         # both residuals are O(ν_j²); the κ-relation constant carries the
         # 1/Q₂ amplification of the exact-cancellation definition

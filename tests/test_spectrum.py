@@ -145,18 +145,21 @@ class TestShift:
         for name in ("cho_solve_banded", "dgbtrs"):
             monkeypatch.setattr(spectrum, name,
                                 counting(getattr(spectrum, name), name))
+        # extrapolated starts and the rate-based stop (_converged); the
+        # counts in brackets are those of starts from the previous α's
+        # eigenvector with the stop at INVERSE_ITERATION_TOL alone
         trace_branches(sectors23, 0.17, np.linspace(0.0, 2.2, 23))
-        assert len(calls) <= 380       # 362 measured (409 with Lanczos starts)
+        assert len(calls) <= 240       # 229 measured (362; 409 with Lanczos)
         calls.clear()
         find_alpha_bar(sectors23, 0.17)
-        assert len(calls) <= 13        # 12 measured (21 with Lanczos steps)
+        assert len(calls) <= 10        # 9 measured (12; 21 with Lanczos)
         # at μ = 1 the gauge branch leaves the bound states between α = 0.9
         # and 1.0 and is not traced past them (every α there was a cold
         # Lanczos solve of a box mode: 1,980 solves)
         calls.clear()
         trace_branches(sectors23, 1.0, np.linspace(0.0, 2.2, 23))
-        assert calls.count("dgbtrs") <= 75    # 71 measured (103 before)
-        assert len(calls) <= 425              # 404 measured
+        assert calls.count("dgbtrs") <= 63    # 60 measured (71; 103 before)
+        assert len(calls) <= 330              # 316 measured (404)
 
 
 class TestBoundStateCounts:
@@ -306,6 +309,49 @@ class TestBranches:
             assert np.all(np.isnan(gauge.eigenvalues[10:]))
         else:
             assert np.all(bound)
+
+    @pytest.mark.parametrize("mu", [0.17, 1.0])
+    @pytest.mark.parametrize("alphas", [np.linspace(0.0, 2.2, 23),
+                                        np.array([0.0, 0.02, 0.04, 0.08])],
+                             ids=["uniform", "nonuniform"])
+    def test_rate_stop_changes_nothing(self, sectors23, monkeypatch, mu, alphas):
+        # the trace that stops at the predicted step against one that
+        # iterates until a step is below INVERSE_ITERATION_TOL, on a uniform
+        # grid and on one whose extrapolation factor goes 1, 2
+        fast = trace_branches(sectors23, mu, alphas)
+        monkeypatch.setattr(spectrum, "_converged", lambda step, last:
+                            step < spectrum.INVERSE_ITERATION_TOL)
+        full = trace_branches(sectors23, mu, alphas)
+        for label, branch in full.items():
+            assert np.allclose(fast[label].eigenvalues, branch.eigenvalues,
+                               rtol=0.0, atol=1e-12, equal_nan=True)
+            assert len(fast[label].eigenfunctions) == len(branch.eigenfunctions)
+            for (u, v), (uf, vf) in zip(fast[label].eigenfunctions,
+                                        branch.eigenfunctions):
+                assert np.max(np.abs(u - uf)) + np.max(np.abs(v - vf)) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.3])
+    def test_warm_pair_from_a_poor_start(self, sectors23, alpha):
+        # from a start whose overlap with the eigenvector is 0.6 (the rest
+        # along the other ℓ=0 eigenvector or a random vector) inverse
+        # iteration returns the pair it returns from the eigenvector itself:
+        # the ground pair at the rigorous shift and the gauge pair at a shift
+        # near it; measured ≤ 3.8e-13
+        mu, sector = 0.17, sectors23[0]
+        gauge = trace_branches(sectors23, mu, np.linspace(0.0, alpha, 6))[
+            "gauge"].eigenvalues[-1]
+        ground = spectrum._warm_pair(sector, alpha, mu, sector.start()[0][1])[1]
+        second = spectrum._warm_pair(sector, alpha, mu, sector.start()[1][1],
+                                     gauge)[1]
+        rng = np.random.default_rng(0)
+        for near, phi, other in ((None, ground, second), (gauge, second, ground)):
+            lam, vec = spectrum._warm_pair(sector, alpha, mu, phi, near)
+            for psi in (other, rng.standard_normal(phi.size)):
+                psi = psi - (psi @ phi) * phi
+                start = 0.6 * phi + 0.8 * psi / np.linalg.norm(psi)
+                lam_s, vec_s = spectrum._warm_pair(sector, alpha, mu, start, near)
+                assert abs(lam_s - lam) < 1e-12
+                assert np.max(np.abs(vec_s - vec)) < 1e-12
 
     @pytest.mark.parametrize("mu", [0.17, 1.0, 2.0, 3.0])
     def test_traced_values_are_the_certified_count(self, sectors23, mu):
