@@ -29,11 +29,23 @@ matrix D2 (``geometry.fourier_diff_matrices``) is built only for the
 eigensolve, once per FastModes.  The index j_ε needs no solve per ε:
 ν = 0 exactly when −ε²ξ'' = k²ᾱ²ξ, whatever the weight, so j_ε is the number
 of eigenvalues θ of the ε-free pencil −ξ'' = θk²ᾱ²ξ with ε²θ < 1 (Sylvester's
-law), and one list of θ serves every ε of a scan.  With variable
-coefficients the eigensolve per ε computes only the 2J+1 eigenpairs of the
-window.  With constant kᾱ and weight there is no solve per ε at all: C(ε)
-is then a scalar multiple of ε²K̃ − I, so every ε shares the eigenvectors
-of K̃ and its window is a slice of the one pencil eigendecomposition.
+law), and one list of θ serves every ε of a scan.  FastModes sorts the
+coefficients kᾱ and the weight into three classes, and each ε costs what
+its class needs:
+
+* constant (a circle): C(ε) is a scalar multiple of ε²K̃ − I, so every ε
+  shares the eigenvectors of K̃ and its window is a slice of the one pencil
+  eigendecomposition, with no solve per ε;
+* mirror-symmetric about node 0 (an ellipse, whose node 0 is a vertex):
+  C(ε) commutes with the reflection s̄ → −s̄ and splits into an even and an
+  odd block of about M/2 rows each.  θ is the union of the blocks' pencil
+  spectra, and each ε solves each block for its own indices around its own
+  count; a stable sort of the two merges them into the window.  Two
+  half-size reductions cost about half of one full one, and the window's
+  vectors are even or odd, so a pair of ν split by round-off comes out as
+  its parity vectors, not as a rotation that round-off picks;
+* general: each ε solves only the 2J+1 eigenpairs of the window of the
+  whole matrix.
 """
 
 from dataclasses import dataclass, replace
@@ -53,6 +65,24 @@ CONSTANT_RTOL = 8 * np.finfo(float).eps
 # by round-off (1e-14), the 0.85:0.6 ellipse's by 2e-9 at ε = 0.05, and
 # distinct modes by about 1/J, J the half-width of the window.
 NU_CLUSTER_RTOL = 1e-6
+
+
+def _mirror_bases(M):
+    """Orthonormal bases of the nodal vectors even and odd about node 0,
+    x[i] = ±x[−i mod M], each with the node that stands for each column.
+
+    The even basis has ⌊M/2⌋ + 1 columns: node 0 and, for even M, node M/2
+    with weight 1, and each pair (k, M − k) with 1/√2.  The odd basis has
+    ⌈M/2⌉ − 1 columns, the pairs with ±1/√2.
+    """
+    k = np.arange(1, (M + 1) // 2)
+    even, odd = np.zeros((M, M // 2 + 1)), np.zeros((M, k.size))
+    even[0, 0] = 1.0
+    if M % 2 == 0:
+        even[M // 2, M // 2] = 1.0
+    even[k, k] = even[M - k, k] = odd[k, k - 1] = np.sqrt(0.5)
+    odd[M - k, k - 1] = -np.sqrt(0.5)
+    return (even, np.arange(M // 2 + 1)), (odd, k)
 
 
 @dataclass
@@ -103,40 +133,79 @@ class FastModes:
     C(ε) = G^{1/2}(ε²K̃ − I)G^{1/2} with G = diag(k²ᾱ²·wfun) > 0, Sylvester's
     law makes the number of negative ν at any ε the number of θ below 1/ε².
 
-    When kᾱ and the weight are constant (to CONSTANT_RTOL), G is the scalar
-    g = k²ᾱ²·wfun, so C(ε) = g(ε²K̃ − I) has the eigenvectors of K̃ at every
-    ε and ν_i = g(ε²θ_i − 1): ``basis`` keeps those eigenvectors, and a
-    window is a slice of (θ, basis) with no solve per ε.  For variable
-    coefficients ``basis`` is None and each window solves C(ε).  This is the
-    one constant-coefficient test: the arithmetic oracle and the runner read
-    ``basis``.
+    ``coefficients`` names the class of kᾱ and the weight, tested in this
+    order, each to CONSTANT_RTOL:
+
+    * ``"constant"``: G is the scalar g = k²ᾱ²·wfun, so C(ε) = g(ε²K̃ − I)
+      has the eigenvectors of K̃ at every ε and ν_i = g(ε²θ_i − 1): ``basis``
+      keeps those eigenvectors, and a window is a slice of (θ, basis) with
+      no solve per ε.  This is the one constant-coefficient test: the
+      arithmetic oracle reads ``basis``.
+    * ``"mirror"``: both are even about node 0, x[i] = x[−i mod M].  Each
+      mirror pair of kᾱ and of the weight is averaged, so C(ε) and K̃
+      commute with the reflection exactly, and ``blocks`` holds the even
+      block (⌊M/2⌋ + 1 rows: node 0, node M/2 for even M, and the pairs
+      (k, M − k) with 1/√2) and the odd one (⌈M/2⌉ − 1 rows, the pairs with
+      ±1/√2), each folded once from −S·D2·S and K̃ with its pencil
+      spectrum.  Sylvester's law holds block by block, so θ, their sorted
+      union, counts j_ε as before.  A window solves each block for
+      [j_b − J, j_b + J] cut to the block, j_b its own count, and keeps J
+      of the merged ν below zero and J + 1 from zero.
+    * ``"general"``: each window solves C(ε) for [j_ε − J, j_ε + J].
+
+    ``basis`` is None but for constant coefficients, ``blocks`` None but for
+    mirror-symmetric ones.
     """
 
     def __init__(self, sf, crossing):
         self.sf, self.crossing = sf, crossing
         self.abar = np.array([m.alpha_bar for m in crossing])
         self.q1, self.q2, self.q3 = np.array([m.q for m in crossing]).T.copy()
-        self.ka = sf.k * self.abar
-        wfun = 1.0 + 2.0 * sf.fprime * self.q3 / self.ka
+        ka = sf.k * self.abar
+        wfun = 1.0 + 2.0 * sf.fprime * self.q3 / ka
         if np.any(wfun <= 0):
             raise PhaseLawError("resonance weight lost positivity; "
                                 "phase-speed constant too large")
-        self.wfun, self.sw = wfun, np.sqrt(wfun)
-        self.SS = np.outer(self.sw, self.sw)
-        self.diag = self.ka**2 * wfun
-        self.D2 = fourier_diff_matrices(sf.s.size, sf.L)[1]
-        pencil = -self.D2 / np.outer(self.ka, self.ka)
-        if all(np.ptp(x) <= CONSTANT_RTOL * np.max(np.abs(x))
-               for x in (self.ka, wfun)):
+        M = sf.s.size
+        mirror = -np.arange(M) % M
+        self.basis = self.blocks = None
+        if all(np.ptp(x) <= CONSTANT_RTOL * np.max(np.abs(x)) for x in (ka, wfun)):
+            self.coefficients = "constant"
+        elif all(np.max(np.abs(x - x[mirror])) <= CONSTANT_RTOL * np.max(np.abs(x))
+                 for x in (ka, wfun)):
+            self.coefficients = "mirror"
+            ka, wfun = (0.5 * (x + x[mirror]) for x in (ka, wfun))
+        else:
+            self.coefficients = "general"
+        self.ka, self.wfun, self.sw = ka, wfun, np.sqrt(wfun)
+        self.diag = ka**2 * wfun
+        self.D2 = fourier_diff_matrices(M, sf.L)[1]
+        if self.coefficients == "constant":
             # evd, not the default evr: K̃'s exactly paired eigenvalues make
             # evr's vectors several times slower than the whole evd solve
-            self.theta, self.basis = eigh(pencil, driver="evd")
+            self.theta, self.basis = eigh(-self.D2 / np.outer(ka, ka), driver="evd")
+        elif self.coefficients == "mirror":
+            self.blocks = [self._fold(*basis) for basis in _mirror_bases(M)]
+            self.theta = np.sort(np.concatenate([theta for *_, theta in self.blocks]))
         else:
-            self.theta, self.basis = eigh(pencil, eigvals_only=True), None
+            self.theta = eigh(-self.D2 / np.outer(ka, ka), eigvals_only=True)
+
+    def _fold(self, P, nodes):
+        """(column, weight, −PᵀS·D2·SP, the diagonal of PᵀGP, the pencil
+        spectrum of PᵀK̃P) for the parity basis P, whose column c spans node
+        ``nodes[c]`` and its mirror image, where S, G and kᾱ take one value.
+        Each row of P has one nonzero at most, so P is kept as its column
+        and weight per node: P·v = weight·v[column]."""
+        D2 = P.T @ self.D2 @ P
+        sw, ka = self.sw[nodes], self.ka[nodes]
+        theta = eigh(-D2 / np.outer(ka, ka), eigvals_only=True)
+        column = np.argmax(np.abs(P), axis=1)
+        weight = P[np.arange(P.shape[0]), column]
+        return column, weight, -D2 * np.outer(sw, sw), self.diag[nodes], theta
 
     def matrix(self, eps):
-        """C(ε) = −ε²·S·D2·S − diag(k²ᾱ²·wfun)."""
-        C = -eps**2 * self.D2 * self.SS
+        """C(ε) = −ε²·S·D2·S − diag(k²ᾱ²·wfun), whole, on every path."""
+        C = -eps**2 * self.D2 * np.outer(self.sw, self.sw)
         C[np.diag_indices(self.sf.s.size)] -= self.diag
         return C
 
@@ -155,7 +224,9 @@ class FastModes:
             raise ValidationError(
                 f"index window [{-J}, {J}] around j_eps={j_eps} leaves the grid; "
                 f"use more curve nodes or a larger eps")
-        if self.basis is None:
+        if self.blocks is not None:
+            nu, y = self._mirror_window(eps, J)
+        elif self.basis is None:
             nu, y = eigh(self.matrix(eps), subset_by_index=[j_eps - J, j_eps + J])
         else:
             rows = slice(j_eps - J, j_eps + J + 1)
@@ -167,6 +238,31 @@ class FastModes:
         return ResonanceBasis(eps=eps, delta=delta, nu=nu, xi=vecs.T, dxi=dxi,
                               beta=beta, gamma=None, kappa=None,
                               j_eps=j_eps, modes=self)
+
+    def _mirror_window(self, eps, J):
+        """ν and y of the global window from the two parity blocks.
+
+        Each block solves only its own indices [j_b − J, j_b + J], cut to the
+        block, where j_b counts its negative ν by its θ; together they hold
+        the J largest negative and the J + 1 smallest nonnegative ν of C(ε).
+        A stable sort merges them, and the window keeps J below zero and
+        J + 1 from zero, counted by index as the other paths count them.
+        """
+        nus, ys, below = [], [], 0
+        for column, weight, A, G, theta in self.blocks:
+            j = int(np.searchsorted(theta, 1.0 / eps**2))
+            lo, hi = max(0, j - J), min(theta.size - 1, j + J)
+            if lo > hi:
+                continue
+            C = eps**2 * A
+            C[np.diag_indices_from(C)] -= G
+            nu, v = eigh(C, subset_by_index=[lo, hi])
+            nus.append(nu)
+            ys.append(weight[:, None] * v[column])
+            below += j - lo
+        nu = np.concatenate(nus)
+        keep = np.argsort(nu, kind="stable")[below - J: below + J + 1]
+        return nu[keep], np.hstack(ys)[:, keep]
 
 
 def resonance_eigenpairs(modes, eps, delta=0.3):
@@ -312,11 +408,11 @@ def gap_scan(modes, eps_grid, delta=0.3, threshold=0.1):
 
     The ε-free work (D2, the weight, the pencil spectrum θ that counts j_ε
     by ε²θ < 1) is done once, in the FastModes ``modes``; each ε solves
-    only its window, or slices it from ``modes.basis`` for constant
-    coefficients, building ν, ξ and β but not the corrections γ, κ, q,
-    which Λ₀ does not read.  ``eps_grid`` must be descending.  Returns a
-    list of records with the minimal |generalized eigenvalue| and the
-    admissibility flag.
+    only its window, in the two parity blocks of a mirror-symmetric curve,
+    or slices it from ``modes.basis`` for constant coefficients, building
+    ν, ξ and β but not the corrections γ, κ, q, which Λ₀ does not read.
+    ``eps_grid`` must be descending.  Returns a list of records with the
+    minimal |generalized eigenvalue| and the admissibility flag.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(np.diff(eps_grid) >= 0):

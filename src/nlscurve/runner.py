@@ -397,9 +397,10 @@ def stage_gap_scan(run):
     rows = np.array([[r["eps"], r["min_abs_eigenvalue"], float(r["admissible"])]
                      for r in records])
     run.csvs["gap_scan"] = ("eps,min_abs_eigenvalue,admissible", rows)
-    out = {"n_admissible": int(sum(r["admissible"] for r in records)),
+    out = {"coefficients": modes.coefficients,
+           "n_admissible": int(sum(r["admissible"] for r in records)),
            "n_total": len(records), "checks": {}}
-    if modes.basis is not None:     # constant coefficients
+    if modes.coefficients == "constant":
         oracle = gap_scan_oracle(modes, cfg.gap_eps_grid, cfg.delta,
                                  cfg.gap_threshold)
         agree = all(r["admissible"] == o["admissible"]

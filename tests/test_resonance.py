@@ -38,9 +38,31 @@ def layerA(sectors23, bump_potential, exps23):
             "fast": fast}
 
 
-@pytest.fixture(scope="module", params=list(RUNNER_CURVES))
+def rolled_by_one(layer):
+    """``layer`` with k, f' and the crossing field rolled by one node: its
+    coefficients are symmetric about node 1, not node 0, so FastModes takes
+    the general path, and its spectrum is a permutation of the unrolled
+    one's."""
+    sf, crossing = layer["sf"], layer["crossing"]
+    sf = replace(sf, k=np.roll(sf.k, 1), fprime=np.roll(sf.fprime, 1))
+    crossing = crossing[-1:] + crossing[:-1]
+    fast = FastModes(sf, crossing)
+    return {"name": layer["name"] + "_rolled", "kind": layer["kind"], "sf": sf,
+            "abar": fast.abar, "crossing": crossing, "fast": fast}
+
+
+@pytest.fixture(scope="module")
+def ellipse_layer(sectors23, bump_potential, exps23):
+    return runner_setup("ellipse", sectors23, bump_potential, exps23)
+
+
+@pytest.fixture(scope="module", params=[*RUNNER_CURVES, "ellipse_rolled"])
 def runner_layer(request, sectors23, bump_potential, exps23):
-    """Resonance inputs of the runner pipelines' curves (conftest)."""
+    """Resonance inputs of the runner pipelines' curves (conftest), and the
+    ellipse rolled by one node, which keeps the general path covered."""
+    if request.param.startswith("ellipse"):
+        layer = request.getfixturevalue("ellipse_layer")
+        return layer if request.param == "ellipse" else rolled_by_one(layer)
     return runner_setup(request.param, sectors23, bump_potential, exps23)
 
 
@@ -236,6 +258,79 @@ class TestWindowedEigensolve:
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+class TestMirrorSymmetry:
+    """The parity blocks of a curve symmetric about node 0 (an ellipse)."""
+
+    def test_parity_path_is_the_rolled_general_path(self, ellipse_layer):
+        # oracle: the dense window of the same fields rolled by one node,
+        # across the gap grid of the README run file (measured: ν within
+        # 2.2e-13 of the window's max |ν|, Λ₀ within 9.5e-13 of its max)
+        mirror, general = ellipse_layer["fast"], rolled_by_one(ellipse_layer)["fast"]
+        assert (mirror.coefficients, general.coefficients) == ("mirror", "general")
+        grid = np.linspace(0.08, 0.02, 100)
+        for eps in grid:
+            a, b = mirror.window(eps, 0.3), general.window(eps, 0.3)
+            assert a.j_eps == b.j_eps
+            assert np.max(np.abs(a.nu - b.nu)) <= 1e-12 * np.max(np.abs(b.nu))
+            got, ref = lambda0_spectrum(a), lambda0_spectrum(b)
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        scans = [gap_scan(modes, grid, 0.3, 0.1) for modes in (mirror, general)]
+        assert [r["admissible"] for r in scans[0]] == [r["admissible"] for r in scans[1]]
+        for modes in (mirror, general):
+            with pytest.raises(ValidationError, match="leaves the grid"):
+                modes.window(1e-4, 0.9)
+
+    @pytest.mark.parametrize("M", [63, 64])
+    def test_parity_blocks_of_made_up_fields(self, M, ellipse_layer):
+        # even and odd M: k, f' and ᾱ made of cosines, even about node 0 to
+        # rounding, against the dense C(ε); the last ε puts all but one ν
+        # below zero, so one block is wholly negative and J = 0
+        sf, mode = ellipse_layer["sf"], ellipse_layer["crossing"][0]
+        t = 2 * np.pi * np.arange(M) / M
+        sf = replace(sf, s=t * sf.L / (2 * np.pi), k=1.0 + 0.3 * np.cos(t),
+                     fprime=0.05 * (1.0 + 0.2 * np.cos(2 * t)))
+        crossing = [replace(mode, alpha_bar=mode.alpha_bar * (1.0 + 0.05 * c))
+                    for c in np.cos(3 * t)]
+        modes = FastModes(sf, crossing)
+        assert modes.coefficients == "mirror"
+        assert [theta.size for *_, theta in modes.blocks] == [M // 2 + 1, (M + 1) // 2 - 1]
+        mirror = -np.arange(M) % M
+        top = 1.0 / np.sqrt(modes.theta[-1]) * (1.0 + 1e-9)
+        for eps, delta in [(0.3, 0.5), (0.2, 0.6), (0.1, 0.3), (top, 0.1)]:
+            C = modes.matrix(eps)
+            vals = np.linalg.eigvalsh(C)
+            basis = modes.window(eps, delta)
+            j, J = basis.j_eps, (basis.nu.size - 1) // 2
+            assert j == np.sum(vals < 0) and j - J >= 0
+            assert np.max(np.abs(basis.nu - vals[j - J: j + J + 1])) \
+                <= 1e-12 * np.max(np.abs(vals))
+            y = basis.xi.T / modes.sw[:, None] * np.sqrt(sf.L / M)
+            assert np.max(np.abs(y.T @ y - np.eye(2 * J + 1))) <= 1e-13
+            assert np.max(np.abs(C @ y - y * basis.nu)) <= 1e-12 * np.max(np.abs(vals))
+            for xi in basis.xi:
+                assert min(np.max(np.abs(xi - xi[mirror])),
+                           np.max(np.abs(xi + xi[mirror]))) == 0.0
+
+    def test_cut_pair_is_the_parity_vector(self, ellipse_layer):
+        # at ε = 0.05, δ = 0.3 the window keeps one of the pair at ν = −0.1269
+        # (split by 2e-9 relative): a dense solve returns a rotation of the
+        # pair that round-off decides, and these scalings of ᾱ move its
+        # residual by up to 5.0e-8; the even or odd vector's by 5.6e-11
+        sf, crossing = ellipse_layer["sf"], ellipse_layer["crossing"]
+        basis = resonance_eigenpairs(ellipse_layer["fast"], 0.05, 0.3)
+        ref_max, ref = verify_coupled_system(basis)
+        for scale in (1 - 3e-12, 1 - 1e-12, 1 + 1e-12, 1 + 3e-12):
+            modes = FastModes(sf, [replace(m, alpha_bar=m.alpha_bar * scale)
+                                   for m in crossing])
+            got_max, got = verify_coupled_system(resonance_eigenpairs(modes, 0.05, 0.3))
+            assert abs(got_max - ref_max) <= 1e-9 * ref_max
+            assert np.all(np.abs(got - ref) <= 1e-9 * ref)
+        mirror = -np.arange(sf.s.size) % sf.s.size
+        for xi in basis.xi:
+            assert min(np.max(np.abs(xi - xi[mirror])),
+                       np.max(np.abs(xi + xi[mirror]))) <= 1e-12 * np.max(np.abs(xi))
+
+
 class TestCoupledSystem:
     def test_decoupled_exact(self, layer0):
         basis = resonance_eigenpairs(layer0["fast"], 0.05, 0.3)
@@ -414,10 +509,12 @@ class TestGapScan:
                 np.min(np.abs(lambda0_spectrum(basis))))
 
     def test_one_pencil_solve_per_scan(self, runner_layer, monkeypatch):
-        # the ε-free pencil is solved once, and no factorization counts the
-        # negative eigenvalues per ε; with constant coefficients the pencil's
-        # eigenvectors are every window's, so no ε solves one, otherwise each
-        # ε solves only its window
+        # the ε-free pencil is solved once per block, and no factorization
+        # counts the negative eigenvalues per ε; with constant coefficients
+        # the pencil's eigenvectors are every window's, so no ε solves one;
+        # a mirror-symmetric curve solves an even and an odd block, each
+        # for its pencil once and for its part of every window; otherwise
+        # each ε solves only its window of the whole matrix
         import nlscurve.resonance as resonance
         sf, crossing = runner_layer["sf"], runner_layer["crossing"]
         grid = np.linspace(0.08, 0.02, 7)
@@ -432,14 +529,18 @@ class TestGapScan:
             return out
 
         monkeypatch.setattr(resonance, "eigh", counted)
-        gap_scan(FastModes(sf, crossing), grid, 0.3, 0.1)
-        constant = runner_layer["kind"] == "circle"
-        pencil = "pencil+vectors" if constant else "pencil"
-        windows = 0 if constant else grid.size
-        assert calls[0] == pencil
+        modes = FastModes(sf, crossing)
+        gap_scan(modes, grid, 0.3, 0.1)
+        coefficients = {"circle": "constant", "circle_A0.0537": "constant",
+                        "ellipse": "mirror", "ellipse_rolled": "general"}
+        assert modes.coefficients == coefficients[runner_layer["name"]]
+        pencils, windows = {"constant": (["pencil+vectors"], 0),
+                            "mirror": (["pencil"] * 2, 2 * grid.size),
+                            "general": (["pencil"], grid.size)}[modes.coefficients]
+        assert calls[:len(pencils)] == pencils
         assert calls.count("window") == windows
         assert calls.count("lambda0") == grid.size
-        assert len(calls) == 1 + windows + grid.size
+        assert len(calls) == len(pencils) + windows + grid.size
         assert not hasattr(resonance, "dsytrf")
 
     def test_descending_grid_required(self, layer0):
