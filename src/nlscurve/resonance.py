@@ -29,26 +29,25 @@ matrix D2 (``geometry.fourier_diff_matrices``) is built only for the
 eigensolve, once per FastModes.  The index j_ε needs no solve per ε:
 ν = 0 exactly when −ε²ξ'' = k²ᾱ²ξ, whatever the weight, so j_ε is the number
 of eigenvalues θ of the ε-free pencil −ξ'' = θk²ᾱ²ξ with ε²θ < 1 (Sylvester's
-law), and one list of θ serves every ε of a scan.  FastModes sorts the
-coefficients kᾱ and the weight into three classes, and each ε costs what
-its class needs:
+law), and one list of θ serves every ε of a scan.
 
-* constant (a circle): C(ε) is a scalar multiple of ε²K̃ − I, so every ε
-  shares the eigenvectors of K̃ and its window is a slice of the one pencil
-  eigendecomposition, with no solve per ε;
-* mirror-symmetric about node 0 (an ellipse, whose node 0 is a vertex):
-  C(ε) commutes with the reflection s̄ → −s̄ and splits into an even and an
-  odd block of about M/2 rows each.  θ is the union of the blocks' pencil
-  spectra, and each ε solves each block for its own indices around its own
-  count; a stable sort of the two merges them into the window.  Two
-  half-size reductions cost about half of one full one, and the window's
-  vectors are even or odd, so a pair of ν split by round-off comes out as
-  its parity vectors, not as a rotation that round-off picks;
-* general: each ε solves only the 2J+1 eigenpairs of the window of the
-  whole matrix.
+FastModes folds C(ε) into blocks once: one, C(ε) whole, or, when the
+coefficients are mirror-symmetric about node 0 (an ellipse, whose node 0 is
+a vertex), an even and an odd block of about M/2 rows each, since C(ε) then
+commutes with the reflection s̄ → −s̄.  θ is the union of the blocks' pencil
+spectra.  Each ε slices or solves each block for its part of the window,
+and a stable sort merges the parts.  A block is sliced when the
+coefficients are constant (a circle): C(ε) is then a scalar multiple of
+ε²K̃ − I, every ε shares the eigenvectors of K̃, and the window is a slice
+of the one pencil eigendecomposition, with no solve per ε.  Otherwise each
+ε solves only the block's eigenpairs around its own count.  Two half-size
+reductions cost about half of one full one, and a parity block's vectors
+are even or odd, so a pair of ν split by round-off comes out as its parity
+vectors, not as a rotation that round-off picks.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh
@@ -114,6 +113,21 @@ class ResonanceBasis:
         return np.arange(-J, J + 1)
 
 
+class Block(NamedTuple):
+    """The block ε²A − diag(G) = PᵀC(ε)P, P orthonormal with one nonzero
+    per row at most, kept as P·v = weight·v[column]; ``theta`` is the pencil
+    spectrum of PᵀK̃P.  With constant coefficients ``vectors`` holds its
+    eigenvectors, which every window slices, and A is None; otherwise
+    ``vectors`` is None and each window solves the block."""
+
+    column: np.ndarray
+    weight: np.ndarray
+    A: np.ndarray
+    G: np.ndarray
+    theta: np.ndarray
+    vectors: np.ndarray
+
+
 class FastModes:
     """The weighted periodic eigenproblem of the crossing field, ready for
     any ε.
@@ -134,27 +148,25 @@ class FastModes:
     law makes the number of negative ν at any ε the number of θ below 1/ε².
 
     ``coefficients`` names the class of kᾱ and the weight, tested in this
-    order, each to CONSTANT_RTOL:
+    order, each to CONSTANT_RTOL: ``"constant"``, ``"mirror"`` (both even
+    about node 0, x[i] = x[−i mod M]) or ``"general"``.  The class decides
+    only which ``blocks`` are built and whether they keep eigenvectors.  A
+    mirror-symmetric curve averages each mirror pair of kᾱ and of the
+    weight, so C(ε) and K̃ commute with the reflection exactly, and folds
+    −S·D2·S and K̃ once into an even block (⌊M/2⌋ + 1 rows: node 0, node M/2
+    for even M, and the pairs (k, M − k) with 1/√2) and an odd one
+    (⌈M/2⌉ − 1 rows, the pairs with ±1/√2); any other has one block, C(ε)
+    whole.  With constant coefficients G is the scalar g = k²ᾱ²·wfun, so
+    C(ε) = g(ε²K̃ − I) has the eigenvectors of K̃ at every ε and
+    ν_i = g(ε²θ_i − 1): the block keeps those eigenvectors.  This is the one
+    constant-coefficient test, which the arithmetic oracle reads.
 
-    * ``"constant"``: G is the scalar g = k²ᾱ²·wfun, so C(ε) = g(ε²K̃ − I)
-      has the eigenvectors of K̃ at every ε and ν_i = g(ε²θ_i − 1): ``basis``
-      keeps those eigenvectors, and a window is a slice of (θ, basis) with
-      no solve per ε.  This is the one constant-coefficient test: the
-      arithmetic oracle reads ``basis``.
-    * ``"mirror"``: both are even about node 0, x[i] = x[−i mod M].  Each
-      mirror pair of kᾱ and of the weight is averaged, so C(ε) and K̃
-      commute with the reflection exactly, and ``blocks`` holds the even
-      block (⌊M/2⌋ + 1 rows: node 0, node M/2 for even M, and the pairs
-      (k, M − k) with 1/√2) and the odd one (⌈M/2⌉ − 1 rows, the pairs with
-      ±1/√2), each folded once from −S·D2·S and K̃ with its pencil
-      spectrum.  Sylvester's law holds block by block, so θ, their sorted
-      union, counts j_ε as before.  A window solves each block for
-      [j_b − J, j_b + J] cut to the block, j_b its own count, and keeps J
-      of the merged ν below zero and J + 1 from zero.
-    * ``"general"``: each window solves C(ε) for [j_ε − J, j_ε + J].
-
-    ``basis`` is None but for constant coefficients, ``blocks`` None but for
-    mirror-symmetric ones.
+    Sylvester's law holds block by block, so θ, the sorted union of the
+    blocks' spectra, counts j_ε.  A window slices or solves each block for
+    [j_b − J, j_b + J] cut to the block, j_b its own count: together they
+    hold the J largest negative and the J + 1 smallest nonnegative ν of
+    C(ε), and a stable sort of the merged ν keeps J below zero and J + 1
+    from zero.
     """
 
     def __init__(self, sf, crossing):
@@ -168,7 +180,6 @@ class FastModes:
                                 "phase-speed constant too large")
         M = sf.s.size
         mirror = -np.arange(M) % M
-        self.basis = self.blocks = None
         if all(np.ptp(x) <= CONSTANT_RTOL * np.max(np.abs(x)) for x in (ka, wfun)):
             self.coefficients = "constant"
         elif all(np.max(np.abs(x - x[mirror])) <= CONSTANT_RTOL * np.max(np.abs(x))
@@ -180,31 +191,34 @@ class FastModes:
         self.ka, self.wfun, self.sw = ka, wfun, np.sqrt(wfun)
         self.diag = ka**2 * wfun
         self.D2 = fourier_diff_matrices(M, sf.L)[1]
+        bases = (_mirror_bases(M) if self.coefficients == "mirror"
+                 else [(None, np.arange(M))])
+        self.blocks = [self._fold(P, nodes) for P, nodes in bases]
+        self.theta = np.sort(np.concatenate([block.theta for block in self.blocks]))
+
+    def _fold(self, P, nodes):
+        """The Block of the basis P, whose column c spans node ``nodes[c]``
+        (and its mirror image), where S, G and kᾱ take one value; P None is
+        the identity, whose block is C(ε) itself."""
+        if P is None:
+            D2, column, weight = self.D2, nodes, np.ones(nodes.size)
+        else:
+            D2 = P.T @ self.D2 @ P
+            column = np.argmax(np.abs(P), axis=1)
+            weight = P[np.arange(P.shape[0]), column]
+        sw, ka = self.sw[nodes], self.ka[nodes]
         if self.coefficients == "constant":
             # evd, not the default evr: K̃'s exactly paired eigenvalues make
             # evr's vectors several times slower than the whole evd solve
-            self.theta, self.basis = eigh(-self.D2 / np.outer(ka, ka), driver="evd")
-        elif self.coefficients == "mirror":
-            self.blocks = [self._fold(*basis) for basis in _mirror_bases(M)]
-            self.theta = np.sort(np.concatenate([theta for *_, theta in self.blocks]))
+            theta, vectors = eigh(-D2 / np.outer(ka, ka), driver="evd")
+            A = None
         else:
-            self.theta = eigh(-self.D2 / np.outer(ka, ka), eigvals_only=True)
-
-    def _fold(self, P, nodes):
-        """(column, weight, −PᵀS·D2·SP, the diagonal of PᵀGP, the pencil
-        spectrum of PᵀK̃P) for the parity basis P, whose column c spans node
-        ``nodes[c]`` and its mirror image, where S, G and kᾱ take one value.
-        Each row of P has one nonzero at most, so P is kept as its column
-        and weight per node: P·v = weight·v[column]."""
-        D2 = P.T @ self.D2 @ P
-        sw, ka = self.sw[nodes], self.ka[nodes]
-        theta = eigh(-D2 / np.outer(ka, ka), eigvals_only=True)
-        column = np.argmax(np.abs(P), axis=1)
-        weight = P[np.arange(P.shape[0]), column]
-        return column, weight, -D2 * np.outer(sw, sw), self.diag[nodes], theta
+            theta, vectors = eigh(-D2 / np.outer(ka, ka), eigvals_only=True), None
+            A = -D2 * np.outer(sw, sw)
+        return Block(column, weight, A, self.diag[nodes], theta, vectors)
 
     def matrix(self, eps):
-        """C(ε) = −ε²·S·D2·S − diag(k²ᾱ²·wfun), whole, on every path."""
+        """C(ε) = −ε²·S·D2·S − diag(k²ᾱ²·wfun), whole, whatever the blocks."""
         C = -eps**2 * self.D2 * np.outer(self.sw, self.sw)
         C[np.diag_indices(self.sf.s.size)] -= self.diag
         return C
@@ -215,7 +229,8 @@ class FastModes:
 
     def window(self, eps, delta):
         """ν, ξ, ξ' and β (what Λ₀ reads) over |j| <= floor(δ²/ε) around
-        j_ε; the corrections γ and κ are left None."""
+        j_ε, merged from the blocks' parts; the corrections γ and κ are
+        left None."""
         sf, ka = self.sf, self.ka
         M, L = sf.s.size, sf.L
         j_eps = self.count(eps)
@@ -224,45 +239,31 @@ class FastModes:
             raise ValidationError(
                 f"index window [{-J}, {J}] around j_eps={j_eps} leaves the grid; "
                 f"use more curve nodes or a larger eps")
-        if self.blocks is not None:
-            nu, y = self._mirror_window(eps, J)
-        elif self.basis is None:
-            nu, y = eigh(self.matrix(eps), subset_by_index=[j_eps - J, j_eps + J])
-        else:
-            rows = slice(j_eps - J, j_eps + J + 1)
-            nu = self.diag[0] * (eps**2 * self.theta[rows] - 1.0)
-            y = self.basis[:, rows]
+        nus, ys, below = [], [], 0
+        for column, weight, A, G, theta, vectors in self.blocks:
+            j = int(np.searchsorted(theta, 1.0 / eps**2))
+            lo, hi = max(0, j - J), min(theta.size - 1, j + J)
+            if lo > hi:
+                continue
+            if vectors is None:
+                C = eps**2 * A
+                C[np.diag_indices_from(C)] -= G
+                nu, v = eigh(C, subset_by_index=[lo, hi])
+            else:
+                nu = G[0] * (eps**2 * theta[lo: hi + 1] - 1.0)
+                v = vectors[:, lo: hi + 1]
+            nus.append(nu)
+            ys.append(weight[:, None] * v[column])
+            below += j - lo
+        nu = np.concatenate(nus)
+        keep = np.argsort(nu, kind="stable")[below - J: below + J + 1]
+        nu, y = nu[keep], np.hstack(ys)[:, keep]
         vecs = self.sw[:, None] * y / np.sqrt(L / M)   # ∫ ξ²/wfun ds̄ = 1
         dxi = periodic_derivative(vecs, L).T
         beta = -(1.0 / ka) * (1.0 - self.q1 * nu[:, None] / self.diag) * eps * dxi
         return ResonanceBasis(eps=eps, delta=delta, nu=nu, xi=vecs.T, dxi=dxi,
                               beta=beta, gamma=None, kappa=None,
                               j_eps=j_eps, modes=self)
-
-    def _mirror_window(self, eps, J):
-        """ν and y of the global window from the two parity blocks.
-
-        Each block solves only its own indices [j_b − J, j_b + J], cut to the
-        block, where j_b counts its negative ν by its θ; together they hold
-        the J largest negative and the J + 1 smallest nonnegative ν of C(ε).
-        A stable sort merges them, and the window keeps J below zero and
-        J + 1 from zero, counted by index as the other paths count them.
-        """
-        nus, ys, below = [], [], 0
-        for column, weight, A, G, theta in self.blocks:
-            j = int(np.searchsorted(theta, 1.0 / eps**2))
-            lo, hi = max(0, j - J), min(theta.size - 1, j + J)
-            if lo > hi:
-                continue
-            C = eps**2 * A
-            C[np.diag_indices_from(C)] -= G
-            nu, v = eigh(C, subset_by_index=[lo, hi])
-            nus.append(nu)
-            ys.append(weight[:, None] * v[column])
-            below += j - lo
-        nu = np.concatenate(nus)
-        keep = np.argsort(nu, kind="stable")[below - J: below + J + 1]
-        return nu[keep], np.hstack(ys)[:, keep]
 
 
 def resonance_eigenpairs(modes, eps, delta=0.3):
@@ -407,9 +408,8 @@ def gap_scan(modes, eps_grid, delta=0.3, threshold=0.1):
     """Scan ε for spectral gaps of Λ₀: admissible when min|eig| >= threshold·ε.
 
     The ε-free work (D2, the weight, the pencil spectrum θ that counts j_ε
-    by ε²θ < 1) is done once, in the FastModes ``modes``; each ε solves
-    only its window, in the two parity blocks of a mirror-symmetric curve,
-    or slices it from ``modes.basis`` for constant coefficients, building
+    by ε²θ < 1) is done once, in the FastModes ``modes``; each ε slices or
+    solves only its window, block by block, building
     ν, ξ and β but not the corrections γ, κ, q, which Λ₀ does not read.
     ``eps_grid`` must be descending.  Returns a list of records with the
     minimal |generalized eigenvalue| and the admissibility flag.
@@ -433,7 +433,7 @@ def gap_scan(modes, eps_grid, delta=0.3, threshold=0.1):
 
 def constant_coefficient_nu_oracle(modes, eps, delta=0.3):
     """Arithmetic in-window eigenvalues for a FastModes that found kᾱ and the
-    weight constant (a ``basis``; ValidationError without).
+    weight constant (ValidationError for any other).
 
     Its eigenfunctions are Fourier modes and, with kᾱ and the weight of node 0,
 
@@ -443,7 +443,7 @@ def constant_coefficient_nu_oracle(modes, eps, delta=0.3):
     re-indexed exactly as resonance_eigenpairs does, so the window contents
     can be compared elementwise.  No eigensolver involved.
     """
-    if modes.basis is None:
+    if modes.coefficients != "constant":
         raise ValidationError("oracle needs constant coefficients")
     M, L = modes.sf.s.size, modes.sf.L
     m = np.arange(M // 2 + 1)

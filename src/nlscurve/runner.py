@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .geometry import (CurveSpec, PotentialField, build_curve, freeze_arrays,
                        sample_potential)
 from .radial import RadialGrid, ground_state, ode_residual, check_p
@@ -53,8 +53,6 @@ DEFAULTS = {
     "residual": {"eps_list": "0.2,0.1,0.05"},
     "run": {"stages": "profile", "out_dir": "", "assert_acceptance": "false"},
 }
-
-ALPHA_GRID_MAX = 5.0    # the branches stage's α grid ends by here
 
 
 @dataclass(frozen=True)
@@ -342,26 +340,21 @@ def stage_criticality(run):
 def stage_branches(run):
     sectors, sf = run.sectors, run.sf
     mu = float(np.max(np.abs(2 * sf.fprime / sf.k)))
-    # [0, 2.2] in steps of 0.1, extended by 0.1 while the traced ground
-    # branch is still <= 0 at the grid's end: the end follows from the trace,
-    # not from the Newton ᾱ, so the bracket check below stays independent
-    for end in range(22, round(10 * ALPHA_GRID_MAX) + 1):
-        alphas = np.linspace(0.0, end / 10, end + 1)
-        branches = trace_branches(sectors, mu, alphas)
-        if not branches["ground"].eigenvalues[-1] <= 0:
-            break
-    else:
-        raise ConvergenceError(f"the traced ground branch is still <= 0 at "
-                               f"alpha = {ALPHA_GRID_MAX}")
+    mode = find_alpha_bar(sectors, mu)
+    # [0, 2.2] in steps of 0.1, extended to the first step past the Newton ᾱ
+    end = 22
+    while end / 10 <= mode.alpha_bar:
+        end += 1
+    alphas = np.linspace(0.0, end / 10, end + 1)
+    branches = trace_branches(sectors, mu, alphas)
     # every eigenvalue under the continuum threshold is a traced branch: at
     # every α the sector's inertia count equals its finite traced values
     bound = all(np.array_equal(
         np.sum([np.isfinite(branches[label].eigenvalues) for label in labels],
                axis=0), branches[labels[0]].sector_counts)
         for labels in BOUND_BRANCHES.values())
-    mode = find_alpha_bar(sectors, mu)
     # the Newton ᾱ against the independent trace: the ground branch changes
-    # sign on the grid cell that holds ᾱ (false when ᾱ is off the grid)
+    # sign on the grid cell that holds ᾱ
     i = int(np.searchsorted(alphas, mode.alpha_bar, side="right")) - 1
     eta = branches["ground"].eigenvalues
     in_bracket = 0 <= i < alphas.size - 1 and eta[i] <= 0 < eta[i + 1]

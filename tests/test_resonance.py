@@ -185,15 +185,17 @@ class TestResonanceBasis:
 
 class TestWindowedEigensolve:
     def test_basis_only_for_constant_coefficients(self, runner_layer):
-        # both circles keep the pencil's eigenvectors, the A = 0.0537 one
-        # although kᾱ is not bitwise constant; the ellipse keeps none
+        # both circles keep the pencil's eigenvectors in their one block, the
+        # A = 0.0537 one although kᾱ is not bitwise constant; no ellipse
+        # block keeps any
         modes = runner_layer["fast"]
         if runner_layer["kind"] == "ellipse":
-            assert modes.basis is None
+            assert all(block.vectors is None for block in modes.blocks)
             return
         M = modes.sf.s.size
-        assert modes.basis.shape == (M, M)
-        assert np.max(np.abs(modes.basis.T @ modes.basis - np.eye(M))) < 1e-12
+        (block,) = modes.blocks
+        assert block.vectors.shape == (M, M)
+        assert np.max(np.abs(block.vectors.T @ block.vectors - np.eye(M))) < 1e-12
         assert np.ptp(modes.ka) <= CONSTANT_RTOL * np.max(modes.ka)
         if runner_layer["name"] == "circle_A0.0537":
             assert np.ptp(modes.ka) > 0
@@ -280,20 +282,29 @@ class TestMirrorSymmetry:
             with pytest.raises(ValidationError, match="leaves the grid"):
                 modes.window(1e-4, 0.9)
 
-    @pytest.mark.parametrize("M", [63, 64])
-    def test_parity_blocks_of_made_up_fields(self, M, ellipse_layer):
+    @pytest.mark.parametrize("M, sine", [(63, 0.0), (64, 0.0), (63, 0.02), (64, 0.02)],
+                             ids=["63", "64", "63_sine", "64_sine"])
+    def test_parity_blocks_of_made_up_fields(self, M, sine, ellipse_layer):
         # even and odd M: k, f' and ᾱ made of cosines, even about node 0 to
         # rounding, against the dense C(ε); the last ε puts all but one ν
-        # below zero, so one block is wholly negative and J = 0
+        # below zero, so one block is wholly negative and J = 0.  A sine
+        # term in k leaves no symmetry: one block, C(ε) whole
         sf, mode = ellipse_layer["sf"], ellipse_layer["crossing"][0]
         t = 2 * np.pi * np.arange(M) / M
-        sf = replace(sf, s=t * sf.L / (2 * np.pi), k=1.0 + 0.3 * np.cos(t),
+        sf = replace(sf, s=t * sf.L / (2 * np.pi),
+                     k=1.0 + 0.3 * np.cos(t) + sine * np.sin(2 * t),
                      fprime=0.05 * (1.0 + 0.2 * np.cos(2 * t)))
         crossing = [replace(mode, alpha_bar=mode.alpha_bar * (1.0 + 0.05 * c))
                     for c in np.cos(3 * t)]
         modes = FastModes(sf, crossing)
-        assert modes.coefficients == "mirror"
-        assert [theta.size for *_, theta in modes.blocks] == [M // 2 + 1, (M + 1) // 2 - 1]
+        if sine:
+            assert modes.coefficients == "general"
+            assert [block.theta.size for block in modes.blocks] == [M]
+        else:
+            assert modes.coefficients == "mirror"
+            assert [block.theta.size for block in modes.blocks] \
+                == [M // 2 + 1, (M + 1) // 2 - 1]
+        assert all(block.vectors is None for block in modes.blocks)
         mirror = -np.arange(M) % M
         top = 1.0 / np.sqrt(modes.theta[-1]) * (1.0 + 1e-9)
         for eps, delta in [(0.3, 0.5), (0.2, 0.6), (0.1, 0.3), (top, 0.1)]:
@@ -308,8 +319,9 @@ class TestMirrorSymmetry:
             assert np.max(np.abs(y.T @ y - np.eye(2 * J + 1))) <= 1e-13
             assert np.max(np.abs(C @ y - y * basis.nu)) <= 1e-12 * np.max(np.abs(vals))
             for xi in basis.xi:
-                assert min(np.max(np.abs(xi - xi[mirror])),
-                           np.max(np.abs(xi + xi[mirror]))) == 0.0
+                parity = min(np.max(np.abs(xi - xi[mirror])),
+                             np.max(np.abs(xi + xi[mirror])))
+                assert (parity > 0) if sine else (parity == 0.0)
 
     def test_cut_pair_is_the_parity_vector(self, ellipse_layer):
         # at ε = 0.05, δ = 0.3 the window keeps one of the pair at ν = −0.1269
@@ -443,12 +455,12 @@ class TestGapScan:
     @pytest.mark.parametrize("M", [255, 256])
     def test_nu_oracle_equals_loop(self, M):
         # the vectorized oracle against the per-mode loop it replaced, bitwise
-        # (a FastModes that found constant coefficients: any basis)
+        # (a FastModes that found constant coefficients)
         from types import SimpleNamespace as NS
         L, k, fp, ab, q3 = 4.4, 0.8, 0.1, 1.7, 0.2
         ka, wfun = k * ab, 1.0 + 2.0 * fp * q3 / (k * ab)
         fast = NS(sf=NS(s=np.arange(M) * L / M, L=L), ka=np.full(M, ka),
-                  wfun=np.full(M, wfun), basis=np.eye(M))
+                  wfun=np.full(M, wfun), coefficients="constant")
         for eps in np.linspace(0.08, 0.02, 7):
             vals = []
             for m in range(0, M // 2 + 1):
@@ -460,7 +472,7 @@ class TestGapScan:
             assert np.array_equal(window, vals[j - J: j + J + 1])
 
     def test_nu_oracle_reads_the_fast_modes_decision(self, runner_layer):
-        # the oracle refuses the ellipse's FastModes (no basis) and takes
+        # the oracle refuses the ellipse's FastModes (not constant) and takes
         # both circles, the A = 0.0537 one too, whose kᾱ is not bitwise
         # constant; there it is the window's ν (measured to 2.3e-13)
         fast = runner_layer["fast"]

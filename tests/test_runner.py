@@ -5,7 +5,6 @@ import json
 import logging
 import pathlib
 import re
-import types
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ import nlscurve.ansatz as ansatz
 import nlscurve.radial as radial
 import nlscurve.runner as runner
 import nlscurve.spectrum as spectrum
-from nlscurve.errors import ConvergenceError, ValidationError
+from nlscurve.errors import ValidationError
 from nlscurve.resonance import FastModes, gap_scan
 from nlscurve.runner import emit_report, main, parse_config, run_pipeline
 
@@ -302,24 +301,28 @@ class TestPipeline:
         assert checks["alpha_bar_in_traced_bracket"] is True
         assert checks["bound_states_are_the_traced_branches"] is (n == 2)
 
-    def test_alpha_grid_ends_at_its_stated_maximum(self, tmp_path,
-                                                   monkeypatch):
-        # a ground branch that stays negative stops the grid at
-        # ALPHA_GRID_MAX with a ConvergenceError, a failed stage (exit 3)
-        ends = []
+    def test_branches_stage_traces_once(self, tmp_path, monkeypatch):
+        # the README circle in R³: the grid end follows from the Newton ᾱ
+        # (2.3304), so one trace on [0, 2.4] serves the stage
+        grids = []
 
-        def negative(sectors, mu, alphas):
-            ends.append(alphas[-1])
-            return {"ground": types.SimpleNamespace(
-                eigenvalues=-np.ones(alphas.size))}
+        def counted(sectors, mu, alphas):
+            grids.append(alphas)
+            return trace_branches(sectors, mu, alphas)
 
-        monkeypatch.setattr(runner, "trace_branches", negative)
-        text = re.sub(r"stages = .*", "stages = branches", readme_run_file())
-        with pytest.raises(RuntimeError, match="still <= 0 at alpha = 5.0") \
-                as info:
-            run_pipeline(parse_config(write(tmp_path, text)))
-        assert isinstance(info.value.__cause__, ConvergenceError)
-        assert ends == [k / 10 for k in range(22, 51)]
+        trace_branches = runner.trace_branches
+        monkeypatch.setattr(runner, "trace_branches", counted)
+        text = readme_run_file()
+        for pattern, repl in [(r"\nn = 2\n", "\nn = 3\n"),
+                              (r"\nradius = .*", "\nradius = 0.9950370682751267"),
+                              (r"\nstages = .*", "\nstages = branches")]:
+            text, count = re.subn(pattern, repl, text)
+            assert count == 1, pattern
+        summary, csvs = run_pipeline(parse_config(write(tmp_path, text)))
+        assert len(grids) == 1
+        assert np.array_equal(grids[0], csvs["branches"][1][:, 0])
+        assert grids[0][-1] == 2.4
+        assert summary["stages"]["branches"]["checks"]["alpha_bar_in_traced_bracket"]
 
     def test_resonance_and_gap_scan_share_fast_modes(self, tmp_path,
                                                      monkeypatch):
