@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ValidationError, CurveNotCriticalError
 from .geometry import (periodic_antiderivative, periodic_derivative,
                        sample_potential)
-from .radial import Sector, _interp_rows, sector_solve
+from .radial import Sector, _derivative_rows, _interp_rows, sector_solve
 from .scalings import compute_f1, compute_scalings
 from .tube import (apply_S_eps, build_tube_grid, convergence_order,
                    core_radius, weighted_norm, z_spacing)
@@ -118,7 +118,7 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     y = U.grid.nodes
     Uv = U.values
     dU = U.derivative(y)
-    d2U = np.gradient(dU, y, edge_order=2)
+    d2U = _derivative_rows(y, dU)
 
     Phi = params.Phi if params.Phi is not None else np.zeros((M, d))
     f2 = params.f2 if params.f2 is not None else np.zeros(M)
@@ -185,7 +185,7 @@ def build_correctors(curve, pot, sf, U, params=None, f1_drift=0.0,
     # Parameter-independent parts only: w_re, w_io, f1, f2 terms are excluded
     # by construction (they carry their own bookkeeping in the expansion).
     dw = periodic_derivative(w, L)                    # ∂_s̄ at fixed y
-    dphi = np.gradient(phi, y, axis=1, edge_order=2)
+    dphi = _derivative_rows(y, phi)
     phi_y = np.hstack([dphi[:, :1], phi[:, 1:] / y[1:]])   # phi/y, y[0] = 0
     Upm2 = np.where(Uv > 0, Uv ** (p - 2.0), 0.0)
     hpm2 = h ** (p - 2.0)

@@ -9,9 +9,8 @@ class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge or reached an inadmissible result.
 
     The solvers: Petviashvili's iteration and Newton for the ground state,
-    Newton for the scalings, Brent's method for scalar roots, the
-    eigen-solves of ``spectrum``, and the runner's α grid, which must reach
-    the traced ground branch's sign change.
+    Newton for the scalings, the arc-length inversion of a curve, Brent's
+    method for scalar roots and the eigen-solves of ``spectrum``.
     """
 
 

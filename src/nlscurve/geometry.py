@@ -509,7 +509,7 @@ def build_curve(spec, M=256):
     return CurveData(s=s_nodes, L=L, positions=positions, tangents=tangents,
                      frame=frame, curvature=curvature,
                      holonomy_angle=holonomy_angle,
-                     holonomy_generator=(gen if n > 2 else np.zeros((1, 1))))
+                     holonomy_generator=gen)
 
 
 def periodic_derivative(values, L, order=1):

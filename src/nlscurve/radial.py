@@ -29,7 +29,8 @@ and every eigenpair comes from ``lowest_eigenpairs``.  The ground state is
 the solution of the discrete equation itself: Petviashvili's iteration from
 e^{-r²}, then Newton on the same grid.  Between the nodes a profile is its
 not-a-knot cubic (``UniformCubic``) and solved rows are linear
-(``_interp_rows``).
+(``_interp_rows``); y-derivatives of nodal rows are second-order
+differences (``_derivative_rows``).
 """
 
 import math
@@ -211,6 +212,11 @@ def _interp_rows(ygrid, rows, yq):
     out = lo + (t - j) * (hi - lo)
     out[np.broadcast_to(yq > ygrid[-1], out.shape)] = 0.0
     return out.reshape(shape)
+
+
+def _derivative_rows(ygrid, rows):
+    """∂_y of rows (..., ny) on ``ygrid``, second-order differences."""
+    return np.gradient(rows, ygrid, axis=-1, edge_order=2)
 
 
 def _fit_decay_rate(grid, values, dim):

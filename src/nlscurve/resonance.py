@@ -19,8 +19,9 @@ is nearly diagonal in the (β_j) coordinates with approximate eigenvalues
 selects the admissible values ε_k.  The crossing enters only through ᾱ
 and the overlap integrals Q of its pair (Z, W): one FastModes of (sf,
 crossing), the per-node CrossingMode list of spectrum.alpha_field, gathers
-both once and is the entry point of every solve here; each ResonanceBasis
-refers back to it, and the ansatz reads (Z, W) from the same list.
+both once and does the ε-free work; ``resonance_eigenpairs`` builds every
+ResonanceBasis from it, one per ε, the gap scan's too, and the ansatz reads
+(Z, W) from the same list.
 
 Everything here uses Fourier collocation in s̄: the coefficients are smooth
 periodic fields, so the discretization is spectrally accurate.  Derivatives
@@ -35,18 +36,18 @@ FastModes folds C(ε) into blocks once: one, C(ε) whole, or, when the
 coefficients are mirror-symmetric about node 0 (an ellipse, whose node 0 is
 a vertex), an even and an odd block of about M/2 rows each, since C(ε) then
 commutes with the reflection s̄ → −s̄.  θ is the union of the blocks' pencil
-spectra.  Each ε slices or solves each block for its part of the window,
-and a stable sort merges the parts.  A block is sliced when the
-coefficients are constant (a circle): C(ε) is then a scalar multiple of
-ε²K̃ − I, every ε shares the eigenvectors of K̃, and the window is a slice
-of the one pencil eigendecomposition, with no solve per ε.  Otherwise each
-ε solves only the block's eigenpairs around its own count.  Two half-size
-reductions cost about half of one full one, and a parity block's vectors
-are even or odd, so a pair of ν split by round-off comes out as its parity
-vectors, not as a rotation that round-off picks.
+spectra.  At each ε resonance_eigenpairs slices or solves each block for
+its part of the window, and a stable sort merges the parts.  A block is
+sliced when the coefficients are constant (a circle): C(ε) is then a scalar
+multiple of ε²K̃ − I, every ε shares the eigenvectors of K̃, and the window
+is a slice of the one pencil eigendecomposition, with no solve per ε.
+Otherwise each ε solves only the block's eigenpairs around its own count.
+Two half-size reductions cost about half of one full one, and a parity
+block's vectors are even or odd, so a pair of ν split by round-off comes
+out as its parity vectors, not as a rotation that round-off picks.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -86,24 +87,20 @@ def _mirror_bases(M):
 
 @dataclass
 class ResonanceBasis:
-    """Re-indexed fast-mode eigenbasis with companions and corrections.
+    """Re-indexed fast-mode eigenbasis with companions.
 
     Arrays are indexed [j, node] with j running over the window
     [-J, ..., J], J = floor(δ²/ε); ``window`` maps row a to j = a - J.
     ``nu`` holds the re-indexed eigenvalues (nu[J] is the first nonnegative
     one) and ``dxi`` the derivatives ξ_j' of the eigenfunctions; ``modes``
-    is the FastModes that made it.  A gap-scan basis leaves the corrections
-    ``gamma`` and ``kappa`` None.
+    is the FastModes that resonance_eigenpairs made it from.
     """
 
     eps: float
-    delta: float
     nu: np.ndarray
     xi: np.ndarray
     dxi: np.ndarray
     beta: np.ndarray
-    gamma: np.ndarray
-    kappa: np.ndarray
     j_eps: int
     modes: "FastModes"
 
@@ -132,7 +129,8 @@ class FastModes:
     """The weighted periodic eigenproblem of the crossing field, ready for
     any ε.
 
-    The entry point of the layer: one instance serves every ε of a gap scan,
+    The ε-free half of the layer, whose per-ε entry point is
+    resonance_eigenpairs: one instance serves every ε of a gap scan,
     resonance basis and oracle of (sf, crossing), where ``crossing`` is the
     per-node CrossingMode list of spectrum.alpha_field, kept as given.  It
     gathers ᾱ (``abar``) and the overlap integrals Q₁ = ∫Z², Q₂ = ∫W²,
@@ -162,11 +160,11 @@ class FastModes:
     constant-coefficient test, which the arithmetic oracle reads.
 
     Sylvester's law holds block by block, so θ, the sorted union of the
-    blocks' spectra, counts j_ε.  A window slices or solves each block for
-    [j_b − J, j_b + J] cut to the block, j_b its own count: together they
-    hold the J largest negative and the J + 1 smallest nonnegative ν of
-    C(ε), and a stable sort of the merged ν keeps J below zero and J + 1
-    from zero.
+    blocks' spectra, counts j_ε.  resonance_eigenpairs slices or solves each
+    block for [j_b − J, j_b + J] cut to the block, j_b its own count:
+    together they hold the J largest negative and the J + 1 smallest
+    nonnegative ν of C(ε), and a stable sort of the merged ν keeps J below
+    zero and J + 1 from zero.
     """
 
     def __init__(self, sf, crossing):
@@ -227,49 +225,13 @@ class FastModes:
         """j_ε: the number of negative eigenvalues of C(ε), ε²θ < 1."""
         return int(np.searchsorted(self.theta, 1.0 / eps**2))
 
-    def window(self, eps, delta):
-        """ν, ξ, ξ' and β (what Λ₀ reads) over |j| <= floor(δ²/ε) around
-        j_ε, merged from the blocks' parts; the corrections γ and κ are
-        left None."""
-        sf, ka = self.sf, self.ka
-        M, L = sf.s.size, sf.L
-        j_eps = self.count(eps)
-        J = int(np.floor(delta**2 / eps))
-        if j_eps - J < 0 or j_eps + J >= M:
-            raise ValidationError(
-                f"index window [{-J}, {J}] around j_eps={j_eps} leaves the grid; "
-                f"use more curve nodes or a larger eps")
-        nus, ys, below = [], [], 0
-        for column, weight, A, G, theta, vectors in self.blocks:
-            j = int(np.searchsorted(theta, 1.0 / eps**2))
-            lo, hi = max(0, j - J), min(theta.size - 1, j + J)
-            if lo > hi:
-                continue
-            if vectors is None:
-                C = eps**2 * A
-                C[np.diag_indices_from(C)] -= G
-                nu, v = eigh(C, subset_by_index=[lo, hi])
-            else:
-                nu = G[0] * (eps**2 * theta[lo: hi + 1] - 1.0)
-                v = vectors[:, lo: hi + 1]
-            nus.append(nu)
-            ys.append(weight[:, None] * v[column])
-            below += j - lo
-        nu = np.concatenate(nus)
-        keep = np.argsort(nu, kind="stable")[below - J: below + J + 1]
-        nu, y = nu[keep], np.hstack(ys)[:, keep]
-        vecs = self.sw[:, None] * y / np.sqrt(L / M)   # ∫ ξ²/wfun ds̄ = 1
-        dxi = periodic_derivative(vecs, L).T
-        beta = -(1.0 / ka) * (1.0 - self.q1 * nu[:, None] / self.diag) * eps * dxi
-        return ResonanceBasis(eps=eps, delta=delta, nu=nu, xi=vecs.T, dxi=dxi,
-                              beta=beta, gamma=None, kappa=None,
-                              j_eps=j_eps, modes=self)
-
 
 def resonance_eigenpairs(modes, eps, delta=0.3):
-    """The full basis of the FastModes ``modes`` at ε.  The basis keeps
-    ``modes``, so ``basis.modes.crossing`` is the crossing field whose Q
-    built it and whose pair (Z, W) the ansatz's fast component reads.
+    """The basis of the FastModes ``modes`` at ε: ν, ξ, ξ' and β (what Λ₀
+    reads) over |j| <= floor(δ²/ε) around j_ε, merged from the blocks'
+    parts.  The basis keeps ``modes``, so ``basis.modes.crossing`` is the
+    crossing field whose Q built it and whose pair (Z, W) the ansatz's fast
+    component reads.
 
     Eigenpairs are re-indexed around the first nonnegative eigenvalue and
     restricted to |j| <= floor(δ²/ε): the index j_ε of that eigenvalue is the
@@ -277,28 +239,40 @@ def resonance_eigenpairs(modes, eps, delta=0.3):
     (ν = 0 exactly when ε²θ = 1, whatever the weight), and only the window's
     eigenpairs are computed.  The companion is
 
-        β_j = -(1/kᾱ)(1 - Q₁ν_j/(k²ᾱ² + 2f'kᾱQ₃))·εξ_j',
-
-    and the corrections come from the cancellation conditions that define
-    them,
-
-        γ_j = -(εξ_j' + kᾱβ_j)/(2kQ₁),
-        κ_j = -(kᾱξ_j - εβ_j')/(2kQ₂).
-
-    At zero phase speed Q₂ vanishes together with the numerator of κ_j; the
-    algebraically equivalent stable form κ_j = ν_j ξ_j/(2k(kᾱ + 2f'Q₃)) is
-    used there, with kᾱ + 2f'Q₃ = k²ᾱ²·wfun/(kᾱ) read off ``modes.diag``.
+        β_j = -(1/kᾱ)(1 - Q₁ν_j/(k²ᾱ² + 2f'kᾱQ₃))·εξ_j'.
     """
-    basis = modes.window(eps, delta)
-    k, L, ka = modes.sf.k, modes.sf.L, modes.ka
-    nu, xi, dxi, beta = basis.nu, basis.xi, basis.dxi, basis.beta
-    dbeta = periodic_derivative(beta.T, L).T
-    gamma = -(eps * dxi + ka * beta) / (2.0 * k * modes.q1)
-    if np.min(modes.q2) > 1e-10:
-        kappa = -(ka * xi - eps * dbeta) / (2.0 * k * modes.q2)
-    else:
-        kappa = nu[:, None] * xi * ka / (2.0 * k * modes.diag)
-    return replace(basis, gamma=gamma, kappa=kappa)
+    sf, ka = modes.sf, modes.ka
+    M, L = sf.s.size, sf.L
+    j_eps = modes.count(eps)
+    J = int(np.floor(delta**2 / eps))
+    if j_eps - J < 0 or j_eps + J >= M:
+        raise ValidationError(
+            f"index window [{-J}, {J}] around j_eps={j_eps} leaves the grid; "
+            f"use more curve nodes or a larger eps")
+    nus, ys, below = [], [], 0
+    for column, weight, A, G, theta, vectors in modes.blocks:
+        j = int(np.searchsorted(theta, 1.0 / eps**2))
+        lo, hi = max(0, j - J), min(theta.size - 1, j + J)
+        if lo > hi:
+            continue
+        if vectors is None:
+            C = eps**2 * A
+            C[np.diag_indices_from(C)] -= G
+            nu, v = eigh(C, subset_by_index=[lo, hi])
+        else:
+            nu = G[0] * (eps**2 * theta[lo: hi + 1] - 1.0)
+            v = vectors[:, lo: hi + 1]
+        nus.append(nu)
+        ys.append(weight[:, None] * v[column])
+        below += j - lo
+    nu = np.concatenate(nus)
+    keep = np.argsort(nu, kind="stable")[below - J: below + J + 1]
+    nu, y = nu[keep], np.hstack(ys)[:, keep]
+    vecs = modes.sw[:, None] * y / np.sqrt(L / M)   # ∫ ξ²/wfun ds̄ = 1
+    dxi = periodic_derivative(vecs, L).T
+    beta = -(1.0 / ka) * (1.0 - modes.q1 * nu[:, None] / modes.diag) * eps * dxi
+    return ResonanceBasis(eps=eps, nu=nu, xi=vecs.T, dxi=dxi, beta=beta,
+                          j_eps=j_eps, modes=modes)
 
 
 def weyl_slope(basis):
@@ -343,7 +317,7 @@ def verify_coupled_system(basis):
     line1 = -eps**2 * periodic_derivative(b, L, 2) - ka**2 * b - nu * b
     line2 = -eps**2 * periodic_derivative(x, L, 2) - ka**2 * x - nu * x
     if np.any(fp != 0):
-        line1 -= 2.0 * fp * (q3 / q1) * (eps * periodic_derivative(x, L) + ka * b)
+        line1 -= 2.0 * fp * (q3 / q1) * (eps * basis.dxi.T + ka * b)
         line2 += 2.0 * fp * (q3 / np.maximum(q2, 1e-300)) \
             * (eps * periodic_derivative(b, L) - ka * x)
     same = (cluster[:, None] == cluster).astype(float)
@@ -355,12 +329,29 @@ def verify_coupled_system(basis):
 def correction_identities(basis):
     """Sup norms of the γ/κ relations, each expected O(ν_j²).
 
-    Checks -ε²γ'' - ᾱ²k²γ and (-kᾱκ + εγ') per j, normalized by the mode
-    amplitude, returning the two arrays max-ed over nodes.
+    The corrections come from the cancellation conditions that define them,
+
+        γ_j = -(εξ_j' + kᾱβ_j)/(2kQ₁),
+        κ_j = -(kᾱξ_j - εβ_j')/(2kQ₂).
+
+    At zero phase speed Q₂ vanishes together with the numerator of κ_j; the
+    algebraically equivalent stable form κ_j = ν_j ξ_j/(2k(kᾱ + 2f'Q₃)) is
+    used there, with kᾱ + 2f'Q₃ = k²ᾱ²·wfun/(kᾱ) read off ``modes.diag``.
+
+    Checks -ε²γ'' - ᾱ²k²γ and (-kᾱκ + εγ') per j on the basis's unit
+    eigenfunctions, returning the two arrays max-ed over nodes.
     """
-    ka = basis.modes.ka[:, None]
-    eps, L = basis.eps, basis.modes.sf.L
-    g, kp = basis.gamma.T, basis.kappa.T              # [node, j]
+    modes, eps = basis.modes, basis.eps
+    k, L, ka = modes.sf.k, modes.sf.L, modes.ka
+    nu, xi, dxi, beta = basis.nu, basis.xi, basis.dxi, basis.beta
+    gamma = -(eps * dxi + ka * beta) / (2.0 * k * modes.q1)
+    if np.min(modes.q2) > 1e-10:
+        dbeta = periodic_derivative(beta.T, L).T
+        kappa = -(ka * xi - eps * dbeta) / (2.0 * k * modes.q2)
+    else:
+        kappa = nu[:, None] * xi * ka / (2.0 * k * modes.diag)
+    ka = ka[:, None]
+    g, kp = gamma.T, kappa.T                          # [node, j]
     r1 = np.max(np.abs(-eps**2 * periodic_derivative(g, L, 2) - ka**2 * g), axis=0)
     r2 = np.max(np.abs(-ka * kp + eps * periodic_derivative(g, L)), axis=0)
     return r1, r2
@@ -408,10 +399,9 @@ def gap_scan(modes, eps_grid, delta=0.3, threshold=0.1):
     """Scan ε for spectral gaps of Λ₀: admissible when min|eig| >= threshold·ε.
 
     The ε-free work (D2, the weight, the pencil spectrum θ that counts j_ε
-    by ε²θ < 1) is done once, in the FastModes ``modes``; each ε slices or
-    solves only its window, block by block, building
-    ν, ξ and β but not the corrections γ, κ, q, which Λ₀ does not read.
-    ``eps_grid`` must be descending.  Returns a list of records with the
+    by ε²θ < 1) is done once, in the FastModes ``modes``; each ε builds its
+    basis with resonance_eigenpairs, which slices or solves only its window,
+    block by block.  ``eps_grid`` must be descending.  Returns a list of records with the
     minimal |generalized eigenvalue| and the admissibility flag.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
@@ -419,7 +409,7 @@ def gap_scan(modes, eps_grid, delta=0.3, threshold=0.1):
         raise ValidationError("eps grid must be strictly descending")
     records = []
     for eps in eps_grid:
-        vals = lambda0_spectrum(modes.window(eps, delta))
+        vals = lambda0_spectrum(resonance_eigenpairs(modes, eps, delta))
         min_abs = float(np.min(np.abs(vals)))
         records.append({
             "eps": float(eps),

@@ -88,10 +88,11 @@ def test_no_arpack_call_in_source():
 
 
 def test_radial_grid_primitives_live_in_radial():
-    # the radial quadrature, the tridiagonal eigensolver and the row
-    # interpolation on the radial grid have one home
+    # the radial quadrature, the tridiagonal eigensolver, the row
+    # interpolation and the finite differences on the radial grid have one
+    # home
     assert not [ref for ref in _referenced_names() if ref[0] != "radial.py"
-                and ref[2] in ("trapezoid", "eigh_tridiagonal")]
+                and ref[2] in ("trapezoid", "eigh_tridiagonal", "gradient")]
     defined = [path.name for path in sorted((SRC / "nlscurve").glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.FunctionDef) and node.name == "_interp_rows"]

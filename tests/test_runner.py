@@ -569,11 +569,19 @@ class TestMain:
         assert "profile.decay_rate_within_2pct" in capsys.readouterr().err
 
     def test_failed_stage_exits_3(self, tmp_path, capsys):
-        # 1 - r2 is negative on a circle of radius 2
-        text = MINIMAL.replace("potential = 1", "potential = 1-r2").replace(
+        # 1 - r2 is negative on a circle of radius 2; at phase_speed = 1 the
+        # README circle's second variation loses positivity (PhaseLawError)
+        negative = MINIMAL.replace("potential = 1", "potential = 1-r2").replace(
             "radius = 1.0", "radius = 2.0") + "\n[run]\nstages = profile, geometry\n"
-        assert main([write(tmp_path, text), "-o", str(tmp_path / "out")]) == 3
-        assert "stage 'geometry' failed" in capsys.readouterr().err
+        fast, count = re.subn(r"\nphase_speed = .*", "\nphase_speed = 1.0",
+                              readme_run_file())
+        assert count == 1
+        for text, expected in (
+                (negative, "stage 'geometry' failed"),
+                (fast, "stage 'criticality' failed: second-variation "
+                       "denominators lose positivity")):
+            assert main([write(tmp_path, text), "-o", str(tmp_path / "out")]) == 3
+            assert expected in capsys.readouterr().err
 
     def test_env_default_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLSCURVE_OUT", str(tmp_path / "envout"))

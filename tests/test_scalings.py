@@ -7,7 +7,7 @@ from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from nlscurve import scalings
-from nlscurve.errors import ConvergenceError, ValidationError
+from nlscurve.errors import ConvergenceError, PhaseLawError, ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                fourier_diff_matrices, periodic_derivative,
                                sample_potential)
@@ -91,6 +91,16 @@ class TestScalings:
         exps = compute_exponents(3, 5)  # sigma = 2: g(h) = -2499h^4 - 1 has no root
         with pytest.raises(ConvergenceError, match="at node 0"):
             compute_scalings(curve, pot, 50.0, exps)
+
+    def test_small_speed_guard(self):
+        # n = 4, p = 3: σ = 1 and 2σ - p + 1 = 0, so the guard's
+        # 2σA²h^{2σ-p+1} = 2A² reaches (p-1)/2 = 1 at A = 1/√2 on any curve
+        exps = compute_exponents(4, 3)
+        curve = build_curve(CurveSpec("circle", n=4, radius=0.7), 64)
+        pot = sample_potential(PotentialField("1/(1+r2)", 4), curve)
+        compute_scalings(curve, pot, 0.5, exps)
+        with pytest.raises(PhaseLawError, match="phase-speed constant too large"):
+            compute_scalings(curve, pot, 0.8, exps)
 
     @pytest.mark.parametrize("A", [0.05, 0.3])
     def test_newton_matches_per_node_brent(self, bump_potential, exps23, A):
@@ -231,6 +241,15 @@ class TestJacobi:
         H2 = curve.curvature[:, 0] ** 2
         hand[idx, idx] += a * H2 - (3.0 + exps23.sigma / exps23.theta) * a * H2
         assert np.max(np.abs(J.matrix - hand)) < 1e-12
+
+    def test_large_speed_loses_positivity(self, bump_potential, exps23):
+        # the README circle: the principal coefficient a = h^θ − 2A²θ/(p−1)·h^σ
+        # is positive at A = 0.5 and ≤ 0 at A = 1
+        curve, pot, sf = circle_setup(bump_potential, 0.7012465, 256, 0.5, exps23)
+        assemble_jacobi(curve, pot, sf, exps23)
+        curve, pot, sf = circle_setup(bump_potential, 0.7012465, 256, 1.0, exps23)
+        with pytest.raises(PhaseLawError, match="lose positivity"):
+            assemble_jacobi(curve, pot, sf, exps23)
 
     def test_two_normal_components_node_loop(self):
         # n = 3, A ≠ 0: node-major 2x2 blocks against a per-node assembly of
