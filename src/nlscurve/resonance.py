@@ -32,19 +32,21 @@ eigensolve, once per FastModes.  The index j_ε needs no solve per ε:
 of eigenvalues θ of the ε-free pencil −ξ'' = θk²ᾱ²ξ with ε²θ < 1 (Sylvester's
 law), and one list of θ serves every ε of a scan.
 
-FastModes folds C(ε) into blocks once: one, C(ε) whole, or, when the
-coefficients are mirror-symmetric about node 0 (an ellipse, whose node 0 is
-a vertex), an even and an odd block of about M/2 rows each, since C(ε) then
-commutes with the reflection s̄ → −s̄.  θ is the union of the blocks' pencil
-spectra.  At each ε resonance_eigenpairs slices or solves each block for
-its part of the window, and a stable sort merges the parts.  A block is
-sliced when the coefficients are constant (a circle): C(ε) is then a scalar
-multiple of ε²K̃ − I, every ε shares the eigenvectors of K̃, and the window
-is a slice of the one pencil eigendecomposition, with no solve per ε.
+FastModes folds C(ε) into symmetry blocks once: a reflection of the node
+grid about node 0 or, for even M, about node M/4 that leaves kᾱ and the
+weight unchanged commutes with C(ε), which then splits into one block per
+parity, four of about M/4 rows on a circle or an ellipse, whose node 0 is
+a vertex.  θ is the union of the blocks' pencil spectra.  At each ε
+resonance_eigenpairs slices or solves each block for its part of the
+window, and a stable sort merges the parts.  A block is sliced when the
+coefficients are constant (a circle): C(ε) is then a scalar multiple of
+ε²K̃ − I, every ε shares the eigenvectors of K̃, and the window is a slice
+of the block's one pencil eigendecomposition, with no solve per ε.
 Otherwise each ε solves only the block's eigenpairs around its own count.
-Two half-size reductions cost about half of one full one, and a parity
-block's vectors are even or odd, so a pair of ν split by round-off comes
-out as its parity vectors, not as a rotation that round-off picks.
+Four quarter-size reductions cost a fraction of one full one, and a
+parity block's vectors are exactly even or odd under each reflection, so a
+pair of ν split by round-off comes out as its parity vectors, not as a
+rotation that round-off picks.
 """
 
 from dataclasses import dataclass
@@ -57,8 +59,9 @@ from .errors import ValidationError, PhaseLawError
 from .geometry import fourier_diff_matrices, periodic_derivative
 
 # Relative spread below which kᾱ and the weight count as constant along the
-# curve: a circle spreads them by at most one rounding step, an ellipse by
-# 1e-1 (kᾱ) and 3e-3 (weight).
+# curve (a circle spreads them by at most one rounding step, an ellipse by
+# 1e-1 (kᾱ) and 3e-3 (weight)), and relative change under a node reflection
+# below which they count as symmetric.
 CONSTANT_RTOL = 8 * np.finfo(float).eps
 # Gap between sorted ν, relative to max |ν| of the window, up to which they
 # form one cluster in verify_coupled_system: a circle's Fourier pairs split
@@ -67,22 +70,30 @@ CONSTANT_RTOL = 8 * np.finfo(float).eps
 NU_CLUSTER_RTOL = 1e-6
 
 
-def _mirror_bases(M):
-    """Orthonormal bases of the nodal vectors even and odd about node 0,
-    x[i] = ±x[−i mod M], each with the node that stands for each column.
+def _parity_bases(M, reflections):
+    """Orthonormal bases of the nodal vectors of each parity under the
+    commuting node reflections ``reflections`` (x ↦ x[r]); the identity for
+    none.
 
-    The even basis has ⌊M/2⌋ + 1 columns: node 0 and, for even M, node M/2
-    with weight 1, and each pair (k, M − k) with 1/√2.  The odd basis has
-    ⌈M/2⌉ − 1 columns, the pairs with ±1/√2.
+    The symmetry-adapted basis (Fässler & Stiefel 1992): the reflections
+    generate a group of node permutations g, and a parity χ signs each g.
+    Σ_g χ(g)·e_{g(i)}, i the first node of its orbit, is zero or takes ± one
+    value on every node of the orbit: the nonzero ones, normalized, are the
+    basis of χ, one column per orbit, so P·v is exactly even or odd.
     """
-    k = np.arange(1, (M + 1) // 2)
-    even, odd = np.zeros((M, M // 2 + 1)), np.zeros((M, k.size))
-    even[0, 0] = 1.0
-    if M % 2 == 0:
-        even[M // 2, M // 2] = 1.0
-    even[k, k] = even[M - k, k] = odd[k, k - 1] = np.sqrt(0.5)
-    odd[M - k, k - 1] = -np.sqrt(0.5)
-    return (even, np.arange(M // 2 + 1)), (odd, k)
+    perms, signs = [np.arange(M)], np.ones((1, 1))
+    for r in reflections:
+        perms += [p[r] for p in perms]
+        signs = np.block([[signs, signs], [signs, -signs]])
+    first = np.flatnonzero(np.min(perms, axis=0) == np.arange(M))
+    bases = []
+    for chi in signs:
+        P = np.zeros((M, first.size))
+        for p, sign in zip(perms, chi):
+            P[p[first], np.arange(first.size)] += sign
+        P = P[:, np.any(P, axis=0)]
+        bases.append(P / np.linalg.norm(P, axis=0))
+    return bases
 
 
 @dataclass
@@ -111,14 +122,13 @@ class ResonanceBasis:
 
 
 class Block(NamedTuple):
-    """The block ε²A − diag(G) = PᵀC(ε)P, P orthonormal with one nonzero
-    per row at most, kept as P·v = weight·v[column]; ``theta`` is the pencil
-    spectrum of PᵀK̃P.  With constant coefficients ``vectors`` holds its
-    eigenvectors, which every window slices, and A is None; otherwise
-    ``vectors`` is None and each window solves the block."""
+    """The block ε²A − diag(G) = PᵀC(ε)P of the parity basis P, whose
+    ``theta`` is the pencil spectrum of PᵀK̃P.  With constant coefficients
+    ``vectors`` holds P times its eigenvectors, which every window slices,
+    and A is None; otherwise ``vectors`` is None and each window solves the
+    block and maps its vectors to nodes by P."""
 
-    column: np.ndarray
-    weight: np.ndarray
+    P: np.ndarray
     A: np.ndarray
     G: np.ndarray
     theta: np.ndarray
@@ -145,19 +155,19 @@ class FastModes:
     C(ε) = G^{1/2}(ε²K̃ − I)G^{1/2} with G = diag(k²ᾱ²·wfun) > 0, Sylvester's
     law makes the number of negative ν at any ε the number of θ below 1/ε².
 
-    ``coefficients`` names the class of kᾱ and the weight, tested in this
-    order, each to CONSTANT_RTOL: ``"constant"``, ``"mirror"`` (both even
-    about node 0, x[i] = x[−i mod M]) or ``"general"``.  The class decides
-    only which ``blocks`` are built and whether they keep eigenvectors.  A
-    mirror-symmetric curve averages each mirror pair of kᾱ and of the
-    weight, so C(ε) and K̃ commute with the reflection exactly, and folds
-    −S·D2·S and K̃ once into an even block (⌊M/2⌋ + 1 rows: node 0, node M/2
-    for even M, and the pairs (k, M − k) with 1/√2) and an odd one
-    (⌈M/2⌉ − 1 rows, the pairs with ±1/√2); any other has one block, C(ε)
-    whole.  With constant coefficients G is the scalar g = k²ᾱ²·wfun, so
-    C(ε) = g(ε²K̃ − I) has the eigenvectors of K̃ at every ε and
-    ν_i = g(ε²θ_i − 1): the block keeps those eigenvectors.  This is the one
-    constant-coefficient test, which the arithmetic oracle reads.
+    The blocks come from one fold: each reflection of the node grid, about
+    node 0 (i ↦ −i mod M) and, for even M, about node M/4 (i ↦ M/2 − i), that
+    leaves kᾱ and the weight unchanged to CONSTANT_RTOL is kept, and both
+    are averaged over each kept one in turn, so C(ε) and K̃ commute with it
+    exactly.  −S·D2·S and K̃ fold once into one block per parity basis P
+    (_parity_bases): four of 65, 64, 64 and 63 rows at M = 256 with both
+    reflections, an even and an odd one with one, and C(ε) whole with none.
+    With constant coefficients (spread within CONSTANT_RTOL), the one such
+    test, which the arithmetic oracle reads, G is the scalar g = k²ᾱ²·wfun,
+    so C(ε) = g(ε²K̃ − I) has the eigenvectors of K̃ at every ε and
+    ν_i = g(ε²θ_i − 1): each block keeps them; that is all being constant
+    decides.  ``coefficients`` names the two facts: ``"constant"``,
+    ``"mirror"`` (some reflection kept) or ``"general"``.
 
     Sylvester's law holds block by block, so θ, the sorted union of the
     blocks' spectra, counts j_ε.  resonance_eigenpairs slices or solves each
@@ -176,44 +186,30 @@ class FastModes:
         if np.any(wfun <= 0):
             raise PhaseLawError("resonance weight lost positivity; "
                                 "phase-speed constant too large")
-        M = sf.s.size
-        mirror = -np.arange(M) % M
-        if all(np.ptp(x) <= CONSTANT_RTOL * np.max(np.abs(x)) for x in (ka, wfun)):
-            self.coefficients = "constant"
-        elif all(np.max(np.abs(x - x[mirror])) <= CONSTANT_RTOL * np.max(np.abs(x))
-                 for x in (ka, wfun)):
-            self.coefficients = "mirror"
-            ka, wfun = (0.5 * (x + x[mirror]) for x in (ka, wfun))
-        else:
-            self.coefficients = "general"
+        M, i = sf.s.size, np.arange(sf.s.size)
+        constant = all(np.ptp(x) <= CONSTANT_RTOL * np.max(np.abs(x)) for x in (ka, wfun))
+        reflections = [r for r in [-i % M, (M // 2 - i) % M][:2 - M % 2]
+                       if all(np.max(np.abs(x - x[r])) <= CONSTANT_RTOL * np.max(np.abs(x))
+                              for x in (ka, wfun))]
+        for r in reflections:
+            ka, wfun = (0.5 * (x + x[r]) for x in (ka, wfun))
+        self.coefficients = ("constant" if constant else
+                             "mirror" if reflections else "general")
         self.ka, self.wfun, self.sw = ka, wfun, np.sqrt(wfun)
         self.diag = ka**2 * wfun
         self.D2 = fourier_diff_matrices(M, sf.L)[1]
-        bases = (_mirror_bases(M) if self.coefficients == "mirror"
-                 else [(None, np.arange(M))])
-        self.blocks = [self._fold(P, nodes) for P, nodes in bases]
+        K, A = -self.D2 / np.outer(ka, ka), -self.D2 * np.outer(self.sw, self.sw)
+        self.blocks = []
+        for P in _parity_bases(M, reflections):
+            G = self.diag[np.argmax(np.abs(P), axis=0)]
+            if constant:
+                # evd, not the default evr: the faster full decomposition here
+                theta, vectors = eigh(P.T @ K @ P, driver="evd")
+                self.blocks.append(Block(P, None, G, theta, P @ vectors))
+            else:
+                theta = eigh(P.T @ K @ P, eigvals_only=True)
+                self.blocks.append(Block(P, P.T @ A @ P, G, theta, None))
         self.theta = np.sort(np.concatenate([block.theta for block in self.blocks]))
-
-    def _fold(self, P, nodes):
-        """The Block of the basis P, whose column c spans node ``nodes[c]``
-        (and its mirror image), where S, G and kᾱ take one value; P None is
-        the identity, whose block is C(ε) itself."""
-        if P is None:
-            D2, column, weight = self.D2, nodes, np.ones(nodes.size)
-        else:
-            D2 = P.T @ self.D2 @ P
-            column = np.argmax(np.abs(P), axis=1)
-            weight = P[np.arange(P.shape[0]), column]
-        sw, ka = self.sw[nodes], self.ka[nodes]
-        if self.coefficients == "constant":
-            # evd, not the default evr: K̃'s exactly paired eigenvalues make
-            # evr's vectors several times slower than the whole evd solve
-            theta, vectors = eigh(-D2 / np.outer(ka, ka), driver="evd")
-            A = None
-        else:
-            theta, vectors = eigh(-D2 / np.outer(ka, ka), eigvals_only=True), None
-            A = -D2 * np.outer(sw, sw)
-        return Block(column, weight, A, self.diag[nodes], theta, vectors)
 
     def matrix(self, eps):
         """C(ε) = −ε²·S·D2·S − diag(k²ᾱ²·wfun), whole, whatever the blocks."""
@@ -250,7 +246,7 @@ def resonance_eigenpairs(modes, eps, delta=0.3):
             f"index window [{-J}, {J}] around j_eps={j_eps} leaves the grid; "
             f"use more curve nodes or a larger eps")
     nus, ys, below = [], [], 0
-    for column, weight, A, G, theta, vectors in modes.blocks:
+    for P, A, G, theta, vectors in modes.blocks:
         j = int(np.searchsorted(theta, 1.0 / eps**2))
         lo, hi = max(0, j - J), min(theta.size - 1, j + J)
         if lo > hi:
@@ -259,11 +255,12 @@ def resonance_eigenpairs(modes, eps, delta=0.3):
             C = eps**2 * A
             C[np.diag_indices_from(C)] -= G
             nu, v = eigh(C, subset_by_index=[lo, hi])
+            v = P @ v
         else:
             nu = G[0] * (eps**2 * theta[lo: hi + 1] - 1.0)
             v = vectors[:, lo: hi + 1]
         nus.append(nu)
-        ys.append(weight[:, None] * v[column])
+        ys.append(v)
         below += j - lo
     nu = np.concatenate(nus)
     keep = np.argsort(nu, kind="stable")[below - J: below + J + 1]

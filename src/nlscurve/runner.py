@@ -85,9 +85,9 @@ def _parse_float_list(text):
 
 
 def _parse_eps_grid(text):
-    """'hi:lo:count' -> the count values from hi down to lo."""
+    """'hi:lo:count' -> (hi, lo, count): count values from hi down to lo."""
     hi, lo, num = text.split(":")
-    return np.linspace(float(hi), float(lo), int(num))
+    return float(hi), float(lo), int(num)
 
 
 def _parse_stages(text):
@@ -177,8 +177,7 @@ def parse_config(path):
     gap_threshold = grab("resonance", "gap_threshold", float, lambda v: v >= 0,
                          "threshold >= 0")
     gap_grid = grab("resonance", "gap_eps_grid", _parse_eps_grid,
-                    lambda v: v.size >= 1 and np.all(v > 0)
-                    and np.all(np.diff(v) < 0),
+                    lambda v: v[2] >= 1 and np.inf > v[0] > v[1] > 0,
                     "need 'hi:lo:count' with count >= 1 and hi > lo > 0")
 
     eps_list = grab("residual", "eps_list", _parse_float_list,
@@ -197,7 +196,7 @@ def parse_config(path):
     return RunConfig(n=n, p=p, phase_speed=phase_speed, potential=potential,
                      curve=curve_spec, curve_samples=samples, radial=grid,
                      delta=delta, res_eps=res_eps, gap_threshold=gap_threshold,
-                     gap_eps_grid=gap_grid, residual_eps=eps_list,
+                     gap_eps_grid=np.linspace(*gap_grid), residual_eps=eps_list,
                      stages=stages, out_dir=out_dir,
                      assert_acceptance=assert_acceptance)
 
@@ -391,6 +390,7 @@ def stage_gap_scan(run):
                      for r in records])
     run.csvs["gap_scan"] = ("eps,min_abs_eigenvalue,admissible", rows)
     out = {"coefficients": modes.coefficients,
+           "blocks": [block.theta.size for block in modes.blocks],
            "n_admissible": int(sum(r["admissible"] for r in records)),
            "n_total": len(records), "checks": {}}
     if modes.coefficients == "constant":

@@ -64,6 +64,8 @@ from .radial import Sector, lowest_eigenpairs, sector_solve
 SHIFT_MARGIN = 1e-2
 # relative gap in the sorted μ(s̄) that separates two crossing solves
 MU_GROUP_TOL = 1e-12
+# the crossing Newton stops once |η_ᾱ| < CROSSING_TOL·max(|∂η/∂α|, 1)
+CROSSING_TOL = 1e-8
 # inverse iteration stops once a step moves the unit vector by less than
 # this, or once the next step predicted at the observed rate would (_converged)
 INVERSE_ITERATION_TOL = 1e-10
@@ -501,7 +503,7 @@ class CrossingMode:
         freeze_arrays(self)
 
 
-def find_alpha_bar(sectors, mu, tol=1e-8):
+def find_alpha_bar(sectors, mu):
     """Safeguarded Newton for the unique ᾱ with η_ᾱ = 0 in the ℓ=0 sector
     of ``sectors`` (coupled_sectors).
 
@@ -509,10 +511,10 @@ def find_alpha_bar(sectors, mu, tol=1e-8):
     one inverse iteration per step.  alpha_field continues it from one μ to
     the next.
     """
-    return _solve_crossing(sectors[0], mu, tol)[0]
+    return _solve_crossing(sectors[0], mu)[0]
 
 
-def _solve_crossing(sector, mu, tol, start=None):
+def _solve_crossing(sector, mu, start=None):
     """Newton for η_ᾱ = 0 at one μ; returns (CrossingMode, continuation state).
 
     At α = 0 the coupling μα vanishes and the lowest coupled eigenpair is
@@ -553,7 +555,7 @@ def _solve_crossing(sector, mu, tol, start=None):
             hi, crossed = abar, True
         else:
             lo = abar
-        if abs(lam) < tol * max(abs(slope), 1.0):
+        if abs(lam) < CROSSING_TOL * max(abs(slope), 1.0):
             break
         step = abar - lam / slope
         if lo < step < hi:
@@ -585,7 +587,7 @@ def crossing_slope(mode):
     return float(2 * mode.alpha_bar + 2 * mode.mu * mode.q[2])
 
 
-def alpha_field(sf, sectors, tol=1e-8):
+def alpha_field(sf, sectors):
     """Per-node crossing data with μ(s̄) = 2f'(s̄)/k(s̄).
 
     In the variable-coefficient model the profile argument is k(s̄)z, so the
@@ -596,8 +598,8 @@ def alpha_field(sf, sectors, tol=1e-8):
     ``sectors`` (coupled_sectors): the first group starts from the exact
     α = 0 ground pair as find_alpha_bar does, and every later one starts
     from the previous group's ᾱ, moved by the exact dᾱ/dμ, and its
-    eigenvector (_solve_crossing).  Each group's ᾱ is within tol of the
-    root, so it agrees with find_alpha_bar to 2·tol.  Returns the crossing
+    eigenvector (_solve_crossing).  Each group's ᾱ is within CROSSING_TOL
+    of the root, so it agrees with find_alpha_bar to 2·CROSSING_TOL.  Returns the crossing
     field: the list of CrossingMode parallel to the nodes, whose
     ``alpha_bar`` are the per-node ᾱ.
     """
@@ -610,7 +612,7 @@ def alpha_field(sf, sectors, tol=1e-8):
     first = np.minimum.reduceat(order, starts)
     solved, state = [], None
     for i in first:
-        mode, state = _solve_crossing(sectors[0], float(mus[i]), tol, state)
+        mode, state = _solve_crossing(sectors[0], float(mus[i]), state)
         solved.append(mode)
     return [solved[g] for g in group]
 

@@ -185,17 +185,19 @@ class TestResonanceBasis:
 
 class TestWindowedEigensolve:
     def test_basis_only_for_constant_coefficients(self, runner_layer):
-        # both circles keep the pencil's eigenvectors in their one block, the
-        # A = 0.0537 one although kᾱ is not bitwise constant; no ellipse
-        # block keeps any
+        # both circles keep the pencil's eigenvectors, mapped to nodes, in
+        # each of their four parity blocks, the A = 0.0537 one although kᾱ
+        # is not bitwise constant; together they are an orthonormal basis.
+        # No ellipse block keeps any
         modes = runner_layer["fast"]
         if runner_layer["kind"] == "ellipse":
             assert all(block.vectors is None for block in modes.blocks)
             return
         M = modes.sf.s.size
-        (block,) = modes.blocks
-        assert block.vectors.shape == (M, M)
-        assert np.max(np.abs(block.vectors.T @ block.vectors - np.eye(M))) < 1e-12
+        assert [block.vectors.shape[1] for block in modes.blocks] == [65, 64, 64, 63]
+        vectors = np.hstack([block.vectors for block in modes.blocks])
+        assert vectors.shape == (M, M)
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(M))) < 1e-12
         assert np.ptp(modes.ka) <= CONSTANT_RTOL * np.max(modes.ka)
         if runner_layer["name"] == "circle_A0.0537":
             assert np.ptp(modes.ka) > 0
@@ -282,30 +284,33 @@ class TestMirrorSymmetry:
             with pytest.raises(ValidationError, match="leaves the grid"):
                 resonance_eigenpairs(modes, 1e-4, 0.9)
 
-    @pytest.mark.parametrize("M, sine", [(63, 0.0), (64, 0.0), (63, 0.02), (64, 0.02)],
-                             ids=["63", "64", "63_sine", "64_sine"])
-    def test_parity_blocks_of_made_up_fields(self, M, sine, ellipse_layer):
-        # even and odd M: k, f' and ᾱ made of cosines, even about node 0 to
-        # rounding, against the dense C(ε); the last ε puts all but one ν
-        # below zero, so one block is wholly negative and J = 0.  A sine
-        # term in k leaves no symmetry: one block, C(ε) whole
+    @pytest.mark.parametrize("M, even_about", [
+        (63, "0"), (64, "0"), (63, None), (64, None), (64, "0, M/4"), (66, "0, M/4")],
+        ids=["63", "64", "63_sine", "64_sine", "64_quarter", "66_quarter"])
+    def test_parity_blocks_of_made_up_fields(self, M, even_about, ellipse_layer):
+        # k, f' and ᾱ made of cosines against the dense C(ε): cos t, cos 2t
+        # and cos 3t are even about node 0 to rounding, with even and odd M,
+        # an even and an odd block; a sine term in k leaves no symmetry, one
+        # block, C(ε) whole; cos 2t and cos 4t are even about node M/4 too,
+        # with M/2 even and odd, four blocks.  The last ε puts all but one ν
+        # below zero, so all blocks but one are wholly negative and J = 0
         sf, mode = ellipse_layer["sf"], ellipse_layer["crossing"][0]
-        t = 2 * np.pi * np.arange(M) / M
+        t, i = 2 * np.pi * np.arange(M) / M, np.arange(M)
+        n = 2 if even_about == "0, M/4" else 1
         sf = replace(sf, s=t * sf.L / (2 * np.pi),
-                     k=1.0 + 0.3 * np.cos(t) + sine * np.sin(2 * t),
+                     k=1.0 + 0.3 * np.cos(n * t) + (0.0 if even_about else 0.02 * np.sin(2 * t)),
                      fprime=0.05 * (1.0 + 0.2 * np.cos(2 * t)))
         crossing = [replace(mode, alpha_bar=mode.alpha_bar * (1.0 + 0.05 * c))
-                    for c in np.cos(3 * t)]
+                    for c in np.cos((n + 2) * t)]
         modes = FastModes(sf, crossing)
-        if sine:
-            assert modes.coefficients == "general"
-            assert [block.theta.size for block in modes.blocks] == [M]
-        else:
-            assert modes.coefficients == "mirror"
-            assert [block.theta.size for block in modes.blocks] \
-                == [M // 2 + 1, (M + 1) // 2 - 1]
+        sizes, reflections = {
+            "0": ([M // 2 + 1, (M + 1) // 2 - 1], [-i % M]),
+            None: ([M], []),
+            "0, M/4": ({64: [17, 16, 16, 15], 66: [17, 16, 17, 16]}.get(M),
+                       [-i % M, (M // 2 - i) % M])}[even_about]
+        assert modes.coefficients == ("mirror" if even_about else "general")
+        assert [block.theta.size for block in modes.blocks] == sizes
         assert all(block.vectors is None for block in modes.blocks)
-        mirror = -np.arange(M) % M
         top = 1.0 / np.sqrt(modes.theta[-1]) * (1.0 + 1e-9)
         for eps, delta in [(0.3, 0.5), (0.2, 0.6), (0.1, 0.3), (top, 0.1)]:
             C = modes.matrix(eps)
@@ -319,9 +324,29 @@ class TestMirrorSymmetry:
             assert np.max(np.abs(y.T @ y - np.eye(2 * J + 1))) <= 1e-13
             assert np.max(np.abs(C @ y - y * basis.nu)) <= 1e-12 * np.max(np.abs(vals))
             for xi in basis.xi:
-                parity = min(np.max(np.abs(xi - xi[mirror])),
-                             np.max(np.abs(xi + xi[mirror])))
-                assert (parity > 0) if sine else (parity == 0.0)
+                for r in reflections or [-i % M]:
+                    parity = min(np.max(np.abs(xi - xi[r])), np.max(np.abs(xi + xi[r])))
+                    assert (parity == 0.0) if reflections else (parity > 0)
+
+    def test_window_vectors_have_exact_parity(self, runner_layer):
+        # the curves of the runner pipelines are even about node 0 and node
+        # M/4 and fold into four blocks, so every window vector is exactly
+        # even or odd under both reflections, across the gap grid of the
+        # README run file (measured misses with one block per circle and an
+        # even and an odd one for the ellipse: 3.7e-13 and 1.1e-12 on the
+        # circles, 1.3e-13 about node M/4 on the ellipse); the rolled
+        # ellipse keeps C(ε) whole
+        modes = runner_layer["fast"]
+        M, i = modes.sf.s.size, np.arange(modes.sf.s.size)
+        if runner_layer["name"] == "ellipse_rolled":
+            assert [block.theta.size for block in modes.blocks] == [M]
+            return
+        for eps in np.linspace(0.08, 0.02, 100):
+            for xi in resonance_eigenpairs(modes, eps, 0.3).xi:
+                for r in (-i % M, (M // 2 - i) % M):
+                    assert min(np.max(np.abs(xi - xi[r])),
+                               np.max(np.abs(xi + xi[r]))) == 0.0
+        assert [block.theta.size for block in modes.blocks] == [65, 64, 64, 63]
 
     def test_cut_pair_is_the_parity_vector(self, ellipse_layer):
         # at ε = 0.05, δ = 0.3 the window keeps one of the pair at ν = −0.1269
@@ -374,7 +399,8 @@ class TestCoupledSystem:
     def test_residual_is_rotation_invariant(self, sectors23, bump_potential,
                                             exps23):
         # the README circle's window holds one degenerate ν pair (rows 1, 2),
-        # whose eigenvectors eigh fixes only up to a rotation.  A quarter
+        # whose eigenvectors a solve of the whole matrix fixes only up to a
+        # rotation (the parity blocks return its even and odd ones).  A quarter
         # turn permutes the pair exactly and must leave every value as it
         # is; a generic turn leaves them within the round-off that the FFT
         # second derivative amplifies (measured ≤ 3.4e-13; per-j sup norms
@@ -534,9 +560,10 @@ class TestGapScan:
         # the ε-free pencil is solved once per block, and no factorization
         # counts the negative eigenvalues per ε; with constant coefficients
         # the pencil's eigenvectors are every window's, so no ε solves one;
-        # a mirror-symmetric curve solves an even and an odd block, each
-        # for its pencil once and for its part of every window; otherwise
-        # each ε solves only its window of the whole matrix
+        # the ellipse, even about node 0 and node M/4, solves four parity
+        # blocks, each for its pencil once and for its part of every window;
+        # the rolled ellipse, with no reflection, solves only the window of
+        # the whole matrix at each ε
         import nlscurve.resonance as resonance
         sf, crossing = runner_layer["sf"], runner_layer["crossing"]
         grid = np.linspace(0.08, 0.02, 7)
@@ -556,8 +583,8 @@ class TestGapScan:
         coefficients = {"circle": "constant", "circle_A0.0537": "constant",
                         "ellipse": "mirror", "ellipse_rolled": "general"}
         assert modes.coefficients == coefficients[runner_layer["name"]]
-        pencils, windows = {"constant": (["pencil+vectors"], 0),
-                            "mirror": (["pencil"] * 2, 2 * grid.size),
+        pencils, windows = {"constant": (["pencil+vectors"] * 4, 0),
+                            "mirror": (["pencil"] * 4, 4 * grid.size),
                             "general": (["pencil"], grid.size)}[modes.coefficients]
         assert calls[:len(pencils)] == pencils
         assert calls.count("window") == windows

@@ -136,12 +136,16 @@ class TestParseConfig:
     @pytest.mark.parametrize("section, line", [
         ("residual", "eps_list = 0.2,abc,0.05"),
         ("resonance", "gap_eps_grid = 0.08:0.02:0"),
+        ("resonance", "gap_eps_grid = 0.02:0.08:1"),
+        ("resonance", "gap_eps_grid = 0.08:-0.02:1"),
         ("residual", "eps_list = 0.2,0.2,0.1")],
-        ids=["eps_list", "gap_eps_grid", "repeated_eps"])
+        ids=["eps_list", "gap_eps_grid", "gap_eps_grid_ascending",
+             "gap_eps_grid_negative", "repeated_eps"])
     def test_bad_list_value_is_a_violation(self, tmp_path, section, line):
-        # a non-numeric value, an empty ε scan and a repeated ε are run-file
-        # violations (exit status 2), not a crash, a silent read or an order
-        # fit over fewer distinct ε than the list counts
+        # a non-numeric value, an empty ε scan, an ε scan that breaks
+        # hi > lo > 0 (with one point too, which is hi alone) and a repeated ε
+        # are run-file violations (exit status 2), not a crash, a silent read
+        # or an order fit over fewer distinct ε than the list counts
         path = write(tmp_path, MINIMAL + f"\n[{section}]\n{line}\n")
         with pytest.raises(ValidationError, match=line.split(" =")[0]):
             parse_config(path)
@@ -385,7 +389,8 @@ class TestPipeline:
     def test_oracle_gate_reads_the_fast_modes_decision(self, tmp_path, kind, gate):
         # the README circle's gap scan is gated by the arithmetic oracle and
         # passes it; the README ellipse, whose FastModes found variable
-        # coefficients, has no oracle and no such check
+        # coefficients, has no oracle and no such check.  Both report the
+        # four parity blocks of a curve even about node 0 and node M/4
         text = re.sub(r"stages = .*", "stages = gap_scan", readme_run_file())
         if kind == "ellipse":
             text, count = re.subn(r"kind = circle.*\nradius = .*",
@@ -393,6 +398,7 @@ class TestPipeline:
             assert count == 1
         summary, _ = run_pipeline(parse_config(write(tmp_path, text)))
         assert summary["checks"].get("gap_scan.gap_scan_matches_oracle") is gate
+        assert summary["stages"]["gap_scan"]["blocks"] == [65, 64, 64, 63]
 
     @pytest.mark.parametrize("curve, min_abs_eig", [
         ("kind = circle\nradius = 0.7012465", 0.71076659),

@@ -479,18 +479,18 @@ class TestCrossing:
         # converged: bitwise the Hellmann–Feynman slope its Newton steps with
         sectors = coupled_sectors(ground_state(n, 3, grid30), 3.0)
         for mu in (0.0, 0.05, 0.17):
-            mode, (_, abar, phi, _) = spectrum._solve_crossing(sectors[0], mu, 1e-8)
+            mode, (_, abar, phi, _) = spectrum._solve_crossing(sectors[0], mu)
             assert crossing_slope(mode) == spectrum._slopes(phi, abar, mu)[0]
 
     def test_bisection_guards_a_step_out_of_the_bracket(self, sectors23):
         # a start at ᾱ₀ = 2e-6 with dᾱ/dμ = 0: the slope there is about
         # 4e-6, so the first Newton step leaves the bracket, η is solved at
         # its upper end and the search bisects
-        sector, mu, tol = sectors23[0], 0.05, 1e-8
+        sector, mu = sectors23[0], 0.05
         start = (mu, 2e-6, sector.start()[0][1], 0.0)
-        mode, _ = spectrum._solve_crossing(sector, mu, tol, start)
+        mode, _ = spectrum._solve_crossing(sector, mu, start)
         assert abs(mode.alpha_bar - find_alpha_bar(sectors23, mu).alpha_bar) \
-            <= 2 * tol
+            <= 2 * spectrum.CROSSING_TOL
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_eigenvector_slopes_are_the_eigenvalue_derivatives(self, grid30, n):
@@ -609,9 +609,9 @@ class TestAlphaField:
         calls = []
         solve = spectrum._solve_crossing
 
-        def counted(sector, mu, tol, start=None):
+        def counted(sector, mu, start=None):
             calls.append(mu)
-            return solve(sector, mu, tol, start)
+            return solve(sector, mu, start)
 
         monkeypatch.setattr(spectrum, "_solve_crossing", counted)
         M = 256
@@ -642,20 +642,20 @@ class TestAlphaField:
     def test_continuation_matches_cold_search(self, sectors23, bump_potential,
                                               exps23, monkeypatch, a, b):
         # every μ group against an independent find_alpha_bar from α = 0:
-        # both are within tol of the root, so within 2·tol of each other
+        # both are within CROSSING_TOL of the root, so within twice it of
+        # each other
         curve = build_curve(CurveSpec("ellipse", n=2, a=a, b=b), 256)
         sf = compute_scalings(curve, sample_potential(bump_potential, curve),
                               0.05, exps23)
         calls = record_eigensolves(monkeypatch)
-        tol = 1e-8
-        crossing = alpha_field(sf, sectors23, tol=tol)
+        crossing = alpha_field(sf, sectors23)
         groups = list({id(m): m for m in crossing}.values())
         # measured 123 (0.85:0.6) and 127 (2:1) eigensolves for 65 groups
         assert len(calls) <= 2 * len(groups)
         monkeypatch.undo()
-        cold = {id(m): find_alpha_bar(sectors23, m.mu, tol=tol) for m in groups}
+        cold = {id(m): find_alpha_bar(sectors23, m.mu) for m in groups}
         assert max(abs(m.alpha_bar - cold[id(m)].alpha_bar) for m in groups) \
-            <= 2 * tol
+            <= 2 * spectrum.CROSSING_TOL
         for m in groups:
             assert np.max(np.abs(np.subtract(m.q, cold[id(m)].q))) < 1e-8
 
