@@ -40,6 +40,11 @@ for A in (0.0, 0.05):
     print(f"   reduced functional {red:.6f}; second-variation eigenvalues "
           f"{np.round(vals, 4)}")
     if A == 0.0:
+        # 2R² = c(1+R²) with c = (p-1)/θ: the Euler condition in closed form
+        c = (exps.p - 1) / exps.theta
+        exact = np.sqrt(c / (2 - c))
+        print(f"   closed form sqrt(c/(2-c)), c = (p-1)/θ: {exact:.16f} "
+              f"(difference {rstar - exact:.1e})")
         # R = 1/√2: the continuum symbol is exactly -8/3 + 2m², m ≠ 0 twice
         m = np.array([0, 1, 1, 2, 2, 3])
         print(f"   continuum symbol -8/3 + 2m²:    {np.round(-8 / 3 + 2.0 * m**2, 4)}")

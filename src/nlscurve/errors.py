@@ -9,8 +9,8 @@ class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge or reached an inadmissible result.
 
     The solvers: Petviashvili's iteration and Newton for the ground state,
-    Newton for the scalings, the arc-length inversion of a curve, Brent's
-    method for scalar roots and the eigen-solves of ``spectrum``.
+    Newton for the scalings, the arc-length inversion of a curve, the secant
+    search for a critical radius and the eigen-solves of ``spectrum``.
     """
 
 

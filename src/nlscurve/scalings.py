@@ -28,9 +28,6 @@ from .geometry import (fourier_diff_matrices, freeze_arrays,
                        periodic_antiderivative, periodic_derivative)
 from .radial import check_p
 
-BRENT_MAX_ITER = 100  # step cap of Brent's method (SciPy's default)
-
-
 @dataclass(frozen=True)
 class Exponents:
     """Scaling exponents σ, θ for given (n, p)."""
@@ -189,63 +186,19 @@ def reduced_functional(curve, sf, exps):
     return float(np.sum(sf.h**exps.theta) * (curve.L / curve.M))
 
 
-def _brentq(f, xa, xb, xtol, f_ends=None):
-    """Root of f on [xa, xb] by Brent's method.
-
-    A port of SciPy's ``brentq`` (its C routine ``brentq.c``), with the same
-    iterates, stopping rule |x - root| ≤ xtol + 4·eps·|x| and step cap
-    BRENT_MAX_ITER (SciPy's defaults).  ``f_ends`` passes f(xa), f(xb) when
-    the caller has them.  Raises ConvergenceError when f(xa) and f(xb) have
-    the same sign or after BRENT_MAX_ITER steps.
-    """
-    rtol = 4 * np.finfo(float).eps
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = f_ends if f_ends is not None else (f(xpre), f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if np.signbit(fpre) == np.signbit(fcur):
-        raise ConvergenceError(f"no sign change of f on [{xa}, {xb}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAX_ITER):
-        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (xtol + rtol * abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:            # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                       # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise ConvergenceError(f"Brent's method did not converge in {BRENT_MAX_ITER} steps")
-
-
 def critical_circle_radius(V_of_R_builder, bracket, phase_speed, exps):
     """Radius at which a circle satisfies the extremality condition.
 
     ``V_of_R_builder(R)`` must return (curve, pot) for the circle of radius
     R.  Finds the sign change of the first curvature component of the Euler
-    residual by Brent's method; raises if no sign change exists in the
-    bracket (e.g. a potential that admits no critical circle).
+    residual on ``bracket`` by secant steps through the last two radii; a
+    step that would leave the sign-change bracket, or is undefined (equal
+    defects), becomes a bisection of it.  Stops at the first step of at most
+    1e-12 + 4·eps·R and returns the radius it reaches, so no circle is built
+    only to confirm convergence (a step test: it assumes a simple root).
+    Raises ConvergenceError if the bracket shows no sign change (e.g. a
+    potential that admits no critical circle), if a defect is not finite,
+    or after 100 steps.
     """
     def defect(R):
         curve, pot = V_of_R_builder(R)
@@ -255,12 +208,28 @@ def critical_circle_radius(V_of_R_builder, bracket, phase_speed, exps):
 
     lo, hi = bracket
     flo, fhi = defect(lo), defect(hi)
-    if flo * fhi > 0:
+    if not flo * fhi <= 0:
         raise ConvergenceError(
             f"Euler residual has no zero on [{lo}, {hi}] "
             f"(defect {flo:.3e} .. {fhi:.3e}); the potential admits no critical "
             f"circle in this bracket")
-    return _brentq(defect, lo, hi, xtol=1e-12, f_ends=(flo, fhi))
+    R_prev, f_prev, R, f = lo, flo, hi, fhi
+    for _ in range(100):
+        tol = 1e-12 + 4 * np.finfo(float).eps * abs(R)
+        step = -f * (R - R_prev) / (f - f_prev) if f != f_prev else np.inf
+        if abs(step) > tol and not lo < R + step < hi:
+            step = 0.5 * (lo + hi) - R
+        if abs(step) <= tol:
+            return R + step
+        R_prev, f_prev, R = R, f, R + step
+        f = defect(R)
+        if not np.isfinite(f):
+            raise ConvergenceError(f"Euler residual is {f} at radius {R}")
+        if (f > 0) == (fhi > 0):
+            hi, fhi = R, f
+        else:
+            lo = R
+    raise ConvergenceError("critical-radius search did not converge in 100 steps")
 
 
 # ---------------------------------------------------------------------------

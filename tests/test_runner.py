@@ -14,8 +14,17 @@ import nlscurve.radial as radial
 import nlscurve.runner as runner
 import nlscurve.spectrum as spectrum
 from nlscurve.errors import ValidationError
+from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
+                               sample_potential)
 from nlscurve.resonance import FastModes, gap_scan
 from nlscurve.runner import emit_report, main, parse_config, run_pipeline
+from nlscurve.scalings import compute_exponents, critical_circle_radius
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# The critical circle of V = 1/(1+r²) in R³ at A = 0.05, as typed into the
+# n = 3 run files here and in CI (test_n3_radius_is_critical pins it)
+N3_RADIUS = "0.9950370682751267"
 
 MINIMAL = """
 [problem]
@@ -57,7 +66,7 @@ def write(tmp_path, text, name="run.cfg"):
 
 def readme_run_file():
     """The ```ini run file of README.md."""
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     return re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
 
 
@@ -291,7 +300,7 @@ class TestPipeline:
         text = readme_run_file()
         for pattern, repl in [
                 (r"\nn = 2\n", f"\nn = {n}\n"),
-                (r"\nradius = .*", "\nradius = 0.9950370682751267" if n == 3
+                (r"\nradius = .*", f"\nradius = {N3_RADIUS}" if n == 3
                  else "\nradius = 0.7012465"),
                 (r"\npotential = .*", f"\npotential = {potential}"),
                 (r"\nstages = .*", "\nstages = branches")]:
@@ -318,7 +327,7 @@ class TestPipeline:
         monkeypatch.setattr(runner, "trace_branches", counted)
         text = readme_run_file()
         for pattern, repl in [(r"\nn = 2\n", "\nn = 3\n"),
-                              (r"\nradius = .*", "\nradius = 0.9950370682751267"),
+                              (r"\nradius = .*", f"\nradius = {N3_RADIUS}"),
                               (r"\nstages = .*", "\nstages = branches")]:
             text, count = re.subn(pattern, repl, text)
             assert count == 1, pattern
@@ -428,7 +437,7 @@ class TestPipeline:
         text = readme_run_file()
         for pattern, repl in [
                 (r"\nn = 2\n", "\nn = 3\n"),
-                (r"\nradius = .*", "\nradius = 0.9950370682751267"),
+                (r"\nradius = .*", f"\nradius = {N3_RADIUS}"),
                 (r"\npotential = .*", f"\npotential = {potential}"),
                 (r"\nstages = .*", "\nstages = geometry, scalings, criticality")]:
             text, count = re.subn(pattern, repl, text)
@@ -489,6 +498,22 @@ class TestPipeline:
         cfg = parse_config(write(tmp_path, text))
         summary, csvs = run_pipeline(cfg)
         assert "profile" in csvs and "curve" in csvs
+
+
+def test_n3_radius_is_critical():
+    # the n = 3 run files here and in CI's tier1.yml type the radius in; a
+    # root-finder change must not leave them on an off-critical circle
+    exps = compute_exponents(3, 3)
+    V = PotentialField("1/(1+r2)", 3)
+
+    def builder(R):
+        curve = build_curve(CurveSpec("circle", n=3, radius=R), 128)
+        return curve, sample_potential(V, curve)
+
+    rstar = critical_circle_radius(builder, (0.6, 1.4), 0.05, exps)
+    assert abs(rstar - float(N3_RADIUS)) <= 1e-12
+    ci = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert set(re.findall(r'"\\nradius = ([0-9.]+)"', ci)) == {N3_RADIUS}
 
 
 @pytest.mark.parametrize("n", [2, 3])

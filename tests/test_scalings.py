@@ -79,7 +79,7 @@ class TestScalings:
         curve = build_curve(CurveSpec("circle", n=2, radius=0.8), 128)
         pot = sample_potential(bump_potential, curve)
         mismatch, hi = budget_mismatch(curve, pot, exps23, 0.1, 0.05, 0.025)
-        A2 = scalings._brentq(mismatch, 0.0, hi, xtol=1e-15)
+        A2 = brentq(mismatch, 0.0, hi, xtol=1e-15)
         b1 = compute_scalings(curve, pot, 0.1, exps23).phase_budget / 0.05
         b2 = compute_scalings(curve, pot, A2, exps23).phase_budget / 0.025
         assert abs(b1 - b2) < 1e-10
@@ -173,51 +173,82 @@ class TestCriticality:
                 lambda R: circle_setup(V, R, 128, 0.0, exps23)[:2],
                 (0.2, 2.0), 0.0, exps23)
 
+    @pytest.mark.parametrize("n, p, rstar", [
+        (2, 3, 2**-0.5), (3, 3, 1.0), (2, 2, 0.5), (4, 2, 2**-0.5)])
+    def test_closed_form_critical_radius(self, n, p, rstar):
+        # V = 1/(1+r²), A = 0: h^{p-1} = V and ∇ᴺV = -2R·V², |H| = 1/R, so
+        # the Euler condition is 2R² = c(1+R²), c = (p-1)/θ, and
+        # R* = √(c/(2-c)); Brent's method builds 12 circles for each
+        exps = compute_exponents(n, p)
+        c = (p - 1) / exps.theta
+        assert abs(rstar - np.sqrt(c / (2 - c))) <= 1e-15
+        V = PotentialField("1/(1+r2)", n)
+        calls = []
+
+        def builder(R):
+            calls.append(R)
+            curve = build_curve(CurveSpec("circle", n=n, radius=R), 128)
+            return curve, sample_potential(V, curve)
+
+        R = critical_circle_radius(builder, (0.3, 1.5), 0.0, exps)
+        assert abs(R - rstar) <= 1e-14
+        assert len(calls) <= 12
+
+
+class TestRadiusSearchFailures:
+    @staticmethod
+    def search(monkeypatch, defect, bracket=(0.4, 1.2)):
+        """critical_circle_radius on a made-up defect of R; (root, calls)."""
+        calls = []
+        monkeypatch.setattr(scalings, "compute_scalings", lambda *args: None)
+        monkeypatch.setattr(scalings, "euler_residual", lambda R, *args: (
+            calls.append(R) or np.full((1, 1), defect(R)), None))
+        return critical_circle_radius(lambda R: (R, None), bracket, 0.0,
+                                      None), len(calls)
+
+    def test_step_defect_converges_to_the_jump(self, monkeypatch):
+        # equal defects leave the secant undefined: bisection, no 0/0
+        jump = 0.7377
+        R, calls = self.search(monkeypatch, lambda R: -1.0 if R < jump else 1.0)
+        assert abs(R - jump) <= 1e-12 + 4 * np.finfo(float).eps * jump
+        assert calls < 60
+
+    @pytest.mark.parametrize("bracket", [(0.4, 1.2), (0.65, 1.2)])
+    def test_nan_defect_raises(self, monkeypatch, bracket):
+        # NaN inside the bracket (at the first secant step, R = 0.7) and at
+        # its lower end
+        with pytest.raises(ConvergenceError):
+            self.search(monkeypatch,
+                        lambda R: np.nan if 0.6 < R < 0.9 else R - 0.7, bracket)
+
+    def test_step_cap(self, monkeypatch):
+        # a fifth-order root: the secant closes in linearly, by a factor
+        # ≈0.9 a step, so 100 steps leave it short of the tolerance
+        with pytest.raises(ConvergenceError, match="100 steps"):
+            self.search(monkeypatch, lambda R: (R - 0.7) ** 5)
+
 
 class TestBrent:
     def test_matches_scipy_on_critical_circle(self, bump_potential, exps23,
                                                critical_circle):
-        # the conftest defect: the port takes SciPy's iterates, so the same
-        # root and the same number of defect evaluations
-        from nlscurve.scalings import _brentq
-        calls = {"port": [], "scipy": []}
+        # the conftest circle: the secant's root is SciPy's Brent root to
+        # 1e-14 relative, from 10 circles where Brent builds 11
+        calls = []
 
-        def defect(R, who):
-            calls[who].append(R)
+        def builder(R):
+            calls.append(R)
+            curve = build_curve(CurveSpec("circle", n=2, radius=R), 128)
+            return curve, sample_potential(bump_potential, curve)
+
+        def defect(R):
             curve, pot, sf = circle_setup(bump_potential, R, 128, 0.0, exps23)
             return float(euler_residual(curve, pot, sf, exps23)[0][:, 0].mean())
 
-        port = _brentq(lambda R: defect(R, "port"), 0.4, 1.2, xtol=1e-12)
-        ref = brentq(lambda R: defect(R, "scipy"), 0.4, 1.2, xtol=1e-12)
-        assert abs(port - ref) <= 1e-14 * abs(ref)
-        assert calls["port"] == calls["scipy"] and len(calls["port"]) > 5
-        assert abs(critical_circle["rstar"] - ref) <= 1e-14 * abs(ref)
-
-    @pytest.mark.parametrize("func, lo, hi", [
-        (np.cos, 0.0, 3.0), (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
-        (lambda x: np.exp(x) - 10, -5.0, 5.0),
-        (lambda x: np.tanh(50 * (x - 0.3)), -1.0, 1.0)])
-    @pytest.mark.parametrize("xtol", [1e-12, 1e-15])
-    def test_same_iterates_as_scipy(self, func, lo, hi, xtol):
-        from nlscurve.scalings import _brentq
-        seen = {"port": [], "scipy": []}
-        port = _brentq(lambda x: seen["port"].append(x) or func(x), lo, hi, xtol=xtol)
-        ref = brentq(lambda x: seen["scipy"].append(x) or func(x), lo, hi, xtol=xtol)
-        assert port == ref and seen["port"] == seen["scipy"]
-
-    def test_failures_are_typed(self, monkeypatch):
-        with pytest.raises(ConvergenceError, match="sign"):
-            scalings._brentq(lambda x: x**2 + 1, -1.0, 1.0, xtol=1e-12)
-        monkeypatch.setattr(scalings, "BRENT_MAX_ITER", 5)
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            scalings._brentq(lambda x: (x - 0.7) ** 3, 0.0, 1.0, xtol=1e-15)
-
-    def test_phase_budget_match_as_with_scipy(self, bump_potential, exps23):
-        curve = build_curve(CurveSpec("circle", n=2, radius=0.8), 128)
-        pot = sample_potential(bump_potential, curve)
-        mismatch, hi = budget_mismatch(curve, pot, exps23, 0.1, 0.05, 0.025)
-        ref = brentq(mismatch, 0.0, hi, xtol=1e-15)
-        assert scalings._brentq(mismatch, 0.0, hi, xtol=1e-15) == ref
+        ref = brentq(defect, 0.4, 1.2, xtol=1e-12)
+        rstar = critical_circle_radius(builder, (0.4, 1.2), 0.0, exps23)
+        assert abs(rstar - ref) <= 1e-14 * abs(ref)
+        assert len(calls) <= 10
+        assert critical_circle["rstar"] == rstar
 
 
 class TestJacobi:
