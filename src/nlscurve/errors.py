@@ -9,8 +9,10 @@ class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge or reached an inadmissible result.
 
     The solvers: Petviashvili's iteration and Newton for the ground state,
-    Newton for the scalings, the arc-length inversion of a curve, the secant
-    search for a critical radius and the eigen-solves of ``spectrum``.
+    Newton for the scalings, the arc-length series of a curve and its
+    inversion (an ellipse thinner than about 1:1000 leaves the series
+    unresolved at ``geometry.ARC_MODES_CAP`` modes), the secant search for
+    a critical radius and the eigen-solves of ``spectrum``.
     """
 
 

@@ -1,19 +1,22 @@
 """Closed curves in flat R^n: arc length, parallel normal frames, curvature.
 
-A concentration curve is stored as M samples equispaced in arc length,
-together with unit tangents, an orthonormal normal frame transported
-parallelly with respect to the normal connection, and the curvature vector
-H = γ'' expressed in that frame.  In flat space a parallel normal frame obeys
-E_j' = -H^j T, which makes the Fermi metric around the curve exactly
+A concentration curve is a circle or an ellipse in the x1–x2 plane, stored
+as M samples equispaced in arc length, together with unit tangents, an
+orthonormal normal frame parallel with respect to the normal connection,
+and the curvature vector H = γ'' expressed in that frame.  In flat space a
+parallel normal frame obeys E_j' = -H^j T, which makes the Fermi metric
+around the curve exactly
 
     g_11 = (1 - <H, y>)²,   g_1j = 0,   g_jl = δ_jl,
 
-in the normal coordinates y induced by the frame.  The loop holonomy of the
-normal connection is measured after one round trip and distributed uniformly
-as a closing rotation, so the stored frame is exactly L-periodic.  Fields
-sampled on the nodes are differentiated and integrated along s̄ by the
-periodic helpers here, which every later layer shares; every s̄-derivative
-is spectral (FFT, or the circulant Fourier collocation matrices).
+in the normal coordinates y induced by the frame.  For a planar curve that
+frame is closed-form and L-periodic: the in-plane normal is the tangent
+turned by a right angle, and the other normals are the constant axes
+e₃ … eₙ (Bishop, "There is more than one way to frame a curve", Amer.
+Math. Monthly 82 (1975)).  Fields sampled on the nodes are differentiated
+and integrated along s̄ by the periodic helpers here, which every later
+layer shares; every s̄-derivative is spectral (FFT, or the circulant
+Fourier collocation matrices).
 
 Potentials are given in a small arithmetic expression language over the
 ambient coordinates (x1..xn, r = |x|, r2 = |x|²) that is evaluated through a
@@ -24,17 +27,15 @@ are read.
 """
 
 import ast
-import itertools
 import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import logm
 
 from .errors import ConvergenceError, ValidationError
-from .radial import UniformCubic
 
-# largest t grid of the arc-length Fourier series; sampled loops stop here
+# largest t grid of the arc-length Fourier series; an ellipse thinner than
+# about 1:1000 needs more modes and is refused
 ARC_MODES_CAP = 1 << 16
 # Gauss–Legendre rule for the arc length inside one cell of that grid
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -238,17 +239,18 @@ def freeze_arrays(obj):
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Closed-curve specification: circle, ellipse, or sampled loop."""
+    """Closed-curve specification: a circle of ``radius``, or an ellipse of
+    semi-axes ``a`` along x1 and ``b`` along x2, centred at the origin of the
+    x1–x2 plane of R^n."""
 
     kind: str
     n: int = 2
     radius: float = 1.0
     a: float = 2.0
     b: float = 1.0
-    points: np.ndarray = None  # (N, n) samples of a closed loop, kind='parametric'
 
     def __post_init__(self):
-        if self.kind not in ("circle", "ellipse", "parametric"):
+        if self.kind not in ("circle", "ellipse"):
             raise ValidationError(f"unknown curve kind {self.kind!r}")
         if self.n < 2:
             raise ValidationError("ambient dimension must be >= 2")
@@ -256,8 +258,6 @@ class CurveSpec:
             raise ValidationError("circle radius must be positive")
         if self.kind == "ellipse" and (self.a <= 0 or self.b <= 0):
             raise ValidationError("ellipse semi-axes must be positive")
-        if self.kind == "parametric" and self.points is None:
-            raise ValidationError("parametric curve needs sample points")
 
 
 @dataclass(frozen=True)
@@ -276,8 +276,6 @@ class CurveData:
     tangents: np.ndarray          # (M, n)
     frame: np.ndarray             # (M, n-1, n)
     curvature: np.ndarray         # (M, n-1) components of H in the frame
-    holonomy_angle: float
-    holonomy_generator: np.ndarray = None   # skew (n-1, n-1), zero when closed
 
     def __post_init__(self):
         freeze_arrays(self)
@@ -311,85 +309,24 @@ class PotentialData:
 
 
 def _param_functions(spec):
-    """(γ, γ', γ'') as functions of a 2π-periodic parameter.
+    """(γ, γ', γ'') of the circle or ellipse as functions of its 2π-periodic
+    parameter t, γ(t) = (a cos t, b sin t, 0, …)."""
+    a = spec.radius if spec.kind == "circle" else spec.a
+    b = spec.radius if spec.kind == "circle" else spec.b
 
-    Closed forms for circle and ellipse; for sampled loops, the periodic
-    cubic spline through the samples on uniform parameters and its
-    derivatives.
-    """
-    if spec.kind in ("circle", "ellipse"):
-        a = spec.radius if spec.kind == "circle" else spec.a
-        b = spec.radius if spec.kind == "circle" else spec.b
+    def make(fa, fb):
+        def f(t):
+            t = np.atleast_1d(t)
+            out = np.zeros(t.shape + (spec.n,))
+            out[..., 0] = fa(t)
+            out[..., 1] = fb(t)
+            return out
+        return f
 
-        def make(fa, fb):
-            def f(t):
-                t = np.atleast_1d(t)
-                out = np.zeros(t.shape + (spec.n,))
-                out[..., 0] = fa(t)
-                out[..., 1] = fb(t)
-                return out
-            return f
-
-        gamma = make(lambda t: a * np.cos(t), lambda t: b * np.sin(t))
-        dgamma = make(lambda t: -a * np.sin(t), lambda t: b * np.cos(t))
-        d2gamma = make(lambda t: -a * np.cos(t), lambda t: -b * np.sin(t))
-        return gamma, dgamma, d2gamma
-
-    pts = np.asarray(spec.points, dtype=float)
-    if pts.shape[0] < 8:
-        raise ValidationError("parametric curve needs at least 8 samples")
-    spline = UniformCubic.periodic(pts, 2 * np.pi)
-    wrap = lambda nu: (lambda tt: spline(np.mod(tt, 2 * np.pi), nu))
-    return wrap(0), wrap(1), wrap(2)
-
-
-def _close_pairs(points, rad):
-    """Index pairs (i, j), i < j, of points (M, n) at most ``rad`` apart.
-
-    Candidates share a cell, or touch cells, of a grid of cell size rad: the
-    points are sorted by one integer cell key, and each finds the points of
-    its own cell and of half its neighbours by binary search, so the memory
-    stays linear in M for a bounded number of points per cell.  Axes with a
-    single cell, and axes that would overflow the int64 key, are left out
-    of it, which only coarsens the cells.
-    """
-    M = points.shape[0]
-    cells = np.floor((points - points.min(axis=0)) / rad).astype(np.int64) + 1
-    span = cells.max(axis=0) + 2     # a cell ± 1 stays within [0, span]
-    axes, strides, size = [], [], 1
-    for ax in np.argsort(-span):
-        if span[ax] == 3 or size * (int(span[ax]) + 1) >= 2**62:
-            break
-        axes.append(ax)
-        strides.append(size)
-        size *= int(span[ax]) + 1
-    key = cells[:, axes] @ np.array(strides, dtype=np.int64)
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    # the own cell first, then each neighbour whose mirror image is not listed
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=len(axes))
-               if o >= (0,) * len(axes)] @ np.array(strides, dtype=np.int64)
-    other = (key[:, None] + offsets).ravel()
-    lo = np.searchsorted(sorted_key, other, "left")
-    count = np.searchsorted(sorted_key, other, "right") - lo
-    slot = np.repeat(np.arange(other.size), count)
-    i = slot // offsets.size
-    j = order[np.arange(slot.size) + np.repeat(lo - np.cumsum(count) + count, count)]
-    keep = (np.sum((points[i] - points[j]) ** 2, axis=1) <= rad**2) \
-        & ((i < j) | (slot % offsets.size > 0))
-    return np.sort(np.stack([i[keep], j[keep]]), axis=0)
-
-
-def _check_simple(positions):
-    """Self-intersection test on the sample polyline: samples far apart along
-    the curve must not come within half a sampling step of each other."""
-    M = positions.shape[0]
-    step = np.max(np.linalg.norm(np.diff(positions, axis=0, append=positions[:1]),
-                                 axis=1))
-    i, j = _close_pairs(positions, 0.5 * step)
-    gap = j - i
-    if np.any(np.minimum(gap, M - gap) > max(4, M // 64)):
-        raise ValidationError("curve appears to self-intersect")
+    gamma = make(lambda t: a * np.cos(t), lambda t: b * np.sin(t))
+    dgamma = make(lambda t: -a * np.sin(t), lambda t: b * np.cos(t))
+    d2gamma = make(lambda t: -a * np.cos(t), lambda t: -b * np.sin(t))
+    return gamma, dgamma, d2gamma
 
 
 def _arc_length_parameters(dgamma, M):
@@ -399,11 +336,11 @@ def _arc_length_parameters(dgamma, M):
     equispaced t give its Fourier coefficients c_k, and the trapezoid rule,
     spectrally accurately: L = 2πc₀ and s(t) = c₀t + Σ 2Re(c_k e^{ikt}/(ik)),
     summed on the t grid by one inverse FFT.  N doubles from 64 until the
-    upper half of |c_k| is below 4·eps·c₀, or reaches ARC_MODES_CAP (sampled
-    loops: a cubic spline's speed has only algebraically decaying
-    coefficients).  Newton with the exact speed then solves s(t) = s_target,
-    with s(t) the grid value at the cell start plus a Gauss–Legendre rule
-    over the rest of the cell.
+    upper half of |c_k| is below 4·eps·c₀; the coefficients of an ellipse
+    of axis ratio b/a decay like e^{-k·b/a}, and one that still needs more
+    at N = ARC_MODES_CAP raises ConvergenceError.  Newton with the exact
+    speed then solves s(t) = s_target, with s(t) the grid value at the cell
+    start plus a Gauss–Legendre rule over the rest of the cell.
     """
     speed = lambda t: np.linalg.norm(dgamma(t), axis=-1)
     N = 64
@@ -412,8 +349,11 @@ def _arc_length_parameters(dgamma, M):
         coef = np.fft.rfft(speed(t_grid)) / N
         c0 = coef[0].real
         tail = np.max(np.abs(coef[N // 4:]))
-        if N >= ARC_MODES_CAP or tail <= 4 * np.finfo(float).eps * c0:
+        if tail <= 4 * np.finfo(float).eps * c0:
             break
+        if N >= ARC_MODES_CAP:
+            raise ConvergenceError(
+                f"arc-length series unresolved at {N} modes (tail {tail / c0:.2e}·c0)")
         N *= 2
     L = 2 * np.pi * c0
     k = np.arange(1, coef.size)
@@ -438,11 +378,12 @@ def _arc_length_parameters(dgamma, M):
 
 
 def build_curve(spec, M=256):
-    """Arc-length sampled CurveData with a parallel, L-periodic normal frame.
+    """Arc-length sampled CurveData with its parallel, L-periodic normal frame.
 
-    The frame is propagated by the rotation in span(T_i, T_{i+1}) that maps
-    T_i to T_{i+1} (discrete parallel transport, O(M^-2) accurate); the loop
-    holonomy is then spread uniformly so the stored frame closes exactly.
+    The curve lies in the x1–x2 plane, so its parallel frame is exact at
+    every node: the first normal is (T₂, −T₁, 0, …), the tangent turned by
+    a right angle, and the others are the constant axes e₃ … eₙ.  Each
+    obeys E' = −⟨H, E⟩T.
     """
     if M < 64:
         raise ValidationError("need at least 64 curve samples")
@@ -451,8 +392,6 @@ def build_curve(spec, M=256):
     L, s_nodes, t_nodes = _arc_length_parameters(dgamma, M)
 
     positions = gamma(t_nodes)
-    _check_simple(positions)
-
     dgdt = dgamma(t_nodes)
     d2gdt2 = d2gamma(t_nodes)
     spd = np.linalg.norm(dgdt, axis=1)
@@ -461,55 +400,14 @@ def build_curve(spec, M=256):
     Hvec = (d2gdt2 - np.sum(d2gdt2 * tangents, axis=1)[:, None] * tangents) / (spd**2)[:, None]
 
     n = spec.n
-    # initial normal frame at node 0: complete T_0 to an orthonormal basis
-    base = np.eye(n)
-    cols = [tangents[0]]
-    for v in base:
-        w = v - sum(np.dot(v, c) * c for c in cols)
-        if np.linalg.norm(w) > 1e-8:
-            cols.append(w / np.linalg.norm(w))
-        if len(cols) == n:
-            break
-    frame0 = np.array(cols[1:])
-
-    # rotations T_i -> T_{i+1}, the last one closing the loop; only their
-    # composition is sequential
-    rot_T = _transport_rotations(tangents, np.roll(tangents, -1, axis=0)
-                                 ).transpose(0, 2, 1)
     frame = np.zeros((M, n - 1, n))
-    frame[0] = frame0
-    for i in range(M - 1):
-        frame[i + 1] = frame[i] @ rot_T[i]
-    frame_end = frame[-1] @ rot_T[-1]
-
-    # holonomy: rotation in the normal space at node 0 mapping frame0 to frame_end
-    Rhol = frame_end @ frame0.T          # (n-1, n-1), orthogonal
-    if n == 2:
-        holonomy_angle = 0.0 if Rhol[0, 0] > 0 else np.pi
-        gen = np.zeros((1, 1))
-    else:
-        gen = np.real(logm(Rhol))        # skew generator of the holonomy
-        holonomy_angle = float(np.linalg.norm(gen) / np.sqrt(2))
-        # distribute the closing rotation uniformly in arc length: i·gen is
-        # Hermitian, gen = -i·V·diag(w)·Vᴴ, so expm(-gen·τ) = V·diag(e^{iwτ})·Vᴴ.
-        # Applied however small the angle: a planar loop has a round-off
-        # holonomy, and no cutoff should decide whether it is undone
-        w, V = np.linalg.eigh(1j * gen)
-        phases = np.exp(1j * np.multiply.outer(s_nodes / L, w))
-        frame = ((V * phases[:, None, :]) @ V.conj().T).real @ frame
-
-    # re-orthonormalize against accumulated rounding: Gram–Schmidt of the
-    # tangent-projected frame vectors, i.e. QR with a positive diagonal of R
-    proj = frame - np.einsum("ijk,ik->ij", frame, tangents)[..., None] * tangents[:, None]
-    q, r = np.linalg.qr(proj.transpose(0, 2, 1))
-    frame = (q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None]).transpose(0, 2, 1)
-
+    frame[:, 0, 0] = tangents[:, 1]
+    frame[:, 0, 1] = -tangents[:, 0]
+    frame[:, 1:, 2:] = np.eye(n - 2)
     curvature = np.einsum("ik,ijk->ij", Hvec, frame)
 
     return CurveData(s=s_nodes, L=L, positions=positions, tangents=tangents,
-                     frame=frame, curvature=curvature,
-                     holonomy_angle=holonomy_angle,
-                     holonomy_generator=gen)
+                     frame=frame, curvature=curvature)
 
 
 def periodic_derivative(values, L, order=1):
@@ -557,25 +455,6 @@ def periodic_antiderivative(values, L):
     incr = 0.5 * (values + np.roll(values, -1, axis=0)) * (L / values.shape[0])
     cums = np.cumsum(incr, axis=0)
     return np.concatenate([np.zeros_like(cums[:1]), cums[:-1]]), cums[-1]
-
-
-def _transport_rotations(t0, t1):
-    """Per row i, the rotation in span(t0[i], t1[i]) mapping t0[i] to t1[i]
-    (identity elsewhere); unit rows (M, n) give (M, n, n)."""
-    M, n = t0.shape
-    dot = lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-    c = dot(t0, t1)
-    w = t1 - c[:, None] * t0
-    nw = np.sqrt(dot(w, w))
-    turn = nw >= 1e-15
-    w = np.where(turn[:, None], w / np.where(turn, nw, 1.0)[:, None], 0.0)
-    c = np.where(turn, c, 1.0)
-    s = np.where(turn, nw, 0.0)  # sin of the rotation angle; c its cos
-    outer = lambda a, b: a[:, :, None] * b[:, None, :]
-    R = np.broadcast_to(np.eye(n), (M, n, n)).copy()
-    R += (c - 1)[:, None, None] * (outer(t0, t0) + outer(w, w))
-    R += s[:, None, None] * (outer(w, t0) - outer(t0, w))
-    return R
 
 
 def sample_potential(V, curve):

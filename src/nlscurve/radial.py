@@ -92,11 +92,10 @@ class RadialGrid:
 class UniformCubic:
     """C² piecewise cubic through ``values`` (K+1, ...) on uniform knots.
 
-    ``moments`` are its second derivatives at the knots.  ``not_a_knot``
-    and ``periodic`` solve for them; a call evaluates the cubic, or its
-    ``nu``-th derivative (nu ≤ 2), by Horner's rule on the interval
-    [knots[i], knots[i+1]) that holds x (the last one closed), for x within
-    [knots[0], knots[-1]].
+    ``moments`` are its second derivatives at the knots, which ``not_a_knot``
+    solves for; a call evaluates the cubic, or its ``nu``-th derivative
+    (nu ≤ 2), by Horner's rule on the interval [knots[i], knots[i+1]) that
+    holds x (the last one closed), for x within [knots[0], knots[-1]].
     """
 
     def __init__(self, knots, values, moments):
@@ -119,21 +118,6 @@ class UniformCubic:
         inner = solve_banded((1, 1), ab, rhs)
         ends = (2.0 * inner[:1] - inner[1:2], 2.0 * inner[-1:] - inner[-2:-1])
         return cls(knots, values, np.concatenate([ends[0], inner, ends[1]]))
-
-    @classmethod
-    def periodic(cls, values, period):
-        """Periodic cubic through ``values`` (N, ...) on N knots of [0,
-        period): the moment system is circulant (1, 4, 1), solved by FFT."""
-        N = values.shape[0]
-        h = period / N
-        rhs = 6.0 * (np.roll(values, 1, axis=0) - 2.0 * values
-                     + np.roll(values, -1, axis=0)) / h**2
-        eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(N) / N)
-        mom = np.fft.ifft(np.fft.fft(rhs, axis=0)
-                          / eig.reshape((N,) + (1,) * (values.ndim - 1)),
-                          axis=0).real
-        closed = lambda a: np.concatenate([a, a[:1]], axis=0)
-        return cls(np.linspace(0.0, period, N + 1), closed(values), closed(mom))
 
     def __call__(self, x, nu=0):
         x = np.asarray(x, dtype=float)

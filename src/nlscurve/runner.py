@@ -301,7 +301,6 @@ def stage_geometry(run):
     run.csvs["potential"] = (",".join(["s", "V", *_numbered("dV", n - 1)]),
                              np.column_stack([curve.s, pot.values, pot.grad_normal]))
     return {"length": float(curve.L),
-            "holonomy_angle": float(curve.holonomy_angle),
             "max_curvature": float(np.max(np.linalg.norm(
                 curve.curvature_vectors(), axis=1))),
             "checks": {"frame_orthonormal": bool(frame_orth < 1e-10)}}

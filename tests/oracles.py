@@ -43,7 +43,7 @@ def straight_segment_curve(L, M, n=2):
         frame[:, j, j + 1] = 1.0
     curvature = np.zeros((M, n - 1))
     return CurveData(s=sb, L=float(L), positions=positions, tangents=tangents,
-                     frame=frame, curvature=curvature, holonomy_angle=0.0)
+                     frame=frame, curvature=curvature)
 
 
 def budget_mismatch(curve, pot, exps, A_ref, eps_ref, eps_new):

@@ -1,4 +1,4 @@
-"""Curve construction, frames, holonomy, potential sampling."""
+"""Curve construction, frames, potential sampling."""
 
 import tracemalloc
 import warnings
@@ -6,33 +6,13 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.special import ellipe
 
-from nlscurve.errors import ValidationError
+from nlscurve.errors import ConvergenceError, ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
-                               sample_potential)
-from nlscurve.geometry import (_arc_length_parameters, _check_simple,
-                               _close_pairs, _param_functions)
+                               periodic_derivative, sample_potential)
 
 from oracles import straight_segment_curve
-
-
-def _torus_knot(samples=200):
-    t = np.linspace(0, 2 * np.pi, samples, endpoint=False)
-    return np.stack([(2 + 0.5 * np.cos(3 * t)) * np.cos(t),
-                     (2 + 0.5 * np.cos(3 * t)) * np.sin(t),
-                     0.5 * np.sin(3 * t)], axis=1)
-
-
-def _figure_eight(samples=256):
-    t = np.linspace(0, 2 * np.pi, samples, endpoint=False)
-    return np.stack([np.cos(2 * t), np.sin(t)], axis=1)
-
-
-def _node_positions(spec, M):
-    """The curve nodes that build_curve hands to the self-intersection test."""
-    gamma, dgamma, _ = _param_functions(spec)
-    return gamma(_arc_length_parameters(dgamma, M)[2])
 
 
 class TestBuildCurve:
@@ -41,7 +21,6 @@ class TestBuildCurve:
         assert abs(c.L - 4 * np.pi) < 1e-8
         H = c.curvature_vectors()
         assert np.max(np.abs(np.linalg.norm(H, axis=1) - 0.5)) < 1e-6
-        assert abs(c.holonomy_angle) < 1e-8
 
     def test_unit_circle_r2_inward(self):
         c = build_curve(CurveSpec("circle", n=2, radius=1.0), 128)
@@ -83,132 +62,60 @@ class TestBuildCurve:
         H = c.curvature_vectors()
         assert np.max(np.abs(np.einsum("ij,ij->i", H, c.tangents))) < 1e-8
 
+    @staticmethod
+    def transport_defect(c):
+        """max |E_j' + <H, E_j> T| / max |H|, E' by spectral differentiation."""
+        dE = periodic_derivative(c.frame, c.L)
+        pred = -c.curvature[:, :, None] * c.tangents[:, None, :]
+        H = np.linalg.norm(c.curvature_vectors(), axis=1)
+        return np.max(np.abs(dE - pred)) / np.max(H)
+
     def test_curvature_from_frame_differentiation(self):
-        # H^j = -<E_j', T> for a parallel frame: finite differences of the
-        # stored frame reproduce the analytic curvature to O(M^-2)
+        # H^j = -<E_j', T> for a parallel frame: the spectral derivative of
+        # the stored frame reproduces the analytic curvature to round-off
         for M in (256, 512):
             c = build_curve(CurveSpec("circle", n=3, radius=2.0), M)
-            ds = c.L / c.M
-            dE = (np.roll(c.frame, -1, axis=0)
-                  - np.roll(c.frame, 1, axis=0)) / (2 * ds)
-            Hj = -np.einsum("ijk,ik->ij", dE, c.tangents)
-            err = np.max(np.abs(Hj - c.curvature))
-            assert err < 40.0 / M**2
+            assert self.transport_defect(c) < 1e-11
 
     def test_parallel_transport_discrete(self):
-        # zero-holonomy loop: the stored frame is the parallel frame and
-        # <E_j', E_l> vanishes to discretization accuracy
+        # the stored frame is parallel: E_j' = -<H, E_j> T, so <E_j', E_l>
+        # vanishes to round-off
         c = build_curve(CurveSpec("ellipse", n=3, a=2.0, b=1.0), 512)
-        assert c.holonomy_angle < 1e-10
-        ds = c.L / c.M
-        dE = (np.roll(c.frame, -1, axis=0) - np.roll(c.frame, 1, axis=0)) / (2 * ds)
-        ip = np.einsum("ijk,ilk->ijl", dE, c.frame)
-        assert np.max(np.abs(ip[:, 0, 1])) < 100.0 / c.M**2
+        assert self.transport_defect(c) < 1e-11
 
     @pytest.mark.parametrize("spec", [CurveSpec("circle", n=3, radius=2.0),
                                       CurveSpec("ellipse", n=3, a=2.0, b=1.0)])
     def test_planar_frame_stays_planar(self, spec):
-        # a planar loop in R³ has zero holonomy; its round-off holonomy of
-        # up to ~1e-13 must not tilt the frame: one normal stays in the
-        # plane, the other is the constant plane normal, at every node
+        # one normal lies in the plane, the other is the constant plane
+        # normal e3 at every node, and H has no component along it
         for M in (256, 512, 1024, 2048, 5120):
             c = build_curve(spec, M)
-            k = int(np.argmax(np.abs(c.frame[0, :, 2])))
-            assert np.max(np.abs(c.frame[:, 1 - k, 2])) < 1e-12
-            assert np.max(np.abs(c.frame[:, k] - [0.0, 0.0, 1.0])) < 1e-12
+            assert np.all(c.frame[:, 0, 2] == 0)
+            assert np.all(c.frame[:, 1] == [0.0, 0.0, 1.0])
+            assert np.all(c.curvature[:, 1:] == 0)
 
-    def test_frame_seam_closure(self):
-        # stored frame continued across the seam (one transport step plus the
-        # per-step holonomy increment) returns the node-0 frame exactly
-        from scipy.linalg import expm
-        from nlscurve.geometry import _transport_rotations
-        t = np.linspace(0, 2 * np.pi, 200, endpoint=False)
-        pts = np.stack([(2 + 0.5 * np.cos(3 * t)) * np.cos(t),
-                        (2 + 0.5 * np.cos(3 * t)) * np.sin(t),
-                        0.5 * np.sin(3 * t)], axis=1)
-        for spec in (CurveSpec("parametric", n=3, points=pts),
-                     CurveSpec("ellipse", n=3, a=2.0, b=1.0)):
-            c = build_curve(spec, 256)
-            step = expm(-c.holonomy_generator / c.M)
-            closing = _transport_rotations(c.tangents[-1:], c.tangents[:1])[0]
-            cont = step @ (c.frame[-1] @ closing.T)
-            assert np.max(np.abs(cont - c.frame[0])) < 1e-8
+    @pytest.mark.parametrize("b, M", [(0.01, 256), (0.02, 64), (0.002, 256)])
+    def test_thin_ellipse(self, b, M):
+        # L = 4·E(1 - b²) for semi-axes 1 and b, and the curvature peaks at
+        # the vertex (1, 0), which is node 0, at a/b²
+        c = build_curve(CurveSpec("ellipse", n=2, a=1.0, b=b), M)
+        L = 4 * ellipe(1 - b**2)
+        assert abs(c.L - L) <= 1e-14 * L
+        kmax = np.max(np.linalg.norm(c.curvature_vectors(), axis=1))
+        assert abs(kmax - 1 / b**2) <= 1e-14 / b**2
 
-    def test_batched_transport_matches_loop(self):
-        # the batched rotations reproduce a per-node loop of the rotation in
-        # span(T_i, T_{i+1}), and with it the propagated frame
-        from nlscurve.geometry import _transport_rotations
-
-        def rotation(t0, t1):
-            c = float(np.dot(t0, t1))
-            w = t1 - c * t0
-            nw = np.linalg.norm(w)
-            if nw < 1e-15:
-                return np.eye(t0.size)
-            w = w / nw
-            return (np.eye(t0.size)
-                    + (c - 1) * (np.outer(t0, t0) + np.outer(w, w))
-                    + nw * (np.outer(w, t0) - np.outer(t0, w)))
-
-        t = np.linspace(0, 2 * np.pi, 200, endpoint=False)
-        knot = np.stack([(2 + 0.5 * np.cos(3 * t)) * np.cos(t),
-                         (2 + 0.5 * np.cos(3 * t)) * np.sin(t),
-                         0.5 * np.sin(3 * t)], axis=1)
-        for spec in (CurveSpec("circle", n=2, radius=1.0),
-                     CurveSpec("ellipse", n=3, a=2.0, b=1.0),
-                     CurveSpec("parametric", n=3, points=knot)):
-            c = build_curve(spec, 256)
-            nxt = np.roll(c.tangents, -1, axis=0)
-            R = _transport_rotations(c.tangents, nxt)
-            ref = np.stack([rotation(a, b) for a, b in zip(c.tangents, nxt)])
-            assert np.max(np.abs(R - ref)) <= 1e-15
-            loop, batched = [c.frame[0]], [c.frame[0]]
-            for i in range(c.M - 1):
-                loop.append(loop[-1] @ ref[i].T)
-                batched.append(batched[-1] @ R[i].T)
-            assert np.max(np.abs(np.array(batched) - np.array(loop))) <= 1e-15
-        same = np.array([[0.6, 0.8]])
-        assert np.array_equal(_transport_rotations(same, same)[0], np.eye(2))
-
-    def test_holonomy_distributed_uniformly(self):
-        # torsioned loop: the closing rotation is spread at the constant rate
-        # holonomy/L, which is exactly the residual <E_1', E_2> of the frame
-        t = np.linspace(0, 2 * np.pi, 200, endpoint=False)
-        pts = np.stack([(2 + 0.5 * np.cos(3 * t)) * np.cos(t),
-                        (2 + 0.5 * np.cos(3 * t)) * np.sin(t),
-                        0.5 * np.sin(3 * t)], axis=1)
-        c = build_curve(CurveSpec("parametric", n=3, points=pts), 512)
-        assert c.holonomy_angle > 0.1
-        ds = c.L / c.M
-        dE = (np.roll(c.frame, -1, axis=0) - np.roll(c.frame, 1, axis=0)) / (2 * ds)
-        rate = np.einsum("ik,ik->i", dE[:, 0, :], c.frame[:, 1, :])
-        assert np.max(np.abs(np.abs(rate) - c.holonomy_angle / c.L)) < 0.01
-
-    def test_holonomy_nonzero_and_periodic_frame(self):
-        t = np.linspace(0, 2 * np.pi, 200, endpoint=False)
-        pts = np.stack([(2 + 0.5 * np.cos(3 * t)) * np.cos(t),
-                        (2 + 0.5 * np.cos(3 * t)) * np.sin(t),
-                        0.5 * np.sin(3 * t)], axis=1)
-        c = build_curve(CurveSpec("parametric", n=3, points=pts), 512)
-        assert c.holonomy_angle > 0.1
-        # frame periodicity across the seam: compare E(L-ds) continued by one
-        # step of transport+closing correction against E(0)
-        ds = c.L / c.M
-        gap = np.linalg.norm(c.frame[0] - c.frame[-1], axis=1).max()
-        assert gap < 10 * ds  # smooth closure, no jump of order holonomy
-
-    def test_self_intersection_rejected(self):
-        t = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-        pts = np.stack([np.cos(2 * t) * (1 + 0.0 * t), np.sin(t)], axis=1)
-        with pytest.raises(ValidationError):
-            build_curve(CurveSpec("parametric", n=2, points=pts), 128)
+    def test_arc_length_series_cap(self):
+        # at b/a = 1e-4 the speed's Fourier tail is still 1.4e-9·c₀ at
+        # ARC_MODES_CAP modes, and L there is 2.2e-12 off relative: refused
+        with pytest.raises(ConvergenceError, match="arc-length series"):
+            build_curve(CurveSpec("ellipse", n=2, a=1.0, b=1e-4), 256)
 
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
             build_curve(CurveSpec("circle", n=2, radius=1.0), 32)
 
     def test_memory_linear_in_samples(self):
-        # the self-intersection check must not build M×M distance tables
+        # no step of the curve build holds an M×M table
         tracemalloc.start()
         try:
             build_curve(CurveSpec("ellipse", n=2, a=2.0, b=1.0), 2048)
@@ -216,87 +123,6 @@ class TestBuildCurve:
         finally:
             tracemalloc.stop()
         assert peak < 30e6
-
-
-class TestSampledLoopSpline:
-    def test_matches_periodic_cubic_spline(self):
-        # the FFT-solved periodic cubic is SciPy's periodic CubicSpline; the
-        # second derivative of either carries rounding of order
-        # eps·max|γ|/h² (h = 2π/200): SciPy's knot values of γ'' sit 5.1e-12
-        # from a 30-digit solve of the moment system, these 2.9e-13
-        pts = _torus_knot()
-        funcs = _param_functions(CurveSpec("parametric", n=3, points=pts))
-        ref = CubicSpline(np.linspace(0, 2 * np.pi, pts.shape[0] + 1),
-                          np.concatenate([pts, pts[:1]]), axis=0,
-                          bc_type="periodic")
-        t = np.concatenate([np.random.default_rng(5).uniform(-7, 14, 4000),
-                            np.linspace(0, 2 * np.pi, 201)])
-        h = 2 * np.pi / pts.shape[0]
-        for nu, tol in enumerate((1e-12, 1e-12, 20 * np.finfo(float).eps * 2.5 / h**2)):
-            assert np.max(np.abs(funcs[nu](t) - ref(np.mod(t, 2 * np.pi), nu))) <= tol
-
-    def test_interpolates_and_solves_moment_system(self):
-        pts = _figure_eight(64)
-        gamma, _, d2gamma = _param_functions(CurveSpec("parametric", n=2, points=pts))
-        knots = np.arange(64) * (2 * np.pi / 64)
-        assert np.max(np.abs(gamma(knots) - pts)) <= 1e-15
-        mom, h = d2gamma(knots), 2 * np.pi / 64
-        lhs = np.roll(mom, 1, axis=0) + 4 * mom + np.roll(mom, -1, axis=0)
-        rhs = 6 * (np.roll(pts, 1, axis=0) - 2 * pts + np.roll(pts, -1, axis=0)) / h**2
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
-
-
-class TestSelfIntersection:
-    @staticmethod
-    def brute_pairs(points, rad):
-        dist = np.linalg.norm(points[:, None] - points[None], axis=-1)
-        i, j = np.nonzero(np.triu(dist <= rad, k=1))
-        return set(zip(i.tolist(), j.tolist()))
-
-    @pytest.mark.parametrize("spec, M", [
-        (CurveSpec("parametric", n=3, points=_torus_knot()), 512),
-        (CurveSpec("parametric", n=2, points=_figure_eight()), 128),
-        (CurveSpec("ellipse", n=3, a=2.0, b=1.0), 256),
-        (CurveSpec("circle", n=2, radius=0.7), 128)],
-        ids=["knot", "figure-eight", "ellipse-n3", "circle"])
-    def test_matches_brute_force_pairs(self, spec, M):
-        # the same close pairs, hence the same verdict, as all M² distances
-        pos = _node_positions(spec, M)
-        step = np.max(np.linalg.norm(np.diff(pos, axis=0, append=pos[:1]), axis=1))
-        for rad in (0.5 * step, 2.0 * step):
-            pairs, ref = _close_pairs(pos, rad), self.brute_pairs(pos, rad)
-            assert set(zip(*pairs.tolist())) == ref and pairs.shape[1] == len(ref)
-        gap = np.array([j - i for i, j in self.brute_pairs(pos, 0.5 * step)])
-        crosses = bool(np.any(np.minimum(gap, M - gap) > max(4, M // 64)))
-        assert crosses == (spec.points is not None and spec.n == 2)
-        if crosses:
-            with pytest.raises(ValidationError):
-                _check_simple(pos)
-        else:
-            _check_simple(pos)
-
-    def test_point_cloud_pairs(self):
-        # many points per cell, in 2 to 4 dimensions
-        rng = np.random.default_rng(6)
-        for n in (2, 3, 4):
-            pts = rng.uniform(-1, 1, (300, n))
-            for rad in (0.05, 0.3):
-                pairs, ref = _close_pairs(pts, rad), self.brute_pairs(pts, rad)
-                assert set(zip(*pairs.tolist())) == ref and pairs.shape[1] == len(ref)
-
-    def test_peak_memory_linear(self):
-        # the traced peak per sample stays flat from M = 1024 to 16384
-        per_sample = []
-        for M in (1024, 16384):
-            pos = build_curve(CurveSpec("ellipse", n=3, a=2.0, b=1.0), M).positions
-            tracemalloc.start()
-            try:
-                _check_simple(pos)
-                per_sample.append(tracemalloc.get_traced_memory()[1] / M)
-            finally:
-                tracemalloc.stop()
-        assert max(per_sample) < 400
-        assert per_sample[1] < 1.2 * per_sample[0]
 
 
 class TestPotential:

@@ -21,9 +21,9 @@ def _unwanted(name):
 
 def test_runner_import_and_set_up_load_no_unwanted_scipy():
     # a fresh interpreter imports the runner, then solves a ground state,
-    # traces its branches and finds their crossing, builds a sampled loop
-    # and finds a critical circle (the code paths that used those
-    # subpackages), and lists the SciPy modules it holds
+    # traces its branches and finds their crossing, and finds a critical
+    # circle (the code paths that used those subpackages), and lists the
+    # SciPy modules it holds
     code = """
 import sys
 import nlscurve.runner
@@ -36,8 +36,6 @@ from nlscurve.spectrum import coupled_sectors, find_alpha_bar, trace_branches
 sectors = coupled_sectors(ground_state(3, 3, RadialGrid(30.0, 1000)), 3.0)
 trace_branches(sectors, 0.1, np.linspace(0.0, 1.0, 3))
 find_alpha_bar(sectors, 0.1)
-t = np.linspace(0, 2 * np.pi, 100, endpoint=False)
-build_curve(CurveSpec("parametric", n=2, points=np.stack([np.cos(t), 2 * np.sin(t)], 1)), 64)
 V = PotentialField("1/(1+r2)", 2)
 def builder(R):
     curve = build_curve(CurveSpec("circle", n=2, radius=R), 64)

@@ -567,11 +567,10 @@ class TestMain:
         assert main([bad]) == 2
 
     def test_cli_rejects_parametric_curve(self, tmp_path, capsys):
-        # a run file has no key for sample points, so it cannot build a
-        # parametric curve: the README lists circle and ellipse only
+        # circle and ellipse are the only kinds, as the README lists them
         bad = write(tmp_path, MINIMAL.replace("kind = circle", "kind = parametric"))
         assert main([bad]) == 2
-        assert "[curve] parametric curve needs sample points" \
+        assert "[curve] unknown curve kind 'parametric'" \
             in capsys.readouterr().err
         assert re.search(r"kind = circle +; circle \| ellipse\n",
                          readme_run_file())
