@@ -1,9 +1,10 @@
 """Closed curves in flat R^n: arc length, parallel normal frames, curvature.
 
-A concentration curve is a circle or an ellipse in the x1–x2 plane, stored
-as M samples equispaced in arc length, together with unit tangents, an
-orthonormal normal frame parallel with respect to the normal connection,
-and the curvature vector H = γ'' expressed in that frame.  In flat space a
+A concentration curve is a circle or an ellipse γ(t) = (a cos t, b sin t)
+in the x1–x2 plane, stored as M samples equispaced in arc length, with its
+unit tangents, an orthonormal normal frame parallel with respect to the
+normal connection, and the curvature vector H = γ'' expressed in that
+frame, all in closed form at the nodes' parameters t.  In flat space a
 parallel normal frame obeys E_j' = -H^j T, which makes the Fermi metric
 around the curve exactly
 
@@ -16,7 +17,8 @@ e₃ … eₙ (Bishop, "There is more than one way to frame a curve", Amer.
 Math. Monthly 82 (1975)).  Fields sampled on the nodes are differentiated
 and integrated along s̄ by the periodic helpers here, which every later
 layer shares; every s̄-derivative is spectral (FFT, or the circulant
-Fourier collocation matrices).
+Fourier collocation matrices), and ``fourier_tail`` says whether the
+node grid resolves a field at all.
 
 Potentials are given in a small arithmetic expression language over the
 ambient coordinates (x1..xn, r = |x|, r2 = |x|²) that is evaluated through a
@@ -308,53 +310,45 @@ class PotentialData:
         freeze_arrays(self)
 
 
-def _param_functions(spec):
-    """(γ, γ', γ'') of the circle or ellipse as functions of its 2π-periodic
-    parameter t, γ(t) = (a cos t, b sin t, 0, …)."""
-    a = spec.radius if spec.kind == "circle" else spec.a
-    b = spec.radius if spec.kind == "circle" else spec.b
+def fourier_tail(values):
+    """Largest |ĉ_k| over the upper half of the node grid's modes (k ≥ N/4
+    of the ``rfft`` of N values along axis 0), relative to |ĉ₀|.
 
-    def make(fa, fb):
-        def f(t):
-            t = np.atleast_1d(t)
-            out = np.zeros(t.shape + (spec.n,))
-            out[..., 0] = fa(t)
-            out[..., 1] = fb(t)
-            return out
-        return f
-
-    gamma = make(lambda t: a * np.cos(t), lambda t: b * np.sin(t))
-    dgamma = make(lambda t: -a * np.sin(t), lambda t: b * np.cos(t))
-    d2gamma = make(lambda t: -a * np.cos(t), lambda t: -b * np.sin(t))
-    return gamma, dgamma, d2gamma
+    For a smooth periodic field sampled on N equispaced nodes this is how
+    far the grid is from resolving it: round-off once the coefficients
+    have decayed within N/4 modes, O(1) when they have not.
+    """
+    coef = np.abs(np.fft.rfft(values, axis=0))
+    return np.max(coef[values.shape[0] // 4:], axis=0) / coef[0]
 
 
-def _arc_length_parameters(dgamma, M):
+def _arc_length_parameters(a, b, M):
     """Length L, M nodes s equispaced in arc length, and their parameters t.
 
-    The speed |γ'(t)| is smooth and 2π-periodic, so its values on N
-    equispaced t give its Fourier coefficients c_k, and the trapezoid rule,
-    spectrally accurately: L = 2πc₀ and s(t) = c₀t + Σ 2Re(c_k e^{ikt}/(ik)),
-    summed on the t grid by one inverse FFT.  N doubles from 64 until the
-    upper half of |c_k| is below 4·eps·c₀; the coefficients of an ellipse
-    of axis ratio b/a decay like e^{-k·b/a}, and one that still needs more
-    at N = ARC_MODES_CAP raises ConvergenceError.  Newton with the exact
+    The speed |γ'(t)| = hypot(a sin t, b cos t) is smooth and 2π-periodic,
+    so its values on N equispaced t give its Fourier coefficients c_k, and
+    the trapezoid rule, spectrally accurately: L = 2πc₀ and s(t) = c₀t +
+    Σ 2Re(c_k e^{ikt}/(ik)), summed on the t grid by one inverse FFT.  N
+    doubles from 64 until the speed's ``fourier_tail`` is at most 4·eps; an
+    ellipse of axis ratio b/a has c_k ~ e^{-k·b/a}, and one that still needs
+    more at N = ARC_MODES_CAP raises ConvergenceError.  Newton with the exact
     speed then solves s(t) = s_target, with s(t) the grid value at the cell
     start plus a Gauss–Legendre rule over the rest of the cell.
     """
-    speed = lambda t: np.linalg.norm(dgamma(t), axis=-1)
+    speed = lambda t: np.hypot(a * np.sin(t), b * np.cos(t))
     N = 64
     while True:
         t_grid = np.arange(N) * (2 * np.pi / N)
-        coef = np.fft.rfft(speed(t_grid)) / N
-        c0 = coef[0].real
-        tail = np.max(np.abs(coef[N // 4:]))
-        if tail <= 4 * np.finfo(float).eps * c0:
+        spd = speed(t_grid)
+        tail = fourier_tail(spd)
+        if tail <= 4 * np.finfo(float).eps:
             break
         if N >= ARC_MODES_CAP:
             raise ConvergenceError(
-                f"arc-length series unresolved at {N} modes (tail {tail / c0:.2e}·c0)")
+                f"arc-length series unresolved at {N} modes (tail {tail:.2e}·c0)")
         N *= 2
+    coef = np.fft.rfft(spd) / N
+    c0 = coef[0].real
     L = 2 * np.pi * c0
     k = np.arange(1, coef.size)
     integ = np.zeros_like(coef)
@@ -378,34 +372,32 @@ def _arc_length_parameters(dgamma, M):
 
 
 def build_curve(spec, M=256):
-    """Arc-length sampled CurveData with its parallel, L-periodic normal frame.
-
-    The curve lies in the x1–x2 plane, so its parallel frame is exact at
-    every node: the first normal is (T₂, −T₁, 0, …), the tangent turned by
-    a right angle, and the others are the constant axes e₃ … eₙ.  Each
-    obeys E' = −⟨H, E⟩T.
+    """Arc-length sampled CurveData of γ(t) = (a cos t, b sin t, 0, …), with
+    a = b = radius on a circle, in closed form at the node parameters t:
+    the speed |γ'| = hypot(a sin t, b cos t), the tangent
+    T = (−a sin t, b cos t)/|γ'|, the parallel L-periodic frame, whose first
+    normal E₁ = (T₂, −T₁, 0, …) is T turned by a right angle and whose others
+    are the constant axes e₃ … eₙ (each obeys E' = −⟨H, E⟩T), and the
+    curvature H = −(ab/|γ'|³)·E₁ (do Carmo 1976, §1-5).
     """
     if M < 64:
         raise ValidationError("need at least 64 curve samples")
-    gamma, dgamma, d2gamma = _param_functions(spec)
-
-    L, s_nodes, t_nodes = _arc_length_parameters(dgamma, M)
-
-    positions = gamma(t_nodes)
-    dgdt = dgamma(t_nodes)
-    d2gdt2 = d2gamma(t_nodes)
-    spd = np.linalg.norm(dgdt, axis=1)
-    tangents = dgdt / spd[:, None]
-    # H = d²γ/ds² = (γ_tt - (γ_tt·T)T)/|γ_t|²
-    Hvec = (d2gdt2 - np.sum(d2gdt2 * tangents, axis=1)[:, None] * tangents) / (spd**2)[:, None]
+    a, b = (spec.radius, spec.radius) if spec.kind == "circle" else (spec.a, spec.b)
+    L, s_nodes, t = _arc_length_parameters(a, b, M)
+    sin, cos = np.sin(t), np.cos(t)
+    spd = np.hypot(a * sin, b * cos)
 
     n = spec.n
+    positions = np.zeros((M, n))
+    positions[:, :2] = np.column_stack([a * cos, b * sin])
+    tangents = np.zeros((M, n))
+    tangents[:, :2] = np.column_stack([-a * sin, b * cos]) / spd[:, None]
     frame = np.zeros((M, n - 1, n))
     frame[:, 0, 0] = tangents[:, 1]
     frame[:, 0, 1] = -tangents[:, 0]
     frame[:, 1:, 2:] = np.eye(n - 2)
-    curvature = np.einsum("ik,ijk->ij", Hvec, frame)
-
+    curvature = np.zeros((M, n - 1))
+    curvature[:, 0] = -a * b / spd**3
     return CurveData(s=s_nodes, L=L, positions=positions, tangents=tangents,
                      frame=frame, curvature=curvature)
 

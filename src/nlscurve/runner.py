@@ -30,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (CurveSpec, PotentialField, build_curve, freeze_arrays,
-                       sample_potential)
+from .geometry import (CurveSpec, PotentialField, build_curve, fourier_tail,
+                       freeze_arrays, sample_potential)
 from .radial import RadialGrid, ground_state, ode_residual, check_p
 from .scalings import (assemble_jacobi, compute_exponents, compute_scalings,
                        euler_residual, reduced_functional, weighted_eigenbasis)
@@ -300,10 +300,13 @@ def stage_geometry(run):
                          np.column_stack([curve.s, curve.positions, curve.curvature]))
     run.csvs["potential"] = (",".join(["s", "V", *_numbered("dV", n - 1)]),
                              np.column_stack([curve.s, pot.values, pot.grad_normal]))
-    return {"length": float(curve.L),
-            "max_curvature": float(np.max(np.linalg.norm(
-                curve.curvature_vectors(), axis=1))),
-            "checks": {"frame_orthonormal": bool(frame_orth < 1e-10)}}
+    kappa = np.linalg.norm(curve.curvature_vectors(), axis=1)
+    # how far [curve] samples is from resolving |H| and V along s̄
+    tails = {"curvature_tail": float(fourier_tail(kappa)),
+             "potential_tail": float(fourier_tail(pot.values))}
+    return {"length": float(curve.L), "max_curvature": float(np.max(kappa)), **tails,
+            "checks": {"frame_orthonormal": bool(frame_orth < 1e-10),
+                       "fourier_tail_below_1e-6": all(t < 1e-6 for t in tails.values())}}
 
 
 def stage_scalings(run):

@@ -83,6 +83,20 @@ class TestBuildCurve:
         c = build_curve(CurveSpec("ellipse", n=3, a=2.0, b=1.0), 512)
         assert self.transport_defect(c) < 1e-11
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a, b, M", [(0.85, 0.6, 256), (2.0, 1.0, 512),
+                                         (1.0, 0.3, 1024)])
+    def test_closed_forms_are_derivatives_of_the_positions(self, a, b, M, n):
+        # T = γ' and H = γ'' in arc length: the spectral s̄-derivatives of
+        # the stored positions reproduce the closed-form tangents and
+        # curvature vectors, which are not computed from the positions
+        c = build_curve(CurveSpec("ellipse", n=n, a=a, b=b), M)
+        d1 = periodic_derivative(c.positions, c.L)
+        d2 = periodic_derivative(c.positions, c.L, order=2)
+        H = c.curvature_vectors()
+        assert np.max(np.abs(d1 - c.tangents)) < 1e-11
+        assert np.max(np.abs(d2 - H)) < 1e-10 * np.max(np.abs(H))
+
     @pytest.mark.parametrize("spec", [CurveSpec("circle", n=3, radius=2.0),
                                       CurveSpec("ellipse", n=3, a=2.0, b=1.0)])
     def test_planar_frame_stays_planar(self, spec):

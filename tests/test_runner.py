@@ -409,6 +409,27 @@ class TestPipeline:
         assert summary["checks"].get("gap_scan.gap_scan_matches_oracle") is gate
         assert summary["stages"]["gap_scan"]["blocks"] == [65, 64, 64, 63]
 
+    @pytest.mark.parametrize("curve, resolved", [
+        ("kind = circle\nradius = 0.7012465", True),
+        ("kind = ellipse\na = 0.85\nb = 0.6", True),
+        ("kind = ellipse\na = 1.0\nb = 0.01", False)])
+    def test_geometry_checks_the_curve_is_resolved(self, tmp_path, curve, resolved):
+        # 256 s̄ nodes resolve |H| and V on the README circle and ellipse to
+        # round-off; on the 1:0.01 ellipse |H| runs from 0.01 to 1e4 within
+        # about 1e-4 of arc length, and the tail check is the one that fails
+        text, count = re.subn(r"kind = circle.*\nradius = .*", curve,
+                              re.sub(r"stages = .*", "stages = profile, geometry",
+                                     readme_run_file()))
+        assert count == 1
+        summary, _ = run_pipeline(parse_config(write(tmp_path, text)))
+        failing = [k for k, v in summary["checks"].items() if not v]
+        geometry = summary["stages"]["geometry"]
+        if resolved:
+            assert failing == []
+            assert max(geometry["curvature_tail"], geometry["potential_tail"]) < 1e-14
+        else:
+            assert failing == ["geometry.fourier_tail_below_1e-6"]
+
     @pytest.mark.parametrize("curve, min_abs_eig", [
         ("kind = circle\nradius = 0.7012465", 0.71076659),
         ("kind = ellipse\na = 0.85\nb = 0.6", 0.03192731)])
