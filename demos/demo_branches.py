@@ -14,8 +14,7 @@ differences).
 import numpy as np
 
 from nlscurve.radial import RadialGrid, ground_state
-from nlscurve.spectrum import (BOUND_BRANCHES, bound_state_counts,
-                               continuum_threshold, coupled_sectors,
+from nlscurve.spectrum import (BOUND_BRANCHES, continuum_threshold, coupled_sectors,
                                crossing_slope, find_alpha_bar, trace_branches)
 
 # the coupled ℓ-sectors of the profile, set up once for every μ
@@ -23,17 +22,17 @@ sectors = coupled_sectors(ground_state(2, 3, RadialGrid(30.0, 3000)), 3.0)
 alphas = np.linspace(0.0, 2.0, 21)
 
 for mu in (0.0, 0.1):
-    branches = trace_branches(sectors, mu, alphas)
+    values, counts = trace_branches(sectors, mu, alphas)
     print(f"mu = {mu}:")
     tau = continuum_threshold(alphas, mu)
     print("   alpha      ground   translation   gauge    threshold")
     for i in range(0, alphas.size, 5):
-        row = [branches[k].eigenvalues[i]
+        row = [values[k][i]
                for k in ("ground", "translation", "gauge")] + [tau[i]]
         print(f"   {alphas[i]:.2f}    " + "  ".join(f"{v:+8.4f}" for v in row))
-    for ell, counts in bound_state_counts(sectors, mu, alphas).items():
+    for ell, count in counts.items():
         print(f"   l={ell}: eigenvalues below the threshold at every alpha: "
-              f"{sorted(set(counts.tolist()))} "
+              f"{sorted(set(count.tolist()))} "
               f"(traced: {len(BOUND_BRANCHES[ell])})")
     mode = find_alpha_bar(sectors, mu)
     print(f"   crossing at alpha_bar = {mode.alpha_bar:.6f} "

@@ -347,20 +347,19 @@ def stage_branches(run):
     while end / 10 <= mode.alpha_bar:
         end += 1
     alphas = np.linspace(0.0, end / 10, end + 1)
-    branches = trace_branches(sectors, mu, alphas)
+    values, counts = trace_branches(sectors, mu, alphas)
     # every eigenvalue under the continuum threshold is a traced branch: at
     # every α the sector's inertia count equals its finite traced values
     bound = all(np.array_equal(
-        np.sum([np.isfinite(branches[label].eigenvalues) for label in labels],
-               axis=0), branches[labels[0]].sector_counts)
-        for labels in BOUND_BRANCHES.values())
+        np.sum([np.isfinite(values[label]) for label in labels], axis=0),
+        counts[ell]) for ell, labels in BOUND_BRANCHES.items())
     # the Newton ᾱ against the independent trace: the ground branch changes
     # sign on the grid cell that holds ᾱ
     i = int(np.searchsorted(alphas, mode.alpha_bar, side="right")) - 1
-    eta = branches["ground"].eigenvalues
+    eta = values["ground"]
     in_bracket = 0 <= i < alphas.size - 1 and eta[i] <= 0 < eta[i + 1]
     names = ["ground", "translation", "gauge", "continuum_threshold"]
-    rows = [alphas] + [branches[label].eigenvalues for label in names[:3]] \
+    rows = [alphas] + [values[label] for label in names[:3]] \
         + [continuum_threshold(alphas, mu)]
     run.csvs["branches"] = (",".join(["alpha", *names]), np.column_stack(rows))
     run.csvs["crossing_mode"] = ("r,Z,W", np.column_stack(

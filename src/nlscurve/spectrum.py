@@ -43,8 +43,10 @@ states end.  The scalar tridiagonals (the L_r and L_i radial.Sector of its
 caller, and a point (α, μ) only updates the diagonal (+α²) and the
 coupling band (μα).  Every slope (∂λ/∂α, ∂λ/∂μ) is read off the unit
 eigenvector (_slopes), exact for the discrete eigenvalue, so no step
-converts φ to profiles; a crossing converts its eigenvector once, and its
-CrossingMode carries the overlap integrals that the resonance layer reads.
+converts φ to profiles: a trace returns its eigenvalues and the inertia
+counts that certify them, and a crossing converts its eigenvector once,
+its CrossingMode carrying the overlap integrals the resonance layer reads.
+A non-finite μ or α raises ValidationError before any solve.
 Every integral is the cell-weight inner product of φ-forms (radial), so
 crossing_slope and eta_curvature are exact for the discrete eigenvalues.
 """
@@ -57,7 +59,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ValidationError, BranchTrackingError, ConvergenceError
-from .geometry import freeze_arrays, readonly_view
+from .geometry import freeze_arrays
 from .radial import Sector, lowest_eigenpairs, sector_solve
 
 # distance of the Cholesky shift below the coupled spectrum's lower bound
@@ -268,29 +270,6 @@ def _converged(step, last):
         step < last and step * step < INVERSE_ITERATION_TOL * last)
 
 
-@dataclass(frozen=True)
-class SpectralBranch:
-    """One eigenvalue branch over an α grid at fixed μ (immutable).
-
-    ``sector_counts`` is the inertia count of the branch's sector per α
-    (bound_state_counts): the number of eigenvalues below τ_α.  A branch
-    that leaves the bound states reads NaN from the first α past its exit
-    bracket on, and ``eigenfunctions`` holds its (u, v) at the α before.
-    """
-
-    label: str
-    mu: float
-    alphas: np.ndarray
-    eigenvalues: np.ndarray
-    eigenfunctions: tuple  # per bound α: (u_values, v_values)
-    sector_counts: tuple
-
-    def __post_init__(self):
-        freeze_arrays(self)
-        object.__setattr__(self, "eigenfunctions", tuple(
-            (readonly_view(u), readonly_view(v)) for u, v in self.eigenfunctions))
-
-
 def coupled_sectors(U, p):
     """{ℓ: the coupled ℓ-sector of U} for every sector of BOUND_BRANCHES, the
     set-up that trace_branches, bound_state_counts, find_alpha_bar and
@@ -302,7 +281,9 @@ def trace_branches(sectors, mu, alpha_grid):
     """Trace the bound branches of the coupled system over an ascending α
     grid, in ``sectors`` (coupled_sectors).
 
-    Returns a dict of SpectralBranch, per sector as in BOUND_BRANCHES:
+    Returns (values, counts) of read-only arrays over the grid: ``counts``
+    is bound_state_counts, and ``values`` the eigenvalues of each branch of
+    BOUND_BRANCHES:
       'ground'       η_α: lowest ℓ=0 branch (simple, increasing, crosses 0),
       'gauge'        σ_α continuation of (0, U): next ℓ=0 branch,
       'translation'  σ_α continuation of (∂U, 0): lowest ℓ=1 branch.
@@ -316,13 +297,13 @@ def trace_branches(sectors, mu, alpha_grid):
     rigorous shift and the gauge branch at its eigenvalue predicted from
     the Hellmann–Feynman slope, or at a shift isolated by inertia counts
     where that prediction overshoots towards the continuum (_next_pair).
-    The k-th branch of a sector is traced while bound_state_counts
-    certifies more than k eigenvalues below τ_α; from the first α where it
-    does not, the branch reads NaN, so wherever the count does not exceed
-    the traced branches the number of finite values equals it.  A
-    continued value at or above τ_α where the count says it is bound, or an
-    overlap below OVERLAP_FLOOR between the eigenvectors at consecutive α
-    (not the extrapolated start), raises BranchTrackingError.
+    The k-th branch of a sector is traced while the count certifies more
+    than k eigenvalues below τ_α; from the first α where it does not, the
+    branch reads NaN, so wherever the count does not exceed the traced
+    branches the number of finite values equals it.  A continued value at
+    or above τ_α where the count says it is bound, or an overlap below
+    OVERLAP_FLOOR between the eigenvectors at consecutive α (not the
+    extrapolated start), raises BranchTrackingError.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if alpha_grid.size < 2 or alpha_grid[0] != 0 or np.any(np.diff(alpha_grid) <= 0):
@@ -330,12 +311,12 @@ def trace_branches(sectors, mu, alpha_grid):
     counts = bound_state_counts(sectors, mu, alpha_grid)
     tau = continuum_threshold(alpha_grid, mu)
 
-    out = {}
+    values = {}
     for ell, labels in BOUND_BRANCHES.items():
         sector = sectors[ell]
         bound = counts[ell][:, None] > np.arange(len(labels))
         for index, (lam, phi) in enumerate(sector.start()):
-            lams, funcs = np.full(alpha_grid.size, np.nan), []
+            lams = np.full(alpha_grid.size, np.nan)
             for i, alpha in enumerate(alpha_grid):
                 if not bound[i, index]:
                     break
@@ -350,7 +331,7 @@ def trace_branches(sectors, mu, alpha_grid):
                         lam, new = _warm_pair(sector, alpha, mu, start)
                     else:
                         near = lam + _slopes(phi, prev, mu)[0] * (alpha - prev)
-                        below = out[labels[index - 1]].eigenvalues[i]
+                        below = values[labels[index - 1]][i]
                         # τ_α bounds this eigenvalue alone where the count
                         # admits no other above it
                         upper = tau[i] if counts[ell][i] == index + 1 else None
@@ -362,12 +343,10 @@ def trace_branches(sectors, mu, alpha_grid):
                                                   alpha, overlap)
                     older, phi = phi, new
                 lams[i] = lam
-                funcs.append(sector.profiles(phi))
-            label = labels[index]
-            out[label] = SpectralBranch(
-                label=label, mu=mu, alphas=alpha_grid, eigenvalues=lams,
-                eigenfunctions=funcs, sector_counts=tuple(counts[ell].tolist()))
-    return out
+            lams.setflags(write=False)
+            values[labels[index]] = lams
+        counts[ell].setflags(write=False)
+    return values, counts
 
 
 def _next_pair(sector, alpha, mu, start, phi, near, k, below, upper):
@@ -407,11 +386,22 @@ def bound_state_counts(sectors, mu, alpha_grid):
     (coupled_sectors), for every α at once: {ℓ: counts over alpha_grid}.
 
     Since α² − τ_α = |μα| − 1, the pivots of _count_below depend on α
-    through |μα| only, and one recurrence runs a lane per (sector, α).
+    through |μα| only, and one recurrence runs a lane per (sector, α).  The
+    sign of μ does not change the counts; a non-finite μ or α raises
+    ValidationError.
     """
-    m = np.abs(mu * np.asarray(alpha_grid, dtype=float))
+    m = np.abs(_finite("mu", mu) * _finite("alpha grid", alpha_grid))
     return dict(zip(sectors, _count_below(
         [sector.tridiagonals for sector in sectors.values()], m, m - 1.0)))
+
+
+def _finite(name, values):
+    """``values`` as floats; ValidationError naming them unless all finite."""
+    values = np.asarray(values, dtype=float)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValidationError(f"{name} must be finite, not {bad[0]}")
+    return values
 
 
 def _count_below(sectors, coupling, diagonal):
@@ -511,6 +501,7 @@ def find_alpha_bar(sectors, mu):
     one inverse iteration per step.  alpha_field continues it from one μ to
     the next.
     """
+    _finite("mu", mu)
     return _solve_crossing(sectors[0], mu)[0]
 
 

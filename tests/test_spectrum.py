@@ -205,27 +205,28 @@ class TestBoundStateCounts:
         assert np.array_equal(continuum_threshold([1.0, 2.0], -0.5), [1.5, 4.0])
 
 
+TRACED_ALPHAS = np.linspace(0.0, 1.6, 17)
+
+
 @pytest.fixture(scope="module")
 def traced(sectors23):
-    return trace_branches(sectors23, 0.1, np.linspace(0.0, 1.6, 17))
+    return trace_branches(sectors23, 0.1, TRACED_ALPHAS)
 
 
 class TestBranches:
 
     def test_decoupled_ground_branch_is_shift(self, sectors23):
         alphas = np.linspace(0.0, 1.2, 7)
-        br = trace_branches(sectors23, 0.0, alphas)
-        eta = br["ground"].eigenvalues
+        eta = trace_branches(sectors23, 0.0, alphas)[0]["ground"]
         assert np.max(np.abs(eta - (eta[0] + alphas**2))) < 1e-9
 
     def test_ground_increasing(self, traced):
-        assert np.all(np.diff(traced["ground"].eigenvalues) > 0)
+        assert np.all(np.diff(traced[0]["ground"]) > 0)
 
     def test_ordering(self, traced):
-        eta = traced["ground"].eigenvalues
-        sig_t = traced["translation"].eigenvalues
-        sig_g = traced["gauge"].eigenvalues
-        tau = continuum_threshold(traced["ground"].alphas, 0.1)
+        eta, sig_t, sig_g = (traced[0][label]
+                             for label in ("ground", "translation", "gauge"))
+        tau = continuum_threshold(TRACED_ALPHAS, 0.1)
         assert np.all(eta < sig_t + 1e-12)
         assert np.all(eta < sig_g + 1e-12)
         assert np.all(np.minimum(sig_t, sig_g) < tau + 1e-9)
@@ -247,8 +248,8 @@ class TestBranches:
         # gave 1.5e-7)
         sectors = coupled_sectors(ground_state(3, 3, grid30), 3.0)
         h = np.array([0.02, 0.04, 0.08])
-        eta = trace_branches(sectors, 0.17, np.concatenate([[0.0], h]))[
-            "ground"].eigenvalues
+        eta = trace_branches(sectors, 0.17, np.concatenate([[0.0], h]))[0][
+            "ground"]
         d2 = 2 * (eta[1:] - eta[0]) / h**2
         once = (4 * d2[:-1] - d2[1:]) / 3
         twice = (16 * once[0] - once[1]) / 15
@@ -285,28 +286,27 @@ class TestBranches:
             assert np.all(nxt - tau < 0.02)   # box modes crowd the threshold
 
     @pytest.mark.parametrize("mu", [0.0, 0.17, 1.0])
-    def test_continuation_matches_cold_trace(self, U23, sectors23, mu):
+    def test_continuation_matches_cold_trace(self, U23, sectors23, monkeypatch,
+                                             mu):
         # against cold ARPACK eigensolves at every α matched by overlap.  At
         # μ = 1 the gauge branch leaves the bound states between α = 0.9 and
         # 1.0: there the cold trace's second eigenpair is a box mode of the
         # continuum, at or above τ_α, and the warm trace reads NaN
         alphas = np.linspace(0.0, 2.2, 23)
         tau = continuum_threshold(alphas, mu)
-        warm = trace_branches(sectors23, mu, alphas)
+        warm, profiles = traced_profiles(monkeypatch, sectors23, mu, alphas)
         for label, (lams, funcs) in cold_trace(U23, mu, alphas).items():
-            traced = np.isfinite(warm[label].eigenvalues)
-            assert np.max(np.abs(warm[label].eigenvalues[traced]
-                                 - lams[traced])) < 1e-10
+            traced = np.isfinite(warm[label])
+            assert np.max(np.abs(warm[label][traced] - lams[traced])) < 1e-10
             assert np.all(lams[traced] < tau[traced])
             assert np.all(lams[~traced] >= tau[~traced])
-            assert len(warm[label].eigenfunctions) == np.sum(traced)
-            for (u, v), (uc, vc) in zip(warm[label].eigenfunctions, funcs):
+            assert len(profiles[label]) == np.sum(traced)
+            for (u, v), (uc, vc) in zip(profiles[label], funcs):
                 assert np.max(np.abs(u - uc)) + np.max(np.abs(v - vc)) < 1e-8
-        gauge = warm["gauge"]
-        bound = np.isfinite(gauge.eigenvalues)
+        bound = np.isfinite(warm["gauge"])
         if mu == 1.0:
             assert alphas[bound][-1] == 0.9 and alphas[~bound][0] == 1.0
-            assert np.all(np.isnan(gauge.eigenvalues[10:]))
+            assert np.all(np.isnan(warm["gauge"][10:]))
         else:
             assert np.all(bound)
 
@@ -318,16 +318,15 @@ class TestBranches:
         # the trace that stops at the predicted step against one that
         # iterates until a step is below INVERSE_ITERATION_TOL, on a uniform
         # grid and on one whose extrapolation factor goes 1, 2
-        fast = trace_branches(sectors23, mu, alphas)
+        fast, fast_profiles = traced_profiles(monkeypatch, sectors23, mu, alphas)
         monkeypatch.setattr(spectrum, "_converged", lambda step, last:
                             step < spectrum.INVERSE_ITERATION_TOL)
-        full = trace_branches(sectors23, mu, alphas)
-        for label, branch in full.items():
-            assert np.allclose(fast[label].eigenvalues, branch.eigenvalues,
-                               rtol=0.0, atol=1e-12, equal_nan=True)
-            assert len(fast[label].eigenfunctions) == len(branch.eigenfunctions)
-            for (u, v), (uf, vf) in zip(fast[label].eigenfunctions,
-                                        branch.eigenfunctions):
+        full, full_profiles = traced_profiles(monkeypatch, sectors23, mu, alphas)
+        for label, values in full.items():
+            assert np.allclose(fast[label], values, rtol=0.0, atol=1e-12,
+                               equal_nan=True)
+            assert len(fast_profiles[label]) == len(full_profiles[label])
+            for (u, v), (uf, vf) in zip(fast_profiles[label], full_profiles[label]):
                 assert np.max(np.abs(u - uf)) + np.max(np.abs(v - vf)) < 1e-9
 
     @pytest.mark.parametrize("alpha", [0.5, 1.3])
@@ -338,8 +337,8 @@ class TestBranches:
         # the ground pair at the rigorous shift and the gauge pair at a shift
         # near it; measured ≤ 3.8e-13
         mu, sector = 0.17, sectors23[0]
-        gauge = trace_branches(sectors23, mu, np.linspace(0.0, alpha, 6))[
-            "gauge"].eigenvalues[-1]
+        gauge = trace_branches(sectors23, mu, np.linspace(0.0, alpha, 6))[0][
+            "gauge"][-1]
         ground = spectrum._warm_pair(sector, alpha, mu, sector.start()[0][1])[1]
         second = spectrum._warm_pair(sector, alpha, mu, sector.start()[1][1],
                                      gauge)[1]
@@ -356,21 +355,20 @@ class TestBranches:
     @pytest.mark.parametrize("mu", [0.17, 1.0, 2.0, 3.0])
     def test_traced_values_are_the_certified_count(self, sectors23, mu):
         # at every α the finite traced values of a sector number its inertia
-        # count, the certificate the runner reports; at μ = 2 the gauge
-        # branch leaves between α = 0.4 and 0.5
+        # count, the certificate the runner reports and the trace returns;
+        # at μ = 2 the gauge branch leaves between α = 0.4 and 0.5
         alphas = np.linspace(0.0, 2.2, 23)
-        warm = trace_branches(sectors23, mu, alphas)
+        warm, traced_counts = trace_branches(sectors23, mu, alphas)
         counts = bound_state_counts(sectors23, mu, alphas)
         tau = continuum_threshold(alphas, mu)
         for ell, labels in BOUND_BRANCHES.items():
-            values = np.array([warm[label].eigenvalues for label in labels])
+            values = np.array([warm[label] for label in labels])
             finite = np.isfinite(values)
             assert np.array_equal(finite.sum(axis=0), counts[ell])
             assert np.all(np.where(finite, values, -np.inf) < tau)
-            assert all(warm[label].sector_counts == tuple(counts[ell])
-                       for label in labels)
+            assert np.array_equal(traced_counts[ell], counts[ell])
         if mu == 2.0:
-            bound = np.isfinite(warm["gauge"].eigenvalues)
+            bound = np.isfinite(warm["gauge"])
             assert alphas[bound][-1] == 0.4 and alphas[~bound][0] == 0.5
 
     @pytest.mark.parametrize("mu, index", [(1.5, 6), (3.0, 3)])
@@ -390,13 +388,13 @@ class TestBranches:
 
         monkeypatch.setattr(spectrum._CoupledSector, "isolating_shift", spied)
         alphas = np.linspace(0.0, 2.2, 23)
-        gauge = trace_branches(sectors23, mu, alphas)["gauge"]
+        gauge = trace_branches(sectors23, mu, alphas)[0]["gauge"]
         alpha = alphas[index]
         assert isolated == [alpha]
-        assert alphas[np.isfinite(gauge.eigenvalues)][-1] == alpha
+        assert alphas[np.isfinite(gauge)][-1] == alpha
         ref = coupled_spectrum(CoupledSectorOperator(alpha, mu, 0, 3.0),
                                U23, 2)[1][0]
-        assert abs(gauge.eigenvalues[index] - ref) < 1e-10
+        assert abs(gauge[index] - ref) < 1e-10
         assert 0.02 < continuum_threshold(alpha, mu) - ref < 0.03
 
     def test_start_is_the_lanczos_oracle(self, U1000_by_dim):
@@ -420,6 +418,92 @@ class TestBranches:
         # the exact starts hold at α = 0 only
         with pytest.raises(ValidationError, match="from 0"):
             trace_branches(sectors23, 0.1, np.array([0.1, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mu(self, sectors23, bad):
+        # named before any solve (the inertia count's pivots, or inverse
+        # iteration, failed on it before)
+        alphas = np.linspace(0.0, 1.0, 3)
+        for call in (lambda: trace_branches(sectors23, bad, alphas),
+                     lambda: bound_state_counts(sectors23, bad, alphas),
+                     lambda: find_alpha_bar(sectors23, bad)):
+            with pytest.raises(ValidationError, match="mu must be finite"):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha(self, sectors23, bad):
+        # a grid that ends in -inf is not ascending, and says so
+        alphas = np.array([0.0, 0.5, bad])
+        with pytest.raises(ValidationError, match="alpha grid must be finite"):
+            bound_state_counts(sectors23, 0.1, alphas)
+        with pytest.raises(ValidationError,
+                           match="ascending" if bad < 0 else "must be finite"):
+            trace_branches(sectors23, 0.1, alphas)
+
+    def test_negative_mu_is_valid(self, sectors23):
+        # the sign of the coupling changes neither the counts nor ᾱ
+        alphas = np.linspace(0.0, 2.2, 23)
+        for ell, counts in bound_state_counts(sectors23, -0.17, alphas).items():
+            assert np.array_equal(
+                counts, bound_state_counts(sectors23, 0.17, alphas)[ell])
+        assert abs(find_alpha_bar(sectors23, -0.1).alpha_bar
+                   - find_alpha_bar(sectors23, 0.1).alpha_bar) \
+            <= 2 * spectrum.CROSSING_TOL
+
+    @pytest.mark.parametrize("trigger", ["overlap", "threshold"])
+    def test_ambiguous_continuation_raises(self, sectors23, monkeypatch, trigger):
+        # the ground branch continued at α = 0.3, through a wrapped
+        # _warm_pair, to the gauge branch's α = 0 vector (0, U), nearly
+        # orthogonal to the ground vector at α = 0.2, or to the value τ_α
+        # where the count says it is bound
+        mu, alphas = 0.17, np.linspace(0.0, 0.5, 6)
+        gauge = sectors23[0].start()[1][1]
+        vectors, warm_pair = [], spectrum._warm_pair
+
+        def tampered(sector, alpha, mu, phi, near=None):
+            lam, vec = warm_pair(sector, alpha, mu, phi, near)
+            if alpha == alphas[3] and trigger == "overlap":
+                vec = gauge
+            elif alpha == alphas[3]:
+                lam = float(continuum_threshold(alpha, mu))
+            vectors.append(vec)
+            return lam, vec
+
+        monkeypatch.setattr(spectrum, "_warm_pair", tampered)
+        with pytest.raises(BranchTrackingError) as raised:
+            trace_branches(sectors23, mu, alphas)
+        assert raised.value.alpha == alphas[3]
+        # the ground calls run first, so the last two are α = 0.2 and 0.3
+        assert raised.value.overlap == abs(float(vectors[-1] @ vectors[-2]))
+        assert (raised.value.overlap < spectrum.OVERLAP_FLOOR) \
+            == (trigger == "overlap")
+
+
+def traced_profiles(monkeypatch, sectors, mu, alphas):
+    """trace_branches' values and, per label, the (u, v) profiles of the
+    eigenvector behind each finite value: the α = 0 start, then the last
+    pair _warm_pair returns for the branch at each α (the gauge branch may
+    first try a shift that _next_pair rejects), recorded by a wrapper and
+    checked against the traced value."""
+    recorded, warm_pair = {}, spectrum._warm_pair
+
+    def recording(sector, alpha, mu, phi, near=None):
+        out = warm_pair(sector, alpha, mu, phi, near)
+        recorded[sector.ell, near is None, alpha] = out
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "_warm_pair", recording)
+        values, _ = trace_branches(sectors, mu, alphas)
+    profiles = {}
+    for ell, labels in BOUND_BRANCHES.items():
+        for index, label in enumerate(labels):
+            finite = np.isfinite(values[label])
+            pairs = [sectors[ell].start()[index]] + [
+                recorded[ell, index == 0, a] for a in alphas[finite][1:]]
+            assert [lam for lam, _ in pairs] == values[label][finite].tolist()
+            profiles[label] = [sectors[ell].profiles(phi) for _, phi in pairs]
+    return values, profiles
 
 
 def cold_trace(U, mu, alphas):
@@ -575,12 +659,13 @@ def record_eigensolves(monkeypatch):
 
 class TestImmutable:
     def test_branch_frozen(self, traced):
-        br = traced["ground"]
-        with pytest.raises(FrozenInstanceError):
-            br.mu = 0.0
-        for arr in (br.alphas, br.eigenvalues, *br.eigenfunctions[3]):
+        values, counts = traced
+        assert set(values) == {label for labels in BOUND_BRANCHES.values()
+                               for label in labels}
+        assert set(counts) == set(BOUND_BRANCHES)
+        for arr in (*values.values(), *counts.values()):
             with pytest.raises(ValueError):
-                arr[0] = 1.0
+                arr[0] = 1
 
     def test_crossing_mode_frozen(self, sectors23):
         mode = find_alpha_bar(sectors23, 0.05)
