@@ -32,8 +32,8 @@ for A in (0.0, 0.05):
     sf = compute_scalings(curve, pot, A, exps)
     _, sup = euler_residual(curve, pot, sf, exps)
     red = reduced_functional(curve, sf, exps)
-    J = assemble_jacobi(curve, pot, sf, exps)
-    vals, _, verdict = weighted_eigenbasis(J.matrix, J.weight, 6, 1,
+    matrix, weight = assemble_jacobi(curve, pot, sf, exps)
+    vals, _, verdict = weighted_eigenbasis(matrix, weight, 6, 1,
                                            ds=curve.L / curve.M)
     print(f"phase speed {A}: critical radius {rstar:.8f} "
           f"(residual sup {sup:.1e})")

@@ -275,13 +275,15 @@ def _newton_polish(u, d, p, grid):
     Stops one step after the residual falls below NEWTON_TOL (quadratic
     convergence takes that step to the rounding floor, so the result does
     not depend on the start even where the Jacobian is ill-conditioned, as
-    for p near 1), or when the residual stagnates at its rounding floor (the
-    diagonal is O(1/dr²), so the floor sits well below any tolerance the
-    acceptance checks care about).
+    for p near 1), or when it stagnates below max(1e-9, 4·eps·max diag(-Δ)·
+    max|u|): its rounding floor, with a margin, grows like 1/dr² (at n = 5,
+    p = 2, m = 20000 the residual stalls at 2-5e-9 against eps·max diag·
+    max|u| = 6.8e-9).
     """
     lap, _, _ = _laplacian_rows(grid, d, include_origin=True)
     jac = lap.copy()
     ua = u[:-1].copy()
+    floor = 4.0 * np.finfo(float).eps * np.max(lap[1])
     best = np.inf
     stalled = 0
     for _ in range(NEWTON_MAX_ITER):
@@ -289,7 +291,7 @@ def _newton_polish(u, d, p, grid):
         rnorm = np.max(np.abs(res))
         stalled = stalled + 1 if rnorm > 0.5 * best else 0
         best = min(best, rnorm)
-        if stalled >= 3 and best < 1e-9:
+        if stalled >= 3 and best < max(1e-9, floor * np.max(np.abs(ua))):
             break
         jac[1] = lap[1] + 1.0 - p * np.abs(ua) ** (p - 1)
         ua = ua - solve_banded((1, 1), jac, res)

@@ -5,6 +5,8 @@ Along the curve the cross-sectional profile is h(s̄)·U(k(s̄)z) with
     h = ((f')² + V)^{1/(p-1)},     k = ((f')² + V)^{1/2},
 
 and the phase slope obeys the law f' = A·h^σ with σ = (n-1)(p-1)/2 - 2.
+``compute_scalings`` meets both by construction: it solves for h at every
+node to within 4 ulp, or raises, and sets k = ((f')² + V)^{1/2}.
 Candidate limit curves are critical points of the reduced length functional
 ∫ h^θ ds̄, θ = p + 1 - (p-1)(n-1)/2, whose extremality condition couples the
 normal gradient of V to the curvature vector:
@@ -49,9 +51,10 @@ def compute_exponents(n, p):
 class ScalingFields:
     """Periodic scaling fields h, k, f' and the phase antiderivative f.
 
-    phase_budget = A·∫ h^σ ds̄ = f(L) - f(0).  The first phase correction
-    f1' is not stored here; it lives on the correctors.  Immutable, arrays
-    included (read-only views); derive a variant with ``dataclasses.replace``.
+    h^{p-1} = k² = (f')² + V to rounding; phase_budget = A·∫ h^σ ds̄ =
+    f(L) - f(0).  The first phase correction f1' lives on the correctors.
+    Immutable, arrays included (read-only views); derive a variant with
+    ``dataclasses.replace``.
     """
 
     phase_speed: float            # the constant A in f' = A h^σ
@@ -66,12 +69,6 @@ class ScalingFields:
 
     def __post_init__(self):
         freeze_arrays(self)
-
-    def consistency_error(self, V):
-        """max |k² - (f')² - V| and |h^{p-1} - k²| over the nodes."""
-        e1 = np.max(np.abs(self.k**2 - self.fprime**2 - V))
-        e2 = np.max(np.abs(self.h ** (self.exps.p - 1) - self.k**2))
-        return float(max(e1, e2))
 
 
 def _solve_h(A, sigma, p, V):
@@ -249,20 +246,6 @@ def _periodic_divergence_matrix(coeff, L):
     return mat
 
 
-@dataclass
-class JacobiMatrix:
-    """Discrete second-variation operator on normal sections.
-
-    ``matrix`` has shape ((n-1)M, (n-1)M) with node-major ordering
-    (component j of node i lives at index i*(n-1)+j); ``weight`` is the h^θ
-    mass per node.
-    """
-
-    matrix: np.ndarray
-    weight: np.ndarray
-    asymmetry: float
-
-
 def assemble_jacobi(curve, pot, sf, exps):
     """Second-variation operator of the reduced functional on normal sections.
 
@@ -275,8 +258,10 @@ def assemble_jacobi(curve, pot, sf, exps):
 
     The principal part is assembled in divergence form -∂(a∂·), which matches
     the stated coefficients exactly since a' reproduces the first-derivative
-    coefficient, with the spectral D2; the matrix is therefore symmetric by
-    construction and the asymmetry measures only the zeroth-order couplings.
+    coefficient, with the spectral D2.  Every term is built symmetric, so the
+    matrix is bitwise so.  Returns (matrix, weight): the matrix, of shape
+    ((n-1)M, (n-1)M), is node-major (component j of node i at index
+    i*(n-1)+j), and the weight is the h^θ mass per node.
     """
     A, p, sigma, theta = sf.phase_speed, exps.p, exps.sigma, exps.theta
     small_speed_guard(A, sf.h, exps)
@@ -303,10 +288,7 @@ def assemble_jacobi(curve, pot, sf, exps):
               + a[:, None, None] * HH + curv_coeff[:, None, None] * HH)
     idx = np.arange(M)
     full.reshape(M, nm1, M, nm1)[idx, :, idx, :] += blocks
-
-    asymmetry = float(np.max(np.abs(full - full.T)))
-    full = 0.5 * (full + full.T)
-    return JacobiMatrix(matrix=full, weight=h**theta, asymmetry=asymmetry)
+    return full, h**theta
 
 
 def assemble_T(curve, sf, exps):

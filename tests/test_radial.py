@@ -104,6 +104,22 @@ class TestGroundState:
         with pytest.raises(ConvergenceError, match="Petviashvili"):
             solve_ground_state(2, 3, RadialGrid(30.0, 1000))
 
+    def test_newton_cap_raises(self, monkeypatch):
+        # one Newton step from Petviashvili's 1e-6 cannot reach NEWTON_TOL
+        monkeypatch.setattr(radial, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="Newton"):
+            solve_ground_state(2, 3, RadialGrid(30.0, 1000))
+
+    @pytest.mark.parametrize("n, p", [(5, 2.0), (4, 1.05)])
+    def test_fine_grid_stalls_at_its_rounding_floor(self, n, p):
+        # at m = 20000 the residual's rounding floor, which grows like
+        # eps·max diag(-Δ)·max|u| ∝ 1/dr², passes 1e-9: Newton stalls there
+        # (2-5e-9 at n = 5, p = 2) and returns, as on coarser grids
+        U = solve_ground_state(n, p, RadialGrid(30.0, 20000))
+        assert np.all(U.values[:-1] > 0)
+        assert np.all(np.diff(U.values[:-1]) <= 1e-12)
+        assert ode_residual(U, p) < 1e-8
+
     def test_decay_rate_other_dims(self, grid30):
         for n, p in [(3, 3), (4, 2)]:
             U = ground_state(n, p, grid30)

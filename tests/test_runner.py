@@ -619,6 +619,23 @@ class TestMain:
         assert main([write(tmp_path, text), "-o", str(tmp_path / "out")]) == 1
         assert "profile.decay_rate_within_2pct" in capsys.readouterr().err
 
+    def test_large_potential_passes_every_check(self, tmp_path):
+        # V = 1e7/(1+r²) puts k² near 5e6 on the README circle, where the
+        # scaling fields' own rounding is about 1e-9 absolute; every check
+        # of the first four stages passes, so the run exits 0
+        text = readme_run_file()
+        for pattern, repl in [
+                (r"\npotential = .*", "\npotential = 1e7/(1+r2)"),
+                (r"\nphase_speed = .*", "\nphase_speed = 0.0"),
+                (r"\nstages = .*",
+                 "\nstages = profile, geometry, scalings, criticality")]:
+            text, count = re.subn(pattern, repl, text)
+            assert count == 1, pattern
+        out = tmp_path / "out"
+        assert main([write(tmp_path, text), "-o", str(out)]) == 0
+        checks = json.load(open(out / "summary.json"))["checks"]
+        assert checks and all(checks.values())
+
     def test_failed_stage_exits_3(self, tmp_path, capsys):
         # 1 - r2 is negative on a circle of radius 2; at phase_speed = 1 the
         # README circle's second variation loses positivity (PhaseLawError)

@@ -59,9 +59,23 @@ class TestScalings:
         # phase budget closed form for constant h
         assert abs(sf.phase_budget - 0.3 * hstar ** (-1) * curve.L) < 1e-12
 
-    def test_consistency_pointwise(self, critical_circle):
-        sf, pot = critical_circle["sf"], critical_circle["pot"]
-        assert sf.consistency_error(pot.values) < 1e-10
+    def test_consistency_pointwise(self, critical_circle, exps23):
+        # k² = (f')² + V and h^{p-1} = k² at every node, to a few ulp of k²:
+        # the critical circle, the README ellipse at A = 0.05 and the README
+        # circle in a potential of size 1e7, where k² is about 5e6
+        runs = [(critical_circle["sf"], critical_circle["pot"])]
+        for spec, V, A in [
+                (CurveSpec("ellipse", n=2, a=0.85, b=0.6), "1/(1+r2)", 0.05),
+                (CurveSpec("circle", n=2, radius=0.7012465), "1e7/(1+r2)", 0.0)]:
+            curve = build_curve(spec, 256)
+            pot = sample_potential(PotentialField(V, 2), curve)
+            runs.append((compute_scalings(curve, pot, A, exps23), pot))
+        for sf, pot in runs:
+            k2 = sf.k**2
+            assert np.all(np.abs(k2 - sf.fprime**2 - pot.values)
+                          <= 8 * np.finfo(float).eps * k2)
+            assert np.all(np.abs(sf.h ** (exps23.p - 1) - k2)
+                          <= 8 * np.finfo(float).eps * k2)
 
     def test_phase_periodicity_identity(self, bump_potential, exps23):
         # f(L) - f(0) telescopes to the phase budget: bitwise via the shared
@@ -258,7 +272,7 @@ class TestJacobi:
         #              + ½h^θ·2H² - (3+σ/θ)h^θ H²
         curve, pot, sf = (critical_circle["curve"], critical_circle["pot"],
                           critical_circle["sf"])
-        J = assemble_jacobi(curve, pot, sf, exps23)
+        matrix, _ = assemble_jacobi(curve, pot, sf, exps23)
         M = curve.M
         h = sf.h
         a = h**exps23.theta
@@ -271,7 +285,7 @@ class TestJacobi:
             * pot.hess_normal[:, 0, 0]
         H2 = curve.curvature[:, 0] ** 2
         hand[idx, idx] += a * H2 - (3.0 + exps23.sigma / exps23.theta) * a * H2
-        assert np.max(np.abs(J.matrix - hand)) < 1e-12
+        assert np.max(np.abs(matrix - hand)) < 1e-12
 
     def test_large_speed_loses_positivity(self, bump_potential, exps23):
         # the README circle: the principal coefficient a = h^θ − 2A²θ/(p−1)·h^σ
@@ -291,7 +305,7 @@ class TestJacobi:
         curve = build_curve(CurveSpec("ellipse", n=3, a=0.9, b=0.7), 64)
         pot = sample_potential(V, curve)
         sf = compute_scalings(curve, pot, A, exps)
-        J = assemble_jacobi(curve, pot, sf, exps)
+        matrix, _ = assemble_jacobi(curve, pot, sf, exps)
         h, H, M = sf.h, curve.curvature, curve.M
         a = h**theta - 2 * A**2 * theta / (p - 1) * h**sigma
         curv = (-(p - 1) * (3 + sigma / theta) * h ** (2 * theta)
@@ -310,14 +324,14 @@ class TestJacobi:
                 theta / (p - 1) * h[i] ** -sigma * pot.hess_normal[i]
                 + a[i] * np.outer(H[i], H[i]) + curv[i] * np.outer(H[i], H[i]))
         assert np.max(np.abs(pot.hess_normal[:, 0, 1])) > 1e-3
-        assert np.max(np.abs(J.matrix - 0.5 * (ref + ref.T))) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(matrix - 0.5 * (ref + ref.T))) <= 1e-12 * np.max(np.abs(ref))
 
     def test_fourier_oracle_constant_circle(self, critical_circle, exps23):
         curve, pot, sf = (critical_circle["curve"], critical_circle["pot"],
                           critical_circle["sf"])
-        J = assemble_jacobi(curve, pot, sf, exps23)
+        matrix, weight = assemble_jacobi(curve, pot, sf, exps23)
         vals, vecs, verdict = weighted_eigenbasis(
-            J.matrix, J.weight, 12, per_node_components=1, ds=curve.L / curve.M)
+            matrix, weight, 12, per_node_components=1, ds=curve.L / curve.M)
         oracle = fourier_symbol_jacobi_circle(
             sf.h[0], pot.hess_normal[0, 0, 0], curve.curvature[0, 0],
             exps23.theta, exps23.sigma, exps23.p, 0.0, curve.L, curve.M)
@@ -329,8 +343,8 @@ class TestJacobi:
         # A = 0, R = 1/√2, V = 1/(1+r²): h² = V = 2/3, H² = 2, V'' = 8/27, so
         # λ_m = (3/2)V''/h² + H² - (8/3)H² + m²/R² = -8/3 + 2m², m ≠ 0 twice
         curve, pot, sf = circle_setup(bump_potential, 2**-0.5, M, 0.0, exps23)
-        J = assemble_jacobi(curve, pot, sf, exps23)
-        vals, _, _ = weighted_eigenbasis(J.matrix, J.weight, 13, 1,
+        matrix, weight = assemble_jacobi(curve, pot, sf, exps23)
+        vals, _, _ = weighted_eigenbasis(matrix, weight, 13, 1,
                                          ds=curve.L / M)
         m = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6])
         assert np.max(np.abs(vals - (-8.0 / 3.0 + 2.0 * m**2))) < 1e-10
@@ -346,8 +360,8 @@ class TestJacobi:
             curve = build_curve(CurveSpec("ellipse", n=n, a=0.85, b=0.6), M)
             pot = sample_potential(V, curve)
             sf = compute_scalings(curve, pot, 0.05, exps)
-            J = assemble_jacobi(curve, pot, sf, exps)
-            vals, _, _ = weighted_eigenbasis(J.matrix, J.weight, 6 * (n - 1),
+            matrix, weight = assemble_jacobi(curve, pot, sf, exps)
+            vals, _, _ = weighted_eigenbasis(matrix, weight, 6 * (n - 1),
                                              n - 1, ds=curve.L / M)
             low.append(vals)
         assert np.ptp(low[0]) > 1.0
@@ -360,8 +374,8 @@ class TestJacobi:
         curve = build_curve(CurveSpec("ellipse", n=2, a=0.85, b=0.6), M)
         pot = sample_potential(bump_potential, curve)
         sf = compute_scalings(curve, pot, 0.05, exps23)
-        J = assemble_jacobi(curve, pot, sf, exps23)
-        _, _, verdict = weighted_eigenbasis(J.matrix, J.weight, 10, 1,
+        matrix, weight = assemble_jacobi(curve, pot, sf, exps23)
+        _, _, verdict = weighted_eigenbasis(matrix, weight, 10, 1,
                                             ds=curve.L / M)
         assert verdict["invertible"]
         assert abs(verdict["min_abs_eigenvalue"] - 0.0319273) < 1e-6
@@ -369,8 +383,8 @@ class TestJacobi:
         seg = straight_segment_curve(2.0, M)
         pot = sample_potential(PotentialField("1", 2), seg)
         sf = compute_scalings(seg, pot, 0.0, exps23)
-        J = assemble_jacobi(seg, pot, sf, exps23)
-        _, _, verdict = weighted_eigenbasis(J.matrix, J.weight, 10, 1,
+        matrix, weight = assemble_jacobi(seg, pot, sf, exps23)
+        _, _, verdict = weighted_eigenbasis(matrix, weight, 10, 1,
                                             ds=seg.L / M)
         assert verdict["min_abs_eigenvalue"] < 1e-9
         assert not verdict["invertible"]
@@ -383,10 +397,11 @@ class TestJacobi:
         seg = straight_segment_curve(2.0, M, n)
         pot = sample_potential(PotentialField("1", n), seg)
         exps = compute_exponents(n, 3)
-        J = assemble_jacobi(seg, pot, compute_scalings(seg, pot, 0.0, exps), exps)
+        matrix, weight = assemble_jacobi(
+            seg, pot, compute_scalings(seg, pot, 0.0, exps), exps)
         for count in range(1, n):
             vals, vecs, verdict = weighted_eigenbasis(
-                J.matrix, J.weight, count, n - 1, ds=seg.L / M)
+                matrix, weight, count, n - 1, ds=seg.L / M)
             assert vals.shape == (count,) and vecs.shape == (M * (n - 1), count)
             assert verdict["min_abs_eigenvalue"] < 1e-9
             assert verdict["max_abs_eigenvalue"] > 1.0
@@ -409,20 +424,30 @@ class TestJacobi:
             if shift:      # count 20 reads past its pairs, all negative
                 assert np.all(full[:20] < 0)
 
-    def test_symmetry_any_input(self, bump_potential, exps23):
-        curve, pot, sf = circle_setup(bump_potential, 0.9, 128, 0.08, exps23)
-        J = assemble_jacobi(curve, pot, sf, exps23)
-        assert J.asymmetry < 1e-10
-        vals, _, _ = weighted_eigenbasis(J.matrix, J.weight, 8, 1)
-        assert np.all(np.isreal(vals))
+    def test_symmetry_any_input(self):
+        # bitwise symmetric as assembled, with no symmetrizing pass: the
+        # circle and the 0.85:0.6 ellipse, n = 2 and 3, with and without a
+        # phase; x1·x3 couples the two normals at n = 3
+        for n, V in ((2, "1/(1+r2)"), (3, "1/(1+r2) + 0.1*x1*x3")):
+            exps = compute_exponents(n, 3)
+            for spec in (CurveSpec("circle", n=n, radius=0.9),
+                         CurveSpec("ellipse", n=n, a=0.85, b=0.6)):
+                curve = build_curve(spec, 128)
+                pot = sample_potential(PotentialField(V, n), curve)
+                for A in (0.0, 0.08):
+                    sf = compute_scalings(curve, pot, A, exps)
+                    matrix, weight = assemble_jacobi(curve, pot, sf, exps)
+                    assert np.array_equal(matrix, matrix.T)
+                    vals, _, _ = weighted_eigenbasis(matrix, weight, 8, n - 1)
+                    assert np.all(np.isreal(vals))
 
     def test_weighted_orthonormality(self, critical_circle, exps23):
         curve, pot, sf = (critical_circle["curve"], critical_circle["pot"],
                           critical_circle["sf"])
-        J = assemble_jacobi(curve, pot, sf, exps23)
+        matrix, weight = assemble_jacobi(curve, pot, sf, exps23)
         ds = curve.L / curve.M
-        vals, vecs, _ = weighted_eigenbasis(J.matrix, J.weight, 10, 1, ds=ds)
-        G = vecs.T @ np.diag(J.weight) @ vecs * ds
+        vals, vecs, _ = weighted_eigenbasis(matrix, weight, 10, 1, ds=ds)
+        G = vecs.T @ np.diag(weight) @ vecs * ds
         assert np.max(np.abs(G - np.eye(10))) < 1e-8
 
     def test_unit_weight_reduces_to_standard(self):
