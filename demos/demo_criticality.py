@@ -33,8 +33,7 @@ for A in (0.0, 0.05):
     _, sup = euler_residual(curve, pot, sf, exps)
     red = reduced_functional(curve, sf, exps)
     matrix, weight = assemble_jacobi(curve, pot, sf, exps)
-    vals, _, verdict = weighted_eigenbasis(matrix, weight, 6, 1,
-                                           ds=curve.L / curve.M)
+    vals, verdict = weighted_eigenbasis(matrix, weight, 6, 1)
     print(f"phase speed {A}: critical radius {rstar:.8f} "
           f"(residual sup {sup:.1e})")
     print(f"   reduced functional {red:.6f}; second-variation eigenvalues "

@@ -318,9 +318,7 @@ def stage_criticality(run):
     res, sup = euler_residual(curve, pot, sf, exps)
     red = reduced_functional(curve, sf, exps)
     matrix, weight = assemble_jacobi(curve, pot, sf, exps)
-    vals, vecs, verdict = weighted_eigenbasis(
-        matrix, weight, min(10, matrix.shape[0]),
-        per_node_components=n - 1, ds=curve.L / curve.M)
+    vals, verdict = weighted_eigenbasis(matrix, weight, 10, n - 1)
     run.csvs["euler_residual"] = (",".join(["s", *_numbered("R", n - 1)]),
                                   np.column_stack([curve.s, res]))
     run.csvs["jacobi_spectrum"] = ("index,eigenvalue",

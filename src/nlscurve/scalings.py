@@ -18,6 +18,15 @@ normal sections (assembled here from the Fourier collocation matrix D2 of
 ``geometry``, so its low spectrum is the continuum one to round-off;
 self-adjoint in the plain L²(ds̄) product, generalized-symmetric against the
 h^θ mass), together with the divergence-form phase operator T.
+
+The first phase correction solves the one phase equation
+
+    ∂_s̄(c·f1') = ∂_s̄(2A((p-1)/(2θ) - 1)<H, Φ>),
+    c = h²F/((p-1)k^{n+1}),   F = (p-1)h^{p-1} - 2σA²h^{2σ},
+
+and T = -∂_s̄(c·∂_s̄) is its operator.  Every phase-law denominator is a power
+of h times F, and the one guard, ``small_speed_guard``, holds exactly when
+F > ½(p-1)h^{p-1}; c is computed in one place, which calls it.
 """
 
 from dataclasses import dataclass
@@ -128,43 +137,36 @@ def compute_scalings(curve, pot, phase_speed, exps):
                          phase_budget=float(phase_budget))
 
 
-def compute_f1(sf, Phi, f1_drift, curve):
-    """First phase correction f1' from the normal displacement Φ.
+def _phase_coefficient(sf, exps):
+    """c = h²F/((p-1)k^{n+1}) per node, after ``small_speed_guard``."""
+    A, p, sigma = sf.phase_speed, exps.p, exps.sigma
+    small_speed_guard(A, sf.h, exps)
+    return sf.h**2 * ((p - 1.0) * sf.h ** (p - 1.0)
+                      - 2.0 * sigma * A**2 * sf.h ** (2 * sigma)) \
+        / ((p - 1.0) * sf.k ** (exps.n + 1.0))
 
-    f1' = [2A(p-1)k^{n+1} ((p-1)/(2θ) - 1) <H,Φ> + A'(p-1)k^{n+1}]
-          / ((p-1)h^{p+1} - 2σA²h^{2σ+2}),
 
-    with A' the nonlocal constant (an input here).  The flux of the phase
-    equation (``f1_equation_residual``) is then its right side plus A' at
-    every node, so the equation holds to round-off.
-    """
-    exps = sf.exps
-    A, p, sigma, theta = sf.phase_speed, exps.p, exps.sigma, exps.theta
-    n = exps.n
-    denom = (p - 1.0) * sf.h ** (p + 1.0) - 2.0 * sigma * A**2 * sf.h ** (2 * sigma + 2.0)
-    if np.any(np.abs(denom) < 1e-12):
-        raise PhaseLawError("vanishing denominator in the phase-correction formula")
+def _phase_rhs(sf, Phi, curve):
+    """Right side 2A((p-1)/(2θ) - 1)<H, Φ> of the phase equation, per node."""
+    A, p, theta = sf.phase_speed, sf.exps.p, sf.exps.theta
     HdotPhi = np.einsum("ij,ij->i", curve.curvature, np.asarray(Phi, dtype=float))
-    kpow = sf.k ** (n + 1.0)
-    f1p = (2.0 * A * (p - 1.0) * kpow * ((p - 1.0) / (2.0 * theta) - 1.0) * HdotPhi
-           + f1_drift * (p - 1.0) * kpow) / denom
-    return f1p
+    return 2.0 * A * ((p - 1.0) / (2.0 * theta) - 1.0) * HdotPhi
+
+
+def compute_f1(sf, Phi, f1_drift, curve):
+    """First phase correction f1' = (rhs + A')/c from the normal displacement Φ.
+
+    A' is the nonlocal constant (an input here), so the flux c·f1' of the
+    phase equation (``f1_equation_residual``) is its right side plus A' at
+    every node, and the equation holds to round-off.
+    """
+    return (_phase_rhs(sf, Phi, curve) + f1_drift) / _phase_coefficient(sf, sf.exps)
 
 
 def f1_equation_residual(sf, f1prime, Phi, curve):
-    """Sup residual (spectral ∂_s̄) of the divergence-form equation for f1.
-
-    ∂_s̄( h²f1'[(p-1)h^{p-1} - 2σA²h^{2σ}] / ((p-1)k^{n+1}) )
-        = 2A((p-1)/(2θ) - 1) ∂_s̄<H,Φ>.
-    """
-    exps = sf.exps
-    A, p, sigma, theta = sf.phase_speed, exps.p, exps.sigma, exps.theta
-    flux = sf.h**2 * f1prime * ((p - 1.0) * sf.h ** (p - 1.0)
-                                - 2.0 * sigma * A**2 * sf.h ** (2 * sigma)) \
-        / ((p - 1.0) * sf.k ** (exps.n + 1.0))
-    HdotPhi = np.einsum("ij,ij->i", curve.curvature, np.asarray(Phi, dtype=float))
-    rhs = 2.0 * A * ((p - 1.0) / (2.0 * theta) - 1.0) * HdotPhi
-    return float(np.max(np.abs(periodic_derivative(flux - rhs, curve.L))))
+    """Residual sup|∂_s̄(c·f1' - rhs)| (spectral ∂_s̄) of the phase equation."""
+    flux = _phase_coefficient(sf, sf.exps) * f1prime - _phase_rhs(sf, Phi, curve)
+    return float(np.max(np.abs(periodic_derivative(flux, curve.L))))
 
 
 def euler_residual(curve, pot, sf, exps):
@@ -269,8 +271,9 @@ def assemble_jacobi(curve, pot, sf, exps):
     M, nm1 = curve.M, curve.n - 1
 
     a = h**theta - (2.0 * A**2 * theta / (p - 1.0)) * h**sigma
+    # denom = h^{θ-p+1}·F is positive under the guard; a is not bounded by it
     denom = (p - 1.0) * h**theta - 2.0 * sigma * A**2 * h**sigma
-    if np.any(denom <= 0) or np.any(a <= 0):
+    if np.any(a <= 0):
         raise PhaseLawError("second-variation denominators lose positivity; "
                             "phase-speed constant too large")
 
@@ -292,40 +295,31 @@ def assemble_jacobi(curve, pot, sf, exps):
 
 
 def assemble_T(curve, sf, exps):
-    """Divergence-form phase operator T(f2) = ∂_s̄(c·f2') with
-
-        c = h²[(p-1)h^{p-1} - 2σA²h^{2σ}] / ((p-1)k^{n+1}).
+    """Divergence-form phase operator T(f2) = ∂_s̄(c·f2'), c as in the module
+    docstring.
 
     Constants are in the kernel to round-off (row sums ½(c·D2·1 + D2·c - c'')).
     """
-    A, p, sigma = sf.phase_speed, exps.p, exps.sigma
-    c = sf.h**2 * ((p - 1.0) * sf.h ** (p - 1.0)
-                   - 2.0 * sigma * A**2 * sf.h ** (2 * sigma)) \
-        / ((p - 1.0) * sf.k ** (exps.n + 1.0))
-    if np.any(c <= 0):
-        raise PhaseLawError("phase operator coefficient lost positivity; "
-                            "phase-speed constant too large")
-    return -_periodic_divergence_matrix(c, curve.L)
+    return -_periodic_divergence_matrix(_phase_coefficient(sf, exps), curve.L)
 
 
-def weighted_eigenbasis(op_matrix, weight, count, per_node_components=1, ds=1.0):
-    """Lowest generalized eigenpairs A φ = λ diag(weight) φ, weighted normalization.
+def weighted_eigenbasis(op_matrix, weight, count, per_node_components=1):
+    """Lowest generalized eigenvalues of A φ = λ diag(weight) φ, and a verdict.
 
     ``weight`` is a per-node array, repeated for each of the
-    ``per_node_components`` entries a node carries.  Eigenvectors come back
-    normalized so Σ_i w_i |φ_a(i)|² Δs̄ = 1 with Δs̄ = ``ds``, the discrete
-    form of ∫ w φ_a φ_b ds̄ = δ_ab.
+    ``per_node_components`` entries a node carries.  No eigenvector is
+    computed; the name stays, as perfbench traces the function by it.
 
-    Returns (the lowest ``count`` eigenvalues ascending, their eigenvectors
-    as columns, nondegeneracy verdict dict): invertible when min |λ| exceeds
-    1e-6 times the largest |λ| of the lowest max(count, per_node_components
-    + 1), a scale that, unlike the grid's M², is the operator's own.  That
-    scale must lie past the kernel: a translation-invariant harness (V ≡ 1
-    on a straight segment) has per_node_components constant kernel vectors,
-    so the verdict reads at least one eigenvalue more than that.  Only the
-    pairs it reads are computed.  Since the spectrum is sorted, min |λ| is
-    among them unless they are all negative; then the remaining eigenvalues
-    are computed too, without vectors.
+    Returns (the lowest ``count`` eigenvalues ascending, nondegeneracy
+    verdict dict): invertible when min |λ| exceeds 1e-6 times the largest
+    |λ| of the lowest max(count, per_node_components + 1), a scale that,
+    unlike the grid's M², is the operator's own.  That scale must lie past
+    the kernel: a translation-invariant harness (V ≡ 1 on a straight
+    segment) has per_node_components constant kernel vectors, so the
+    verdict reads at least one eigenvalue more than that.  Only the values
+    it reads are computed.  Since the spectrum is sorted, min |λ| is among
+    them unless they are all negative; then the remaining eigenvalues are
+    computed too.
     """
     if np.any(weight <= 0) or count < 1:
         raise ValidationError("weight must be positive and count at least 1")
@@ -334,8 +328,7 @@ def weighted_eigenbasis(op_matrix, weight, count, per_node_components=1, ds=1.0)
         raise ValidationError("operator size does not match weight/node layout")
     B = np.diag(np.repeat(weight, per_node_components))
     k = min(max(count, per_node_components + 1), dim)
-    vals, vecs = eigh(op_matrix, B, subset_by_index=[0, k - 1])
-    vecs = vecs / np.sqrt(ds)
+    vals = eigh(op_matrix, B, eigvals_only=True, subset_by_index=[0, k - 1])
     amin = float(np.min(np.abs(vals)))
     if vals[-1] < 0 and k < dim:
         amin = min(amin, float(np.min(np.abs(eigh(
@@ -343,5 +336,4 @@ def weighted_eigenbasis(op_matrix, weight, count, per_node_components=1, ds=1.0)
     amax = float(np.max(np.abs(vals)))
     verdict = {"min_abs_eigenvalue": amin, "max_abs_eigenvalue": amax,
                "invertible": bool(amin > 1e-6 * amax)}
-    count = min(count, dim)
-    return vals[:count], vecs[:, :count], verdict
+    return vals[:count], verdict

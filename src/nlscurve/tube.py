@@ -189,25 +189,23 @@ def _diff_z(values, axis, dz):
     return d1, d2
 
 
-def apply_S_eps(values, grid, phase_rate=None):
+def apply_S_eps(values, grid, phase_rate):
     """e^{if̃/ε}S_ε(e^{-if̃/ε}φ) for the phase-factored field φ = ``values``.
 
-    ``phase_rate`` is f̃'(s̄) per node, (N_s,); None means no phase.  With
-    c = f̃', ∂_s becomes ε∂_s̄ - ic, so ∂²_s becomes
-    ε²φ_s̄s̄ - 2iεcφ_s̄ - iεc'φ - c²φ.  s̄-derivatives are spectral
-    (periodic), z-derivatives 4th-order stencils with exact zero
-    padding outside the cutoff support.
+    ``phase_rate`` is f̃'(s̄) per node, (N_s,).  With c = f̃', ∂_s becomes
+    ε∂_s̄ - ic, so ∂²_s becomes ε²φ_s̄s̄ - 2iεcφ_s̄ - iεc'φ - c²φ.
+    s̄-derivatives are spectral (periodic), z-derivatives 4th-order stencils
+    with exact zero padding outside the cutoff support.
     """
     a = grid.metric_a
     eps, L = grid.eps, grid.L
     ds_phi = eps * periodic_derivative(values, L)
     dss_phi = eps**2 * periodic_derivative(values, L, 2)
-    if phase_rate is not None:
-        c = np.asarray(phase_rate, dtype=float)
-        dc = periodic_derivative(c, L).reshape(-1, *([1] * grid.d))
-        c = c.reshape(dc.shape)
-        dss_phi = dss_phi - 2j * c * ds_phi - (1j * eps * dc + c**2) * values
-        ds_phi = ds_phi - 1j * c * values
+    c = np.asarray(phase_rate, dtype=float)
+    dc = periodic_derivative(c, L).reshape(-1, *([1] * grid.d))
+    c = c.reshape(dc.shape)
+    dss_phi = dss_phi - 2j * c * ds_phi - (1j * eps * dc + c**2) * values
+    ds_phi = ds_phi - 1j * c * values
     lap = dss_phi / a**2 - grid.ds_a / a**3 * ds_phi
 
     for j in range(grid.d):

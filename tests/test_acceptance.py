@@ -129,8 +129,7 @@ def test_criterion_5_criticality(bump_potential, exps23):
     curve, pot, sf = circle_setup(V, rstar, 256, 0.0, exps23)
     _, sup = euler_residual(curve, pot, sf, exps23)
     matrix, weight = assemble_jacobi(curve, pot, sf, exps23)
-    vals, vecs, verdict = weighted_eigenbasis(matrix, weight, 12, 1,
-                                              ds=curve.L / curve.M)
+    vals, verdict = weighted_eigenbasis(matrix, weight, 12, 1)
     symbol = fourier_symbol_jacobi_circle(
         sf.h[0], pot.hess_normal[0, 0, 0], curve.curvature[0, 0],
         exps23.theta, exps23.sigma, exps23.p, 0.0, curve.L, curve.M)

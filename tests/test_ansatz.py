@@ -113,7 +113,7 @@ class TestApplySEps:
         for dzf in (8, 16):
             grid = build_tube_grid(seg, V, sf, 0.1, dz_factor=dzf)
             psi = (U23(grid.znorm)[None] * grid.cutoff).astype(complex)
-            res = apply_S_eps(psi, grid)
+            res = apply_S_eps(psi, grid, np.zeros(grid.n_s))
             norms.append(weighted_norm(res, grid, 0.0, core_window(grid)))
         assert np.log2(norms[0] / norms[1]) > 1.9   # 4th-order z-stencils
 
@@ -121,7 +121,8 @@ class TestApplySEps:
         seg, V, sf = segment_setup["seg"], segment_setup["V"], segment_setup["sf"]
         grid = build_tube_grid(seg, V, sf, 0.1, dz_factor=10)
         c = 0.7 + 0.0j
-        res = apply_S_eps(np.full((grid.n_s,) + grid.z_shape, c), grid)
+        res = apply_S_eps(np.full((grid.n_s,) + grid.z_shape, c), grid,
+                          np.zeros(grid.n_s))
         assert np.max(np.abs(res[core_mask(grid)] - (c - abs(c) ** 2 * c))) < 1e-12
 
     def test_phase_factored_oracle(self, segment_setup):
@@ -151,7 +152,8 @@ class TestApplySEps:
             err = apply_S_eps(phi, grid, c) - exact
             # z-only reference: g ≡ 1 and no phase
             w1 = np.broadcast_to(W[None], phi.shape).astype(complex)
-            err_z = (apply_S_eps(w1, grid) - (-d2W + W - W**3)[None])[0]
+            err_z = (apply_S_eps(w1, grid, np.zeros(grid.n_s))
+                     - (-d2W + W - W**3)[None])[0]
             core = core_mask(grid)
             assert np.max(np.abs(err - col(g) * err_z[None])[core]) < 1e-12
             floors.append(np.max(np.abs(err_z[core[0]])))
@@ -162,7 +164,7 @@ class TestApplySEps:
         grid = build_tube_grid(seg, V, sf, 0.1, dz_factor=10)
         amp = 1e-5
         psi = amp * np.exp(-grid.znorm**2)[None] * grid.cutoff + 0.0j
-        res = apply_S_eps(psi, grid)
+        res = apply_S_eps(psi, grid, np.zeros(grid.n_s))
         # S(ψ) - (-Δψ + Vψ) = O(|ψ|^p)
         lin = res + np.abs(psi) ** 2 * psi
         nonlinear_part = np.max(np.abs(res - lin))

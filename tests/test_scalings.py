@@ -1,5 +1,7 @@
 """Scalings, phase law, criticality, second-variation and phase operators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from nlscurve.errors import ConvergenceError, PhaseLawError, ValidationError
 from nlscurve.geometry import (CurveSpec, PotentialField, build_curve,
                                fourier_diff_matrices, periodic_derivative,
                                sample_potential)
+from nlscurve.radial import admissible_p_range
 from nlscurve.scalings import (assemble_T, assemble_jacobi,
                                compute_exponents, compute_f1, compute_scalings,
                                critical_circle_radius, euler_residual,
@@ -330,8 +333,8 @@ class TestJacobi:
         curve, pot, sf = (critical_circle["curve"], critical_circle["pot"],
                           critical_circle["sf"])
         matrix, weight = assemble_jacobi(curve, pot, sf, exps23)
-        vals, vecs, verdict = weighted_eigenbasis(
-            matrix, weight, 12, per_node_components=1, ds=curve.L / curve.M)
+        vals, verdict = weighted_eigenbasis(matrix, weight, 12,
+                                            per_node_components=1)
         oracle = fourier_symbol_jacobi_circle(
             sf.h[0], pot.hess_normal[0, 0, 0], curve.curvature[0, 0],
             exps23.theta, exps23.sigma, exps23.p, 0.0, curve.L, curve.M)
@@ -344,8 +347,7 @@ class TestJacobi:
         # λ_m = (3/2)V''/h² + H² - (8/3)H² + m²/R² = -8/3 + 2m², m ≠ 0 twice
         curve, pot, sf = circle_setup(bump_potential, 2**-0.5, M, 0.0, exps23)
         matrix, weight = assemble_jacobi(curve, pot, sf, exps23)
-        vals, _, _ = weighted_eigenbasis(matrix, weight, 13, 1,
-                                         ds=curve.L / M)
+        vals, _ = weighted_eigenbasis(matrix, weight, 13, 1)
         m = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6])
         assert np.max(np.abs(vals - (-8.0 / 3.0 + 2.0 * m**2))) < 1e-10
 
@@ -361,8 +363,7 @@ class TestJacobi:
             pot = sample_potential(V, curve)
             sf = compute_scalings(curve, pot, 0.05, exps)
             matrix, weight = assemble_jacobi(curve, pot, sf, exps)
-            vals, _, _ = weighted_eigenbasis(matrix, weight, 6 * (n - 1),
-                                             n - 1, ds=curve.L / M)
+            vals, _ = weighted_eigenbasis(matrix, weight, 6 * (n - 1), n - 1)
             low.append(vals)
         assert np.ptp(low[0]) > 1.0
         assert np.max(np.abs(low[0] - low[1])) < 1e-9
@@ -375,8 +376,7 @@ class TestJacobi:
         pot = sample_potential(bump_potential, curve)
         sf = compute_scalings(curve, pot, 0.05, exps23)
         matrix, weight = assemble_jacobi(curve, pot, sf, exps23)
-        _, _, verdict = weighted_eigenbasis(matrix, weight, 10, 1,
-                                            ds=curve.L / M)
+        _, verdict = weighted_eigenbasis(matrix, weight, 10, 1)
         assert verdict["invertible"]
         assert abs(verdict["min_abs_eigenvalue"] - 0.0319273) < 1e-6
         # V ≡ 1 on a straight segment: J = -∂(h³∂), constants in the kernel
@@ -384,8 +384,7 @@ class TestJacobi:
         pot = sample_potential(PotentialField("1", 2), seg)
         sf = compute_scalings(seg, pot, 0.0, exps23)
         matrix, weight = assemble_jacobi(seg, pot, sf, exps23)
-        _, _, verdict = weighted_eigenbasis(matrix, weight, 10, 1,
-                                            ds=seg.L / M)
+        _, verdict = weighted_eigenbasis(matrix, weight, 10, 1)
         assert verdict["min_abs_eigenvalue"] < 1e-9
         assert not verdict["invertible"]
 
@@ -400,9 +399,8 @@ class TestJacobi:
         matrix, weight = assemble_jacobi(
             seg, pot, compute_scalings(seg, pot, 0.0, exps), exps)
         for count in range(1, n):
-            vals, vecs, verdict = weighted_eigenbasis(
-                matrix, weight, count, n - 1, ds=seg.L / M)
-            assert vals.shape == (count,) and vecs.shape == (M * (n - 1), count)
+            vals, verdict = weighted_eigenbasis(matrix, weight, count, n - 1)
+            assert vals.shape == (count,)
             assert verdict["min_abs_eigenvalue"] < 1e-9
             assert verdict["max_abs_eigenvalue"] > 1.0
             assert not verdict["invertible"]
@@ -417,7 +415,7 @@ class TestJacobi:
             A = 0.5 * (Araw + Araw.T) - shift * np.diag(weight)
             full = eigh(A, np.diag(weight), eigvals_only=True)
             for count in (4, 20, 60):
-                vals, _, verdict = weighted_eigenbasis(A, weight, count)
+                vals, verdict = weighted_eigenbasis(A, weight, count)
                 assert np.max(np.abs(vals - full[:count])) < 1e-12
                 assert verdict["min_abs_eigenvalue"] == pytest.approx(
                     np.min(np.abs(full)), rel=1e-12)
@@ -438,23 +436,30 @@ class TestJacobi:
                     sf = compute_scalings(curve, pot, A, exps)
                     matrix, weight = assemble_jacobi(curve, pot, sf, exps)
                     assert np.array_equal(matrix, matrix.T)
-                    vals, _, _ = weighted_eigenbasis(matrix, weight, 8, n - 1)
+                    vals, _ = weighted_eigenbasis(matrix, weight, 8, n - 1)
                     assert np.all(np.isreal(vals))
 
-    def test_weighted_orthonormality(self, critical_circle, exps23):
-        curve, pot, sf = (critical_circle["curve"], critical_circle["pot"],
-                          critical_circle["sf"])
-        matrix, weight = assemble_jacobi(curve, pot, sf, exps23)
-        ds = curve.L / curve.M
-        vals, vecs, _ = weighted_eigenbasis(matrix, weight, 10, 1, ds=ds)
-        G = vecs.T @ np.diag(weight) @ vecs * ds
-        assert np.max(np.abs(G - np.eye(10))) < 1e-8
+    def test_computes_eigenvalues_only(self, monkeypatch):
+        # every eigh call, the lowest values and the all-negative read past
+        # them, asks for values alone
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append(kwargs.get("eigvals_only", False))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scalings, "eigh", recorder)
+        weight = np.linspace(1.0, 2.0, 20)
+        for shift in (0.0, 30.0):
+            weighted_eigenbasis(np.diag(np.arange(20.0) - shift * weight),
+                                weight, 4)
+        assert calls == [True, True, True]
 
     def test_unit_weight_reduces_to_standard(self):
         rng = np.random.default_rng(3)
         Araw = rng.normal(size=(40, 40))
         A = 0.5 * (Araw + Araw.T)
-        vals, vecs, _ = weighted_eigenbasis(A, np.ones(40), 40)
+        vals, _ = weighted_eigenbasis(A, np.ones(40), 40)
         ref = np.linalg.eigvalsh(A)
         assert np.max(np.abs(np.sort(vals) - ref)) < 1e-10
 
@@ -520,6 +525,55 @@ class TestPhaseCorrection:
                     assert np.ptp(f1p) > 1e-3
                     res = f1_equation_residual(sf, f1p, Phi, curve)
                     assert res < 1e-10, (n, M, drift, res)
+
+
+class TestPhaseCoefficient:
+    @staticmethod
+    def _guard_violating():
+        # n = 4, p = 2.5 (σ = 1/4): A = 0.3 passes the guard; A = 6 makes
+        # F = (p-1)h^{p-1} - 2σA²h^{2σ} negative at every node
+        exps = compute_exponents(4, 2.5)
+        curve = build_curve(CurveSpec("circle", n=4, radius=0.7), 64)
+        pot = sample_potential(PotentialField("1/(1+r2)", 4), curve)
+        sf = dataclasses.replace(compute_scalings(curve, pot, 0.3, exps),
+                                 phase_speed=6.0)
+        assert np.all(1.5 * sf.h**1.5 - 2 * 0.25 * 6.0**2 * sf.h**0.5 < 0)
+        return curve, sf, exps
+
+    @pytest.mark.parametrize("call", [
+        lambda curve, sf, exps, Phi: compute_f1(sf, Phi, 0.0, curve),
+        lambda curve, sf, exps, Phi: f1_equation_residual(
+            sf, np.zeros(curve.M), Phi, curve),
+        lambda curve, sf, exps, Phi: assemble_T(curve, sf, exps)],
+        ids=["compute_f1", "f1_equation_residual", "assemble_T"])
+    def test_guard_rejects_negative_denominator(self, call):
+        curve, sf, exps = self._guard_violating()
+        with pytest.raises(PhaseLawError, match="phase-speed constant too large"):
+            call(curve, sf, exps, np.zeros((curve.M, 3)))
+
+    @given(n=st.integers(2, 5), p_frac=st.floats(0.05, 0.95),
+           A=st.floats(1e-3, 5.0), c0=st.floats(0.2, 5.0),
+           a=st.floats(0.5, 1.5), b=st.floats(0.5, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_guard_keeps_every_denominator_positive(self, n, p_frac, A, c0,
+                                                    a, b):
+        # whenever the scalings pass the guard, F > ½(p-1)h^{p-1}, so c, the
+        # f1 denominator h²F and the Jacobi denominator h^{θ-p+1}F are
+        # positive, with no check of their own
+        p = 1.0 + p_frac * (min(admissible_p_range(n)[1], 5.0) - 1.0)
+        exps = compute_exponents(n, p)
+        curve = build_curve(CurveSpec("ellipse", n=n, a=a, b=b), 64)
+        pot = sample_potential(PotentialField(f"{c0}/(1+r2)", n), curve)
+        try:
+            sf = compute_scalings(curve, pot, A, exps)
+        except (PhaseLawError, ConvergenceError):
+            return
+        h, sigma, theta = sf.h, exps.sigma, exps.theta
+        F = (p - 1) * h ** (p - 1) - 2 * sigma * A**2 * h ** (2 * sigma)
+        assert np.all(F / ((p - 1) * h ** (p - 1)) > 0.5)
+        assert np.all(scalings._phase_coefficient(sf, exps) > 0)
+        assert np.all(h**2 * F > 0)
+        assert np.all((p - 1) * h**theta - 2 * sigma * A**2 * h**sigma > 0)
 
 
 class TestImmutable:
